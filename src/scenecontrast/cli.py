@@ -112,12 +112,12 @@ def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     frames = _load_scene_dir(args.scenes)
     if args.arm:
-        cfg = replace(trainer.arm_config(cfg, args.arm), seed=cfg.seed)
+        cfg = trainer.arm_config(cfg, args.arm)
         result = trainer.pretrain(frames, cfg, out_dir=None)
         acc = trainer.linear_probe(result.model, frames, cfg).mean_accuracy
         print(f"{args.arm},{cfg.seed},{acc!r}")
         return 0
-    seeds = list(range(args.seeds))
+    seeds = list(range(cfg.seed, cfg.seed + args.seeds))
     rows = trainer.run_ablation(frames, cfg, seeds)
     csv = trainer.ablation_csv(rows)
     sys.stdout.write(csv)
@@ -175,7 +175,7 @@ def build_parser() -> _Parser:
     a.add_argument("--arm", choices=list(trainer.ARMS), default=None)
     a.add_argument("--config", default=None)
     a.add_argument("--fraction", type=float, default=None)
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--seed", type=int, default=None)
     a.add_argument("--out", default=None)
     a.set_defaults(fn=_cmd_ablate)
 

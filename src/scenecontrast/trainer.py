@@ -4,7 +4,9 @@ One step: embed all pixels and points of a multi-scene batch, pool per
 region, compute the paired contrastive term over the whole batch (so
 negatives cross frames), and, once the epoch gate opens, build cross-scene
 prototypes, blend them, and add the prototype term.  Updates are plain SGD
-with momentum under a per-epoch cosine learning-rate schedule.
+with momentum under a per-epoch cosine learning-rate schedule.  With
+``freeze_2d`` the 2D stack is a constant: each frame's pooled 2D rows are
+computed once per run, and neither the 2D backward nor a 2D update is run.
 
 Everything is seeded through named SeedSequence tuples and reductions run
 in fixed order (frame index ascending), so identical inputs give
@@ -13,6 +15,7 @@ bit-identical metrics and checkpoints.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -59,6 +62,10 @@ class TrainConfig:
     probe_epochs: int = 100
 
     def validate(self) -> None:
+        for name in ("lr", "tau_sp", "tau_pro"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
         if self.lr < 0:
@@ -216,7 +223,13 @@ def _group_scenes(frames: list[SceneFrame]) -> list[list[SceneFrame]]:
 @dataclass
 class _StepResult:
     report: LossReport
-    grads: list[list[tuple[np.ndarray, np.ndarray]]]  # per stack, per layer
+    grads: list[list[tuple[np.ndarray, np.ndarray]]]  # per trainable stack, per layer
+
+
+def _trainable_stacks(model: Model, cfg: TrainConfig) -> list[DenseStack]:
+    """The stacks updated by SGD, in checkpoint order; freeze_2d drops embed2d."""
+    stacks = model.stacks()
+    return stacks[1:] if cfg.freeze_2d else stacks
 
 
 def _zero_grads(stacks: list[DenseStack]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -240,22 +253,38 @@ def run_step(
     batch: list[FrameData],
     epoch: int,
     cfg: TrainConfig,
-    ema_state: dict | None = None,
+    run_state: dict | None = None,
 ) -> _StepResult:
     """Forward, loss, and backward over one multi-frame batch.
 
-    Raises DegenerateBatchError when the batch has too few valid regions.
+    ``run_state`` is the dict ``pretrain`` keeps for one run: the EMA
+    prototype bank under "bank" and, with ``freeze_2d``, each frame's pooled
+    2D rows and validity under "rows2d", filled the first time the frame is
+    in a batch.  Raises DegenerateBatchError when the batch has too few
+    valid regions.
     """
     loss_cfg = cfg.loss_config()
+    if run_state is None:
+        run_state = {}
+    frozen2d = run_state.setdefault("rows2d", {}) if cfg.freeze_2d else None
     fwd = []
     frame_banks: list[EmbeddingBank] = []
     for fd in batch:
-        h2d, c2d = embednet.forward(model.embed2d, fd.x2d)
+        if frozen2d is None:
+            h2d, c2d = embednet.forward(model.embed2d, fd.x2d)
+            rows2d, v2d, p2d = embednet.pool_regions(h2d, fd.groups2d)
+            back2d = (c2d, p2d)
+        else:
+            # keyed by identity: the run's FrameData outlive the run_state
+            if id(fd) not in frozen2d:
+                h2d, _ = embednet.forward(model.embed2d, fd.x2d)
+                frozen2d[id(fd)] = embednet.pool_regions(h2d, fd.groups2d)[:2]
+            rows2d, v2d = frozen2d[id(fd)]
+            back2d = None
         h3d, c3d = embednet.forward(model.embed3d, fd.x3d)
-        rows2d, v2d, p2d = embednet.pool_regions(h2d, fd.groups2d)
         rows3d, v3d, p3d = embednet.pool_regions(h3d, fd.groups3d)
         bank = embednet.make_bank(rows2d, v2d, rows3d, v3d, fd.signs)
-        fwd.append((fd, c2d, c3d, p2d, p3d))
+        fwd.append((fd, back2d, c3d, p3d))
         frame_banks.append(bank)
 
     batch_bank = EmbeddingBank(
@@ -272,14 +301,14 @@ def run_step(
     protos = None
     if losses.gate_open(epoch, loss_cfg):
         fresh = protobank.build_prototypes(frame_banks)
-        if cfg.ema and ema_state is not None:
-            prev = ema_state.get("bank")
+        if cfg.ema:
+            prev = run_state.get("bank")
             protos = (
                 fresh
                 if prev is None
                 else protobank.ema_update(prev, fresh, cfg.ema_momentum)
             )
-            ema_state["bank"] = protos
+            run_state["bank"] = protos
         else:
             protos = fresh
         if cfg.proto_mode == "mmpb":
@@ -293,30 +322,29 @@ def run_step(
 
     tot = losses.total_loss(epoch, sp, pro, loss_cfg)
 
-    stacks = model.stacks()
-    grads = _zero_grads(stacks)
+    grads = _zero_grads(_trainable_stacks(model, cfg))
+    # embed2d's slot, when it is trained, comes first
+    g3d, g_proj2d, g_proj3d, g_fuse = grads[-4:]
     offset = 0
-    for (fd, c2d, c3d, p2d, p3d) in fwd:
+    for (fd, back2d, c3d, p3d) in fwd:
         q = len(fd.groups2d)
-        g2_rows = tot.grad_f2d[offset : offset + q]
-        g3_rows = tot.grad_f3d[offset : offset + q]
+        rows = slice(offset, offset + q)
         offset += q
-        gx2 = embednet.pool_backward(g2_rows, p2d)
-        gx3 = embednet.pool_backward(g3_rows, p3d)
-        pg2, _ = embednet.backward(model.embed2d, gx2, c2d)
+        if back2d is not None:
+            c2d, p2d = back2d
+            gx2 = embednet.pool_backward(tot.grad_f2d[rows], p2d)
+            pg2, _ = embednet.backward(model.embed2d, gx2, c2d)
+            _accumulate(grads[0], pg2)
+        gx3 = embednet.pool_backward(tot.grad_f3d[rows], p3d)
         pg3, _ = embednet.backward(model.embed3d, gx3, c3d)
-        _accumulate(grads[0], pg2)
-        _accumulate(grads[1], pg3)
+        _accumulate(g3d, pg3)
 
     if tot.grad_pmix is not None and cfg.proto_mode == "mmpb":
         assert bcache is not None
         bg = blending.blend_backward(tot.grad_pmix, bcache)
-        _accumulate(grads[2], bg.proj2d)
-        _accumulate(grads[3], bg.proj3d)
-        _accumulate(grads[4], bg.fuse)
-
-    if cfg.freeze_2d:
-        grads[0] = [(np.zeros_like(w), np.zeros_like(b)) for w, b in grads[0]]
+        _accumulate(g_proj2d, bg.proj2d)
+        _accumulate(g_proj3d, bg.proj3d)
+        _accumulate(g_fuse, bg.fuse)
 
     return _StepResult(report=tot.report, grads=grads)
 
@@ -327,25 +355,16 @@ def cosine_lr(base_lr: float, epoch: int, epochs: int) -> float:
 
 
 class _Sgd:
-    """SGD with momentum; velocity per parameter tensor, fixed order."""
+    """SGD with momentum over fixed stacks; velocity per parameter tensor."""
 
     def __init__(self, stacks: list[DenseStack], momentum: float):
+        self.stacks = stacks
         self.momentum = momentum
-        self.vel = [
-            [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in s.layers]
-            for s in stacks
-        ]
+        self.vel = _zero_grads(stacks)
 
-    def step(
-        self,
-        stacks: list[DenseStack],
-        grads: list[list[tuple[np.ndarray, np.ndarray]]],
-        lr: float,
-    ) -> None:
-        for s_idx, stack in enumerate(stacks):
-            for l_idx, layer in enumerate(stack.layers):
-                vw, vb = self.vel[s_idx][l_idx]
-                gw, gb = grads[s_idx][l_idx]
+    def step(self, grads: list[list[tuple[np.ndarray, np.ndarray]]], lr: float) -> None:
+        for stack, vel, grad in zip(self.stacks, self.vel, grads):
+            for layer, (vw, vb), (gw, gb) in zip(stack.layers, vel, grad):
                 vw *= self.momentum
                 vw += gw
                 vb *= self.momentum
@@ -391,8 +410,8 @@ def pretrain(
 
     feat_dim = frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, cfg.embed_dim, cfg.seed)
-    opt = _Sgd(model.stacks(), cfg.momentum)
-    ema_state: dict = {}
+    opt = _Sgd(_trainable_stacks(model, cfg), cfg.momentum)
+    run_state: dict = {}
 
     metrics = [losses.CSV_HEADER]
     step = 0
@@ -405,14 +424,14 @@ def pretrain(
             chosen = order[b * cfg.scenes_per_batch : (b + 1) * cfg.scenes_per_batch]
             batch = [fd for s in chosen for fd in scene_data[s]]
             try:
-                result = run_step(model, batch, epoch, cfg, ema_state)
+                result = run_step(model, batch, epoch, cfg, run_state)
             except DegenerateBatchError as err:
                 print(
                     f"warning: skipping batch {b} of epoch {epoch}: {err}",
                     file=sys.stderr,
                 )
                 continue
-            opt.step(model.stacks(), result.grads, lr)
+            opt.step(result.grads, lr)
             step += 1
             stepped += 1
             metrics.append(losses.csv_row(step, epoch, result.report))

@@ -197,3 +197,38 @@ def test_ablate_full_csv(scene_dir, cfg_file, tmp_path, capsys):
     assert (out / "ablate.csv").read_text() == printed
     accs = np.array([float(l.split(",")[2]) for l in lines[1:]])
     assert ((accs >= 0.0) & (accs <= 1.0)).all()
+
+
+def test_ablate_seed_offsets_the_seed_range(scene_dir, cfg_file, capsys):
+    code = main(
+        ["ablate", "--scenes", str(scene_dir), "--config", str(cfg_file),
+         "--seed", "3", "--seeds", "1"]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [l.split(",")[:2] for l in lines[1:]] == [
+        ["sp", "3"], ["sp+rawpro", "3"], ["sp+mmpb", "3"]
+    ]
+
+
+def test_ablate_arm_uses_config_seed(scene_dir, tmp_path, capsys):
+    cfg = tmp_path / "seeded.txt"
+    cfg.write_text(CFG_TEXT + "seed = 5\n")
+    code = main(
+        ["ablate", "--scenes", str(scene_dir), "--config", str(cfg), "--arm", "sp"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.strip().split(",")[:2] == ["sp", "5"]
+
+
+@pytest.mark.parametrize("line", ["lr = nan", "tau_sp = inf", "tau_pro = nan"])
+def test_non_finite_config_exits_1(scene_dir, tmp_path, capsys, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(CFG_TEXT + line + "\n")
+    code = main(
+        ["pretrain", "--config", str(bad), "--scenes", str(scene_dir),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 1
+    assert f"{line.split()[0]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

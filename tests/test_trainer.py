@@ -1,8 +1,11 @@
 """Training loop: config parsing, determinism, schedules, probe, gradcheck."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import scenecontrast.embednet as embednet
 import scenecontrast.trainer as trainer
 from scenecontrast.embednet import read_checkpoint
 from scenecontrast.errors import (
@@ -97,6 +100,14 @@ def test_validate_rejects_bad_fields():
         with pytest.raises(ConfigurationError):
             TrainConfig(**kw).validate()
     TrainConfig(lr=0.0).validate()  # frozen dynamics are legal
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["lr", "tau_sp", "tau_pro"])
+def test_load_config_rejects_non_finite(tmp_path, field, value):
+    p = write_cfg(tmp_path, f"{field} = {value}\n")
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        load_config(p)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +370,95 @@ def test_trained_beats_random_probe(small_frames, prepared):
     trained_acc = linear_probe(res.model, small_frames, cfg).mean_accuracy
     random_acc = random_init_probe(small_frames, cfg, seed=cfg.seed).mean_accuracy
     assert trained_acc >= random_acc
+
+
+# ---------------------------------------------------------------------------
+# frozen 2D stack
+
+FROZEN = TrainConfig(
+    epochs=3, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=1, freeze_2d=True
+)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [FROZEN, replace(FROZEN, proto_mode="raw3d", ema=True)],
+    ids=["mmpb", "raw3d-ema"],
+)
+def test_frozen_2d_matches_dropping_the_2d_update(
+    small_frames, prepared, tmp_path, monkeypatch, cfg
+):
+    fast = pretrain(small_frames, cfg, out_dir=tmp_path / "fast", prepared=prepared)
+
+    # oracle: the unfrozen step, with the 2D gradients zeroed before SGD
+    real_step = trainer._Sgd.step
+
+    def step_without_2d(self, grads, lr):
+        grads[0] = [(np.zeros_like(w), np.zeros_like(b)) for w, b in grads[0]]
+        real_step(self, grads, lr)
+
+    with monkeypatch.context() as m:
+        m.setattr(trainer._Sgd, "step", step_without_2d)
+        ref = pretrain(
+            small_frames,
+            replace(cfg, freeze_2d=False),
+            out_dir=tmp_path / "ref",
+            prepared=prepared,
+        )
+
+    assert any(row.split(",")[2] == "1" for row in fast.metrics[1:])  # gated steps
+    assert fast.metrics == ref.metrics
+    assert (
+        fast.checkpoint_path.read_bytes() == ref.checkpoint_path.read_bytes()
+    )
+    feat_dim = small_frames[0].pixel_features.shape[3]
+    init2d = init_model(feat_dim, cfg.embed_dim, cfg.seed).embed2d
+    for got, want in zip(fast.model.embed2d.layers, init2d.layers):
+        assert got.weight.tobytes() == want.weight.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+
+@pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "trained"])
+def test_frozen_2d_work_counts(small_frames, prepared, monkeypatch, freeze):
+    models, batches, calls = [], [], []
+    real_init, real_run_step = trainer.init_model, trainer.run_step
+    real_forward, real_backward = embednet.forward, embednet.backward
+
+    def init_model_(*args, **kwargs):
+        models.append(real_init(*args, **kwargs))
+        return models[-1]
+
+    def run_step_(model, batch, *rest):
+        batches.append(batch)
+        return real_run_step(model, batch, *rest)
+
+    def forward_(stack, inputs):
+        calls.append(("forward", stack, id(inputs)))
+        return real_forward(stack, inputs)
+
+    def backward_(stack, upstream, cache):
+        calls.append(("backward", stack, id(cache.inputs)))
+        return real_backward(stack, upstream, cache)
+
+    monkeypatch.setattr(trainer, "init_model", init_model_)
+    monkeypatch.setattr(trainer, "run_step", run_step_)
+    monkeypatch.setattr(embednet, "forward", forward_)
+    monkeypatch.setattr(embednet, "backward", backward_)
+    pretrain(small_frames, replace(FROZEN, freeze_2d=freeze), prepared=prepared)
+
+    (model,) = models
+    fwd2d = [x for fn, s, x in calls if fn == "forward" and s is model.embed2d]
+    bwd2d = [x for fn, s, x in calls if fn == "backward" and s is model.embed2d]
+    per_step = [id(fd.x2d) for batch in batches for fd in batch]
+    assert len(batches) == 2 * FROZEN.epochs
+    if freeze:
+        # once per distinct frame per run, and never a 2D backward
+        assert len(set(per_step)) == len(small_frames)
+        assert sorted(fwd2d) == sorted(set(per_step))
+        assert bwd2d == []
+    else:
+        assert fwd2d == per_step
+        assert bwd2d == per_step
 
 
 # ---------------------------------------------------------------------------
