@@ -118,7 +118,7 @@ class ForwardCache:
     stack: DenseStack
     version: int
     inputs: np.ndarray
-    preacts: list[np.ndarray]  # per layer, pre-activation values
+    acts: list[np.ndarray]  # per layer, its output (after the activation)
 
     def check(self) -> None:
         if self.version != self.stack.version:
@@ -128,7 +128,11 @@ class ForwardCache:
 
 
 def forward(stack: DenseStack, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on (N, in_width) rows; empty stacks are the identity."""
+    """Run the stack on (N, in_width) rows; empty stacks are the identity.
+
+    The output is the cache's last activation, so callers must not write
+    to it while the cache may still be used.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"inputs must be 2-D, got shape {x.shape}")
@@ -136,13 +140,15 @@ def forward(stack: DenseStack, inputs: np.ndarray) -> tuple[np.ndarray, ForwardC
         raise ShapeError(
             f"inputs have width {x.shape[1]}, stack expects {stack.in_width}"
         )
-    preacts = []
+    acts = []
     h = x
     for layer in stack.layers:
-        z = h @ layer.weight.T + layer.bias
-        preacts.append(z)
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    return h, ForwardCache(stack, stack.version, x, preacts)
+        h = h @ layer.weight.T
+        h += layer.bias
+        if layer.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return h, ForwardCache(stack, stack.version, x, acts)
 
 
 def backward(
@@ -153,24 +159,23 @@ def backward(
     if cache.stack is not stack:
         raise ContractViolationError("cache built for a different stack")
     g = np.asarray(upstream, dtype=np.float64)
-    if stack.layers and g.shape != cache.preacts[-1].shape:
+    if stack.layers and g.shape != cache.acts[-1].shape:
         raise ShapeError(
             f"upstream shape {g.shape} does not match output "
-            f"{cache.preacts[-1].shape}"
+            f"{cache.acts[-1].shape}"
         )
     param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(stack.layers)
     for i in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[i]
-        z = cache.preacts[i]
         if layer.activation == "relu":
-            g = g * (z > 0.0)
-        below = (
-            cache.inputs
-            if i == 0
-            else np.maximum(cache.preacts[i - 1], 0.0)
-            if stack.layers[i - 1].activation == "relu"
-            else cache.preacts[i - 1]
-        )
+            # relu(z) > 0 exactly where z > 0, NaN included; the caller's
+            # upstream array is never written to
+            mask = cache.acts[i] > 0.0
+            if g is upstream:
+                g = g * mask
+            else:
+                g *= mask
+        below = cache.inputs if i == 0 else cache.acts[i - 1]
         param_grads[i] = (g.T @ below, g.sum(axis=0))
         g = g @ layer.weight
     return param_grads, g
@@ -322,7 +327,7 @@ def read_checkpoint(path) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def load_layers(stacks: list[DenseStack], layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Write checkpoint layers back into stacks, shape-checked."""
+    """Write checkpoint layers back into stacks, shape- and finiteness-checked."""
     want = [l for s in stacks for l in s.layers]
     if len(want) != len(layers):
         raise ConfigurationError(
@@ -335,5 +340,9 @@ def load_layers(stacks: list[DenseStack], layers: list[tuple[np.ndarray, np.ndar
             )
         target.weight = w.copy()
         target.bias = b.copy()
-    for s in stacks:
+    for k, s in enumerate(stacks):
+        try:
+            s.validate()
+        except ConfigurationError as err:
+            raise ConfigurationError(f"checkpoint stack {k}, {err}") from err
         s.bump()

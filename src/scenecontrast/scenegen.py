@@ -689,6 +689,16 @@ def write_scene(frame: SceneFrame, path) -> None:
         fh.write(buf.getvalue())
 
 
+def _finite(cur: ByteCursor, count: int, what: str) -> np.ndarray:
+    """Read ``count`` float32 values, rejecting NaN and infinity."""
+    start = cur.pos
+    values = cur.array("float32", count, what)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise SceneFormatError(f"non-finite value in {what}", start + 4 * int(bad[0]))
+    return values
+
+
 def read_scene(path) -> SceneFrame:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -717,7 +727,7 @@ def read_scene(path) -> SceneFrame:
             raise SceneFormatError(f"{name} must be positive, got {value}", offset)
     if t < 2:
         raise SceneFormatError(f"class count {t} below 2", 28)
-    points = cur.array("float32", k * 4, "points").reshape(k, 4)
+    points = _finite(cur, k * 4, "points").reshape(k, 4)
     label_offset = cur.pos
     point_labels = cur.array("uint16", k, "point labels")
     if (point_labels >= t).any():
@@ -747,16 +757,23 @@ def read_scene(path) -> SceneFrame:
             raise SceneFormatError(f"camera {idx} invalid: {err}", cam_offset) from err
         cams.append(cam)
         feat_list.append(
-            cur.array("float32", h * w * f0, f"camera {idx} pixel_features").reshape(
-                h, w, f0
-            )
+            _finite(cur, h * w * f0, f"camera {idx} pixel_features").reshape(h, w, f0)
         )
         sem_list.append(
             cur.array("uint16", h * w, f"camera {idx} semantic_raster").reshape(h, w)
         )
-        spix_list.append(
-            cur.array("uint32", h * w, f"camera {idx} superpixel_raster").reshape(h, w)
-        )
+        spix_offset = cur.pos
+        spix = cur.array("uint32", h * w, f"camera {idx} superpixel_raster")
+        # ids index regions: one at or above H*W would size the region
+        # table from a corrupt byte, not from the raster
+        bad = np.flatnonzero((spix != UNASSIGNED) & (spix >= h * w))
+        if bad.size:
+            raise SceneFormatError(
+                f"camera {idx} superpixel_raster: id {spix[bad[0]]} not below "
+                f"H*W={h * w}",
+                spix_offset + 4 * int(bad[0]),
+            )
+        spix_list.append(spix.reshape(h, w))
     cur.expect_end("superpixel rasters")
     feats = np.stack(feat_list)
     sems = np.stack(sem_list)

@@ -8,8 +8,10 @@ with momentum under a per-epoch cosine learning-rate schedule.  With
 ``freeze_2d`` the 2D stack is a constant: each frame's pooled 2D rows are
 computed once per run, and neither the 2D backward nor a 2D update is run.
 
-Everything is seeded through named SeedSequence tuples and reductions run
-in fixed order (frame index ascending), so identical inputs give
+When the 2D stack is trained, each frame's 2D side runs on one worker
+thread beside the 3D side (see ``run_step``).  Everything is seeded
+through named SeedSequence tuples and reductions run in fixed order (frame
+index ascending) on the calling thread, so identical inputs give
 bit-identical metrics and checkpoints.
 """
 
@@ -17,7 +19,9 @@ from __future__ import annotations
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -248,44 +252,85 @@ def _accumulate(
         ab += gb
 
 
+def _embed(stack: DenseStack, x: np.ndarray, groups: list[np.ndarray]):
+    """One side of one frame: (pooled rows, validity, caches for the backward)."""
+    h, cache = embednet.forward(stack, x)
+    rows, valid, pcache = embednet.pool_regions(h, groups)
+    return rows, valid, (cache, pcache)
+
+
+def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches):
+    """Parameter gradients of one side of one frame, given its rows' gradient."""
+    cache, pcache = caches
+    return embednet.backward(stack, embednet.pool_backward(upstream, pcache), cache)[0]
+
+
+def _run_beside(worker: ThreadPoolExecutor, tasks: list, own):
+    """Run ``tasks`` on ``worker`` while this thread runs ``own()``.
+
+    Once ``own()`` returns, the tasks the worker has not started are taken
+    back one at a time from the tail and run here.  Returns ``own()``'s
+    result and the tasks' results in task order.
+    """
+    futures = [worker.submit(task) for task in tasks]
+    try:
+        mine = own()
+        results = [None] * len(tasks)
+        n = len(tasks)
+        # the worker runs tasks in order, so the unstarted ones are a tail
+        while n and futures[n - 1].cancel():
+            n -= 1
+            results[n] = tasks[n]()
+        results[:n] = [f.result() for f in futures[:n]]
+        return mine, results
+    finally:
+        # after an error, leave no task running on this step's arrays; a
+        # cancelled task counts as done only once the worker reaches it
+        wait([f for f in futures if not f.cancel()])
+
+
 def run_step(
     model: Model,
     batch: list[FrameData],
     epoch: int,
     cfg: TrainConfig,
-    run_state: dict | None = None,
+    run_state: dict,
 ) -> _StepResult:
     """Forward, loss, and backward over one multi-frame batch.
 
-    ``run_state`` is the dict ``pretrain`` keeps for one run: the EMA
-    prototype bank under "bank" and, with ``freeze_2d``, each frame's pooled
-    2D rows and validity under "rows2d", filled the first time the frame is
-    in a batch.  Raises DegenerateBatchError when the batch has too few
-    valid regions.
+    ``run_state`` is the dict ``pretrain`` keeps for one run: under
+    "worker2d" the one-thread executor that, when the 2D stack is trained,
+    runs each frame's 2D forward and backward beside the 3D side; the EMA
+    prototype bank under "bank"; with ``freeze_2d``, each frame's pooled 2D
+    rows and validity under "rows2d", filled the first time the frame is in
+    a batch.  Gradients are summed on the calling thread in batch order, so
+    the result does not depend on which thread ran a frame.  Raises
+    DegenerateBatchError when the batch has too few valid regions.
     """
     loss_cfg = cfg.loss_config()
-    if run_state is None:
-        run_state = {}
-    frozen2d = run_state.setdefault("rows2d", {}) if cfg.freeze_2d else None
-    fwd = []
-    frame_banks: list[EmbeddingBank] = []
-    for fd in batch:
-        if frozen2d is None:
-            h2d, c2d = embednet.forward(model.embed2d, fd.x2d)
-            rows2d, v2d, p2d = embednet.pool_regions(h2d, fd.groups2d)
-            back2d = (c2d, p2d)
-        else:
+
+    def forward3d():
+        return [_embed(model.embed3d, fd.x3d, fd.groups3d) for fd in batch]
+
+    if cfg.freeze_2d:
+        frozen2d = run_state.setdefault("rows2d", {})
+        for fd in batch:
             # keyed by identity: the run's FrameData outlive the run_state
             if id(fd) not in frozen2d:
-                h2d, _ = embednet.forward(model.embed2d, fd.x2d)
-                frozen2d[id(fd)] = embednet.pool_regions(h2d, fd.groups2d)[:2]
-            rows2d, v2d = frozen2d[id(fd)]
-            back2d = None
-        h3d, c3d = embednet.forward(model.embed3d, fd.x3d)
-        rows3d, v3d, p3d = embednet.pool_regions(h3d, fd.groups3d)
-        bank = embednet.make_bank(rows2d, v2d, rows3d, v3d, fd.signs)
-        fwd.append((fd, back2d, c3d, p3d))
-        frame_banks.append(bank)
+                frozen2d[id(fd)] = _embed(model.embed2d, fd.x2d, fd.groups2d)[:2]
+        side2d = [frozen2d[id(fd)] + (None,) for fd in batch]
+        side3d = forward3d()
+    else:
+        worker = run_state["worker2d"]
+        side3d, side2d = _run_beside(
+            worker,
+            [partial(_embed, model.embed2d, fd.x2d, fd.groups2d) for fd in batch],
+            forward3d,
+        )
+    frame_banks = [
+        embednet.make_bank(rows2d, v2d, rows3d, v3d, fd.signs)
+        for fd, (rows2d, v2d, _), (rows3d, v3d, _) in zip(batch, side2d, side3d)
+    ]
 
     batch_bank = EmbeddingBank(
         f2d=np.concatenate([b.f2d for b in frame_banks]),
@@ -325,26 +370,32 @@ def run_step(
     grads = _zero_grads(_trainable_stacks(model, cfg))
     # embed2d's slot, when it is trained, comes first
     g3d, g_proj2d, g_proj3d, g_fuse = grads[-4:]
-    offset = 0
-    for (fd, back2d, c3d, p3d) in fwd:
-        q = len(fd.groups2d)
-        rows = slice(offset, offset + q)
-        offset += q
-        if back2d is not None:
-            c2d, p2d = back2d
-            gx2 = embednet.pool_backward(tot.grad_f2d[rows], p2d)
-            pg2, _ = embednet.backward(model.embed2d, gx2, c2d)
-            _accumulate(grads[0], pg2)
-        gx3 = embednet.pool_backward(tot.grad_f3d[rows], p3d)
-        pg3, _ = embednet.backward(model.embed3d, gx3, c3d)
-        _accumulate(g3d, pg3)
+    ends = np.cumsum([len(fd.groups2d) for fd in batch])
+    rows = [slice(end - len(fd.groups2d), end) for fd, end in zip(batch, ends)]
 
-    if tot.grad_pmix is not None and cfg.proto_mode == "mmpb":
-        assert bcache is not None
-        bg = blending.blend_backward(tot.grad_pmix, bcache)
-        _accumulate(g_proj2d, bg.proj2d)
-        _accumulate(g_proj3d, bg.proj3d)
-        _accumulate(g_fuse, bg.fuse)
+    def backward3d_and_blend():
+        for r, (_, _, caches) in zip(rows, side3d):
+            _accumulate(g3d, _embed_backward(model.embed3d, tot.grad_f3d[r], caches))
+        if tot.grad_pmix is not None and cfg.proto_mode == "mmpb":
+            assert bcache is not None
+            bg = blending.blend_backward(tot.grad_pmix, bcache)
+            _accumulate(g_proj2d, bg.proj2d)
+            _accumulate(g_proj3d, bg.proj3d)
+            _accumulate(g_fuse, bg.fuse)
+
+    if cfg.freeze_2d:
+        backward3d_and_blend()
+    else:
+        _, grads2d = _run_beside(
+            worker,
+            [
+                partial(_embed_backward, model.embed2d, tot.grad_f2d[r], caches)
+                for r, (_, _, caches) in zip(rows, side2d)
+            ],
+            backward3d_and_blend,
+        )
+        for pg2 in grads2d:
+            _accumulate(grads[0], pg2)
 
     return _StepResult(report=tot.report, grads=grads)
 
@@ -411,32 +462,33 @@ def pretrain(
     feat_dim = frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, cfg.embed_dim, cfg.seed)
     opt = _Sgd(_trainable_stacks(model, cfg), cfg.momentum)
-    run_state: dict = {}
-
     metrics = [losses.CSV_HEADER]
     step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
-        order = _rng(cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(scene_data))
-        n_batches = len(scene_data) // cfg.scenes_per_batch
-        stepped = 0
-        for b in range(n_batches):
-            chosen = order[b * cfg.scenes_per_batch : (b + 1) * cfg.scenes_per_batch]
-            batch = [fd for s in chosen for fd in scene_data[s]]
-            try:
-                result = run_step(model, batch, epoch, cfg, run_state)
-            except DegenerateBatchError as err:
-                print(
-                    f"warning: skipping batch {b} of epoch {epoch}: {err}",
-                    file=sys.stderr,
-                )
-                continue
-            opt.step(result.grads, lr)
-            step += 1
-            stepped += 1
-            metrics.append(losses.csv_row(step, epoch, result.report))
-        if n_batches > 0 and stepped == 0:
-            raise TrainingError(f"every batch of epoch {epoch} was degenerate")
+    # the executor starts its thread on the first submit: none with freeze_2d
+    with ThreadPoolExecutor(1, thread_name_prefix="embed2d") as worker:
+        run_state: dict = {"worker2d": worker}
+        for epoch in range(1, cfg.epochs + 1):
+            lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
+            order = _rng(cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(scene_data))
+            n_batches = len(scene_data) // cfg.scenes_per_batch
+            stepped = 0
+            for b in range(n_batches):
+                chosen = order[b * cfg.scenes_per_batch : (b + 1) * cfg.scenes_per_batch]
+                batch = [fd for s in chosen for fd in scene_data[s]]
+                try:
+                    result = run_step(model, batch, epoch, cfg, run_state)
+                except DegenerateBatchError as err:
+                    print(
+                        f"warning: skipping batch {b} of epoch {epoch}: {err}",
+                        file=sys.stderr,
+                    )
+                    continue
+                opt.step(result.grads, lr)
+                step += 1
+                stepped += 1
+                metrics.append(losses.csv_row(step, epoch, result.report))
+            if n_batches > 0 and stepped == 0:
+                raise TrainingError(f"every batch of epoch {epoch} was degenerate")
 
     metrics_path = None
     ckpt_path = None
@@ -629,11 +681,19 @@ def _fd_over_vector(f, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _near_kink(caches: list) -> bool:
-    for cache in caches:
-        for z, layer in zip(cache.preacts, cache.stack.layers):
-            if layer.activation == "relu" and np.min(np.abs(z)) < 1e-4:
-                return True
+def _near_kink(cache: embednet.ForwardCache) -> bool:
+    """True when a ReLU pre-activation lies within reach of the FD step.
+
+    The pre-activations are recomputed from the inputs and weights: the
+    cache keeps activations, and a ReLU output of 0 does not tell how far
+    below the kink its input was.
+    """
+    below = cache.inputs
+    for layer, act in zip(cache.stack.layers, cache.acts):
+        z = below @ layer.weight.T + layer.bias
+        if layer.activation == "relu" and np.min(np.abs(z)) < 1e-4:
+            return True
+        below = act
     return False
 
 
@@ -664,7 +724,7 @@ def _check_embednet(rng: np.random.Generator, corrupt: bool) -> float:
         sizes = np.array([len(g) for g in groups])
         # a populated group with tiny or exactly-zero norm sits on the
         # validity discontinuity, where FD measures the jump, not the slope
-        if _near_kink([fcache]) or np.any((sizes > 0) & (pcache.norms < 1e-3)):
+        if _near_kink(fcache) or np.any((sizes > 0) & (pcache.norms < 1e-3)):
             continue
         upstream = weights * valid[:, None]
         gx_feat = embednet.pool_backward(upstream, pcache)

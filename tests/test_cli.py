@@ -5,6 +5,7 @@ import pytest
 
 from scenecontrast.cli import main
 from scenecontrast.scenegen import read_scene
+from scenecontrast.trainer import load_model, save_model
 
 GEN = [
     "gen-scenes",
@@ -160,6 +161,20 @@ def test_probe_bad_fraction_exits_1(ckpt_dir, scene_dir, capsys):
     )
     assert code == 1
     capsys.readouterr()
+
+
+def test_probe_rejects_non_finite_checkpoint(ckpt_dir, scene_dir, cfg_file, tmp_path, capsys):
+    feat_dim = read_scene(sorted(scene_dir.glob("*.cscs"))[0]).pixel_features.shape[3]
+    model = load_model(ckpt_dir / "checkpoint.cscw", feat_dim, embed_dim=12)
+    model.embed3d.layers[1].weight[2, 3] = np.nan
+    bad = tmp_path / "nan.cscw"
+    save_model(model, bad)
+    code = main(
+        ["probe", "--ckpt", str(bad), "--scenes", str(scene_dir),
+         "--config", str(cfg_file)]
+    )
+    assert code != 0
+    assert "checkpoint stack 1, layer 1: non-finite parameters" in capsys.readouterr().err
 
 
 def test_gradcheck_exits_0(capsys):

@@ -108,6 +108,28 @@ def test_glorot_bounds(rng):
     assert np.all(stack.layers[0].bias == 0.0)
 
 
+def preactivations(stack, x):
+    """Each layer's input to its activation, from x and the weights."""
+    zs, h = [], x
+    for layer in stack.layers:
+        z = h @ layer.weight.T + layer.bias
+        zs.append(z)
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return zs
+
+
+def test_cache_holds_each_layers_activation(rng):
+    stack = init_stack([5, 7, 6, 3], rng)
+    x = rng.normal(size=(9, 5))
+    out, cache = forward(stack, x)
+    want = [
+        np.maximum(z, 0.0) if l.activation == "relu" else z
+        for z, l in zip(preactivations(stack, x), stack.layers)
+    ]
+    assert [a.tobytes() for a in cache.acts] == [w.tobytes() for w in want]
+    assert out is cache.acts[-1]
+
+
 def test_gradients_match_fd(rng):
     """Analytic stack gradients vs the test-local central differences."""
     worst = 0.0
@@ -123,9 +145,11 @@ def test_gradients_match_fd(rng):
             return float(np.sum(w * forward(stack, x)[0]))
 
         _, cache = forward(stack, x)
+        # on the recomputed pre-activations: a cached ReLU output of 0 does
+        # not tell how far below the kink its input was
         if any(
             l.activation == "relu" and np.min(np.abs(z)) < 1e-4
-            for z, l in zip(cache.preacts, stack.layers)
+            for z, l in zip(preactivations(stack, x), stack.layers)
         ):
             continue  # finite differences straddle the kink
         pgrads, gx = backward(stack, w, cache)

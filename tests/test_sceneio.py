@@ -1,17 +1,20 @@
 """Scene file format: byte-exact round trips and corruption handling."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scenecontrast.errors import SceneFormatError
 from scenecontrast.scenegen import (
+    UNASSIGNED,
     SceneGeometry,
     SemanticOracleConfig,
     generate_scene,
     read_scene,
     write_scene,
 )
+from scenecontrast.trainer import prepare_frame
 
 TINY = generate_scene(
     3,
@@ -93,10 +96,65 @@ def test_trailing_garbage(tmp_path):
         read_scene(path)
 
 
+# byte offsets of TINY's sections (16x16 rasters, 2 cameras)
+HEADER = 4 + 8 * 4
+LABELS = HEADER + TINY.num_points * 4 * 4
+CAM0 = LABELS + TINY.num_points * 2
+FEATS0 = CAM0 + 4 * 4 + 16 * 4
+F0 = TINY.pixel_features.shape[3]
+SEM0 = FEATS0 + 16 * 16 * F0 * 4
+SPIX0 = SEM0 + 16 * 16 * 2
+CAM1 = SPIX0 + 16 * 16 * 4
+SPIX1 = CAM1 + 4 * 4 + 16 * 4 + 16 * 16 * F0 * 4 + 16 * 16 * 2
+
+
+def write_patched(path, offset, value: bytes):
+    write_scene(TINY, path)
+    data = bytearray(path.read_bytes())
+    data[offset : offset + len(value)] = value
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "offset,section",
+    [
+        (HEADER + 4 * 4 * 5 + 4 * 3, "points"),  # point 5's intensity
+        (HEADER + 4 * 4 * 7 + 4 * 1, "points"),  # point 7's y
+        (FEATS0 + 4 * 11, "camera 0 pixel_features"),
+    ],
+    ids=["intensity", "coordinate", "pixel-feature"],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_value_names_section_and_offset(tmp_path, offset, section, value):
+    path = tmp_path / "scene.cscs"
+    write_patched(path, offset, np.float32(value).astype("<f4").tobytes())
+    with pytest.raises(SceneFormatError, match=f"non-finite value in {section}") as err:
+        read_scene(path)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "camera,section", [(0, SPIX0), (1, SPIX1)], ids=["camera0", "camera1"]
+)
+def test_superpixel_id_not_below_raster_size(tmp_path, camera, section):
+    assert TINY.superpixel_raster[camera].reshape(-1)[3] != UNASSIGNED
+    path = tmp_path / "scene.cscs"
+    offset = section + 4 * 3
+    write_patched(path, offset, np.uint32(16 * 16).astype("<u4").tobytes())
+    with pytest.raises(SceneFormatError, match=f"camera {camera} superpixel") as err:
+        read_scene(path)
+    assert err.value.offset == offset
+    # the largest id that fits is accepted
+    write_patched(path, offset, np.uint32(16 * 16 - 1).astype("<u4").tobytes())
+    assert read_scene(path).superpixel_raster[camera].reshape(-1)[3] == 255
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_fuzzed_corruption_raises_cleanly(tmp_path_factory, data):
-    """Any truncation or byte flip either reads back or raises SceneFormatError."""
+    """Any truncation or byte flip either raises SceneFormatError or reads
+    back into a scene the trainer can prepare, with at most one region per
+    raster cell."""
     path = tmp_path_factory.mktemp("fuzz") / "scene.cscs"
     write_scene(TINY, path)
     blob = bytearray(path.read_bytes())
@@ -109,6 +167,10 @@ def test_fuzzed_corruption_raises_cleanly(tmp_path_factory, data):
         blob[pos] ^= data.draw(st.integers(min_value=1, max_value=255))
     path.write_bytes(bytes(blob))
     try:
-        read_scene(path)
+        frame = read_scene(path)
     except SceneFormatError as err:
         assert 0 <= err.offset <= len(blob)
+        return
+    fd = prepare_frame(frame)
+    assert fd.table.Q <= frame.superpixel_raster.size
+    assert np.isfinite(fd.x2d).all() and np.isfinite(fd.x3d).all()

@@ -1,5 +1,8 @@
 """Training loop: config parsing, determinism, schedules, probe, gradcheck."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -432,12 +435,14 @@ def test_frozen_2d_work_counts(small_frames, prepared, monkeypatch, freeze):
         batches.append(batch)
         return real_run_step(model, batch, *rest)
 
+    # tagged with the step they belong to; the step's 2D calls may run on
+    # its worker thread, but all of them finish before run_step returns
     def forward_(stack, inputs):
-        calls.append(("forward", stack, id(inputs)))
+        calls.append(("forward", stack, id(inputs), len(batches) - 1))
         return real_forward(stack, inputs)
 
     def backward_(stack, upstream, cache):
-        calls.append(("backward", stack, id(cache.inputs)))
+        calls.append(("backward", stack, id(cache.inputs), len(batches) - 1))
         return real_backward(stack, upstream, cache)
 
     monkeypatch.setattr(trainer, "init_model", init_model_)
@@ -447,18 +452,115 @@ def test_frozen_2d_work_counts(small_frames, prepared, monkeypatch, freeze):
     pretrain(small_frames, replace(FROZEN, freeze_2d=freeze), prepared=prepared)
 
     (model,) = models
-    fwd2d = [x for fn, s, x in calls if fn == "forward" and s is model.embed2d]
-    bwd2d = [x for fn, s, x in calls if fn == "backward" and s is model.embed2d]
-    per_step = [id(fd.x2d) for batch in batches for fd in batch]
+    fwd2d = [(k, x) for fn, s, x, k in calls if fn == "forward" and s is model.embed2d]
+    bwd2d = [(k, x) for fn, s, x, k in calls if fn == "backward" and s is model.embed2d]
+    per_step = [(k, id(fd.x2d)) for k, batch in enumerate(batches) for fd in batch]
     assert len(batches) == 2 * FROZEN.epochs
     if freeze:
         # once per distinct frame per run, and never a 2D backward
-        assert len(set(per_step)) == len(small_frames)
-        assert sorted(fwd2d) == sorted(set(per_step))
+        frames = {x for _, x in per_step}
+        assert len(frames) == len(small_frames)
+        assert sorted(x for _, x in fwd2d) == sorted(frames)
         assert bwd2d == []
     else:
-        assert fwd2d == per_step
-        assert bwd2d == per_step
+        # each step: each of its frames exactly once, in any order
+        assert sorted(fwd2d) == sorted(per_step)
+        assert sorted(bwd2d) == sorted(per_step)
+
+
+# ---------------------------------------------------------------------------
+# 2D worker thread
+
+
+class BusyWorker(ThreadPoolExecutor):
+    """Occupied until shutdown, so the caller takes back every 2D task."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.release = threading.Event()
+        self.blocker = super().submit(self.release.wait, 60)
+
+    def shutdown(self, *args, **kwargs):
+        self.release.set()
+        super().shutdown(*args, **kwargs)
+        assert self.blocker.result() is True  # released, not timed out
+
+
+class NoTakeBackWorker(ThreadPoolExecutor):
+    """Its tasks cannot be cancelled, so the worker runs every 2D task."""
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        future.cancel = lambda: False
+        return future
+
+
+@pytest.mark.parametrize(
+    "executor,runs_2d",
+    [
+        (BusyWorker, "MainThread"),
+        (NoTakeBackWorker, "embed2d"),
+        (ThreadPoolExecutor, None),
+    ],
+    ids=["caller-runs-2d", "worker-runs-2d", "fast-switching"],
+)
+def test_2d_thread_does_not_change_outputs(
+    small_frames, prepared, tmp_path, monkeypatch, trained, executor, runs_2d
+):
+    calls = []
+    real_forward, real_backward = embednet.forward, embednet.backward
+
+    def forward_(stack, inputs):
+        calls.append((stack, threading.current_thread().name))
+        return real_forward(stack, inputs)
+
+    def backward_(stack, upstream, cache):
+        calls.append((stack, threading.current_thread().name))
+        return real_backward(stack, upstream, cache)
+
+    monkeypatch.setattr(trainer, "ThreadPoolExecutor", executor)
+    monkeypatch.setattr(embednet, "forward", forward_)
+    monkeypatch.setattr(embednet, "backward", backward_)
+    interval = sys.getswitchinterval()
+    if runs_2d is None:
+        # hand the interpreter lock back and forth as often as it allows
+        sys.setswitchinterval(1e-6)
+    try:
+        res = pretrain(small_frames, CFG, out_dir=tmp_path / "out", prepared=prepared)
+    finally:
+        sys.setswitchinterval(interval)
+
+    # the 2D forward and backward of each of 3 frames in each of 6 steps
+    threads = [name for stack, name in calls if stack is res.model.embed2d]
+    assert len(threads) == 2 * 6 * 3
+    if runs_2d is not None:
+        assert {name.split("_")[0] for name in threads} == {runs_2d}
+    assert (tmp_path / "out" / "metrics.csv").read_bytes() == (
+        trained.metrics_path.read_bytes()
+    )
+    assert res.checkpoint_path.read_bytes() == trained.checkpoint_path.read_bytes()
+
+
+def test_frozen_2d_starts_no_thread(small_frames, prepared, monkeypatch):
+    submitted, alive = [], []
+    real_submit, real_run_step = ThreadPoolExecutor.submit, trainer.run_step
+
+    def submit_(self, *args, **kwargs):
+        submitted.append(args)
+        return real_submit(self, *args, **kwargs)
+
+    def run_step_(*args):
+        alive.append(sorted(t.name for t in threading.enumerate()))
+        return real_run_step(*args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit_)
+    monkeypatch.setattr(trainer, "run_step", run_step_)
+    before = sorted(t.name for t in threading.enumerate())
+    pretrain(small_frames, FROZEN, prepared=prepared)
+    assert submitted == []
+    assert len(alive) == 2 * FROZEN.epochs
+    assert all(names == before for names in alive)
+    assert not any(name.startswith("embed2d") for name in before)
 
 
 # ---------------------------------------------------------------------------
