@@ -9,6 +9,15 @@ Backward passes are written by hand and checked against central finite
 differences in the test suite; caches carry a version stamp so a stale
 cache (parameters updated in between) is rejected instead of silently
 producing wrong gradients.
+
+Buffer contract: a forward cache holds each layer's output.  ``forward``
+given ``reuse=`` an earlier cache of the same stack and row count writes
+its outputs into that cache's arrays, so a caller that keeps one cache
+per batch slot allocates no activation arrays after its first step.
+``backward`` consumes its cache: it writes each layer's output gradient
+over that layer's stored output, so a cache serves one backward only.
+A stale cache, a consumed cache and a cache whose arrays a later forward
+has taken over are all rejected with ContractViolationError.
 """
 
 from __future__ import annotations
@@ -119,19 +128,30 @@ class ForwardCache:
     version: int
     inputs: np.ndarray
     acts: list[np.ndarray]  # per layer, its output (after the activation)
+    live: bool = True  # False once a backward consumed it or a forward reused it
 
     def check(self) -> None:
         if self.version != self.stack.version:
             raise ContractViolationError(
                 "stale forward cache: parameters changed since forward"
             )
+        if not self.live:
+            raise ContractViolationError(
+                "dead forward cache: already consumed by a backward or "
+                "reused by a forward"
+            )
 
 
-def forward(stack: DenseStack, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward(
+    stack: DenseStack, inputs: np.ndarray, reuse: ForwardCache | None = None
+) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack on (N, in_width) rows; empty stacks are the identity.
 
     The output is the cache's last activation, so callers must not write
-    to it while the cache may still be used.
+    to it while the cache may still be used.  When ``reuse`` is a cache of
+    this stack over N rows, not holding ``inputs``, each layer's output is
+    written into its array and ``reuse`` is dead from then on; any other
+    ``reuse`` is ignored.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
@@ -140,10 +160,20 @@ def forward(stack: DenseStack, inputs: np.ndarray) -> tuple[np.ndarray, ForwardC
         raise ShapeError(
             f"inputs have width {x.shape[1]}, stack expects {stack.in_width}"
         )
+    bufs = [None] * len(stack.layers)
+    if (
+        reuse is not None
+        and reuse.stack is stack
+        and [a.shape for a in reuse.acts]
+        == [(x.shape[0], l.weight.shape[0]) for l in stack.layers]
+        and not any(np.may_share_memory(x, a) for a in reuse.acts)
+    ):
+        bufs = reuse.acts
+        reuse.live = False
     acts = []
     h = x
-    for layer in stack.layers:
-        h = h @ layer.weight.T
+    for layer, buf in zip(stack.layers, bufs):
+        h = np.matmul(h, layer.weight.T, out=buf)
         h += layer.bias
         if layer.activation == "relu":
             np.maximum(h, 0.0, out=h)
@@ -154,30 +184,47 @@ def forward(stack: DenseStack, inputs: np.ndarray) -> tuple[np.ndarray, ForwardC
 def backward(
     stack: DenseStack, upstream: np.ndarray, cache: ForwardCache
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Gradients of sum(upstream * output) w.r.t. parameters and inputs."""
+    """Gradients of sum(upstream * output) w.r.t. parameters and inputs.
+
+    Consumes ``cache``: the gradient at each hidden layer's output is
+    written over that layer's stored output (and, under a ReLU top layer,
+    the top gradient over the output), so the cache is dead afterwards.
+    ``upstream`` itself is never written to.  It may be the cache's own
+    output array, which saves a buffer, but only if the top layer is
+    linear: a ReLU top layer needs its output for the mask.
+    """
     cache.check()
     if cache.stack is not stack:
         raise ContractViolationError("cache built for a different stack")
     g = np.asarray(upstream, dtype=np.float64)
-    if stack.layers and g.shape != cache.acts[-1].shape:
+    acts = cache.acts
+    layers = stack.layers
+    if layers and g.shape != acts[-1].shape:
         raise ShapeError(
-            f"upstream shape {g.shape} does not match output "
-            f"{cache.acts[-1].shape}"
+            f"upstream shape {g.shape} does not match output {acts[-1].shape}"
         )
-    param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(stack.layers)
-    for i in range(len(stack.layers) - 1, -1, -1):
-        layer = stack.layers[i]
-        if layer.activation == "relu":
-            # relu(z) > 0 exactly where z > 0, NaN included; the caller's
-            # upstream array is never written to
-            mask = cache.acts[i] > 0.0
-            if g is upstream:
-                g = g * mask
-            else:
-                g *= mask
-        below = cache.inputs if i == 0 else cache.acts[i - 1]
+    top_relu = bool(layers) and layers[-1].activation == "relu"
+    if top_relu and np.may_share_memory(g, acts[-1]):
+        raise ContractViolationError(
+            "upstream overlaps the output of a ReLU top layer, "
+            "whose mask backward still needs"
+        )
+    cache.live = False
+    if top_relu:
+        # relu(z) > 0 exactly where z > 0, NaN included
+        g = np.multiply(g, acts[-1] > 0.0, out=acts[-1])
+    param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        below = cache.inputs if i == 0 else acts[i - 1]
         param_grads[i] = (g.T @ below, g.sum(axis=0))
-        g = g @ layer.weight
+        if i == 0:
+            g = g @ layers[0].weight
+            continue
+        # the mask of the layer below, before its output is overwritten
+        mask = below > 0.0 if layers[i - 1].activation == "relu" else None
+        g = np.matmul(g, layers[i].weight, out=below)
+        if mask is not None:
+            g *= mask
     return param_grads, g
 
 
@@ -224,12 +271,24 @@ def pool_regions(
     return rows, valid, PoolCache(groups, n, means, norms, valid)
 
 
-def pool_backward(upstream: np.ndarray, cache: PoolCache) -> np.ndarray:
-    """Push row gradients back through normalize-then-mean to member rows."""
+def pool_backward(
+    upstream: np.ndarray, cache: PoolCache, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Push row gradients back through normalize-then-mean to member rows.
+
+    ``out``, if given, is an (N, D) float64 array overwritten with the
+    result, such as the pooled features once nothing else reads them.
+    """
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != cache.means.shape:
         raise ShapeError(f"upstream shape {g.shape} != {cache.means.shape}")
-    out = np.zeros((cache.num_rows, cache.means.shape[1]))
+    shape = (cache.num_rows, cache.means.shape[1])
+    if out is None:
+        out = np.zeros(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ShapeError(f"out has shape {out.shape} {out.dtype}, want {shape} float64")
+    else:
+        out.fill(0.0)
     for i, idx in enumerate(cache.groups):
         if not cache.valid[i]:
             continue

@@ -74,10 +74,9 @@ class Superpixel:
 
 @dataclass
 class AssociationTable:
-    """Global superpixel list plus the per-camera projection maps."""
+    """Global superpixel list over one frame's cameras."""
 
     superpixels: list[Superpixel]
-    point_to_pixel: list[dict[int, tuple[int, int]]]  # per camera
     num_points: int
 
     @property
@@ -108,13 +107,8 @@ def build_associations(frame: SceneFrame) -> AssociationTable:
     rows = np.empty((l, k), dtype=np.int64)
     cols = np.empty((l, k), dtype=np.int64)
     ok = np.empty((l, k), dtype=bool)
-    point_to_pixel: list[dict[int, tuple[int, int]]] = []
     for c, cam in enumerate(frame.cameras):
         rows[c], cols[c], ok[c] = project_points(world, cam)
-        vis = np.flatnonzero(ok[c])
-        point_to_pixel.append(
-            {int(i): (int(rows[c, i]), int(cols[c, i])) for i in vis}
-        )
 
     # per-camera local superpixel counts -> global id offsets
     q_cam = []
@@ -172,9 +166,7 @@ def build_associations(frame: SceneFrame) -> AssociationTable:
                 )
             )
 
-    return AssociationTable(
-        superpixels=superpixels, point_to_pixel=point_to_pixel, num_points=k
-    )
+    return AssociationTable(superpixels=superpixels, num_points=k)
 
 
 def dump_debug(table: AssociationTable) -> str:

@@ -9,7 +9,10 @@ with momentum under a per-epoch cosine learning-rate schedule.  With
 computed once per run, and neither the 2D backward nor a 2D update is run.
 
 When the 2D stack is trained, each frame's 2D side runs on one worker
-thread beside the 3D side (see ``run_step``).  Everything is seeded
+thread beside the 3D side (see ``run_step``).  Each batch slot's forward
+writes into the stack buffers its slot used the step before, so a step
+allocates no stack-sized array after the first.  A non-finite loss or
+parameter ends the run with TrainingError.  Everything is seeded
 through named SeedSequence tuples and reductions run in fixed order (frame
 index ascending) on the calling thread, so identical inputs give
 bit-identical metrics and checkpoints.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -252,17 +255,36 @@ def _accumulate(
         ab += gb
 
 
-def _embed(stack: DenseStack, x: np.ndarray, groups: list[np.ndarray]):
-    """One side of one frame: (pooled rows, validity, caches for the backward)."""
-    h, cache = embednet.forward(stack, x)
+def _embed(
+    stack: DenseStack,
+    x: np.ndarray,
+    groups: list[np.ndarray],
+    slots: dict | None = None,
+    key=None,
+):
+    """One side of one frame: (pooled rows, validity, caches for the backward).
+
+    With ``slots``, the forward writes into the buffers of the cache kept
+    under ``key`` (the one of the step before) and keeps its own there.
+    """
+    h, cache = embednet.forward(
+        stack, x, reuse=None if slots is None else slots.get(key)
+    )
+    if slots is not None:
+        slots[key] = cache
     rows, valid, pcache = embednet.pool_regions(h, groups)
     return rows, valid, (cache, pcache)
 
 
 def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches):
-    """Parameter gradients of one side of one frame, given its rows' gradient."""
+    """Parameter gradients of one side of one frame, given its rows' gradient.
+
+    The stack's output is dead once pooled and every stack here ends in a
+    linear layer, so the pooled gradient is written over the output.
+    """
     cache, pcache = caches
-    return embednet.backward(stack, embednet.pool_backward(upstream, pcache), cache)[0]
+    g = embednet.pool_backward(upstream, pcache, out=cache.acts[-1])
+    return embednet.backward(stack, g, cache)[0]
 
 
 def _run_beside(worker: ThreadPoolExecutor, tasks: list, own):
@@ -300,7 +322,9 @@ def run_step(
 
     ``run_state`` is the dict ``pretrain`` keeps for one run: under
     "worker2d" the one-thread executor that, when the 2D stack is trained,
-    runs each frame's 2D forward and backward beside the 3D side; the EMA
+    runs each frame's 2D forward and backward beside the 3D side; under
+    "slots" the forward cache of each trained stack and batch slot, whose
+    buffers the next step's forward in that slot writes over; the EMA
     prototype bank under "bank"; with ``freeze_2d``, each frame's pooled 2D
     rows and validity under "rows2d", filled the first time the frame is in
     a batch.  Gradients are summed on the calling thread in batch order, so
@@ -308,9 +332,13 @@ def run_step(
     DegenerateBatchError when the batch has too few valid regions.
     """
     loss_cfg = cfg.loss_config()
+    slots = run_state.setdefault("slots", {})
 
     def forward3d():
-        return [_embed(model.embed3d, fd.x3d, fd.groups3d) for fd in batch]
+        return [
+            _embed(model.embed3d, fd.x3d, fd.groups3d, slots, ("3d", k))
+            for k, fd in enumerate(batch)
+        ]
 
     if cfg.freeze_2d:
         frozen2d = run_state.setdefault("rows2d", {})
@@ -324,7 +352,10 @@ def run_step(
         worker = run_state["worker2d"]
         side3d, side2d = _run_beside(
             worker,
-            [partial(_embed, model.embed2d, fd.x2d, fd.groups2d) for fd in batch],
+            [
+                partial(_embed, model.embed2d, fd.x2d, fd.groups2d, slots, ("2d", k))
+                for k, fd in enumerate(batch)
+            ],
             forward3d,
         )
     frame_banks = [
@@ -425,6 +456,14 @@ class _Sgd:
             stack.bump()
 
 
+def _check_finite(values, epoch: int, step: int, stage: str) -> None:
+    """Raise TrainingError naming the step and stage if any value is not finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise TrainingError(
+            f"non-finite values at epoch {epoch}, step {step}, stage {stage!r}"
+        )
+
+
 @dataclass
 class PretrainResult:
     model: Model
@@ -483,8 +522,15 @@ def pretrain(
                         file=sys.stderr,
                     )
                     continue
-                opt.step(result.grads, lr)
                 step += 1
+                _check_finite(astuple(result.report), epoch, step, "loss")
+                opt.step(result.grads, lr)
+                _check_finite(
+                    [a for s in opt.stacks for l in s.layers for a in (l.weight, l.bias)],
+                    epoch,
+                    step,
+                    "sgd update",
+                )
                 stepped += 1
                 metrics.append(losses.csv_row(step, epoch, result.report))
             if n_batches > 0 and stepped == 0:

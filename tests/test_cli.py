@@ -247,3 +247,19 @@ def test_non_finite_config_exits_1(scene_dir, tmp_path, capsys, line):
     assert code == 1
     assert f"{line.split()[0]} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_diverging_pretrain_exits_2_without_outputs(scene_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(CFG_TEXT + "lr = 1e200\n")
+    out = tmp_path / "o"
+    code = main(
+        ["pretrain", "--config", str(bad), "--scenes", str(scene_dir),
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert "non-finite values at epoch 1, step 2, stage 'loss'" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+    assert not (out / "checkpoint.cscw").exists()

@@ -99,6 +99,80 @@ def test_stale_cache_rejected(rng):
         backward(stack, np.ones((2, 3)), cache)
 
 
+def test_consumed_cache_rejected(rng):
+    stack = init_stack([4, 5, 3], rng)
+    _, cache = forward(stack, rng.normal(size=(6, 4)))
+    backward(stack, np.ones((6, 3)), cache)
+    with pytest.raises(ContractViolationError, match="consumed"):
+        backward(stack, np.ones((6, 3)), cache)
+
+
+def test_reused_cache_rejected(rng):
+    stack = init_stack([4, 5, 3], rng)
+    x = rng.normal(size=(6, 4))
+    _, old = forward(stack, x)
+    out, new = forward(stack, x, reuse=old)
+    assert all(np.shares_memory(a, b) for a, b in zip(old.acts, new.acts))
+    with pytest.raises(ContractViolationError, match="reused"):
+        backward(stack, np.ones((6, 3)), old)
+    backward(stack, np.ones((6, 3)), new)
+
+
+def reference_grads(stack, x, upstream):
+    """Backward on a fresh cache, with its own copy of upstream."""
+    _, cache = forward(stack, x)
+    return backward(stack, upstream.copy(), cache)
+
+
+def as_bytes(pgrads, gx):
+    return [a.tobytes() for pair in pgrads for a in pair] + [gx.tobytes()]
+
+
+def test_reuse_writes_the_same_bytes(rng):
+    # the reused arrays hold the gradients the consuming backward left there
+    stack = init_stack([5, 7, 6, 3], rng)
+    x, y = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
+    up = rng.normal(size=(9, 3))
+    want, _ = forward(stack, y)
+    _, cache = forward(stack, x)
+    backward(stack, up, cache)
+    got, again = forward(stack, y, reuse=cache)
+    assert got.tobytes() == want.tobytes()
+    assert as_bytes(*backward(stack, up, again)) == as_bytes(
+        *reference_grads(stack, y, up)
+    )
+
+
+def test_reuse_ignored_when_it_does_not_fit(rng):
+    stack = init_stack([4, 5, 3], rng)
+    other = init_stack([4, 5, 3], rng)
+    _, cache = forward(stack, rng.normal(size=(6, 4)))
+    for s, x in ((stack, rng.normal(size=(7, 4))), (other, rng.normal(size=(6, 4))),
+                 (stack, cache.acts[0][:, :4])):
+        _, fresh = forward(s, x, reuse=cache)
+        assert not any(np.shares_memory(a, b) for a in fresh.acts for b in cache.acts)
+    backward(stack, np.ones((6, 3)), cache)  # still live
+
+
+def test_output_as_upstream(rng):
+    # a linear top layer leaves the output unread, so it can hold upstream
+    stack = init_stack([4, 6, 5, 3], rng)
+    x = rng.normal(size=(8, 4))
+    up = rng.normal(size=(8, 3))
+    out, cache = forward(stack, x)
+    out[...] = up
+    assert as_bytes(*backward(stack, out, cache)) == as_bytes(
+        *reference_grads(stack, x, up)
+    )
+    assert out.tobytes() == up.tobytes()  # upstream is read, never written
+    # a ReLU top layer still needs its output for the mask
+    relu_top = init_stack([4, 6, 3], rng, final_activation="relu")
+    out, cache = forward(relu_top, x)
+    with pytest.raises(ContractViolationError, match="ReLU top layer"):
+        backward(relu_top, out, cache)
+    backward(relu_top, out.copy(), cache)  # the refusal left it live
+
+
 def test_glorot_bounds(rng):
     stack = init_stack([10, 20], rng)
     a = np.sqrt(6.0 / 30.0)
@@ -244,6 +318,19 @@ def test_pool_backward_matches_fd(rng):
         rows, valid, cache = pool_regions(feats, groups)
         gx = pool_backward(w * valid[:, None], cache)
         assert max_rel_err(gx, central_diff(f, feats)) < 1e-4
+
+
+def test_pool_backward_into_out(rng):
+    feats = rng.normal(size=(9, 4))
+    groups = [np.array([0, 1, 2]), np.array([], dtype=int), np.array([4, 5, 6, 7])]
+    _, valid, cache = pool_regions(feats, groups)
+    w = rng.normal(size=(3, 4)) * valid[:, None]
+    want = pool_backward(w, cache)
+    out = rng.normal(size=(9, 4))  # rows 3 and 8 belong to no group
+    assert pool_backward(w, cache, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    with pytest.raises(ShapeError):
+        pool_backward(w, cache, out=np.zeros((9, 3)))
 
 
 def test_make_bank_rejects_non_unit_rows():

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -437,9 +438,9 @@ def test_frozen_2d_work_counts(small_frames, prepared, monkeypatch, freeze):
 
     # tagged with the step they belong to; the step's 2D calls may run on
     # its worker thread, but all of them finish before run_step returns
-    def forward_(stack, inputs):
+    def forward_(stack, inputs, **kwargs):
         calls.append(("forward", stack, id(inputs), len(batches) - 1))
-        return real_forward(stack, inputs)
+        return real_forward(stack, inputs, **kwargs)
 
     def backward_(stack, upstream, cache):
         calls.append(("backward", stack, id(cache.inputs), len(batches) - 1))
@@ -510,9 +511,9 @@ def test_2d_thread_does_not_change_outputs(
     calls = []
     real_forward, real_backward = embednet.forward, embednet.backward
 
-    def forward_(stack, inputs):
+    def forward_(stack, inputs, **kwargs):
         calls.append((stack, threading.current_thread().name))
-        return real_forward(stack, inputs)
+        return real_forward(stack, inputs, **kwargs)
 
     def backward_(stack, upstream, cache):
         calls.append((stack, threading.current_thread().name))
@@ -561,6 +562,106 @@ def test_frozen_2d_starts_no_thread(small_frames, prepared, monkeypatch):
     assert len(alive) == 2 * FROZEN.epochs
     assert all(names == before for names in alive)
     assert not any(name.startswith("embed2d") for name in before)
+
+
+# ---------------------------------------------------------------------------
+# stack buffers reused across steps
+
+
+def test_each_slot_reuses_the_step_befores_buffers(small_frames, prepared, monkeypatch):
+    models, batches, calls = [], [], []
+    real_init, real_run_step = trainer.init_model, trainer.run_step
+    real_forward = embednet.forward
+
+    def init_model_(*args, **kwargs):
+        models.append(real_init(*args, **kwargs))
+        return models[-1]
+
+    def run_step_(model, batch, *rest):
+        batches.append(batch)
+        return real_run_step(model, batch, *rest)
+
+    def forward_(stack, inputs, **kwargs):
+        out, cache = real_forward(stack, inputs, **kwargs)
+        calls.append((len(batches) - 1, stack, id(inputs), cache))
+        return out, cache
+
+    monkeypatch.setattr(trainer, "init_model", init_model_)
+    monkeypatch.setattr(trainer, "run_step", run_step_)
+    monkeypatch.setattr(embednet, "forward", forward_)
+    pretrain(small_frames, CFG, prepared=prepared)
+
+    (model,) = models
+    sides = {id(model.embed2d): "x2d", id(model.embed3d): "x3d"}
+    by_slot = {}
+    for k, stack, x, cache in calls:
+        if id(stack) in sides:
+            side = sides[id(stack)]
+            slot = [id(getattr(fd, side)) for fd in batches[k]].index(x)
+            by_slot[k, side, slot] = cache
+    assert len(batches) == 6 and len(by_slot) == 6 * 2 * 3
+    for k in range(1, len(batches)):
+        for side in sides.values():
+            for slot in range(3):
+                before, now = by_slot[k - 1, side, slot], by_slot[k, side, slot]
+                assert all(np.shares_memory(a, b) for a, b in zip(before.acts, now.acts))
+
+
+@pytest.mark.parametrize("cfg", [CFG, FROZEN], ids=["trained", "frozen"])
+def test_buffer_reuse_does_not_change_outputs(
+    small_frames, prepared, tmp_path, monkeypatch, cfg
+):
+    normal = pretrain(small_frames, cfg, out_dir=tmp_path / "normal", prepared=prepared)
+    dropped = []
+    real_forward = embednet.forward
+
+    def forward_(stack, inputs, reuse=None):
+        dropped.append(reuse is not None)
+        return real_forward(stack, inputs)
+
+    monkeypatch.setattr(embednet, "forward", forward_)
+    fresh = pretrain(small_frames, cfg, out_dir=tmp_path / "fresh", prepared=prepared)
+    assert any(dropped)
+    assert fresh.metrics_path.read_bytes() == normal.metrics_path.read_bytes()
+    assert fresh.checkpoint_path.read_bytes() == normal.checkpoint_path.read_bytes()
+
+
+def test_trained_step_allocates_no_activation_arrays(small_frames, prepared):
+    feat_dim = small_frames[0].pixel_features.shape[3]
+    model = init_model(feat_dim, CFG.embed_dim, CFG.seed)
+    one_frame = sum(
+        a.nbytes for a in embednet.forward(model.embed2d, prepared[0].x2d)[1].acts
+    )
+    epoch = CFG.lam + 1  # gate open: prototypes and blending run too
+    with ThreadPoolExecutor(1) as worker:
+        run_state = {"worker2d": worker}
+        trainer.run_step(model, prepared[:3], epoch, CFG, run_state)
+        # numpy reports its buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            trainer.run_step(model, prepared[3:], epoch, CFG, run_state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # the step keeps 3 frames' 2D and 3D activations; what it still
+    # allocates are masks, pooling and loss temporaries and the gradients
+    assert peak < one_frame / 2, (peak, one_frame)
+
+
+# ---------------------------------------------------------------------------
+# non-finite training
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "lr,step,stage", [(1e200, 2, "loss"), (1.7e308, 1, "sgd update")]
+)
+def test_non_finite_training_names_step_and_stage(
+    small_frames, prepared, lr, step, stage
+):
+    with pytest.raises(TrainingError, match=f"epoch 1, step {step}, stage '{stage}'"):
+        pretrain(small_frames, replace(CFG, lr=lr), prepared=prepared)
 
 
 # ---------------------------------------------------------------------------
