@@ -19,7 +19,7 @@ import numpy as np
 
 from . import embednet
 from .embednet import DenseStack, ForwardCache
-from .errors import ContractViolationError, ShapeError
+from .errors import DegenerateBatchError, ShapeError
 from .protobank import PrototypeBank
 
 
@@ -97,7 +97,11 @@ class BlendGrads:
 
 
 def blend(bank: PrototypeBank, params: BlendParams) -> BlendCache:
-    """Fill bank.p2d_bar, bank.p3d_bar, bank.pmix; return the backward cache."""
+    """Fill bank.p2d_bar, bank.p3d_bar, bank.pmix; return the backward cache.
+
+    Raises DegenerateBatchError if a fused prototype collapses to zero norm,
+    a numerical collapse of this batch's data, so the caller skips the step.
+    """
     d = bank.p2d.shape[1]
     params.validate(d)
     bar2d, cache2d = embednet.forward(params.proj2d, bank.p2d)
@@ -107,7 +111,7 @@ def blend(bank: PrototypeBank, params: BlendParams) -> BlendCache:
     )
     norms = np.linalg.norm(fused, axis=1)
     if (norms < 1e-12).any():
-        raise ContractViolationError("fused prototype collapsed to zero norm")
+        raise DegenerateBatchError("fused prototype collapsed to zero norm")
     bank.p2d_bar = bar2d
     bank.p3d_bar = bar3d
     bank.pmix = fused / norms[:, None]

@@ -79,29 +79,6 @@ class DenseStack:
     def bump(self) -> None:
         self.version += 1
 
-    def num_params(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
-
-    def get_flat(self) -> np.ndarray:
-        if not self.layers:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(
-            [np.concatenate([l.weight.ravel(), l.bias]) for l in self.layers]
-        )
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        if flat.shape != (self.num_params(),):
-            raise ShapeError(f"flat vector has {flat.shape}, want {self.num_params()}")
-        pos = 0
-        for l in self.layers:
-            n = l.weight.size
-            l.weight = flat[pos : pos + n].reshape(l.weight.shape).copy()
-            pos += n
-            n = l.bias.size
-            l.bias = flat[pos : pos + n].copy()
-            pos += n
-        self.bump()
-
 
 def init_stack(widths: list[int], seed_rng: np.random.Generator,
                hidden_activation: str = "relu",
@@ -259,9 +236,10 @@ def pool_regions(
     for i, idx in enumerate(groups):
         if len(idx) == 0:
             continue
-        if np.min(idx) < 0 or np.max(idx) >= n:
+        if idx.min() < 0 or idx.max() >= n:
             raise ShapeError(f"group {i} indexes outside [0,{n})")
-        means[i] = feats[idx].mean(axis=0)
+        # what ndarray.mean computes, without its Python-level wrapper
+        means[i] = np.add.reduce(feats[idx], axis=0) / len(idx)
         valid[i] = True
     norms = np.linalg.norm(means, axis=1)
     degenerate = norms < 1e-12

@@ -54,7 +54,8 @@ class EmptyBankError(SceneContrastError):
 
 
 class DegenerateBatchError(SceneContrastError):
-    """A batch has no usable association pairs; the step must be skipped."""
+    """A batch's data are degenerate: too few valid regions, or a prototype
+    collapsed to zero norm.  The step must be skipped."""
 
 
 class TrainingError(SceneContrastError):

@@ -329,7 +329,8 @@ def run_step(
     rows and validity under "rows2d", filled the first time the frame is in
     a batch.  Gradients are summed on the calling thread in batch order, so
     the result does not depend on which thread ran a frame.  Raises
-    DegenerateBatchError when the batch has too few valid regions.
+    DegenerateBatchError when the batch has too few valid regions or a raw
+    3D or blended prototype collapses to zero norm.
     """
     loss_cfg = cfg.loss_config()
     slots = run_state.setdefault("slots", {})

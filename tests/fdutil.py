@@ -35,6 +35,24 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom))
 
 
+def stack_params(stack) -> np.ndarray:
+    """Every weight and bias of a DenseStack as one vector, layer by layer."""
+    return np.concatenate(
+        [np.concatenate([l.weight.ravel(), l.bias]) for l in stack.layers]
+    )
+
+
+def set_stack_params(stack, flat: np.ndarray) -> None:
+    """Refill a stack from a ``stack_params`` vector; bumps its version."""
+    sizes = [n for l in stack.layers for n in (l.weight.size, l.bias.size)]
+    assert flat.shape == (sum(sizes),), flat.shape
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    for l, w, b in zip(stack.layers, parts[0::2], parts[1::2]):
+        l.weight = w.reshape(l.weight.shape).copy()
+        l.bias = b.copy()
+    stack.bump()
+
+
 def pinhole_reference(point, cam):
     """Hand pinhole evaluation: rotate, translate, divide, round half-even.
 
@@ -52,3 +70,32 @@ def pinhole_reference(point, cam):
     if not (0 <= row < cam.height and 0 <= col < cam.width):
         return None
     return int(row), int(col)
+
+
+def reference_regions(values: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    """Pixel-by-pixel BFS labelling: the contract of ``connected_regions``.
+
+    4-connected components of equal ``values`` inside ``mask``, as int64
+    flat-index arrays sorted ascending, ordered by their smallest pixel.
+    """
+    h, w = values.shape
+    seen = np.zeros((h, w), dtype=bool)
+    out: list[np.ndarray] = []
+    for start in range(h * w):
+        r0, c0 = divmod(start, w)
+        if seen[r0, c0] or not mask[r0, c0]:
+            continue
+        val = values[r0, c0]
+        stack = [(r0, c0)]
+        seen[r0, c0] = True
+        members = []
+        while stack:
+            r, c = stack.pop()
+            members.append(r * w + c)
+            for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if 0 <= rr < h and 0 <= cc < w and not seen[rr, cc]:
+                    if mask[rr, cc] and values[rr, cc] == val:
+                        seen[rr, cc] = True
+                        stack.append((rr, cc))
+        out.append(np.array(sorted(members), dtype=np.int64))
+    return out

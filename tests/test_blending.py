@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdutil import central_diff, max_rel_err
+from fdutil import central_diff, max_rel_err, set_stack_params, stack_params
 from scenecontrast.blending import (
     BlendParams,
     blend,
@@ -11,7 +11,7 @@ from scenecontrast.blending import (
     init_blend_params,
 )
 from scenecontrast.embednet import DenseLayer, DenseStack
-from scenecontrast.errors import ContractViolationError, ShapeError
+from scenecontrast.errors import ContractViolationError, DegenerateBatchError, ShapeError
 from scenecontrast.protobank import PrototypeBank
 
 
@@ -118,16 +118,16 @@ def test_fd_param_gradients(rng):
             ("proj3d", params.proj3d),
             ("fuse", params.fuse),
         ):
-            saved = stack.get_flat()
+            saved = stack_params(stack)
             theta = saved.copy()
 
             def objective(stack=stack, theta=theta):
-                stack.set_flat(theta)
+                set_stack_params(stack, theta)
                 blend(bank, params)
                 return float(np.sum(upstream * bank.pmix))
 
             numeric = central_diff(objective, theta)
-            stack.set_flat(saved)
+            set_stack_params(stack, saved)
             assert max_rel_err(analytic[name], numeric) < 1e-4, name
         checked += 1
     assert checked >= 8
@@ -146,7 +146,7 @@ def test_stale_cache_rejected(rng):
     bank = make_bank(rng)
     params = init_blend_params(3, rng)
     cache = blend(bank, params)
-    params.fuse.set_flat(params.fuse.get_flat())  # bumps the version counter
+    set_stack_params(params.fuse, stack_params(params.fuse))  # bumps the version counter
     with pytest.raises(ContractViolationError):
         blend_backward(np.ones((4, 3)), cache)
 
@@ -168,5 +168,5 @@ def test_collapsed_fuse_rejected(rng):
     bank = make_bank(rng)
     params = selector_params(3, "2d")
     params.fuse.layers[0].weight[:] = 0.0
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(DegenerateBatchError, match="fused prototype collapsed"):
         blend(bank, params)

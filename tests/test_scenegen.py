@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from scenecontrast import scenegen
 from scenecontrast.errors import ConfigurationError
 from scenecontrast.scenegen import (
     UNASSIGNED,
@@ -12,10 +13,11 @@ from scenecontrast.scenegen import (
     connected_regions,
     generate_scene,
     recover_point_labels,
+    write_scene,
 )
 
 from conftest import SMALL_CFG, SMALL_GEOM
-from fdutil import pinhole_reference
+from fdutil import pinhole_reference, reference_regions
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -202,13 +204,126 @@ def test_too_many_objects_error():
         generate_scene(0, cfg, SceneGeometry(extent=1.0, num_points=64))
 
 
-def test_connected_regions_partition():
+def oracle_region_list(values: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    """The scipy oracle in ``connected_regions``'s order: by smallest pixel."""
+    return [
+        np.array(sorted(r), dtype=np.int64)
+        for r in sorted(oracle_regions(values, mask), key=min)
+    ]
+
+
+def assert_same_regions(got: list[np.ndarray], want: list[np.ndarray], case="") -> None:
+    assert len(got) == len(want), case
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64, case
+        assert np.array_equal(g, w), case
+
+
+def serpentine(n: int) -> np.ndarray:
+    """One value snaking through every other row, turning at alternate ends."""
+    v = np.zeros((n, n), dtype=np.uint16)
+    v[0::2] = 1
+    for r in range(1, n, 2):
+        v[r, -1 if r % 4 == 1 else 0] = 1
+    return v
+
+
+def spiral(n: int) -> np.ndarray:
+    """A one-pixel-wide inward spiral of 1s; the 0s spiral beside it."""
+    v = np.zeros((n, n), dtype=np.uint16)
+    r, c, dr, dc = 0, 0, 0, 1
+    v[r, c] = 1
+
+    def free(rr, cc):
+        return 0 <= rr < n and 0 <= cc < n and v[rr, cc] == 0
+
+    while True:
+        for _ in range(2):
+            ahead = free(r + dr, c + dc)
+            # keep a one-pixel gap to the turn already laid
+            gap = not (0 <= r + 2 * dr < n and 0 <= c + 2 * dc < n) or free(
+                r + 2 * dr, c + 2 * dc
+            )
+            if ahead and gap:
+                r, c = r + dr, c + dc
+                v[r, c] = 1
+                break
+            dr, dc = dc, -dr  # turn right
+        else:
+            return v
+
+
+def _raster_cases():
+    """(name, values, mask) at the edges of ``connected_regions``'s contract."""
     rng = np.random.default_rng(3)
-    values = rng.integers(0, 3, size=(10, 12)).astype(np.uint16)
-    mask = rng.random((10, 12)) < 0.8
-    regions = connected_regions(values, mask)
-    flat_all = np.concatenate(regions) if regions else np.empty(0, dtype=np.int64)
-    assert len(flat_all) == int(mask.sum())
-    assert len(np.unique(flat_all)) == len(flat_all)
-    got = {frozenset(r.tolist()) for r in regions}
-    assert got == oracle_regions(values, mask)
+
+    def rand(h, w, k, density):
+        values = rng.integers(0, k, size=(h, w)).astype(np.uint16)
+        return values, rng.random((h, w)) < density
+
+    yield ("random", *rand(10, 12, 3, 0.8))
+    yield ("row", *rand(1, 17, 2, 0.9))
+    yield ("column", *rand(17, 1, 2, 0.9))
+    yield ("empty-mask", *rand(6, 5, 3, 0.0))
+    yield ("full-mask", *rand(9, 7, 3, 1.0))
+    yield "single-value", np.full((9, 7), 4, dtype=np.uint16), np.ones((9, 7), bool)
+    yield "single-pixel", np.zeros((1, 1), dtype=np.uint16), np.ones((1, 1), bool)
+    # long one-pixel-wide paths need many hook rounds
+    yield "serpentine", serpentine(33), np.ones((33, 33), bool)
+    yield "spiral", spiral(32), np.ones((32, 32), bool)
+    yield "spiral-with-holes", spiral(32), rng.random((32, 32)) < 0.97
+
+
+def test_connected_regions_partition():
+    for case, values, mask in _raster_cases():
+        regions = connected_regions(values, mask)
+        flat_all = np.concatenate(regions) if regions else np.empty(0, dtype=np.int64)
+        assert len(flat_all) == int(mask.sum()), case
+        assert len(np.unique(flat_all)) == len(flat_all), case
+        assert_same_regions(regions, oracle_region_list(values, mask), case)
+    # the long paths really are one component each
+    for values in (serpentine(33), spiral(32)):
+        (path,) = connected_regions(values, values > 0)
+        assert len(path) == int(values.sum())
+
+
+def test_connected_regions_match_reference_bfs():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        h, w = rng.integers(1, 20, size=2)
+        values = rng.integers(0, rng.integers(1, 5), size=(h, w)).astype(np.uint16)
+        mask = rng.random((h, w)) < rng.random()
+        assert_same_regions(
+            connected_regions(values, mask), reference_regions(values, mask)
+        )
+
+
+@pytest.mark.parametrize(
+    "cfg,geom,seeds",
+    [
+        (SemanticOracleConfig(), SceneGeometry(), (0, 5)),
+        (
+            SemanticOracleConfig(
+                num_classes=6, objects_per_scene=5, oversegment_factor=3, noise=0.25
+            ),
+            SMALL_GEOM,
+            (1, 4, 9),
+        ),
+    ],
+    ids=["desk", "small-oversegmented-noisy"],
+)
+def test_scene_bytes_match_reference_labelling(cfg, geom, seeds, tmp_path, monkeypatch):
+    real = scenegen.connected_regions
+
+    def checked(values, mask):
+        # every labelling, not only the bytes it leads to, must match
+        got = real(values, mask)
+        assert_same_regions(got, reference_regions(values, mask))
+        return got
+
+    for seed in seeds:
+        monkeypatch.setattr(scenegen, "connected_regions", checked)
+        write_scene(generate_scene(seed, cfg, geom, scene_id=seed), tmp_path / "a.cscs")
+        monkeypatch.setattr(scenegen, "connected_regions", reference_regions)
+        write_scene(generate_scene(seed, cfg, geom, scene_id=seed), tmp_path / "b.cscs")
+        assert (tmp_path / "a.cscs").read_bytes() == (tmp_path / "b.cscs").read_bytes()

@@ -1,5 +1,6 @@
 """Training loop: config parsing, determinism, schedules, probe, gradcheck."""
 
+import copy
 import sys
 import threading
 import tracemalloc
@@ -254,6 +255,48 @@ def test_all_degenerate_epoch_is_fatal(small_frames, prepared, monkeypatch):
     cfg = TrainConfig(epochs=1, scenes_per_batch=3, embed_dim=16, lam=1)
     with pytest.raises(TrainingError, match="every batch of epoch 1"):
         pretrain(small_frames, cfg, prepared=prepared)
+
+
+def _collapse_fuse(params):
+    """Zero the fuse stack, so every fused prototype has zero norm."""
+    for layer in params.fuse.layers:
+        layer.weight[:] = 0.0
+        layer.bias[:] = 0.0
+
+
+def test_collapsed_blend_skips_the_batch(small_frames, prepared, monkeypatch, capsys):
+    real = trainer.blending.blend
+    calls = {"n": 0}
+
+    def collapsing(bank, params):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            # the real check raises, on a copy: the model itself is untouched
+            params = copy.deepcopy(params)
+            _collapse_fuse(params)
+        return real(bank, params)
+
+    monkeypatch.setattr(trainer.blending, "blend", collapsing)
+    cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=0)
+    res = pretrain(small_frames, cfg, prepared=prepared)
+    err = capsys.readouterr().err
+    assert "skipping batch 1 of epoch 1: fused prototype collapsed" in err
+    assert [int(r.split(",")[0]) for r in res.metrics[1:]] == [1, 2, 3]
+
+
+def test_collapsed_blend_every_batch_is_fatal(small_frames, prepared, monkeypatch, capsys):
+    real = trainer.init_model
+
+    def collapsed_model(*args):
+        model = real(*args)
+        _collapse_fuse(model.blend)
+        return model
+
+    monkeypatch.setattr(trainer, "init_model", collapsed_model)
+    cfg = TrainConfig(epochs=1, scenes_per_batch=3, embed_dim=16, lam=0)
+    with pytest.raises(TrainingError, match="every batch of epoch 1"):
+        pretrain(small_frames, cfg, prepared=prepared)
+    assert capsys.readouterr().err.count("fused prototype collapsed") == 2
 
 
 def test_ema_changes_prototype_term(small_frames, prepared):
