@@ -97,7 +97,7 @@ class BlendGrads:
 
 
 def blend(bank: PrototypeBank, params: BlendParams) -> BlendCache:
-    """Fill bank.p2d_bar, bank.p3d_bar, bank.pmix; return the backward cache.
+    """Fill bank.pmix; return the backward cache, which holds the projections.
 
     Raises DegenerateBatchError if a fused prototype collapses to zero norm,
     a numerical collapse of this batch's data, so the caller skips the step.
@@ -112,8 +112,6 @@ def blend(bank: PrototypeBank, params: BlendParams) -> BlendCache:
     norms = np.linalg.norm(fused, axis=1)
     if (norms < 1e-12).any():
         raise DegenerateBatchError("fused prototype collapsed to zero norm")
-    bank.p2d_bar = bar2d
-    bank.p3d_bar = bar3d
     bank.pmix = fused / norms[:, None]
     return BlendCache(cache2d, cache3d, cache_fuse, fused, norms)
 

@@ -40,6 +40,12 @@ def _scene_seed(base: int, scene: int) -> int:
     return int(np.random.SeedSequence((base, scene)).generate_state(1, np.uint64)[0])
 
 
+def _require_at_least(args, flag: str, low: int) -> None:
+    value = getattr(args, flag)
+    if value is not None and value < low:
+        raise ConfigurationError(f"--{flag} must be >= {low}, got {value}")
+
+
 def _load_scene_dir(path: str):
     files = sorted(Path(path).glob("*.cscs"))
     if not files:
@@ -58,6 +64,8 @@ def _config_from_args(args) -> trainer.TrainConfig:
 
 
 def _cmd_gen_scenes(args) -> int:
+    _require_at_least(args, "seed", 0)
+    _require_at_least(args, "count", 1)
     cfg = SemanticOracleConfig(
         num_classes=args.classes,
         objects_per_scene=args.objects,
@@ -89,6 +97,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    _require_at_least(args, "seed", 0)
     report = trainer.gradcheck(seed=args.seed if args.seed is not None else 0)
     sys.stdout.write(report.summary())
     return 0 if report.all_passed else 2
@@ -109,6 +118,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _require_at_least(args, "seeds", 1)
     cfg = _config_from_args(args)
     frames = _load_scene_dir(args.scenes)
     if args.arm:

@@ -10,6 +10,13 @@ differences in the test suite; caches carry a version stamp so a stale
 cache (parameters updated in between) is rejected instead of silently
 producing wrong gradients.
 
+Parameter layout: ``layer_views`` lays a list of stacks over one flat
+float64 buffer, stack by stack and layer by layer, each weight row-major
+followed by its bias, which is also the checkpoint order.  ``pack_params``
+moves a model's layers into such a buffer; the training loop lays its
+gradient and velocity buffers out the same way.  Layers are frozen, so a
+layer's arrays can be written in place but never rebound.
+
 Buffer contract: a forward cache holds each layer's output.  ``forward``
 given ``reuse=`` an earlier cache of the same stack and row count writes
 its outputs into that cache's arrays, so a caller that keeps one cache
@@ -36,7 +43,7 @@ CKPT_VERSION = 1
 _ACTIVATIONS = ("relu", "none")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
     weight: np.ndarray  # (out, in) float64
     bias: np.ndarray  # (out,) float64
@@ -57,6 +64,10 @@ class DenseStack:
     @property
     def out_width(self) -> int:
         return self.layers[-1].weight.shape[0] if self.layers else 0
+
+    @property
+    def num_params(self) -> int:
+        return sum(l.weight.size + l.bias.size for l in self.layers)
 
     def validate(self) -> None:
         prev = None
@@ -97,6 +108,47 @@ def init_stack(widths: list[int], seed_rng: np.random.Generator,
     stack = DenseStack(layers)
     stack.validate()
     return stack
+
+
+def layer_views(
+    stacks: list[DenseStack], buf: np.ndarray
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Per stack, per layer, the (weight, bias) views of a flat buffer.
+
+    ``buf`` holds every parameter of ``stacks`` in checkpoint order: stack
+    by stack, layer by layer, the weight row-major, then the bias.
+    """
+    if buf.shape != (sum(s.num_params for s in stacks),):
+        raise ShapeError(f"buffer shape {buf.shape} does not fit the stacks")
+    out = []
+    at = 0
+    for s in stacks:
+        pairs = []
+        for l in s.layers:
+            rows, cols = l.weight.shape
+            w = buf[at : at + rows * cols].reshape(rows, cols)
+            at += rows * cols
+            pairs.append((w, buf[at : at + rows]))
+            at += rows
+        out.append(pairs)
+    return out
+
+
+def pack_params(stacks: list[DenseStack]) -> np.ndarray:
+    """Move every layer of ``stacks`` into one new buffer and return it.
+
+    Each layer is replaced by one whose weight and bias are views of the
+    buffer (laid out by ``layer_views``); the stacks keep their identity.
+    """
+    buf = np.empty(sum(s.num_params for s in stacks))
+    for s, pairs in zip(stacks, layer_views(stacks, buf)):
+        for l, (w, b) in zip(s.layers, pairs):
+            w[...] = l.weight
+            b[...] = l.bias
+        s.layers[:] = [
+            DenseLayer(w, b, l.activation) for l, (w, b) in zip(s.layers, pairs)
+        ]
+    return buf
 
 
 @dataclass
@@ -364,7 +416,7 @@ def read_checkpoint(path) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def load_layers(stacks: list[DenseStack], layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Write checkpoint layers back into stacks, shape- and finiteness-checked."""
+    """Copy checkpoint layers into the stacks' arrays, shape- and finiteness-checked."""
     want = [l for s in stacks for l in s.layers]
     if len(want) != len(layers):
         raise ConfigurationError(
@@ -375,8 +427,8 @@ def load_layers(stacks: list[DenseStack], layers: list[tuple[np.ndarray, np.ndar
             raise ConfigurationError(
                 f"layer {i}: checkpoint shape {w.shape} != {target.weight.shape}"
             )
-        target.weight = w.copy()
-        target.bias = b.copy()
+        target.weight[...] = w
+        target.bias[...] = b
     for k, s in enumerate(stacks):
         try:
             s.validate()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenegen import UNASSIGNED, CameraModel, Point, SceneFrame
+from .scenegen import UNASSIGNED, CameraModel, SceneFrame
 
 
 def project_points(
@@ -45,18 +45,6 @@ def project_points(
     return rows, cols, ok
 
 
-def project_point(p, cam: CameraModel) -> tuple[int, int] | None:
-    """Scalar projection of a Point (or any (x,y,z) triple); None if unseen."""
-    if isinstance(p, Point):
-        xyz = np.array([p.x, p.y, p.z])
-    else:
-        xyz = np.asarray(p, dtype=np.float64)[:3]
-    rows, cols, ok = project_points(xyz[None, :], cam)
-    if not ok[0]:
-        return None
-    return int(rows[0]), int(cols[0])
-
-
 @dataclass
 class Superpixel:
     """One region: its pixels, the points it claims, and its class."""
@@ -66,10 +54,6 @@ class Superpixel:
     pixel_indices: np.ndarray  # flat offsets into the camera raster
     point_indices: np.ndarray  # indices into the frame's point array
     semantic_sign: int
-
-    @property
-    def empty(self) -> bool:
-        return len(self.point_indices) == 0
 
 
 @dataclass
@@ -83,9 +67,6 @@ class AssociationTable:
     def Q(self) -> int:
         return len(self.superpixels)
 
-    def valid_ids(self) -> list[int]:
-        return [q for q, sp in enumerate(self.superpixels) if not sp.empty]
-
 
 def _majority_sign(class_values: np.ndarray) -> int:
     # ties break toward the smallest class id (argmax returns the first max)
@@ -98,7 +79,7 @@ def build_associations(frame: SceneFrame) -> AssociationTable:
 
     The lowest-index camera with a valid projection claims the point; a
     point whose claimed pixel carries no superpixel is dropped outright.
-    Superpixels that end up with no points are kept but flagged empty.
+    Superpixels that end up with no points are kept, with no point indices.
     """
     k = frame.num_points
     l = frame.num_cameras
@@ -167,13 +148,3 @@ def build_associations(frame: SceneFrame) -> AssociationTable:
             )
 
     return AssociationTable(superpixels=superpixels, num_points=k)
-
-
-def dump_debug(table: AssociationTable) -> str:
-    """One line per superpixel: id, class, pixel count, point count."""
-    lines = [
-        f"{q} class={sp.semantic_sign} pixels={len(sp.pixel_indices)} "
-        f"points={len(sp.point_indices)}"
-        for q, sp in enumerate(table.superpixels)
-    ]
-    return "\n".join(lines) + "\n"

@@ -26,17 +26,15 @@ class PrototypeBank:
     """Per-class prototypes for the classes present in a batch.
 
     ``class_ids`` is sorted ascending; row i of every matrix belongs to
-    ``class_ids[i]``.  ``p2d_bar``/``p3d_bar``/``pmix`` stay None until the
-    blending stage fills them.
+    ``class_ids[i]``.  ``counts`` is the number of valid regions behind a
+    row, the same on both sides since a valid region has both.  ``pmix``
+    stays None until the blending stage fills it.
     """
 
     class_ids: np.ndarray  # (C,) int64, ascending
     p2d: np.ndarray  # (C, D)
     p3d: np.ndarray  # (C, D)
-    counts2d: np.ndarray  # (C,) int64
-    counts3d: np.ndarray  # (C,) int64
-    p2d_bar: np.ndarray | None = None
-    p3d_bar: np.ndarray | None = None
+    counts: np.ndarray  # (C,) int64
     pmix: np.ndarray | None = None
 
     @property
@@ -54,16 +52,15 @@ def build_prototypes(banks: list[EmbeddingBank]) -> PrototypeBank:
     """Mean embeddings per semantic sign over every valid region of ``banks``.
 
     Regions are accumulated frame by frame, region index ascending, so the
-    result is bit-deterministic.  A class must appear in both modalities to
-    be present (valid regions carry both sides, so the counts agree).
+    result is bit-deterministic.  Only valid regions count, and each
+    carries both sides, so every present class has both prototypes.
     """
     if not banks:
         raise EmptyBankError("no embedding banks given")
     d = banks[0].f2d.shape[1]
     sums2d: dict[int, np.ndarray] = {}
     sums3d: dict[int, np.ndarray] = {}
-    n2d: dict[int, int] = {}
-    n3d: dict[int, int] = {}
+    n: dict[int, int] = {}
     for bank in banks:
         if bank.f2d.shape[1] != d:
             raise ShapeError("embedding dimension differs across banks")
@@ -74,31 +71,26 @@ def build_prototypes(banks: list[EmbeddingBank]) -> PrototypeBank:
             if t not in sums2d:
                 sums2d[t] = np.zeros(d)
                 sums3d[t] = np.zeros(d)
-                n2d[t] = 0
-                n3d[t] = 0
+                n[t] = 0
             sums2d[t] += bank.f2d[q]
-            n2d[t] += 1
             sums3d[t] += bank.f3d[q]
-            n3d[t] += 1
-    present = sorted(t for t in sums2d if n2d[t] > 0 and n3d[t] > 0)
+            n[t] += 1
+    present = sorted(sums2d)
     if not present:
         raise EmptyBankError("no valid region in any bank")
     c = len(present)
     p2d = np.empty((c, d))
     p3d = np.empty((c, d))
-    c2d = np.empty(c, dtype=np.int64)
-    c3d = np.empty(c, dtype=np.int64)
+    counts = np.empty(c, dtype=np.int64)
     for i, t in enumerate(present):
-        p2d[i] = sums2d[t] / n2d[t]
-        p3d[i] = sums3d[t] / n3d[t]
-        c2d[i] = n2d[t]
-        c3d[i] = n3d[t]
+        p2d[i] = sums2d[t] / n[t]
+        p3d[i] = sums3d[t] / n[t]
+        counts[i] = n[t]
     return PrototypeBank(
         class_ids=np.array(present, dtype=np.int64),
         p2d=p2d,
         p3d=p3d,
-        counts2d=c2d,
-        counts3d=c3d,
+        counts=counts,
     )
 
 
@@ -112,42 +104,25 @@ def ema_update(
     d = old.p2d.shape[1]
     p2d = np.empty((len(ids), d))
     p3d = np.empty((len(ids), d))
-    c2d = np.empty(len(ids), dtype=np.int64)
-    c3d = np.empty(len(ids), dtype=np.int64)
+    counts = np.empty(len(ids), dtype=np.int64)
     for i, t in enumerate(ids):
         o = old.row_of(int(t))
         f = fresh.row_of(int(t))
         if o is not None and f is not None:
             p2d[i] = momentum * old.p2d[o] + (1.0 - momentum) * fresh.p2d[f]
             p3d[i] = momentum * old.p3d[o] + (1.0 - momentum) * fresh.p3d[f]
-            c2d[i] = fresh.counts2d[f]
-            c3d[i] = fresh.counts3d[f]
+            counts[i] = fresh.counts[f]
         elif f is not None:
             p2d[i] = fresh.p2d[f]
             p3d[i] = fresh.p3d[f]
-            c2d[i] = fresh.counts2d[f]
-            c3d[i] = fresh.counts3d[f]
+            counts[i] = fresh.counts[f]
         else:
             p2d[i] = old.p2d[o]
             p3d[i] = old.p3d[o]
-            c2d[i] = old.counts2d[o]
-            c3d[i] = old.counts3d[o]
+            counts[i] = old.counts[o]
     return PrototypeBank(
         class_ids=ids.astype(np.int64),
         p2d=p2d,
         p3d=p3d,
-        counts2d=c2d,
-        counts3d=c3d,
+        counts=counts,
     )
-
-
-def dump_debug(bank: PrototypeBank) -> str:
-    """One line per class: id, member counts, prototype norms."""
-    lines = []
-    for i, t in enumerate(bank.class_ids):
-        lines.append(
-            f"{int(t)} n2d={int(bank.counts2d[i])} n3d={int(bank.counts3d[i])} "
-            f"norm2d={np.linalg.norm(bank.p2d[i]):.6f} "
-            f"norm3d={np.linalg.norm(bank.p3d[i]):.6f}"
-        )
-    return "\n".join(lines) + "\n"

@@ -40,25 +40,6 @@ CLASS_KEYED_CHANNELS = 3
 
 
 @dataclass
-class Point:
-    """One lidar return: world position in meters plus reflectance."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float
-
-    def validate(self) -> None:
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
-            raise ConfigurationError("point coordinates must be finite")
-        if not (0.0 <= self.intensity <= 1.0):
-            raise ConfigurationError(f"intensity {self.intensity} outside [0,1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.intensity], dtype=np.float64)
-
-
-@dataclass
 class CameraModel:
     """Pinhole camera: intrinsics plus a rigid world-to-camera transform.
 
@@ -165,10 +146,6 @@ class SceneFrame:
     pixel_features: np.ndarray  # (L,H,W,F0) float32
     semantic_raster: np.ndarray  # (L,H,W) uint16
     superpixel_raster: np.ndarray  # (L,H,W) uint32
-
-    def point(self, k: int) -> Point:
-        x, y, z, i = (float(v) for v in self.points[k])
-        return Point(x, y, z, i)
 
     @property
     def num_points(self) -> int:
@@ -584,29 +561,6 @@ def _sample_points(
     pts[:, :3] = world[chosen].astype(np.float32)
     pts[:, 3] = intensity.astype(np.float32)
     return pts, labels.astype(np.int64)
-
-
-def recover_point_labels(frame: SceneFrame) -> np.ndarray:
-    """Class label per point, read from the lowest-index covering camera.
-
-    Exact whenever the oracle noise is zero (the generator guarantees every
-    stored point lands on own-class pixels in all covering views).
-    """
-    from .projection import project_points
-
-    k = frame.num_points
-    labels = np.full(k, -1, dtype=np.int64)
-    world = frame.points[:, :3].astype(np.float64)
-    for cam_idx, cam in enumerate(frame.cameras):
-        row, col, ok = project_points(world, cam)
-        assigned = frame.superpixel_raster[cam_idx][row, col] != UNASSIGNED
-        fresh = (labels < 0) & ok & assigned
-        labels[fresh] = frame.semantic_raster[cam_idx][row, col][fresh]
-    if (labels < 0).any():
-        raise ConfigurationError(
-            f"{int((labels < 0).sum())} points are visible in no camera"
-        )
-    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ with momentum under a per-epoch cosine learning-rate schedule.  With
 ``freeze_2d`` the 2D stack is a constant: each frame's pooled 2D rows are
 computed once per run, and neither the 2D backward nor a 2D update is run.
 
+Every parameter of a Model lives in one float64 buffer, ``Model.params``,
+of which each layer's weight and bias are views.  A step sums its
+gradient into one buffer of the same layout, and SGD updates
+``params`` with three in-place vector operations; ``freeze_2d`` updates
+only the slice after embed2d, which comes first.
+
 When the 2D stack is trained, each frame's 2D side runs on one worker
 thread beside the 3D side (see ``run_step``).  Each batch slot's forward
 writes into the stack buffers its slot used the step before, so a step
@@ -23,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -73,6 +79,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
         if self.lr < 0:
@@ -152,9 +160,19 @@ def _rng(*entropy: int) -> np.random.Generator:
 
 @dataclass
 class Model:
+    """The five stacks, whose layers are views of the one ``params`` buffer.
+
+    ``params`` is laid out by ``embednet.layer_views`` over ``stacks()``;
+    building a Model moves the given stacks' layers into it.
+    """
+
     embed2d: DenseStack  # F0 -> D
     embed3d: DenseStack  # 4  -> D
     blend: BlendParams
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.params = embednet.pack_params(self.stacks())
 
     def stacks(self) -> list[DenseStack]:
         # fixed checkpoint order
@@ -230,20 +248,7 @@ def _group_scenes(frames: list[SceneFrame]) -> list[list[SceneFrame]]:
 @dataclass
 class _StepResult:
     report: LossReport
-    grads: list[list[tuple[np.ndarray, np.ndarray]]]  # per trainable stack, per layer
-
-
-def _trainable_stacks(model: Model, cfg: TrainConfig) -> list[DenseStack]:
-    """The stacks updated by SGD, in checkpoint order; freeze_2d drops embed2d."""
-    stacks = model.stacks()
-    return stacks[1:] if cfg.freeze_2d else stacks
-
-
-def _zero_grads(stacks: list[DenseStack]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    return [
-        [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in s.layers]
-        for s in stacks
-    ]
+    grads: np.ndarray  # over all of Model.params, in its layout
 
 
 def _accumulate(
@@ -324,11 +329,13 @@ def run_step(
     "worker2d" the one-thread executor that, when the 2D stack is trained,
     runs each frame's 2D forward and backward beside the 3D side; under
     "slots" the forward cache of each trained stack and batch slot, whose
-    buffers the next step's forward in that slot writes over; the EMA
-    prototype bank under "bank"; with ``freeze_2d``, each frame's pooled 2D
-    rows and validity under "rows2d", filled the first time the frame is in
-    a batch.  Gradients are summed on the calling thread in batch order, so
-    the result does not depend on which thread ran a frame.  Raises
+    buffers the next step's forward in that slot writes over; under "grads"
+    the gradient buffer, zeroed and refilled by each step and returned in
+    the result; the EMA prototype bank under "bank"; with ``freeze_2d``,
+    each frame's pooled 2D rows and validity under "rows2d", filled the
+    first time the frame is in a batch (the 2D gradient then stays zero).
+    Gradients are summed on the calling thread in batch order, so the
+    result does not depend on which thread ran a frame.  Raises
     DegenerateBatchError when the batch has too few valid regions or a raw
     3D or blended prototype collapses to zero norm.
     """
@@ -399,9 +406,11 @@ def run_step(
 
     tot = losses.total_loss(epoch, sp, pro, loss_cfg)
 
-    grads = _zero_grads(_trainable_stacks(model, cfg))
-    # embed2d's slot, when it is trained, comes first
-    g3d, g_proj2d, g_proj3d, g_fuse = grads[-4:]
+    if "grads" not in run_state:
+        run_state["grads"] = np.empty_like(model.params)
+    grads = run_state["grads"]
+    grads.fill(0.0)
+    g2d, g3d, g_proj2d, g_proj3d, g_fuse = embednet.layer_views(model.stacks(), grads)
     ends = np.cumsum([len(fd.groups2d) for fd in batch])
     rows = [slice(end - len(fd.groups2d), end) for fd, end in zip(batch, ends)]
 
@@ -427,7 +436,7 @@ def run_step(
             backward3d_and_blend,
         )
         for pg2 in grads2d:
-            _accumulate(grads[0], pg2)
+            _accumulate(g2d, pg2)
 
     return _StepResult(report=tot.report, grads=grads)
 
@@ -438,22 +447,25 @@ def cosine_lr(base_lr: float, epoch: int, epochs: int) -> float:
 
 
 class _Sgd:
-    """SGD with momentum over fixed stacks; velocity per parameter tensor."""
+    """SGD with momentum, in place on the trained tail of ``Model.params``.
 
-    def __init__(self, stacks: list[DenseStack], momentum: float):
-        self.stacks = stacks
-        self.momentum = momentum
-        self.vel = _zero_grads(stacks)
+    embed2d's parameters come first, so ``freeze_2d`` trains the slice
+    after them.
+    """
 
-    def step(self, grads: list[list[tuple[np.ndarray, np.ndarray]]], lr: float) -> None:
-        for stack, vel, grad in zip(self.stacks, self.vel, grads):
-            for layer, (vw, vb), (gw, gb) in zip(stack.layers, vel, grad):
-                vw *= self.momentum
-                vw += gw
-                vb *= self.momentum
-                vb += gb
-                layer.weight = layer.weight - lr * vw
-                layer.bias = layer.bias - lr * vb
+    def __init__(self, model: Model, cfg: TrainConfig):
+        self.start = model.embed2d.num_params if cfg.freeze_2d else 0
+        self.params = model.params[self.start :]
+        self.stacks = model.stacks()[1:] if cfg.freeze_2d else model.stacks()
+        self.momentum = cfg.momentum
+        self.vel = np.zeros_like(self.params)
+
+    def step(self, grads: np.ndarray, lr: float) -> None:
+        """Apply a step's gradient over all of ``Model.params``."""
+        self.vel *= self.momentum
+        self.vel += grads[self.start :]
+        self.params -= lr * self.vel
+        for stack in self.stacks:
             stack.bump()
 
 
@@ -501,7 +513,7 @@ def pretrain(
 
     feat_dim = frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, cfg.embed_dim, cfg.seed)
-    opt = _Sgd(_trainable_stacks(model, cfg), cfg.momentum)
+    opt = _Sgd(model, cfg)
     metrics = [losses.CSV_HEADER]
     step = 0
     # the executor starts its thread on the first submit: none with freeze_2d
@@ -526,12 +538,7 @@ def pretrain(
                 step += 1
                 _check_finite(astuple(result.report), epoch, step, "loss")
                 opt.step(result.grads, lr)
-                _check_finite(
-                    [a for s in opt.stacks for l in s.layers for a in (l.weight, l.bias)],
-                    epoch,
-                    step,
-                    "sgd update",
-                )
+                _check_finite([opt.params], epoch, step, "sgd update")
                 stepped += 1
                 metrics.append(losses.csv_row(step, epoch, result.report))
             if n_batches > 0 and stepped == 0:
@@ -752,6 +759,7 @@ def _check_embednet(rng: np.random.Generator, corrupt: bool) -> float:
         depth = int(rng.integers(1, 4))
         widths = [int(rng.integers(3, 8)) for _ in range(depth + 1)]
         stack = embednet.init_stack(widths, rng)
+        theta = embednet.pack_params([stack])
         n = int(rng.integers(2, 7))
         x = rng.normal(size=(n, widths[0]))
         n_groups = int(rng.integers(1, 4))
@@ -783,12 +791,10 @@ def _check_embednet(rng: np.random.Generator, corrupt: bool) -> float:
         if corrupt and done == 0:
             flat_analytic = flat_analytic.copy()
             flat_analytic[0] += 1e-3
-        numeric_parts = []
-        for layer in stack.layers:
-            numeric_parts.append(_fd_over_vector(objective, layer.weight).ravel())
-            numeric_parts.append(_fd_over_vector(objective, layer.bias))
-        numeric_parts.append(_fd_over_vector(objective, x).ravel())
-        worst = max(worst, _rel_err(flat_analytic, np.concatenate(numeric_parts)))
+        numeric = np.concatenate(
+            [_fd_over_vector(objective, theta), _fd_over_vector(objective, x).ravel()]
+        )
+        worst = max(worst, _rel_err(flat_analytic, numeric))
         done += 1
     return worst
 
@@ -803,10 +809,10 @@ def _check_blending(rng: np.random.Generator, corrupt: bool) -> float:
             class_ids=np.arange(c, dtype=np.int64),
             p2d=rng.normal(size=(c, d)),
             p3d=rng.normal(size=(c, d)),
-            counts2d=np.ones(c, dtype=np.int64),
-            counts3d=np.ones(c, dtype=np.int64),
+            counts=np.ones(c, dtype=np.int64),
         )
         params = blending.init_blend_params(d, rng)
+        theta = embednet.pack_params(params.stacks())
         weights = rng.normal(size=(c, d))
 
         def objective() -> float:
@@ -818,23 +824,17 @@ def _check_blending(rng: np.random.Generator, corrupt: bool) -> float:
             continue
         grads = blending.blend_backward(weights, cache)
 
-        analytic = []
-        numeric = []
-        for stack, pg in (
-            (params.proj2d, grads.proj2d),
-            (params.proj3d, grads.proj3d),
-            (params.fuse, grads.fuse),
-        ):
-            for layer, (gw, gb) in zip(stack.layers, pg):
-                analytic.append(gw.ravel())
-                analytic.append(gb)
-                numeric.append(_fd_over_vector(objective, layer.weight).ravel())
-                numeric.append(_fd_over_vector(objective, layer.bias))
-        flat_a = np.concatenate(analytic)
+        flat_a = np.concatenate(
+            [
+                np.concatenate([gw.ravel(), gb])
+                for pg in (grads.proj2d, grads.proj3d, grads.fuse)
+                for gw, gb in pg
+            ]
+        )
         if corrupt and done == 0:
             flat_a = flat_a.copy()
             flat_a[0] += 1e-3
-        worst = max(worst, _rel_err(flat_a, np.concatenate(numeric)))
+        worst = max(worst, _rel_err(flat_a, _fd_over_vector(objective, theta)))
         done += 1
     return worst
 
@@ -886,8 +886,7 @@ def _check_loss_pro(rng: np.random.Generator, corrupt: bool) -> float:
             class_ids=np.arange(n_classes, dtype=np.int64),
             p2d=np.zeros((n_classes, d)),
             p3d=np.zeros((n_classes, d)),
-            counts2d=np.ones(n_classes, dtype=np.int64),
-            counts3d=np.ones(n_classes, dtype=np.int64),
+            counts=np.ones(n_classes, dtype=np.int64),
             pmix=pmix,
         )
         tau = float(rng.uniform(0.5, 2.0))

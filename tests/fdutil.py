@@ -1,11 +1,17 @@
-"""Test-local finite-difference harness and pinhole reference.
+"""Test-local finite-difference harness and reference oracles.
 
-Deliberately independent of the package's own gradient checker so the two
-can disagree: tests perturb arrays with this code and compare against the
-package's analytic gradients.
+The finite differences are deliberately independent of the package's own
+gradient checker so the two can disagree: tests perturb arrays with this
+code and compare against the package's analytic gradients.  The pinhole,
+region-labelling and point-label oracles stand in for scalar code the
+package does not carry.
 """
 
 import numpy as np
+
+from scenecontrast.embednet import layer_views
+from scenecontrast.projection import project_points
+from scenecontrast.scenegen import UNASSIGNED
 
 H = 1e-5
 
@@ -43,13 +49,11 @@ def stack_params(stack) -> np.ndarray:
 
 
 def set_stack_params(stack, flat: np.ndarray) -> None:
-    """Refill a stack from a ``stack_params`` vector; bumps its version."""
-    sizes = [n for l in stack.layers for n in (l.weight.size, l.bias.size)]
-    assert flat.shape == (sum(sizes),), flat.shape
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    for l, w, b in zip(stack.layers, parts[0::2], parts[1::2]):
-        l.weight = w.reshape(l.weight.shape).copy()
-        l.bias = b.copy()
+    """Write a ``stack_params`` vector into the stack's arrays; bumps its version."""
+    (pairs,) = layer_views([stack], flat)
+    for l, (w, b) in zip(stack.layers, pairs):
+        l.weight[...] = w
+        l.bias[...] = b
     stack.bump()
 
 
@@ -99,3 +103,20 @@ def reference_regions(values: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
                         stack.append((rr, cc))
         out.append(np.array(sorted(members), dtype=np.int64))
     return out
+
+
+def recover_point_labels(frame) -> np.ndarray:
+    """Class label per point, read from the lowest-index covering camera.
+
+    Exact whenever the oracle noise is zero (the generator guarantees every
+    stored point lands on own-class pixels in all covering views).
+    """
+    labels = np.full(frame.num_points, -1, dtype=np.int64)
+    world = frame.points[:, :3].astype(np.float64)
+    for cam_idx, cam in enumerate(frame.cameras):
+        row, col, ok = project_points(world, cam)
+        assigned = frame.superpixel_raster[cam_idx][row, col] != UNASSIGNED
+        fresh = (labels < 0) & ok & assigned
+        labels[fresh] = frame.semantic_raster[cam_idx][row, col][fresh]
+    assert (labels >= 0).all(), f"{int((labels < 0).sum())} points seen by no camera"
+    return labels

@@ -102,8 +102,7 @@ def test_criterion_2_closed_form_losses():
         class_ids=np.arange(c, dtype=np.int64),
         p2d=np.zeros((c, d)),
         p3d=np.zeros((c, d)),
-        counts2d=np.ones(c, dtype=np.int64),
-        counts3d=np.ones(c, dtype=np.int64),
+        counts=np.ones(c, dtype=np.int64),
         pmix=np.eye(c, d),
     )
     f3d = np.full((3, d), 0.0)
@@ -170,7 +169,7 @@ def test_criterion_3_prototype_brute_force():
         c = int(cls)
         assert np.abs(got.p2d[j] - sums2[c] / counts[c]).max() < 1e-12
         assert np.abs(got.p3d[j] - sums3[c] / counts[c]).max() < 1e-12
-        assert got.counts2d[j] == counts[c] and got.counts3d[j] == counts[c]
+        assert got.counts[j] == counts[c]
 
     # two scenes sharing one class: both members land in one prototype
     u = np.zeros(6)
@@ -187,7 +186,7 @@ def test_criterion_3_prototype_brute_force():
     )
     merged = protobank.build_prototypes([one, two])
     assert merged.class_ids.tolist() == [3]
-    assert merged.counts3d[0] == 2
+    assert merged.counts[0] == 2
     assert np.abs(merged.p3d[0] - (u + v) / 2).max() < 1e-12
     passline(3, "prototypes equal brute force at 1e-12, cross-scene counts")
 

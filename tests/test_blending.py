@@ -20,8 +20,7 @@ def make_bank(rng, c=4, d=3):
         class_ids=np.arange(c),
         p2d=rng.normal(size=(c, d)),
         p3d=rng.normal(size=(c, d)),
-        counts2d=np.ones(c, dtype=np.int64),
-        counts3d=np.ones(c, dtype=np.int64),
+        counts=np.ones(c, dtype=np.int64),
     )
 
 
@@ -42,10 +41,10 @@ def selector_params(d, side):
 
 def test_selector_passes_2d(rng):
     bank = make_bank(rng)
-    blend(bank, selector_params(3, "2d"))
+    cache = blend(bank, selector_params(3, "2d"))
     want = bank.p2d / np.linalg.norm(bank.p2d, axis=1, keepdims=True)
     assert np.allclose(bank.pmix, want, atol=1e-15)
-    assert np.array_equal(bank.p2d_bar, bank.p2d)
+    assert np.array_equal(cache.cache2d.acts[-1], bank.p2d)  # the 2D projection
 
 
 def test_selector_passes_3d(rng):

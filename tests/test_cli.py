@@ -249,6 +249,35 @@ def test_non_finite_config_exits_1(scene_dir, tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("gen-scenes --out {out} --seed -1", "--seed must be >= 0, got -1"),
+        ("gen-scenes --out {out} --count 0", "--count must be >= 1, got 0"),
+        ("gen-scenes --out {out} --count -1", "--count must be >= 1, got -1"),
+        ("gradcheck --seed -1", "--seed must be >= 0, got -1"),
+        ("pretrain --scenes {scenes} --out {out} --seed -1", "seed must be >= 0, got -1"),
+        ("pretrain --scenes {scenes} --out {out} --config {seeded}", "seed must be >= 0"),
+        ("probe --ckpt {out}/m.cscw --scenes {scenes} --seed -1", "seed must be >= 0"),
+        ("ablate --scenes {scenes} --out {out} --seeds 0", "--seeds must be >= 1, got 0"),
+        ("ablate --scenes {scenes} --out {out} --seeds -2", "--seeds must be >= 1, got -2"),
+        ("ablate --scenes {scenes} --out {out} --arm sp --seed -1", "seed must be >= 0"),
+    ],
+    ids=[
+        "gen-seed", "gen-count-0", "gen-count-neg", "gradcheck-seed", "pretrain-seed",
+        "config-seed", "probe-seed", "ablate-seeds-0", "ablate-seeds-neg", "arm-seed",
+    ],
+)
+def test_out_of_range_flags_exit_1(scene_dir, tmp_path, capsys, argv, message):
+    seeded = tmp_path / "seeded.txt"
+    seeded.write_text(CFG_TEXT + "seed = -1\n")
+    out = tmp_path / "o"
+    args = argv.format(scenes=scene_dir, out=out, seeded=seeded).split()
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_diverging_pretrain_exits_2_without_outputs(scene_dir, tmp_path, capsys):

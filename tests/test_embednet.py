@@ -1,4 +1,6 @@
-"""Dense stacks, pooling, and the checkpoint format."""
+"""Dense stacks, pooling, the parameter layout and the checkpoint format."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from scenecontrast.embednet import (
     backward,
     forward,
     init_stack,
+    layer_views,
     load_layers,
     make_bank,
+    pack_params,
     pool_backward,
     pool_regions,
     read_checkpoint,
@@ -351,6 +355,36 @@ def test_make_bank_joint_validity():
     )
     assert bank.valid.tolist() == [True, False]
     assert bank.num_valid == 1
+
+
+# ---------------------------------------------------------------------------
+# parameter layout
+
+
+def test_layers_cannot_be_rebound(rng):
+    layer = init_stack([3, 2], rng).layers[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.weight = np.zeros((2, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.bias = np.zeros(2)
+
+
+def test_pack_params_moves_layers_into_one_buffer(rng):
+    stacks = [init_stack([3, 5, 2], rng), init_stack([4, 4], rng)]
+    before = [stack_params(s) for s in stacks]
+    same = list(stacks)
+    buf = pack_params(stacks)
+    assert all(a is b for a, b in zip(stacks, same))
+    assert buf.tobytes() == np.concatenate(before).tobytes()
+    for s, pairs in zip(stacks, layer_views(stacks, buf)):
+        for l, (w, b) in zip(s.layers, pairs):
+            assert w.base is buf and b.base is buf
+            assert l.weight.__array_interface__ == w.__array_interface__
+            assert l.bias.__array_interface__ == b.__array_interface__
+    buf[0] = 42.0
+    assert stacks[0].layers[0].weight[0, 0] == 42.0
+    with pytest.raises(ShapeError, match="does not fit"):
+        layer_views(stacks, buf[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,7 @@ def proto_bank_from(pmix):
         class_ids=np.arange(c),
         p2d=pmix.copy(),
         p3d=pmix.copy(),
-        counts2d=np.ones(c, dtype=np.int64),
-        counts3d=np.ones(c, dtype=np.int64),
+        counts=np.ones(c, dtype=np.int64),
     )
     bank.pmix = pmix.copy()
     return bank

@@ -5,14 +5,11 @@ import numpy as np
 from scenecontrast.projection import (
     AssociationTable,
     build_associations,
-    dump_debug,
-    project_point,
     project_points,
 )
 from scenecontrast.scenegen import (
     UNASSIGNED,
     CameraModel,
-    Point,
     SceneFrame,
     generate_scene,
 )
@@ -45,47 +42,43 @@ def make_frame(points, cameras, sems, spixs, num_classes=4) -> SceneFrame:
 
 
 # ---------------------------------------------------------------------------
-# project_point
+# project_points on hand-computed cases, and the scalar oracle on the same
+
+
+def projected(xyz, cam):
+    """(row, col) from project_points and from the oracle; asserts they agree."""
+    rows, cols, ok = project_points(np.array([xyz], dtype=np.float64), cam)
+    got = (int(rows[0]), int(cols[0])) if ok[0] else None
+    assert got == pinhole_reference(xyz, cam)
+    return got
 
 
 def test_principal_point_ray():
     cam = CameraModel(1.0, 1.0, 32.0, 32.0, np.eye(4), 64, 64)
-    assert project_point(Point(0.0, 0.0, 1.0, 0.5), cam) == (32, 32)
+    assert projected((0.0, 0.0, 1.0), cam) == (32, 32)
 
 
 def test_behind_camera_is_none():
     cam = CameraModel(1.0, 1.0, 32.0, 32.0, np.eye(4), 64, 64)
-    assert project_point(Point(0.0, 0.0, -1.0, 0.5), cam) is None
-    assert project_point((0.0, 0.0, 0.0), cam) is None  # z == 0 excluded too
+    assert projected((0.0, 0.0, -1.0), cam) is None
+    assert projected((0.0, 0.0, 0.0), cam) is None  # z == 0 excluded too
 
 
 def test_hand_pinhole_evaluation():
     # row = 100*1/2 + 240 = 290, col = 100*2/2 + 320 = 420
     cam = CameraModel(100.0, 100.0, 320.0, 240.0, np.eye(4), 640, 480)
-    assert project_point((2.0, 1.0, 2.0), cam) == (290, 420)
+    assert projected((2.0, 1.0, 2.0), cam) == (290, 420)
 
 
 def test_rounding_ties_to_even():
     cam = CameraModel(1.0, 1.0, 2.0, 2.0, np.eye(4), 8, 8)
-    assert project_point((0.5, 0.0, 1.0), cam) == (2, 2)  # 2.5 -> 2
-    assert project_point((1.5, 0.0, 1.0), cam) == (2, 4)  # 3.5 -> 4
+    assert projected((0.5, 0.0, 1.0), cam) == (2, 2)  # 2.5 -> 2
+    assert projected((1.5, 0.0, 1.0), cam) == (2, 4)  # 3.5 -> 4
 
 
 def test_out_of_bounds_is_none():
     cam = CameraModel(4.0, 4.0, 4.0, 4.0, np.eye(4), 8, 8)
-    assert project_point((10.0, 0.0, 1.0), cam) is None
-
-
-def test_project_points_matches_scalar(small_scene):
-    pts = small_scene.points[:, :3].astype(np.float64)
-    for cam in small_scene.cameras:
-        rows, cols, ok = project_points(pts, cam)
-        for k in range(0, len(pts), 37):
-            one = project_point(pts[k], cam)
-            if one is None:
-                assert not ok[k]
-            else:
-                assert ok[k] and (rows[k], cols[k]) == one
+    assert projected((10.0, 0.0, 1.0), cam) is None
 
 
 def test_agrees_with_reference_pinhole(small_scene):
@@ -255,13 +248,16 @@ def test_empty_superpixels_flagged():
     frame = make_frame([[-0.5, 0.0, 2.0, 0.1]], [cam], [sem], [spix])
     table = build_associations(frame)
     assert table.Q == 2
-    assert not table.superpixels[0].empty
-    assert table.superpixels[1].empty
-    assert table.valid_ids() == [0]
+    assert table.superpixels[0].point_indices.tolist() == [0]
+    assert len(table.superpixels[1].point_indices) == 0
+    assert [q for q, sp in enumerate(table.superpixels) if len(sp.point_indices)] == [0]
 
 
-def test_debug_dump_shape(small_scene):
+def test_one_superpixel_per_region_id(small_scene):
     table = build_associations(small_scene)
-    lines = dump_debug(table).strip().split("\n")
-    assert len(lines) == table.Q
-    assert lines[0].startswith("0 class=")
+    want = []
+    for c in range(small_scene.num_cameras):
+        spix = small_scene.superpixel_raster[c]
+        want += [(c, int(i)) for i in np.unique(spix[spix != UNASSIGNED])]
+    assert [(sp.camera, sp.local_id) for sp in table.superpixels] == want
+    assert table.Q == len(want)

@@ -5,7 +5,7 @@ import pytest
 
 from scenecontrast.embednet import EmbeddingBank
 from scenecontrast.errors import EmptyBankError
-from scenecontrast.protobank import PrototypeBank, build_prototypes, dump_debug, ema_update
+from scenecontrast.protobank import PrototypeBank, build_prototypes, ema_update
 
 
 def unit_rows(rng, q, d):
@@ -29,7 +29,7 @@ def test_singleton_mean(rng):
     assert protos.class_ids.tolist() == [2]
     assert np.array_equal(protos.p2d[0], bank.f2d[0])
     assert np.array_equal(protos.p3d[0], bank.f3d[0])
-    assert protos.counts2d[0] == 1
+    assert protos.counts[0] == 1
 
 
 def test_two_point_mean(rng):
@@ -37,7 +37,7 @@ def test_two_point_mean(rng):
     protos = build_prototypes([bank])
     assert np.allclose(protos.p2d[0], (bank.f2d[0] + bank.f2d[1]) / 2.0, atol=1e-15)
     assert np.allclose(protos.p3d[0], (bank.f3d[0] + bank.f3d[1]) / 2.0, atol=1e-15)
-    assert protos.counts3d[0] == 2
+    assert protos.counts[0] == 2
 
 
 def test_brute_force_group_by_oracle(rng):
@@ -63,7 +63,7 @@ def test_brute_force_group_by_oracle(rng):
         t = int(t)
         assert np.max(np.abs(protos.p2d[i] - sums2[t] / counts[t])) < 1e-12
         assert np.max(np.abs(protos.p3d[i] - sums3[t] / counts[t])) < 1e-12
-        assert protos.counts2d[i] == counts[t]
+        assert protos.counts[i] == counts[t]
 
 
 def test_cross_scene_aggregation(rng):
@@ -72,7 +72,7 @@ def test_cross_scene_aggregation(rng):
     scene_b = bank_of(rng, [3])
     protos = build_prototypes([scene_a, scene_b])
     assert protos.num_classes == 1
-    assert protos.counts2d[0] == 2  # both scenes' members counted together
+    assert protos.counts[0] == 2  # both scenes' members counted together
     expect = (scene_a.f2d[0] + scene_b.f2d[0]) / 2.0
     assert np.allclose(protos.p2d[0], expect, atol=1e-15)
 
@@ -147,8 +147,7 @@ def test_ema_midpoint():
             class_ids=np.array([0]),
             p2d=v.copy(),
             p3d=v.copy(),
-            counts2d=np.array([1]),
-            counts3d=np.array([1]),
+            counts=np.array([1]),
         )
 
     out = ema_update(mk([1.0, 0.0]), mk([0.0, 1.0]), 0.5)
@@ -164,8 +163,8 @@ def test_ema_class_union(rng):
     assert np.array_equal(out.p2d[out.row_of(2)], fresh.p2d[fresh.row_of(2)])
 
 
-def test_debug_dump(rng):
+def test_counts_per_class_row(rng):
     protos = build_prototypes([bank_of(rng, [0, 2])])
-    text = dump_debug(protos)
-    assert text.splitlines()[0].startswith("0 n2d=1 n3d=1")
-    assert len(text.splitlines()) == 2
+    assert protos.class_ids.tolist() == [0, 2]
+    assert protos.counts.tolist() == [1, 1]
+    assert protos.p2d.shape == protos.p3d.shape == (2, 4)

@@ -316,6 +316,38 @@ def test_ema_changes_prototype_term(small_frames, prepared):
 
 
 # ---------------------------------------------------------------------------
+# the parameter buffer
+
+
+@pytest.mark.parametrize("freeze", [False, True], ids=["trained", "frozen"])
+def test_params_is_the_only_parameter_storage(small_frames, prepared, tmp_path, freeze):
+    cfg = replace(CFG, freeze_2d=freeze)
+    res = pretrain(small_frames, cfg, out_dir=tmp_path, prepared=prepared)
+    params = res.model.params
+    arrays = [a for s in res.model.stacks() for l in s.layers for a in (l.weight, l.bias)]
+    assert all(np.shares_memory(a, params) for a in arrays)
+    # checkpoint order, each weight row-major then its bias, nothing else
+    on_disk = np.concatenate(
+        [np.concatenate([w.ravel(), b]) for w, b in read_checkpoint(res.checkpoint_path)]
+    )
+    assert on_disk.tobytes() == params.tobytes()
+    feat_dim = small_frames[0].pixel_features.shape[3]
+    init = init_model(feat_dim, cfg.embed_dim, cfg.seed).params
+    n2d = res.model.embed2d.num_params
+    assert (params[:n2d].tobytes() == init[:n2d].tobytes()) == freeze
+    assert params[n2d:].tobytes() != init[n2d:].tobytes()
+
+
+def test_load_model_copies_into_the_buffer(trained, small_frames):
+    feat_dim = small_frames[0].pixel_features.shape[3]
+    back = load_model(trained.checkpoint_path, feat_dim, CFG.embed_dim)
+    assert back.params.tobytes() == trained.model.params.tobytes()
+    for layer in (l for s in back.stacks() for l in s.layers):
+        assert np.shares_memory(layer.weight, back.params)
+        assert np.shares_memory(layer.bias, back.params)
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 
@@ -436,12 +468,14 @@ def test_frozen_2d_matches_dropping_the_2d_update(
     small_frames, prepared, tmp_path, monkeypatch, cfg
 ):
     fast = pretrain(small_frames, cfg, out_dir=tmp_path / "fast", prepared=prepared)
+    feat_dim = small_frames[0].pixel_features.shape[3]
+    init2d = init_model(feat_dim, cfg.embed_dim, cfg.seed).embed2d
 
     # oracle: the unfrozen step, with the 2D gradients zeroed before SGD
     real_step = trainer._Sgd.step
 
     def step_without_2d(self, grads, lr):
-        grads[0] = [(np.zeros_like(w), np.zeros_like(b)) for w, b in grads[0]]
+        grads[: init2d.num_params] = 0.0  # embed2d comes first in the buffer
         real_step(self, grads, lr)
 
     with monkeypatch.context() as m:
@@ -458,8 +492,6 @@ def test_frozen_2d_matches_dropping_the_2d_update(
     assert (
         fast.checkpoint_path.read_bytes() == ref.checkpoint_path.read_bytes()
     )
-    feat_dim = small_frames[0].pixel_features.shape[3]
-    init2d = init_model(feat_dim, cfg.embed_dim, cfg.seed).embed2d
     for got, want in zip(fast.model.embed2d.layers, init2d.layers):
         assert got.weight.tobytes() == want.weight.tobytes()
         assert got.bias.tobytes() == want.bias.tobytes()
