@@ -6,9 +6,11 @@ and the result is L2-normalized into the mixed prototype for that class.
 Everything is row-local: class t's mixed prototype depends only on class
 t's inputs.
 
-The backward pass returns gradients for the three parameter stacks only;
-by construction none flow back into the prototype bank (prototypes are
-treated as constants of the step).
+All three stacks are single affine layers.  The backward pass returns one
+flat gradient vector over proj2d, proj3d and fuse, in that order and laid
+out by ``embednet.layer_views``, which is how these stacks sit at the end
+of the model's parameter buffer.  By construction no gradient flows back
+into the prototype bank (prototypes are treated as constants of the step).
 """
 
 from __future__ import annotations
@@ -46,35 +48,23 @@ class BlendParams:
                 )
 
 
-def init_blend_params(
-    d: int, rng: np.random.Generator, proj_depth: int = 1
-) -> BlendParams:
-    """Affine projections (depth configurable) and a single affine fuse.
+def init_blend_params(d: int, rng: np.random.Generator) -> BlendParams:
+    """Affine projections and an affine fuse, each a single layer.
 
     Residual-flavoured start: projections sit near the identity and the
     fusion near the two-modality average, so the first mixed prototypes
     are already a plausible blend instead of a random mixture.  Training
     has to break the symmetry from there.
     """
-    def near(mat: np.ndarray) -> np.ndarray:
-        return mat + rng.normal(0.0, 0.05, size=mat.shape)
-
-    def proj_stack() -> embednet.DenseStack:
-        layers = [
-            embednet.DenseLayer(
-                weight=near(np.eye(d)), bias=np.zeros(d), activation="none"
-            )
-            for _ in range(proj_depth)
-        ]
-        return embednet.DenseStack(layers)
+    def affine_near(mat: np.ndarray) -> DenseStack:
+        w = mat + rng.normal(0.0, 0.05, size=mat.shape)
+        return DenseStack([embednet.DenseLayer(weight=w, bias=np.zeros(d))])
 
     half = 0.5 * np.concatenate([np.eye(d), np.eye(d)], axis=1)
     params = BlendParams(
-        proj2d=proj_stack(),
-        proj3d=proj_stack(),
-        fuse=embednet.DenseStack(
-            [embednet.DenseLayer(weight=near(half), bias=np.zeros(d), activation="none")]
-        ),
+        proj2d=affine_near(np.eye(d)),
+        proj3d=affine_near(np.eye(d)),
+        fuse=affine_near(half),
     )
     params.validate(d)
     return params
@@ -87,13 +77,6 @@ class BlendCache:
     cache_fuse: ForwardCache
     fused: np.ndarray  # (C, D) pre-normalization fuse outputs
     norms: np.ndarray  # (C,)
-
-
-@dataclass
-class BlendGrads:
-    proj2d: list[tuple[np.ndarray, np.ndarray]]
-    proj3d: list[tuple[np.ndarray, np.ndarray]]
-    fuse: list[tuple[np.ndarray, np.ndarray]]
 
 
 def blend(bank: PrototypeBank, params: BlendParams) -> BlendCache:
@@ -116,8 +99,11 @@ def blend(bank: PrototypeBank, params: BlendParams) -> BlendCache:
     return BlendCache(cache2d, cache3d, cache_fuse, fused, norms)
 
 
-def blend_backward(upstream: np.ndarray, cache: BlendCache) -> BlendGrads:
-    """Exact gradients on the three stacks for d(sum(upstream * pmix))."""
+def blend_backward(upstream: np.ndarray, cache: BlendCache) -> np.ndarray:
+    """Exact gradient on the three stacks for d(sum(upstream * pmix)).
+
+    One new vector: proj2d's parameters, then proj3d's, then fuse's.
+    """
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != cache.fused.shape:
         raise ShapeError(f"upstream shape {g.shape} != {cache.fused.shape}")
@@ -125,10 +111,8 @@ def blend_backward(upstream: np.ndarray, cache: BlendCache) -> BlendGrads:
     u = cache.fused / cache.norms[:, None]
     g_fused = (g - np.sum(g * u, axis=1, keepdims=True) * u) / cache.norms[:, None]
     fuse_stack = cache.cache_fuse.stack
-    fuse_grads, g_concat = embednet.backward(fuse_stack, g_fused, cache.cache_fuse)
+    grads_fuse, g_concat = embednet.backward(fuse_stack, g_fused, cache.cache_fuse)
     d = cache.cache2d.stack.out_width
-    g2d = g_concat[:, :d]
-    g3d = g_concat[:, d:]
-    grads2d, _ = embednet.backward(cache.cache2d.stack, g2d, cache.cache2d)
-    grads3d, _ = embednet.backward(cache.cache3d.stack, g3d, cache.cache3d)
-    return BlendGrads(proj2d=grads2d, proj3d=grads3d, fuse=fuse_grads)
+    grads2d, _ = embednet.backward(cache.cache2d.stack, g_concat[:, :d], cache.cache2d)
+    grads3d, _ = embednet.backward(cache.cache3d.stack, g_concat[:, d:], cache.cache3d)
+    return np.concatenate([grads2d, grads3d, grads_fuse])

@@ -78,6 +78,8 @@ def _cmd_gen_scenes(args) -> int:
         height=args.height,
         width=args.width,
     )
+    cfg.validate()
+    geom.validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for s in range(args.count):
@@ -125,10 +127,10 @@ def _cmd_ablate(args) -> int:
         cfg = trainer.arm_config(cfg, args.arm)
         result = trainer.pretrain(frames, cfg, out_dir=None)
         acc = trainer.linear_probe(result.model, frames, cfg).mean_accuracy
-        print(f"{args.arm},{cfg.seed},{acc!r}")
-        return 0
-    seeds = list(range(cfg.seed, cfg.seed + args.seeds))
-    rows = trainer.run_ablation(frames, cfg, seeds)
+        rows = [(args.arm, cfg.seed, acc)]
+    else:
+        seeds = list(range(cfg.seed, cfg.seed + args.seeds))
+        rows = trainer.run_ablation(frames, cfg, seeds)
     csv = trainer.ablation_csv(rows)
     sys.stdout.write(csv)
     if args.out:

@@ -5,6 +5,9 @@ pixel features to D-dim embeddings, the other maps raw point rows
 (x,y,z,intensity).  Pooling averages member rows per region and
 L2-normalizes, so downstream dot products are cosine similarities.
 
+Every stack applies a ReLU after each layer but the last, whose output
+is affine; a layer stores no activation of its own.
+
 Backward passes are written by hand and checked against central finite
 differences in the test suite; caches carry a version stamp so a stale
 cache (parameters updated in between) is rejected instead of silently
@@ -13,9 +16,10 @@ producing wrong gradients.
 Parameter layout: ``layer_views`` lays a list of stacks over one flat
 float64 buffer, stack by stack and layer by layer, each weight row-major
 followed by its bias, which is also the checkpoint order.  ``pack_params``
-moves a model's layers into such a buffer; the training loop lays its
-gradient and velocity buffers out the same way.  Layers are frozen, so a
-layer's arrays can be written in place but never rebound.
+moves a model's layers into such a buffer; ``backward`` returns a stack's
+parameter gradient as one vector in the same layout, and the training
+loop lays its gradient and velocity buffers out the same way.  Layers are
+frozen, so a layer's arrays can be written in place but never rebound.
 
 Buffer contract: a forward cache holds each layer's output.  ``forward``
 given ``reuse=`` an earlier cache of the same stack and row count writes
@@ -40,19 +44,19 @@ from .errors import CheckpointFormatError, ConfigurationError, ContractViolation
 CKPT_MAGIC = b"CSCW"
 CKPT_VERSION = 1
 
-_ACTIVATIONS = ("relu", "none")
-
 
 @dataclass(frozen=True)
 class DenseLayer:
     weight: np.ndarray  # (out, in) float64
     bias: np.ndarray  # (out,) float64
-    activation: str  # "relu" or "none"
 
 
 @dataclass
 class DenseStack:
-    """Affine/activation chain; ``version`` bumps on every parameter write."""
+    """Affine layers with a ReLU after all but the last.
+
+    ``version`` bumps on every parameter write.
+    """
 
     layers: list[DenseLayer]
     version: int = 0
@@ -72,10 +76,6 @@ class DenseStack:
     def validate(self) -> None:
         prev = None
         for i, layer in enumerate(self.layers):
-            if layer.activation not in _ACTIVATIONS:
-                raise ConfigurationError(
-                    f"layer {i}: unknown activation {layer.activation!r}"
-                )
             out_w, in_w = layer.weight.shape
             if layer.bias.shape != (out_w,):
                 raise ShapeError(f"layer {i}: bias shape {layer.bias.shape}")
@@ -91,9 +91,7 @@ class DenseStack:
         self.version += 1
 
 
-def init_stack(widths: list[int], seed_rng: np.random.Generator,
-               hidden_activation: str = "relu",
-               final_activation: str = "none") -> DenseStack:
+def init_stack(widths: list[int], seed_rng: np.random.Generator) -> DenseStack:
     """Glorot-uniform stack over consecutive widths, deterministic per rng."""
     if len(widths) < 2:
         raise ConfigurationError("need at least an input and an output width")
@@ -102,9 +100,7 @@ def init_stack(widths: list[int], seed_rng: np.random.Generator,
         fan_in, fan_out = widths[i], widths[i + 1]
         a = np.sqrt(6.0 / (fan_in + fan_out))
         w = seed_rng.uniform(-a, a, size=(fan_out, fan_in))
-        b = np.zeros(fan_out)
-        act = final_activation if i == len(widths) - 2 else hidden_activation
-        layers.append(DenseLayer(w, b, act))
+        layers.append(DenseLayer(w, np.zeros(fan_out)))
     stack = DenseStack(layers)
     stack.validate()
     return stack
@@ -145,9 +141,7 @@ def pack_params(stacks: list[DenseStack]) -> np.ndarray:
         for l, (w, b) in zip(s.layers, pairs):
             w[...] = l.weight
             b[...] = l.bias
-        s.layers[:] = [
-            DenseLayer(w, b, l.activation) for l, (w, b) in zip(s.layers, pairs)
-        ]
+        s.layers[:] = [DenseLayer(w, b) for w, b in pairs]
     return buf
 
 
@@ -156,7 +150,7 @@ class ForwardCache:
     stack: DenseStack
     version: int
     inputs: np.ndarray
-    acts: list[np.ndarray]  # per layer, its output (after the activation)
+    acts: list[np.ndarray]  # per layer, its output (after its ReLU, if any)
     live: bool = True  # False once a backward consumed it or a forward reused it
 
     def check(self) -> None:
@@ -201,10 +195,11 @@ def forward(
         reuse.live = False
     acts = []
     h = x
-    for layer, buf in zip(stack.layers, bufs):
+    last = len(stack.layers) - 1
+    for i, (layer, buf) in enumerate(zip(stack.layers, bufs)):
         h = np.matmul(h, layer.weight.T, out=buf)
         h += layer.bias
-        if layer.activation == "relu":
+        if i < last:
             np.maximum(h, 0.0, out=h)
         acts.append(h)
     return h, ForwardCache(stack, stack.version, x, acts)
@@ -212,15 +207,14 @@ def forward(
 
 def backward(
     stack: DenseStack, upstream: np.ndarray, cache: ForwardCache
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of sum(upstream * output) w.r.t. parameters and inputs.
 
+    The parameter gradient is one new vector laid out by ``layer_views``.
     Consumes ``cache``: the gradient at each hidden layer's output is
-    written over that layer's stored output (and, under a ReLU top layer,
-    the top gradient over the output), so the cache is dead afterwards.
-    ``upstream`` itself is never written to.  It may be the cache's own
-    output array, which saves a buffer, but only if the top layer is
-    linear: a ReLU top layer needs its output for the mask.
+    written over that layer's stored output, so the cache is dead
+    afterwards.  ``upstream`` itself is never written to, so it may be the
+    cache's own output array, which saves a buffer.
     """
     cache.check()
     if cache.stack is not stack:
@@ -232,29 +226,22 @@ def backward(
         raise ShapeError(
             f"upstream shape {g.shape} does not match output {acts[-1].shape}"
         )
-    top_relu = bool(layers) and layers[-1].activation == "relu"
-    if top_relu and np.may_share_memory(g, acts[-1]):
-        raise ContractViolationError(
-            "upstream overlaps the output of a ReLU top layer, "
-            "whose mask backward still needs"
-        )
     cache.live = False
-    if top_relu:
-        # relu(z) > 0 exactly where z > 0, NaN included
-        g = np.multiply(g, acts[-1] > 0.0, out=acts[-1])
-    param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    grads = np.empty(stack.num_params)
+    (views,) = layer_views([stack], grads)
     for i in range(len(layers) - 1, -1, -1):
         below = cache.inputs if i == 0 else acts[i - 1]
-        param_grads[i] = (g.T @ below, g.sum(axis=0))
+        gw, gb = views[i]
+        np.matmul(g.T, below, out=gw)
+        g.sum(axis=0, out=gb)
         if i == 0:
             g = g @ layers[0].weight
             continue
-        # the mask of the layer below, before its output is overwritten
-        mask = below > 0.0 if layers[i - 1].activation == "relu" else None
+        # the ReLU mask of the layer below, before its output is overwritten
+        mask = below > 0.0
         g = np.matmul(g, layers[i].weight, out=below)
-        if mask is not None:
-            g *= mask
-    return param_grads, g
+        g *= mask
+    return grads, g
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ def total_loss(
     )
     return TotalResult(
         report=report,
-        grad_f3d=sp.grad_f3d.copy(),
-        grad_f2d=sp.grad_f2d.copy(),
+        grad_f3d=sp.grad_f3d,
+        grad_f2d=sp.grad_f2d,
         grad_pmix=None,
     )

@@ -116,6 +116,11 @@ class SemanticOracleConfig:
     def validate(self) -> None:
         if self.num_classes < 2:
             raise ConfigurationError("need at least 2 classes (ground + 1)")
+        if self.num_classes > 65536:
+            # labels and semantic rasters are uint16
+            raise ConfigurationError(
+                f"num_classes must be <= 65536, got {self.num_classes}"
+            )
         if self.objects_per_scene < 1:
             raise ConfigurationError("need at least one object per scene")
         if self.oversegment_factor < 1:
@@ -124,7 +129,7 @@ class SemanticOracleConfig:
             raise ConfigurationError("noise must lie in [0,1)")
 
 
-@dataclass
+@dataclass(eq=False)  # a generated __eq__ would raise on the array fields
 class SceneFrame:
     """One point-cloud keyframe with L calibrated camera views.
 
@@ -154,37 +159,6 @@ class SceneFrame:
     @property
     def num_cameras(self) -> int:
         return len(self.cameras)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SceneFrame):
-            return NotImplemented
-        if self.scene_id != other.scene_id or self.num_classes != other.num_classes:
-            return False
-        if len(self.cameras) != len(other.cameras):
-            return False
-        for a, b in zip(self.cameras, other.cameras):
-            ia = np.array([a.fx, a.fy, a.cx, a.cy], dtype=np.float32)
-            ib = np.array([b.fx, b.fy, b.cx, b.cy], dtype=np.float32)
-            if ia.tobytes() != ib.tobytes():
-                return False
-            if (a.width, a.height) != (b.width, b.height):
-                return False
-            ma = np.asarray(a.world_to_cam, dtype=np.float32)
-            mb = np.asarray(b.world_to_cam, dtype=np.float32)
-            if ma.tobytes() != mb.tobytes():
-                return False
-        pairs = [
-            (self.points, other.points),
-            (self.point_labels, other.point_labels),
-            (self.pixel_features, other.pixel_features),
-            (self.semantic_raster, other.semantic_raster),
-            (self.superpixel_raster, other.superpixel_raster),
-        ]
-        return all(
-            x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in pairs
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +672,7 @@ def read_scene(path) -> SceneFrame:
         raise SceneFormatError("point label out of class range", label_offset)
     cams = []
     # sections are read through the cursor before any stacked allocation,
-    # so a corrupt header cannot request more memory than the file holds
+    # so a damaged header cannot request more memory than the file holds
     feat_list: list[np.ndarray] = []
     sem_list: list[np.ndarray] = []
     spix_list: list[np.ndarray] = []
@@ -729,7 +703,7 @@ def read_scene(path) -> SceneFrame:
         spix_offset = cur.pos
         spix = cur.array("uint32", h * w, f"camera {idx} superpixel_raster")
         # ids index regions: one at or above H*W would size the region
-        # table from a corrupt byte, not from the raster
+        # table from a damaged byte, not from the raster
         bad = np.flatnonzero((spix != UNASSIGNED) & (spix >= h * w))
         if bad.size:
             raise SceneFormatError(

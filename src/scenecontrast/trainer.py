@@ -9,10 +9,11 @@ with momentum under a per-epoch cosine learning-rate schedule.  With
 computed once per run, and neither the 2D backward nor a 2D update is run.
 
 Every parameter of a Model lives in one float64 buffer, ``Model.params``,
-of which each layer's weight and bias are views.  A step sums its
-gradient into one buffer of the same layout, and SGD updates
-``params`` with three in-place vector operations; ``freeze_2d`` updates
-only the slice after embed2d, which comes first.
+of which each layer's weight and bias are views.  A step adds each
+stack's gradient vector into that stack's slice of one buffer of the
+same layout, and SGD updates ``params`` with three in-place vector
+operations; ``freeze_2d`` updates only the slice after embed2d, which
+comes first.
 
 When the 2D stack is trained, each frame's 2D side runs on one worker
 thread beside the 3D side (see ``run_step``).  Each batch slot's forward
@@ -251,15 +252,6 @@ class _StepResult:
     grads: np.ndarray  # over all of Model.params, in its layout
 
 
-def _accumulate(
-    into: list[tuple[np.ndarray, np.ndarray]],
-    grads: list[tuple[np.ndarray, np.ndarray]],
-) -> None:
-    for (aw, ab), (gw, gb) in zip(into, grads):
-        aw += gw
-        ab += gb
-
-
 def _embed(
     stack: DenseStack,
     x: np.ndarray,
@@ -282,10 +274,10 @@ def _embed(
 
 
 def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches):
-    """Parameter gradients of one side of one frame, given its rows' gradient.
+    """Parameter gradient vector of one side of one frame, given its rows' gradient.
 
-    The stack's output is dead once pooled and every stack here ends in a
-    linear layer, so the pooled gradient is written over the output.
+    The stack's output is dead once pooled, so the pooled gradient is
+    written over it.
     """
     cache, pcache = caches
     g = embednet.pool_backward(upstream, pcache, out=cache.acts[-1])
@@ -331,7 +323,8 @@ def run_step(
     "slots" the forward cache of each trained stack and batch slot, whose
     buffers the next step's forward in that slot writes over; under "grads"
     the gradient buffer, zeroed and refilled by each step and returned in
-    the result; the EMA prototype bank under "bank"; with ``freeze_2d``,
+    the result; the EMA prototype bank under "bank", which a skipped batch
+    leaves as it was; with ``freeze_2d``,
     each frame's pooled 2D rows and validity under "rows2d", filled the
     first time the frame is in a batch (the 2D gradient then stays zero).
     Gradients are summed on the calling thread in batch order, so the
@@ -392,7 +385,6 @@ def run_step(
                 if prev is None
                 else protobank.ema_update(prev, fresh, cfg.ema_momentum)
             )
-            run_state["bank"] = protos
         else:
             protos = fresh
         if cfg.proto_mode == "mmpb":
@@ -403,6 +395,8 @@ def run_step(
                 raise DegenerateBatchError("raw 3D prototype collapsed to zero")
             protos.pmix = protos.p3d / norms[:, None]
         pro = losses.loss_pro(batch_bank, protos, loss_cfg.tau_pro)
+        if cfg.ema:
+            run_state["bank"] = protos  # past every check that skips a batch
 
     tot = losses.total_loss(epoch, sp, pro, loss_cfg)
 
@@ -410,19 +404,18 @@ def run_step(
         run_state["grads"] = np.empty_like(model.params)
     grads = run_state["grads"]
     grads.fill(0.0)
-    g2d, g3d, g_proj2d, g_proj3d, g_fuse = embednet.layer_views(model.stacks(), grads)
+    # embed2d's slice, then embed3d's, then the blending stacks'
+    n2d = model.embed2d.num_params
+    n3d = n2d + model.embed3d.num_params
     ends = np.cumsum([len(fd.groups2d) for fd in batch])
     rows = [slice(end - len(fd.groups2d), end) for fd, end in zip(batch, ends)]
 
     def backward3d_and_blend():
         for r, (_, _, caches) in zip(rows, side3d):
-            _accumulate(g3d, _embed_backward(model.embed3d, tot.grad_f3d[r], caches))
+            grads[n2d:n3d] += _embed_backward(model.embed3d, tot.grad_f3d[r], caches)
         if tot.grad_pmix is not None and cfg.proto_mode == "mmpb":
             assert bcache is not None
-            bg = blending.blend_backward(tot.grad_pmix, bcache)
-            _accumulate(g_proj2d, bg.proj2d)
-            _accumulate(g_proj3d, bg.proj3d)
-            _accumulate(g_fuse, bg.fuse)
+            grads[n3d:] += blending.blend_backward(tot.grad_pmix, bcache)
 
     if cfg.freeze_2d:
         backward3d_and_blend()
@@ -435,8 +428,8 @@ def run_step(
             ],
             backward3d_and_blend,
         )
-        for pg2 in grads2d:
-            _accumulate(g2d, pg2)
+        for g in grads2d:
+            grads[:n2d] += g
 
     return _StepResult(report=tot.report, grads=grads)
 
@@ -740,103 +733,76 @@ def _near_kink(cache: embednet.ForwardCache) -> bool:
 
     The pre-activations are recomputed from the inputs and weights: the
     cache keeps activations, and a ReLU output of 0 does not tell how far
-    below the kink its input was.
+    below the kink its input was.  The last layer has no ReLU.
     """
     below = cache.inputs
-    for layer, act in zip(cache.stack.layers, cache.acts):
+    for layer, act in zip(cache.stack.layers[:-1], cache.acts):
         z = below @ layer.weight.T + layer.bias
-        if layer.activation == "relu" and np.min(np.abs(z)) < 1e-4:
+        if np.min(np.abs(z)) < 1e-4:
             return True
         below = act
     return False
 
 
-def _check_embednet(rng: np.random.Generator, corrupt: bool) -> float:
-    """Stack forward -> pool -> weighted sum, FD over params and inputs."""
-    worst = 0.0
-    done = 0
-    while done < 100:
-        depth = int(rng.integers(1, 4))
-        widths = [int(rng.integers(3, 8)) for _ in range(depth + 1)]
-        stack = embednet.init_stack(widths, rng)
-        theta = embednet.pack_params([stack])
-        n = int(rng.integers(2, 7))
-        x = rng.normal(size=(n, widths[0]))
-        n_groups = int(rng.integers(1, 4))
-        groups = [
-            np.flatnonzero(rng.integers(0, n_groups, size=n) == g)
-            for g in range(n_groups)
-        ]
-        weights = rng.normal(size=(n_groups, widths[-1]))
-
-        def objective() -> float:
-            h, _ = embednet.forward(stack, x)
-            rows, valid, _ = embednet.pool_regions(h, groups)
-            return float(np.sum(weights * rows * valid[:, None]))
-
-        h, fcache = embednet.forward(stack, x)
-        rows, valid, pcache = embednet.pool_regions(h, groups)
-        sizes = np.array([len(g) for g in groups])
-        # a populated group with tiny or exactly-zero norm sits on the
-        # validity discontinuity, where FD measures the jump, not the slope
-        if _near_kink(fcache) or np.any((sizes > 0) & (pcache.norms < 1e-3)):
-            continue
-        upstream = weights * valid[:, None]
-        gx_feat = embednet.pool_backward(upstream, pcache)
-        pgrads, gx = embednet.backward(stack, gx_feat, fcache)
-
-        flat_analytic = np.concatenate(
-            [np.concatenate([gw.ravel(), gb]) for gw, gb in pgrads] + [gx.ravel()]
-        )
-        if corrupt and done == 0:
-            flat_analytic = flat_analytic.copy()
-            flat_analytic[0] += 1e-3
-        numeric = np.concatenate(
-            [_fd_over_vector(objective, theta), _fd_over_vector(objective, x).ravel()]
-        )
-        worst = max(worst, _rel_err(flat_analytic, numeric))
-        done += 1
-    return worst
+# A gradcheck case draws one random instance from its rng and returns
+# (objective, analytic gradient, arrays): the analytic gradient of the
+# scalar objective() over the arrays, concatenated in order, which the
+# audit perturbs in place.  None skips an instance that sits on a kink.
 
 
-def _check_blending(rng: np.random.Generator, corrupt: bool) -> float:
-    worst = 0.0
-    done = 0
-    while done < 100:
-        c = int(rng.integers(2, 6))
-        d = int(rng.integers(3, 7))
-        bank = protobank.PrototypeBank(
-            class_ids=np.arange(c, dtype=np.int64),
-            p2d=rng.normal(size=(c, d)),
-            p3d=rng.normal(size=(c, d)),
-            counts=np.ones(c, dtype=np.int64),
-        )
-        params = blending.init_blend_params(d, rng)
-        theta = embednet.pack_params(params.stacks())
-        weights = rng.normal(size=(c, d))
+def _embednet_case(rng: np.random.Generator):
+    """Stack forward -> pool -> weighted sum, over params and inputs."""
+    depth = int(rng.integers(1, 4))
+    widths = [int(rng.integers(3, 8)) for _ in range(depth + 1)]
+    stack = embednet.init_stack(widths, rng)
+    theta = embednet.pack_params([stack])
+    n = int(rng.integers(2, 7))
+    x = rng.normal(size=(n, widths[0]))
+    n_groups = int(rng.integers(1, 4))
+    groups = [
+        np.flatnonzero(rng.integers(0, n_groups, size=n) == g)
+        for g in range(n_groups)
+    ]
+    weights = rng.normal(size=(n_groups, widths[-1]))
 
-        def objective() -> float:
-            cache = blending.blend(bank, params)
-            return float(np.sum(weights * bank.pmix))
+    def objective() -> float:
+        h, _ = embednet.forward(stack, x)
+        rows, valid, _ = embednet.pool_regions(h, groups)
+        return float(np.sum(weights * rows * valid[:, None]))
 
-        cache = blending.blend(bank, params)
-        if np.any(cache.norms < 1e-3):
-            continue
-        grads = blending.blend_backward(weights, cache)
+    h, fcache = embednet.forward(stack, x)
+    rows, valid, pcache = embednet.pool_regions(h, groups)
+    sizes = np.array([len(g) for g in groups])
+    # a populated group with tiny or exactly-zero norm sits on the
+    # validity discontinuity, where FD measures the jump, not the slope
+    if _near_kink(fcache) or np.any((sizes > 0) & (pcache.norms < 1e-3)):
+        return None
+    gx_feat = embednet.pool_backward(weights * valid[:, None], pcache)
+    grads, gx = embednet.backward(stack, gx_feat, fcache)
+    return objective, np.concatenate([grads, gx.ravel()]), [theta, x]
 
-        flat_a = np.concatenate(
-            [
-                np.concatenate([gw.ravel(), gb])
-                for pg in (grads.proj2d, grads.proj3d, grads.fuse)
-                for gw, gb in pg
-            ]
-        )
-        if corrupt and done == 0:
-            flat_a = flat_a.copy()
-            flat_a[0] += 1e-3
-        worst = max(worst, _rel_err(flat_a, _fd_over_vector(objective, theta)))
-        done += 1
-    return worst
+
+def _blending_case(rng: np.random.Generator):
+    c = int(rng.integers(2, 6))
+    d = int(rng.integers(3, 7))
+    bank = protobank.PrototypeBank(
+        class_ids=np.arange(c, dtype=np.int64),
+        p2d=rng.normal(size=(c, d)),
+        p3d=rng.normal(size=(c, d)),
+        counts=np.ones(c, dtype=np.int64),
+    )
+    params = blending.init_blend_params(d, rng)
+    theta = embednet.pack_params(params.stacks())
+    weights = rng.normal(size=(c, d))
+
+    def objective() -> float:
+        blending.blend(bank, params)
+        return float(np.sum(weights * bank.pmix))
+
+    cache = blending.blend(bank, params)
+    if np.any(cache.norms < 1e-3):
+        return None
+    return objective, blending.blend_backward(weights, cache), [theta]
 
 
 def _random_bank(rng: np.random.Generator, q: int, d: int, n_classes: int) -> EmbeddingBank:
@@ -851,77 +817,69 @@ def _random_bank(rng: np.random.Generator, q: int, d: int, n_classes: int) -> Em
     return EmbeddingBank(f2d=f2d, f3d=f3d, valid=valid, signs=signs)
 
 
-def _check_loss_sp(rng: np.random.Generator, corrupt: bool) -> float:
-    worst = 0.0
-    for trial in range(100):
-        q = int(rng.integers(4, 9))
-        d = int(rng.integers(3, 7))
-        bank = _random_bank(rng, q, d, n_classes=4)
-        tau = float(rng.uniform(0.05, 1.0))
-
-        def objective() -> float:
-            return losses.loss_sp(bank, tau).value
-
-        res = losses.loss_sp(bank, tau)
-        flat_a = np.concatenate([res.grad_f3d.ravel(), res.grad_f2d.ravel()])
-        if corrupt and trial == 0:
-            flat_a = flat_a.copy()
-            flat_a[0] += 1e-3
-        num3 = _fd_over_vector(objective, bank.f3d).ravel()
-        num2 = _fd_over_vector(objective, bank.f2d).ravel()
-        worst = max(worst, _rel_err(flat_a, np.concatenate([num3, num2])))
-    return worst
+def _loss_sp_case(rng: np.random.Generator):
+    q = int(rng.integers(4, 9))
+    d = int(rng.integers(3, 7))
+    bank = _random_bank(rng, q, d, n_classes=4)
+    tau = float(rng.uniform(0.05, 1.0))
+    res = losses.loss_sp(bank, tau)
+    return (
+        lambda: losses.loss_sp(bank, tau).value,
+        np.concatenate([res.grad_f3d.ravel(), res.grad_f2d.ravel()]),
+        [bank.f3d, bank.f2d],
+    )
 
 
-def _check_loss_pro(rng: np.random.Generator, corrupt: bool) -> float:
-    worst = 0.0
-    for trial in range(100):
-        q = int(rng.integers(3, 8))
-        d = int(rng.integers(3, 7))
-        n_classes = int(rng.integers(2, 5))
-        bank = _random_bank(rng, q, d, n_classes)
-        pmix = rng.normal(size=(n_classes, d))
-        pmix /= np.linalg.norm(pmix, axis=1, keepdims=True)
-        protos = protobank.PrototypeBank(
-            class_ids=np.arange(n_classes, dtype=np.int64),
-            p2d=np.zeros((n_classes, d)),
-            p3d=np.zeros((n_classes, d)),
-            counts=np.ones(n_classes, dtype=np.int64),
-            pmix=pmix,
-        )
-        tau = float(rng.uniform(0.5, 2.0))
-
-        def objective() -> float:
-            return losses.loss_pro(bank, protos, tau).value
-
-        res = losses.loss_pro(bank, protos, tau)
-        flat_a = np.concatenate([res.grad_f3d.ravel(), res.grad_pmix.ravel()])
-        if corrupt and trial == 0:
-            flat_a = flat_a.copy()
-            flat_a[0] += 1e-3
-        num3 = _fd_over_vector(objective, bank.f3d).ravel()
-        nump = _fd_over_vector(objective, pmix).ravel()
-        worst = max(worst, _rel_err(flat_a, np.concatenate([num3, nump])))
-    return worst
+def _loss_pro_case(rng: np.random.Generator):
+    q = int(rng.integers(3, 8))
+    d = int(rng.integers(3, 7))
+    n_classes = int(rng.integers(2, 5))
+    bank = _random_bank(rng, q, d, n_classes)
+    pmix = rng.normal(size=(n_classes, d))
+    pmix /= np.linalg.norm(pmix, axis=1, keepdims=True)
+    protos = protobank.PrototypeBank(
+        class_ids=np.arange(n_classes, dtype=np.int64),
+        p2d=np.zeros((n_classes, d)),
+        p3d=np.zeros((n_classes, d)),
+        counts=np.ones(n_classes, dtype=np.int64),
+        pmix=pmix,
+    )
+    tau = float(rng.uniform(0.5, 2.0))
+    res = losses.loss_pro(bank, protos, tau)
+    return (
+        lambda: losses.loss_pro(bank, protos, tau).value,
+        np.concatenate([res.grad_f3d.ravel(), res.grad_pmix.ravel()]),
+        [bank.f3d, pmix],
+    )
 
 
-def gradcheck(seed: int = 0, corrupt: str | None = None) -> GradcheckReport:
+_CASES = (
+    ("embednet", _embednet_case),
+    ("blending", _blending_case),
+    ("loss_sp", _loss_sp_case),
+    ("loss_pro", _loss_pro_case),
+)
+
+
+def gradcheck(seed: int = 0) -> GradcheckReport:
     """Finite-difference audit of every analytic gradient in the package.
 
-    ``corrupt`` names a component whose first analytic gradient entry is
-    deliberately perturbed; used by tests to prove failures are caught.
+    Each component checks 100 random instances drawn from its own stream.
     """
-    checks = [
-        ("embednet", _check_embednet),
-        ("blending", _check_blending),
-        ("loss_sp", _check_loss_sp),
-        ("loss_pro", _check_loss_pro),
-    ]
     out = []
-    for tag, (name, fn) in enumerate(checks):
+    for tag, (name, case) in enumerate(_CASES):
         rng = _rng(seed, 1000 + tag)
-        err = fn(rng, corrupt == name)
-        out.append(ComponentCheck(name=name, max_rel_err=err, instances=100))
+        worst = 0.0
+        done = 0
+        while done < 100:
+            drawn = case(rng)
+            if drawn is None:
+                continue
+            objective, analytic, arrays = drawn
+            numeric = [_fd_over_vector(objective, a).ravel() for a in arrays]
+            worst = max(worst, _rel_err(analytic, np.concatenate(numeric)))
+            done += 1
+        out.append(ComponentCheck(name=name, max_rel_err=worst, instances=100))
     return GradcheckReport(components=out)
 
 

@@ -4,14 +4,17 @@ The finite differences are deliberately independent of the package's own
 gradient checker so the two can disagree: tests perturb arrays with this
 code and compare against the package's analytic gradients.  The pinhole,
 region-labelling and point-label oracles stand in for scalar code the
-package does not carry.
+package does not carry, and ``scene_bytes`` for a frame equality.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from scenecontrast.embednet import layer_views
 from scenecontrast.projection import project_points
-from scenecontrast.scenegen import UNASSIGNED
+from scenecontrast.scenegen import UNASSIGNED, write_scene
 
 H = 1e-5
 
@@ -120,3 +123,11 @@ def recover_point_labels(frame) -> np.ndarray:
         labels[fresh] = frame.semantic_raster[cam_idx][row, col][fresh]
     assert (labels >= 0).all(), f"{int((labels < 0).sum())} points seen by no camera"
     return labels
+
+
+def scene_bytes(frame) -> bytes:
+    """The frame's ``.cscs`` encoding, which holds every field of the frame."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "frame.cscs"
+        write_scene(frame, path)
+        return path.read_bytes()

@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import scenecontrast.losses as losses
 import scenecontrast.protobank as protobank
@@ -207,6 +208,7 @@ def test_criterion_4_gate_schedule(tmp_path):
     passline(4, "lam=5 gates epochs 1-5 closed, 6+ open")
 
 
+@pytest.mark.slow
 def test_criterion_5_determinism_at_desk_defaults(tmp_path):
     frames = [
         generate_scene(900 + s, SemanticOracleConfig(), SceneGeometry(), scene_id=s)
@@ -229,6 +231,7 @@ def test_criterion_5_determinism_at_desk_defaults(tmp_path):
     passline(5, f"byte-identical desk-default runs, {elapsed:.0f}s each")
 
 
+@pytest.mark.slow
 def test_criterion_6_directional_ablation():
     frames = [
         generate_scene(500 + s, ABLATION_SCENE_CFG, ABLATION_GEOM, scene_id=s)

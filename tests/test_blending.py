@@ -28,7 +28,7 @@ def affine(weight, bias=None):
     weight = np.asarray(weight, dtype=np.float64)
     if bias is None:
         bias = np.zeros(weight.shape[0])
-    return DenseStack([DenseLayer(weight=weight, bias=bias, activation="none")])
+    return DenseStack([DenseLayer(weight=weight, bias=bias)])
 
 
 def selector_params(d, side):
@@ -92,10 +92,6 @@ def test_per_class_locality(rng):
         assert np.array_equal(bank.pmix[t], before[t])
 
 
-def flatten_grads(grads):
-    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
-
-
 def test_fd_param_gradients(rng):
     d = 4
     checked = 0
@@ -107,16 +103,16 @@ def test_fd_param_gradients(rng):
         if cache.norms.min() < 1e-3:
             continue  # normalization near-singular: FD unreliable here
         grads = blend_backward(upstream, cache)
-        analytic = {
-            "proj2d": flatten_grads(grads.proj2d),
-            "proj3d": flatten_grads(grads.proj3d),
-            "fuse": flatten_grads(grads.fuse),
-        }
+        assert grads.shape == (sum(s.num_params for s in params.stacks()),)
+        at = 0
         for name, stack in (
             ("proj2d", params.proj2d),
             ("proj3d", params.proj3d),
             ("fuse", params.fuse),
         ):
+            # the vector holds each stack's parameters in this order
+            analytic = grads[at : at + stack.num_params]
+            at += stack.num_params
             saved = stack_params(stack)
             theta = saved.copy()
 
@@ -127,7 +123,7 @@ def test_fd_param_gradients(rng):
 
             numeric = central_diff(objective, theta)
             set_stack_params(stack, saved)
-            assert max_rel_err(analytic[name], numeric) < 1e-4, name
+            assert max_rel_err(analytic, numeric) < 1e-4, name
         checked += 1
     assert checked >= 8
 
@@ -136,9 +132,8 @@ def test_zero_upstream_zero_grads(rng):
     bank = make_bank(rng)
     cache = blend(bank, init_blend_params(3, rng))
     grads = blend_backward(np.zeros((4, 3)), cache)
-    for pair_list in (grads.proj2d, grads.proj3d, grads.fuse):
-        for dw, db in pair_list:
-            assert not dw.any() and not db.any()
+    assert grads.shape == (2 * (3 * 3 + 3) + 3 * 6 + 3,)  # proj2d, proj3d, fuse
+    assert not grads.any()
 
 
 def test_stale_cache_rejected(rng):

@@ -185,15 +185,20 @@ def test_gradcheck_exits_0(capsys):
     assert "FAIL" not in out
 
 
-def test_ablate_single_arm_prints_row(scene_dir, cfg_file, capsys):
+def test_ablate_single_arm_prints_row(scene_dir, cfg_file, tmp_path, capsys):
+    out = tmp_path / "ab"
     code = main(
         ["ablate", "--scenes", str(scene_dir), "--config", str(cfg_file),
-         "--arm", "sp", "--seed", "3"]
+         "--arm", "sp", "--seed", "3", "--out", str(out)]
     )
     assert code == 0
-    row = capsys.readouterr().out.strip().split(",")
+    printed = capsys.readouterr().out
+    header, line = printed.strip().splitlines()
+    assert header == "arm,seed,accuracy"
+    row = line.split(",")
     assert row[0] == "sp" and row[1] == "3"
-    float(row[2])
+    assert 0.0 <= float(row[2]) <= 1.0
+    assert (out / "ablate.csv").read_text() == printed
 
 
 def test_ablate_full_csv(scene_dir, cfg_file, tmp_path, capsys):
@@ -229,11 +234,17 @@ def test_ablate_seed_offsets_the_seed_range(scene_dir, cfg_file, capsys):
 def test_ablate_arm_uses_config_seed(scene_dir, tmp_path, capsys):
     cfg = tmp_path / "seeded.txt"
     cfg.write_text(CFG_TEXT + "seed = 5\n")
+    out = tmp_path / "ab"
     code = main(
-        ["ablate", "--scenes", str(scene_dir), "--config", str(cfg), "--arm", "sp"]
+        ["ablate", "--scenes", str(scene_dir), "--config", str(cfg), "--arm", "sp",
+         "--out", str(out)]
     )
     assert code == 0
-    assert capsys.readouterr().out.strip().split(",")[:2] == ["sp", "5"]
+    printed = capsys.readouterr().out
+    header, line = printed.strip().splitlines()
+    assert header == "arm,seed,accuracy"
+    assert line.split(",")[:2] == ["sp", "5"]
+    assert (out / "ablate.csv").read_text() == printed
 
 
 @pytest.mark.parametrize("line", ["lr = nan", "tau_sp = inf", "tau_pro = nan"])
@@ -262,10 +273,13 @@ def test_non_finite_config_exits_1(scene_dir, tmp_path, capsys, line):
         ("ablate --scenes {scenes} --out {out} --seeds 0", "--seeds must be >= 1, got 0"),
         ("ablate --scenes {scenes} --out {out} --seeds -2", "--seeds must be >= 1, got -2"),
         ("ablate --scenes {scenes} --out {out} --arm sp --seed -1", "seed must be >= 0"),
+        ("gen-scenes --out {out} --count 1 --seed 5 --classes 70000 --objects 1",
+         "num_classes must be <= 65536, got 70000"),
     ],
     ids=[
         "gen-seed", "gen-count-0", "gen-count-neg", "gradcheck-seed", "pretrain-seed",
         "config-seed", "probe-seed", "ablate-seeds-0", "ablate-seeds-neg", "arm-seed",
+        "gen-classes",
     ],
 )
 def test_out_of_range_flags_exit_1(scene_dir, tmp_path, capsys, argv, message):

@@ -34,16 +34,21 @@ from fdutil import central_diff, max_rel_err, set_stack_params, stack_params
 
 
 def test_identity_layer_passthrough(rng):
-    stack = DenseStack([DenseLayer(np.eye(4), np.zeros(4), "none")])
+    stack = DenseStack([DenseLayer(np.eye(4), np.zeros(4))])
     x = rng.normal(size=(5, 4))
     out, _ = forward(stack, x)
     assert np.allclose(out, x)
 
 
 def test_relu_zeroes_negative_input():
-    stack = DenseStack([DenseLayer(np.eye(3), np.zeros(3), "relu")])
-    out, _ = forward(stack, -np.ones((2, 3)))
-    assert np.all(out == 0.0)
+    # the hidden layer's ReLU zeroes it; the last layer adds only its bias
+    bias = np.array([0.5, -0.25, 0.0])
+    stack = DenseStack(
+        [DenseLayer(np.eye(3), np.zeros(3)), DenseLayer(np.eye(3), bias.copy())]
+    )
+    out, cache = forward(stack, -np.ones((2, 3)))
+    assert np.all(cache.acts[0] == 0.0)
+    assert np.array_equal(out, np.tile(bias, (2, 1)))  # negative entries kept
 
 
 def test_two_layer_hand_evaluation():
@@ -51,7 +56,7 @@ def test_two_layer_hand_evaluation():
     b0 = np.array([0.1, -0.2, 0.3])
     w1 = np.array([[1.0, -1.0, 0.5]])
     b1 = np.array([-0.05])
-    stack = DenseStack([DenseLayer(w0, b0, "relu"), DenseLayer(w1, b1, "none")])
+    stack = DenseStack([DenseLayer(w0, b0), DenseLayer(w1, b1)])
     x = np.array([[0.7, -0.3]])
     # step-by-step scalar evaluation
     h = []
@@ -68,7 +73,7 @@ def test_two_layer_hand_evaluation():
 
 
 def test_forward_width_mismatch():
-    stack = DenseStack([DenseLayer(np.eye(3), np.zeros(3), "none")])
+    stack = DenseStack([DenseLayer(np.eye(3), np.zeros(3))])
     with pytest.raises(ShapeError):
         forward(stack, np.zeros((2, 4)))
     with pytest.raises(ShapeError):
@@ -80,8 +85,8 @@ def test_empty_stack_is_identity(rng):
     x = rng.normal(size=(3, 5))
     out, cache = forward(stack, x)
     assert np.array_equal(out, x)
-    pgrads, gx = backward(stack, np.ones_like(x), cache)
-    assert pgrads == []
+    grads, gx = backward(stack, np.ones_like(x), cache)
+    assert grads.shape == (0,)
     assert np.array_equal(gx, np.ones_like(x))
 
 
@@ -89,8 +94,9 @@ def test_backward_zero_upstream(rng):
     stack = init_stack([4, 6, 3], rng)
     x = rng.normal(size=(5, 4))
     _, cache = forward(stack, x)
-    pgrads, gx = backward(stack, np.zeros((5, 3)), cache)
-    assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in pgrads)
+    grads, gx = backward(stack, np.zeros((5, 3)), cache)
+    assert grads.shape == (stack.num_params,)
+    assert np.all(grads == 0)
     assert np.all(gx == 0)
 
 
@@ -128,8 +134,8 @@ def reference_grads(stack, x, upstream):
     return backward(stack, upstream.copy(), cache)
 
 
-def as_bytes(pgrads, gx):
-    return [a.tobytes() for pair in pgrads for a in pair] + [gx.tobytes()]
+def as_bytes(grads, gx):
+    return [grads.tobytes(), gx.tobytes()]
 
 
 def test_reuse_writes_the_same_bytes(rng):
@@ -159,7 +165,7 @@ def test_reuse_ignored_when_it_does_not_fit(rng):
 
 
 def test_output_as_upstream(rng):
-    # a linear top layer leaves the output unread, so it can hold upstream
+    # the top layer has no ReLU, so its output is unread and can hold upstream
     stack = init_stack([4, 6, 5, 3], rng)
     x = rng.normal(size=(8, 4))
     up = rng.normal(size=(8, 3))
@@ -169,12 +175,6 @@ def test_output_as_upstream(rng):
         *reference_grads(stack, x, up)
     )
     assert out.tobytes() == up.tobytes()  # upstream is read, never written
-    # a ReLU top layer still needs its output for the mask
-    relu_top = init_stack([4, 6, 3], rng, final_activation="relu")
-    out, cache = forward(relu_top, x)
-    with pytest.raises(ContractViolationError, match="ReLU top layer"):
-        backward(relu_top, out, cache)
-    backward(relu_top, out.copy(), cache)  # the refusal left it live
 
 
 def test_glorot_bounds(rng):
@@ -187,12 +187,12 @@ def test_glorot_bounds(rng):
 
 
 def preactivations(stack, x):
-    """Each layer's input to its activation, from x and the weights."""
+    """Each layer's affine output from x; all but the last feed a ReLU."""
     zs, h = [], x
     for layer in stack.layers:
         z = h @ layer.weight.T + layer.bias
         zs.append(z)
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        h = np.maximum(z, 0.0)
     return zs
 
 
@@ -200,10 +200,8 @@ def test_cache_holds_each_layers_activation(rng):
     stack = init_stack([5, 7, 6, 3], rng)
     x = rng.normal(size=(9, 5))
     out, cache = forward(stack, x)
-    want = [
-        np.maximum(z, 0.0) if l.activation == "relu" else z
-        for z, l in zip(preactivations(stack, x), stack.layers)
-    ]
+    zs = preactivations(stack, x)
+    want = [np.maximum(z, 0.0) for z in zs[:-1]] + [zs[-1]]
     assert [a.tobytes() for a in cache.acts] == [w.tobytes() for w in want]
     assert out is cache.acts[-1]
 
@@ -225,15 +223,10 @@ def test_gradients_match_fd(rng):
         _, cache = forward(stack, x)
         # on the recomputed pre-activations: a cached ReLU output of 0 does
         # not tell how far below the kink its input was
-        if any(
-            l.activation == "relu" and np.min(np.abs(z)) < 1e-4
-            for z, l in zip(preactivations(stack, x), stack.layers)
-        ):
+        if any(np.min(np.abs(z)) < 1e-4 for z in preactivations(stack, x)[:-1]):
             continue  # finite differences straddle the kink
-        pgrads, gx = backward(stack, w, cache)
-        analytic = np.concatenate(
-            [np.concatenate([gw.ravel(), gb]) for gw, gb in pgrads] + [gx.ravel()]
-        )
+        grads, gx = backward(stack, w, cache)
+        analytic = np.concatenate([grads, gx.ravel()])
         numeric = []
         for layer in stack.layers:
             numeric.append(central_diff(f, layer.weight).ravel())

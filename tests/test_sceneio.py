@@ -16,6 +16,8 @@ from scenecontrast.scenegen import (
 )
 from scenecontrast.trainer import prepare_frame
 
+from fdutil import scene_bytes
+
 TINY = generate_scene(
     3,
     SemanticOracleConfig(num_classes=4, objects_per_scene=3),
@@ -28,7 +30,11 @@ def test_round_trip_equality(tmp_path, small_scene):
     path = tmp_path / "scene.cscs"
     write_scene(small_scene, path)
     back = read_scene(path)
-    assert back == small_scene
+    assert scene_bytes(back) == path.read_bytes()
+    for name in ("points", "point_labels", "pixel_features", "semantic_raster",
+                 "superpixel_raster"):
+        a, b = getattr(back, name), getattr(small_scene, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
     assert back.scene_id == small_scene.scene_id
     assert back.num_classes == small_scene.num_classes
 

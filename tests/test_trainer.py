@@ -299,6 +299,26 @@ def test_collapsed_blend_every_batch_is_fatal(small_frames, prepared, monkeypatc
     assert capsys.readouterr().err.count("fused prototype collapsed") == 2
 
 
+def test_skipped_batch_leaves_the_ema_bank(small_frames, prepared, monkeypatch):
+    cfg = replace(CFG, ema=True, lam=0)
+    model = init_model(small_frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
+
+    def collapsing(bank, params):
+        raise DegenerateBatchError("fused prototype collapsed to zero norm")
+
+    with ThreadPoolExecutor(1) as worker:
+        run_state = {"worker2d": worker}
+        trainer.run_step(model, prepared[:3], 1, cfg, run_state)
+        bank = run_state["bank"]
+        saved = copy.deepcopy(bank)
+        monkeypatch.setattr(trainer.blending, "blend", collapsing)
+        with pytest.raises(DegenerateBatchError):
+            trainer.run_step(model, prepared[3:], 1, cfg, run_state)
+    assert run_state["bank"] is bank
+    for name in ("class_ids", "p2d", "p3d", "counts"):
+        assert getattr(bank, name).tobytes() == getattr(saved, name).tobytes()
+
+
 def test_ema_changes_prototype_term(small_frames, prepared):
     base = TrainConfig(epochs=3, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=1)
     plain = pretrain(small_frames, base, prepared=prepared)
@@ -756,8 +776,20 @@ def test_gradcheck_all_components_pass():
     assert "pass" in rep.summary()
 
 
-def test_gradcheck_detects_corruption():
-    rep = gradcheck(seed=0, corrupt="loss_sp")
+def test_gradcheck_detects_corruption(monkeypatch):
+    real = trainer.losses.loss_sp
+    calls = []
+
+    def corrupted(bank, tau):
+        res = real(bank, tau)
+        if not calls:  # the analytic gradient of the first instance only
+            res.grad_f3d[0, 0] += 1e-3
+        calls.append(tau)
+        return res
+
+    monkeypatch.setattr(trainer.losses, "loss_sp", corrupted)
+    rep = gradcheck(seed=0)
+    assert len(calls) > 100
     by_name = {c.name: c for c in rep.components}
     assert not by_name["loss_sp"].passed
     assert by_name["embednet"].passed
