@@ -50,7 +50,20 @@ def _load_scene_dir(path: str):
     files = sorted(Path(path).glob("*.cscs"))
     if not files:
         raise ConfigurationError(f"no .cscs files under {path}")
-    return [read_scene(f) for f in files]
+    frames = [read_scene(f) for f in files]
+    # one class vocabulary and one 2D input width for the whole set
+    first = frames[0]
+    for f, frame in zip(files[1:], frames[1:]):
+        for field, got, want in (
+            ("num_classes", frame.num_classes, first.num_classes),
+            ("pixel feature width", frame.pixel_features.shape[3],
+             first.pixel_features.shape[3]),
+        ):
+            if got != want:
+                raise ConfigurationError(
+                    f"{f}: {field} is {got}, but {want} in {files[0].name}"
+                )
+    return frames
 
 
 def _config_from_args(args) -> trainer.TrainConfig:

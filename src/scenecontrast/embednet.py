@@ -21,14 +21,20 @@ parameter gradient as one vector in the same layout, and the training
 loop lays its gradient and velocity buffers out the same way.  Layers are
 frozen, so a layer's arrays can be written in place but never rebound.
 
-Buffer contract: a forward cache holds each layer's output.  ``forward``
-given ``reuse=`` an earlier cache of the same stack and row count writes
-its outputs into that cache's arrays, so a caller that keeps one cache
-per batch slot allocates no activation arrays after its first step.
-``backward`` consumes its cache: it writes each layer's output gradient
-over that layer's stored output, so a cache serves one backward only.
-A stale cache, a consumed cache and a cache whose arrays a later forward
-has taken over are all rejected with ContractViolationError.
+Buffer contract: a forward cache owns a float64 copy of its input rows
+and each hidden layer's output, and nothing else.  Inputs may be float32
+(the scene files' dtype); the copy is an exact cast.  The last layer's
+output is not kept, since ``backward`` never reads it: ``forward`` writes
+it into a buffer the caller lends (``out=``) or into a new array.
+``forward`` given ``reuse=`` an earlier cache of the same stack and row
+count casts its inputs into that cache's input buffer and writes its
+hidden outputs into that cache's arrays, so a caller that keeps one cache
+per batch slot, and lends one output buffer per thread, allocates no
+activation arrays after its first step.  ``backward`` consumes its cache:
+it writes each hidden layer's output gradient over that layer's stored
+output, so a cache serves one backward only.  A stale cache, a consumed
+cache and a cache whose arrays a later forward has taken over are all
+rejected with ContractViolationError.
 """
 
 from __future__ import annotations
@@ -149,8 +155,8 @@ def pack_params(stacks: list[DenseStack]) -> np.ndarray:
 class ForwardCache:
     stack: DenseStack
     version: int
-    inputs: np.ndarray
-    acts: list[np.ndarray]  # per layer, its output (after its ReLU, if any)
+    inputs: np.ndarray  # (N, in_width) float64, owned by the cache
+    acts: list[np.ndarray]  # per hidden layer, its output after its ReLU
     live: bool = True  # False once a backward consumed it or a forward reused it
 
     def check(self) -> None:
@@ -166,43 +172,63 @@ class ForwardCache:
 
 
 def forward(
-    stack: DenseStack, inputs: np.ndarray, reuse: ForwardCache | None = None
+    stack: DenseStack,
+    inputs: np.ndarray,
+    reuse: ForwardCache | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack on (N, in_width) rows; empty stacks are the identity.
 
-    The output is the cache's last activation, so callers must not write
-    to it while the cache may still be used.  When ``reuse`` is a cache of
-    this stack over N rows, not holding ``inputs``, each layer's output is
-    written into its array and ``reuse`` is dead from then on; any other
-    ``reuse`` is ignored.
+    Returns the output and a cache for ``backward``, which does not hold
+    the output.  The output is written into ``out`` when given, an
+    (N, out_width) float64 array the caller lends, and into a new array
+    otherwise.  When ``reuse`` is a cache of this stack over N rows whose
+    arrays ``out`` does not overlap, the inputs are cast into its input
+    buffer, each hidden layer's output is written into its array, and
+    ``reuse`` is dead from then on; any other ``reuse`` is ignored.
     """
-    x = np.asarray(inputs, dtype=np.float64)
+    x = np.asarray(inputs)
     if x.ndim != 2:
         raise ShapeError(f"inputs must be 2-D, got shape {x.shape}")
     if stack.layers and x.shape[1] != stack.in_width:
         raise ShapeError(
             f"inputs have width {x.shape[1]}, stack expects {stack.in_width}"
         )
-    bufs = [None] * len(stack.layers)
+    n = x.shape[0]
+    shape = (n, stack.out_width if stack.layers else x.shape[1])
+    if out is not None and (out.shape != shape or out.dtype != np.float64):
+        raise ShapeError(f"out has shape {out.shape} {out.dtype}, want {shape} float64")
+    hidden = stack.layers[:-1]
     if (
         reuse is not None
         and reuse.stack is stack
-        and [a.shape for a in reuse.acts]
-        == [(x.shape[0], l.weight.shape[0]) for l in stack.layers]
-        and not any(np.may_share_memory(x, a) for a in reuse.acts)
+        and reuse.inputs.shape == x.shape
+        and [a.shape for a in reuse.acts] == [(n, l.weight.shape[0]) for l in hidden]
+        and not (
+            out is not None
+            and any(np.may_share_memory(out, a) for a in [reuse.inputs, *reuse.acts])
+        )
     ):
-        bufs = reuse.acts
+        xin, bufs = reuse.inputs, reuse.acts
         reuse.live = False
+        np.copyto(xin, x)
+    else:
+        xin, bufs = x.astype(np.float64), [None] * len(hidden)
     acts = []
-    h = x
-    last = len(stack.layers) - 1
-    for i, (layer, buf) in enumerate(zip(stack.layers, bufs)):
+    h = xin
+    for layer, buf in zip(hidden, bufs):
         h = np.matmul(h, layer.weight.T, out=buf)
         h += layer.bias
-        if i < last:
-            np.maximum(h, 0.0, out=h)
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return h, ForwardCache(stack, stack.version, x, acts)
+    if stack.layers:
+        top = stack.layers[-1]
+        h = np.matmul(h, top.weight.T, out=out)
+        h += top.bias
+    elif out is not None:
+        out[...] = h
+        h = out
+    return h, ForwardCache(stack, stack.version, xin, acts)
 
 
 def backward(
@@ -214,7 +240,7 @@ def backward(
     Consumes ``cache``: the gradient at each hidden layer's output is
     written over that layer's stored output, so the cache is dead
     afterwards.  ``upstream`` itself is never written to, so it may be the
-    cache's own output array, which saves a buffer.
+    buffer the forward wrote its output into, which saves a buffer.
     """
     cache.check()
     if cache.stack is not stack:
@@ -222,10 +248,9 @@ def backward(
     g = np.asarray(upstream, dtype=np.float64)
     acts = cache.acts
     layers = stack.layers
-    if layers and g.shape != acts[-1].shape:
-        raise ShapeError(
-            f"upstream shape {g.shape} does not match output {acts[-1].shape}"
-        )
+    want = (cache.inputs.shape[0], stack.out_width)
+    if layers and g.shape != want:
+        raise ShapeError(f"upstream shape {g.shape} does not match output {want}")
     cache.live = False
     grads = np.empty(stack.num_params)
     (views,) = layer_views([stack], grads)
@@ -294,7 +319,7 @@ def pool_backward(
     """Push row gradients back through normalize-then-mean to member rows.
 
     ``out``, if given, is an (N, D) float64 array overwritten with the
-    result, such as the pooled features once nothing else reads them.
+    result, such as the buffer the stack's output was pooled from.
     """
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != cache.means.shape:

@@ -16,13 +16,16 @@ operations; ``freeze_2d`` updates only the slice after embed2d, which
 comes first.
 
 When the 2D stack is trained, each frame's 2D side runs on one worker
-thread beside the 3D side (see ``run_step``).  Each batch slot's forward
-writes into the stack buffers its slot used the step before, so a step
-allocates no stack-sized array after the first.  A non-finite loss or
-parameter ends the run with TrainingError.  Everything is seeded
-through named SeedSequence tuples and reductions run in fixed order (frame
-index ascending) on the calling thread, so identical inputs give
-bit-identical metrics and checkpoints.
+thread beside the 3D side (see ``run_step``), under a cap of one BLAS
+thread (``blasthreads``).  Frames keep their float32 scene arrays.  Each
+batch slot's forward casts them into its input buffer and writes into the
+hidden-layer buffers its slot used the step before, and each thread
+writes stack outputs into one scratch of its own, so a step allocates no
+stack-sized array after the first.  A non-finite loss or parameter ends
+the run with TrainingError.  Everything is seeded through named
+SeedSequence tuples and reductions run in fixed order (frame index
+ascending) on the calling thread, so identical inputs give bit-identical
+metrics and checkpoints.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -37,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blending, embednet, losses, protobank
+from .blasthreads import blas_threads
 from .blending import BlendParams
 from .embednet import DenseStack, EmbeddingBank
 from .errors import (
@@ -45,7 +50,7 @@ from .errors import (
     TrainingError,
 )
 from .losses import LossConfig, LossReport
-from .projection import AssociationTable, build_associations
+from .projection import build_associations
 from .scenegen import SceneFrame
 
 HIDDEN = [64, 64]  # hidden widths of both embedding stacks
@@ -211,10 +216,8 @@ def load_model(path, feat_dim: int, embed_dim: int) -> Model:
 
 @dataclass
 class FrameData:
-    frame: SceneFrame
-    table: AssociationTable
-    x2d: np.ndarray  # (L*H*W, F0)
-    x3d: np.ndarray  # (K, 4)
+    x2d: np.ndarray  # (L*H*W, F0) float32, a view of the frame's pixel features
+    x3d: np.ndarray  # (K, 4) float32, the frame's points
     groups2d: list[np.ndarray]
     groups3d: list[np.ndarray]
     signs: np.ndarray
@@ -223,8 +226,6 @@ class FrameData:
 def prepare_frame(frame: SceneFrame) -> FrameData:
     table = build_associations(frame)
     l, h, w, f0 = frame.pixel_features.shape
-    x2d = frame.pixel_features.reshape(l * h * w, f0).astype(np.float64)
-    x3d = frame.points.astype(np.float64)
     groups2d = []
     groups3d = []
     signs = np.empty(table.Q, dtype=np.int64)
@@ -232,7 +233,8 @@ def prepare_frame(frame: SceneFrame) -> FrameData:
         groups2d.append(sp.pixel_indices + sp.camera * h * w)
         groups3d.append(sp.point_indices)
         signs[q] = sp.semantic_sign
-    return FrameData(frame, table, x2d, x3d, groups2d, groups3d, signs)
+    x2d = frame.pixel_features.reshape(l * h * w, f0)
+    return FrameData(x2d, frame.points, groups2d, groups3d, signs)
 
 
 def _group_scenes(frames: list[SceneFrame]) -> list[list[SceneFrame]]:
@@ -256,16 +258,19 @@ def _embed(
     stack: DenseStack,
     x: np.ndarray,
     groups: list[np.ndarray],
-    slots: dict | None = None,
-    key=None,
+    slots: dict | None,
+    key,
+    out: np.ndarray,
 ):
     """One side of one frame: (pooled rows, validity, caches for the backward).
 
-    With ``slots``, the forward writes into the buffers of the cache kept
-    under ``key`` (the one of the step before) and keeps its own there.
+    ``out`` is the scratch of the lane that runs this call; its first rows
+    hold the stack's output until it is pooled.  With ``slots``, the
+    forward writes into the buffers of the cache kept under ``key`` (the
+    one of the step before) and keeps its own there.
     """
     h, cache = embednet.forward(
-        stack, x, reuse=None if slots is None else slots.get(key)
+        stack, x, reuse=None if slots is None else slots.get(key), out=out[: len(x)]
     )
     if slots is not None:
         slots[key] = cache
@@ -273,35 +278,54 @@ def _embed(
     return rows, valid, (cache, pcache)
 
 
-def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches):
+def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, out: np.ndarray):
     """Parameter gradient vector of one side of one frame, given its rows' gradient.
 
-    The stack's output is dead once pooled, so the pooled gradient is
-    written over it.
+    The pooled gradient is written into the first rows of ``out``, the
+    scratch of the lane that runs this call.
     """
     cache, pcache = caches
-    g = embednet.pool_backward(upstream, pcache, out=cache.acts[-1])
+    g = embednet.pool_backward(upstream, pcache, out=out[: pcache.num_rows])
     return embednet.backward(stack, g, cache)[0]
 
 
-def _run_beside(worker: ThreadPoolExecutor, tasks: list, own):
-    """Run ``tasks`` on ``worker`` while this thread runs ``own()``.
+def _lane_scratch(run_state: dict, frames: list[FrameData], cfg: TrainConfig) -> list:
+    """Each lane's stack-output scratch: the calling thread's, then the worker's.
 
-    Once ``own()`` returns, the tasks the worker has not started are taken
-    back one at a time from the tail and run here.  Returns ``own()``'s
+    Kept under "scratch" in ``run_state``; replaced only when one of
+    ``frames`` has more rows than it.  With ``freeze_2d`` there is no
+    worker, so only the calling thread's.
+    """
+    lanes = 1 if cfg.freeze_2d else 2
+    rows = max(len(x) for fd in frames for x in (fd.x2d, fd.x3d))
+    scratch = run_state.get("scratch")
+    if scratch is None or len(scratch) < lanes or len(scratch[0]) < rows:
+        scratch = [np.empty((rows, cfg.embed_dim)) for _ in range(lanes)]
+        run_state["scratch"] = scratch
+    return scratch
+
+
+def _run_beside(worker: ThreadPoolExecutor, tasks: list, own, scratch: list):
+    """Run ``tasks`` on ``worker`` while this thread runs ``own``.
+
+    ``scratch`` holds this thread's scratch and the worker's; every task
+    and ``own`` is called with the scratch of the thread that runs it.
+    Once ``own`` returns, the tasks the worker has not started are taken
+    back one at a time from the tail and run here.  Returns ``own``'s
     result and the tasks' results in task order.
     """
-    futures = [worker.submit(task) for task in tasks]
+    mine, theirs = scratch
+    futures = [worker.submit(task, theirs) for task in tasks]
     try:
-        mine = own()
+        own_result = own(mine)
         results = [None] * len(tasks)
         n = len(tasks)
         # the worker runs tasks in order, so the unstarted ones are a tail
         while n and futures[n - 1].cancel():
             n -= 1
-            results[n] = tasks[n]()
+            results[n] = tasks[n](mine)
         results[:n] = [f.result() for f in futures[:n]]
-        return mine, results
+        return own_result, results
     finally:
         # after an error, leave no task running on this step's arrays; a
         # cancelled task counts as done only once the worker reaches it
@@ -321,12 +345,15 @@ def run_step(
     "worker2d" the one-thread executor that, when the 2D stack is trained,
     runs each frame's 2D forward and backward beside the 3D side; under
     "slots" the forward cache of each trained stack and batch slot, whose
-    buffers the next step's forward in that slot writes over; under "grads"
-    the gradient buffer, zeroed and refilled by each step and returned in
-    the result; the EMA prototype bank under "bank", which a skipped batch
-    leaves as it was; with ``freeze_2d``,
-    each frame's pooled 2D rows and validity under "rows2d", filled the
-    first time the frame is in a batch (the 2D gradient then stays zero).
+    input and hidden-layer buffers the next step's forward in that slot
+    writes over; under "scratch" one buffer per lane (see
+    ``_lane_scratch``) that takes each stack output until it is pooled and
+    each pooled gradient until the stack's backward has read it; under
+    "grads" the gradient buffer, zeroed and refilled by each step and
+    returned in the result; the EMA prototype bank under "bank", which a
+    skipped batch leaves as it was; with ``freeze_2d``, each frame's pooled
+    2D rows and validity under "rows2d", filled the first time the frame is
+    in a batch (the 2D gradient then stays zero).
     Gradients are summed on the calling thread in batch order, so the
     result does not depend on which thread ran a frame.  Raises
     DegenerateBatchError when the batch has too few valid regions or a raw
@@ -334,10 +361,11 @@ def run_step(
     """
     loss_cfg = cfg.loss_config()
     slots = run_state.setdefault("slots", {})
+    scratch = _lane_scratch(run_state, batch, cfg)
 
-    def forward3d():
+    def forward3d(out):
         return [
-            _embed(model.embed3d, fd.x3d, fd.groups3d, slots, ("3d", k))
+            _embed(model.embed3d, fd.x3d, fd.groups3d, slots, ("3d", k), out)
             for k, fd in enumerate(batch)
         ]
 
@@ -346,9 +374,11 @@ def run_step(
         for fd in batch:
             # keyed by identity: the run's FrameData outlive the run_state
             if id(fd) not in frozen2d:
-                frozen2d[id(fd)] = _embed(model.embed2d, fd.x2d, fd.groups2d)[:2]
+                frozen2d[id(fd)] = _embed(
+                    model.embed2d, fd.x2d, fd.groups2d, None, None, scratch[0]
+                )[:2]
         side2d = [frozen2d[id(fd)] + (None,) for fd in batch]
-        side3d = forward3d()
+        side3d = forward3d(scratch[0])
     else:
         worker = run_state["worker2d"]
         side3d, side2d = _run_beside(
@@ -358,6 +388,7 @@ def run_step(
                 for k, fd in enumerate(batch)
             ],
             forward3d,
+            scratch,
         )
     frame_banks = [
         embednet.make_bank(rows2d, v2d, rows3d, v3d, fd.signs)
@@ -410,15 +441,17 @@ def run_step(
     ends = np.cumsum([len(fd.groups2d) for fd in batch])
     rows = [slice(end - len(fd.groups2d), end) for fd, end in zip(batch, ends)]
 
-    def backward3d_and_blend():
+    def backward3d_and_blend(out):
         for r, (_, _, caches) in zip(rows, side3d):
-            grads[n2d:n3d] += _embed_backward(model.embed3d, tot.grad_f3d[r], caches)
+            grads[n2d:n3d] += _embed_backward(
+                model.embed3d, tot.grad_f3d[r], caches, out
+            )
         if tot.grad_pmix is not None and cfg.proto_mode == "mmpb":
             assert bcache is not None
             grads[n3d:] += blending.blend_backward(tot.grad_pmix, bcache)
 
     if cfg.freeze_2d:
-        backward3d_and_blend()
+        backward3d_and_blend(scratch[0])
     else:
         _, grads2d = _run_beside(
             worker,
@@ -427,6 +460,7 @@ def run_step(
                 for r, (_, _, caches) in zip(rows, side2d)
             ],
             backward3d_and_blend,
+            scratch,
         )
         for g in grads2d:
             grads[:n2d] += g
@@ -509,9 +543,15 @@ def pretrain(
     opt = _Sgd(model, cfg)
     metrics = [losses.CSV_HEADER]
     step = 0
-    # the executor starts its thread on the first submit: none with freeze_2d
-    with ThreadPoolExecutor(1, thread_name_prefix="embed2d") as worker:
+    # the executor starts its thread on the first submit: none with
+    # freeze_2d.  While it runs, one BLAS thread per lane fills the cores.
+    with (
+        nullcontext() if cfg.freeze_2d else blas_threads(1),
+        ThreadPoolExecutor(1, thread_name_prefix="embed2d") as worker,
+    ):
         run_state: dict = {"worker2d": worker}
+        # sized once, to the largest frame of the run
+        _lane_scratch(run_state, [fd for group in scene_data for fd in group], cfg)
         for epoch in range(1, cfg.epochs + 1):
             lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
             order = _rng(cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(scene_data))
@@ -636,20 +676,7 @@ def linear_probe(model: Model, frames: list[SceneFrame], cfg: TrainConfig) -> Pr
     """Probe the frozen 3D embedding on a seeded label subset."""
     cfg.validate()
     train_frames, test_frames = probe_split(frames)
-
-    def embed(fs: list[SceneFrame]) -> tuple[np.ndarray, np.ndarray]:
-        zs, ys = [], []
-        for f in fs:
-            h, _ = embednet.forward(model.embed3d, f.points.astype(np.float64))
-            zs.append(h)
-            # stored per-point truth, not the (possibly noisy) rasters:
-            # evaluation must not inherit pseudo-label errors
-            ys.append(f.point_labels.astype(np.int64))
-        return np.concatenate(zs), np.concatenate(ys)
-
-    z_train, y_train = embed(train_frames)
-    z_test, y_test = embed(test_frames)
-    n = len(z_train)
+    n = sum(len(f.points) for f in train_frames)
     n_lab = int(round(cfg.probe_fraction * n))
     if n_lab == 0:
         raise ConfigurationError(
@@ -657,13 +684,25 @@ def linear_probe(model: Model, frames: list[SceneFrame], cfg: TrainConfig) -> Pr
         )
     rng = _rng(cfg.seed, _TAG_PROBE)
     chosen = rng.choice(n, size=min(n_lab, n), replace=False)
-    num_classes = frames[0].num_classes
+
+    def labels(fs: list[SceneFrame]) -> np.ndarray:
+        # stored per-point truth, not the (possibly noisy) rasters:
+        # evaluation must not inherit pseudo-label errors
+        return np.concatenate([f.point_labels for f in fs]).astype(np.int64)
+
+    # a stack maps each row on its own, so only the labelled rows are embedded
+    z_train, _ = embednet.forward(
+        model.embed3d, np.concatenate([f.points for f in train_frames])[chosen]
+    )
+    z_test = np.concatenate(
+        [embednet.forward(model.embed3d, f.points)[0] for f in test_frames]
+    )
     return fit_linear_probe(
-        z_train[chosen],
-        y_train[chosen],
+        z_train,
+        labels(train_frames)[chosen],
         z_test,
-        y_test,
-        num_classes,
+        labels(test_frames),
+        frames[0].num_classes,
         epochs=cfg.probe_epochs,
     )
 

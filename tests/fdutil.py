@@ -4,7 +4,8 @@ The finite differences are deliberately independent of the package's own
 gradient checker so the two can disagree: tests perturb arrays with this
 code and compare against the package's analytic gradients.  The pinhole,
 region-labelling and point-label oracles stand in for scalar code the
-package does not carry, and ``scene_bytes`` for a frame equality.
+package does not carry, ``scene_bytes`` for a frame equality, and
+``full_embed_probe`` for the probe that embeds only its labelled rows.
 """
 
 import tempfile
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from scenecontrast.embednet import layer_views
+from scenecontrast import trainer
+from scenecontrast.embednet import forward, layer_views
 from scenecontrast.projection import project_points
 from scenecontrast.scenegen import UNASSIGNED, write_scene
 
@@ -131,3 +133,30 @@ def scene_bytes(frame) -> bytes:
         path = Path(d) / "frame.cscs"
         write_scene(frame, path)
         return path.read_bytes()
+
+
+def full_embed_probe(model, frames, cfg):
+    """``linear_probe`` as it was first written: embed every point, then draw.
+
+    Every training point is embedded, frame by frame, and the labelled rows
+    are picked from the result with the probe's own seeded draw.
+    """
+    train_frames, test_frames = trainer.probe_split(frames)
+
+    def embed(fs):
+        zs, ys = [], []
+        for f in fs:
+            h, _ = forward(model.embed3d, f.points.astype(np.float64))
+            zs.append(h)
+            ys.append(f.point_labels.astype(np.int64))
+        return np.concatenate(zs), np.concatenate(ys)
+
+    z_train, y_train = embed(train_frames)
+    z_test, y_test = embed(test_frames)
+    n = len(z_train)
+    rng = trainer._rng(cfg.seed, trainer._TAG_PROBE)
+    chosen = rng.choice(n, size=min(int(round(cfg.probe_fraction * n)), n), replace=False)
+    return trainer.fit_linear_probe(
+        z_train[chosen], y_train[chosen], z_test, y_test, frames[0].num_classes,
+        epochs=cfg.probe_epochs,
+    )

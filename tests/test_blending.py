@@ -44,7 +44,8 @@ def test_selector_passes_2d(rng):
     cache = blend(bank, selector_params(3, "2d"))
     want = bank.p2d / np.linalg.norm(bank.p2d, axis=1, keepdims=True)
     assert np.allclose(bank.pmix, want, atol=1e-15)
-    assert np.array_equal(cache.cache2d.acts[-1], bank.p2d)  # the 2D projection
+    # the 2D projection, as the fuse stack's input holds it
+    assert np.array_equal(cache.cache_fuse.inputs[:, :3], bank.p2d)
 
 
 def test_selector_passes_3d(rng):

@@ -1,10 +1,13 @@
 """Command-line contract: flows, determinism, exit codes."""
 
+import dataclasses
+import shutil
+
 import numpy as np
 import pytest
 
 from scenecontrast.cli import main
-from scenecontrast.scenegen import read_scene
+from scenecontrast.scenegen import read_scene, write_scene
 from scenecontrast.trainer import load_model, save_model
 
 GEN = [
@@ -115,6 +118,48 @@ def test_corrupt_scene_exits_2(scene_dir, cfg_file, tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mixed_dirs(scene_dir, tmp_path_factory):
+    """The scene set plus one file whose class count or feature width differs."""
+    odd = tmp_path_factory.mktemp("odd")
+    # argparse keeps the last value of a repeated flag
+    assert main(GEN + ["--count", "1", "--classes", "9", "--out", str(odd)]) == 0
+    nine = odd / "scene_0000_f00.cscs"
+    frame = read_scene(scene_dir / "scene_0001_f00.cscs")
+    wide = dataclasses.replace(
+        frame, pixel_features=np.concatenate([frame.pixel_features] * 2, axis=3)
+    )
+    dirs = {}
+    for field in ("num_classes", "pixel feature width"):
+        d = dirs[field] = tmp_path_factory.mktemp("mixed")
+        for f in scene_dir.glob("*.cscs"):
+            shutil.copy(f, d / f.name)
+        if field == "num_classes":
+            shutil.copy(nine, d / "scene_0009_f00.cscs")
+        else:
+            write_scene(wide, d / "scene_0009_f00.cscs")
+    return dirs
+
+
+@pytest.mark.parametrize("field", ["num_classes", "pixel feature width"])
+@pytest.mark.parametrize("command", ["pretrain", "probe", "ablate"])
+def test_mixed_scene_set_exits_1(
+    mixed_dirs, ckpt_dir, cfg_file, tmp_path, capsys, command, field
+):
+    out = tmp_path / "o"
+    common = ["--config", str(cfg_file), "--scenes", str(mixed_dirs[field]),
+              "--out", str(out)]
+    extra = {
+        "pretrain": [],
+        "probe": ["--ckpt", str(ckpt_dir / "checkpoint.cscw")],
+        "ablate": ["--seeds", "1"],
+    }[command]
+    assert main([command] + common + extra) == 1
+    err = capsys.readouterr().err
+    assert "scene_0009_f00.cscs" in err and f"{field} is " in err
+    assert not out.exists()
 
 
 def test_pretrain_writes_outputs(ckpt_dir, capsys):

@@ -85,6 +85,8 @@ def test_empty_stack_is_identity(rng):
     x = rng.normal(size=(3, 5))
     out, cache = forward(stack, x)
     assert np.array_equal(out, x)
+    lent = np.empty_like(x)
+    assert forward(stack, x, out=lent)[0] is lent and np.array_equal(lent, x)
     grads, gx = backward(stack, np.ones_like(x), cache)
     assert grads.shape == (0,)
     assert np.array_equal(gx, np.ones_like(x))
@@ -157,19 +159,57 @@ def test_reuse_ignored_when_it_does_not_fit(rng):
     stack = init_stack([4, 5, 3], rng)
     other = init_stack([4, 5, 3], rng)
     _, cache = forward(stack, rng.normal(size=(6, 4)))
-    for s, x in ((stack, rng.normal(size=(7, 4))), (other, rng.normal(size=(6, 4))),
-                 (stack, cache.acts[0][:, :4])):
-        _, fresh = forward(s, x, reuse=cache)
-        assert not any(np.shares_memory(a, b) for a in fresh.acts for b in cache.acts)
+    kept = [cache.inputs, *cache.acts]
+    # other rows, another stack, or a lent output over the cache's arrays
+    for s, x, out in ((stack, rng.normal(size=(7, 4)), None),
+                      (other, rng.normal(size=(6, 4)), None),
+                      (stack, rng.normal(size=(6, 4)), cache.acts[0][:, :3])):
+        _, fresh = forward(s, x, reuse=cache, out=out)
+        assert not any(
+            np.shares_memory(a, b) for a in [fresh.inputs, *fresh.acts] for b in kept
+        )
     backward(stack, np.ones((6, 3)), cache)  # still live
 
 
+def test_reuse_over_float32_inputs_writes_the_same_bytes(rng):
+    # the scene files' dtype, cast into the slot's float64 input buffer
+    stack = init_stack([5, 7, 6, 3], rng)
+    x = rng.normal(size=(9, 5)).astype(np.float32)
+    y = rng.normal(size=(9, 5)).astype(np.float32)
+    up = rng.normal(size=(9, 3))
+    want, _ = forward(stack, y.astype(np.float64))
+    _, cache = forward(stack, x)
+    backward(stack, up, cache)
+    lent = np.empty((9, 3))
+    got, again = forward(stack, y, reuse=cache, out=lent)
+    assert got is lent and got.tobytes() == want.tobytes()
+    assert again.inputs is cache.inputs and again.inputs.dtype == np.float64
+    assert again.inputs.tobytes() == y.astype(np.float64).tobytes()
+    assert as_bytes(*backward(stack, up, again)) == as_bytes(
+        *reference_grads(stack, y.astype(np.float64), up)
+    )
+    # the input buffer may itself be the new inputs
+    _, cache = forward(stack, y)
+    got, _ = forward(stack, cache.inputs, reuse=cache)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lent_output_must_fit(rng):
+    stack = init_stack([4, 5, 3], rng)
+    x = rng.normal(size=(6, 4))
+    for out in (np.empty((6, 4)), np.empty((5, 3)), np.empty((6, 3), np.float32)):
+        with pytest.raises(ShapeError, match="out has shape"):
+            forward(stack, x, out=out)
+
+
 def test_output_as_upstream(rng):
-    # the top layer has no ReLU, so its output is unread and can hold upstream
+    # backward never reads the output, so the buffer lent for it can hold
+    # upstream, as the training step's lane scratch does
     stack = init_stack([4, 6, 5, 3], rng)
     x = rng.normal(size=(8, 4))
     up = rng.normal(size=(8, 3))
-    out, cache = forward(stack, x)
+    out = np.empty((8, 3))
+    _, cache = forward(stack, x, out=out)
     out[...] = up
     assert as_bytes(*backward(stack, out, cache)) == as_bytes(
         *reference_grads(stack, x, up)
@@ -196,14 +236,22 @@ def preactivations(stack, x):
     return zs
 
 
-def test_cache_holds_each_layers_activation(rng):
+def test_cache_holds_inputs_and_hidden_activations(rng):
     stack = init_stack([5, 7, 6, 3], rng)
-    x = rng.normal(size=(9, 5))
+    x = rng.normal(size=(9, 5)).astype(np.float32)
+    x64 = x.astype(np.float64)
     out, cache = forward(stack, x)
-    zs = preactivations(stack, x)
-    want = [np.maximum(z, 0.0) for z in zs[:-1]] + [zs[-1]]
-    assert [a.tobytes() for a in cache.acts] == [w.tobytes() for w in want]
-    assert out is cache.acts[-1]
+    zs = preactivations(stack, x64)
+    # an owned float64 copy of the inputs and the hidden layers' outputs;
+    # the last layer's output is returned but not kept
+    assert cache.inputs.dtype == np.float64 and not np.shares_memory(cache.inputs, x)
+    assert cache.inputs.tobytes() == x64.tobytes()
+    assert [a.tobytes() for a in cache.acts] == [np.maximum(z, 0.0).tobytes() for z in zs[:-1]]
+    assert out.tobytes() == zs[-1].tobytes()
+    assert not any(np.shares_memory(out, a) for a in [cache.inputs, *cache.acts])
+    lent = np.empty((9, 3))
+    got, _ = forward(stack, x, out=lent)
+    assert got is lent and got.tobytes() == out.tobytes()
 
 
 def test_gradients_match_fd(rng):

@@ -178,5 +178,5 @@ def test_fuzzed_corruption_raises_cleanly(tmp_path_factory, data):
         assert 0 <= err.offset <= len(blob)
         return
     fd = prepare_frame(frame)
-    assert fd.table.Q <= frame.superpixel_raster.size
+    assert len(fd.signs) == len(fd.groups2d) <= frame.superpixel_raster.size
     assert np.isfinite(fd.x2d).all() and np.isfinite(fd.x3d).all()

@@ -1,5 +1,6 @@
 """Training loop: config parsing, determinism, schedules, probe, gradcheck."""
 
+import contextlib
 import copy
 import sys
 import threading
@@ -10,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import scenecontrast.blasthreads as blasthreads
 import scenecontrast.embednet as embednet
 import scenecontrast.trainer as trainer
 from scenecontrast.embednet import read_checkpoint
@@ -36,6 +38,8 @@ from scenecontrast.trainer import (
     random_init_probe,
     save_model,
 )
+
+from fdutil import full_embed_probe
 
 # ---------------------------------------------------------------------------
 # config
@@ -455,6 +459,32 @@ def test_probe_deterministic(trained, small_frames):
     assert a.per_class == b.per_class
 
 
+@pytest.mark.parametrize("fraction", [0.01, 0.05, 0.3, 1.0])
+def test_probe_matches_the_full_embed_oracle(trained, small_frames, fraction):
+    for seed in range(3):
+        cfg = TrainConfig(seed=seed, probe_fraction=fraction)
+        got = linear_probe(trained.model, small_frames, cfg)
+        assert got == full_embed_probe(trained.model, small_frames, cfg)  # bit for bit
+
+
+def test_probe_matches_the_oracle_at_the_ablation_operating_point():
+    from test_acceptance import (
+        ABLATION_GEOM, ABLATION_SCENE_CFG, ABLATION_SCENES, ABLATION_SEEDS,
+        ABLATION_TRAIN,
+    )
+    from scenecontrast.scenegen import generate_scene
+
+    frames = [
+        generate_scene(500 + s, ABLATION_SCENE_CFG, ABLATION_GEOM, scene_id=s)
+        for s in range(ABLATION_SCENES)
+    ]
+    feat_dim = frames[0].pixel_features.shape[3]
+    for seed in range(ABLATION_SEEDS):
+        model = init_model(feat_dim, ABLATION_TRAIN.embed_dim, seed)
+        cfg = replace(ABLATION_TRAIN, seed=seed)
+        assert linear_probe(model, frames, cfg) == full_embed_probe(model, frames, cfg)
+
+
 def test_trained_beats_random_probe(small_frames, prepared):
     cfg = TrainConfig(
         epochs=6,
@@ -532,13 +562,19 @@ def test_frozen_2d_work_counts(small_frames, prepared, monkeypatch, freeze):
         return real_run_step(model, batch, *rest)
 
     # tagged with the step they belong to; the step's 2D calls may run on
-    # its worker thread, but all of them finish before run_step returns
+    # its worker thread, but all of them finish before run_step returns.
+    # A cache holds a float64 copy of its inputs, so a backward is traced
+    # to its frame through the forward that made its cache.
+    frame_of = {}
+
     def forward_(stack, inputs, **kwargs):
         calls.append(("forward", stack, id(inputs), len(batches) - 1))
-        return real_forward(stack, inputs, **kwargs)
+        out, cache = real_forward(stack, inputs, **kwargs)
+        frame_of[id(cache)] = (cache, id(inputs))  # keeps the id unique
+        return out, cache
 
     def backward_(stack, upstream, cache):
-        calls.append(("backward", stack, id(cache.inputs), len(batches) - 1))
+        calls.append(("backward", stack, frame_of[id(cache)][1], len(batches) - 1))
         return real_backward(stack, upstream, cache)
 
     monkeypatch.setattr(trainer, "init_model", init_model_)
@@ -699,6 +735,8 @@ def test_each_slot_reuses_the_step_befores_buffers(small_frames, prepared, monke
         for side in sides.values():
             for slot in range(3):
                 before, now = by_slot[k - 1, side, slot], by_slot[k, side, slot]
+                assert len(now.acts) == 2  # the hidden layers; no stack output
+                assert np.shares_memory(before.inputs, now.inputs)
                 assert all(np.shares_memory(a, b) for a, b in zip(before.acts, now.acts))
 
 
@@ -710,8 +748,10 @@ def test_buffer_reuse_does_not_change_outputs(
     dropped = []
     real_forward = embednet.forward
 
-    def forward_(stack, inputs, reuse=None):
-        dropped.append(reuse is not None)
+    # the oracle: every forward on fresh buffers, ignoring the slot's cache
+    # and the lane's output scratch
+    def forward_(stack, inputs, reuse=None, out=None):
+        dropped.append(reuse is not None and out is not None)
         return real_forward(stack, inputs)
 
     monkeypatch.setattr(embednet, "forward", forward_)
@@ -719,6 +759,41 @@ def test_buffer_reuse_does_not_change_outputs(
     assert any(dropped)
     assert fresh.metrics_path.read_bytes() == normal.metrics_path.read_bytes()
     assert fresh.checkpoint_path.read_bytes() == normal.checkpoint_path.read_bytes()
+
+
+def test_prepare_frame_keeps_the_scene_arrays(small_frames, prepared):
+    for frame, fd in zip(small_frames, prepared):
+        l, h, w, f0 = frame.pixel_features.shape
+        assert fd.x2d.dtype == fd.x3d.dtype == np.float32
+        assert fd.x2d.shape == (l * h * w, f0) and fd.x3d.shape == (frame.num_points, 4)
+        assert np.shares_memory(fd.x2d, frame.pixel_features)
+        assert np.shares_memory(fd.x3d, frame.points)
+
+
+def test_run_state_buffers_add_up(small_frames, prepared):
+    # per slot and stack one float64 input buffer and the hidden layers'
+    # outputs; one stack-output scratch per lane, sized to the largest frame
+    feat_dim = small_frames[0].pixel_features.shape[3]
+    model = init_model(feat_dim, CFG.embed_dim, CFG.seed)
+    with ThreadPoolExecutor(1) as worker:
+        run_state = {"worker2d": worker}
+        for batch in (prepared[:3], prepared[3:]):
+            trainer.run_step(model, batch, CFG.lam + 1, CFG, run_state)
+    caches, scratch = run_state["slots"], run_state["scratch"]
+    assert sorted(caches) == [(side, k) for side in ("2d", "3d") for k in range(3)]
+    arrays = [a for c in caches.values() for a in [c.inputs, *c.acts]] + scratch
+    assert not any(
+        np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i]
+    )
+    rows2d, rows3d = len(prepared[0].x2d), len(prepared[0].x3d)
+    hidden = sum(trainer.HIDDEN)
+    want = 8 * (
+        3 * rows2d * (feat_dim + hidden)
+        + 3 * rows3d * (4 + hidden)
+        + 2 * max(rows2d, rows3d) * CFG.embed_dim
+    )
+    assert sum(a.nbytes for a in arrays) == want
+    assert all(a.dtype == np.float64 for a in arrays)
 
 
 def test_trained_step_allocates_no_activation_arrays(small_frames, prepared):
@@ -741,6 +816,60 @@ def test_trained_step_allocates_no_activation_arrays(small_frames, prepared):
     # the step keeps 3 frames' 2D and 3D activations; what it still
     # allocates are masks, pooling and loss temporaries and the gradients
     assert peak < one_frame / 2, (peak, one_frame)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread cap
+
+
+def test_blas_cap_does_not_change_outputs(
+    small_frames, prepared, tmp_path, monkeypatch, trained
+):
+    monkeypatch.setattr(trainer, "blas_threads", lambda n: contextlib.nullcontext())
+    res = pretrain(small_frames, CFG, out_dir=tmp_path / "o", prepared=prepared)
+    assert res.metrics_path.read_bytes() == trained.metrics_path.read_bytes()
+    assert res.checkpoint_path.read_bytes() == trained.checkpoint_path.read_bytes()
+
+
+def test_pretrain_caps_blas_threads_while_2d_is_trained(
+    small_frames, prepared, monkeypatch
+):
+    found = blasthreads._openblas()
+    if found is None:
+        pytest.skip("numpy's OpenBLAS not found")
+    get, set_ = found
+    seen = []
+    real_run_step = trainer.run_step
+
+    def run_step_(*args):
+        seen.append(get())
+        return real_run_step(*args)
+
+    monkeypatch.setattr(trainer, "run_step", run_step_)
+    before = get()
+    set_(2)
+    try:
+        pretrain(small_frames, CFG, prepared=prepared)
+        after_trained = get()
+        pretrain(small_frames, FROZEN, prepared=prepared)
+    finally:
+        set_(before)
+    assert after_trained == 2
+    assert seen == [1] * 6 + [2] * 2 * FROZEN.epochs
+
+
+def test_blas_cap_without_openblas_notes_once(monkeypatch, capsys):
+    monkeypatch.setattr(blasthreads, "_SET", "no_such_symbol")
+    blasthreads._openblas.cache_clear()
+    ran = []
+    try:
+        for _ in range(2):
+            with blasthreads.blas_threads(1):
+                ran.append(True)
+    finally:
+        blasthreads._openblas.cache_clear()  # found again once _SET is back
+    assert ran == [True, True]
+    assert capsys.readouterr().err.count("BLAS threads are not capped") == 1
 
 
 # ---------------------------------------------------------------------------
