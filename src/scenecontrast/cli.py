@@ -51,19 +51,16 @@ def _load_scene_dir(path: str):
     if not files:
         raise ConfigurationError(f"no .cscs files under {path}")
     frames = [read_scene(f) for f in files]
-    # one class vocabulary and one 2D input width for the whole set
-    first = frames[0]
-    for f, frame in zip(files[1:], frames[1:]):
-        for field, got, want in (
-            ("num_classes", frame.num_classes, first.num_classes),
-            ("pixel feature width", frame.pixel_features.shape[3],
-             first.pixel_features.shape[3]),
-        ):
-            if got != want:
-                raise ConfigurationError(
-                    f"{f}: {field} is {got}, but {want} in {files[0].name}"
-                )
+    trainer.check_scene_set(frames, files)
     return frames
+
+
+def _check_out(path: str) -> None:
+    """Reject, before any work, an --out whose nearest existing path is no directory."""
+    out = Path(path)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigurationError(f"--out {path}: {nearest} is not a directory")
 
 
 def _config_from_args(args) -> trainer.TrainConfig:
@@ -137,10 +134,7 @@ def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     frames = _load_scene_dir(args.scenes)
     if args.arm:
-        cfg = trainer.arm_config(cfg, args.arm)
-        result = trainer.pretrain(frames, cfg, out_dir=None)
-        acc = trainer.linear_probe(result.model, frames, cfg).mean_accuracy
-        rows = [(args.arm, cfg.seed, acc)]
+        rows = trainer.run_ablation(frames, cfg, [cfg.seed], arms=(args.arm,))
     else:
         seeds = list(range(cfg.seed, cfg.seed + args.seeds))
         rows = trainer.run_ablation(frames, cfg, seeds)
@@ -215,8 +209,11 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.fn(args)
-    except ConfigurationError as err:
+    except (ConfigurationError, OSError) as err:
+        # a path flag names a file that is missing or cannot be used
         print(f"error: {err}", file=sys.stderr)
         return 1
     except SceneContrastError as err:

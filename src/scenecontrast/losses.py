@@ -29,19 +29,6 @@ from .protobank import PrototypeBank
 
 
 @dataclass
-class LossConfig:
-    tau_sp: float = 0.07
-    tau_pro: float = 1.0
-    lam: int = 5  # prototype term activates strictly after this epoch
-
-    def validate(self) -> None:
-        if self.tau_sp <= 0 or self.tau_pro <= 0:
-            raise ConfigurationError("temperatures must be positive")
-        if self.lam < 0:
-            raise ConfigurationError("lam must be >= 0")
-
-
-@dataclass
 class LossReport:
     loss_sp: float
     loss_pro: float  # 0.0 while gated off
@@ -175,16 +162,16 @@ class TotalResult:
     grad_pmix: np.ndarray | None  # None while gated off
 
 
-def gate_open(epoch: int, cfg: LossConfig) -> bool:
+def gate_open(epoch: int, lam: int) -> bool:
     """The prototype term is active strictly after epoch ``lam``."""
-    return epoch > cfg.lam
+    return epoch > lam
 
 
 def total_loss(
     epoch: int,
     sp: SpResult,
     pro: ProResult | None,
-    cfg: LossConfig,
+    lam: int,
 ) -> TotalResult:
     """Combine the two terms under the epoch gate.
 
@@ -192,10 +179,9 @@ def total_loss(
     supplying it anyway means it was computed for nothing, and omitting it
     with the gate open would silently drop the term; both are bugs.
     """
-    cfg.validate()
     if epoch < 1:
         raise ConfigurationError("epochs are numbered from 1")
-    gate = gate_open(epoch, cfg)
+    gate = gate_open(epoch, lam)
     if gate and pro is None:
         raise ContractViolationError("gate open but no prototype loss supplied")
     if not gate and pro is not None:

@@ -15,17 +15,14 @@ same layout, and SGD updates ``params`` with three in-place vector
 operations; ``freeze_2d`` updates only the slice after embed2d, which
 comes first.
 
-When the 2D stack is trained, each frame's 2D side runs on one worker
-thread beside the 3D side (see ``run_step``), under a cap of one BLAS
-thread (``blasthreads``).  Frames keep their float32 scene arrays.  Each
-batch slot's forward casts them into its input buffer and writes into the
-hidden-layer buffers its slot used the step before, and each thread
-writes stack outputs into one scratch of its own, so a step allocates no
-stack-sized array after the first.  A non-finite loss or parameter ends
-the run with TrainingError.  Everything is seeded through named
-SeedSequence tuples and reductions run in fixed order (frame index
-ascending) on the calling thread, so identical inputs give bit-identical
-metrics and checkpoints.
+Everything a run carries from step to step is one ``_Run``: the worker
+thread that runs each frame's 2D side beside the 3D side when the 2D
+stack is trained, the buffers that spare a step from allocating any
+stack-sized array, the EMA bank, the gradient and the SGD velocity.  A
+non-finite loss or parameter ends the run with TrainingError.  All seeds
+are named SeedSequence tuples and reductions run in fixed order (frame
+index ascending) on the calling thread, so identical inputs give
+bit-identical metrics and checkpoints.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -49,7 +46,7 @@ from .errors import (
     DegenerateBatchError,
     TrainingError,
 )
-from .losses import LossConfig, LossReport
+from .losses import LossReport
 from .projection import build_associations
 from .scenegen import SceneFrame
 
@@ -72,7 +69,7 @@ class TrainConfig:
     momentum: float = 0.9
     tau_sp: float = 0.07
     tau_pro: float = 1.0
-    lam: int = 5
+    lam: int = 5  # the prototype term is active strictly after this epoch
     ema: bool = False
     ema_momentum: float = 0.9
     freeze_2d: bool = False
@@ -110,10 +107,10 @@ class TrainConfig:
             raise ConfigurationError("probe_fraction must lie in (0,1]")
         if self.probe_epochs < 1:
             raise ConfigurationError("probe_epochs must be >= 1")
-        self.loss_config().validate()
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(tau_sp=self.tau_sp, tau_pro=self.tau_pro, lam=self.lam)
+        if self.tau_sp <= 0 or self.tau_pro <= 0:
+            raise ConfigurationError("temperatures must be positive")
+        if self.lam < 0:
+            raise ConfigurationError("lam must be >= 0")
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "false": False, "0": False}
@@ -205,8 +202,19 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path, feat_dim: int, embed_dim: int) -> Model:
+    layers = embednet.read_checkpoint(path)
+    # embed2d's first weight is (hidden, feat_dim), its last (embed_dim, hidden)
+    if len(layers) > len(HIDDEN):
+        for name, got, want in (
+            ("pixel feature width", layers[0][0].shape[1], feat_dim),
+            ("embed_dim", layers[len(HIDDEN)][0].shape[0], embed_dim),
+        ):
+            if got != want:
+                raise ConfigurationError(
+                    f"{path}: checkpoint {name} is {got}, not {want}"
+                )
     model = init_model(feat_dim, embed_dim, seed=0)
-    embednet.load_layers(model.stacks(), embednet.read_checkpoint(path))
+    embednet.load_layers(model.stacks(), layers)
     return model
 
 
@@ -237,6 +245,21 @@ def prepare_frame(frame: SceneFrame) -> FrameData:
     return FrameData(x2d, frame.points, groups2d, groups3d, signs)
 
 
+def check_scene_set(frames: list[SceneFrame], names=None) -> None:
+    """Reject frames that differ in class vocabulary or 2D input width."""
+    names = names or [f"frame {i}" for i in range(len(frames))]
+    for name, frame in zip(names[1:], frames[1:]):
+        for field, got, want in (
+            ("num_classes", frame.num_classes, frames[0].num_classes),
+            ("pixel feature width", frame.pixel_features.shape[3],
+             frames[0].pixel_features.shape[3]),
+        ):
+            if got != want:
+                raise ConfigurationError(
+                    f"{name}: {field} is {got}, but {want} in {names[0]}"
+                )
+
+
 def _group_scenes(frames: list[SceneFrame]) -> list[list[SceneFrame]]:
     by_id: dict[int, list[SceneFrame]] = {}
     for f in frames:
@@ -246,12 +269,6 @@ def _group_scenes(frames: list[SceneFrame]) -> list[list[SceneFrame]]:
 
 # ---------------------------------------------------------------------------
 # one training step
-
-
-@dataclass
-class _StepResult:
-    report: LossReport
-    grads: np.ndarray  # over all of Model.params, in its layout
 
 
 def _embed(
@@ -289,31 +306,79 @@ def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, out: np.nda
     return embednet.backward(stack, g, cache)[0]
 
 
-def _lane_scratch(run_state: dict, frames: list[FrameData], cfg: TrainConfig) -> list:
-    """Each lane's stack-output scratch: the calling thread's, then the worker's.
+class _Run:
+    """What one ``pretrain`` run carries from step to step; see ``open``.
 
-    Kept under "scratch" in ``run_state``; replaced only when one of
-    ``frames`` has more rows than it.  With ``freeze_2d`` there is no
-    worker, so only the calling thread's.
+    ``worker`` runs each frame's 2D side beside the 3D side (None with
+    ``freeze_2d``).  ``scratch`` is one buffer per lane, this thread's and
+    then the worker's, for each stack output until it is pooled and each
+    pooled gradient until the backward has read it.  ``slots`` holds each
+    trained stack and batch slot's forward cache, whose buffers the next
+    forward in that slot writes over.  ``bank`` is the EMA prototype bank,
+    which a skipped batch leaves as it was; ``grads`` the last step's
+    gradient over all of ``Model.params``; ``vel`` the SGD velocity of
+    ``params``, their trained part.
     """
-    lanes = 1 if cfg.freeze_2d else 2
-    rows = max(len(x) for fd in frames for x in (fd.x2d, fd.x3d))
-    scratch = run_state.get("scratch")
-    if scratch is None or len(scratch) < lanes or len(scratch[0]) < rows:
-        scratch = [np.empty((rows, cfg.embed_dim)) for _ in range(lanes)]
-        run_state["scratch"] = scratch
-    return scratch
+
+    def __init__(self, model: Model, cfg: TrainConfig, frames: list[FrameData], worker):
+        self.worker = worker
+        rows = max(len(x) for fd in frames for x in (fd.x2d, fd.x3d))
+        lanes = 1 if worker is None else 2
+        self.scratch = [np.empty((rows, cfg.embed_dim)) for _ in range(lanes)]
+        self.slots: dict = {}
+        self.rows2d: dict | None = {} if cfg.freeze_2d else None
+        self.bank: protobank.PrototypeBank | None = None
+        self.grads = np.empty_like(model.params)
+        # embed2d's parameters come first, so freeze_2d trains the tail after them
+        self.start = model.embed2d.num_params if cfg.freeze_2d else 0
+        self.params = model.params[self.start :]
+        self.stacks = model.stacks()[1:] if cfg.freeze_2d else model.stacks()
+        self.momentum = cfg.momentum
+        self.vel = np.zeros_like(self.params)
+
+    @classmethod
+    @contextmanager
+    def open(cls, model: Model, cfg: TrainConfig, frames: list[FrameData]):
+        """The run over ``frames``; unless ``freeze_2d``, its 2D worker runs
+        under a cap of one BLAS thread per lane until the run is closed."""
+        if cfg.freeze_2d:
+            yield cls(model, cfg, frames, None)
+            return
+        with blas_threads(1), ThreadPoolExecutor(1, thread_name_prefix="embed2d") as w:
+            yield cls(model, cfg, frames, w)
+
+    def embed2d(self, stack: DenseStack, k: int, fd: FrameData, out: np.ndarray):
+        """Frame ``fd``'s 2D side in batch slot ``k``, as ``_embed`` gives it;
+        with ``freeze_2d``, the rows pooled the first time and no caches."""
+        if self.rows2d is None:
+            return _embed(stack, fd.x2d, fd.groups2d, self.slots, ("2d", k), out)
+        # keyed by identity: the run's FrameData outlive the run
+        if id(fd) not in self.rows2d:
+            rows, valid, _ = _embed(stack, fd.x2d, fd.groups2d, None, None, out)
+            self.rows2d[id(fd)] = rows, valid, None
+        return self.rows2d[id(fd)]
+
+    def sgd(self, lr: float) -> None:
+        """SGD with momentum: apply ``grads`` in place to ``params``."""
+        self.vel *= self.momentum
+        self.vel += self.grads[self.start :]
+        self.params -= lr * self.vel
+        for stack in self.stacks:
+            stack.bump()
 
 
-def _run_beside(worker: ThreadPoolExecutor, tasks: list, own, scratch: list):
+def _run_beside(worker: ThreadPoolExecutor | None, tasks: list, own, scratch: list):
     """Run ``tasks`` on ``worker`` while this thread runs ``own``.
 
     ``scratch`` holds this thread's scratch and the worker's; every task
     and ``own`` is called with the scratch of the thread that runs it.
     Once ``own`` returns, the tasks the worker has not started are taken
-    back one at a time from the tail and run here.  Returns ``own``'s
+    back one at a time from the tail and run here.  With no worker,
+    ``own`` and then the tasks in order run here.  Returns ``own``'s
     result and the tasks' results in task order.
     """
+    if worker is None:
+        return own(scratch[0]), [task(scratch[0]) for task in tasks]
     mine, theirs = scratch
     futures = [worker.submit(task, theirs) for task in tasks]
     try:
@@ -337,59 +402,30 @@ def run_step(
     batch: list[FrameData],
     epoch: int,
     cfg: TrainConfig,
-    run_state: dict,
-) -> _StepResult:
+    run: _Run,
+) -> LossReport:
     """Forward, loss, and backward over one multi-frame batch.
 
-    ``run_state`` is the dict ``pretrain`` keeps for one run: under
-    "worker2d" the one-thread executor that, when the 2D stack is trained,
-    runs each frame's 2D forward and backward beside the 3D side; under
-    "slots" the forward cache of each trained stack and batch slot, whose
-    input and hidden-layer buffers the next step's forward in that slot
-    writes over; under "scratch" one buffer per lane (see
-    ``_lane_scratch``) that takes each stack output until it is pooled and
-    each pooled gradient until the stack's backward has read it; under
-    "grads" the gradient buffer, zeroed and refilled by each step and
-    returned in the result; the EMA prototype bank under "bank", which a
-    skipped batch leaves as it was; with ``freeze_2d``, each frame's pooled
-    2D rows and validity under "rows2d", filled the first time the frame is
-    in a batch (the 2D gradient then stays zero).
-    Gradients are summed on the calling thread in batch order, so the
-    result does not depend on which thread ran a frame.  Raises
-    DegenerateBatchError when the batch has too few valid regions or a raw
-    3D or blended prototype collapses to zero norm.
+    Each frame's 2D side is one task beside the 3D side (``_run_beside``),
+    its backward another, unless ``freeze_2d`` cached its rows.  The
+    gradient is left in ``run.grads``, summed on the calling thread in
+    batch order, so it does not depend on which thread ran a frame.
+    Raises DegenerateBatchError when the batch has too few valid regions
+    or a raw 3D or blended prototype collapses to zero norm.
     """
-    loss_cfg = cfg.loss_config()
-    slots = run_state.setdefault("slots", {})
-    scratch = _lane_scratch(run_state, batch, cfg)
 
     def forward3d(out):
         return [
-            _embed(model.embed3d, fd.x3d, fd.groups3d, slots, ("3d", k), out)
+            _embed(model.embed3d, fd.x3d, fd.groups3d, run.slots, ("3d", k), out)
             for k, fd in enumerate(batch)
         ]
 
-    if cfg.freeze_2d:
-        frozen2d = run_state.setdefault("rows2d", {})
-        for fd in batch:
-            # keyed by identity: the run's FrameData outlive the run_state
-            if id(fd) not in frozen2d:
-                frozen2d[id(fd)] = _embed(
-                    model.embed2d, fd.x2d, fd.groups2d, None, None, scratch[0]
-                )[:2]
-        side2d = [frozen2d[id(fd)] + (None,) for fd in batch]
-        side3d = forward3d(scratch[0])
-    else:
-        worker = run_state["worker2d"]
-        side3d, side2d = _run_beside(
-            worker,
-            [
-                partial(_embed, model.embed2d, fd.x2d, fd.groups2d, slots, ("2d", k))
-                for k, fd in enumerate(batch)
-            ],
-            forward3d,
-            scratch,
-        )
+    side3d, side2d = _run_beside(
+        run.worker,
+        [partial(run.embed2d, model.embed2d, k, fd) for k, fd in enumerate(batch)],
+        forward3d,
+        run.scratch,
+    )
     frame_banks = [
         embednet.make_bank(rows2d, v2d, rows3d, v3d, fd.signs)
         for fd, (rows2d, v2d, _), (rows3d, v3d, _) in zip(batch, side2d, side3d)
@@ -402,22 +438,13 @@ def run_step(
         signs=np.concatenate([b.signs for b in frame_banks]),
     )
 
-    sp = losses.loss_sp(batch_bank, loss_cfg.tau_sp)
+    sp = losses.loss_sp(batch_bank, cfg.tau_sp)
 
-    pro = None
-    bcache = None
-    protos = None
-    if losses.gate_open(epoch, loss_cfg):
-        fresh = protobank.build_prototypes(frame_banks)
-        if cfg.ema:
-            prev = run_state.get("bank")
-            protos = (
-                fresh
-                if prev is None
-                else protobank.ema_update(prev, fresh, cfg.ema_momentum)
-            )
-        else:
-            protos = fresh
+    pro = bcache = None
+    if losses.gate_open(epoch, cfg.lam):
+        protos = protobank.build_prototypes(frame_banks)
+        if run.bank is not None:  # only kept with ema
+            protos = protobank.ema_update(run.bank, protos, cfg.ema_momentum)
         if cfg.proto_mode == "mmpb":
             bcache = blending.blend(protos, model.blend)
         else:
@@ -425,15 +452,13 @@ def run_step(
             if (norms < 1e-12).any():
                 raise DegenerateBatchError("raw 3D prototype collapsed to zero")
             protos.pmix = protos.p3d / norms[:, None]
-        pro = losses.loss_pro(batch_bank, protos, loss_cfg.tau_pro)
+        pro = losses.loss_pro(batch_bank, protos, cfg.tau_pro)
         if cfg.ema:
-            run_state["bank"] = protos  # past every check that skips a batch
+            run.bank = protos  # past every check that skips a batch
 
-    tot = losses.total_loss(epoch, sp, pro, loss_cfg)
+    tot = losses.total_loss(epoch, sp, pro, cfg.lam)
 
-    if "grads" not in run_state:
-        run_state["grads"] = np.empty_like(model.params)
-    grads = run_state["grads"]
+    grads = run.grads
     grads.fill(0.0)
     # embed2d's slice, then embed3d's, then the blending stacks'
     n2d = model.embed2d.num_params
@@ -446,54 +471,27 @@ def run_step(
             grads[n2d:n3d] += _embed_backward(
                 model.embed3d, tot.grad_f3d[r], caches, out
             )
-        if tot.grad_pmix is not None and cfg.proto_mode == "mmpb":
-            assert bcache is not None
+        if bcache is not None:  # the gate is open and prototypes are blended
             grads[n3d:] += blending.blend_backward(tot.grad_pmix, bcache)
 
-    if cfg.freeze_2d:
-        backward3d_and_blend(scratch[0])
-    else:
-        _, grads2d = _run_beside(
-            worker,
-            [
-                partial(_embed_backward, model.embed2d, tot.grad_f2d[r], caches)
-                for r, (_, _, caches) in zip(rows, side2d)
-            ],
-            backward3d_and_blend,
-            scratch,
-        )
-        for g in grads2d:
-            grads[:n2d] += g
-
-    return _StepResult(report=tot.report, grads=grads)
+    _, grads2d = _run_beside(
+        run.worker,
+        [
+            partial(_embed_backward, model.embed2d, tot.grad_f2d[r], caches)
+            for r, (_, _, caches) in zip(rows, side2d)
+            if caches is not None
+        ],
+        backward3d_and_blend,
+        run.scratch,
+    )
+    for g in grads2d:
+        grads[:n2d] += g
+    return tot.report
 
 
 def cosine_lr(base_lr: float, epoch: int, epochs: int) -> float:
     """Per-epoch cosine annealing from base_lr (epoch 1) toward ~0."""
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * (epoch - 1) / epochs))
-
-
-class _Sgd:
-    """SGD with momentum, in place on the trained tail of ``Model.params``.
-
-    embed2d's parameters come first, so ``freeze_2d`` trains the slice
-    after them.
-    """
-
-    def __init__(self, model: Model, cfg: TrainConfig):
-        self.start = model.embed2d.num_params if cfg.freeze_2d else 0
-        self.params = model.params[self.start :]
-        self.stacks = model.stacks()[1:] if cfg.freeze_2d else model.stacks()
-        self.momentum = cfg.momentum
-        self.vel = np.zeros_like(self.params)
-
-    def step(self, grads: np.ndarray, lr: float) -> None:
-        """Apply a step's gradient over all of ``Model.params``."""
-        self.vel *= self.momentum
-        self.vel += grads[self.start :]
-        self.params -= lr * self.vel
-        for stack in self.stacks:
-            stack.bump()
 
 
 def _check_finite(values, epoch: int, step: int, stage: str) -> None:
@@ -530,6 +528,7 @@ def pretrain(
             f"need at least scenes_per_batch={cfg.scenes_per_batch} scenes, "
             f"have {len(scenes)}"
         )
+    check_scene_set(frames)
     if prepared is None:
         prepared = [prepare_frame(f) for f in frames]
     # map scene groups onto prepared FrameData in the same order
@@ -538,20 +537,10 @@ def pretrain(
         [index[id(f)] for f in group[: cfg.frames_per_scene]] for group in scenes
     ]
 
-    feat_dim = frames[0].pixel_features.shape[3]
-    model = init_model(feat_dim, cfg.embed_dim, cfg.seed)
-    opt = _Sgd(model, cfg)
+    model = init_model(frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
     metrics = [losses.CSV_HEADER]
     step = 0
-    # the executor starts its thread on the first submit: none with
-    # freeze_2d.  While it runs, one BLAS thread per lane fills the cores.
-    with (
-        nullcontext() if cfg.freeze_2d else blas_threads(1),
-        ThreadPoolExecutor(1, thread_name_prefix="embed2d") as worker,
-    ):
-        run_state: dict = {"worker2d": worker}
-        # sized once, to the largest frame of the run
-        _lane_scratch(run_state, [fd for group in scene_data for fd in group], cfg)
+    with _Run.open(model, cfg, [fd for group in scene_data for fd in group]) as run:
         for epoch in range(1, cfg.epochs + 1):
             lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
             order = _rng(cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(scene_data))
@@ -561,7 +550,7 @@ def pretrain(
                 chosen = order[b * cfg.scenes_per_batch : (b + 1) * cfg.scenes_per_batch]
                 batch = [fd for s in chosen for fd in scene_data[s]]
                 try:
-                    result = run_step(model, batch, epoch, cfg, run_state)
+                    report = run_step(model, batch, epoch, cfg, run)
                 except DegenerateBatchError as err:
                     print(
                         f"warning: skipping batch {b} of epoch {epoch}: {err}",
@@ -569,11 +558,11 @@ def pretrain(
                     )
                     continue
                 step += 1
-                _check_finite(astuple(result.report), epoch, step, "loss")
-                opt.step(result.grads, lr)
-                _check_finite([opt.params], epoch, step, "sgd update")
+                _check_finite(astuple(report), epoch, step, "loss")
+                run.sgd(lr)
+                _check_finite([run.params], epoch, step, "sgd update")
                 stepped += 1
-                metrics.append(losses.csv_row(step, epoch, result.report))
+                metrics.append(losses.csv_row(step, epoch, report))
             if n_batches > 0 and stepped == 0:
                 raise TrainingError(f"every batch of epoch {epoch} was degenerate")
 
@@ -676,6 +665,7 @@ def linear_probe(model: Model, frames: list[SceneFrame], cfg: TrainConfig) -> Pr
     """Probe the frozen 3D embedding on a seeded label subset."""
     cfg.validate()
     train_frames, test_frames = probe_split(frames)
+    check_scene_set(frames)
     n = sum(len(f.points) for f in train_frames)
     n_lab = int(round(cfg.probe_fraction * n))
     if n_lab == 0:
@@ -955,13 +945,14 @@ def run_ablation(
     base_cfg: TrainConfig,
     seeds: list[int],
     prepared: list[FrameData] | None = None,
+    arms=ARMS,
 ) -> list[tuple[str, int, float]]:
-    """Train all three arms per seed; rows of (arm, seed, probe accuracy)."""
+    """Train the arms per seed; rows of (arm, seed, probe accuracy)."""
     if prepared is None:
         prepared = [prepare_frame(f) for f in frames]
     rows = []
     for seed in seeds:
-        for arm in ARMS:
+        for arm in arms:
             cfg = replace(arm_config(base_cfg, arm), seed=seed)
             result = pretrain(frames, cfg, out_dir=None, prepared=prepared)
             acc = linear_probe(result.model, frames, cfg).mean_accuracy

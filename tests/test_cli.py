@@ -6,7 +6,9 @@ import shutil
 import numpy as np
 import pytest
 
+import scenecontrast.trainer as trainer
 from scenecontrast.cli import main
+from scenecontrast.errors import ConfigurationError
 from scenecontrast.scenegen import read_scene, write_scene
 from scenecontrast.trainer import load_model, save_model
 
@@ -220,6 +222,56 @@ def test_probe_rejects_non_finite_checkpoint(ckpt_dir, scene_dir, cfg_file, tmp_
     )
     assert code != 0
     assert "checkpoint stack 1, layer 1: non-finite parameters" in capsys.readouterr().err
+
+
+def test_probe_names_a_mismatched_checkpoint_field(ckpt_dir, scene_dir, tmp_path, capsys):
+    cfg = tmp_path / "c16.txt"
+    cfg.write_text(CFG_TEXT + "embed_dim = 16\n")
+    ckpt = ckpt_dir / "checkpoint.cscw"
+    code = main(
+        ["probe", "--ckpt", str(ckpt), "--scenes", str(scene_dir), "--config", str(cfg)]
+    )
+    assert code == 1
+    assert f"error: {ckpt}: checkpoint embed_dim is 12, not 16" in capsys.readouterr().err
+    feat_dim = read_scene(sorted(scene_dir.glob("*.cscs"))[0]).pixel_features.shape[3]
+    with pytest.raises(ConfigurationError, match="checkpoint pixel feature width is"):
+        load_model(ckpt, feat_dim + 1, embed_dim=12)
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        ("probe --ckpt {missing} --scenes {scenes} --config {cfg}", "{missing}"),
+        ("pretrain --config {missing} --scenes {scenes} --out {out}", "{missing}"),
+        ("gen-scenes --count 1 --out {file}/x", "{file}"),
+        ("pretrain --scenes {scenes} --config {cfg} --out {file}", "{file}"),
+        ("probe --ckpt {ckpt} --scenes {scenes} --config {cfg} --out {file}", "{file}"),
+        ("ablate --scenes {scenes} --config {cfg} --arm sp --out {file}", "{file}"),
+    ],
+    ids=["probe-ckpt", "pretrain-config", "gen-out-under-file", "pretrain-out",
+         "probe-out", "ablate-out"],
+)
+def test_unusable_path_flags_exit_1(
+    scene_dir, ckpt_dir, cfg_file, tmp_path, capsys, monkeypatch, argv, named
+):
+    steps = []
+    real_run_step = trainer.run_step
+
+    def run_step_(*args):
+        steps.append(args)
+        return real_run_step(*args)
+
+    monkeypatch.setattr(trainer, "run_step", run_step_)
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    paths = dict(missing=tmp_path / "missing", scenes=scene_dir, out=tmp_path / "o",
+                 file=file, ckpt=ckpt_dir / "checkpoint.cscw", cfg=cfg_file)
+    assert main(argv.format(**paths).split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named.format(**paths) in err
+    assert steps == []
+    assert file.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_gradcheck_exits_0(capsys):

@@ -19,7 +19,6 @@ from scenecontrast.errors import (
 )
 from scenecontrast.losses import (
     CSV_HEADER,
-    LossConfig,
     LossReport,
     csv_row,
     gate_open,
@@ -225,17 +224,16 @@ def test_bad_temperatures(rng):
 
 
 def test_gate_strictly_after_lam():
-    cfg = LossConfig(lam=5)
-    assert [gate_open(e, cfg) for e in (1, 4, 5, 6, 7)] == [
+    assert [gate_open(e, 5) for e in (1, 4, 5, 6, 7)] == [
         False, False, False, True, True,
     ]
-    assert gate_open(1, LossConfig(lam=0)) is True
+    assert gate_open(1, 0) is True
 
 
 def test_total_closed_gate(rng):
     bank = random_bank(rng)
     sp = loss_sp(bank, 0.07)
-    out = total_loss(3, sp, None, LossConfig(lam=5))
+    out = total_loss(3, sp, None, 5)
     assert out.report.gate == 0
     assert out.report.loss_pro == 0.0
     assert out.report.total == sp.value
@@ -247,7 +245,7 @@ def test_total_open_gate_sums(rng):
     protos = proto_bank_from(unit_rows(rng, 3, 5))
     sp = loss_sp(bank, 0.07)
     pro = loss_pro(bank, protos, 1.0)
-    out = total_loss(6, sp, pro, LossConfig(lam=5))
+    out = total_loss(6, sp, pro, 5)
     assert out.report.gate == 1
     assert abs(out.report.total - (sp.value + pro.value)) < 1e-12
     assert np.allclose(out.grad_f3d, sp.grad_f3d + pro.grad_f3d, atol=1e-15)
@@ -259,13 +257,12 @@ def test_total_contract_enforced(rng):
     protos = proto_bank_from(unit_rows(rng, 3, 5))
     sp = loss_sp(bank, 0.07)
     pro = loss_pro(bank, protos, 1.0)
-    cfg = LossConfig(lam=5)
     with pytest.raises(ContractViolationError):
-        total_loss(3, sp, pro, cfg)  # gate closed, pro computed anyway
+        total_loss(3, sp, pro, 5)  # gate closed, pro computed anyway
     with pytest.raises(ContractViolationError):
-        total_loss(6, sp, None, cfg)  # gate open, pro missing
+        total_loss(6, sp, None, 5)  # gate open, pro missing
     with pytest.raises(ConfigurationError):
-        total_loss(0, sp, None, cfg)
+        total_loss(0, sp, None, 5)
 
 
 def test_csv_row_format():
@@ -281,6 +278,6 @@ def test_csv_row_format():
 def test_csv_row_roundtrips_floats(rng):
     bank = random_bank(rng)
     sp = loss_sp(bank, 0.07)
-    out = total_loss(1, sp, None, LossConfig(lam=5))
+    out = total_loss(1, sp, None, 5)
     fields = csv_row(0, 1, out.report).split(",")
     assert float(fields[3]) == out.report.loss_sp  # repr() is lossless

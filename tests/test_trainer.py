@@ -21,6 +21,7 @@ from scenecontrast.errors import (
     TrainingError,
 )
 from scenecontrast.losses import CSV_HEADER
+from scenecontrast.scenegen import SceneGeometry, SemanticOracleConfig, generate_scene
 from scenecontrast.trainer import (
     ARMS,
     TrainConfig,
@@ -109,6 +110,19 @@ def test_validate_rejects_bad_fields():
         with pytest.raises(ConfigurationError):
             TrainConfig(**kw).validate()
     TrainConfig(lr=0.0).validate()  # frozen dynamics are legal
+
+
+@pytest.mark.parametrize(
+    "kw,message",
+    [
+        (dict(tau_sp=0.0), "temperatures must be positive"),
+        (dict(tau_pro=-1.0), "temperatures must be positive"),
+        (dict(lam=-1), "lam must be >= 0"),
+    ],
+)
+def test_loss_fields_name_their_check(kw, message):
+    with pytest.raises(ConfigurationError, match=message):
+        TrainConfig(**kw).validate()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -223,6 +237,23 @@ def test_training_reduces_sp_loss(small_frames, prepared):
     assert last_epoch < first_epoch
 
 
+def test_library_calls_reject_a_mixed_scene_set(small_frames):
+    nine = generate_scene(
+        103,
+        SemanticOracleConfig(num_classes=9, objects_per_scene=5),
+        SceneGeometry(num_points=384, height=32, width=32),
+        scene_id=3,
+    )
+    frames = small_frames[:3] + [nine]
+    cfg = TrainConfig(epochs=1, scenes_per_batch=2, embed_dim=16)
+    model = init_model(nine.pixel_features.shape[3], cfg.embed_dim, cfg.seed)
+    message = "frame 3: num_classes is 9, but 6 in frame 0"
+    with pytest.raises(ConfigurationError, match=message):
+        pretrain(frames, cfg)
+    with pytest.raises(ConfigurationError, match=message):
+        linear_probe(model, frames, cfg)
+
+
 def test_too_few_scenes_rejected(small_frames):
     cfg = TrainConfig(scenes_per_batch=8)
     with pytest.raises(ConfigurationError, match="scenes_per_batch"):
@@ -310,15 +341,14 @@ def test_skipped_batch_leaves_the_ema_bank(small_frames, prepared, monkeypatch):
     def collapsing(bank, params):
         raise DegenerateBatchError("fused prototype collapsed to zero norm")
 
-    with ThreadPoolExecutor(1) as worker:
-        run_state = {"worker2d": worker}
-        trainer.run_step(model, prepared[:3], 1, cfg, run_state)
-        bank = run_state["bank"]
+    with trainer._Run.open(model, cfg, prepared) as run:
+        trainer.run_step(model, prepared[:3], 1, cfg, run)
+        bank = run.bank
         saved = copy.deepcopy(bank)
         monkeypatch.setattr(trainer.blending, "blend", collapsing)
         with pytest.raises(DegenerateBatchError):
-            trainer.run_step(model, prepared[3:], 1, cfg, run_state)
-    assert run_state["bank"] is bank
+            trainer.run_step(model, prepared[3:], 1, cfg, run)
+    assert run.bank is bank
     for name in ("class_ids", "p2d", "p3d", "counts"):
         assert getattr(bank, name).tobytes() == getattr(saved, name).tobytes()
 
@@ -522,14 +552,14 @@ def test_frozen_2d_matches_dropping_the_2d_update(
     init2d = init_model(feat_dim, cfg.embed_dim, cfg.seed).embed2d
 
     # oracle: the unfrozen step, with the 2D gradients zeroed before SGD
-    real_step = trainer._Sgd.step
+    real_sgd = trainer._Run.sgd
 
-    def step_without_2d(self, grads, lr):
-        grads[: init2d.num_params] = 0.0  # embed2d comes first in the buffer
-        real_step(self, grads, lr)
+    def sgd_without_2d(self, lr):
+        self.grads[: init2d.num_params] = 0.0  # embed2d comes first in the buffer
+        real_sgd(self, lr)
 
     with monkeypatch.context() as m:
-        m.setattr(trainer._Sgd, "step", step_without_2d)
+        m.setattr(trainer._Run, "sgd", sgd_without_2d)
         ref = pretrain(
             small_frames,
             replace(cfg, freeze_2d=False),
@@ -673,6 +703,22 @@ def test_2d_thread_does_not_change_outputs(
     assert res.checkpoint_path.read_bytes() == trained.checkpoint_path.read_bytes()
 
 
+def test_run_beside_without_a_worker_runs_here_in_order():
+    calls, scratch = [], [object()]
+
+    def task(name):
+        def run(out):
+            calls.append((name, threading.current_thread(), out))
+            return name
+
+        return run
+
+    got = trainer._run_beside(None, [task("a"), task("b")], task("own"), scratch)
+    assert got == ("own", ["a", "b"])
+    here = threading.current_thread()
+    assert calls == [(name, here, scratch[0]) for name in ("own", "a", "b")]
+
+
 def test_frozen_2d_starts_no_thread(small_frames, prepared, monkeypatch):
     submitted, alive = [], []
     real_submit, real_run_step = ThreadPoolExecutor.submit, trainer.run_step
@@ -775,11 +821,10 @@ def test_run_state_buffers_add_up(small_frames, prepared):
     # outputs; one stack-output scratch per lane, sized to the largest frame
     feat_dim = small_frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, CFG.embed_dim, CFG.seed)
-    with ThreadPoolExecutor(1) as worker:
-        run_state = {"worker2d": worker}
+    with trainer._Run.open(model, CFG, prepared) as run:
         for batch in (prepared[:3], prepared[3:]):
-            trainer.run_step(model, batch, CFG.lam + 1, CFG, run_state)
-    caches, scratch = run_state["slots"], run_state["scratch"]
+            trainer.run_step(model, batch, CFG.lam + 1, CFG, run)
+    caches, scratch = run.slots, run.scratch
     assert sorted(caches) == [(side, k) for side in ("2d", "3d") for k in range(3)]
     arrays = [a for c in caches.values() for a in [c.inputs, *c.acts]] + scratch
     assert not any(
@@ -803,13 +848,12 @@ def test_trained_step_allocates_no_activation_arrays(small_frames, prepared):
         a.nbytes for a in embednet.forward(model.embed2d, prepared[0].x2d)[1].acts
     )
     epoch = CFG.lam + 1  # gate open: prototypes and blending run too
-    with ThreadPoolExecutor(1) as worker:
-        run_state = {"worker2d": worker}
-        trainer.run_step(model, prepared[:3], epoch, CFG, run_state)
+    with trainer._Run.open(model, CFG, prepared) as run:
+        trainer.run_step(model, prepared[:3], epoch, CFG, run)
         # numpy reports its buffers to tracemalloc
         tracemalloc.start()
         try:
-            trainer.run_step(model, prepared[3:], epoch, CFG, run_state)
+            trainer.run_step(model, prepared[3:], epoch, CFG, run)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
