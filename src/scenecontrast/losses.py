@@ -131,15 +131,12 @@ def loss_pro(
     m = len(vidx)
     if m == 0:
         raise DegenerateBatchError("no valid region for the prototype loss")
-    pos = np.empty(m, dtype=np.int64)
-    for i, q in enumerate(vidx):
-        row = protos.row_of(int(bank.signs[q]))
-        if row is None:
-            raise MissingClassError(
-                f"class {int(bank.signs[q])} has no prototype",
-                int(bank.signs[q]),
-            )
-        pos[i] = row
+    signs = bank.signs[vidx]
+    missing = ~np.isin(signs, protos.class_ids)
+    if missing.any():
+        t = int(signs[np.argmax(missing)])  # the first missing row's class
+        raise MissingClassError(f"class {t} has no prototype", t)
+    pos = np.searchsorted(protos.class_ids, signs)  # class_ids ascend
     a3 = bank.f3d[vidx]
     logits = a3 @ protos.pmix.T / tau_pro  # (m, C)
     p = _row_softmax(logits)
@@ -177,7 +174,9 @@ def total_loss(
 
     The caller must pass ``pro=None`` exactly when the gate is closed:
     supplying it anyway means it was computed for nothing, and omitting it
-    with the gate open would silently drop the term; both are bugs.
+    with the gate open would silently drop the term; both are bugs.  With
+    the gate closed the report's ``loss_pro`` is 0.0, ``total`` is the
+    paired term alone and there is no prototype gradient.
     """
     if epoch < 1:
         raise ConfigurationError("epochs are numbered from 1")
@@ -186,33 +185,17 @@ def total_loss(
         raise ContractViolationError("gate open but no prototype loss supplied")
     if not gate and pro is not None:
         raise ContractViolationError("gate closed but a prototype loss was computed")
-    if gate:
-        assert pro is not None
-        report = LossReport(
-            loss_sp=sp.value,
-            loss_pro=pro.value,
-            total=sp.value + pro.value,
-            gate=1,
-            mean_pos_sim=sp.mean_pos_sim,
-            mean_negmax_sim=sp.mean_negmax_sim,
-        )
-        return TotalResult(
-            report=report,
-            grad_f3d=sp.grad_f3d + pro.grad_f3d,
-            grad_f2d=sp.grad_f2d,
-            grad_pmix=pro.grad_pmix,
-        )
     report = LossReport(
         loss_sp=sp.value,
-        loss_pro=0.0,
-        total=sp.value,
-        gate=0,
+        loss_pro=0.0 if pro is None else pro.value,
+        total=sp.value if pro is None else sp.value + pro.value,
+        gate=int(gate),
         mean_pos_sim=sp.mean_pos_sim,
         mean_negmax_sim=sp.mean_negmax_sim,
     )
     return TotalResult(
         report=report,
-        grad_f3d=sp.grad_f3d,
+        grad_f3d=sp.grad_f3d if pro is None else sp.grad_f3d + pro.grad_f3d,
         grad_f2d=sp.grad_f2d,
-        grad_pmix=None,
+        grad_pmix=None if pro is None else pro.grad_pmix,
     )

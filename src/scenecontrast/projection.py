@@ -4,7 +4,10 @@
 point is projected into every camera, claimed by the lowest-index camera
 with a valid projection, and grouped under the superpixel covering its
 pixel there.  Superpixel ids are global across cameras (camera 0's ids
-first, then camera 1 shifted, and so on).
+first, then camera 1 shifted, and so on).  Points are grouped by
+superpixel, and each camera's pixels by local id, with one stable sort
+and split each, so the indices inside a superpixel ascend.  The trainer
+turns each superpixel into one row of the step's embedding bank.
 """
 
 from __future__ import annotations
@@ -74,12 +77,23 @@ def _majority_sign(class_values: np.ndarray) -> int:
     return int(np.argmax(counts))
 
 
+def _groups(keys: np.ndarray, items: np.ndarray, n: int) -> list[np.ndarray]:
+    """``items`` split by ``keys`` into groups 0..n-1, each in ``items`` order.
+
+    Every key must lie in [0, n); a key no item carries gets an empty group.
+    """
+    order = np.argsort(keys, kind="stable")
+    bounds = np.cumsum(np.bincount(keys, minlength=n))[:-1]
+    return np.split(items[order], bounds)[:n]  # split gives one group at n == 0
+
+
 def build_associations(frame: SceneFrame) -> AssociationTable:
     """Associate every point with at most one superpixel across all cameras.
 
     The lowest-index camera with a valid projection claims the point; a
     point whose claimed pixel carries no superpixel is dropped outright.
     Superpixels that end up with no points are kept, with no point indices.
+    Point and pixel indices are ascending inside each superpixel.
     """
     k = frame.num_points
     l = frame.num_cameras
@@ -111,38 +125,22 @@ def build_associations(frame: SceneFrame) -> AssociationTable:
     landed = local != UNASSIGNED
     claimed_q[idx[landed]] = offsets[cam_of[landed]] + local[landed].astype(np.int64)
 
-    # group point indices by global superpixel id, ascending inside a group
-    total_q = int(offsets[-1])
-    members: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * total_q
     got = np.flatnonzero(claimed_q >= 0)
-    order = np.lexsort((got, claimed_q[got]))
-    sorted_pts = got[order]
-    sorted_q = claimed_q[got][order]
-    starts = np.searchsorted(sorted_q, np.arange(total_q))
-    ends = np.searchsorted(sorted_q, np.arange(total_q), side="right")
-    for q in range(total_q):
-        members[q] = sorted_pts[starts[q] : ends[q]]
+    members = _groups(claimed_q[got], got, int(offsets[-1]))
 
     superpixels: list[Superpixel] = []
     for c in range(l):
-        spix = frame.superpixel_raster[c].reshape(-1)
+        spix = spix_flat[c]
         sem = frame.semantic_raster[c].reshape(-1)
-        assigned = spix != UNASSIGNED
-        flat_idx = np.flatnonzero(assigned)
-        by_id = np.argsort(spix[flat_idx], kind="stable")
-        ordered = flat_idx[by_id]
-        ids = spix[ordered]
-        starts_c = np.searchsorted(ids, np.arange(q_cam[c]))
-        ends_c = np.searchsorted(ids, np.arange(q_cam[c]), side="right")
-        for local_id in range(q_cam[c]):
-            pix = ordered[starts_c[local_id] : ends_c[local_id]]
-            g = int(offsets[c]) + local_id
+        flat_idx = np.flatnonzero(spix != UNASSIGNED)
+        pixels = _groups(spix[flat_idx], flat_idx, q_cam[c])
+        for local_id, pix in enumerate(pixels):
             superpixels.append(
                 Superpixel(
                     camera=c,
                     local_id=local_id,
-                    pixel_indices=np.sort(pix),
-                    point_indices=members[g],
+                    pixel_indices=pix,
+                    point_indices=members[int(offsets[c]) + local_id],
                     semantic_sign=_majority_sign(sem[pix]) if pix.size else 0,
                 )
             )

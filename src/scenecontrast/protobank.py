@@ -1,10 +1,13 @@
 """Cross-scene semantic prototypes: per-class means of pooled embeddings.
 
 A prototype is the arithmetic mean of every valid region embedding sharing
-one semantic sign, accumulated across all frames handed in (that is what
-makes the consistency scene-level rather than frame-level).  Means are
-taken over the stored unit-norm rows and are NOT re-normalized here; the
-blending stage decides what to do with them.
+one semantic sign, accumulated across every bank handed in.  The trainer
+hands in one bank per step, holding the regions of all the step's frames
+and so of several scenes (that is what makes the consistency scene-level
+rather than frame-level).  Means are taken over the stored unit-norm rows
+and are NOT re-normalized here; the blending stage decides what to do
+with them.  ``class_ids`` ascend, so a class's row is found with
+``np.searchsorted``, here and in the prototype loss.
 
 Prototype construction is non-differentiable by decision: gradients never
 flow from losses into the contributing embeddings through a prototype,
@@ -41,56 +44,41 @@ class PrototypeBank:
     def num_classes(self) -> int:
         return len(self.class_ids)
 
-    def row_of(self, class_id: int) -> int | None:
-        pos = int(np.searchsorted(self.class_ids, class_id))
-        if pos < len(self.class_ids) and self.class_ids[pos] == class_id:
-            return pos
-        return None
-
 
 def build_prototypes(banks: list[EmbeddingBank]) -> PrototypeBank:
     """Mean embeddings per semantic sign over every valid region of ``banks``.
 
-    Regions are accumulated frame by frame, region index ascending, so the
-    result is bit-deterministic.  Only valid regions count, and each
-    carries both sides, so every present class has both prototypes.
+    The banks' rows are grouped by sign with one ``np.unique`` and summed
+    with ``np.add.at``, which adds one row at a time in bank order (bank
+    by bank, region index ascending), so the result is bit-deterministic
+    and does not depend on how the same rows are split into banks.  Only
+    valid regions count, and each carries both sides, so every present
+    class has both prototypes.
     """
     if not banks:
         raise EmptyBankError("no embedding banks given")
     d = banks[0].f2d.shape[1]
-    sums2d: dict[int, np.ndarray] = {}
-    sums3d: dict[int, np.ndarray] = {}
-    n: dict[int, int] = {}
-    for bank in banks:
-        if bank.f2d.shape[1] != d:
-            raise ShapeError("embedding dimension differs across banks")
-        for q in range(len(bank.valid)):
-            if not bank.valid[q]:
-                continue
-            t = int(bank.signs[q])
-            if t not in sums2d:
-                sums2d[t] = np.zeros(d)
-                sums3d[t] = np.zeros(d)
-                n[t] = 0
-            sums2d[t] += bank.f2d[q]
-            sums3d[t] += bank.f3d[q]
-            n[t] += 1
-    present = sorted(sums2d)
-    if not present:
+    if any(bank.f2d.shape[1] != d for bank in banks):
+        raise ShapeError("embedding dimension differs across banks")
+    valid = np.concatenate([bank.valid for bank in banks])
+    if not valid.any():
         raise EmptyBankError("no valid region in any bank")
-    c = len(present)
-    p2d = np.empty((c, d))
-    p3d = np.empty((c, d))
-    counts = np.empty(c, dtype=np.int64)
-    for i, t in enumerate(present):
-        p2d[i] = sums2d[t] / n[t]
-        p3d[i] = sums3d[t] / n[t]
-        counts[i] = n[t]
+    signs = np.concatenate([bank.signs for bank in banks])[valid]
+    class_ids, inverse, counts = np.unique(
+        signs, return_inverse=True, return_counts=True
+    )
+
+    def means(side: str) -> np.ndarray:
+        rows = np.concatenate([getattr(bank, side) for bank in banks])[valid]
+        sums = np.zeros((len(class_ids), d))
+        np.add.at(sums, inverse, rows)
+        return sums / counts[:, None]
+
     return PrototypeBank(
-        class_ids=np.array(present, dtype=np.int64),
-        p2d=p2d,
-        p3d=p3d,
-        counts=counts,
+        class_ids=class_ids.astype(np.int64),
+        p2d=means("f2d"),
+        p3d=means("f3d"),
+        counts=counts.astype(np.int64),
     )
 
 
@@ -101,28 +89,27 @@ def ema_update(
     if not (0.0 <= momentum < 1.0):
         raise ShapeError(f"momentum {momentum} outside [0,1)")
     ids = np.union1d(old.class_ids, fresh.class_ids)
-    d = old.p2d.shape[1]
-    p2d = np.empty((len(ids), d))
-    p3d = np.empty((len(ids), d))
-    counts = np.empty(len(ids), dtype=np.int64)
-    for i, t in enumerate(ids):
-        o = old.row_of(int(t))
-        f = fresh.row_of(int(t))
-        if o is not None and f is not None:
-            p2d[i] = momentum * old.p2d[o] + (1.0 - momentum) * fresh.p2d[f]
-            p3d[i] = momentum * old.p3d[o] + (1.0 - momentum) * fresh.p3d[f]
-            counts[i] = fresh.counts[f]
-        elif f is not None:
-            p2d[i] = fresh.p2d[f]
-            p3d[i] = fresh.p3d[f]
-            counts[i] = fresh.counts[f]
-        else:
-            p2d[i] = old.p2d[o]
-            p3d[i] = old.p3d[o]
-            counts[i] = old.counts[o]
+    # rows of the union table that each bank's rows land on
+    at_old = np.searchsorted(ids, old.class_ids)
+    at_fresh = np.searchsorted(ids, fresh.class_ids)
+    _, so, sf = np.intersect1d(
+        old.class_ids, fresh.class_ids, assume_unique=True, return_indices=True
+    )
+
+    def union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.empty((len(ids),) + a.shape[1:], dtype=a.dtype)
+        out[at_old] = a
+        out[at_fresh] = b
+        return out
+
+    p2d = union(old.p2d, fresh.p2d)
+    p3d = union(old.p3d, fresh.p3d)
+    shared = at_old[so]
+    p2d[shared] = momentum * old.p2d[so] + (1.0 - momentum) * fresh.p2d[sf]
+    p3d[shared] = momentum * old.p3d[so] + (1.0 - momentum) * fresh.p3d[sf]
     return PrototypeBank(
         class_ids=ids.astype(np.int64),
         p2d=p2d,
         p3d=p3d,
-        counts=counts,
+        counts=union(old.counts, fresh.counts).astype(np.int64),
     )

@@ -1,9 +1,11 @@
 """Deterministic pre-training loop, linear probe, and gradient checker.
 
 One step: embed all pixels and points of a multi-scene batch, pool per
-region, compute the paired contrastive term over the whole batch (so
-negatives cross frames), and, once the epoch gate opens, build cross-scene
-prototypes, blend them, and add the prototype term.  Updates are plain SGD
+region, and join every frame's rows, frame by frame, into one embedding
+bank.  Over that bank it computes the paired contrastive term (so
+negatives cross frames), and, once the epoch gate opens, builds
+cross-scene prototypes, blends them, and adds the prototype term; each
+frame's gradient is then one slice of the bank's.  Updates are plain SGD
 with momentum under a per-epoch cosine learning-rate schedule.  With
 ``freeze_2d`` the 2D stack is a constant: each frame's pooled 2D rows are
 computed once per run, and neither the 2D backward nor a 2D update is run.
@@ -408,8 +410,10 @@ def run_step(
 
     Each frame's 2D side is one task beside the 3D side (``_run_beside``),
     its backward another, unless ``freeze_2d`` cached its rows.  The
-    gradient is left in ``run.grads``, summed on the calling thread in
-    batch order, so it does not depend on which thread ran a frame.
+    frames' pooled rows make one ``EmbeddingBank``, which both losses and
+    the prototypes read.  The gradient is left in ``run.grads``, summed on
+    the calling thread in batch order, so it does not depend on which
+    thread ran a frame.
     Raises DegenerateBatchError when the batch has too few valid regions
     or a raw 3D or blended prototype collapses to zero norm.
     """
@@ -426,23 +430,22 @@ def run_step(
         forward3d,
         run.scratch,
     )
-    frame_banks = [
-        embednet.make_bank(rows2d, v2d, rows3d, v3d, fd.signs)
-        for fd, (rows2d, v2d, _), (rows3d, v3d, _) in zip(batch, side2d, side3d)
-    ]
-
-    batch_bank = EmbeddingBank(
-        f2d=np.concatenate([b.f2d for b in frame_banks]),
-        f3d=np.concatenate([b.f3d for b in frame_banks]),
-        valid=np.concatenate([b.valid for b in frame_banks]),
-        signs=np.concatenate([b.signs for b in frame_banks]),
+    # one bank over the batch's regions: frame by frame, region index ascending
+    rows2d, valid2d, _ = zip(*side2d)
+    rows3d, valid3d, _ = zip(*side3d)
+    batch_bank = embednet.make_bank(
+        np.concatenate(rows2d),
+        np.concatenate(valid2d),
+        np.concatenate(rows3d),
+        np.concatenate(valid3d),
+        np.concatenate([fd.signs for fd in batch]),
     )
 
     sp = losses.loss_sp(batch_bank, cfg.tau_sp)
 
     pro = bcache = None
     if losses.gate_open(epoch, cfg.lam):
-        protos = protobank.build_prototypes(frame_banks)
+        protos = protobank.build_prototypes([batch_bank])
         if run.bank is not None:  # only kept with ema
             protos = protobank.ema_update(run.bank, protos, cfg.ema_momentum)
         if cfg.proto_mode == "mmpb":
@@ -529,6 +532,9 @@ def pretrain(
             f"have {len(scenes)}"
         )
     check_scene_set(frames)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)  # fails here, before any step
     if prepared is None:
         prepared = [prepare_frame(f) for f in frames]
     # map scene groups onto prepared FrameData in the same order
@@ -568,9 +574,7 @@ def pretrain(
 
     metrics_path = None
     ckpt_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         metrics_path = out / "metrics.csv"
         metrics_path.write_text("\n".join(metrics) + "\n")
         ckpt_path = out / "checkpoint.cscw"

@@ -6,6 +6,9 @@ code and compare against the package's analytic gradients.  The pinhole,
 region-labelling and point-label oracles stand in for scalar code the
 package does not carry, ``scene_bytes`` for a frame equality, and
 ``full_embed_probe`` for the probe that embeds only its labelled rows.
+``loop_prototypes`` and ``loop_ema`` are the per-region and per-class
+loops that the package's array group-bys replaced; they must agree bit
+for bit.
 """
 
 import tempfile
@@ -16,6 +19,7 @@ import numpy as np
 from scenecontrast import trainer
 from scenecontrast.embednet import forward, layer_views
 from scenecontrast.projection import project_points
+from scenecontrast.protobank import PrototypeBank
 from scenecontrast.scenegen import UNASSIGNED, write_scene
 
 H = 1e-5
@@ -159,4 +163,68 @@ def full_embed_probe(model, frames, cfg):
     return trainer.fit_linear_probe(
         z_train[chosen], y_train[chosen], z_test, y_test, frames[0].num_classes,
         epochs=cfg.probe_epochs,
+    )
+
+
+def row_of(bank: PrototypeBank, class_id: int) -> int | None:
+    """Row of ``class_id`` in a prototype bank, or None when it is absent."""
+    hits = np.flatnonzero(bank.class_ids == class_id)
+    return int(hits[0]) if hits.size else None
+
+
+def loop_prototypes(banks) -> PrototypeBank:
+    """``build_prototypes`` as a dict loop over regions, bank by bank.
+
+    Each class's sums start at zero and take one valid row at a time in
+    bank order, region index ascending.
+    """
+    d = banks[0].f2d.shape[1]
+    sums2d: dict[int, np.ndarray] = {}
+    sums3d: dict[int, np.ndarray] = {}
+    n: dict[int, int] = {}
+    for bank in banks:
+        for q in range(len(bank.valid)):
+            if not bank.valid[q]:
+                continue
+            t = int(bank.signs[q])
+            if t not in sums2d:
+                sums2d[t] = np.zeros(d)
+                sums3d[t] = np.zeros(d)
+                n[t] = 0
+            sums2d[t] += bank.f2d[q]
+            sums3d[t] += bank.f3d[q]
+            n[t] += 1
+    present = sorted(sums2d)
+    return PrototypeBank(
+        class_ids=np.array(present, dtype=np.int64),
+        p2d=np.array([sums2d[t] / n[t] for t in present]),
+        p3d=np.array([sums3d[t] / n[t] for t in present]),
+        counts=np.array([n[t] for t in present], dtype=np.int64),
+    )
+
+
+def loop_ema(old: PrototypeBank, fresh: PrototypeBank, momentum: float):
+    """``ema_update`` as a loop over the union of classes."""
+    ids = np.union1d(old.class_ids, fresh.class_ids)
+    d = old.p2d.shape[1]
+    p2d = np.empty((len(ids), d))
+    p3d = np.empty((len(ids), d))
+    counts = np.empty(len(ids), dtype=np.int64)
+    for i, t in enumerate(ids):
+        o = row_of(old, int(t))
+        f = row_of(fresh, int(t))
+        if o is not None and f is not None:
+            p2d[i] = momentum * old.p2d[o] + (1.0 - momentum) * fresh.p2d[f]
+            p3d[i] = momentum * old.p3d[o] + (1.0 - momentum) * fresh.p3d[f]
+            counts[i] = fresh.counts[f]
+        elif f is not None:
+            p2d[i] = fresh.p2d[f]
+            p3d[i] = fresh.p3d[f]
+            counts[i] = fresh.counts[f]
+        else:
+            p2d[i] = old.p2d[o]
+            p3d[i] = old.p3d[o]
+            counts[i] = old.counts[o]
+    return PrototypeBank(
+        class_ids=ids.astype(np.int64), p2d=p2d, p3d=p3d, counts=counts
     )

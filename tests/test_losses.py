@@ -203,6 +203,27 @@ def test_pro_missing_class_named(rng):
     assert "9" in str(err.value)
 
 
+def test_pro_names_the_first_missing_row_class(rng):
+    """The missing class is in neither the first valid row nor the first row."""
+    bank = random_bank(rng, q=5, num_classes=3)
+    bank.valid[0] = False
+    bank.signs[:] = [8, 1, 2, 7, 6]  # row 0 is invalid, so 7 is the first miss
+    with pytest.raises(MissingClassError) as err:
+        loss_pro(bank, proto_bank_from(np.eye(3)), 1.0)
+    assert err.value.class_id == 7
+    assert "class 7 " in str(err.value)
+
+
+def test_pro_with_an_empty_prototype_table(rng):
+    bank = random_bank(rng, q=3, num_classes=3)
+    bank.valid[0] = False
+    bank.signs[:] = [5, 4, 2]
+    with pytest.raises(MissingClassError) as err:
+        loss_pro(bank, proto_bank_from(np.empty((0, 5))), 1.0)
+    assert err.value.class_id == 4
+    assert "class 4 " in str(err.value)
+
+
 def test_pro_requires_blended_bank(rng):
     bank = random_bank(rng, q=3, num_classes=3)
     protos = proto_bank_from(np.eye(3))

@@ -253,6 +253,21 @@ def test_empty_superpixels_flagged():
     assert [q for q, sp in enumerate(table.superpixels) if len(sp.point_indices)] == [0]
 
 
+def test_camera_without_superpixels_adds_none():
+    # camera 0's raster is all unassigned, so camera 1 owns every superpixel;
+    # camera 0 still claims the point first, which therefore drops
+    cam = identity_cam()
+    sem = np.zeros((8, 8), dtype=np.uint16)
+    none = np.full((8, 8), UNASSIGNED, dtype=np.uint32)
+    one = np.zeros((8, 8), dtype=np.uint32)
+    frame = make_frame([[0.0, 0.0, 2.0, 0.5]], [cam, cam], [sem, sem], [none, one])
+    table = build_associations(frame)
+    assert [(sp.camera, sp.local_id) for sp in table.superpixels] == [(1, 0)]
+    assert table.superpixels[0].pixel_indices.tolist() == list(range(64))
+    assert len(table.superpixels[0].point_indices) == 0
+    assert_matches_oracle(frame, table)
+
+
 def test_one_superpixel_per_region_id(small_scene):
     table = build_associations(small_scene)
     want = []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fdutil import loop_ema, loop_prototypes, row_of
 from scenecontrast.embednet import EmbeddingBank
 from scenecontrast.errors import EmptyBankError
 from scenecontrast.protobank import PrototypeBank, build_prototypes, ema_update
@@ -64,6 +65,31 @@ def test_brute_force_group_by_oracle(rng):
         assert np.max(np.abs(protos.p2d[i] - sums2[t] / counts[t])) < 1e-12
         assert np.max(np.abs(protos.p3d[i] - sums3[t] / counts[t])) < 1e-12
         assert protos.counts[i] == counts[t]
+
+
+def same_bytes(a, b):
+    for name in ("class_ids", "p2d", "p3d", "counts"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_group_by_matches_the_region_loop_bit_for_bit(seed):
+    """Random multi-bank inputs with invalid rows, against the dict loop."""
+    rng = np.random.default_rng(seed)
+    banks = [
+        bank_of(rng, rng.integers(0, 7, size=q), d=5, valid=rng.random(q) < 0.7)
+        for q in rng.integers(1, 12, size=int(rng.integers(1, 5)))
+    ]
+    banks[0].valid[0] = True  # at least one valid row
+    same_bytes(build_prototypes(banks), loop_prototypes(banks))
+    # one bank holding the same rows in the same order gives the same bytes
+    joined = EmbeddingBank(
+        *(np.concatenate([getattr(b, f) for b in banks])
+          for f in ("f2d", "f3d", "valid", "signs"))
+    )
+    same_bytes(build_prototypes([joined]), loop_prototypes(banks))
 
 
 def test_cross_scene_aggregation(rng):
@@ -129,8 +155,8 @@ def two_banks(rng):
 def test_ema_momentum_zero_is_fresh(rng):
     old, fresh = two_banks(rng)
     out = ema_update(old, fresh, 0.0)
-    row = out.row_of(1)
-    assert np.array_equal(out.p2d[row], fresh.p2d[fresh.row_of(1)])
+    row = row_of(out, 1)
+    assert np.array_equal(out.p2d[row], fresh.p2d[row_of(fresh, 1)])
 
 
 def test_ema_fixed_point(rng):
@@ -159,8 +185,25 @@ def test_ema_class_union(rng):
     out = ema_update(old, fresh, 0.5)
     assert out.class_ids.tolist() == [0, 1, 2]
     # class 0 only in old: carried; class 2 only in fresh: inserted
-    assert np.array_equal(out.p2d[out.row_of(0)], old.p2d[old.row_of(0)])
-    assert np.array_equal(out.p2d[out.row_of(2)], fresh.p2d[fresh.row_of(2)])
+    assert np.array_equal(out.p2d[row_of(out, 0)], old.p2d[row_of(old, 0)])
+    assert np.array_equal(out.p2d[row_of(out, 2)], fresh.p2d[row_of(fresh, 2)])
+
+
+@pytest.mark.parametrize(
+    "old_ids, fresh_ids",
+    [
+        ([0, 2, 5], [2, 3, 5, 6]),  # overlapping
+        ([0, 1], [4, 7]),  # disjoint
+        ([1, 3, 4, 8], [3, 8]),  # fresh a subset of old
+        ([3], [1, 3, 9]),  # old a subset of fresh
+    ],
+)
+@pytest.mark.parametrize("momentum", [0.0, 0.5, 0.9])
+def test_ema_matches_the_class_loop_bit_for_bit(old_ids, fresh_ids, momentum):
+    rng = np.random.default_rng(len(old_ids) * 10 + len(fresh_ids))
+    old = build_prototypes([bank_of(rng, np.repeat(old_ids, 2), d=5)])
+    fresh = build_prototypes([bank_of(rng, np.repeat(fresh_ids, 3), d=5)])
+    same_bytes(ema_update(old, fresh, momentum), loop_ema(old, fresh, momentum))
 
 
 def test_counts_per_class_row(rng):

@@ -282,6 +282,26 @@ def test_degenerate_batch_skipped_with_warning(
     assert [int(r.split(",")[0]) for r in res.metrics[1:]] == [1, 2, 3]
 
 
+def test_out_dir_that_is_a_file_fails_before_any_step(
+    small_frames, prepared, monkeypatch, tmp_path
+):
+    calls = []
+    real = trainer.run_step
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "run_step", counting)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = TrainConfig(epochs=1, scenes_per_batch=3, embed_dim=16, lam=1)
+    with pytest.raises(OSError):
+        pretrain(small_frames, cfg, out_dir=taken, prepared=prepared)
+    assert calls == []
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_all_degenerate_epoch_is_fatal(small_frames, prepared, monkeypatch):
     def broken(*args, **kwargs):
         raise DegenerateBatchError("nothing valid")
