@@ -2,8 +2,8 @@
 
 Commands: gen-scenes, pretrain, gradcheck, probe, ablate.  Exit codes:
 0 success, 1 invalid flags or configuration, 2 runtime failure (including
-a gradcheck that finds a bad gradient).  All file outputs go under the
-path given by --out.
+a gradcheck that finds a bad gradient, and running out of memory).  All
+file outputs go under the path given by --out.
 """
 
 from __future__ import annotations
@@ -218,6 +218,9 @@ def main(argv=None) -> int:
         return 1
     except SceneContrastError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
         return 2
 
 

@@ -59,7 +59,7 @@ class DenseLayer:
 
 @dataclass
 class DenseStack:
-    """Affine layers with a ReLU after all but the last.
+    """At least one affine layer, with a ReLU after all but the last.
 
     ``version`` bumps on every parameter write.
     """
@@ -67,13 +67,17 @@ class DenseStack:
     layers: list[DenseLayer]
     version: int = 0
 
+    def __post_init__(self) -> None:
+        if not self.layers:
+            raise ShapeError("a stack needs at least one layer")
+
     @property
     def in_width(self) -> int:
-        return self.layers[0].weight.shape[1] if self.layers else 0
+        return self.layers[0].weight.shape[1]
 
     @property
     def out_width(self) -> int:
-        return self.layers[-1].weight.shape[0] if self.layers else 0
+        return self.layers[-1].weight.shape[0]
 
     @property
     def num_params(self) -> int:
@@ -99,8 +103,6 @@ class DenseStack:
 
 def init_stack(widths: list[int], seed_rng: np.random.Generator) -> DenseStack:
     """Glorot-uniform stack over consecutive widths, deterministic per rng."""
-    if len(widths) < 2:
-        raise ConfigurationError("need at least an input and an output width")
     layers = []
     for i in range(len(widths) - 1):
         fan_in, fan_out = widths[i], widths[i + 1]
@@ -177,7 +179,7 @@ def forward(
     reuse: ForwardCache | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on (N, in_width) rows; empty stacks are the identity.
+    """Run the stack on (N, in_width) rows.
 
     Returns the output and a cache for ``backward``, which does not hold
     the output.  The output is written into ``out`` when given, an
@@ -190,12 +192,12 @@ def forward(
     x = np.asarray(inputs)
     if x.ndim != 2:
         raise ShapeError(f"inputs must be 2-D, got shape {x.shape}")
-    if stack.layers and x.shape[1] != stack.in_width:
+    if x.shape[1] != stack.in_width:
         raise ShapeError(
             f"inputs have width {x.shape[1]}, stack expects {stack.in_width}"
         )
     n = x.shape[0]
-    shape = (n, stack.out_width if stack.layers else x.shape[1])
+    shape = (n, stack.out_width)
     if out is not None and (out.shape != shape or out.dtype != np.float64):
         raise ShapeError(f"out has shape {out.shape} {out.dtype}, want {shape} float64")
     hidden = stack.layers[:-1]
@@ -221,13 +223,9 @@ def forward(
         h += layer.bias
         np.maximum(h, 0.0, out=h)
         acts.append(h)
-    if stack.layers:
-        top = stack.layers[-1]
-        h = np.matmul(h, top.weight.T, out=out)
-        h += top.bias
-    elif out is not None:
-        out[...] = h
-        h = out
+    top = stack.layers[-1]
+    h = np.matmul(h, top.weight.T, out=out)
+    h += top.bias
     return h, ForwardCache(stack, stack.version, xin, acts)
 
 
@@ -249,7 +247,7 @@ def backward(
     acts = cache.acts
     layers = stack.layers
     want = (cache.inputs.shape[0], stack.out_width)
-    if layers and g.shape != want:
+    if g.shape != want:
         raise ShapeError(f"upstream shape {g.shape} does not match output {want}")
     cache.live = False
     grads = np.empty(stack.num_params)

@@ -65,7 +65,6 @@ class TrainConfig:
     seed: int = 0
     epochs: int = 20
     scenes_per_batch: int = 4
-    frames_per_scene: int = 1
     embed_dim: int = 32
     lr: float = 0.1
     momentum: float = 0.9
@@ -95,8 +94,6 @@ class TrainConfig:
             raise ConfigurationError(
                 "scenes_per_batch must be >= 2 (prototypes are cross-scene)"
             )
-        if self.frames_per_scene < 1:
-            raise ConfigurationError("frames_per_scene must be >= 1")
         if self.embed_dim < 1:
             raise ConfigurationError("embed_dim must be >= 1")
         if not (0.0 <= self.momentum < 1.0):
@@ -248,7 +245,8 @@ def prepare_frame(frame: SceneFrame) -> FrameData:
 
 
 def check_scene_set(frames: list[SceneFrame], names=None) -> None:
-    """Reject frames that differ in class vocabulary or 2D input width."""
+    """Reject frames that differ in class vocabulary or 2D input width, then
+    frames that repeat a scene id: a scene is one frame."""
     names = names or [f"frame {i}" for i in range(len(frames))]
     for name, frame in zip(names[1:], frames[1:]):
         for field, got, want in (
@@ -260,13 +258,13 @@ def check_scene_set(frames: list[SceneFrame], names=None) -> None:
                 raise ConfigurationError(
                     f"{name}: {field} is {got}, but {want} in {names[0]}"
                 )
-
-
-def _group_scenes(frames: list[SceneFrame]) -> list[list[SceneFrame]]:
-    by_id: dict[int, list[SceneFrame]] = {}
-    for f in frames:
-        by_id.setdefault(f.scene_id, []).append(f)
-    return [by_id[sid] for sid in sorted(by_id)]
+    first: dict[int, int] = {}
+    for i, frame in enumerate(frames):
+        j = first.setdefault(frame.scene_id, i)
+        if j != i:
+            raise ConfigurationError(
+                f"{names[i]}: scene_id {frame.scene_id} is already used by {names[j]}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -519,34 +517,32 @@ def pretrain(
     out_dir=None,
     prepared: list[FrameData] | None = None,
 ) -> PretrainResult:
-    """Train on the given frames; optionally write checkpoint + metrics.
+    """Train on the given frames, one per scene, shuffled from scene-id order;
+    optionally write checkpoint + metrics.
 
     ``prepared`` lets callers reuse association tables across runs (they
-    depend only on the frames, not on the seed or the model).
+    depend only on the frames, not on the seed or the model); it is
+    ``prepare_frame`` of each frame, in the order of ``frames``.
     """
     cfg.validate()
-    scenes = _group_scenes(frames)
-    if len(scenes) < cfg.scenes_per_batch:
+    check_scene_set(frames)
+    if len(frames) < cfg.scenes_per_batch:
         raise ConfigurationError(
             f"need at least scenes_per_batch={cfg.scenes_per_batch} scenes, "
-            f"have {len(scenes)}"
+            f"have {len(frames)}"
         )
-    check_scene_set(frames)
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)  # fails here, before any step
     if prepared is None:
         prepared = [prepare_frame(f) for f in frames]
-    # map scene groups onto prepared FrameData in the same order
-    index = {id(f): fd for f, fd in zip(frames, prepared)}
-    scene_data = [
-        [index[id(f)] for f in group[: cfg.frames_per_scene]] for group in scenes
-    ]
+    by_id = sorted(range(len(frames)), key=lambda i: frames[i].scene_id)
+    scene_data = [prepared[i] for i in by_id]
 
     model = init_model(frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
     metrics = [losses.CSV_HEADER]
     step = 0
-    with _Run.open(model, cfg, [fd for group in scene_data for fd in group]) as run:
+    with _Run.open(model, cfg, scene_data) as run:
         for epoch in range(1, cfg.epochs + 1):
             lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
             order = _rng(cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(scene_data))
@@ -554,7 +550,7 @@ def pretrain(
             stepped = 0
             for b in range(n_batches):
                 chosen = order[b * cfg.scenes_per_batch : (b + 1) * cfg.scenes_per_batch]
-                batch = [fd for s in chosen for fd in scene_data[s]]
+                batch = [scene_data[s] for s in chosen]
                 try:
                     report = run_step(model, batch, epoch, cfg, run)
                 except DegenerateBatchError as err:
@@ -569,7 +565,7 @@ def pretrain(
                 _check_finite([run.params], epoch, step, "sgd update")
                 stepped += 1
                 metrics.append(losses.csv_row(step, epoch, report))
-            if n_batches > 0 and stepped == 0:
+            if stepped == 0:
                 raise TrainingError(f"every batch of epoch {epoch} was degenerate")
 
     metrics_path = None
@@ -655,21 +651,19 @@ def fit_linear_probe(
 
 
 def probe_split(frames: list[SceneFrame]) -> tuple[list[SceneFrame], list[SceneFrame]]:
-    """Hold out the last quarter of scenes (at least one) for evaluation."""
-    scenes = _group_scenes(frames)
-    if len(scenes) < 2:
+    """Hold out the highest-id quarter of scenes (at least one) for evaluation."""
+    if len(frames) < 2:
         raise ConfigurationError("probing needs at least 2 scenes")
+    scenes = sorted(frames, key=lambda f: f.scene_id)
     n_test = max(1, len(scenes) // 4)
-    train = [f for g in scenes[:-n_test] for f in g]
-    test = [f for g in scenes[-n_test:] for f in g]
-    return train, test
+    return scenes[:-n_test], scenes[-n_test:]
 
 
 def linear_probe(model: Model, frames: list[SceneFrame], cfg: TrainConfig) -> ProbeReport:
     """Probe the frozen 3D embedding on a seeded label subset."""
     cfg.validate()
-    train_frames, test_frames = probe_split(frames)
     check_scene_set(frames)
+    train_frames, test_frames = probe_split(frames)
     n = sum(len(f.points) for f in train_frames)
     n_lab = int(round(cfg.probe_fraction * n))
     if n_lab == 0:

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+import scenecontrast.cli as cli
 import scenecontrast.trainer as trainer
 from scenecontrast.cli import main
 from scenecontrast.errors import ConfigurationError
@@ -162,6 +163,43 @@ def test_mixed_scene_set_exits_1(
     err = capsys.readouterr().err
     assert "scene_0009_f00.cscs" in err and f"{field} is " in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def repeated_dir(scene_dir, tmp_path_factory):
+    """The scene set plus a second file holding scene 1."""
+    d = tmp_path_factory.mktemp("repeated")
+    for f in scene_dir.glob("*.cscs"):
+        shutil.copy(f, d / f.name)
+    shutil.copy(scene_dir / "scene_0001_f00.cscs", d / "scene_0009_f00.cscs")
+    return d
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe", "ablate"])
+def test_repeated_scene_id_exits_1(
+    repeated_dir, ckpt_dir, cfg_file, tmp_path, capsys, command
+):
+    out = tmp_path / "o"
+    extra = {
+        "pretrain": [],
+        "probe": ["--ckpt", str(ckpt_dir / "checkpoint.cscw")],
+        "ablate": ["--seeds", "1"],
+    }[command]
+    assert main([command, "--config", str(cfg_file), "--scenes", str(repeated_dir),
+                 "--out", str(out)] + extra) == 1
+    err = capsys.readouterr().err
+    assert "scene_0009_f00.cscs: scene_id 1 is already used by " in err
+    assert err.rstrip().endswith("scene_0001_f00.cscs")
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_2(monkeypatch, tmp_path, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate_scene", exhausted)
+    assert main(GEN + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: gen-scenes: out of memory\n"
 
 
 def test_pretrain_writes_outputs(ckpt_dir, capsys):

@@ -80,16 +80,11 @@ def test_forward_width_mismatch():
         forward(stack, np.zeros(3))
 
 
-def test_empty_stack_is_identity(rng):
-    stack = DenseStack([])
-    x = rng.normal(size=(3, 5))
-    out, cache = forward(stack, x)
-    assert np.array_equal(out, x)
-    lent = np.empty_like(x)
-    assert forward(stack, x, out=lent)[0] is lent and np.array_equal(lent, x)
-    grads, gx = backward(stack, np.ones_like(x), cache)
-    assert grads.shape == (0,)
-    assert np.array_equal(gx, np.ones_like(x))
+def test_empty_stack_rejected(rng):
+    with pytest.raises(ShapeError, match="at least one layer"):
+        DenseStack([])
+    with pytest.raises(ShapeError, match="at least one layer"):
+        init_stack([4], rng)
 
 
 def test_backward_zero_upstream(rng):

@@ -79,6 +79,13 @@ def test_load_config_unknown_key_names_line(tmp_path):
         load_config(p)
 
 
+def test_load_config_rejects_frames_per_scene(tmp_path):
+    # a scene is one frame, so there is no per-scene frame count to set
+    p = write_cfg(tmp_path, "frames_per_scene = 1\n")
+    with pytest.raises(ConfigurationError, match=r":1: unknown key 'frames_per_scene'"):
+        load_config(p)
+
+
 def test_load_config_bad_value(tmp_path):
     p = write_cfg(tmp_path, "lr = fast\n")
     with pytest.raises(ConfigurationError, match="cannot parse lr"):
@@ -96,7 +103,6 @@ def test_validate_rejects_bad_fields():
         dict(epochs=0),
         dict(lr=-0.1),
         dict(scenes_per_batch=1),
-        dict(frames_per_scene=0),
         dict(embed_dim=0),
         dict(momentum=1.0),
         dict(ema_momentum=-0.2),
@@ -252,6 +258,25 @@ def test_library_calls_reject_a_mixed_scene_set(small_frames):
         pretrain(frames, cfg)
     with pytest.raises(ConfigurationError, match=message):
         linear_probe(model, frames, cfg)
+
+
+def test_library_calls_reject_a_repeated_scene_id(small_frames):
+    frames = small_frames[:4] + [small_frames[1]]
+    cfg = TrainConfig(epochs=1, scenes_per_batch=2, embed_dim=16)
+    model = init_model(frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
+    message = "frame 4: scene_id 1 is already used by frame 1"
+    with pytest.raises(ConfigurationError, match=message):
+        pretrain(frames, cfg)
+    with pytest.raises(ConfigurationError, match=message):
+        linear_probe(model, frames, cfg)
+
+
+def test_pretrain_orders_scenes_by_id(small_frames, prepared):
+    cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lam=0)
+    res = pretrain(small_frames, cfg, prepared=prepared)
+    back = pretrain(small_frames[::-1], cfg, prepared=prepared[::-1])
+    assert back.metrics == res.metrics
+    assert np.array_equal(back.model.params, res.model.params)
 
 
 def test_too_few_scenes_rejected(small_frames):
@@ -493,6 +518,8 @@ def test_probe_split_holds_out_last_quarter(small_frames):
     assert {f.scene_id for f in test} == {5}
     with pytest.raises(ConfigurationError):
         probe_split(small_frames[:1])
+    back = probe_split(small_frames[::-1])
+    assert [[f.scene_id for f in part] for part in back] == [[0, 1, 2, 3, 4], [5]]
 
 
 def test_probe_fraction_too_small(trained, small_frames):
