@@ -91,9 +91,10 @@ def _cmd_gen_scenes(args) -> int:
     cfg.validate()
     geom.validate()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for s in range(args.count):
         frame = generate_scene(_scene_seed(args.seed, s), cfg, geom, scene_id=s)
+        if s == 0:  # a scene exists: a failure before it leaves no --out behind
+            out.mkdir(parents=True, exist_ok=True)
         write_scene(frame, out / f"scene_{s:04d}_f00.cscs")
     print(f"wrote {args.count} scenes to {out}")
     return 0

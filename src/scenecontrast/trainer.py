@@ -511,18 +511,10 @@ class PretrainResult:
     checkpoint_path: Path | None
 
 
-def pretrain(
-    frames: list[SceneFrame],
-    cfg: TrainConfig,
-    out_dir=None,
-    prepared: list[FrameData] | None = None,
-) -> PretrainResult:
+def pretrain(frames: list[SceneFrame], cfg: TrainConfig, out_dir=None) -> PretrainResult:
     """Train on the given frames, one per scene, shuffled from scene-id order;
-    optionally write checkpoint + metrics.
-
-    ``prepared`` lets callers reuse association tables across runs (they
-    depend only on the frames, not on the seed or the model); it is
-    ``prepare_frame`` of each frame, in the order of ``frames``.
+    optionally write checkpoint + metrics.  Every frame goes through
+    ``prepare_frame`` once per call, after the checks and before any step.
     """
     cfg.validate()
     check_scene_set(frames)
@@ -534,10 +526,7 @@ def pretrain(
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)  # fails here, before any step
-    if prepared is None:
-        prepared = [prepare_frame(f) for f in frames]
-    by_id = sorted(range(len(frames)), key=lambda i: frames[i].scene_id)
-    scene_data = [prepared[i] for i in by_id]
+    scene_data = [prepare_frame(f) for f in sorted(frames, key=lambda f: f.scene_id)]
 
     model = init_model(frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
     metrics = [losses.CSV_HEADER]
@@ -929,30 +918,20 @@ def arm_config(base: TrainConfig, arm: str) -> TrainConfig:
     raise ConfigurationError(f"unknown arm {arm!r}")
 
 
-def random_init_probe(
-    frames: list[SceneFrame], cfg: TrainConfig, seed: int
-) -> ProbeReport:
-    """Probe an untrained model; the floor the trained arms must beat."""
-    feat_dim = frames[0].pixel_features.shape[3]
-    model = init_model(feat_dim, cfg.embed_dim, seed)
-    return linear_probe(model, frames, replace(cfg, seed=seed))
-
-
 def run_ablation(
-    frames: list[SceneFrame],
-    base_cfg: TrainConfig,
-    seeds: list[int],
-    prepared: list[FrameData] | None = None,
-    arms=ARMS,
+    frames: list[SceneFrame], base_cfg: TrainConfig, seeds: list[int], arms=ARMS
 ) -> list[tuple[str, int, float]]:
-    """Train the arms per seed; rows of (arm, seed, probe accuracy)."""
-    if prepared is None:
-        prepared = [prepare_frame(f) for f in frames]
+    """Train the arms per seed; rows of (arm, seed, probe accuracy).
+
+    Seed-major, arms in the given order.  Each (arm, seed) job is one
+    ``pretrain`` and one ``linear_probe`` at ``arm_config(base_cfg, arm)``
+    with that seed, so a row does not depend on which other jobs ran.
+    """
     rows = []
     for seed in seeds:
         for arm in arms:
             cfg = replace(arm_config(base_cfg, arm), seed=seed)
-            result = pretrain(frames, cfg, out_dir=None, prepared=prepared)
+            result = pretrain(frames, cfg)
             acc = linear_probe(result.model, frames, cfg).mean_accuracy
             rows.append((arm, seed, acc))
     return rows

@@ -4,14 +4,16 @@ The finite differences are deliberately independent of the package's own
 gradient checker so the two can disagree: tests perturb arrays with this
 code and compare against the package's analytic gradients.  The pinhole,
 region-labelling and point-label oracles stand in for scalar code the
-package does not carry, ``scene_bytes`` for a frame equality, and
-``full_embed_probe`` for the probe that embeds only its labelled rows.
+package does not carry, ``scene_bytes`` for a frame equality,
+``full_embed_probe`` for the probe that embeds only its labelled rows, and
+``random_init_probe`` for the untrained-model floor of the ablation.
 ``loop_prototypes`` and ``loop_ema`` are the per-region and per-class
 loops that the package's array group-bys replaced; they must agree bit
 for bit.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +166,13 @@ def full_embed_probe(model, frames, cfg):
         z_train[chosen], y_train[chosen], z_test, y_test, frames[0].num_classes,
         epochs=cfg.probe_epochs,
     )
+
+
+def random_init_probe(frames, cfg, seed: int) -> trainer.ProbeReport:
+    """Probe an untrained model; the floor the trained arms must beat."""
+    feat_dim = frames[0].pixel_features.shape[3]
+    model = trainer.init_model(feat_dim, cfg.embed_dim, seed)
+    return trainer.linear_probe(model, frames, replace(cfg, seed=seed))
 
 
 def row_of(bank: PrototypeBank, class_id: int) -> int | None:

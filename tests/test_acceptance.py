@@ -7,7 +7,6 @@ nowhere looser.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,16 +24,14 @@ from scenecontrast.scenegen import (
 )
 from scenecontrast.trainer import (
     TrainConfig,
-    arm_config,
     gradcheck,
-    linear_probe,
     load_model,
     pretrain,
-    prepare_frame,
-    random_init_probe,
+    run_ablation,
     save_model,
 )
 
+from fdutil import random_init_probe
 from test_projection import assert_matches_oracle
 
 SMALL_GEOM = SceneGeometry(num_points=384, height=32, width=32)
@@ -214,12 +211,11 @@ def test_criterion_5_determinism_at_desk_defaults(tmp_path):
         generate_scene(900 + s, SemanticOracleConfig(), SceneGeometry(), scene_id=s)
         for s in range(32)
     ]
-    prepared = [prepare_frame(f) for f in frames]
     cfg = TrainConfig()  # 20 epochs, the desk-scale defaults
     t0 = time.time()
-    first = pretrain(frames, cfg, out_dir=tmp_path / "run1", prepared=prepared)
+    first = pretrain(frames, cfg, out_dir=tmp_path / "run1")
     elapsed = time.time() - t0
-    second = pretrain(frames, cfg, out_dir=tmp_path / "run2", prepared=prepared)
+    second = pretrain(frames, cfg, out_dir=tmp_path / "run2")
     m1 = (tmp_path / "run1" / "metrics.csv").read_bytes()
     m2 = (tmp_path / "run2" / "metrics.csv").read_bytes()
     c1 = (tmp_path / "run1" / "checkpoint.cscw").read_bytes()
@@ -237,16 +233,15 @@ def test_criterion_6_directional_ablation():
         generate_scene(500 + s, ABLATION_SCENE_CFG, ABLATION_GEOM, scene_id=s)
         for s in range(ABLATION_SCENES)
     ]
-    prepared = [prepare_frame(f) for f in frames]
+    seeds = list(range(ABLATION_SEEDS))
     acc = {arm: [] for arm in ("rand", "sp", "sp+rawpro", "sp+mmpb")}
-    for seed in range(ABLATION_SEEDS):
+    for seed in seeds:
         acc["rand"].append(
             random_init_probe(frames, ABLATION_TRAIN, seed).mean_accuracy
         )
-        for arm in ("sp", "sp+rawpro", "sp+mmpb"):
-            cfg = replace(arm_config(ABLATION_TRAIN, arm), seed=seed)
-            res = pretrain(frames, cfg, prepared=prepared)
-            acc[arm].append(linear_probe(res.model, frames, cfg).mean_accuracy)
+    # the code `ablate` runs: per seed, the arms in ARMS order
+    for arm, _, accuracy in run_ablation(frames, ABLATION_TRAIN, seeds):
+        acc[arm].append(accuracy)
 
     def paired_margin(hi, lo):
         d = np.array(acc[hi]) - np.array(acc[lo])

@@ -202,6 +202,30 @@ def test_out_of_memory_exits_2(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == "error: gen-scenes: out of memory\n"
 
 
+def _exhausted(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "argv,patch,code,message",
+    [
+        (["gen-scenes", "--count", "1", "--objects", "400"], None, 1,
+         "could not place object 19: too many objects for extent 4.0"),
+        (GEN, _exhausted, 2, "error: gen-scenes: out of memory"),
+    ],
+    ids=["placement", "out-of-memory"],
+)
+def test_failed_gen_scenes_leaves_no_out(
+    monkeypatch, tmp_path, capsys, argv, patch, code, message
+):
+    if patch is not None:
+        monkeypatch.setattr(cli, "generate_scene", patch)
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pretrain_writes_outputs(ckpt_dir, capsys):
     assert (ckpt_dir / "checkpoint.cscw").exists()
     metrics = (ckpt_dir / "metrics.csv").read_text().splitlines()
@@ -364,6 +388,14 @@ def test_ablate_seed_offsets_the_seed_range(scene_dir, cfg_file, capsys):
     assert [l.split(",")[:2] for l in lines[1:]] == [
         ["sp", "3"], ["sp+rawpro", "3"], ["sp+mmpb", "3"]
     ]
+    # one arm alone runs the same job as in the full loop
+    for arm, row in zip(trainer.ARMS, lines[1:]):
+        code = main(
+            ["ablate", "--scenes", str(scene_dir), "--config", str(cfg_file),
+             "--arm", arm, "--seed", "3"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.strip().splitlines()[1:] == [row]
 
 
 def test_ablate_arm_uses_config_seed(scene_dir, tmp_path, capsys):

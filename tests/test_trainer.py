@@ -2,11 +2,13 @@
 
 import contextlib
 import copy
+import re
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,11 +38,10 @@ from scenecontrast.trainer import (
     load_model,
     pretrain,
     probe_split,
-    random_init_probe,
     save_model,
 )
 
-from fdutil import full_embed_probe
+from fdutil import full_embed_probe, random_init_probe
 
 # ---------------------------------------------------------------------------
 # config
@@ -139,6 +140,14 @@ def test_load_config_rejects_non_finite(tmp_path, field, value):
         load_config(p)
 
 
+def test_readme_config_keys_match_train_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lead = "Training config keys mirror `trainer.TrainConfig`:"
+    sentence = re.split(r"\.\s", readme.split(lead, 1)[1], maxsplit=1)[0]
+    keys = re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", sentence))
+    assert keys == [f.name for f in fields(TrainConfig)]
+
+
 # ---------------------------------------------------------------------------
 # schedule
 
@@ -171,9 +180,9 @@ def prepared(small_frames):
 
 
 @pytest.fixture(scope="module")
-def trained(small_frames, prepared, tmp_path_factory):
+def trained(small_frames, tmp_path_factory):
     out = tmp_path_factory.mktemp("run") / "out"
-    return pretrain(small_frames, CFG, out_dir=out, prepared=prepared)
+    return pretrain(small_frames, CFG, out_dir=out)
 
 
 def test_metrics_shape(trained):
@@ -197,15 +206,15 @@ def test_gate_opens_after_lam(trained):
     assert closed == [0.0] * len(closed)
 
 
-def test_gate_never_opens_when_lam_equals_epochs(small_frames, prepared):
+def test_gate_never_opens_when_lam_equals_epochs(small_frames):
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=2)
-    res = pretrain(small_frames, cfg, prepared=prepared)
+    res = pretrain(small_frames, cfg)
     assert all(r.split(",")[2] == "0" for r in res.metrics[1:])
 
 
-def test_pretrain_bitwise_deterministic(small_frames, prepared, tmp_path, trained):
+def test_pretrain_bitwise_deterministic(small_frames, tmp_path, trained):
     out2 = tmp_path / "rerun"
-    again = pretrain(small_frames, CFG, out_dir=out2, prepared=prepared)
+    again = pretrain(small_frames, CFG, out_dir=out2)
     assert again.metrics == trained.metrics
     assert (
         trained.checkpoint_path.read_bytes()
@@ -214,16 +223,9 @@ def test_pretrain_bitwise_deterministic(small_frames, prepared, tmp_path, traine
     assert (out2 / "metrics.csv").read_text().splitlines() == trained.metrics
 
 
-def test_pretrain_without_prepared_matches(small_frames, prepared, trained):
-    # association tables are model independent, so rebuilding them inline
-    # cannot change a single digit
-    res = pretrain(small_frames, CFG)
-    assert res.metrics == trained.metrics
-
-
-def test_lr_zero_freezes_parameters(small_frames, prepared):
+def test_lr_zero_freezes_parameters(small_frames):
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.0, lam=1)
-    res = pretrain(small_frames, cfg, prepared=prepared)
+    res = pretrain(small_frames, cfg)
     feat_dim = small_frames[0].pixel_features.shape[3]
     fresh = init_model(feat_dim, cfg.embed_dim, cfg.seed)
     for got, want in zip(res.model.stacks(), fresh.stacks()):
@@ -234,9 +236,9 @@ def test_lr_zero_freezes_parameters(small_frames, prepared):
     assert len(res.metrics) == 1 + 2 * 2
 
 
-def test_training_reduces_sp_loss(small_frames, prepared):
+def test_training_reduces_sp_loss(small_frames):
     cfg = TrainConfig(epochs=4, scenes_per_batch=3, embed_dim=16, lr=0.05, lam=4)
-    res = pretrain(small_frames, cfg, prepared=prepared)
+    res = pretrain(small_frames, cfg)
     totals = [float(r.split(",")[5]) for r in res.metrics[1:]]
     first_epoch = np.mean(totals[:2])
     last_epoch = np.mean(totals[-2:])
@@ -271,10 +273,10 @@ def test_library_calls_reject_a_repeated_scene_id(small_frames):
         linear_probe(model, frames, cfg)
 
 
-def test_pretrain_orders_scenes_by_id(small_frames, prepared):
+def test_pretrain_orders_scenes_by_id(small_frames):
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lam=0)
-    res = pretrain(small_frames, cfg, prepared=prepared)
-    back = pretrain(small_frames[::-1], cfg, prepared=prepared[::-1])
+    res = pretrain(small_frames, cfg)
+    back = pretrain(small_frames[::-1], cfg)
     assert back.metrics == res.metrics
     assert np.array_equal(back.model.params, res.model.params)
 
@@ -285,9 +287,7 @@ def test_too_few_scenes_rejected(small_frames):
         pretrain(small_frames, cfg)
 
 
-def test_degenerate_batch_skipped_with_warning(
-    small_frames, prepared, monkeypatch, capsys
-):
+def test_degenerate_batch_skipped_with_warning(small_frames, monkeypatch, capsys):
     real = trainer.run_step
     calls = {"n": 0}
 
@@ -299,7 +299,7 @@ def test_degenerate_batch_skipped_with_warning(
 
     monkeypatch.setattr(trainer, "run_step", flaky)
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=1)
-    res = pretrain(small_frames, cfg, prepared=prepared)
+    res = pretrain(small_frames, cfg)
     err = capsys.readouterr().err
     assert "skipping batch" in err and "synthetic degeneracy" in err
     # one row lost, steps still contiguous from 1
@@ -308,7 +308,7 @@ def test_degenerate_batch_skipped_with_warning(
 
 
 def test_out_dir_that_is_a_file_fails_before_any_step(
-    small_frames, prepared, monkeypatch, tmp_path
+    small_frames, monkeypatch, tmp_path
 ):
     calls = []
     real = trainer.run_step
@@ -322,19 +322,19 @@ def test_out_dir_that_is_a_file_fails_before_any_step(
     taken.write_text("not a directory\n")
     cfg = TrainConfig(epochs=1, scenes_per_batch=3, embed_dim=16, lam=1)
     with pytest.raises(OSError):
-        pretrain(small_frames, cfg, out_dir=taken, prepared=prepared)
+        pretrain(small_frames, cfg, out_dir=taken)
     assert calls == []
     assert taken.read_text() == "not a directory\n"
 
 
-def test_all_degenerate_epoch_is_fatal(small_frames, prepared, monkeypatch):
+def test_all_degenerate_epoch_is_fatal(small_frames, monkeypatch):
     def broken(*args, **kwargs):
         raise DegenerateBatchError("nothing valid")
 
     monkeypatch.setattr(trainer, "run_step", broken)
     cfg = TrainConfig(epochs=1, scenes_per_batch=3, embed_dim=16, lam=1)
     with pytest.raises(TrainingError, match="every batch of epoch 1"):
-        pretrain(small_frames, cfg, prepared=prepared)
+        pretrain(small_frames, cfg)
 
 
 def _collapse_fuse(params):
@@ -344,7 +344,7 @@ def _collapse_fuse(params):
         layer.bias[:] = 0.0
 
 
-def test_collapsed_blend_skips_the_batch(small_frames, prepared, monkeypatch, capsys):
+def test_collapsed_blend_skips_the_batch(small_frames, monkeypatch, capsys):
     real = trainer.blending.blend
     calls = {"n": 0}
 
@@ -358,13 +358,13 @@ def test_collapsed_blend_skips_the_batch(small_frames, prepared, monkeypatch, ca
 
     monkeypatch.setattr(trainer.blending, "blend", collapsing)
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=0)
-    res = pretrain(small_frames, cfg, prepared=prepared)
+    res = pretrain(small_frames, cfg)
     err = capsys.readouterr().err
     assert "skipping batch 1 of epoch 1: fused prototype collapsed" in err
     assert [int(r.split(",")[0]) for r in res.metrics[1:]] == [1, 2, 3]
 
 
-def test_collapsed_blend_every_batch_is_fatal(small_frames, prepared, monkeypatch, capsys):
+def test_collapsed_blend_every_batch_is_fatal(small_frames, monkeypatch, capsys):
     real = trainer.init_model
 
     def collapsed_model(*args):
@@ -375,7 +375,7 @@ def test_collapsed_blend_every_batch_is_fatal(small_frames, prepared, monkeypatc
     monkeypatch.setattr(trainer, "init_model", collapsed_model)
     cfg = TrainConfig(epochs=1, scenes_per_batch=3, embed_dim=16, lam=0)
     with pytest.raises(TrainingError, match="every batch of epoch 1"):
-        pretrain(small_frames, cfg, prepared=prepared)
+        pretrain(small_frames, cfg)
     assert capsys.readouterr().err.count("fused prototype collapsed") == 2
 
 
@@ -398,15 +398,14 @@ def test_skipped_batch_leaves_the_ema_bank(small_frames, prepared, monkeypatch):
         assert getattr(bank, name).tobytes() == getattr(saved, name).tobytes()
 
 
-def test_ema_changes_prototype_term(small_frames, prepared):
+def test_ema_changes_prototype_term(small_frames):
     base = TrainConfig(epochs=3, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=1)
-    plain = pretrain(small_frames, base, prepared=prepared)
+    plain = pretrain(small_frames, base)
     ema = pretrain(
         small_frames,
         TrainConfig(
             epochs=3, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=1, ema=True
         ),
-        prepared=prepared,
     )
     # first gated epoch has no history, so the smoothed bank only starts
     # to diverge from the fresh one at the second gated step
@@ -419,9 +418,9 @@ def test_ema_changes_prototype_term(small_frames, prepared):
 
 
 @pytest.mark.parametrize("freeze", [False, True], ids=["trained", "frozen"])
-def test_params_is_the_only_parameter_storage(small_frames, prepared, tmp_path, freeze):
+def test_params_is_the_only_parameter_storage(small_frames, tmp_path, freeze):
     cfg = replace(CFG, freeze_2d=freeze)
-    res = pretrain(small_frames, cfg, out_dir=tmp_path, prepared=prepared)
+    res = pretrain(small_frames, cfg, out_dir=tmp_path)
     params = res.model.params
     arrays = [a for s in res.model.stacks() for l in s.layers for a in (l.weight, l.bias)]
     assert all(np.shares_memory(a, params) for a in arrays)
@@ -562,7 +561,7 @@ def test_probe_matches_the_oracle_at_the_ablation_operating_point():
         assert linear_probe(model, frames, cfg) == full_embed_probe(model, frames, cfg)
 
 
-def test_trained_beats_random_probe(small_frames, prepared):
+def test_trained_beats_random_probe(small_frames):
     cfg = TrainConfig(
         epochs=6,
         scenes_per_batch=3,
@@ -572,7 +571,7 @@ def test_trained_beats_random_probe(small_frames, prepared):
         freeze_2d=True,
         probe_fraction=0.05,
     )
-    res = pretrain(small_frames, cfg, prepared=prepared)
+    res = pretrain(small_frames, cfg)
     trained_acc = linear_probe(res.model, small_frames, cfg).mean_accuracy
     random_acc = random_init_probe(small_frames, cfg, seed=cfg.seed).mean_accuracy
     assert trained_acc >= random_acc
@@ -592,9 +591,9 @@ FROZEN = TrainConfig(
     ids=["mmpb", "raw3d-ema"],
 )
 def test_frozen_2d_matches_dropping_the_2d_update(
-    small_frames, prepared, tmp_path, monkeypatch, cfg
+    small_frames, tmp_path, monkeypatch, cfg
 ):
-    fast = pretrain(small_frames, cfg, out_dir=tmp_path / "fast", prepared=prepared)
+    fast = pretrain(small_frames, cfg, out_dir=tmp_path / "fast")
     feat_dim = small_frames[0].pixel_features.shape[3]
     init2d = init_model(feat_dim, cfg.embed_dim, cfg.seed).embed2d
 
@@ -611,7 +610,6 @@ def test_frozen_2d_matches_dropping_the_2d_update(
             small_frames,
             replace(cfg, freeze_2d=False),
             out_dir=tmp_path / "ref",
-            prepared=prepared,
         )
 
     assert any(row.split(",")[2] == "1" for row in fast.metrics[1:])  # gated steps
@@ -625,7 +623,7 @@ def test_frozen_2d_matches_dropping_the_2d_update(
 
 
 @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "trained"])
-def test_frozen_2d_work_counts(small_frames, prepared, monkeypatch, freeze):
+def test_frozen_2d_work_counts(small_frames, monkeypatch, freeze):
     models, batches, calls = [], [], []
     real_init, real_run_step = trainer.init_model, trainer.run_step
     real_forward, real_backward = embednet.forward, embednet.backward
@@ -658,7 +656,7 @@ def test_frozen_2d_work_counts(small_frames, prepared, monkeypatch, freeze):
     monkeypatch.setattr(trainer, "run_step", run_step_)
     monkeypatch.setattr(embednet, "forward", forward_)
     monkeypatch.setattr(embednet, "backward", backward_)
-    pretrain(small_frames, replace(FROZEN, freeze_2d=freeze), prepared=prepared)
+    pretrain(small_frames, replace(FROZEN, freeze_2d=freeze))
 
     (model,) = models
     fwd2d = [(k, x) for fn, s, x, k in calls if fn == "forward" and s is model.embed2d]
@@ -714,7 +712,7 @@ class NoTakeBackWorker(ThreadPoolExecutor):
     ids=["caller-runs-2d", "worker-runs-2d", "fast-switching"],
 )
 def test_2d_thread_does_not_change_outputs(
-    small_frames, prepared, tmp_path, monkeypatch, trained, executor, runs_2d
+    small_frames, tmp_path, monkeypatch, trained, executor, runs_2d
 ):
     calls = []
     real_forward, real_backward = embednet.forward, embednet.backward
@@ -735,7 +733,7 @@ def test_2d_thread_does_not_change_outputs(
         # hand the interpreter lock back and forth as often as it allows
         sys.setswitchinterval(1e-6)
     try:
-        res = pretrain(small_frames, CFG, out_dir=tmp_path / "out", prepared=prepared)
+        res = pretrain(small_frames, CFG, out_dir=tmp_path / "out")
     finally:
         sys.setswitchinterval(interval)
 
@@ -766,7 +764,7 @@ def test_run_beside_without_a_worker_runs_here_in_order():
     assert calls == [(name, here, scratch[0]) for name in ("own", "a", "b")]
 
 
-def test_frozen_2d_starts_no_thread(small_frames, prepared, monkeypatch):
+def test_frozen_2d_starts_no_thread(small_frames, monkeypatch):
     submitted, alive = [], []
     real_submit, real_run_step = ThreadPoolExecutor.submit, trainer.run_step
 
@@ -781,7 +779,7 @@ def test_frozen_2d_starts_no_thread(small_frames, prepared, monkeypatch):
     monkeypatch.setattr(ThreadPoolExecutor, "submit", submit_)
     monkeypatch.setattr(trainer, "run_step", run_step_)
     before = sorted(t.name for t in threading.enumerate())
-    pretrain(small_frames, FROZEN, prepared=prepared)
+    pretrain(small_frames, FROZEN)
     assert submitted == []
     assert len(alive) == 2 * FROZEN.epochs
     assert all(names == before for names in alive)
@@ -792,7 +790,7 @@ def test_frozen_2d_starts_no_thread(small_frames, prepared, monkeypatch):
 # stack buffers reused across steps
 
 
-def test_each_slot_reuses_the_step_befores_buffers(small_frames, prepared, monkeypatch):
+def test_each_slot_reuses_the_step_befores_buffers(small_frames, monkeypatch):
     models, batches, calls = [], [], []
     real_init, real_run_step = trainer.init_model, trainer.run_step
     real_forward = embednet.forward
@@ -813,7 +811,7 @@ def test_each_slot_reuses_the_step_befores_buffers(small_frames, prepared, monke
     monkeypatch.setattr(trainer, "init_model", init_model_)
     monkeypatch.setattr(trainer, "run_step", run_step_)
     monkeypatch.setattr(embednet, "forward", forward_)
-    pretrain(small_frames, CFG, prepared=prepared)
+    pretrain(small_frames, CFG)
 
     (model,) = models
     sides = {id(model.embed2d): "x2d", id(model.embed3d): "x3d"}
@@ -834,10 +832,8 @@ def test_each_slot_reuses_the_step_befores_buffers(small_frames, prepared, monke
 
 
 @pytest.mark.parametrize("cfg", [CFG, FROZEN], ids=["trained", "frozen"])
-def test_buffer_reuse_does_not_change_outputs(
-    small_frames, prepared, tmp_path, monkeypatch, cfg
-):
-    normal = pretrain(small_frames, cfg, out_dir=tmp_path / "normal", prepared=prepared)
+def test_buffer_reuse_does_not_change_outputs(small_frames, tmp_path, monkeypatch, cfg):
+    normal = pretrain(small_frames, cfg, out_dir=tmp_path / "normal")
     dropped = []
     real_forward = embednet.forward
 
@@ -848,7 +844,7 @@ def test_buffer_reuse_does_not_change_outputs(
         return real_forward(stack, inputs)
 
     monkeypatch.setattr(embednet, "forward", forward_)
-    fresh = pretrain(small_frames, cfg, out_dir=tmp_path / "fresh", prepared=prepared)
+    fresh = pretrain(small_frames, cfg, out_dir=tmp_path / "fresh")
     assert any(dropped)
     assert fresh.metrics_path.read_bytes() == normal.metrics_path.read_bytes()
     assert fresh.checkpoint_path.read_bytes() == normal.checkpoint_path.read_bytes()
@@ -913,18 +909,14 @@ def test_trained_step_allocates_no_activation_arrays(small_frames, prepared):
 # BLAS thread cap
 
 
-def test_blas_cap_does_not_change_outputs(
-    small_frames, prepared, tmp_path, monkeypatch, trained
-):
+def test_blas_cap_does_not_change_outputs(small_frames, tmp_path, monkeypatch, trained):
     monkeypatch.setattr(trainer, "blas_threads", lambda n: contextlib.nullcontext())
-    res = pretrain(small_frames, CFG, out_dir=tmp_path / "o", prepared=prepared)
+    res = pretrain(small_frames, CFG, out_dir=tmp_path / "o")
     assert res.metrics_path.read_bytes() == trained.metrics_path.read_bytes()
     assert res.checkpoint_path.read_bytes() == trained.checkpoint_path.read_bytes()
 
 
-def test_pretrain_caps_blas_threads_while_2d_is_trained(
-    small_frames, prepared, monkeypatch
-):
+def test_pretrain_caps_blas_threads_while_2d_is_trained(small_frames, monkeypatch):
     found = blasthreads._openblas()
     if found is None:
         pytest.skip("numpy's OpenBLAS not found")
@@ -940,9 +932,9 @@ def test_pretrain_caps_blas_threads_while_2d_is_trained(
     before = get()
     set_(2)
     try:
-        pretrain(small_frames, CFG, prepared=prepared)
+        pretrain(small_frames, CFG)
         after_trained = get()
-        pretrain(small_frames, FROZEN, prepared=prepared)
+        pretrain(small_frames, FROZEN)
     finally:
         set_(before)
     assert after_trained == 2
@@ -972,11 +964,9 @@ def test_blas_cap_without_openblas_notes_once(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "lr,step,stage", [(1e200, 2, "loss"), (1.7e308, 1, "sgd update")]
 )
-def test_non_finite_training_names_step_and_stage(
-    small_frames, prepared, lr, step, stage
-):
+def test_non_finite_training_names_step_and_stage(small_frames, lr, step, stage):
     with pytest.raises(TrainingError, match=f"epoch 1, step {step}, stage '{stage}'"):
-        pretrain(small_frames, replace(CFG, lr=lr), prepared=prepared)
+        pretrain(small_frames, replace(CFG, lr=lr))
 
 
 # ---------------------------------------------------------------------------
