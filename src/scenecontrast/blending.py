@@ -4,7 +4,9 @@ Each modality's prototypes pass through their own dense stack, the two
 projected rows of one class are concatenated and fused by a shared stack,
 and the result is L2-normalized into the mixed prototype for that class.
 Everything is row-local: class t's mixed prototype depends only on class
-t's inputs.
+t's inputs.  ``blend`` returns the mixed prototypes in its cache, which the
+step hands to the prototype loss and, with the loss's gradient on them, to
+``blend_backward``.
 
 All three stacks are single affine layers.  The backward pass returns one
 flat gradient vector over proj2d, proj3d and fuse, in that order and laid
@@ -72,18 +74,26 @@ def init_blend_params(d: int, rng: np.random.Generator) -> BlendParams:
 
 @dataclass
 class BlendCache:
+    """The mixed prototypes and what ``blend_backward`` needs to reach them.
+
+    ``pmix`` is the fuse outputs divided by their row ``norms``; row i
+    belongs to the bank's ``class_ids[i]``.
+    """
+
     cache2d: ForwardCache
     cache3d: ForwardCache
     cache_fuse: ForwardCache
-    fused: np.ndarray  # (C, D) pre-normalization fuse outputs
-    norms: np.ndarray  # (C,)
+    pmix: np.ndarray  # (C, D) unit rows
+    norms: np.ndarray  # (C,) norms of the fuse outputs
 
 
 def blend(bank: PrototypeBank, params: BlendParams) -> BlendCache:
-    """Fill bank.pmix; return the backward cache, which holds the projections.
+    """Mix the bank's two prototype tables into unit rows, one per class.
 
-    Raises DegenerateBatchError if a fused prototype collapses to zero norm,
-    a numerical collapse of this batch's data, so the caller skips the step.
+    Returns the cache, which holds the mixed prototypes and the stacks'
+    forward caches; the bank is left as it was.  Raises DegenerateBatchError
+    if a fused prototype collapses to zero norm, a numerical collapse of
+    this batch's data, so the caller skips the step.
     """
     d = bank.p2d.shape[1]
     params.validate(d)
@@ -95,8 +105,7 @@ def blend(bank: PrototypeBank, params: BlendParams) -> BlendCache:
     norms = np.linalg.norm(fused, axis=1)
     if (norms < 1e-12).any():
         raise DegenerateBatchError("fused prototype collapsed to zero norm")
-    bank.pmix = fused / norms[:, None]
-    return BlendCache(cache2d, cache3d, cache_fuse, fused, norms)
+    return BlendCache(cache2d, cache3d, cache_fuse, fused / norms[:, None], norms)
 
 
 def blend_backward(upstream: np.ndarray, cache: BlendCache) -> np.ndarray:
@@ -105,10 +114,10 @@ def blend_backward(upstream: np.ndarray, cache: BlendCache) -> np.ndarray:
     One new vector: proj2d's parameters, then proj3d's, then fuse's.
     """
     g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != cache.fused.shape:
-        raise ShapeError(f"upstream shape {g.shape} != {cache.fused.shape}")
+    if g.shape != cache.pmix.shape:
+        raise ShapeError(f"upstream shape {g.shape} != {cache.pmix.shape}")
     # backward through row-wise v / ||v||
-    u = cache.fused / cache.norms[:, None]
+    u = cache.pmix
     g_fused = (g - np.sum(g * u, axis=1, keepdims=True) * u) / cache.norms[:, None]
     fuse_stack = cache.cache_fuse.stack
     grads_fuse, g_concat = embednet.backward(fuse_stack, g_fused, cache.cache_fuse)

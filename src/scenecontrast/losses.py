@@ -25,7 +25,6 @@ from .errors import (
     DegenerateBatchError,
     MissingClassError,
 )
-from .protobank import PrototypeBank
 
 
 @dataclass
@@ -115,30 +114,28 @@ class ProResult:
 
 
 def loss_pro(
-    bank: EmbeddingBank, protos: PrototypeBank, tau_pro: float
+    bank: EmbeddingBank, class_ids: np.ndarray, pmix: np.ndarray, tau_pro: float
 ) -> ProResult:
     """Superpoint-to-prototype InfoNCE, averaged over the valid rows.
 
-    The positive is the mixed prototype whose class matches the region's
-    semantic sign; the denominator runs over every class present in the
-    prototype bank.
+    ``pmix`` row i is the mixed prototype of ``class_ids[i]``, which ascend.
+    The positive is the row whose class matches the region's semantic sign;
+    the denominator runs over every row of the table.
     """
     if tau_pro <= 0:
         raise ConfigurationError("tau_pro must be positive")
-    if protos.pmix is None:
-        raise ContractViolationError("prototype bank has no mixed prototypes yet")
     vidx = np.flatnonzero(bank.valid)
     m = len(vidx)
     if m == 0:
         raise DegenerateBatchError("no valid region for the prototype loss")
     signs = bank.signs[vidx]
-    missing = ~np.isin(signs, protos.class_ids)
+    missing = ~np.isin(signs, class_ids)
     if missing.any():
         t = int(signs[np.argmax(missing)])  # the first missing row's class
         raise MissingClassError(f"class {t} has no prototype", t)
-    pos = np.searchsorted(protos.class_ids, signs)  # class_ids ascend
+    pos = np.searchsorted(class_ids, signs)
     a3 = bank.f3d[vidx]
-    logits = a3 @ protos.pmix.T / tau_pro  # (m, C)
+    logits = a3 @ pmix.T / tau_pro  # (m, C)
     p = _row_softmax(logits)
     picked = p[np.arange(m), pos]
     value = float(-np.log(np.clip(picked, 1e-300, None)).mean())
@@ -146,7 +143,7 @@ def loss_pro(
     dlogits[np.arange(m), pos] -= 1.0
     dlogits /= m * tau_pro
     grad_f3d = np.zeros_like(bank.f3d)
-    grad_f3d[vidx] = dlogits @ protos.pmix
+    grad_f3d[vidx] = dlogits @ pmix
     grad_pmix = dlogits.T @ a3
     return ProResult(value=value, grad_f3d=grad_f3d, grad_pmix=grad_pmix)
 

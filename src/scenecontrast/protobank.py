@@ -1,13 +1,14 @@
 """Cross-scene semantic prototypes: per-class means of pooled embeddings.
 
 A prototype is the arithmetic mean of every valid region embedding sharing
-one semantic sign, accumulated across every bank handed in.  The trainer
-hands in one bank per step, holding the regions of all the step's frames
-and so of several scenes (that is what makes the consistency scene-level
-rather than frame-level).  Means are taken over the stored unit-norm rows
-and are NOT re-normalized here; the blending stage decides what to do
-with them.  ``class_ids`` ascend, so a class's row is found with
-``np.searchsorted``, here and in the prototype loss.
+one semantic sign.  The trainer hands in the step's one bank, which holds
+the regions of all the step's frames and so of several scenes (that is
+what makes the consistency scene-level rather than frame-level).  Means
+are taken over the stored unit-norm rows and are NOT re-normalized here;
+the step turns them into the mixed prototypes that the prototype loss
+scores, by blending or by normalizing the 3D means.  ``class_ids``
+ascend, so a class's row is found with ``np.searchsorted``, here and in
+the prototype loss.
 
 Prototype construction is non-differentiable by decision: gradients never
 flow from losses into the contributing embeddings through a prototype,
@@ -24,60 +25,52 @@ from .embednet import EmbeddingBank
 from .errors import EmptyBankError, ShapeError
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrototypeBank:
     """Per-class prototypes for the classes present in a batch.
 
     ``class_ids`` is sorted ascending; row i of every matrix belongs to
     ``class_ids[i]``.  ``counts`` is the number of valid regions behind a
-    row, the same on both sides since a valid region has both.  ``pmix``
-    stays None until the blending stage fills it.
+    row, the same on both sides since a valid region has both.  The step
+    derives the mixed prototypes from ``p2d`` and ``p3d`` and hands them
+    to the loss.
     """
 
     class_ids: np.ndarray  # (C,) int64, ascending
     p2d: np.ndarray  # (C, D)
     p3d: np.ndarray  # (C, D)
     counts: np.ndarray  # (C,) int64
-    pmix: np.ndarray | None = None
 
     @property
     def num_classes(self) -> int:
         return len(self.class_ids)
 
 
-def build_prototypes(banks: list[EmbeddingBank]) -> PrototypeBank:
-    """Mean embeddings per semantic sign over every valid region of ``banks``.
+def build_prototypes(bank: EmbeddingBank) -> PrototypeBank:
+    """Mean embeddings per semantic sign over the valid regions of ``bank``.
 
-    The banks' rows are grouped by sign with one ``np.unique`` and summed
-    with ``np.add.at``, which adds one row at a time in bank order (bank
-    by bank, region index ascending), so the result is bit-deterministic
-    and does not depend on how the same rows are split into banks.  Only
-    valid regions count, and each carries both sides, so every present
-    class has both prototypes.
+    The rows are grouped by sign with one ``np.unique`` and summed with
+    ``np.add.at``, which adds one row at a time in region order, so the
+    result is bit-deterministic.  Only valid regions count, and each
+    carries both sides, so every present class has both prototypes.
+    Raises EmptyBankError when no region is valid.
     """
-    if not banks:
-        raise EmptyBankError("no embedding banks given")
-    d = banks[0].f2d.shape[1]
-    if any(bank.f2d.shape[1] != d for bank in banks):
-        raise ShapeError("embedding dimension differs across banks")
-    valid = np.concatenate([bank.valid for bank in banks])
+    valid = bank.valid
     if not valid.any():
-        raise EmptyBankError("no valid region in any bank")
-    signs = np.concatenate([bank.signs for bank in banks])[valid]
+        raise EmptyBankError("no valid region in the bank")
     class_ids, inverse, counts = np.unique(
-        signs, return_inverse=True, return_counts=True
+        bank.signs[valid], return_inverse=True, return_counts=True
     )
 
-    def means(side: str) -> np.ndarray:
-        rows = np.concatenate([getattr(bank, side) for bank in banks])[valid]
-        sums = np.zeros((len(class_ids), d))
-        np.add.at(sums, inverse, rows)
+    def means(rows: np.ndarray) -> np.ndarray:
+        sums = np.zeros((len(class_ids), rows.shape[1]))
+        np.add.at(sums, inverse, rows[valid])
         return sums / counts[:, None]
 
     return PrototypeBank(
         class_ids=class_ids.astype(np.int64),
-        p2d=means("f2d"),
-        p3d=means("f3d"),
+        p2d=means(bank.f2d),
+        p3d=means(bank.f3d),
         counts=counts.astype(np.int64),
     )
 

@@ -38,6 +38,10 @@ ROT_TOL = 1e-6
 # region's appearance is shared with the rest of its class.
 CLASS_KEYED_CHANNELS = 3
 
+# Labels and semantic rasters are uint16, so a scene holds at most this
+# many classes; generation and ``read_scene`` apply the same bound.
+MAX_CLASSES = 65536
+
 
 @dataclass
 class CameraModel:
@@ -116,10 +120,9 @@ class SemanticOracleConfig:
     def validate(self) -> None:
         if self.num_classes < 2:
             raise ConfigurationError("need at least 2 classes (ground + 1)")
-        if self.num_classes > 65536:
-            # labels and semantic rasters are uint16
+        if self.num_classes > MAX_CLASSES:
             raise ConfigurationError(
-                f"num_classes must be <= 65536, got {self.num_classes}"
+                f"num_classes must be <= {MAX_CLASSES}, got {self.num_classes}"
             )
         if self.objects_per_scene < 1:
             raise ConfigurationError("need at least one object per scene")
@@ -663,8 +666,8 @@ def read_scene(path) -> SceneFrame:
     ):
         if value < 1:
             raise SceneFormatError(f"{name} must be positive, got {value}", offset)
-    if t < 2:
-        raise SceneFormatError(f"class count {t} below 2", 28)
+    if not 2 <= t <= MAX_CLASSES:
+        raise SceneFormatError(f"class count {t} outside [2, {MAX_CLASSES}]", 28)
     points = _finite(cur, k * 4, "points").reshape(k, 4)
     label_offset = cur.pos
     point_labels = cur.array("uint16", k, "point labels")

@@ -443,17 +443,18 @@ def run_step(
 
     pro = bcache = None
     if losses.gate_open(epoch, cfg.lam):
-        protos = protobank.build_prototypes([batch_bank])
+        protos = protobank.build_prototypes(batch_bank)
         if run.bank is not None:  # only kept with ema
             protos = protobank.ema_update(run.bank, protos, cfg.ema_momentum)
         if cfg.proto_mode == "mmpb":
             bcache = blending.blend(protos, model.blend)
+            pmix = bcache.pmix
         else:
             norms = np.linalg.norm(protos.p3d, axis=1)
             if (norms < 1e-12).any():
                 raise DegenerateBatchError("raw 3D prototype collapsed to zero")
-            protos.pmix = protos.p3d / norms[:, None]
-        pro = losses.loss_pro(batch_bank, protos, cfg.tau_pro)
+            pmix = protos.p3d / norms[:, None]
+        pro = losses.loss_pro(batch_bank, protos.class_ids, pmix, cfg.tau_pro)
         if cfg.ema:
             run.bank = protos  # past every check that skips a batch
 
@@ -812,8 +813,7 @@ def _blending_case(rng: np.random.Generator):
     weights = rng.normal(size=(c, d))
 
     def objective() -> float:
-        blending.blend(bank, params)
-        return float(np.sum(weights * bank.pmix))
+        return float(np.sum(weights * blending.blend(bank, params).pmix))
 
     cache = blending.blend(bank, params)
     if np.any(cache.norms < 1e-3):
@@ -853,17 +853,11 @@ def _loss_pro_case(rng: np.random.Generator):
     bank = _random_bank(rng, q, d, n_classes)
     pmix = rng.normal(size=(n_classes, d))
     pmix /= np.linalg.norm(pmix, axis=1, keepdims=True)
-    protos = protobank.PrototypeBank(
-        class_ids=np.arange(n_classes, dtype=np.int64),
-        p2d=np.zeros((n_classes, d)),
-        p3d=np.zeros((n_classes, d)),
-        counts=np.ones(n_classes, dtype=np.int64),
-        pmix=pmix,
-    )
+    class_ids = np.arange(n_classes, dtype=np.int64)
     tau = float(rng.uniform(0.5, 2.0))
-    res = losses.loss_pro(bank, protos, tau)
+    res = losses.loss_pro(bank, class_ids, pmix, tau)
     return (
-        lambda: losses.loss_pro(bank, protos, tau).value,
+        lambda: losses.loss_pro(bank, class_ids, pmix, tau).value,
         np.concatenate([res.grad_f3d.ravel(), res.grad_pmix.ravel()]),
         [bank.f3d, pmix],
     )

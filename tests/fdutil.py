@@ -9,7 +9,8 @@ package does not carry, ``scene_bytes`` for a frame equality,
 ``random_init_probe`` for the untrained-model floor of the ablation.
 ``loop_prototypes`` and ``loop_ema`` are the per-region and per-class
 loops that the package's array group-bys replaced; they must agree bit
-for bit.
+for bit.  ``join_banks`` makes the one bank that a step hands to
+``build_prototypes`` out of several.
 """
 
 import tempfile
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from scenecontrast import trainer
-from scenecontrast.embednet import forward, layer_views
+from scenecontrast.embednet import EmbeddingBank, forward, layer_views
 from scenecontrast.projection import project_points
 from scenecontrast.protobank import PrototypeBank
 from scenecontrast.scenegen import UNASSIGNED, write_scene
@@ -173,6 +174,14 @@ def random_init_probe(frames, cfg, seed: int) -> trainer.ProbeReport:
     feat_dim = frames[0].pixel_features.shape[3]
     model = trainer.init_model(feat_dim, cfg.embed_dim, seed)
     return trainer.linear_probe(model, frames, replace(cfg, seed=seed))
+
+
+def join_banks(banks) -> EmbeddingBank:
+    """One bank holding every bank's rows, bank by bank, region index ascending."""
+    return EmbeddingBank(
+        *(np.concatenate([getattr(b, f) for b in banks])
+          for f in ("f2d", "f3d", "valid", "signs"))
+    )
 
 
 def row_of(bank: PrototypeBank, class_id: int) -> int | None:

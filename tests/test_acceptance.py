@@ -31,7 +31,7 @@ from scenecontrast.trainer import (
     save_model,
 )
 
-from fdutil import random_init_probe
+from fdutil import join_banks, random_init_probe
 from test_projection import assert_matches_oracle
 
 SMALL_GEOM = SceneGeometry(num_points=384, height=32, width=32)
@@ -96,13 +96,6 @@ def test_criterion_2_closed_form_losses():
 
     # uniform row-to-prototype similarity: the averaged loss is ln C
     c = 4
-    protos = protobank.PrototypeBank(
-        class_ids=np.arange(c, dtype=np.int64),
-        p2d=np.zeros((c, d)),
-        p3d=np.zeros((c, d)),
-        counts=np.ones(c, dtype=np.int64),
-        pmix=np.eye(c, d),
-    )
     f3d = np.full((3, d), 0.0)
     f3d[:, :c] = 1.0 / np.sqrt(c)
     bank_pro = EmbeddingBank(
@@ -111,7 +104,7 @@ def test_criterion_2_closed_form_losses():
         valid=np.ones(3, dtype=bool),
         signs=np.array([0, 1, 2], dtype=np.int64),
     )
-    got = losses.loss_pro(bank_pro, protos, 1.0).value
+    got = losses.loss_pro(bank_pro, np.arange(c), np.eye(c, d), 1.0).value
     assert abs(got - np.log(c)) < 1e-9
 
     # orthonormal positives: per row the positive similarity is 1 and all
@@ -145,7 +138,7 @@ def _bank(rng, q, d, n_classes, all_valid=True):
 def test_criterion_3_prototype_brute_force():
     rng = np.random.default_rng(42)
     banks = [_bank(rng, q, 6, 4, all_valid=(i != 1)) for i, q in enumerate((5, 7, 4))]
-    got = protobank.build_prototypes(banks)
+    got = protobank.build_prototypes(join_banks(banks))
     # scalar-loop group-by mean over all valid rows of all scenes
     sums2 = {}
     sums3 = {}
@@ -182,7 +175,7 @@ def test_criterion_3_prototype_brute_force():
         f2d=v[None], f3d=v[None], valid=np.ones(1, bool),
         signs=np.array([3], dtype=np.int64),
     )
-    merged = protobank.build_prototypes([one, two])
+    merged = protobank.build_prototypes(join_banks([one, two]))
     assert merged.class_ids.tolist() == [3]
     assert merged.counts[0] == 2
     assert np.abs(merged.p3d[0] - (u + v) / 2).max() < 1e-12

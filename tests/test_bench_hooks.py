@@ -1,14 +1,20 @@
 """The names the traced benchmark wraps exist, are put back afterwards, and
-give finite per-layer figures on a small job.
+give finite per-layer figures on a small job; the untraced benchmark runs
+and its outputs match the recorded digests.
 
 ``bench/layertrace.py`` wraps package functions by name from outside the
 package and reads attributes of their arguments and results, so a refactor
-that renames one breaks the traced bench run.  These tests make that a
-test failure instead.
+that renames one breaks the traced bench run.  ``bench/run.py`` calls the
+package too (``load_model``, ``read_checkpoint``, ``ARMS``, its
+``run_step`` clock) and compares its outputs with ``bench/digests.json``.
+These tests make either break a test failure instead.
 """
 
 import importlib.util
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +22,8 @@ import pytest
 import scenecontrast
 import scenecontrast.cli  # noqa: F401  (loads every layer)
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+LAYERTRACE = BENCH / "layertrace.py"
 
 
 def load_layertrace():
@@ -68,3 +75,19 @@ def test_traced_job_gives_finite_layer_metrics(tmp_path):
     metrics = layertrace.layer_metrics(rec)
     assert {k: v for k, v in metrics.items() if not math.isfinite(v)} == {}
     assert metrics["trace.step_accounted_share"] == pytest.approx(1.0)
+
+
+@pytest.mark.slow
+def test_untraced_bench_checks_its_outputs():
+    """One ablation job: every command passes and the digests are compared."""
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "ablation-frozen2d",
+         "--seed", "3", "--seconds", "1", "--trace", "0"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    *_, facts, result = done.stdout.splitlines()
+    result = json.loads(result)
+    assert result["correct"] is True and result["failed"] == 0, done.stderr
+    digests = json.loads(facts)["facts"]["digests"]
+    assert digests in ("checked", "not recorded for this platform")

@@ -43,16 +43,16 @@ def test_selector_passes_2d(rng):
     bank = make_bank(rng)
     cache = blend(bank, selector_params(3, "2d"))
     want = bank.p2d / np.linalg.norm(bank.p2d, axis=1, keepdims=True)
-    assert np.allclose(bank.pmix, want, atol=1e-15)
+    assert np.allclose(cache.pmix, want, atol=1e-15)
     # the 2D projection, as the fuse stack's input holds it
     assert np.array_equal(cache.cache_fuse.inputs[:, :3], bank.p2d)
 
 
 def test_selector_passes_3d(rng):
     bank = make_bank(rng)
-    blend(bank, selector_params(3, "3d"))
+    pmix = blend(bank, selector_params(3, "3d")).pmix
     want = bank.p3d / np.linalg.norm(bank.p3d, axis=1, keepdims=True)
-    assert np.allclose(bank.pmix, want, atol=1e-15)
+    assert np.allclose(pmix, want, atol=1e-15)
 
 
 def test_scalar_loop_oracle(rng):
@@ -60,7 +60,7 @@ def test_scalar_loop_oracle(rng):
     d = 3
     bank = make_bank(rng, c=5, d=d)
     params = init_blend_params(d, rng)
-    blend(bank, params)
+    pmix = blend(bank, params).pmix
     w2, b2 = params.proj2d.layers[0].weight, params.proj2d.layers[0].bias
     w3, b3 = params.proj3d.layers[0].weight, params.proj3d.layers[0].bias
     wf, bf = params.fuse.layers[0].weight, params.fuse.layers[0].bias
@@ -72,25 +72,24 @@ def test_scalar_loop_oracle(rng):
         cat = np.concatenate([y2, y3])
         z = np.array([sum(wf[i, j] * cat[j] for j in range(2 * d)) + bf[i]
                       for i in range(d)])
-        assert max_rel_err(bank.pmix[t], z / np.linalg.norm(z)) < 1e-12
+        assert max_rel_err(pmix[t], z / np.linalg.norm(z)) < 1e-12
 
 
 def test_unit_norm_rows(rng):
     bank = make_bank(rng, c=6, d=5)
-    blend(bank, init_blend_params(5, rng))
-    assert np.allclose(np.linalg.norm(bank.pmix, axis=1), 1.0, atol=1e-12)
+    pmix = blend(bank, init_blend_params(5, rng)).pmix
+    assert np.allclose(np.linalg.norm(pmix, axis=1), 1.0, atol=1e-12)
 
 
 def test_per_class_locality(rng):
     bank = make_bank(rng)
     params = init_blend_params(3, rng)
-    blend(bank, params)
-    before = bank.pmix.copy()
+    before = blend(bank, params).pmix
     bank.p2d[1] += 0.3
-    blend(bank, params)
-    assert not np.allclose(bank.pmix[1], before[1])
+    after = blend(bank, params).pmix
+    assert not np.allclose(after[1], before[1])
     for t in (0, 2, 3):
-        assert np.array_equal(bank.pmix[t], before[t])
+        assert np.array_equal(after[t], before[t])
 
 
 def test_fd_param_gradients(rng):
@@ -119,8 +118,7 @@ def test_fd_param_gradients(rng):
 
             def objective(stack=stack, theta=theta):
                 set_stack_params(stack, theta)
-                blend(bank, params)
-                return float(np.sum(upstream * bank.pmix))
+                return float(np.sum(upstream * blend(bank, params).pmix))
 
             numeric = central_diff(objective, theta)
             set_stack_params(stack, saved)

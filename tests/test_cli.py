@@ -263,6 +263,26 @@ def test_probe_prints_and_writes_report(ckpt_dir, scene_dir, cfg_file, tmp_path,
     assert (out / "probe.txt").read_text() == printed
 
 
+def test_probe_rejects_a_class_count_past_uint16(
+    ckpt_dir, scene_dir, cfg_file, tmp_path, capsys
+):
+    """A header T of 2**31 is a format error at its offset, not a probe table."""
+    big = tmp_path / "big"
+    big.mkdir()
+    for f in scene_dir.glob("*.cscs"):
+        data = bytearray(f.read_bytes())
+        data[28:32] = (2**31).to_bytes(4, "little")
+        (big / f.name).write_bytes(bytes(data))
+    code = main(
+        ["probe", "--ckpt", str(ckpt_dir / "checkpoint.cscw"), "--scenes", str(big),
+         "--config", str(cfg_file)]
+    )
+    assert code == 2
+    assert "class count 2147483648 outside [2, 65536] (byte offset 28)" in (
+        capsys.readouterr().err
+    )
+
+
 def test_probe_bad_fraction_exits_1(ckpt_dir, scene_dir, capsys):
     code = main(
         ["probe", "--ckpt", str(ckpt_dir / "checkpoint.cscw"),

@@ -26,7 +26,6 @@ from scenecontrast.losses import (
     loss_sp,
     total_loss,
 )
-from scenecontrast.protobank import PrototypeBank
 
 
 def unit_rows(rng, q, d):
@@ -56,16 +55,9 @@ def identity_bank(q):
 
 
 def proto_bank_from(pmix):
-    pmix = np.asarray(pmix, dtype=np.float64)
-    c = pmix.shape[0]
-    bank = PrototypeBank(
-        class_ids=np.arange(c),
-        p2d=pmix.copy(),
-        p3d=pmix.copy(),
-        counts=np.ones(c, dtype=np.int64),
-    )
-    bank.pmix = pmix.copy()
-    return bank
+    """Class ids 0..C-1 and a float64 copy of their mixed prototypes."""
+    pmix = np.array(pmix, dtype=np.float64)
+    return np.arange(pmix.shape[0]), pmix
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +109,7 @@ def test_pro_uniform_is_ln_c():
     same = np.repeat(unit_rows(rng, 1, 4), c, axis=0)
     protos = proto_bank_from(same)
     bank = random_bank(rng, q=5, d=4, num_classes=c)
-    res = loss_pro(bank, protos, 1.0)
+    res = loss_pro(bank, *protos, 1.0)
     assert abs(res.value - np.log(c)) < 1e-9
 
 
@@ -125,7 +117,7 @@ def test_pro_orthogonal_fixture():
     c = 8
     bank = identity_bank(c)
     protos = proto_bank_from(np.eye(c))
-    res = loss_pro(bank, protos, 1.0)
+    res = loss_pro(bank, *protos, 1.0)
     want = np.log(1.0 + (c - 1) * np.exp(-1.0))
     assert abs(res.value - want) < 1e-9
     assert abs(want - 1.2740088) < 1e-6
@@ -158,14 +150,14 @@ def test_sp_invalid_rows_get_zero_grad(rng):
 def test_pro_fd_gradients(rng):
     for _ in range(5):
         bank = random_bank(rng, q=5, d=4, num_classes=3)
-        protos = proto_bank_from(unit_rows(rng, 3, 4))
-        res = loss_pro(bank, protos, 0.7)
+        class_ids, pmix = proto_bank_from(unit_rows(rng, 3, 4))
+        res = loss_pro(bank, class_ids, pmix, 0.7)
 
         def f():
-            return loss_pro(bank, protos, 0.7).value
+            return loss_pro(bank, class_ids, pmix, 0.7).value
 
         assert max_rel_err(res.grad_f3d, central_diff(f, bank.f3d)) < 1e-4
-        assert max_rel_err(res.grad_pmix, central_diff(f, protos.pmix)) < 1e-4
+        assert max_rel_err(res.grad_pmix, central_diff(f, pmix)) < 1e-4
 
 
 @settings(max_examples=30, deadline=None)
@@ -175,7 +167,7 @@ def test_losses_nonnegative(seed):
     bank = random_bank(rng, q=4, d=3, num_classes=3)
     protos = proto_bank_from(unit_rows(rng, 3, 3))
     assert loss_sp(bank, 0.07).value >= 0.0
-    assert loss_pro(bank, protos, 1.0).value >= 0.0
+    assert loss_pro(bank, *protos, 1.0).value >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +183,14 @@ def test_sp_needs_two_valid(rng):
 def test_pro_needs_one_valid(rng):
     bank = random_bank(rng, q=2, valid=np.zeros(2, dtype=bool))
     with pytest.raises(DegenerateBatchError):
-        loss_pro(bank, proto_bank_from(np.eye(3)), 1.0)
+        loss_pro(bank, *proto_bank_from(np.eye(3)), 1.0)
 
 
 def test_pro_missing_class_named(rng):
     bank = random_bank(rng, q=3, num_classes=3)
     bank.signs[:] = 9
     with pytest.raises(MissingClassError) as err:
-        loss_pro(bank, proto_bank_from(np.eye(3)), 1.0)
+        loss_pro(bank, *proto_bank_from(np.eye(3)), 1.0)
     assert err.value.class_id == 9
     assert "9" in str(err.value)
 
@@ -209,7 +201,7 @@ def test_pro_names_the_first_missing_row_class(rng):
     bank.valid[0] = False
     bank.signs[:] = [8, 1, 2, 7, 6]  # row 0 is invalid, so 7 is the first miss
     with pytest.raises(MissingClassError) as err:
-        loss_pro(bank, proto_bank_from(np.eye(3)), 1.0)
+        loss_pro(bank, *proto_bank_from(np.eye(3)), 1.0)
     assert err.value.class_id == 7
     assert "class 7 " in str(err.value)
 
@@ -219,17 +211,9 @@ def test_pro_with_an_empty_prototype_table(rng):
     bank.valid[0] = False
     bank.signs[:] = [5, 4, 2]
     with pytest.raises(MissingClassError) as err:
-        loss_pro(bank, proto_bank_from(np.empty((0, 5))), 1.0)
+        loss_pro(bank, *proto_bank_from(np.empty((0, 5))), 1.0)
     assert err.value.class_id == 4
     assert "class 4 " in str(err.value)
-
-
-def test_pro_requires_blended_bank(rng):
-    bank = random_bank(rng, q=3, num_classes=3)
-    protos = proto_bank_from(np.eye(3))
-    protos.pmix = None
-    with pytest.raises(ContractViolationError):
-        loss_pro(bank, protos, 1.0)
 
 
 def test_bad_temperatures(rng):
@@ -237,7 +221,7 @@ def test_bad_temperatures(rng):
     with pytest.raises(ConfigurationError):
         loss_sp(bank, 0.0)
     with pytest.raises(ConfigurationError):
-        loss_pro(bank, proto_bank_from(np.eye(4)), -1.0)
+        loss_pro(bank, *proto_bank_from(np.eye(4)), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +249,7 @@ def test_total_open_gate_sums(rng):
     bank = random_bank(rng, num_classes=3)
     protos = proto_bank_from(unit_rows(rng, 3, 5))
     sp = loss_sp(bank, 0.07)
-    pro = loss_pro(bank, protos, 1.0)
+    pro = loss_pro(bank, *protos, 1.0)
     out = total_loss(6, sp, pro, 5)
     assert out.report.gate == 1
     assert abs(out.report.total - (sp.value + pro.value)) < 1e-12
@@ -277,7 +261,7 @@ def test_total_contract_enforced(rng):
     bank = random_bank(rng, num_classes=3)
     protos = proto_bank_from(unit_rows(rng, 3, 5))
     sp = loss_sp(bank, 0.07)
-    pro = loss_pro(bank, protos, 1.0)
+    pro = loss_pro(bank, *protos, 1.0)
     with pytest.raises(ContractViolationError):
         total_loss(3, sp, pro, 5)  # gate closed, pro computed anyway
     with pytest.raises(ContractViolationError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdutil import loop_ema, loop_prototypes, row_of
+from fdutil import join_banks, loop_ema, loop_prototypes, row_of
 from scenecontrast.embednet import EmbeddingBank
 from scenecontrast.errors import EmptyBankError
 from scenecontrast.protobank import PrototypeBank, build_prototypes, ema_update
@@ -26,7 +26,7 @@ def bank_of(rng, signs, d=4, valid=None):
 
 def test_singleton_mean(rng):
     bank = bank_of(rng, [2])
-    protos = build_prototypes([bank])
+    protos = build_prototypes(bank)
     assert protos.class_ids.tolist() == [2]
     assert np.array_equal(protos.p2d[0], bank.f2d[0])
     assert np.array_equal(protos.p3d[0], bank.f3d[0])
@@ -35,7 +35,7 @@ def test_singleton_mean(rng):
 
 def test_two_point_mean(rng):
     bank = bank_of(rng, [1, 1])
-    protos = build_prototypes([bank])
+    protos = build_prototypes(bank)
     assert np.allclose(protos.p2d[0], (bank.f2d[0] + bank.f2d[1]) / 2.0, atol=1e-15)
     assert np.allclose(protos.p3d[0], (bank.f3d[0] + bank.f3d[1]) / 2.0, atol=1e-15)
     assert protos.counts[0] == 2
@@ -44,7 +44,7 @@ def test_two_point_mean(rng):
 def test_brute_force_group_by_oracle(rng):
     """3 scenes x 4 classes vs an independent scalar accumulation."""
     banks = [bank_of(rng, rng.integers(0, 4, size=7), d=5) for _ in range(3)]
-    protos = build_prototypes(banks)
+    protos = build_prototypes(join_banks(banks))
     sums2 = {}
     sums3 = {}
     counts = {}
@@ -83,20 +83,14 @@ def test_group_by_matches_the_region_loop_bit_for_bit(seed):
         for q in rng.integers(1, 12, size=int(rng.integers(1, 5)))
     ]
     banks[0].valid[0] = True  # at least one valid row
-    same_bytes(build_prototypes(banks), loop_prototypes(banks))
-    # one bank holding the same rows in the same order gives the same bytes
-    joined = EmbeddingBank(
-        *(np.concatenate([getattr(b, f) for b in banks])
-          for f in ("f2d", "f3d", "valid", "signs"))
-    )
-    same_bytes(build_prototypes([joined]), loop_prototypes(banks))
+    same_bytes(build_prototypes(join_banks(banks)), loop_prototypes(banks))
 
 
 def test_cross_scene_aggregation(rng):
     """Same class in two different scenes ends up in one prototype row."""
     scene_a = bank_of(rng, [3])
     scene_b = bank_of(rng, [3])
-    protos = build_prototypes([scene_a, scene_b])
+    protos = build_prototypes(join_banks([scene_a, scene_b]))
     assert protos.num_classes == 1
     assert protos.counts[0] == 2  # both scenes' members counted together
     expect = (scene_a.f2d[0] + scene_b.f2d[0]) / 2.0
@@ -105,31 +99,29 @@ def test_cross_scene_aggregation(rng):
 
 def test_invalid_rows_skipped(rng):
     bank = bank_of(rng, [0, 1], valid=np.array([True, False]))
-    protos = build_prototypes([bank])
+    protos = build_prototypes(bank)
     assert protos.class_ids.tolist() == [0]
 
 
 def test_empty_inputs_raise(rng):
-    with pytest.raises(EmptyBankError):
-        build_prototypes([])
     empty = bank_of(rng, [0, 0], valid=np.zeros(2, dtype=bool))
     with pytest.raises(EmptyBankError):
-        build_prototypes([empty])
+        build_prototypes(empty)
 
 
 def test_deterministic_and_order_stable(rng):
     banks = [bank_of(rng, rng.integers(0, 3, size=5)) for _ in range(4)]
-    a = build_prototypes(banks)
-    b = build_prototypes(banks)
+    a = build_prototypes(join_banks(banks))
+    b = build_prototypes(join_banks(banks))
     assert a.p2d.tobytes() == b.p2d.tobytes()  # same order: bit-identical
-    c = build_prototypes(banks[::-1])
+    c = build_prototypes(join_banks(banks[::-1]))
     assert np.allclose(a.p2d, c.p2d, atol=1e-12)  # reordered: equal values
     assert np.array_equal(a.class_ids, c.class_ids)
 
 
 def test_convexity_norm_bound(rng):
     banks = [bank_of(rng, rng.integers(0, 4, size=9)) for _ in range(3)]
-    protos = build_prototypes(banks)
+    protos = build_prototypes(join_banks(banks))
     # members are unit vectors, so any mean stays inside the unit ball
     assert np.all(np.linalg.norm(protos.p2d, axis=1) <= 1.0 + 1e-12)
     assert np.all(np.linalg.norm(protos.p3d, axis=1) <= 1.0 + 1e-12)
@@ -137,7 +129,7 @@ def test_convexity_norm_bound(rng):
 
 def test_prototypes_not_renormalized(rng):
     bank = bank_of(rng, [1, 1])
-    protos = build_prototypes([bank])
+    protos = build_prototypes(bank)
     # mean of two distinct unit vectors is strictly inside the sphere
     assert np.linalg.norm(protos.p2d[0]) < 1.0 - 1e-6
 
@@ -147,8 +139,8 @@ def test_prototypes_not_renormalized(rng):
 
 
 def two_banks(rng):
-    old = build_prototypes([bank_of(rng, [0, 1])])
-    fresh = build_prototypes([bank_of(rng, [1, 2])])
+    old = build_prototypes(bank_of(rng, [0, 1]))
+    fresh = build_prototypes(bank_of(rng, [1, 2]))
     return old, fresh
 
 
@@ -160,7 +152,7 @@ def test_ema_momentum_zero_is_fresh(rng):
 
 
 def test_ema_fixed_point(rng):
-    old = build_prototypes([bank_of(rng, [0, 1])])
+    old = build_prototypes(bank_of(rng, [0, 1]))
     out = ema_update(old, old, 0.9)
     assert np.allclose(out.p2d, old.p2d, atol=1e-15)
     assert np.allclose(out.p3d, old.p3d, atol=1e-15)
@@ -201,13 +193,13 @@ def test_ema_class_union(rng):
 @pytest.mark.parametrize("momentum", [0.0, 0.5, 0.9])
 def test_ema_matches_the_class_loop_bit_for_bit(old_ids, fresh_ids, momentum):
     rng = np.random.default_rng(len(old_ids) * 10 + len(fresh_ids))
-    old = build_prototypes([bank_of(rng, np.repeat(old_ids, 2), d=5)])
-    fresh = build_prototypes([bank_of(rng, np.repeat(fresh_ids, 3), d=5)])
+    old = build_prototypes(bank_of(rng, np.repeat(old_ids, 2), d=5))
+    fresh = build_prototypes(bank_of(rng, np.repeat(fresh_ids, 3), d=5))
     same_bytes(ema_update(old, fresh, momentum), loop_ema(old, fresh, momentum))
 
 
 def test_counts_per_class_row(rng):
-    protos = build_prototypes([bank_of(rng, [0, 2])])
+    protos = build_prototypes(bank_of(rng, [0, 2]))
     assert protos.class_ids.tolist() == [0, 2]
     assert protos.counts.tolist() == [1, 1]
     assert protos.p2d.shape == protos.p3d.shape == (2, 4)

@@ -139,6 +139,17 @@ def test_non_finite_value_names_section_and_offset(tmp_path, offset, section, va
     assert err.value.offset == offset
 
 
+def test_class_count_bounded_by_the_label_dtype(tmp_path):
+    """T = 65536 is the most uint16 labels address; one more is rejected."""
+    path = tmp_path / "scene.cscs"
+    write_patched(path, 28, np.uint32(65536).astype("<u4").tobytes())
+    assert read_scene(path).num_classes == 65536
+    write_patched(path, 28, np.uint32(65537).astype("<u4").tobytes())
+    with pytest.raises(SceneFormatError, match="class count 65537") as err:
+        read_scene(path)
+    assert err.value.offset == 28
+
+
 @pytest.mark.parametrize(
     "camera,section", [(0, SPIX0), (1, SPIX1)], ids=["camera0", "camera1"]
 )

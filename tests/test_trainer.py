@@ -41,7 +41,7 @@ from scenecontrast.trainer import (
     save_model,
 )
 
-from fdutil import full_embed_probe, random_init_probe
+from fdutil import full_embed_probe, loop_prototypes, random_init_probe
 
 # ---------------------------------------------------------------------------
 # config
@@ -396,6 +396,31 @@ def test_skipped_batch_leaves_the_ema_bank(small_frames, prepared, monkeypatch):
     assert run.bank is bank
     for name in ("class_ids", "p2d", "p3d", "counts"):
         assert getattr(bank, name).tobytes() == getattr(saved, name).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["raw3d", "mmpb"])
+def test_each_arm_hands_the_loss_its_own_prototypes(small_frames, prepared, monkeypatch, mode):
+    """raw3d scores the normalized 3D means, mmpb the blend of both tables."""
+    cfg = replace(CFG, lam=0, proto_mode=mode)
+    model = init_model(small_frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
+    real = trainer.losses.loss_pro
+    seen = []
+
+    def capturing(bank, class_ids, pmix, tau_pro):
+        seen.append((bank, class_ids, pmix))
+        return real(bank, class_ids, pmix, tau_pro)
+
+    monkeypatch.setattr(trainer.losses, "loss_pro", capturing)
+    with trainer._Run.open(model, cfg, prepared) as run:
+        trainer.run_step(model, prepared[:3], 1, cfg, run)
+    ((bank, class_ids, pmix),) = seen
+    table = loop_prototypes([bank])
+    if mode == "raw3d":
+        want = table.p3d / np.linalg.norm(table.p3d, axis=1)[:, None]
+    else:
+        want = trainer.blending.blend(table, model.blend).pmix
+    assert class_ids.tobytes() == table.class_ids.tobytes()
+    assert pmix.dtype == want.dtype and pmix.tobytes() == want.tobytes()
 
 
 def test_ema_changes_prototype_term(small_frames):
