@@ -1,11 +1,12 @@
-"""Contrastive losses with analytic gradients and the epoch-gated total.
+"""Contrastive losses with analytic gradients and the step's loss report.
 
 Two terms: a superpixel/superpoint InfoNCE over the batch's paired regions
 (summed over rows, cross-frame negatives included), and a prototype term
 attracting each superpoint to the mixed prototype of its class (averaged
-over rows).  The total gates the prototype term strictly after epoch
-``lam``; the trainer must not even compute it while gated off, and
-``total_loss`` enforces that.
+over rows).  The prototype term is gated on strictly after epoch
+``lam``: ``run_step`` decides the gate once and computes the term only
+while it is open, so ``total_loss`` reports the gate from whether the
+term exists.
 
 Gradients are with respect to the raw bank rows handed in; no internal
 re-normalization happens here, which keeps every input independently
@@ -14,7 +15,7 @@ perturbable for finite-difference checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -29,30 +30,23 @@ from .errors import (
 
 @dataclass
 class LossReport:
+    """One step's metrics row; the fields are the CSV columns after
+    ``step`` and ``epoch``, in order."""
+
+    gate: int  # 0 or 1
     loss_sp: float
     loss_pro: float  # 0.0 while gated off
     total: float
-    gate: int  # 0 or 1
     mean_pos_sim: float
     mean_negmax_sim: float
 
 
-CSV_HEADER = "step,epoch,gate,loss_sp,loss_pro,total,mean_pos_sim,mean_negmax_sim"
+CSV_HEADER = ",".join(["step", "epoch", *(f.name for f in fields(LossReport))])
 
 
 def csv_row(step: int, epoch: int, report: LossReport) -> str:
-    return ",".join(
-        [
-            str(step),
-            str(epoch),
-            str(report.gate),
-            repr(report.loss_sp),
-            repr(report.loss_pro),
-            repr(report.total),
-            repr(report.mean_pos_sim),
-            repr(report.mean_negmax_sim),
-        ]
-    )
+    # repr() of a float is lossless, and of an int equals str()
+    return ",".join([str(step), str(epoch), *map(repr, astuple(report))])
 
 
 def _row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -148,51 +142,20 @@ def loss_pro(
     return ProResult(value=value, grad_f3d=grad_f3d, grad_pmix=grad_pmix)
 
 
-@dataclass
-class TotalResult:
-    report: LossReport
-    grad_f3d: np.ndarray
-    grad_f2d: np.ndarray
-    grad_pmix: np.ndarray | None  # None while gated off
-
-
 def gate_open(epoch: int, lam: int) -> bool:
     """The prototype term is active strictly after epoch ``lam``."""
     return epoch > lam
 
 
-def total_loss(
-    epoch: int,
-    sp: SpResult,
-    pro: ProResult | None,
-    lam: int,
-) -> TotalResult:
-    """Combine the two terms under the epoch gate.
-
-    The caller must pass ``pro=None`` exactly when the gate is closed:
-    supplying it anyway means it was computed for nothing, and omitting it
-    with the gate open would silently drop the term; both are bugs.  With
-    the gate closed the report's ``loss_pro`` is 0.0, ``total`` is the
-    paired term alone and there is no prototype gradient.
+def total_loss(sp: SpResult, pro: ProResult | None) -> LossReport:
+    """Report the step's losses; ``pro`` is None exactly while the gate is
+    closed, and then ``loss_pro`` is 0.0 and ``total`` the paired term alone.
     """
-    if epoch < 1:
-        raise ConfigurationError("epochs are numbered from 1")
-    gate = gate_open(epoch, lam)
-    if gate and pro is None:
-        raise ContractViolationError("gate open but no prototype loss supplied")
-    if not gate and pro is not None:
-        raise ContractViolationError("gate closed but a prototype loss was computed")
-    report = LossReport(
+    return LossReport(
+        gate=int(pro is not None),
         loss_sp=sp.value,
         loss_pro=0.0 if pro is None else pro.value,
         total=sp.value if pro is None else sp.value + pro.value,
-        gate=int(gate),
         mean_pos_sim=sp.mean_pos_sim,
         mean_negmax_sim=sp.mean_negmax_sim,
-    )
-    return TotalResult(
-        report=report,
-        grad_f3d=sp.grad_f3d if pro is None else sp.grad_f3d + pro.grad_f3d,
-        grad_f2d=sp.grad_f2d,
-        grad_pmix=None if pro is None else pro.grad_pmix,
     )

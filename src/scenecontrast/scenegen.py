@@ -585,14 +585,13 @@ def generate_scene(
     for sem, spix in zip(sems, spixs):
         sem = sem.copy()
         if cfg.noise > 0.0:
-            ids = np.unique(spix[spix != UNASSIGNED])
+            on = spix != UNASSIGNED
+            ids = np.unique(spix[on])
             flip = rng.random(len(ids)) < cfg.noise
             shifts = rng.integers(1, cfg.num_classes, size=len(ids))
-            for i, rid in enumerate(ids):
-                if flip[i]:
-                    mask = spix == rid
-                    orig = int(sem[mask][0])  # regions are class-pure
-                    sem[mask] = (orig + int(shifts[i])) % cfg.num_classes
+            # regions are class-pure, so shifting each pixel shifts its region
+            shift = np.where(flip, shifts, 0)[np.searchsorted(ids, spix[on])]
+            sem[on] = (sem[on] + shift) % cfg.num_classes
         noisy.append(sem)
 
     return SceneFrame(

@@ -411,7 +411,8 @@ def run_step(
     frames' pooled rows make one ``EmbeddingBank``, which both losses and
     the prototypes read.  The gradient is left in ``run.grads``, summed on
     the calling thread in batch order, so it does not depend on which
-    thread ran a frame.
+    thread ran a frame.  The prototype gate is decided here, once: the
+    prototype term is computed only while it is open.
     Raises DegenerateBatchError when the batch has too few valid regions
     or a raw 3D or blended prototype collapses to zero norm.
     """
@@ -458,7 +459,7 @@ def run_step(
         if cfg.ema:
             run.bank = protos  # past every check that skips a batch
 
-    tot = losses.total_loss(epoch, sp, pro, cfg.lam)
+    grad_f3d = sp.grad_f3d if pro is None else sp.grad_f3d + pro.grad_f3d
 
     grads = run.grads
     grads.fill(0.0)
@@ -471,15 +472,15 @@ def run_step(
     def backward3d_and_blend(out):
         for r, (_, _, caches) in zip(rows, side3d):
             grads[n2d:n3d] += _embed_backward(
-                model.embed3d, tot.grad_f3d[r], caches, out
+                model.embed3d, grad_f3d[r], caches, out
             )
         if bcache is not None:  # the gate is open and prototypes are blended
-            grads[n3d:] += blending.blend_backward(tot.grad_pmix, bcache)
+            grads[n3d:] += blending.blend_backward(pro.grad_pmix, bcache)
 
     _, grads2d = _run_beside(
         run.worker,
         [
-            partial(_embed_backward, model.embed2d, tot.grad_f2d[r], caches)
+            partial(_embed_backward, model.embed2d, sp.grad_f2d[r], caches)
             for r, (_, _, caches) in zip(rows, side2d)
             if caches is not None
         ],
@@ -488,7 +489,7 @@ def run_step(
     )
     for g in grads2d:
         grads[:n2d] += g
-    return tot.report
+    return losses.total_loss(sp, pro)
 
 
 def cosine_lr(base_lr: float, epoch: int, epochs: int) -> float:
@@ -597,16 +598,18 @@ def fit_linear_probe(
     y_train: np.ndarray,
     z_test: np.ndarray,
     y_test: np.ndarray,
-    num_classes: int,
     epochs: int = 100,
 ) -> ProbeReport:
     """Softmax regression on frozen features, full-batch GD from zero init.
 
-    Features are standardized with training statistics; accuracy is the
-    macro mean over the classes that appear in the test labels.
+    The classifier has one class per label up to the largest label present
+    in either set.  Features are standardized with training statistics;
+    accuracy is the macro mean over the classes that appear in the test
+    labels.
     """
     if len(z_train) == 0:
         raise ConfigurationError("empty probe training set")
+    num_classes = int(max(y_train.max(), y_test.max(initial=0))) + 1
     mu = z_train.mean(axis=0)
     sd = z_train.std(axis=0)
     sd = np.where(sd < 1e-8, 1.0, sd)
@@ -680,7 +683,6 @@ def linear_probe(model: Model, frames: list[SceneFrame], cfg: TrainConfig) -> Pr
         labels(train_frames)[chosen],
         z_test,
         labels(test_frames),
-        frames[0].num_classes,
         epochs=cfg.probe_epochs,
     )
 

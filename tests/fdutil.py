@@ -164,8 +164,7 @@ def full_embed_probe(model, frames, cfg):
     rng = trainer._rng(cfg.seed, trainer._TAG_PROBE)
     chosen = rng.choice(n, size=min(int(round(cfg.probe_fraction * n)), n), replace=False)
     return trainer.fit_linear_probe(
-        z_train[chosen], y_train[chosen], z_test, y_test, frames[0].num_classes,
-        epochs=cfg.probe_epochs,
+        z_train[chosen], y_train[chosen], z_test, y_test, epochs=cfg.probe_epochs,
     )
 
 

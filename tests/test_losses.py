@@ -13,7 +13,6 @@ from fdutil import central_diff, max_rel_err
 from scenecontrast.embednet import EmbeddingBank
 from scenecontrast.errors import (
     ConfigurationError,
-    ContractViolationError,
     DegenerateBatchError,
     MissingClassError,
 )
@@ -238,11 +237,10 @@ def test_gate_strictly_after_lam():
 def test_total_closed_gate(rng):
     bank = random_bank(rng)
     sp = loss_sp(bank, 0.07)
-    out = total_loss(3, sp, None, 5)
-    assert out.report.gate == 0
-    assert out.report.loss_pro == 0.0
-    assert out.report.total == sp.value
-    assert out.grad_pmix is None
+    report = total_loss(sp, None)
+    assert report.gate == 0
+    assert report.loss_pro == 0.0
+    assert report.total == sp.value
 
 
 def test_total_open_gate_sums(rng):
@@ -250,24 +248,9 @@ def test_total_open_gate_sums(rng):
     protos = proto_bank_from(unit_rows(rng, 3, 5))
     sp = loss_sp(bank, 0.07)
     pro = loss_pro(bank, *protos, 1.0)
-    out = total_loss(6, sp, pro, 5)
-    assert out.report.gate == 1
-    assert abs(out.report.total - (sp.value + pro.value)) < 1e-12
-    assert np.allclose(out.grad_f3d, sp.grad_f3d + pro.grad_f3d, atol=1e-15)
-    assert np.array_equal(out.grad_f2d, sp.grad_f2d)
-
-
-def test_total_contract_enforced(rng):
-    bank = random_bank(rng, num_classes=3)
-    protos = proto_bank_from(unit_rows(rng, 3, 5))
-    sp = loss_sp(bank, 0.07)
-    pro = loss_pro(bank, *protos, 1.0)
-    with pytest.raises(ContractViolationError):
-        total_loss(3, sp, pro, 5)  # gate closed, pro computed anyway
-    with pytest.raises(ContractViolationError):
-        total_loss(6, sp, None, 5)  # gate open, pro missing
-    with pytest.raises(ConfigurationError):
-        total_loss(0, sp, None, 5)
+    report = total_loss(sp, pro)
+    assert report.gate == 1
+    assert abs(report.total - (sp.value + pro.value)) < 1e-12
 
 
 def test_csv_row_format():
@@ -276,13 +259,15 @@ def test_csv_row_format():
         mean_pos_sim=0.25, mean_negmax_sim=-0.125,
     )
     assert csv_row(3, 2, report) == "3,2,0,1.5,0.0,1.5,0.25,-0.125"
-    assert CSV_HEADER.split(",")[0] == "step"
+    assert CSV_HEADER == (
+        "step,epoch,gate,loss_sp,loss_pro,total,mean_pos_sim,mean_negmax_sim"
+    )
     assert len(CSV_HEADER.split(",")) == len(csv_row(3, 2, report).split(","))
 
 
 def test_csv_row_roundtrips_floats(rng):
     bank = random_bank(rng)
     sp = loss_sp(bank, 0.07)
-    out = total_loss(1, sp, None, 5)
-    fields = csv_row(0, 1, out.report).split(",")
-    assert float(fields[3]) == out.report.loss_sp  # repr() is lossless
+    report = total_loss(sp, None)
+    fields = csv_row(0, 1, report).split(",")
+    assert float(fields[3]) == report.loss_sp  # repr() is lossless

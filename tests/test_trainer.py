@@ -398,6 +398,29 @@ def test_skipped_batch_leaves_the_ema_bank(small_frames, prepared, monkeypatch):
         assert getattr(bank, name).tobytes() == getattr(saved, name).tobytes()
 
 
+@pytest.mark.parametrize("epoch, gate", [(CFG.lam, 0), (CFG.lam + 1, 1)])
+def test_prototype_work_runs_only_with_the_gate_open(
+    small_frames, prepared, monkeypatch, epoch, gate
+):
+    model = init_model(small_frames[0].pixel_features.shape[3], CFG.embed_dim, CFG.seed)
+    calls = {}
+    for module, name in [
+        (trainer.protobank, "build_prototypes"),
+        (trainer.blending, "blend"),
+        (trainer.losses, "loss_pro"),
+    ]:
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    with trainer._Run.open(model, CFG, prepared) as run:
+        report = trainer.run_step(model, prepared[:3], epoch, CFG, run)
+    assert report.gate == gate
+    want = {"build_prototypes": 1, "blend": 1, "loss_pro": 1} if gate else {}
+    assert calls == want
+
+
 @pytest.mark.parametrize("mode", ["raw3d", "mmpb"])
 def test_each_arm_hands_the_loss_its_own_prototypes(small_frames, prepared, monkeypatch, mode):
     """raw3d scores the normalized 3D means, mmpb the blend of both tables."""
@@ -510,7 +533,7 @@ def test_probe_perfect_on_separable_fixture(rng):
         y.append(np.full(n_per, cls))
     z = np.concatenate(z)
     y = np.concatenate(y)
-    rep = fit_linear_probe(z, y, z, y, num_classes=c)
+    rep = fit_linear_probe(z, y, z, y)
     assert rep.mean_accuracy == 1.0
     assert set(rep.per_class) == set(range(c))
     assert rep.n_train_labeled == n_per * c
@@ -532,7 +555,7 @@ def test_probe_empty_training_set():
     with pytest.raises(ConfigurationError, match="empty"):
         fit_linear_probe(
             np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros((1, 3)),
-            np.zeros(1, dtype=int), 2,
+            np.zeros(1, dtype=int),
         )
 
 
@@ -544,6 +567,22 @@ def test_probe_split_holds_out_last_quarter(small_frames):
         probe_split(small_frames[:1])
     back = probe_split(small_frames[::-1])
     assert [[f.scene_id for f in part] for part in back] == [[0, 1, 2, 3, 4], [5]]
+
+
+def test_probe_sizes_its_classifier_by_the_labels(trained, small_frames):
+    # a header may declare up to 65536 classes; the probe must not allocate
+    # for classes no label uses, nor let them change the fit
+    wide = [replace(f, num_classes=65536) for f in small_frames]
+    cfg = TrainConfig(probe_fraction=0.05)
+    want = linear_probe(trained.model, small_frames, cfg)
+    tracemalloc.start()
+    try:
+        got = linear_probe(trained.model, wide, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 16 * 2**20, peak
 
 
 def test_probe_fraction_too_small(trained, small_frames):
