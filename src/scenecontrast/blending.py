@@ -122,6 +122,10 @@ def blend_backward(upstream: np.ndarray, cache: BlendCache) -> np.ndarray:
     fuse_stack = cache.cache_fuse.stack
     grads_fuse, g_concat = embednet.backward(fuse_stack, g_fused, cache.cache_fuse)
     d = cache.cache2d.stack.out_width
-    grads2d, _ = embednet.backward(cache.cache2d.stack, g_concat[:, :d], cache.cache2d)
-    grads3d, _ = embednet.backward(cache.cache3d.stack, g_concat[:, d:], cache.cache3d)
+    grads2d, _ = embednet.backward(
+        cache.cache2d.stack, g_concat[:, :d], cache.cache2d, input_grad=False
+    )
+    grads3d, _ = embednet.backward(
+        cache.cache3d.stack, g_concat[:, d:], cache.cache3d, input_grad=False
+    )
     return np.concatenate([grads2d, grads3d, grads_fuse])

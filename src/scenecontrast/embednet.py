@@ -21,20 +21,29 @@ parameter gradient as one vector in the same layout, and the training
 loop lays its gradient and velocity buffers out the same way.  Layers are
 frozen, so a layer's arrays can be written in place but never rebound.
 
-Buffer contract: a forward cache owns a float64 copy of its input rows
-and each hidden layer's output, and nothing else.  Inputs may be float32
-(the scene files' dtype); the copy is an exact cast.  The last layer's
-output is not kept, since ``backward`` never reads it: ``forward`` writes
-it into a buffer the caller lends (``out=``) or into a new array.
-``forward`` given ``reuse=`` an earlier cache of the same stack and row
-count casts its inputs into that cache's input buffer and writes its
-hidden outputs into that cache's arrays, so a caller that keeps one cache
-per batch slot, and lends one output buffer per thread, allocates no
-activation arrays after its first step.  ``backward`` consumes its cache:
-it writes each hidden layer's output gradient over that layer's stored
-output, so a cache serves one backward only.  A stale cache, a consumed
-cache and a cache whose arrays a later forward has taken over are all
-rejected with ContractViolationError.
+Buffer contract: a forward cache owns a float64 copy of its input rows,
+the output of each hidden layer after the first, and, once a backward
+has run on it, the vector that backward wrote the parameter gradient
+into.  Inputs may be float32 (the scene files' dtype); the copy is an
+exact cast.  The last layer's output is not kept, since ``backward``
+never reads it: ``forward`` writes it into a buffer the caller lends
+(``out=``) or into a new array.  Nor is the first hidden layer's output:
+``forward`` writes it into a buffer the caller lends (``work=``) or into
+a new array, and ``backward`` recomputes it from the cached inputs with
+the same operations, so with the forward's bits, into the buffer the
+caller lends it.  ``forward`` given ``reuse=`` an earlier cache of the
+same stack and row count casts its inputs into that cache's input
+buffer, writes its later hidden outputs into that cache's arrays and
+takes over its gradient vector.  So a caller that keeps one cache per
+batch slot, and lends one output and one work buffer per thread,
+allocates no activation arrays and no gradient vectors after its first
+step; it reads each gradient before the slot's next backward overwrites
+it.  ``backward`` consumes its cache: it writes each hidden layer's
+output gradient over that layer's output, so a cache serves one backward
+only.  A stale cache, a consumed cache and a cache whose arrays a later
+forward has taken over are all rejected with ContractViolationError.
+``backward`` computes the input gradient only for a caller that asks for
+it (``input_grad``), since the training step discards it.
 """
 
 from __future__ import annotations
@@ -158,8 +167,9 @@ class ForwardCache:
     stack: DenseStack
     version: int
     inputs: np.ndarray  # (N, in_width) float64, owned by the cache
-    acts: list[np.ndarray]  # per hidden layer, its output after its ReLU
+    acts: list[np.ndarray]  # per hidden layer after the first, its output after its ReLU
     live: bool = True  # False once a backward consumed it or a forward reused it
+    grads: np.ndarray | None = None  # the vector the backward writes its gradient into
 
     def check(self) -> None:
         if self.version != self.stack.version:
@@ -173,21 +183,41 @@ class ForwardCache:
             )
 
 
+def _check_lent(name: str, buf: np.ndarray | None, shape: tuple[int, int]) -> None:
+    if buf is not None and (buf.shape != shape or buf.dtype != np.float64):
+        raise ShapeError(f"{name} has shape {buf.shape} {buf.dtype}, want {shape} float64")
+
+
+def _hidden(layer: DenseLayer, below: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """relu(below @ W.T + b), written into ``out`` when given; ``forward``
+    and ``backward``'s recompute share these operations, hence the bits."""
+    h = np.matmul(below, layer.weight.T, out=out)
+    h += layer.bias
+    np.maximum(h, 0.0, out=h)
+    return h
+
+
 def forward(
     stack: DenseStack,
     inputs: np.ndarray,
     reuse: ForwardCache | None = None,
     out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack on (N, in_width) rows.
 
-    Returns the output and a cache for ``backward``, which does not hold
-    the output.  The output is written into ``out`` when given, an
-    (N, out_width) float64 array the caller lends, and into a new array
-    otherwise.  When ``reuse`` is a cache of this stack over N rows whose
-    arrays ``out`` does not overlap, the inputs are cast into its input
-    buffer, each hidden layer's output is written into its array, and
-    ``reuse`` is dead from then on; any other ``reuse`` is ignored.
+    Returns the output and a cache for ``backward``, which holds neither
+    the output nor the first hidden layer's output.  The output is written
+    into ``out`` when given, an (N, out_width) float64 array the caller
+    lends, and into a new array otherwise.  ``work``, when given, is an
+    (N, width of the first hidden layer) float64 array the caller lends
+    for that layer's output, which is dead once the next layer has read
+    it; a stack without hidden layers ignores it.  When ``reuse`` is a
+    cache of this stack over N rows whose arrays neither ``out`` nor
+    ``work`` overlaps, the inputs are cast into its input buffer, each
+    later hidden layer's output is written into its array, the new cache
+    takes over its gradient vector, and ``reuse`` is dead from then on;
+    any other ``reuse`` is ignored.
     """
     x = np.asarray(inputs)
     if x.ndim != 2:
@@ -197,74 +227,91 @@ def forward(
             f"inputs have width {x.shape[1]}, stack expects {stack.in_width}"
         )
     n = x.shape[0]
-    shape = (n, stack.out_width)
-    if out is not None and (out.shape != shape or out.dtype != np.float64):
-        raise ShapeError(f"out has shape {out.shape} {out.dtype}, want {shape} float64")
+    _check_lent("out", out, (n, stack.out_width))
     hidden = stack.layers[:-1]
+    if hidden:
+        _check_lent("work", work, (n, hidden[0].weight.shape[0]))
+    else:
+        work = None
     if (
         reuse is not None
         and reuse.stack is stack
         and reuse.inputs.shape == x.shape
-        and [a.shape for a in reuse.acts] == [(n, l.weight.shape[0]) for l in hidden]
-        and not (
-            out is not None
-            and any(np.may_share_memory(out, a) for a in [reuse.inputs, *reuse.acts])
+        and [a.shape for a in reuse.acts] == [(n, l.weight.shape[0]) for l in hidden[1:]]
+        and not any(
+            lent is not None and np.may_share_memory(lent, a)
+            for lent in (out, work)
+            for a in [reuse.inputs, *reuse.acts]
         )
     ):
-        xin, bufs = reuse.inputs, reuse.acts
+        xin, bufs, grads = reuse.inputs, reuse.acts, reuse.grads
         reuse.live = False
         np.copyto(xin, x)
     else:
-        xin, bufs = x.astype(np.float64), [None] * len(hidden)
+        xin, bufs, grads = x.astype(np.float64), [None] * len(hidden[1:]), None
     acts = []
     h = xin
-    for layer, buf in zip(hidden, bufs):
-        h = np.matmul(h, layer.weight.T, out=buf)
-        h += layer.bias
-        np.maximum(h, 0.0, out=h)
+    for layer, buf in zip(hidden, [work, *bufs]):
+        h = _hidden(layer, h, buf)
         acts.append(h)
     top = stack.layers[-1]
     h = np.matmul(h, top.weight.T, out=out)
     h += top.bias
-    return h, ForwardCache(stack, stack.version, xin, acts)
+    return h, ForwardCache(stack, stack.version, xin, acts[1:], grads=grads)
 
 
 def backward(
-    stack: DenseStack, upstream: np.ndarray, cache: ForwardCache
-) -> tuple[np.ndarray, np.ndarray]:
+    stack: DenseStack,
+    upstream: np.ndarray,
+    cache: ForwardCache,
+    work: np.ndarray | None = None,
+    input_grad: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Gradients of sum(upstream * output) w.r.t. parameters and inputs.
 
-    The parameter gradient is one new vector laid out by ``layer_views``.
+    The parameter gradient is one vector laid out by ``layer_views``: the
+    cache's ``grads``, allocated here unless the cache took one over from
+    the cache it reused.  The input gradient is None with
+    ``input_grad=False``, which skips it.  The first hidden layer's output
+    is recomputed from the cache's inputs, into ``work`` when given (as
+    ``forward`` takes it), bit for bit as the forward computed it.
     Consumes ``cache``: the gradient at each hidden layer's output is
-    written over that layer's stored output, so the cache is dead
-    afterwards.  ``upstream`` itself is never written to, so it may be the
-    buffer the forward wrote its output into, which saves a buffer.
+    written over that layer's output, so the cache is dead afterwards.
+    ``upstream`` itself is never written to, so it may be the buffer the
+    forward wrote its output into, which saves a buffer.
     """
     cache.check()
     if cache.stack is not stack:
         raise ContractViolationError("cache built for a different stack")
     g = np.asarray(upstream, dtype=np.float64)
-    acts = cache.acts
     layers = stack.layers
-    want = (cache.inputs.shape[0], stack.out_width)
+    n = cache.inputs.shape[0]
+    want = (n, stack.out_width)
     if g.shape != want:
         raise ShapeError(f"upstream shape {g.shape} does not match output {want}")
+    acts = []
+    if len(layers) > 1:
+        _check_lent("work", work, (n, layers[0].weight.shape[0]))
+        acts = [_hidden(layers[0], cache.inputs, work), *cache.acts]
     cache.live = False
-    grads = np.empty(stack.num_params)
+    if cache.grads is None:
+        cache.grads = np.empty(stack.num_params)
+    grads = cache.grads
     (views,) = layer_views([stack], grads)
-    for i in range(len(layers) - 1, -1, -1):
-        below = cache.inputs if i == 0 else acts[i - 1]
+    for i in range(len(layers) - 1, 0, -1):
+        below = acts[i - 1]
         gw, gb = views[i]
         np.matmul(g.T, below, out=gw)
         g.sum(axis=0, out=gb)
-        if i == 0:
-            g = g @ layers[0].weight
-            continue
         # the ReLU mask of the layer below, before its output is overwritten
         mask = below > 0.0
         g = np.matmul(g, layers[i].weight, out=below)
         g *= mask
-    return grads, g
+        del mask  # so the next layer's mask does not coexist with it
+    gw, gb = views[0]
+    np.matmul(g.T, cache.inputs, out=gw)
+    g.sum(axis=0, out=gb)
+    return grads, g @ layers[0].weight if input_grad else None
 
 
 # ---------------------------------------------------------------------------

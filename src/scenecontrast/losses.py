@@ -15,7 +15,7 @@ perturbable for finite-difference checks.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,13 +40,18 @@ class LossReport:
     mean_pos_sim: float
     mean_negmax_sim: float
 
+    def values(self) -> tuple:
+        """The fields in column order, not copied (``astuple`` deep-copies)."""
+        return tuple(getattr(self, name) for name in _COLUMNS)
 
-CSV_HEADER = ",".join(["step", "epoch", *(f.name for f in fields(LossReport))])
+
+_COLUMNS = [f.name for f in fields(LossReport)]
+CSV_HEADER = ",".join(["step", "epoch", *_COLUMNS])
 
 
 def csv_row(step: int, epoch: int, report: LossReport) -> str:
     # repr() of a float is lossless, and of an int equals str()
-    return ",".join([str(step), str(epoch), *map(repr, astuple(report))])
+    return ",".join([str(step), str(epoch), *map(repr, report.values())])
 
 
 def _row_softmax(logits: np.ndarray) -> np.ndarray:

@@ -318,11 +318,10 @@ def _pixel_rays(cam: CameraModel) -> np.ndarray:
 
 
 def _raster_scene(
-    cam: CameraModel, prims: list[_Primitive]
+    eye: np.ndarray, dirs: np.ndarray, prims: list[_Primitive]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ray-cast one camera: per-pixel class, hit distance, hit flag."""
-    eye = cam.eye()
-    dirs = _pixel_rays(cam)
+    """Ray-cast one camera, given its eye and ``_pixel_rays``: per-pixel
+    class, hit distance, hit flag."""
     flat = dirs.reshape(-1, 3)
     n = flat.shape[0]
     t_all = np.full((len(prims) + 1, n), np.inf)
@@ -336,7 +335,7 @@ def _raster_scene(
     hit = np.isfinite(t_best)
     class_of = np.array([0] + [p.class_id for p in prims], dtype=np.uint16)
     sem = np.where(hit, class_of[winner], 0).astype(np.uint16)
-    shape = (cam.height, cam.width)
+    shape = dirs.shape[:2]
     return sem.reshape(shape), t_best.reshape(shape), hit.reshape(shape)
 
 
@@ -471,6 +470,7 @@ def _pixel_feature_raster(
 
 def _sample_points(
     cams: list[CameraModel],
+    rays: list[tuple[np.ndarray, np.ndarray]],
     sems: list[np.ndarray],
     dists: list[np.ndarray],
     hits: list[np.ndarray],
@@ -482,19 +482,19 @@ def _sample_points(
 
     A candidate survives only if its float32 position projects onto an
     assigned pixel of the SAME class in every camera that sees it, which
-    makes the class label recoverable from any covering view.
+    makes the class label recoverable from any covering view.  ``rays``
+    holds each camera's eye and ``_pixel_rays``.
     """
     from .projection import project_points
 
     cap = 6.0 * geom.extent
     cand_world = []
     cand_cls = []
-    for cam, sem, dist, hit in zip(cams, sems, dists, hits):
+    for (eye, dirs), sem, dist, hit in zip(rays, sems, dists, hits):
         take = hit & (dist <= cap)
         if not take.any():
             continue
-        dirs = _pixel_rays(cam)[take]
-        pts = cam.eye()[None, :] + dist[take][:, None] * dirs
+        pts = eye[None, :] + dist[take][:, None] * dirs[take]
         cand_world.append(pts.astype(np.float32))
         cand_cls.append(sem[take].astype(np.int64))
     if not cand_world:
@@ -559,9 +559,10 @@ def generate_scene(
     cams = _ring_cameras(geom, rng)
     prims = _place_objects(cfg, geom, rng)
 
+    rays = [(cam.eye(), _pixel_rays(cam)) for cam in cams]
     sems, dists, hits = [], [], []
-    for cam in cams:
-        sem, dist, hit = _raster_scene(cam, prims)
+    for eye, dirs in rays:
+        sem, dist, hit = _raster_scene(eye, dirs, prims)
         sems.append(sem)
         dists.append(dist)
         hits.append(hit)
@@ -575,7 +576,9 @@ def generate_scene(
         for sem, spix in zip(sems, spixs)
     ]
 
-    points, labels = _sample_points(cams, sems, dists, hits, geom, cfg.num_classes, rng)
+    points, labels = _sample_points(
+        cams, rays, sems, dists, hits, geom, cfg.num_classes, rng
+    )
 
     # label noise is segment-coherent: a wrong oracle opinion covers a whole
     # region, the way a segmentation model errs, so region signs (and the

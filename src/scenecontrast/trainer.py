@@ -33,7 +33,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -277,44 +277,53 @@ def _embed(
     groups: list[np.ndarray],
     slots: dict | None,
     key,
-    out: np.ndarray,
+    lane: tuple[np.ndarray, np.ndarray],
 ):
     """One side of one frame: (pooled rows, validity, caches for the backward).
 
-    ``out`` is the scratch of the lane that runs this call; its first rows
-    hold the stack's output until it is pooled.  With ``slots``, the
+    ``lane`` is the (out, work) scratch of the lane that runs this call:
+    the first rows of ``out`` hold the stack's output until it is pooled,
+    those of ``work`` its first hidden output.  With ``slots``, the
     forward writes into the buffers of the cache kept under ``key`` (the
     one of the step before) and keeps its own there.
     """
-    h, cache = embednet.forward(
-        stack, x, reuse=None if slots is None else slots.get(key), out=out[: len(x)]
-    )
+    out, work = lane
+    n = len(x)
+    reuse = None if slots is None else slots.get(key)
+    h, cache = embednet.forward(stack, x, reuse=reuse, out=out[:n], work=work[:n])
     if slots is not None:
         slots[key] = cache
     rows, valid, pcache = embednet.pool_regions(h, groups)
     return rows, valid, (cache, pcache)
 
 
-def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, out: np.ndarray):
+def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, lane):
     """Parameter gradient vector of one side of one frame, given its rows' gradient.
 
-    The pooled gradient is written into the first rows of ``out``, the
-    scratch of the lane that runs this call.
+    In the (out, work) scratch of the lane that runs this call, the pooled
+    gradient is written into the first rows of ``out``, and the backward
+    recomputes the first hidden output into those of ``work``.  The
+    gradient of the frame's inputs is not computed.  The vector returned
+    is the cache's, so it holds until the slot's next backward.
     """
     cache, pcache = caches
-    g = embednet.pool_backward(upstream, pcache, out=out[: pcache.num_rows])
-    return embednet.backward(stack, g, cache)[0]
+    out, work = lane
+    n = pcache.num_rows
+    g = embednet.pool_backward(upstream, pcache, out=out[:n])
+    return embednet.backward(stack, g, cache, work=work[:n], input_grad=False)[0]
 
 
 class _Run:
     """What one ``pretrain`` run carries from step to step; see ``open``.
 
     ``worker`` runs each frame's 2D side beside the 3D side (None with
-    ``freeze_2d``).  ``scratch`` is one buffer per lane, this thread's and
-    then the worker's, for each stack output until it is pooled and each
-    pooled gradient until the backward has read it.  ``slots`` holds each
-    trained stack and batch slot's forward cache, whose buffers the next
-    forward in that slot writes over.  ``bank`` is the EMA prototype bank,
+    ``freeze_2d``).  ``scratch`` is one (out, work) pair per lane, this
+    thread's and then the worker's: ``out`` holds each stack output until
+    it is pooled and each pooled gradient until the backward has read it,
+    ``work`` each first hidden output, which the backward recomputes
+    there.  ``slots`` holds each trained stack and batch slot's forward
+    cache, whose buffers, its gradient vector included, the next forward
+    in that slot takes over.  ``bank`` is the EMA prototype bank,
     which a skipped batch leaves as it was; ``grads`` the last step's
     gradient over all of ``Model.params``; ``vel`` the SGD velocity of
     ``params``, their trained part.
@@ -324,7 +333,10 @@ class _Run:
         self.worker = worker
         rows = max(len(x) for fd in frames for x in (fd.x2d, fd.x3d))
         lanes = 1 if worker is None else 2
-        self.scratch = [np.empty((rows, cfg.embed_dim)) for _ in range(lanes)]
+        self.scratch = [
+            (np.empty((rows, cfg.embed_dim)), np.empty((rows, HIDDEN[0])))
+            for _ in range(lanes)
+        ]
         self.slots: dict = {}
         self.rows2d: dict | None = {} if cfg.freeze_2d else None
         self.bank: protobank.PrototypeBank | None = None
@@ -347,14 +359,14 @@ class _Run:
         with blas_threads(1), ThreadPoolExecutor(1, thread_name_prefix="embed2d") as w:
             yield cls(model, cfg, frames, w)
 
-    def embed2d(self, stack: DenseStack, k: int, fd: FrameData, out: np.ndarray):
+    def embed2d(self, stack: DenseStack, k: int, fd: FrameData, lane):
         """Frame ``fd``'s 2D side in batch slot ``k``, as ``_embed`` gives it;
         with ``freeze_2d``, the rows pooled the first time and no caches."""
         if self.rows2d is None:
-            return _embed(stack, fd.x2d, fd.groups2d, self.slots, ("2d", k), out)
+            return _embed(stack, fd.x2d, fd.groups2d, self.slots, ("2d", k), lane)
         # keyed by identity: the run's FrameData outlive the run
         if id(fd) not in self.rows2d:
-            rows, valid, _ = _embed(stack, fd.x2d, fd.groups2d, None, None, out)
+            rows, valid, _ = _embed(stack, fd.x2d, fd.groups2d, None, None, lane)
             self.rows2d[id(fd)] = rows, valid, None
         return self.rows2d[id(fd)]
 
@@ -417,9 +429,9 @@ def run_step(
     or a raw 3D or blended prototype collapses to zero norm.
     """
 
-    def forward3d(out):
+    def forward3d(lane):
         return [
-            _embed(model.embed3d, fd.x3d, fd.groups3d, run.slots, ("3d", k), out)
+            _embed(model.embed3d, fd.x3d, fd.groups3d, run.slots, ("3d", k), lane)
             for k, fd in enumerate(batch)
         ]
 
@@ -469,10 +481,10 @@ def run_step(
     ends = np.cumsum([len(fd.groups2d) for fd in batch])
     rows = [slice(end - len(fd.groups2d), end) for fd, end in zip(batch, ends)]
 
-    def backward3d_and_blend(out):
+    def backward3d_and_blend(lane):
         for r, (_, _, caches) in zip(rows, side3d):
             grads[n2d:n3d] += _embed_backward(
-                model.embed3d, grad_f3d[r], caches, out
+                model.embed3d, grad_f3d[r], caches, lane
             )
         if bcache is not None:  # the gate is open and prototypes are blended
             grads[n3d:] += blending.blend_backward(pro.grad_pmix, bcache)
@@ -551,7 +563,7 @@ def pretrain(frames: list[SceneFrame], cfg: TrainConfig, out_dir=None) -> Pretra
                     )
                     continue
                 step += 1
-                _check_finite(astuple(report), epoch, step, "loss")
+                _check_finite(report.values(), epoch, step, "loss")
                 run.sgd(lr)
                 _check_finite([run.params], epoch, step, "sgd update")
                 stepped += 1
@@ -750,16 +762,16 @@ def _fd_over_vector(f, x: np.ndarray) -> np.ndarray:
 def _near_kink(cache: embednet.ForwardCache) -> bool:
     """True when a ReLU pre-activation lies within reach of the FD step.
 
-    The pre-activations are recomputed from the inputs and weights: the
-    cache keeps activations, and a ReLU output of 0 does not tell how far
-    below the kink its input was.  The last layer has no ReLU.
+    The pre-activations are recomputed from the cached inputs and the
+    weights: a ReLU output of 0 does not tell how far below the kink its
+    input was.  The last layer has no ReLU.
     """
     below = cache.inputs
-    for layer, act in zip(cache.stack.layers[:-1], cache.acts):
+    for layer in cache.stack.layers[:-1]:
         z = below @ layer.weight.T + layer.bias
         if np.min(np.abs(z)) < 1e-4:
             return True
-        below = act
+        below = np.maximum(z, 0.0)
     return False
 
 

@@ -10,7 +10,10 @@ package does not carry, ``scene_bytes`` for a frame equality,
 ``loop_prototypes`` and ``loop_ema`` are the per-region and per-class
 loops that the package's array group-bys replaced; they must agree bit
 for bit.  ``join_banks`` makes the one bank that a step hands to
-``build_prototypes`` out of several.
+``build_prototypes`` out of several.  ``stored_forward`` and
+``stored_backward`` are the stack passes that keep every hidden output
+and always compute the input gradient, which the package's recomputing
+passes must match bit for bit.
 """
 
 import tempfile
@@ -20,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from scenecontrast import trainer
-from scenecontrast.embednet import EmbeddingBank, forward, layer_views
+from scenecontrast.embednet import EmbeddingBank, ForwardCache, forward, layer_views
+from scenecontrast.errors import ContractViolationError, ShapeError
 from scenecontrast.projection import project_points
 from scenecontrast.protobank import PrototypeBank
 from scenecontrast.scenegen import UNASSIGNED, write_scene
@@ -245,3 +249,85 @@ def loop_ema(old: PrototypeBank, fresh: PrototypeBank, momentum: float):
     return PrototypeBank(
         class_ids=ids.astype(np.int64), p2d=p2d, p3d=p3d, counts=counts
     )
+
+
+def stored_forward(
+    stack,
+    inputs: np.ndarray,
+    reuse: ForwardCache | None = None,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
+    """``embednet.forward`` as it was when the cache kept every hidden output.
+
+    Its cache's ``acts`` hold each hidden layer's output, the first one
+    included, so only ``stored_backward`` may consume it.
+    """
+    x = np.asarray(inputs)
+    if x.ndim != 2:
+        raise ShapeError(f"inputs must be 2-D, got shape {x.shape}")
+    if x.shape[1] != stack.in_width:
+        raise ShapeError(
+            f"inputs have width {x.shape[1]}, stack expects {stack.in_width}"
+        )
+    n = x.shape[0]
+    shape = (n, stack.out_width)
+    if out is not None and (out.shape != shape or out.dtype != np.float64):
+        raise ShapeError(f"out has shape {out.shape} {out.dtype}, want {shape} float64")
+    hidden = stack.layers[:-1]
+    if (
+        reuse is not None
+        and reuse.stack is stack
+        and reuse.inputs.shape == x.shape
+        and [a.shape for a in reuse.acts] == [(n, l.weight.shape[0]) for l in hidden]
+        and not (
+            out is not None
+            and any(np.may_share_memory(out, a) for a in [reuse.inputs, *reuse.acts])
+        )
+    ):
+        xin, bufs = reuse.inputs, reuse.acts
+        reuse.live = False
+        np.copyto(xin, x)
+    else:
+        xin, bufs = x.astype(np.float64), [None] * len(hidden)
+    acts = []
+    h = xin
+    for layer, buf in zip(hidden, bufs):
+        h = np.matmul(h, layer.weight.T, out=buf)
+        h += layer.bias
+        np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    top = stack.layers[-1]
+    h = np.matmul(h, top.weight.T, out=out)
+    h += top.bias
+    return h, ForwardCache(stack, stack.version, xin, acts)
+
+
+def stored_backward(
+    stack, upstream: np.ndarray, cache: ForwardCache
+) -> tuple[np.ndarray, np.ndarray]:
+    """``embednet.backward`` as it was, over a ``stored_forward`` cache."""
+    cache.check()
+    if cache.stack is not stack:
+        raise ContractViolationError("cache built for a different stack")
+    g = np.asarray(upstream, dtype=np.float64)
+    acts = cache.acts
+    layers = stack.layers
+    want = (cache.inputs.shape[0], stack.out_width)
+    if g.shape != want:
+        raise ShapeError(f"upstream shape {g.shape} does not match output {want}")
+    cache.live = False
+    grads = np.empty(stack.num_params)
+    (views,) = layer_views([stack], grads)
+    for i in range(len(layers) - 1, -1, -1):
+        below = cache.inputs if i == 0 else acts[i - 1]
+        gw, gb = views[i]
+        np.matmul(g.T, below, out=gw)
+        g.sum(axis=0, out=gb)
+        if i == 0:
+            g = g @ layers[0].weight
+            continue
+        # the ReLU mask of the layer below, before its output is overwritten
+        mask = below > 0.0
+        g = np.matmul(g, layers[i].weight, out=below)
+        g *= mask
+    return grads, g

@@ -30,7 +30,14 @@ from scenecontrast.errors import (
     ShapeError,
 )
 
-from fdutil import central_diff, max_rel_err, set_stack_params, stack_params
+from fdutil import (
+    central_diff,
+    max_rel_err,
+    set_stack_params,
+    stack_params,
+    stored_backward,
+    stored_forward,
+)
 
 
 def test_identity_layer_passthrough(rng):
@@ -46,9 +53,15 @@ def test_relu_zeroes_negative_input():
     stack = DenseStack(
         [DenseLayer(np.eye(3), np.zeros(3)), DenseLayer(np.eye(3), bias.copy())]
     )
-    out, cache = forward(stack, -np.ones((2, 3)))
-    assert np.all(cache.acts[0] == 0.0)
+    work = np.full((2, 3), np.nan)
+    out, cache = forward(stack, -np.ones((2, 3)), work=work)
+    assert np.all(work == 0.0)
     assert np.array_equal(out, np.tile(bias, (2, 1)))  # negative entries kept
+    # the top weight's gradient is upstream.T @ the recomputed hidden output
+    grads, _ = backward(stack, np.ones((2, 3)), cache)
+    (views,) = layer_views([stack], grads)
+    assert np.all(views[1][0] == 0.0)
+    assert np.array_equal(views[1][1], [2.0, 2.0, 2.0])
 
 
 def test_two_layer_hand_evaluation():
@@ -151,15 +164,18 @@ def test_reuse_writes_the_same_bytes(rng):
 
 
 def test_reuse_ignored_when_it_does_not_fit(rng):
-    stack = init_stack([4, 5, 3], rng)
-    other = init_stack([4, 5, 3], rng)
+    stack = init_stack([4, 5, 5, 3], rng)
+    other = init_stack([4, 5, 5, 3], rng)
     _, cache = forward(stack, rng.normal(size=(6, 4)))
     kept = [cache.inputs, *cache.acts]
-    # other rows, another stack, or a lent output over the cache's arrays
-    for s, x, out in ((stack, rng.normal(size=(7, 4)), None),
-                      (other, rng.normal(size=(6, 4)), None),
-                      (stack, rng.normal(size=(6, 4)), cache.acts[0][:, :3])):
-        _, fresh = forward(s, x, reuse=cache, out=out)
+    assert len(cache.acts) == 1
+    # other rows, another stack, or a lent output or work buffer over the
+    # cache's arrays
+    for s, x, out, work in ((stack, rng.normal(size=(7, 4)), None, None),
+                            (other, rng.normal(size=(6, 4)), None, None),
+                            (stack, rng.normal(size=(6, 4)), cache.acts[0][:, :3], None),
+                            (stack, rng.normal(size=(6, 4)), None, cache.acts[0])):
+        _, fresh = forward(s, x, reuse=cache, out=out, work=work)
         assert not any(
             np.shares_memory(a, b) for a in [fresh.inputs, *fresh.acts] for b in kept
         )
@@ -197,6 +213,19 @@ def test_lent_output_must_fit(rng):
             forward(stack, x, out=out)
 
 
+def test_lent_work_must_fit(rng):
+    stack = init_stack([4, 5, 3], rng)
+    x = rng.normal(size=(6, 4))
+    for work in (np.empty((6, 3)), np.empty((5, 5)), np.empty((6, 5), np.float32)):
+        with pytest.raises(ShapeError, match="work has shape"):
+            forward(stack, x, work=work)
+        _, cache = forward(stack, x)
+        with pytest.raises(ShapeError, match="work has shape"):
+            backward(stack, np.ones((6, 3)), cache, work=work)
+    # a stack without hidden layers has no first hidden output to lend for
+    forward(init_stack([4, 3], rng), x, work=np.empty((6, 5), np.float32))
+
+
 def test_output_as_upstream(rng):
     # backward never reads the output, so the buffer lent for it can hold
     # upstream, as the training step's lane scratch does
@@ -232,21 +261,67 @@ def preactivations(stack, x):
 
 
 def test_cache_holds_inputs_and_hidden_activations(rng):
-    stack = init_stack([5, 7, 6, 3], rng)
+    stack = init_stack([5, 7, 6, 4, 3], rng)
     x = rng.normal(size=(9, 5)).astype(np.float32)
     x64 = x.astype(np.float64)
     out, cache = forward(stack, x)
     zs = preactivations(stack, x64)
-    # an owned float64 copy of the inputs and the hidden layers' outputs;
-    # the last layer's output is returned but not kept
+    relu = [np.maximum(z, 0.0).tobytes() for z in zs[:-1]]
+    # an owned float64 copy of the inputs and the outputs of the hidden
+    # layers after the first; the first hidden layer's output and the last
+    # layer's output are not kept
     assert cache.inputs.dtype == np.float64 and not np.shares_memory(cache.inputs, x)
     assert cache.inputs.tobytes() == x64.tobytes()
-    assert [a.tobytes() for a in cache.acts] == [np.maximum(z, 0.0).tobytes() for z in zs[:-1]]
+    assert [a.tobytes() for a in cache.acts] == relu[1:]
     assert out.tobytes() == zs[-1].tobytes()
     assert not any(np.shares_memory(out, a) for a in [cache.inputs, *cache.acts])
-    lent = np.empty((9, 3))
-    got, _ = forward(stack, x, out=lent)
+    # the lent buffers: the output, and the first hidden output in work
+    lent, work = np.empty((9, 3)), np.empty((9, 7))
+    got, cache = forward(stack, x, out=lent, work=work)
     assert got is lent and got.tobytes() == out.tobytes()
+    assert work.tobytes() == relu[0]
+    assert not any(
+        np.shares_memory(b, a) for b in (lent, work) for a in [cache.inputs, *cache.acts]
+    )
+
+
+@pytest.mark.parametrize("input_grad", [True, False], ids=["input-grad", "no-input-grad"])
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reuse"])
+@pytest.mark.parametrize("lend", [False, True], ids=["own", "lent"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_recompute_matches_the_stored_oracle(depth, dtype, lend, reuse, input_grad):
+    rng = np.random.default_rng(depth)
+    n = 11
+    widths = [5, *(int(w) for w in rng.integers(3, 9, size=depth))]
+    stack = init_stack(widths, rng)
+    x, y = (rng.normal(size=(n, widths[0])).astype(dtype) for _ in range(2))
+    up = rng.normal(size=(n, widths[-1]))
+    want_out, ref = stored_forward(stack, y)
+    want_grads, want_gx = stored_backward(stack, up, ref)
+
+    def lent():
+        # a stack without hidden layers ignores work of any width
+        return {"out": np.full((n, widths[-1]), np.nan),
+                "work": np.full((n, widths[1]), np.nan)} if lend else {}
+
+    kept = None
+    if reuse:
+        _, kept = forward(stack, x, **lent())
+        backward(stack, up, kept, work=lent().get("work"))
+    bufs = lent()
+    out, cache = forward(stack, y, reuse=kept, **bufs)
+    if reuse:
+        assert np.shares_memory(cache.inputs, kept.inputs)
+    assert out.tobytes() == want_out.tobytes()
+    grads, gx = backward(stack, up, cache, work=bufs.get("work"), input_grad=input_grad)
+    assert grads.tobytes() == want_grads.tobytes()
+    if reuse:  # a reusing forward takes over the gradient vector too
+        assert grads is kept.grads
+    if input_grad:
+        assert gx.tobytes() == want_gx.tobytes()
+    else:
+        assert gx is None
 
 
 def test_gradients_match_fd(rng):

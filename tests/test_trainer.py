@@ -712,9 +712,9 @@ def test_frozen_2d_work_counts(small_frames, monkeypatch, freeze):
         frame_of[id(cache)] = (cache, id(inputs))  # keeps the id unique
         return out, cache
 
-    def backward_(stack, upstream, cache):
+    def backward_(stack, upstream, cache, **kwargs):
         calls.append(("backward", stack, frame_of[id(cache)][1], len(batches) - 1))
-        return real_backward(stack, upstream, cache)
+        return real_backward(stack, upstream, cache, **kwargs)
 
     monkeypatch.setattr(trainer, "init_model", init_model_)
     monkeypatch.setattr(trainer, "run_step", run_step_)
@@ -785,9 +785,9 @@ def test_2d_thread_does_not_change_outputs(
         calls.append((stack, threading.current_thread().name))
         return real_forward(stack, inputs, **kwargs)
 
-    def backward_(stack, upstream, cache):
+    def backward_(stack, upstream, cache, **kwargs):
         calls.append((stack, threading.current_thread().name))
-        return real_backward(stack, upstream, cache)
+        return real_backward(stack, upstream, cache, **kwargs)
 
     monkeypatch.setattr(trainer, "ThreadPoolExecutor", executor)
     monkeypatch.setattr(embednet, "forward", forward_)
@@ -890,7 +890,8 @@ def test_each_slot_reuses_the_step_befores_buffers(small_frames, monkeypatch):
         for side in sides.values():
             for slot in range(3):
                 before, now = by_slot[k - 1, side, slot], by_slot[k, side, slot]
-                assert len(now.acts) == 2  # the hidden layers; no stack output
+                # the hidden layers after the first; no stack output
+                assert len(now.acts) == len(trainer.HIDDEN) - 1
                 assert np.shares_memory(before.inputs, now.inputs)
                 assert all(np.shares_memory(a, b) for a, b in zip(before.acts, now.acts))
 
@@ -899,15 +900,20 @@ def test_each_slot_reuses_the_step_befores_buffers(small_frames, monkeypatch):
 def test_buffer_reuse_does_not_change_outputs(small_frames, tmp_path, monkeypatch, cfg):
     normal = pretrain(small_frames, cfg, out_dir=tmp_path / "normal")
     dropped = []
-    real_forward = embednet.forward
+    real_forward, real_backward = embednet.forward, embednet.backward
 
     # the oracle: every forward on fresh buffers, ignoring the slot's cache
-    # and the lane's output scratch
-    def forward_(stack, inputs, reuse=None, out=None):
-        dropped.append(reuse is not None and out is not None)
+    # and the lane's scratch, and every backward recomputing into a fresh
+    # array and computing the input gradient too
+    def forward_(stack, inputs, reuse=None, out=None, work=None):
+        dropped.append(reuse is not None and out is not None and work is not None)
         return real_forward(stack, inputs)
 
+    def backward_(stack, upstream, cache, work=None, input_grad=True):
+        return real_backward(stack, upstream, cache)
+
     monkeypatch.setattr(embednet, "forward", forward_)
+    monkeypatch.setattr(embednet, "backward", backward_)
     fresh = pretrain(small_frames, cfg, out_dir=tmp_path / "fresh")
     assert any(dropped)
     assert fresh.metrics_path.read_bytes() == normal.metrics_path.read_bytes()
@@ -924,8 +930,10 @@ def test_prepare_frame_keeps_the_scene_arrays(small_frames, prepared):
 
 
 def test_run_state_buffers_add_up(small_frames, prepared):
-    # per slot and stack one float64 input buffer and the hidden layers'
-    # outputs; one stack-output scratch per lane, sized to the largest frame
+    # per slot and stack one float64 input buffer, the outputs of the
+    # hidden layers after the first and the gradient vector; per lane one
+    # stack-output scratch and one first-hidden-output buffer, both sized
+    # to the largest frame
     feat_dim = small_frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, CFG.embed_dim, CFG.seed)
     with trainer._Run.open(model, CFG, prepared) as run:
@@ -933,16 +941,18 @@ def test_run_state_buffers_add_up(small_frames, prepared):
             trainer.run_step(model, batch, CFG.lam + 1, CFG, run)
     caches, scratch = run.slots, run.scratch
     assert sorted(caches) == [(side, k) for side in ("2d", "3d") for k in range(3)]
-    arrays = [a for c in caches.values() for a in [c.inputs, *c.acts]] + scratch
+    arrays = [a for c in caches.values() for a in [c.inputs, *c.acts, c.grads]]
+    arrays += [a for lane in scratch for a in lane]
     assert not any(
         np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i]
     )
     rows2d, rows3d = len(prepared[0].x2d), len(prepared[0].x3d)
-    hidden = sum(trainer.HIDDEN)
+    first, *later = trainer.HIDDEN
     want = 8 * (
-        3 * rows2d * (feat_dim + hidden)
-        + 3 * rows3d * (4 + hidden)
-        + 2 * max(rows2d, rows3d) * CFG.embed_dim
+        3 * rows2d * (feat_dim + sum(later))
+        + 3 * rows3d * (4 + sum(later))
+        + 2 * max(rows2d, rows3d) * (CFG.embed_dim + first)
+        + 3 * (model.embed2d.num_params + model.embed3d.num_params)
     )
     assert sum(a.nbytes for a in arrays) == want
     assert all(a.dtype == np.float64 for a in arrays)
