@@ -64,7 +64,6 @@ class AssociationTable:
     """Global superpixel list over one frame's cameras."""
 
     superpixels: list[Superpixel]
-    num_points: int
 
     @property
     def Q(self) -> int:
@@ -145,4 +144,4 @@ def build_associations(frame: SceneFrame) -> AssociationTable:
                 )
             )
 
-    return AssociationTable(superpixels=superpixels, num_points=k)
+    return AssociationTable(superpixels=superpixels)

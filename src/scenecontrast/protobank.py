@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embednet import EmbeddingBank
-from .errors import EmptyBankError, ShapeError
+from .errors import ConfigurationError, EmptyBankError
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def ema_update(
 ) -> PrototypeBank:
     """new = m*old + (1-m)*fresh on shared classes; others carried/inserted."""
     if not (0.0 <= momentum < 1.0):
-        raise ShapeError(f"momentum {momentum} outside [0,1)")
+        raise ConfigurationError(f"momentum {momentum} outside [0,1)")
     ids = np.union1d(old.class_ids, fresh.class_ids)
     # rows of the union table that each bank's rows land on
     at_old = np.searchsorted(ids, old.class_ids)

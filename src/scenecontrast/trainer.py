@@ -18,20 +18,22 @@ operations; ``freeze_2d`` updates only the slice after embed2d, which
 comes first.
 
 Everything a run carries from step to step is one ``_Run``: the worker
-thread that runs each frame's 2D side beside the 3D side when the 2D
-stack is trained, the buffers that spare a step from allocating any
-stack-sized array, the EMA bank, the gradient and the SGD velocity.  A
-non-finite loss or parameter ends the run with TrainingError.  All seeds
-are named SeedSequence tuples and reductions run in fixed order (frame
-index ascending) on the calling thread, so identical inputs give
-bit-identical metrics and checkpoints.
+thread, a second lane beside the calling thread while the 2D stack is
+trained, the buffers that spare a step from allocating any stack-sized
+array, the EMA bank, the gradient and the SGD velocity.  A step's
+forward and backward are each one task list, which both lanes claim
+from.  A non-finite loss or parameter ends the run with TrainingError.
+All seeds are named SeedSequence tuples and reductions run in fixed
+order (frame index ascending) on the calling thread, so identical inputs
+give bit-identical metrics and checkpoints.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -316,7 +318,7 @@ def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, lane):
 class _Run:
     """What one ``pretrain`` run carries from step to step; see ``open``.
 
-    ``worker`` runs each frame's 2D side beside the 3D side (None with
+    ``worker`` is the lane beside the calling thread (None with
     ``freeze_2d``).  ``scratch`` is one (out, work) pair per lane, this
     thread's and then the worker's: ``out`` holds each stack output until
     it is pooled and each pooled gradient until the backward has read it,
@@ -351,8 +353,8 @@ class _Run:
     @classmethod
     @contextmanager
     def open(cls, model: Model, cfg: TrainConfig, frames: list[FrameData]):
-        """The run over ``frames``; unless ``freeze_2d``, its 2D worker runs
-        under a cap of one BLAS thread per lane until the run is closed."""
+        """The run over ``frames``; unless ``freeze_2d``, its worker lane
+        runs under a cap of one BLAS thread per lane until it is closed."""
         if cfg.freeze_2d:
             yield cls(model, cfg, frames, None)
             return
@@ -379,34 +381,43 @@ class _Run:
             stack.bump()
 
 
-def _run_beside(worker: ThreadPoolExecutor | None, tasks: list, own, scratch: list):
-    """Run ``tasks`` on ``worker`` while this thread runs ``own``.
+def _run_tasks(worker: ThreadPoolExecutor | None, tasks: list, scratch: list) -> list:
+    """Run ``tasks`` on two equal lanes, this thread and ``worker``.
 
-    ``scratch`` holds this thread's scratch and the worker's; every task
-    and ``own`` is called with the scratch of the thread that runs it.
-    Once ``own`` returns, the tasks the worker has not started are taken
-    back one at a time from the tail and run here.  With no worker,
-    ``own`` and then the tasks in order run here.  Returns ``own``'s
-    result and the tasks' results in task order.
+    Each lane claims the next unclaimed task and calls it with its own
+    scratch (``scratch`` holds this thread's, then the worker's); results
+    come back in task order.  With no worker every task runs here, in
+    order.  Once a task has raised on either lane, the other lane claims
+    no further task, and the error is raised once that lane's task ends.
     """
     if worker is None:
-        return own(scratch[0]), [task(scratch[0]) for task in tasks]
-    mine, theirs = scratch
-    futures = [worker.submit(task, theirs) for task in tasks]
+        return [task(scratch[0]) for task in tasks]
+    results = [None] * len(tasks)
+    todo = iter(range(len(tasks)))
+    claim, failed = threading.Lock(), threading.Event()
+
+    def lane(own: tuple[np.ndarray, np.ndarray]) -> None:
+        while True:
+            with claim:
+                i = None if failed.is_set() else next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = tasks[i](own)
+            except BaseException:
+                failed.set()
+                raise
+
+    future = worker.submit(lane, scratch[1])
     try:
-        own_result = own(mine)
-        results = [None] * len(tasks)
-        n = len(tasks)
-        # the worker runs tasks in order, so the unstarted ones are a tail
-        while n and futures[n - 1].cancel():
-            n -= 1
-            results[n] = tasks[n](mine)
-        results[:n] = [f.result() for f in futures[:n]]
-        return own_result, results
+        lane(scratch[0])
     finally:
-        # after an error, leave no task running on this step's arrays; a
-        # cancelled task counts as done only once the worker reaches it
-        wait([f for f in futures if not f.cancel()])
+        # once cancelled, a lane the worker has not started never runs; a
+        # started one is waited for, after an error on this lane too
+        err = None if future.cancel() else future.exception()
+    if err is not None:
+        raise err
+    return results
 
 
 def run_step(
@@ -418,32 +429,26 @@ def run_step(
 ) -> LossReport:
     """Forward, loss, and backward over one multi-frame batch.
 
-    Each frame's 2D side is one task beside the 3D side (``_run_beside``),
-    its backward another, unless ``freeze_2d`` cached its rows.  The
-    frames' pooled rows make one ``EmbeddingBank``, which both losses and
-    the prototypes read.  The gradient is left in ``run.grads``, summed on
-    the calling thread in batch order, so it does not depend on which
-    thread ran a frame.  The prototype gate is decided here, once: the
-    prototype term is computed only while it is open.
+    ``_run_tasks`` runs the forward's tasks, every frame's 2D side then
+    every 3D side, and the backward's: every 2D backward (none when
+    ``freeze_2d`` cached the 2D rows), every 3D one, the blend backward.
+    The frames' pooled rows make one ``EmbeddingBank``, which both losses
+    and the prototypes read.  The gradient is left in ``run.grads``, each
+    backward's vector added to its stack's slice here, in task order, so
+    it does not depend on which lane ran a task.  The prototype gate is
+    decided here, once: the prototype term is computed only while open.
     Raises DegenerateBatchError when the batch has too few valid regions
     or a raw 3D or blended prototype collapses to zero norm.
     """
-
-    def forward3d(lane):
-        return [
-            _embed(model.embed3d, fd.x3d, fd.groups3d, run.slots, ("3d", k), lane)
-            for k, fd in enumerate(batch)
-        ]
-
-    side3d, side2d = _run_beside(
-        run.worker,
-        [partial(run.embed2d, model.embed2d, k, fd) for k, fd in enumerate(batch)],
-        forward3d,
-        run.scratch,
-    )
+    tasks = [partial(run.embed2d, model.embed2d, k, fd) for k, fd in enumerate(batch)]
+    tasks += [
+        partial(_embed, model.embed3d, fd.x3d, fd.groups3d, run.slots, ("3d", k))
+        for k, fd in enumerate(batch)
+    ]
+    sides = _run_tasks(run.worker, tasks, run.scratch)
     # one bank over the batch's regions: frame by frame, region index ascending
-    rows2d, valid2d, _ = zip(*side2d)
-    rows3d, valid3d, _ = zip(*side3d)
+    rows2d, valid2d, caches2d = zip(*sides[: len(batch)])
+    rows3d, valid3d, caches3d = zip(*sides[len(batch) :])
     batch_bank = embednet.make_bank(
         np.concatenate(rows2d),
         np.concatenate(valid2d),
@@ -480,27 +485,21 @@ def run_step(
     n3d = n2d + model.embed3d.num_params
     ends = np.cumsum([len(fd.groups2d) for fd in batch])
     rows = [slice(end - len(fd.groups2d), end) for fd, end in zip(batch, ends)]
-
-    def backward3d_and_blend(lane):
-        for r, (_, _, caches) in zip(rows, side3d):
-            grads[n2d:n3d] += _embed_backward(
-                model.embed3d, grad_f3d[r], caches, lane
-            )
-        if bcache is not None:  # the gate is open and prototypes are blended
-            grads[n3d:] += blending.blend_backward(pro.grad_pmix, bcache)
-
-    _, grads2d = _run_beside(
-        run.worker,
-        [
-            partial(_embed_backward, model.embed2d, sp.grad_f2d[r], caches)
-            for r, (_, _, caches) in zip(rows, side2d)
-            if caches is not None
-        ],
-        backward3d_and_blend,
-        run.scratch,
-    )
-    for g in grads2d:
-        grads[:n2d] += g
+    # each backward task, and the slice of grads its vector is added into
+    tasks, dests = [], []
+    for stack, upstream, side, dest in (
+        (model.embed2d, sp.grad_f2d, caches2d, grads[:n2d]),
+        (model.embed3d, grad_f3d, caches3d, grads[n2d:n3d]),
+    ):
+        for r, caches in zip(rows, side):
+            if caches is not None:  # None: freeze_2d's cached 2D rows
+                tasks.append(partial(_embed_backward, stack, upstream[r], caches))
+                dests.append(dest)
+    if bcache is not None:  # the gate is open and prototypes are blended
+        tasks.append(lambda lane: blending.blend_backward(pro.grad_pmix, bcache))
+        dests.append(grads[n3d:])
+    for dest, g in zip(dests, _run_tasks(run.worker, tasks, run.scratch)):
+        dest += g
     return losses.total_loss(sp, pro)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from fdutil import join_banks, loop_ema, loop_prototypes, row_of
 from scenecontrast.embednet import EmbeddingBank
-from scenecontrast.errors import EmptyBankError
+from scenecontrast.errors import ConfigurationError, EmptyBankError
 from scenecontrast.protobank import PrototypeBank, build_prototypes, ema_update
 
 
@@ -149,6 +149,14 @@ def test_ema_momentum_zero_is_fresh(rng):
     out = ema_update(old, fresh, 0.0)
     row = row_of(out, 1)
     assert np.array_equal(out.p2d[row], fresh.p2d[row_of(fresh, 1)])
+
+
+@pytest.mark.parametrize("momentum", [-0.1, 1.0, float("nan")])
+def test_ema_rejects_momentum_outside_range_as_config_error(rng, momentum):
+    # a momentum is a config value, like TrainConfig's ema_momentum
+    old, fresh = two_banks(rng)
+    with pytest.raises(ConfigurationError, match=r"momentum .* outside \[0,1\)"):
+        ema_update(old, fresh, momentum)
 
 
 def test_ema_fixed_point(rng):

@@ -5,9 +5,11 @@ import copy
 import re
 import sys
 import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -740,11 +742,11 @@ def test_frozen_2d_work_counts(small_frames, monkeypatch, freeze):
 
 
 # ---------------------------------------------------------------------------
-# 2D worker thread
+# the two lanes: the calling thread and the worker
 
 
 class BusyWorker(ThreadPoolExecutor):
-    """Occupied until shutdown, so the caller takes back every 2D task."""
+    """Occupied until shutdown, so the calling thread runs every task."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -757,26 +759,27 @@ class BusyWorker(ThreadPoolExecutor):
         assert self.blocker.result() is True  # released, not timed out
 
 
-class NoTakeBackWorker(ThreadPoolExecutor):
-    """Its tasks cannot be cancelled, so the worker runs every 2D task."""
+class DrainingWorker(ThreadPoolExecutor):
+    """Runs each submitted lane to its end before ``submit`` returns, so
+    the worker runs every task."""
 
     def submit(self, *args, **kwargs):
         future = super().submit(*args, **kwargs)
-        future.cancel = lambda: False
+        assert wait([future], timeout=60).not_done == set()
         return future
 
 
 @pytest.mark.parametrize(
-    "executor,runs_2d",
+    "executor,runs_all",
     [
         (BusyWorker, "MainThread"),
-        (NoTakeBackWorker, "embed2d"),
+        (DrainingWorker, "embed2d"),
         (ThreadPoolExecutor, None),
     ],
     ids=["caller-runs-2d", "worker-runs-2d", "fast-switching"],
 )
 def test_2d_thread_does_not_change_outputs(
-    small_frames, tmp_path, monkeypatch, trained, executor, runs_2d
+    small_frames, tmp_path, monkeypatch, trained, executor, runs_all
 ):
     calls = []
     real_forward, real_backward = embednet.forward, embednet.backward
@@ -793,7 +796,7 @@ def test_2d_thread_does_not_change_outputs(
     monkeypatch.setattr(embednet, "forward", forward_)
     monkeypatch.setattr(embednet, "backward", backward_)
     interval = sys.getswitchinterval()
-    if runs_2d is None:
+    if runs_all is None:
         # hand the interpreter lock back and forth as often as it allows
         sys.setswitchinterval(1e-6)
     try:
@@ -801,18 +804,19 @@ def test_2d_thread_does_not_change_outputs(
     finally:
         sys.setswitchinterval(interval)
 
-    # the 2D forward and backward of each of 3 frames in each of 6 steps
-    threads = [name for stack, name in calls if stack is res.model.embed2d]
-    assert len(threads) == 2 * 6 * 3
-    if runs_2d is not None:
-        assert {name.split("_")[0] for name in threads} == {runs_2d}
+    # the 2D and 3D forward and backward of each of 3 frames in each of 6 steps
+    embed = (res.model.embed2d, res.model.embed3d)
+    threads = [name for stack, name in calls if any(stack is s for s in embed)]
+    assert len(threads) == 2 * 2 * 6 * 3
+    if runs_all is not None:
+        assert {name.split("_")[0] for name in threads} == {runs_all}
     assert (tmp_path / "out" / "metrics.csv").read_bytes() == (
         trained.metrics_path.read_bytes()
     )
     assert res.checkpoint_path.read_bytes() == trained.checkpoint_path.read_bytes()
 
 
-def test_run_beside_without_a_worker_runs_here_in_order():
+def test_run_tasks_without_a_worker_runs_here_in_order():
     calls, scratch = [], [object()]
 
     def task(name):
@@ -822,10 +826,70 @@ def test_run_beside_without_a_worker_runs_here_in_order():
 
         return run
 
-    got = trainer._run_beside(None, [task("a"), task("b")], task("own"), scratch)
-    assert got == ("own", ["a", "b"])
+    got = trainer._run_tasks(None, [task("a"), task("b"), task("c")], scratch)
+    assert got == ["a", "b", "c"]
     here = threading.current_thread()
-    assert calls == [(name, here, scratch[0]) for name in ("own", "a", "b")]
+    assert calls == [(name, here, scratch[0]) for name in ("a", "b", "c")]
+
+
+def test_run_tasks_runs_each_task_once_under_fast_switching():
+    # a claim that two lanes could both win would run some task twice
+    ran, scratch = [], [object(), object()]
+    here = threading.current_thread()
+
+    def task(i, out):
+        ran.append((i, out is scratch[threading.current_thread() is not here]))
+        return i
+
+    tasks = [partial(task, i) for i in range(500)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(1) as worker:
+            for _ in range(20):
+                ran.clear()
+                assert trainer._run_tasks(worker, tasks, scratch) == list(range(500))
+                assert sorted(i for i, _ in ran) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(own for _, own in ran)  # each lane passes its own scratch
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raising", ["worker", "caller"])
+def test_a_raising_task_stops_both_lanes(small_frames, prepared, monkeypatch, raising):
+    # the first task on the raising lane waits until the other lane is
+    # inside a task, then raises; that task outlasts the raise by 0.2 s
+    started, ended = [], []
+    busy, raised = threading.Event(), threading.Event()
+    here = threading.current_thread()
+
+    def embed_(stack, x, *args):
+        lane = "caller" if threading.current_thread() is here else "worker"
+        started.append(lane)
+        if lane == raising:
+            assert busy.wait(10)
+            raised.set()
+            raise Boom(lane)
+        busy.set()
+        assert raised.wait(10)
+        time.sleep(0.2)
+        ended.append(lane)
+        return None
+
+    monkeypatch.setattr(trainer, "_embed", embed_)
+    model = init_model(small_frames[0].pixel_features.shape[3], CFG.embed_dim, CFG.seed)
+    with trainer._Run.open(model, CFG, prepared) as run:
+        with pytest.raises(Boom, match=raising):
+            trainer.run_step(model, prepared[:3], 1, CFG, run)
+        # the other lane's task ended before run_step raised, and neither
+        # lane claimed a task after the raise: 2 of the 6 forward tasks ran
+        other = "caller" if raising == "worker" else "worker"
+        assert ended == [other]
+        assert sorted(started) == sorted([raising, other])
 
 
 def test_frozen_2d_starts_no_thread(small_frames, monkeypatch):
@@ -1044,20 +1108,63 @@ def test_non_finite_training_names_step_and_stage(small_frames, lr, step, stage)
 
 
 # ---------------------------------------------------------------------------
+# the composed step, audited along directions
+
+
+@pytest.mark.parametrize("gate_open", [True, False], ids=["gate-open", "gate-closed"])
+@pytest.mark.parametrize("ema", [False, True], ids=["no-ema", "ema"])
+@pytest.mark.parametrize("freeze", [False, True], ids=["trained", "frozen"])
+@pytest.mark.parametrize("mode", ["mmpb", "raw3d"])
+def test_step_gradient_matches_its_loss_along_directions(
+    small_frames, prepared, monkeypatch, mode, freeze, ema, gate_open
+):
+    # run.grads @ v against the central difference of the step's total loss
+    # along v, for unit directions within each trained stack slice.  The
+    # gradient stops at the prototypes by design, so the difference pins
+    # them to the unperturbed step's and, with ema, starts from one bank.
+    cfg = replace(CFG, proto_mode=mode, freeze_2d=freeze, ema=ema)
+    epoch = cfg.lam + 1 if gate_open else cfg.lam
+    model = init_model(small_frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
+    n2d = model.embed2d.num_params
+    n3d = n2d + model.embed3d.num_params
+    slices = [slice(n3d, None), slice(n2d, n3d)] + ([] if freeze else [slice(0, n2d)])
+    real_build, pinned = trainer.protobank.build_prototypes, []
+    h, rng = 1e-5, np.random.default_rng(0)
+    with trainer._Run.open(model, cfg, prepared) as run:
+        if ema:  # a bank from an earlier step for the fresh prototypes to join
+            trainer.run_step(model, prepared[3:], cfg.lam + 1, cfg, run)
+        bank = run.bank
+
+        def build_(batch_bank):
+            if not pinned:
+                pinned.append(real_build(batch_bank))
+            return pinned[0]
+
+        monkeypatch.setattr(trainer.protobank, "build_prototypes", build_)
+
+        def total(theta) -> float:
+            np.copyto(model.params, theta)
+            for stack in model.stacks():
+                stack.bump()
+            run.bank = bank
+            return trainer.run_step(model, prepared[:3], epoch, cfg, run).total
+
+        theta = model.params.copy()
+        total(theta)
+        analytic = run.grads.copy()
+        assert bool(pinned) == gate_open
+        for part in slices:
+            for _ in range(2):
+                v = np.zeros_like(theta)
+                v[part] = rng.normal(size=len(v[part]))
+                v /= np.linalg.norm(v)
+                numeric = (total(theta + h * v) - total(theta - h * v)) / (2 * h)
+                err = trainer._rel_err(np.array([analytic @ v]), np.array([numeric]))
+                assert err < 1e-4, (part, analytic @ v, numeric)
+
+
+# ---------------------------------------------------------------------------
 # gradcheck
-
-
-def test_gradcheck_all_components_pass():
-    rep = gradcheck(seed=0)
-    assert [c.name for c in rep.components] == [
-        "embednet",
-        "blending",
-        "loss_sp",
-        "loss_pro",
-    ]
-    assert all(c.instances == 100 for c in rep.components)
-    assert rep.all_passed, rep.summary()
-    assert "pass" in rep.summary()
 
 
 def test_gradcheck_detects_corruption(monkeypatch):
