@@ -134,11 +134,11 @@ def _cmd_ablate(args) -> int:
     _require_at_least(args, "seeds", 1)
     cfg = _config_from_args(args)
     frames = _load_scene_dir(args.scenes)
-    if args.arm:
-        rows = trainer.run_ablation(frames, cfg, [cfg.seed], arms=(args.arm,))
-    else:
-        seeds = list(range(cfg.seed, cfg.seed + args.seeds))
-        rows = trainer.run_ablation(frames, cfg, seeds)
+    # --seeds defaults to 10, or to 1 with --arm
+    n = args.seeds if args.seeds is not None else 1 if args.arm else 10
+    seeds = list(range(cfg.seed, cfg.seed + n))
+    arms = (args.arm,) if args.arm else trainer.ARMS
+    rows = trainer.run_ablation(frames, cfg, seeds, arms=arms)
     csv = trainer.ablation_csv(rows)
     sys.stdout.write(csv)
     if args.out:
@@ -191,7 +191,7 @@ def build_parser() -> _Parser:
 
     a = sub.add_parser("ablate", help="train and probe the comparison arms")
     a.add_argument("--scenes", required=True)
-    a.add_argument("--seeds", type=int, default=10)
+    a.add_argument("--seeds", type=int, default=None)
     a.add_argument("--arm", choices=list(trainer.ARMS), default=None)
     a.add_argument("--config", default=None)
     a.add_argument("--fraction", type=float, default=None)

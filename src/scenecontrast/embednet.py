@@ -21,29 +21,34 @@ parameter gradient as one vector in the same layout, and the training
 loop lays its gradient and velocity buffers out the same way.  Layers are
 frozen, so a layer's arrays can be written in place but never rebound.
 
-Buffer contract: a forward cache owns a float64 copy of its input rows,
+Buffer contract: a forward cache keeps a reference to its input rows,
 the output of each hidden layer after the first, and, once a backward
 has run on it, the vector that backward wrote the parameter gradient
-into.  Inputs may be float32 (the scene files' dtype); the copy is an
-exact cast.  The last layer's output is not kept, since ``backward``
-never reads it: ``forward`` writes it into a buffer the caller lends
-(``out=``) or into a new array.  Nor is the first hidden layer's output:
-``forward`` writes it into a buffer the caller lends (``work=``) or into
-a new array, and ``backward`` recomputes it from the cached inputs with
-the same operations, so with the forward's bits, into the buffer the
-caller lends it.  ``forward`` given ``reuse=`` an earlier cache of the
-same stack and row count casts its inputs into that cache's input
-buffer, writes its later hidden outputs into that cache's arrays and
+into.  The caller must not change the input rows while the cache is
+live.  Inputs may be float32 (the scene files' dtype): each product that
+reads them casts them to float64 on the fly, which is exact.  The last
+layer's output is not kept, since ``backward`` never reads it:
+``forward`` writes it into a buffer the caller lends (``out=``) or into
+a new array.  Nor is the first hidden layer's output: ``forward`` writes
+it into a buffer the caller lends (``work=``) or into a new array, and
+``backward`` recomputes it from the inputs with the same operations, so
+with the forward's bits, into the buffer the caller lends it.  ``out``
+may overlap ``work``: with two or more hidden layers, ``forward`` writes
+the output after the first hidden output is dead, and ``backward``
+recomputes it after the top layer has read ``upstream``, so one buffer
+can hold the output, the upstream and the first hidden output in turn.
+``forward`` given ``reuse=`` an earlier cache of the same stack and row
+count writes its later hidden outputs into that cache's arrays and
 takes over its gradient vector.  So a caller that keeps one cache per
-batch slot, and lends one output and one work buffer per thread,
-allocates no activation arrays and no gradient vectors after its first
-step; it reads each gradient before the slot's next backward overwrites
-it.  ``backward`` consumes its cache: it writes each hidden layer's
-output gradient over that layer's output, so a cache serves one backward
-only.  A stale cache, a consumed cache and a cache whose arrays a later
-forward has taken over are all rejected with ContractViolationError.
-``backward`` computes the input gradient only for a caller that asks for
-it (``input_grad``), since the training step discards it.
+batch slot, and lends one buffer per thread, allocates no activation
+arrays and no gradient vectors after its first step; it reads each
+gradient before the slot's next backward overwrites it.  ``backward``
+consumes its cache: it writes each hidden layer's output gradient over
+that layer's output, so a cache serves one backward only.  A stale
+cache, a consumed cache and a cache whose arrays a later forward has
+taken over are all rejected with ContractViolationError.  ``backward``
+computes the input gradient only for a caller that asks for it
+(``input_grad``), since the training step discards it.
 """
 
 from __future__ import annotations
@@ -166,7 +171,7 @@ def pack_params(stacks: list[DenseStack]) -> np.ndarray:
 class ForwardCache:
     stack: DenseStack
     version: int
-    inputs: np.ndarray  # (N, in_width) float64, owned by the cache
+    inputs: np.ndarray  # (N, in_width), the caller's rows, not a copy
     acts: list[np.ndarray]  # per hidden layer after the first, its output after its ReLU
     live: bool = True  # False once a backward consumed it or a forward reused it
     grads: np.ndarray | None = None  # the vector the backward writes its gradient into
@@ -206,18 +211,18 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack on (N, in_width) rows.
 
-    Returns the output and a cache for ``backward``, which holds neither
-    the output nor the first hidden layer's output.  The output is written
-    into ``out`` when given, an (N, out_width) float64 array the caller
-    lends, and into a new array otherwise.  ``work``, when given, is an
-    (N, width of the first hidden layer) float64 array the caller lends
-    for that layer's output, which is dead once the next layer has read
-    it; a stack without hidden layers ignores it.  When ``reuse`` is a
-    cache of this stack over N rows whose arrays neither ``out`` nor
-    ``work`` overlaps, the inputs are cast into its input buffer, each
-    later hidden layer's output is written into its array, the new cache
-    takes over its gradient vector, and ``reuse`` is dead from then on;
-    any other ``reuse`` is ignored.
+    Returns the output and a cache for ``backward``, which keeps the
+    inputs themselves and holds neither the output nor the first hidden
+    layer's output.  The output is written into ``out`` when given, an
+    (N, out_width) float64 array the caller lends, and into a new array
+    otherwise.  ``work``, when given, is an (N, width of the first hidden
+    layer) float64 array the caller lends for that layer's output, which
+    is dead once the next layer has read it; a stack without hidden
+    layers ignores it.  When ``reuse`` is a cache of this stack over N
+    rows whose arrays neither ``out`` nor ``work`` overlaps, each later
+    hidden layer's output is written into its array, the new cache takes
+    over its gradient vector, and ``reuse`` is dead from then on; any
+    other ``reuse`` is ignored.
     """
     x = np.asarray(inputs)
     if x.ndim != 2:
@@ -241,23 +246,22 @@ def forward(
         and not any(
             lent is not None and np.may_share_memory(lent, a)
             for lent in (out, work)
-            for a in [reuse.inputs, *reuse.acts]
+            for a in reuse.acts
         )
     ):
-        xin, bufs, grads = reuse.inputs, reuse.acts, reuse.grads
+        bufs, grads = reuse.acts, reuse.grads
         reuse.live = False
-        np.copyto(xin, x)
     else:
-        xin, bufs, grads = x.astype(np.float64), [None] * len(hidden[1:]), None
+        bufs, grads = [None] * len(hidden[1:]), None
     acts = []
-    h = xin
+    h = x
     for layer, buf in zip(hidden, [work, *bufs]):
         h = _hidden(layer, h, buf)
         acts.append(h)
     top = stack.layers[-1]
     h = np.matmul(h, top.weight.T, out=out)
     h += top.bias
-    return h, ForwardCache(stack, stack.version, xin, acts[1:], grads=grads)
+    return h, ForwardCache(stack, stack.version, x, acts[1:], grads=grads)
 
 
 def backward(
@@ -274,7 +278,9 @@ def backward(
     the cache it reused.  The input gradient is None with
     ``input_grad=False``, which skips it.  The first hidden layer's output
     is recomputed from the cache's inputs, into ``work`` when given (as
-    ``forward`` takes it), bit for bit as the forward computed it.
+    ``forward`` takes it), bit for bit as the forward computed it, once
+    the layers above it have read ``upstream``; so with two or more hidden
+    layers ``work`` may overlap ``upstream``, and with one it must not.
     Consumes ``cache``: the gradient at each hidden layer's output is
     written over that layer's output, so the cache is dead afterwards.
     ``upstream`` itself is never written to, so it may be the buffer the
@@ -289,17 +295,22 @@ def backward(
     want = (n, stack.out_width)
     if g.shape != want:
         raise ShapeError(f"upstream shape {g.shape} does not match output {want}")
-    acts = []
     if len(layers) > 1:
         _check_lent("work", work, (n, layers[0].weight.shape[0]))
-        acts = [_hidden(layers[0], cache.inputs, work), *cache.acts]
+        if len(layers) == 2 and work is not None and np.shares_memory(work, g):
+            raise ContractViolationError(
+                "work overlaps upstream, which a one-hidden-layer stack reads "
+                "after recomputing into work"
+            )
     cache.live = False
     if cache.grads is None:
         cache.grads = np.empty(stack.num_params)
     grads = cache.grads
     (views,) = layer_views([stack], grads)
     for i in range(len(layers) - 1, 0, -1):
-        below = acts[i - 1]
+        # the first hidden output is recomputed only once the layers above
+        # it are done with upstream, which work may overlap
+        below = _hidden(layers[0], cache.inputs, work) if i == 1 else cache.acts[i - 2]
         gw, gb = views[i]
         np.matmul(g.T, below, out=gw)
         g.sum(axis=0, out=gb)

@@ -42,6 +42,12 @@ CLASS_KEYED_CHANNELS = 3
 # many classes; generation and ``read_scene`` apply the same bound.
 MAX_CLASSES = 65536
 
+# Ceilings on a scene's points K and pixel rows L*H*W, far above the desk
+# defaults (4096 and 8192); generation and ``read_scene`` apply both, so
+# an oversized request exits with a message instead of exhausting memory.
+MAX_POINTS = 1 << 24
+MAX_PIXEL_ROWS = 1 << 24
+
 
 @dataclass
 class CameraModel:
@@ -104,6 +110,15 @@ class SceneGeometry:
             raise ConfigurationError("num_cameras must be >= 1")
         if self.height < 2 or self.width < 2:
             raise ConfigurationError("raster must be at least 2x2")
+        if self.num_points > MAX_POINTS:
+            raise ConfigurationError(
+                f"num_points must be <= {MAX_POINTS}, got {self.num_points}"
+            )
+        rows = self.num_cameras * self.height * self.width
+        if rows > MAX_PIXEL_ROWS:
+            raise ConfigurationError(
+                f"num_cameras * height * width must be <= {MAX_PIXEL_ROWS}, got {rows}"
+            )
         if self.feat_dim < 1:
             raise ConfigurationError("feat_dim must be >= 1")
 
@@ -670,6 +685,12 @@ def read_scene(path) -> SceneFrame:
             raise SceneFormatError(f"{name} must be positive, got {value}", offset)
     if not 2 <= t <= MAX_CLASSES:
         raise SceneFormatError(f"class count {t} outside [2, {MAX_CLASSES}]", 28)
+    if k > MAX_POINTS:
+        raise SceneFormatError(f"point count K {k} above {MAX_POINTS}", 8)
+    if l * h * w > MAX_PIXEL_ROWS:
+        raise SceneFormatError(
+            f"pixel rows L*H*W {l * h * w} above {MAX_PIXEL_ROWS}", 12
+        )
     points = _finite(cur, k * 4, "points").reshape(k, 4)
     label_offset = cur.pos
     point_labels = cur.array("uint16", k, "point labels")

@@ -225,8 +225,8 @@ def load_model(path, feat_dim: int, embed_dim: int) -> Model:
 
 @dataclass
 class FrameData:
-    x2d: np.ndarray  # (L*H*W, F0) float32, a view of the frame's pixel features
-    x3d: np.ndarray  # (K, 4) float32, the frame's points
+    x2d: np.ndarray  # (L*H*W, F0) float32, a read-only view of the frame's pixel features
+    x3d: np.ndarray  # (K, 4) float32, a read-only view of the frame's points
     groups2d: list[np.ndarray]
     groups3d: list[np.ndarray]
     signs: np.ndarray
@@ -242,8 +242,11 @@ def prepare_frame(frame: SceneFrame) -> FrameData:
         groups2d.append(sp.pixel_indices + sp.camera * h * w)
         groups3d.append(sp.point_indices)
         signs[q] = sp.semantic_sign
+    # read-only, since a forward cache keeps these rows until its backward
     x2d = frame.pixel_features.reshape(l * h * w, f0)
-    return FrameData(x2d, frame.points, groups2d, groups3d, signs)
+    x3d = frame.points.view()
+    x2d.flags.writeable = x3d.flags.writeable = False
+    return FrameData(x2d, x3d, groups2d, groups3d, signs)
 
 
 def check_scene_set(frames: list[SceneFrame], names=None) -> None:
@@ -273,72 +276,76 @@ def check_scene_set(frames: list[SceneFrame], names=None) -> None:
 # one training step
 
 
+def _lend(lane: np.ndarray, stack: DenseStack, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``out`` and ``work`` views of ``stack`` over ``n`` rows, both
+    over the start of a lane's buffer."""
+    widths = (stack.out_width, stack.layers[0].weight.shape[0])
+    return tuple(lane[: n * w].reshape(n, w) for w in widths)
+
+
 def _embed(
     stack: DenseStack,
     x: np.ndarray,
     groups: list[np.ndarray],
     slots: dict | None,
     key,
-    lane: tuple[np.ndarray, np.ndarray],
+    lane: np.ndarray,
 ):
     """One side of one frame: (pooled rows, validity, caches for the backward).
 
-    ``lane`` is the (out, work) scratch of the lane that runs this call:
-    the first rows of ``out`` hold the stack's output until it is pooled,
-    those of ``work`` its first hidden output.  With ``slots``, the
+    ``lane`` is the buffer of the lane that runs this call: its start
+    holds first the stack's first hidden output and then, once that is
+    dead, the stack's output until it is pooled.  With ``slots``, the
     forward writes into the buffers of the cache kept under ``key`` (the
     one of the step before) and keeps its own there.
     """
-    out, work = lane
-    n = len(x)
+    out, work = _lend(lane, stack, len(x))
     reuse = None if slots is None else slots.get(key)
-    h, cache = embednet.forward(stack, x, reuse=reuse, out=out[:n], work=work[:n])
+    h, cache = embednet.forward(stack, x, reuse=reuse, out=out, work=work)
     if slots is not None:
         slots[key] = cache
     rows, valid, pcache = embednet.pool_regions(h, groups)
     return rows, valid, (cache, pcache)
 
 
-def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, lane):
+def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, lane: np.ndarray):
     """Parameter gradient vector of one side of one frame, given its rows' gradient.
 
-    In the (out, work) scratch of the lane that runs this call, the pooled
-    gradient is written into the first rows of ``out``, and the backward
-    recomputes the first hidden output into those of ``work``.  The
-    gradient of the frame's inputs is not computed.  The vector returned
-    is the cache's, so it holds until the slot's next backward.
+    In the buffer of the lane that runs this call, the pooled gradient is
+    written over the start, and once the top layers have read it the
+    backward recomputes the first hidden output there.  The gradient of
+    the frame's inputs is not computed.  The vector returned is the
+    cache's, so it holds until the slot's next backward.
     """
     cache, pcache = caches
-    out, work = lane
-    n = pcache.num_rows
-    g = embednet.pool_backward(upstream, pcache, out=out[:n])
-    return embednet.backward(stack, g, cache, work=work[:n], input_grad=False)[0]
+    out, work = _lend(lane, stack, pcache.num_rows)
+    g = embednet.pool_backward(upstream, pcache, out=out)
+    return embednet.backward(stack, g, cache, work=work, input_grad=False)[0]
 
 
 class _Run:
     """What one ``pretrain`` run carries from step to step; see ``open``.
 
     ``worker`` is the lane beside the calling thread (None with
-    ``freeze_2d``).  ``scratch`` is one (out, work) pair per lane, this
-    thread's and then the worker's: ``out`` holds each stack output until
-    it is pooled and each pooled gradient until the backward has read it,
-    ``work`` each first hidden output, which the backward recomputes
-    there.  ``slots`` holds each trained stack and batch slot's forward
-    cache, whose buffers, its gradient vector included, the next forward
-    in that slot takes over.  ``bank`` is the EMA prototype bank,
-    which a skipped batch leaves as it was; ``grads`` the last step's
-    gradient over all of ``Model.params``; ``vel`` the SGD velocity of
-    ``params``, their trained part.
+    ``freeze_2d``).  ``scratch`` is one flat float64 buffer per lane, this
+    thread's and then the worker's, of the largest frame's rows times the
+    wider of ``embed_dim`` and ``HIDDEN[0]``: its start holds, in turn,
+    each first hidden output, each stack output until it is pooled, each
+    pooled gradient until the backward's top layers have read it, and
+    the first hidden output the backward recomputes.  ``slots`` holds
+    each trained stack and batch slot's forward cache, whose buffers, its
+    gradient vector included, the next forward in that slot takes over.
+    ``bank`` is the EMA prototype bank, which a skipped batch leaves as it
+    was; ``grads`` the last step's gradient over all of ``Model.params``;
+    ``vel`` the SGD velocity of ``params``, their trained part.
     """
 
     def __init__(self, model: Model, cfg: TrainConfig, frames: list[FrameData], worker):
         self.worker = worker
         rows = max(len(x) for fd in frames for x in (fd.x2d, fd.x3d))
         lanes = 1 if worker is None else 2
-        self.scratch = [
-            (np.empty((rows, cfg.embed_dim)), np.empty((rows, HIDDEN[0])))
-            for _ in range(lanes)
-        ]
+        width = max(cfg.embed_dim, HIDDEN[0])
+        self.scratch = [np.empty(rows * width) for _ in range(lanes)]
         self.slots: dict = {}
         self.rows2d: dict | None = {} if cfg.freeze_2d else None
         self.bank: protobank.PrototypeBank | None = None
@@ -396,7 +403,7 @@ def _run_tasks(worker: ThreadPoolExecutor | None, tasks: list, scratch: list) ->
     todo = iter(range(len(tasks)))
     claim, failed = threading.Lock(), threading.Event()
 
-    def lane(own: tuple[np.ndarray, np.ndarray]) -> None:
+    def lane(own: np.ndarray) -> None:
         while True:
             with claim:
                 i = None if failed.is_set() else next(todo, None)

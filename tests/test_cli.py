@@ -1,11 +1,16 @@
 """Command-line contract: flows, determinism, exit codes."""
 
 import dataclasses
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenecontrast
 import scenecontrast.cli as cli
 import scenecontrast.trainer as trainer
 from scenecontrast.cli import main
@@ -226,6 +231,40 @@ def test_failed_gen_scenes_leaves_no_out(
     assert not out.exists()
 
 
+# gen-scenes in a child process whose address space is capped, so that a
+# missing bound ends in MemoryError (exit 2) rather than exhausting memory
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from scenecontrast.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "flags,bound",
+    [
+        (["--points", "2000000000"], "num_points must be <= 16777216"),
+        (["--height", "20000", "--width", "20000"],
+         "num_cameras * height * width must be <= 16777216"),
+    ],
+    ids=["points", "pixel-rows"],
+)
+def test_oversized_gen_scenes_exits_1_naming_the_bound(tmp_path, flags, bound):
+    src = str(Path(scenecontrast.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "gen-scenes", "--count", "1", *flags,
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert bound in proc.stderr
+    assert not out.exists()
+
+
 def test_pretrain_writes_outputs(ckpt_dir, capsys):
     assert (ckpt_dir / "checkpoint.cscw").exists()
     metrics = (ckpt_dir / "metrics.csv").read_text().splitlines()
@@ -418,6 +457,17 @@ def test_ablate_seed_offsets_the_seed_range(scene_dir, cfg_file, capsys):
         )
         assert code == 0
         assert capsys.readouterr().out.strip().splitlines()[1:] == [row]
+
+
+def test_ablate_arm_honours_seeds(scene_dir, cfg_file, capsys):
+    argv = ["ablate", "--scenes", str(scene_dir), "--config", str(cfg_file),
+            "--seed", "3", "--seeds", "2"]
+    assert main(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines(keepends=True)
+    assert main(argv + ["--arm", "sp"]) == 0
+    want = [r for r in rows if r.startswith("sp,")]
+    assert [r.split(",")[1] for r in want] == ["3", "4"]
+    assert capsys.readouterr().out == "".join([header, *want])
 
 
 def test_ablate_arm_uses_config_seed(scene_dir, tmp_path, capsys):

@@ -183,7 +183,7 @@ def test_reuse_ignored_when_it_does_not_fit(rng):
 
 
 def test_reuse_over_float32_inputs_writes_the_same_bytes(rng):
-    # the scene files' dtype, cast into the slot's float64 input buffer
+    # the scene files' dtype, kept as it is and cast inside each product
     stack = init_stack([5, 7, 6, 3], rng)
     x = rng.normal(size=(9, 5)).astype(np.float32)
     y = rng.normal(size=(9, 5)).astype(np.float32)
@@ -194,12 +194,11 @@ def test_reuse_over_float32_inputs_writes_the_same_bytes(rng):
     lent = np.empty((9, 3))
     got, again = forward(stack, y, reuse=cache, out=lent)
     assert got is lent and got.tobytes() == want.tobytes()
-    assert again.inputs is cache.inputs and again.inputs.dtype == np.float64
-    assert again.inputs.tobytes() == y.astype(np.float64).tobytes()
+    assert again.inputs is y and cache.inputs is x
     assert as_bytes(*backward(stack, up, again)) == as_bytes(
         *reference_grads(stack, y.astype(np.float64), up)
     )
-    # the input buffer may itself be the new inputs
+    # the reused cache's inputs may themselves be the new inputs
     _, cache = forward(stack, y)
     got, _ = forward(stack, cache.inputs, reuse=cache)
     assert got.tobytes() == want.tobytes()
@@ -267,27 +266,31 @@ def test_cache_holds_inputs_and_hidden_activations(rng):
     out, cache = forward(stack, x)
     zs = preactivations(stack, x64)
     relu = [np.maximum(z, 0.0).tobytes() for z in zs[:-1]]
-    # an owned float64 copy of the inputs and the outputs of the hidden
+    # the inputs themselves, not a copy, and the outputs of the hidden
     # layers after the first; the first hidden layer's output and the last
     # layer's output are not kept
-    assert cache.inputs.dtype == np.float64 and not np.shares_memory(cache.inputs, x)
-    assert cache.inputs.tobytes() == x64.tobytes()
+    assert cache.inputs is x and x.dtype == np.float32
     assert [a.tobytes() for a in cache.acts] == relu[1:]
     assert out.tobytes() == zs[-1].tobytes()
-    assert not any(np.shares_memory(out, a) for a in [cache.inputs, *cache.acts])
+    assert not any(np.shares_memory(out, a) for a in [x, *cache.acts])
     # the lent buffers: the output, and the first hidden output in work
     lent, work = np.empty((9, 3)), np.empty((9, 7))
     got, cache = forward(stack, x, out=lent, work=work)
     assert got is lent and got.tobytes() == out.tobytes()
     assert work.tobytes() == relu[0]
+    assert cache.inputs is x
     assert not any(
-        np.shares_memory(b, a) for b in (lent, work) for a in [cache.inputs, *cache.acts]
+        np.shares_memory(b, a) for b in (lent, work) for a in [x, *cache.acts]
     )
 
 
+# "shared" lends one buffer that holds the output, the upstream and the
+# first hidden output in turn, as the training step's lanes do; with one
+# hidden layer, whose backward reads upstream after the recompute, work
+# follows the output in that buffer instead of overlapping it
 @pytest.mark.parametrize("input_grad", [True, False], ids=["input-grad", "no-input-grad"])
 @pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reuse"])
-@pytest.mark.parametrize("lend", [False, True], ids=["own", "lent"])
+@pytest.mark.parametrize("lend", ["own", "lent", "shared"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_recompute_matches_the_stored_oracle(depth, dtype, lend, reuse, input_grad):
@@ -302,19 +305,35 @@ def test_recompute_matches_the_stored_oracle(depth, dtype, lend, reuse, input_gr
 
     def lent():
         # a stack without hidden layers ignores work of any width
-        return {"out": np.full((n, widths[-1]), np.nan),
-                "work": np.full((n, widths[1]), np.nan)} if lend else {}
+        if lend == "own":
+            return {}
+        if lend == "lent":
+            return {"out": np.full((n, widths[-1]), np.nan),
+                    "work": np.full((n, widths[1]), np.nan)}
+        at = n * widths[-1] if depth == 2 else 0
+        buf = np.full(at + n * max(widths[-1], widths[1]), np.nan)
+        return {"out": buf[: n * widths[-1]].reshape(n, widths[-1]),
+                "work": buf[at : at + n * widths[1]].reshape(n, widths[1])}
+
+    def upstream(bufs):
+        # in the shared buffer, over the output, as the pooled gradient is
+        if lend != "shared":
+            return up
+        bufs["out"][...] = up
+        return bufs["out"]
 
     kept = None
     if reuse:
-        _, kept = forward(stack, x, **lent())
-        backward(stack, up, kept, work=lent().get("work"))
+        bufs = lent()
+        _, kept = forward(stack, x, **bufs)
+        backward(stack, upstream(bufs), kept, work=bufs.get("work"))
     bufs = lent()
     out, cache = forward(stack, y, reuse=kept, **bufs)
-    if reuse:
-        assert np.shares_memory(cache.inputs, kept.inputs)
+    assert cache.inputs is y
     assert out.tobytes() == want_out.tobytes()
-    grads, gx = backward(stack, up, cache, work=bufs.get("work"), input_grad=input_grad)
+    grads, gx = backward(
+        stack, upstream(bufs), cache, work=bufs.get("work"), input_grad=input_grad
+    )
     assert grads.tobytes() == want_grads.tobytes()
     if reuse:  # a reusing forward takes over the gradient vector too
         assert grads is kept.grads
@@ -322,6 +341,18 @@ def test_recompute_matches_the_stored_oracle(depth, dtype, lend, reuse, input_gr
         assert gx.tobytes() == want_gx.tobytes()
     else:
         assert gx is None
+
+
+def test_one_hidden_layer_rejects_work_over_upstream(rng):
+    # its backward recomputes the first hidden output before it reads upstream
+    stack = init_stack([4, 5, 3], rng)
+    x = rng.normal(size=(6, 4))
+    buf = np.empty(6 * 5)
+    out, work = buf[:18].reshape(6, 3), buf.reshape(6, 5)
+    _, cache = forward(stack, x, out=out, work=work)
+    with pytest.raises(ContractViolationError, match="work overlaps upstream"):
+        backward(stack, out, cache, work=work)
+    backward(stack, out, cache, work=np.empty((6, 5)))  # still live
 
 
 def test_gradients_match_fd(rng):

@@ -200,6 +200,19 @@ def test_invalid_configs_rejected():
         generate_scene(0, SMALL_CFG, SceneGeometry(extent=-1.0))
 
 
+def test_geometry_bounds_points_and_pixel_rows():
+    # each bound is accepted exactly and rejected one past it
+    bound = 1 << 24
+    SceneGeometry(num_points=bound).validate()
+    SceneGeometry(num_cameras=1, height=4096, width=4096).validate()
+    with pytest.raises(ConfigurationError, match=f"num_points must be <= {bound}"):
+        SceneGeometry(num_points=bound + 1).validate()
+    with pytest.raises(
+        ConfigurationError, match=rf"num_cameras \* height \* width must be <= {bound}"
+    ):
+        SceneGeometry(num_cameras=1, height=4096, width=4097).validate()
+
+
 def test_too_many_objects_error():
     cfg = SemanticOracleConfig(num_classes=8, objects_per_scene=400)
     with pytest.raises(ConfigurationError, match="could not place"):

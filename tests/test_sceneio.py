@@ -151,6 +151,24 @@ def test_class_count_bounded_by_the_label_dtype(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "patched,value,message,offset",
+    [
+        (8, (1 << 24) + 1, "point count K 16777217 above 16777216", 8),
+        # H at offset 16; the product L*H*W is named at L's offset
+        (16, 1 << 23, "pixel rows L\\*H\\*W 268435456 above 16777216", 12),
+    ],
+    ids=["points", "pixel-rows"],
+)
+def test_oversized_header_rejected_before_any_array(tmp_path, patched, value, message, offset):
+    # without the bound the reader would fail later, at a truncated section
+    path = tmp_path / "scene.cscs"
+    write_patched(path, patched, np.uint32(value).astype("<u4").tobytes())
+    with pytest.raises(SceneFormatError, match=message) as err:
+        read_scene(path)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
     "camera,section", [(0, SPIX0), (1, SPIX1)], ids=["camera0", "camera1"]
 )
 def test_superpixel_id_not_below_raster_size(tmp_path, camera, section):

@@ -704,8 +704,8 @@ def test_frozen_2d_work_counts(small_frames, monkeypatch, freeze):
 
     # tagged with the step they belong to; the step's 2D calls may run on
     # its worker thread, but all of them finish before run_step returns.
-    # A cache holds a float64 copy of its inputs, so a backward is traced
-    # to its frame through the forward that made its cache.
+    # A backward is given no inputs, so it is traced to its frame through
+    # the forward that made its cache.
     frame_of = {}
 
     def forward_(stack, inputs, **kwargs):
@@ -956,7 +956,7 @@ def test_each_slot_reuses_the_step_befores_buffers(small_frames, monkeypatch):
                 before, now = by_slot[k - 1, side, slot], by_slot[k, side, slot]
                 # the hidden layers after the first; no stack output
                 assert len(now.acts) == len(trainer.HIDDEN) - 1
-                assert np.shares_memory(before.inputs, now.inputs)
+                assert now.inputs is getattr(batches[k][slot], side)
                 assert all(np.shares_memory(a, b) for a, b in zip(before.acts, now.acts))
 
 
@@ -993,11 +993,20 @@ def test_prepare_frame_keeps_the_scene_arrays(small_frames, prepared):
         assert np.shares_memory(fd.x3d, frame.points)
 
 
+def test_prepare_frame_rows_are_read_only(small_frames, prepared):
+    # a forward cache keeps these rows until its backward
+    for fd in prepared:
+        for x in (fd.x2d, fd.x3d):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = x[0, 0]  # the same value, should the write go through
+    assert small_frames[0].points.flags.writeable  # the frame's own array is not
+
+
 def test_run_state_buffers_add_up(small_frames, prepared):
-    # per slot and stack one float64 input buffer, the outputs of the
-    # hidden layers after the first and the gradient vector; per lane one
-    # stack-output scratch and one first-hidden-output buffer, both sized
-    # to the largest frame
+    # per slot and stack the outputs of the hidden layers after the first
+    # and the gradient vector, the frame's own rows kept by reference; per
+    # lane one buffer sized to the largest frame and the wider of the stack
+    # output and the first hidden output
     feat_dim = small_frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, CFG.embed_dim, CFG.seed)
     with trainer._Run.open(model, CFG, prepared) as run:
@@ -1005,17 +1014,18 @@ def test_run_state_buffers_add_up(small_frames, prepared):
             trainer.run_step(model, batch, CFG.lam + 1, CFG, run)
     caches, scratch = run.slots, run.scratch
     assert sorted(caches) == [(side, k) for side in ("2d", "3d") for k in range(3)]
-    arrays = [a for c in caches.values() for a in [c.inputs, *c.acts, c.grads]]
-    arrays += [a for lane in scratch for a in lane]
+    for (side, k), c in caches.items():
+        assert c.inputs is getattr(prepared[3 + k], "x" + side)
+    arrays = [a for c in caches.values() for a in [*c.acts, c.grads]] + scratch
     assert not any(
         np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i]
     )
     rows2d, rows3d = len(prepared[0].x2d), len(prepared[0].x3d)
     first, *later = trainer.HIDDEN
     want = 8 * (
-        3 * rows2d * (feat_dim + sum(later))
-        + 3 * rows3d * (4 + sum(later))
-        + 2 * max(rows2d, rows3d) * (CFG.embed_dim + first)
+        3 * rows2d * sum(later)
+        + 3 * rows3d * sum(later)
+        + 2 * max(rows2d, rows3d) * max(CFG.embed_dim, first)
         + 3 * (model.embed2d.num_params + model.embed3d.num_params)
     )
     assert sum(a.nbytes for a in arrays) == want
