@@ -191,8 +191,12 @@ class _Primitive:
     half: np.ndarray  # (3,) box half extents; [r,r,r] for spheres
     radius: float  # bounding circle in the ground plane
 
-    def hit(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Smallest positive ray parameter per direction, inf on miss."""
+    def hit(self, origin: np.ndarray, dirs: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """Smallest positive ray parameter per direction, inf on miss.
+
+        ``dirs`` is (N,3) unit directions and ``inv`` their reciprocals as
+        (3,N) component rows, both laid out once per camera.
+        """
         if self.kind == "sphere":
             oc = origin - self.center
             b = dirs @ oc
@@ -203,14 +207,21 @@ class _Primitive:
             t1 = -b + root
             t = np.where(t0 > 1e-9, t0, t1)
             return np.where((disc > 0) & (t > 1e-9), t, np.inf)
+        # slab test, axis by axis in order 0, 1, 2: a zero direction
+        # component on a slab plane gives 0 * inf = NaN, which fmax/fmin skip
         lo = self.center - self.half
         hi = self.center + self.half
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / dirs
-            t_lo = (lo - origin) * inv
-            t_hi = (hi - origin) * inv
-        near = np.nanmax(np.minimum(t_lo, t_hi), axis=-1)
-        far = np.nanmin(np.maximum(t_lo, t_hi), axis=-1)
+        with np.errstate(invalid="ignore"):
+            for axis in range(3):
+                t_lo = (lo[axis] - origin[axis]) * inv[axis]
+                t_hi = (hi[axis] - origin[axis]) * inv[axis]
+                t_min = np.minimum(t_lo, t_hi)
+                t_max = np.maximum(t_lo, t_hi, out=t_hi)
+                if axis == 0:
+                    near, far = t_min, t_max
+                else:
+                    np.fmax(near, t_min, out=near)
+                    np.fmin(far, t_max, out=far)
         t = np.where(near > 1e-9, near, far)
         return np.where((far >= near) & (t > 1e-9), t, np.inf)
 
@@ -338,18 +349,20 @@ def _raster_scene(
     """Ray-cast one camera, given its eye and ``_pixel_rays``: per-pixel
     class, hit distance, hit flag."""
     flat = dirs.reshape(-1, 3)
-    n = flat.shape[0]
-    t_all = np.full((len(prims) + 1, n), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tg = -eye[2] / flat[:, 2]
-    t_all[0] = np.where((flat[:, 2] < 0) & (tg > 1e-9), tg, np.inf)
-    for j, prim in enumerate(prims):
-        t_all[j + 1] = prim.hit(eye, flat)
-    winner = np.argmin(t_all, axis=0)
-    t_best = t_all[winner, np.arange(n)]
+    rows = np.ascontiguousarray(flat.T)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / rows
+        tg = -eye[2] / rows[2]
+    t_best = np.where((rows[2] < 0) & (tg > 1e-9), tg, np.inf)
+    sem = np.zeros(flat.shape[0], dtype=np.uint16)  # ground, and every miss
+    # running nearest hit: only a strictly nearer primitive takes a pixel,
+    # so on a tie the earlier one keeps it
+    for prim in prims:
+        t = prim.hit(eye, flat, inv)
+        nearer = t < t_best
+        np.copyto(t_best, t, where=nearer)
+        sem[nearer] = prim.class_id
     hit = np.isfinite(t_best)
-    class_of = np.array([0] + [p.class_id for p in prims], dtype=np.uint16)
-    sem = np.where(hit, class_of[winner], 0).astype(np.uint16)
     shape = dirs.shape[:2]
     return sem.reshape(shape), t_best.reshape(shape), hit.reshape(shape)
 
@@ -420,7 +433,8 @@ def _segment(
     spix = np.full(h * w, UNASSIGNED, dtype=np.uint32)
     next_id = 0
     for region in connected_regions(sem, hit):
-        for chunk in split_region(region, factor, w):
+        # one chunk is the whole region, and its pixel order cannot matter
+        for chunk in [region] if factor == 1 else split_region(region, factor, w):
             spix[chunk] = next_id
             next_id += 1
     return spix.reshape(h, w)
@@ -694,8 +708,12 @@ def read_scene(path) -> SceneFrame:
     points = _finite(cur, k * 4, "points").reshape(k, 4)
     label_offset = cur.pos
     point_labels = cur.array("uint16", k, "point labels")
-    if (point_labels >= t).any():
-        raise SceneFormatError("point label out of class range", label_offset)
+    bad = np.flatnonzero(point_labels >= t)
+    if bad.size:
+        raise SceneFormatError(
+            f"point label {point_labels[bad[0]]} not below T={t}",
+            label_offset + 2 * int(bad[0]),
+        )
     cams = []
     # sections are read through the cursor before any stacked allocation,
     # so a damaged header cannot request more memory than the file holds
@@ -723,9 +741,8 @@ def read_scene(path) -> SceneFrame:
         feat_list.append(
             _finite(cur, h * w * f0, f"camera {idx} pixel_features").reshape(h, w, f0)
         )
-        sem_list.append(
-            cur.array("uint16", h * w, f"camera {idx} semantic_raster").reshape(h, w)
-        )
+        sem_offset = cur.pos
+        sem = cur.array("uint16", h * w, f"camera {idx} semantic_raster")
         spix_offset = cur.pos
         spix = cur.array("uint32", h * w, f"camera {idx} superpixel_raster")
         # ids index regions: one at or above H*W would size the region
@@ -737,13 +754,20 @@ def read_scene(path) -> SceneFrame:
                 f"H*W={h * w}",
                 spix_offset + 4 * int(bad[0]),
             )
+        # an unassigned pixel's class is never read
+        bad = np.flatnonzero((spix != UNASSIGNED) & (sem >= t))
+        if bad.size:
+            raise SceneFormatError(
+                f"camera {idx} semantic_raster: id {sem[bad[0]]} on an assigned "
+                f"pixel not below T={t}",
+                sem_offset + 2 * int(bad[0]),
+            )
+        sem_list.append(sem.reshape(h, w))
         spix_list.append(spix.reshape(h, w))
     cur.expect_end("superpixel rasters")
     feats = np.stack(feat_list)
     sems = np.stack(sem_list)
     spixs = np.stack(spix_list)
-    if (sems[spixs != UNASSIGNED] >= t).any():
-        raise SceneFormatError("semantic id out of range on assigned pixel", 28)
     return SceneFrame(
         scene_id=scene_id,
         num_classes=int(t),

@@ -7,6 +7,9 @@ region-labelling and point-label oracles stand in for scalar code the
 package does not carry, ``scene_bytes`` for a frame equality,
 ``full_embed_probe`` for the probe that embeds only its labelled rows, and
 ``random_init_probe`` for the untrained-model floor of the ablation.
+``reference_hit``, ``reference_raster_scene`` and ``reference_segment``
+are the per-primitive ray caster and the always-splitting segmenter that
+the package's per-camera passes replaced; scenes must keep their bytes.
 ``loop_prototypes`` and ``loop_ema`` are the per-region and per-class
 loops that the package's array group-bys replaced; they must agree bit
 for bit.  ``join_banks`` makes the one bank that a step hands to
@@ -27,7 +30,12 @@ from scenecontrast.embednet import EmbeddingBank, ForwardCache, forward, layer_v
 from scenecontrast.errors import ContractViolationError, ShapeError
 from scenecontrast.projection import project_points
 from scenecontrast.protobank import PrototypeBank
-from scenecontrast.scenegen import UNASSIGNED, write_scene
+from scenecontrast.scenegen import (
+    UNASSIGNED,
+    connected_regions,
+    split_region,
+    write_scene,
+)
 
 H = 1e-5
 
@@ -119,6 +127,61 @@ def reference_regions(values: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
                         stack.append((rr, cc))
         out.append(np.array(sorted(members), dtype=np.int64))
     return out
+
+
+def reference_hit(prim, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """``_Primitive.hit`` over (N,3) directions, reciprocals taken per call."""
+    if prim.kind == "sphere":
+        oc = origin - prim.center
+        b = dirs @ oc
+        c = oc @ oc - prim.half[0] ** 2
+        disc = b * b - c
+        root = np.sqrt(np.maximum(disc, 0.0))
+        t0 = -b - root
+        t1 = -b + root
+        t = np.where(t0 > 1e-9, t0, t1)
+        return np.where((disc > 0) & (t > 1e-9), t, np.inf)
+    lo = prim.center - prim.half
+    hi = prim.center + prim.half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t_lo = (lo - origin) * inv
+        t_hi = (hi - origin) * inv
+    near = np.nanmax(np.minimum(t_lo, t_hi), axis=-1)
+    far = np.nanmin(np.maximum(t_lo, t_hi), axis=-1)
+    t = np.where(near > 1e-9, near, far)
+    return np.where((far >= near) & (t > 1e-9), t, np.inf)
+
+
+def reference_raster_scene(eye: np.ndarray, dirs: np.ndarray, prims):
+    """``_raster_scene`` through a (P+1) x H*W distance table and its argmin."""
+    flat = dirs.reshape(-1, 3)
+    n = flat.shape[0]
+    t_all = np.full((len(prims) + 1, n), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tg = -eye[2] / flat[:, 2]
+    t_all[0] = np.where((flat[:, 2] < 0) & (tg > 1e-9), tg, np.inf)
+    for j, prim in enumerate(prims):
+        t_all[j + 1] = reference_hit(prim, eye, flat)
+    winner = np.argmin(t_all, axis=0)
+    t_best = t_all[winner, np.arange(n)]
+    hit = np.isfinite(t_best)
+    class_of = np.array([0] + [p.class_id for p in prims], dtype=np.uint16)
+    sem = np.where(hit, class_of[winner], 0).astype(np.uint16)
+    shape = dirs.shape[:2]
+    return sem.reshape(shape), t_best.reshape(shape), hit.reshape(shape)
+
+
+def reference_segment(sem: np.ndarray, hit: np.ndarray, factor: int) -> np.ndarray:
+    """``_segment`` that splits every region, even into one chunk."""
+    h, w = sem.shape
+    spix = np.full(h * w, UNASSIGNED, dtype=np.uint32)
+    next_id = 0
+    for region in connected_regions(sem, hit):
+        for chunk in split_region(region, factor, w):
+            spix[chunk] = next_id
+            next_id += 1
+    return spix.reshape(h, w)
 
 
 def recover_point_labels(frame) -> np.ndarray:

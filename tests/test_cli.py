@@ -15,7 +15,7 @@ import scenecontrast.cli as cli
 import scenecontrast.trainer as trainer
 from scenecontrast.cli import main
 from scenecontrast.errors import ConfigurationError
-from scenecontrast.scenegen import read_scene, write_scene
+from scenecontrast.scenegen import UNASSIGNED, read_scene, write_scene
 from scenecontrast.trainer import load_model, save_model
 
 GEN = [
@@ -216,9 +216,12 @@ def _exhausted(*args, **kwargs):
     [
         (["gen-scenes", "--count", "1", "--objects", "400"], None, 1,
          "could not place object 19: too many objects for extent 4.0"),
+        # placement fails long before a count this large could cost anything
+        (["gen-scenes", "--count", "1", "--objects", "2000000000"], None, 1,
+         "could not place object 19: too many objects for extent 4.0"),
         (GEN, _exhausted, 2, "error: gen-scenes: out of memory"),
     ],
-    ids=["placement", "out-of-memory"],
+    ids=["placement", "placement-2e9-objects", "out-of-memory"],
 )
 def test_failed_gen_scenes_leaves_no_out(
     monkeypatch, tmp_path, capsys, argv, patch, code, message
@@ -263,6 +266,23 @@ def test_oversized_gen_scenes_exits_1_naming_the_bound(tmp_path, flags, bound):
     assert proc.returncode == 1, proc.stderr
     assert bound in proc.stderr
     assert not out.exists()
+
+
+def test_oversegment_beyond_the_raster_splits_into_pixels(tmp_path, capsys):
+    # split_region cuts a region into at most one chunk per pixel, so any
+    # factor from H*W = 4096 (the 64x64 default) up gives the same scene
+    scenes = {}
+    for factor in (4096, 2**62):
+        out = tmp_path / str(factor)
+        assert main(["gen-scenes", "--count", "1", "--oversegment", str(factor),
+                     "--out", str(out)]) == 0
+        scenes[factor] = (out / "scene_0000_f00.cscs").read_bytes()
+    capsys.readouterr()
+    assert scenes[4096] == scenes[2**62]
+    spix = read_scene(tmp_path / "4096" / "scene_0000_f00.cscs").superpixel_raster
+    for cam in spix:
+        assigned = cam[cam != UNASSIGNED]
+        assert np.array_equal(np.sort(assigned), np.arange(assigned.size))
 
 
 def test_pretrain_writes_outputs(ckpt_dir, capsys):

@@ -8,8 +8,13 @@ from scenecontrast import scenegen
 from scenecontrast.errors import ConfigurationError
 from scenecontrast.scenegen import (
     UNASSIGNED,
+    CameraModel,
     SceneGeometry,
     SemanticOracleConfig,
+    _look_at,
+    _pixel_rays,
+    _Primitive,
+    _raster_scene,
     connected_regions,
     generate_scene,
     write_scene,
@@ -19,7 +24,10 @@ from conftest import SMALL_CFG, SMALL_GEOM
 from fdutil import (
     pinhole_reference,
     recover_point_labels,
+    reference_hit,
+    reference_raster_scene,
     reference_regions,
+    reference_segment,
     scene_bytes,
 )
 
@@ -342,3 +350,110 @@ def test_scene_bytes_match_reference_labelling(cfg, geom, seeds, tmp_path, monke
         monkeypatch.setattr(scenegen, "connected_regions", reference_regions)
         write_scene(generate_scene(seed, cfg, geom, scene_id=seed), tmp_path / "b.cscs")
         assert (tmp_path / "a.cscs").read_bytes() == (tmp_path / "b.cscs").read_bytes()
+
+
+# the generator's flags at each bench workload, plus camera counts and a
+# non-square raster the bench does not use
+GENERATOR_CASES = {
+    "desk": (SemanticOracleConfig(), SceneGeometry(), (0, 5)),
+    "ablation-frozen2d": (
+        SemanticOracleConfig(num_classes=6, objects_per_scene=5, noise=0.25),
+        SceneGeometry(num_points=768, height=32, width=32),
+        (1, 2, 3),
+    ),
+    "region-dense": (
+        SemanticOracleConfig(
+            num_classes=12, objects_per_scene=5, oversegment_factor=32, noise=0.1
+        ),
+        SceneGeometry(num_points=256, height=32, width=32),
+        (1, 2),
+    ),
+    "one-camera": (SemanticOracleConfig(), SceneGeometry(num_cameras=1), (3, 4)),
+    "three-cameras-20x40": (
+        SemanticOracleConfig(),
+        SceneGeometry(num_cameras=3, height=20, width=40),
+        (6, 7),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GENERATOR_CASES))
+def test_scene_bytes_match_reference_caster(case, tmp_path, monkeypatch):
+    cfg, geom, seeds = GENERATOR_CASES[case]
+    for seed in seeds:
+        write_scene(generate_scene(seed, cfg, geom, scene_id=seed), tmp_path / "a.cscs")
+        with monkeypatch.context() as patched:
+            patched.setattr(scenegen, "_raster_scene", reference_raster_scene)
+            patched.setattr(scenegen, "_segment", reference_segment)
+            ref = generate_scene(seed, cfg, geom, scene_id=seed)
+        write_scene(ref, tmp_path / "b.cscs")
+        assert (tmp_path / "a.cscs").read_bytes() == (tmp_path / "b.cscs").read_bytes()
+
+
+BOX = _Primitive("box", 1, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.5, 1.0]), 1.2)
+SPHERE = _Primitive("sphere", 2, np.array([0.5, -0.25, 1.0]), np.full(3, 0.75), 0.75)
+
+
+def hand_built_rays(origin: np.ndarray) -> np.ndarray:
+    """Unit directions with exactly zero (and negative zero) components,
+    some in general position, and one towards each primitive's center."""
+    comps = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+    dirs = np.array(
+        [(x, y, z) for x in comps for y in comps for z in comps if (x, y, z) != (0, 0, 0)]
+    )
+    aimed = [p.center - origin for p in (BOX, SPHERE) if (p.center != origin).any()]
+    dirs = np.concatenate([dirs, np.random.default_rng(5).normal(size=(64, 3)), aimed])
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "origin",
+    [
+        (-5.0, 0.5, 1.0),  # outside, on the box's y = hi slab plane
+        (-1.0, -2.0, 3.0),  # outside, on the x = lo plane
+        (1.0, 0.5, 2.0),  # on a corner, three planes at once
+        (0.0, 0.0, 1.0),  # the box's center
+        (0.25, -0.5, 0.5),  # inside, on the y = lo plane
+        (0.5, -0.25, 1.75),  # on the sphere's surface
+        (3.0, 2.0, 5.0),  # outside both
+    ],
+)
+def test_hit_distances_match_reference_bitwise(origin):
+    origin = np.array(origin)
+    dirs = hand_built_rays(origin)
+    rows = np.ascontiguousarray(dirs.T)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / rows
+    for prim in (BOX, SPHERE):
+        got = prim.hit(origin, dirs, inv)
+        want = reference_hit(prim, origin, dirs)
+        assert np.isfinite(want).any(), prim.kind
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), prim.kind
+
+
+def test_ray_along_a_slab_plane_hits_the_box():
+    # y direction 0 on the y = hi plane: that slab gives 0 * inf = NaN for
+    # one bound, and the other two axes alone decide the hit
+    inv = np.array([[1.0], [np.inf], [np.inf]])
+    for origin, t in (((-5.0, 0.5, 1.0), 4.0), ((0.0, 0.5, 1.0), 1.0)):
+        got = BOX.hit(np.array(origin), np.array([[1.0, 0.0, 0.0]]), inv)
+        assert got.tolist() == [t]
+
+
+def test_coincident_boxes_keep_the_first_class():
+    center, half = np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.8, 0.6])
+    first = _Primitive("box", 3, center, half, 1.3)
+    second = _Primitive("box", 5, center.copy(), half.copy(), 1.3)
+    eye = np.array([4.0, 3.0, -0.5])  # below the ground plane: it is never hit
+    r = _look_at(eye, center)
+    m = np.eye(4)
+    m[:3, :3], m[:3, 3] = r, -r @ eye
+    cam = CameraModel(fx=16.0, fy=16.0, cx=8.0, cy=8.0, world_to_cam=m, width=16, height=16)
+    dirs = _pixel_rays(cam)
+    for prims, cls in (([first, second], 3), ([second, first], 5)):
+        sem, dist, hit = _raster_scene(eye, dirs, prims)
+        assert 0 < hit.sum() < hit.size
+        assert (sem[hit] == cls).all() and (sem[~hit] == 0).all()
+        ref_sem, ref_dist, ref_hit = reference_raster_scene(eye, dirs, prims)
+        assert np.array_equal(sem, ref_sem) and np.array_equal(hit, ref_hit)
+        assert np.array_equal(dist.view(np.uint64), ref_dist.view(np.uint64))

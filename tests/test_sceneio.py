@@ -111,7 +111,8 @@ F0 = TINY.pixel_features.shape[3]
 SEM0 = FEATS0 + 16 * 16 * F0 * 4
 SPIX0 = SEM0 + 16 * 16 * 2
 CAM1 = SPIX0 + 16 * 16 * 4
-SPIX1 = CAM1 + 4 * 4 + 16 * 4 + 16 * 16 * F0 * 4 + 16 * 16 * 2
+SEM1 = CAM1 + 4 * 4 + 16 * 4 + 16 * 16 * F0 * 4
+SPIX1 = SEM1 + 16 * 16 * 2
 
 
 def write_patched(path, offset, value: bytes):
@@ -182,6 +183,36 @@ def test_superpixel_id_not_below_raster_size(tmp_path, camera, section):
     # the largest id that fits is accepted
     write_patched(path, offset, np.uint32(16 * 16 - 1).astype("<u4").tobytes())
     assert read_scene(path).superpixel_raster[camera].reshape(-1)[3] == 255
+
+
+def test_point_label_out_of_class_range_names_its_offset(tmp_path):
+    path = tmp_path / "scene.cscs"
+    offset = LABELS + 2 * 5  # point 5's label; T is 4
+    write_patched(path, offset, np.uint16(4).astype("<u2").tobytes())
+    with pytest.raises(SceneFormatError, match="point label 4 not below T=4") as err:
+        read_scene(path)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "camera,sem,spix", [(0, SEM0, SPIX0), (1, SEM1, SPIX1)], ids=["camera0", "camera1"]
+)
+def test_semantic_id_out_of_class_range_names_its_offset(tmp_path, camera, sem, spix):
+    pixel = 7
+    assert TINY.superpixel_raster[camera].reshape(-1)[pixel] != UNASSIGNED
+    path = tmp_path / "scene.cscs"
+    offset = sem + 2 * pixel
+    write_patched(path, offset, np.uint16(4).astype("<u2").tobytes())
+    with pytest.raises(
+        SceneFormatError, match=f"camera {camera} semantic_raster: id 4 on an assigned"
+    ) as err:
+        read_scene(path)
+    assert err.value.offset == offset
+    # once the pixel is unassigned its class is never read, so any value passes
+    data = bytearray(path.read_bytes())
+    data[spix + 4 * pixel : spix + 4 * pixel + 4] = UNASSIGNED.astype("<u4").tobytes()
+    path.write_bytes(bytes(data))
+    assert read_scene(path).semantic_raster[camera].reshape(-1)[pixel] == 4
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
