@@ -3,10 +3,10 @@
 Two terms: a superpixel/superpoint InfoNCE over the batch's paired regions
 (summed over rows, cross-frame negatives included), and a prototype term
 attracting each superpoint to the mixed prototype of its class (averaged
-over rows).  The prototype term is gated on strictly after epoch
-``lam``: ``run_step`` decides the gate once and computes the term only
-while it is open, so ``total_loss`` reports the gate from whether the
-term exists.
+over rows), both one ``softmax_xent``, as is the trainer's linear probe.
+The prototype term is gated on strictly after epoch ``lam``: ``run_step``
+decides the gate once and computes the term only while it is open, so
+``total_loss`` reports the gate from whether the term exists.
 
 Gradients are with respect to the raw bank rows handed in; no internal
 re-normalization happens here, which keeps every input independently
@@ -54,13 +54,19 @@ def csv_row(step: int, epoch: int, report: LossReport) -> str:
     return ",".join([str(step), str(epoch), *map(repr, report.values())])
 
 
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
+def softmax_xent(logits: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's log-probability of its positive column ``pos``, and the
+    gradient of -sum(logp) over ``logits``, softmax minus one-hot, written
+    over the softmax.  Callers negate after reducing: a zero loss is -0.0."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
     if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
         raise ContractViolationError("softmax rows do not sum to 1")
-    return p
+    rows = np.arange(len(p))
+    logp = np.log(np.clip(p[rows, pos], 1e-300, None))
+    p[rows, pos] -= 1.0  # off the positive, p - 0.0 is p
+    return logp, p
 
 
 @dataclass
@@ -87,17 +93,15 @@ def loss_sp(bank: EmbeddingBank, tau_sp: float) -> SpResult:
     a3 = bank.f3d[vidx]
     a2 = bank.f2d[vidx]
     sims = a3 @ a2.T  # raw cosine similarities
-    p = _row_softmax(sims / tau_sp)
-    eye = np.eye(m)
-    value = float(-np.log(np.clip(np.diag(p), 1e-300, None)).sum())
-    dlogits = (p - eye) / tau_sp
+    logp, dlogits = softmax_xent(sims / tau_sp, np.arange(m))
+    dlogits /= tau_sp
     grad_f3d = np.zeros_like(bank.f3d)
     grad_f2d = np.zeros_like(bank.f2d)
     grad_f3d[vidx] = dlogits @ a2
     grad_f2d[vidx] = dlogits.T @ a3
-    off = sims + np.where(eye > 0, -np.inf, 0.0)
+    off = sims + np.where(np.eye(m) > 0, -np.inf, 0.0)  # fill_diagonal keeps -0.0
     return SpResult(
-        value=value,
+        value=float(-logp.sum()),
         grad_f3d=grad_f3d,
         grad_f2d=grad_f2d,
         mean_pos_sim=float(np.diag(sims).mean()),
@@ -134,17 +138,12 @@ def loss_pro(
         raise MissingClassError(f"class {t} has no prototype", t)
     pos = np.searchsorted(class_ids, signs)
     a3 = bank.f3d[vidx]
-    logits = a3 @ pmix.T / tau_pro  # (m, C)
-    p = _row_softmax(logits)
-    picked = p[np.arange(m), pos]
-    value = float(-np.log(np.clip(picked, 1e-300, None)).mean())
-    dlogits = p.copy()
-    dlogits[np.arange(m), pos] -= 1.0
-    dlogits /= m * tau_pro
+    logp, dlogits = softmax_xent(a3 @ pmix.T / tau_pro, pos)  # (m, C)
+    dlogits /= m * tau_pro  # one division: / m / tau_pro rounds differently
     grad_f3d = np.zeros_like(bank.f3d)
     grad_f3d[vidx] = dlogits @ pmix
     grad_pmix = dlogits.T @ a3
-    return ProResult(value=value, grad_f3d=grad_f3d, grad_pmix=grad_pmix)
+    return ProResult(value=float(-logp.mean()), grad_f3d=grad_f3d, grad_pmix=grad_pmix)
 
 
 def gate_open(epoch: int, lam: int) -> bool:

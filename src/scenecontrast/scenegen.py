@@ -375,22 +375,26 @@ def connected_regions(values: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
     """4-connected components of equal ``values`` inside ``mask``.
 
     Returns flat pixel index arrays (int64, each sorted ascending), ordered by
-    the smallest pixel index of the component.  Labels by hook-and-compress
-    union-find (Shiloach & Vishkin 1982) over whole arrays: every root hooks
-    onto the smallest root it shares an edge with, then pointer jumping makes
-    every pixel point at its root, until no edge joins two roots.  Pointers
-    only ever go to smaller indices, so each final root is its component's
-    smallest pixel.  The test suite checks this against an independent
-    labelling routine and a reference BFS.
+    the smallest pixel index of the component.  Each pixel starts labelled
+    with the first pixel of its run along the row, so only the down edges
+    go through hook-and-compress union-find (Shiloach & Vishkin 1982) over
+    whole arrays: every root hooks onto the smallest root it shares an edge
+    with, then pointer jumping makes every pixel point at its root, until
+    no edge joins two roots.  Pointers only ever go to smaller indices, so
+    each final root is its component's smallest pixel.  The test suite
+    checks this against an independent labelling routine and a reference
+    BFS.
     """
     h, w = values.shape
     inside = np.asarray(mask, dtype=bool)
     flat = np.arange(h * w, dtype=np.int64).reshape(h, w)
     right = inside[:, :-1] & inside[:, 1:] & (values[:, :-1] == values[:, 1:])
     down = inside[:-1, :] & inside[1:, :] & (values[:-1, :] == values[1:, :])
-    a = np.concatenate([flat[:, :-1][right], flat[:-1, :][down]])
-    b = np.concatenate([flat[:, 1:][right], flat[1:, :][down]])
-    label = flat.ravel().copy()
+    # each pixel takes its row's last run start (no right edge in) up to it
+    starts = flat.copy()
+    starts[:, 1:][right] = 0
+    label = np.maximum.accumulate(starts, axis=1).ravel()
+    a, b = flat[:-1, :][down], flat[1:, :][down]
     while True:
         la, lb = label[a], label[b]
         apart = la != lb

@@ -13,9 +13,9 @@ computed once per run, and neither the 2D backward nor a 2D update is run.
 Every parameter of a Model lives in one float64 buffer, ``Model.params``,
 of which each layer's weight and bias are views.  A step adds each
 stack's gradient vector into that stack's slice of one buffer of the
-same layout, and SGD updates ``params`` with three in-place vector
-operations; ``freeze_2d`` updates only the slice after embed2d, which
-comes first.
+same layout, and SGD updates all of ``params`` with three in-place
+vector operations; under ``freeze_2d`` embed2d's slice of the gradient
+stays zero, so SGD leaves its parameters as they are.
 
 Everything a run carries from step to step is one ``_Run``: the worker
 thread, a second lane beside the calling thread while the 2D stack is
@@ -55,6 +55,11 @@ from .projection import build_associations
 from .scenegen import SceneFrame
 
 HIDDEN = [64, 64]  # hidden widths of both embedding stacks
+
+# Ceiling on embed_dim D, the one config field that sizes arrays: each
+# lane's scratch holds rows x max(D, 64) floats, and the blending stacks
+# hold 4*D^2 + 3*D parameters, 4.2 M (34 MB per float64 copy) at 1024.
+MAX_EMBED_DIM = 1024
 
 # seed-sequence tags so the independent rng streams cannot collide
 _TAG_MODEL = 1
@@ -96,8 +101,10 @@ class TrainConfig:
             raise ConfigurationError(
                 "scenes_per_batch must be >= 2 (prototypes are cross-scene)"
             )
-        if self.embed_dim < 1:
-            raise ConfigurationError("embed_dim must be >= 1")
+        if not 1 <= self.embed_dim <= MAX_EMBED_DIM:
+            raise ConfigurationError(
+                f"embed_dim must lie in [1, {MAX_EMBED_DIM}], got {self.embed_dim}"
+            )
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigurationError("momentum must lie in [0,1)")
         if not (0.0 <= self.ema_momentum < 1.0):
@@ -336,8 +343,8 @@ class _Run:
     each trained stack and batch slot's forward cache, whose buffers, its
     gradient vector included, the next forward in that slot takes over.
     ``bank`` is the EMA prototype bank, which a skipped batch leaves as it
-    was; ``grads`` the last step's gradient over all of ``Model.params``;
-    ``vel`` the SGD velocity of ``params``, their trained part.
+    was; ``grads`` the last step's gradient over ``Model.params`` (zero
+    on embed2d under ``freeze_2d``); ``vel`` the SGD velocity of ``params``.
     """
 
     def __init__(self, model: Model, cfg: TrainConfig, frames: list[FrameData], worker):
@@ -349,11 +356,9 @@ class _Run:
         self.slots: dict = {}
         self.rows2d: dict | None = {} if cfg.freeze_2d else None
         self.bank: protobank.PrototypeBank | None = None
-        self.grads = np.empty_like(model.params)
-        # embed2d's parameters come first, so freeze_2d trains the tail after them
-        self.start = model.embed2d.num_params if cfg.freeze_2d else 0
-        self.params = model.params[self.start :]
-        self.stacks = model.stacks()[1:] if cfg.freeze_2d else model.stacks()
+        self.params = model.params
+        self.grads = np.empty_like(self.params)
+        self.stacks = model.stacks()
         self.momentum = cfg.momentum
         self.vel = np.zeros_like(self.params)
 
@@ -382,7 +387,7 @@ class _Run:
     def sgd(self, lr: float) -> None:
         """SGD with momentum: apply ``grads`` in place to ``params``."""
         self.vel *= self.momentum
-        self.vel += self.grads[self.start :]
+        self.vel += self.grads
         self.params -= lr * self.vel
         for stack in self.stacks:
             stack.bump()
@@ -636,15 +641,10 @@ def fit_linear_probe(
     n, d = zt.shape
     w = np.zeros((num_classes, d))
     b = np.zeros(num_classes)
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), y_train] = 1.0
     lr = 0.5
     for _ in range(epochs):
-        logits = zt @ w.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        p = e / e.sum(axis=1, keepdims=True)
-        g = (p - onehot) / n
+        _, g = losses.softmax_xent(zt @ w.T + b, y_train)
+        g /= n
         w -= lr * (g.T @ zt)
         b -= lr * g.sum(axis=0)
     pred = np.argmax(zv @ w.T + b, axis=1)

@@ -16,7 +16,10 @@ for bit.  ``join_banks`` makes the one bank that a step hands to
 ``build_prototypes`` out of several.  ``stored_forward`` and
 ``stored_backward`` are the stack passes that keep every hidden output
 and always compute the input gradient, which the package's recomputing
-passes must match bit for bit.
+passes must match bit for bit.  ``separate_loss_sp``,
+``separate_loss_pro`` and ``onehot_linear_probe`` each run their own row
+softmax (``row_softmax``), as the package did before its one softmax
+cross-entropy; they must agree bit for bit.
 """
 
 import tempfile
@@ -28,6 +31,7 @@ import numpy as np
 from scenecontrast import trainer
 from scenecontrast.embednet import EmbeddingBank, ForwardCache, forward, layer_views
 from scenecontrast.errors import ContractViolationError, ShapeError
+from scenecontrast.losses import ProResult, SpResult
 from scenecontrast.projection import project_points
 from scenecontrast.protobank import PrototypeBank
 from scenecontrast.scenegen import (
@@ -394,3 +398,94 @@ def stored_backward(
         g = np.matmul(g, layers[i].weight, out=below)
         g *= mask
     return grads, g
+
+
+def row_softmax(logits: np.ndarray) -> np.ndarray:
+    """The row softmax the three softmax trainers each wrote before they
+    shared ``losses.softmax_xent``."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=1, keepdims=True)
+    if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
+        raise ContractViolationError("softmax rows do not sum to 1")
+    return p
+
+
+def separate_loss_sp(bank: EmbeddingBank, tau_sp: float) -> SpResult:
+    """``loss_sp`` with its own softmax, a diagonal pick and ``p - eye``."""
+    vidx = np.flatnonzero(bank.valid)
+    m = len(vidx)
+    a3 = bank.f3d[vidx]
+    a2 = bank.f2d[vidx]
+    sims = a3 @ a2.T
+    p = row_softmax(sims / tau_sp)
+    eye = np.eye(m)
+    value = float(-np.log(np.clip(np.diag(p), 1e-300, None)).sum())
+    dlogits = (p - eye) / tau_sp
+    grad_f3d = np.zeros_like(bank.f3d)
+    grad_f2d = np.zeros_like(bank.f2d)
+    grad_f3d[vidx] = dlogits @ a2
+    grad_f2d[vidx] = dlogits.T @ a3
+    off = sims + np.where(eye > 0, -np.inf, 0.0)
+    return SpResult(
+        value=value,
+        grad_f3d=grad_f3d,
+        grad_f2d=grad_f2d,
+        mean_pos_sim=float(np.diag(sims).mean()),
+        mean_negmax_sim=float(off.max(axis=1).mean()),
+    )
+
+
+def separate_loss_pro(
+    bank: EmbeddingBank, class_ids: np.ndarray, pmix: np.ndarray, tau_pro: float
+) -> ProResult:
+    """``loss_pro`` with its own softmax, a gather, a copy and a subtract."""
+    vidx = np.flatnonzero(bank.valid)
+    m = len(vidx)
+    pos = np.searchsorted(class_ids, bank.signs[vidx])
+    a3 = bank.f3d[vidx]
+    p = row_softmax(a3 @ pmix.T / tau_pro)
+    picked = p[np.arange(m), pos]
+    value = float(-np.log(np.clip(picked, 1e-300, None)).mean())
+    dlogits = p.copy()
+    dlogits[np.arange(m), pos] -= 1.0
+    dlogits /= m * tau_pro
+    grad_f3d = np.zeros_like(bank.f3d)
+    grad_f3d[vidx] = dlogits @ pmix
+    grad_pmix = dlogits.T @ a3
+    return ProResult(value=value, grad_f3d=grad_f3d, grad_pmix=grad_pmix)
+
+
+def onehot_linear_probe(z_train, y_train, z_test, y_test, epochs: int = 100):
+    """``fit_linear_probe`` with its own softmax and an n x C one-hot matrix."""
+    num_classes = int(max(y_train.max(), y_test.max(initial=0))) + 1
+    mu = z_train.mean(axis=0)
+    sd = z_train.std(axis=0)
+    sd = np.where(sd < 1e-8, 1.0, sd)
+    zt = (z_train - mu) / sd
+    zv = (z_test - mu) / sd
+    n, d = zt.shape
+    w = np.zeros((num_classes, d))
+    b = np.zeros(num_classes)
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), y_train] = 1.0
+    lr = 0.5
+    for _ in range(epochs):
+        logits = zt @ w.T + b
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits)
+        p = e / e.sum(axis=1, keepdims=True)
+        g = (p - onehot) / n
+        w -= lr * (g.T @ zt)
+        b -= lr * g.sum(axis=0)
+    pred = np.argmax(zv @ w.T + b, axis=1)
+    per_class = {}
+    for cls in np.unique(y_test):
+        mask = y_test == cls
+        per_class[int(cls)] = float((pred[mask] == cls).mean())
+    return trainer.ProbeReport(
+        mean_accuracy=float(np.mean(list(per_class.values()))),
+        per_class=per_class,
+        n_train_labeled=n,
+        n_test=len(y_test),
+    )

@@ -234,7 +234,7 @@ def test_failed_gen_scenes_leaves_no_out(
     assert not out.exists()
 
 
-# gen-scenes in a child process whose address space is capped, so that a
+# a command in a child process whose address space is capped, so that a
 # missing bound ends in MemoryError (exit 2) rather than exhausting memory
 CAPPED_MAIN = """
 import resource, sys
@@ -265,6 +265,23 @@ def test_oversized_gen_scenes_exits_1_naming_the_bound(tmp_path, flags, bound):
     )
     assert proc.returncode == 1, proc.stderr
     assert bound in proc.stderr
+    assert not out.exists()
+
+
+def test_oversized_embed_dim_exits_1_naming_the_bound(scene_dir, tmp_path):
+    src = str(Path(scenecontrast.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(CFG_TEXT.replace("embed_dim = 12", f"embed_dim = {2**40}"))
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "pretrain", "--config", str(cfg),
+         "--scenes", str(scene_dir), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"embed_dim must lie in [1, {trainer.MAX_EMBED_DIM}]" in proc.stderr
     assert not out.exists()
 
 

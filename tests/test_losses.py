@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdutil import central_diff, max_rel_err
+from fdutil import (
+    central_diff,
+    max_rel_err,
+    row_softmax,
+    separate_loss_pro,
+    separate_loss_sp,
+)
 from scenecontrast.embednet import EmbeddingBank
 from scenecontrast.errors import (
     ConfigurationError,
@@ -23,6 +29,7 @@ from scenecontrast.losses import (
     gate_open,
     loss_pro,
     loss_sp,
+    softmax_xent,
     total_loss,
 )
 
@@ -167,6 +174,52 @@ def test_losses_nonnegative(seed):
     protos = proto_bank_from(unit_rows(rng, 3, 3))
     assert loss_sp(bank, 0.07).value >= 0.0
     assert loss_pro(bank, *protos, 1.0).value >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# one softmax cross-entropy, bit for bit against the separate softmaxes
+
+
+def test_softmax_xent_is_softmax_minus_onehot(rng):
+    for rows, cols in [(1, 1), (7, 1), (2, 2), (9, 5), (40, 13)]:
+        logits = rng.normal(scale=5.0, size=(rows, cols))
+        pos = rng.integers(0, cols, size=rows)
+        p = row_softmax(logits)
+        onehot = np.zeros_like(p)
+        onehot[np.arange(rows), pos] = 1.0
+        logp, dlogits = softmax_xent(logits, pos)
+        want = np.log(np.clip(p[np.arange(rows), pos], 1e-300, None))
+        assert logp.tobytes() == want.tobytes()
+        assert dlogits.tobytes() == (p - onehot).tobytes()
+
+
+def loss_banks(rng):
+    """(bank, class_ids, pmix) on random banks with invalid rows, among them
+    m = 2 valid rows, tables with classes no row has, and a one-class table."""
+    for q, d, c, extra in [(6, 5, 4, 2), (30, 16, 6, 3), (5, 4, 3, 0), (11, 8, 1, 0)]:
+        valid = rng.random(q) < 0.6
+        valid[:2] = True
+        if q == 5:
+            valid[2:] = False  # m = 2
+        bank = random_bank(rng, q=q, d=d, num_classes=c, valid=valid)
+        class_ids = np.union1d(bank.signs, c + np.arange(extra))
+        yield bank, class_ids, unit_rows(rng, len(class_ids), d)
+
+
+@pytest.mark.parametrize("tau_sp, tau_pro", [(0.07, 1.0), (0.3, 0.7), (1.0, 0.11)])
+def test_losses_match_the_separate_softmaxes(rng, tau_sp, tau_pro):
+    for bank, class_ids, pmix in loss_banks(rng):
+        got, want = loss_sp(bank, tau_sp), separate_loss_sp(bank, tau_sp)
+        for name in ("value", "grad_f3d", "grad_f2d", "mean_pos_sim", "mean_negmax_sim"):
+            assert np.asarray(getattr(got, name)).tobytes() == (
+                np.asarray(getattr(want, name)).tobytes()
+            ), name
+        got = loss_pro(bank, class_ids, pmix, tau_pro)
+        want = separate_loss_pro(bank, class_ids, pmix, tau_pro)
+        for name in ("value", "grad_f3d", "grad_pmix"):
+            assert np.asarray(getattr(got, name)).tobytes() == (
+                np.asarray(getattr(want, name)).tobytes()
+            ), name
 
 
 # ---------------------------------------------------------------------------

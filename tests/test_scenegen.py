@@ -251,6 +251,14 @@ def serpentine(n: int) -> np.ndarray:
     return v
 
 
+def comb(h: int, w: int) -> np.ndarray:
+    """1s in every even column and along the last row; 0s between the teeth."""
+    v = np.zeros((h, w), dtype=np.uint16)
+    v[:, 0::2] = 1
+    v[-1] = 1
+    return v
+
+
 def spiral(n: int) -> np.ndarray:
     """A one-pixel-wide inward spiral of 1s; the 0s spiral beside it."""
     v = np.zeros((n, n), dtype=np.uint16)
@@ -295,6 +303,13 @@ def _raster_cases():
     yield "serpentine", serpentine(33), np.ones((33, 33), bool)
     yield "spiral", spiral(32), np.ones((32, 32), bool)
     yield "spiral-with-holes", spiral(32), rng.random((32, 32)) < 0.97
+    # every row's runs above the last are one-pixel teeth, joined only there
+    yield "comb", comb(9, 11), np.ones((9, 11), bool)
+    # a hole cuts a row's run in two: apart on one row, rejoined around it
+    hole = np.ones((3, 9), bool)
+    hole[1, 4] = False
+    yield "hole-in-run-row", np.full((1, 9), 2, dtype=np.uint16), hole[1:2]
+    yield "hole-in-run", np.full((3, 9), 2, dtype=np.uint16), hole
 
 
 def test_connected_regions_partition():
@@ -308,6 +323,13 @@ def test_connected_regions_partition():
     for values in (serpentine(33), spiral(32)):
         (path,) = connected_regions(values, values > 0)
         assert len(path) == int(values.sum())
+
+
+def test_edge_rasters_match_reference_bfs():
+    for case, values, mask in _raster_cases():
+        assert_same_regions(
+            connected_regions(values, mask), reference_regions(values, mask), case
+        )
 
 
 def test_connected_regions_match_reference_bfs():

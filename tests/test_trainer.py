@@ -43,7 +43,12 @@ from scenecontrast.trainer import (
     save_model,
 )
 
-from fdutil import full_embed_probe, loop_prototypes, random_init_probe
+from fdutil import (
+    full_embed_probe,
+    loop_prototypes,
+    onehot_linear_probe,
+    random_init_probe,
+)
 
 # ---------------------------------------------------------------------------
 # config
@@ -366,6 +371,37 @@ def test_collapsed_blend_skips_the_batch(small_frames, monkeypatch, capsys):
     assert [int(r.split(",")[0]) for r in res.metrics[1:]] == [1, 2, 3]
 
 
+def test_collapsed_raw3d_prototype_skips_the_batch(small_frames, monkeypatch, capsys):
+    real = trainer.protobank.build_prototypes
+    calls = {"build": 0, "sgd": 0}
+    real_sgd = trainer._Run.sgd
+
+    def collapsing(bank):
+        calls["build"] += 1
+        protos = real(bank)
+        if calls["build"] == 2:
+            p3d = protos.p3d.copy()
+            p3d[-1] = 0.0
+            protos = replace(protos, p3d=p3d)
+        return protos
+
+    def counted_sgd(self, lr):
+        calls["sgd"] += 1
+        real_sgd(self, lr)
+
+    monkeypatch.setattr(trainer.protobank, "build_prototypes", collapsing)
+    monkeypatch.setattr(trainer._Run, "sgd", counted_sgd)
+    cfg = TrainConfig(
+        epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=0, proto_mode="raw3d"
+    )
+    res = pretrain(small_frames, cfg)
+    err = capsys.readouterr().err
+    assert "skipping batch 1 of epoch 1: raw 3D prototype collapsed to zero" in err
+    assert err.count("skipping") == 1
+    assert [int(r.split(",")[0]) for r in res.metrics[1:]] == [1, 2, 3]
+    assert calls == {"build": 4, "sgd": 3}
+
+
 def test_collapsed_blend_every_batch_is_fatal(small_frames, monkeypatch, capsys):
     real = trainer.init_model
 
@@ -539,6 +575,22 @@ def test_probe_perfect_on_separable_fixture(rng):
     assert rep.mean_accuracy == 1.0
     assert set(rep.per_class) == set(range(c))
     assert rep.n_train_labeled == n_per * c
+
+
+@pytest.mark.parametrize("epochs", [1, 7, 100])
+def test_probe_matches_the_one_hot_loop(rng, epochs):
+    # overlapping clusters, so many test points sit near a decision boundary;
+    # class 2 and class 7 label test points only
+    centers = rng.normal(size=(8, 6))
+    y_train = rng.choice([0, 1, 3, 4, 5, 6], size=90)
+    y_test = rng.integers(0, 8, size=400)
+    z_train = centers[y_train] + rng.normal(size=(90, 6))
+    z_test = centers[y_test] + rng.normal(size=(400, 6))
+    got = fit_linear_probe(z_train, y_train, z_test, y_test, epochs=epochs)
+    want = onehot_linear_probe(z_train, y_train, z_test, y_test, epochs=epochs)
+    assert got == want
+    assert got.summary() == want.summary()
+    assert {2, 7} <= set(got.per_class) and 0.0 < got.mean_accuracy < 1.0
 
 
 def test_probe_report_summary_format():
