@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import trainer
+from .bounds import Bound, check
 from .errors import ConfigurationError, SceneContrastError
 from .scenegen import (
     SceneGeometry,
@@ -40,10 +41,12 @@ def _scene_seed(base: int, scene: int) -> int:
     return int(np.random.SeedSequence((base, scene)).generate_state(1, np.uint64)[0])
 
 
-def _require_at_least(args, flag: str, low: int) -> None:
-    value = getattr(args, flag)
-    if value is not None and value < low:
-        raise ConfigurationError(f"--{flag} must be >= {low}, got {value}")
+# the flags that no config dataclass holds
+FLAG_BOUNDS = {
+    "--seed": Bound(int, 0),
+    "--count": Bound(int, 1, 1 << 32, source="format: scene ids are u32"),
+    "--seeds": Bound(int, 1, 1000, source="desk budget: 3 desk pretrains a seed"),
+}
 
 
 def _load_scene_dir(path: str):
@@ -74,8 +77,6 @@ def _config_from_args(args) -> trainer.TrainConfig:
 
 
 def _cmd_gen_scenes(args) -> int:
-    _require_at_least(args, "seed", 0)
-    _require_at_least(args, "count", 1)
     cfg = SemanticOracleConfig(
         num_classes=args.classes,
         objects_per_scene=args.objects,
@@ -88,8 +89,6 @@ def _cmd_gen_scenes(args) -> int:
         height=args.height,
         width=args.width,
     )
-    cfg.validate()
-    geom.validate()
     out = Path(args.out)
     for s in range(args.count):
         frame = generate_scene(_scene_seed(args.seed, s), cfg, geom, scene_id=s)
@@ -110,7 +109,6 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    _require_at_least(args, "seed", 0)
     report = trainer.gradcheck(seed=args.seed if args.seed is not None else 0)
     sys.stdout.write(report.summary())
     return 0 if report.all_passed else 2
@@ -131,12 +129,11 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _require_at_least(args, "seeds", 1)
     cfg = _config_from_args(args)
     frames = _load_scene_dir(args.scenes)
     # --seeds defaults to 10, or to 1 with --arm
     n = args.seeds if args.seeds is not None else 1 if args.arm else 10
-    seeds = list(range(cfg.seed, cfg.seed + n))
+    seeds = range(cfg.seed, cfg.seed + n)
     arms = (args.arm,) if args.arm else trainer.ARMS
     rows = trainer.run_ablation(frames, cfg, seeds, arms=arms)
     csv = trainer.ablation_csv(rows)
@@ -210,6 +207,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
+        check(FLAG_BOUNDS, {f"--{k}": v for k, v in vars(args).items()})
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.fn(args)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binio import ByteCursor, pack_array, pack_u32
+from .bounds import Bound, check
 from .errors import ConfigurationError, SceneFormatError, ShapeError
 
 MAGIC = b"CSCS"
@@ -38,15 +39,8 @@ ROT_TOL = 1e-6
 # region's appearance is shared with the rest of its class.
 CLASS_KEYED_CHANNELS = 3
 
-# Labels and semantic rasters are uint16, so a scene holds at most this
-# many classes; generation and ``read_scene`` apply the same bound.
-MAX_CLASSES = 65536
-
-# Ceilings on a scene's points K and pixel rows L*H*W, far above the desk
-# defaults (4096 and 8192); generation and ``read_scene`` apply both, so
-# an oversized request exits with a message instead of exhausting memory.
-MAX_POINTS = 1 << 24
-MAX_PIXEL_ROWS = 1 << 24
+# a scene's pixel rows L*H*W, which generation and read_scene bound beside the fields
+PIXEL_ROWS = Bound(int, 1, 1 << 24, source="desk budget: 2048x the desk's 8192")
 
 
 @dataclass
@@ -66,8 +60,8 @@ class CameraModel:
     height: int
 
     def validate(self) -> None:
-        if self.fx <= 0 or self.fy <= 0:
-            raise ConfigurationError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ConfigurationError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ConfigurationError("principal point outside the raster")
         m = np.asarray(self.world_to_cam, dtype=np.float64)
@@ -102,25 +96,20 @@ class SceneGeometry:
     feat_dim: int = 8  # F0
 
     def validate(self) -> None:
-        if self.extent <= 0:
-            raise ConfigurationError("extent must be positive")
-        if self.num_points < 1:
-            raise ConfigurationError("num_points must be >= 1")
-        if self.num_cameras < 1:
-            raise ConfigurationError("num_cameras must be >= 1")
-        if self.height < 2 or self.width < 2:
-            raise ConfigurationError("raster must be at least 2x2")
-        if self.num_points > MAX_POINTS:
-            raise ConfigurationError(
-                f"num_points must be <= {MAX_POINTS}, got {self.num_points}"
-            )
+        check(GEOMETRY_BOUNDS, vars(self))
         rows = self.num_cameras * self.height * self.width
-        if rows > MAX_PIXEL_ROWS:
-            raise ConfigurationError(
-                f"num_cameras * height * width must be <= {MAX_PIXEL_ROWS}, got {rows}"
-            )
-        if self.feat_dim < 1:
-            raise ConfigurationError("feat_dim must be >= 1")
+        if message := PIXEL_ROWS.violation("num_cameras * height * width", rows):
+            raise ConfigurationError(message)
+
+
+GEOMETRY_BOUNDS = {
+    "extent": Bound(float, 0.0, ends="()"),
+    "num_points": Bound(int, 1, 1 << 24, source="desk budget: 4096x the desk's 4096"),
+    "num_cameras": Bound(int, 1),
+    "height": Bound(int, 1),
+    "width": Bound(int, 1),
+    "feat_dim": Bound(int, 1),
+}
 
 
 @dataclass
@@ -133,18 +122,26 @@ class SemanticOracleConfig:
     noise: float = 0.0  # per-region label-flip probability
 
     def validate(self) -> None:
-        if self.num_classes < 2:
-            raise ConfigurationError("need at least 2 classes (ground + 1)")
-        if self.num_classes > MAX_CLASSES:
-            raise ConfigurationError(
-                f"num_classes must be <= {MAX_CLASSES}, got {self.num_classes}"
-            )
-        if self.objects_per_scene < 1:
-            raise ConfigurationError("need at least one object per scene")
-        if self.oversegment_factor < 1:
-            raise ConfigurationError("oversegment_factor must be >= 1")
-        if not (0.0 <= self.noise < 1.0):
-            raise ConfigurationError("noise must lie in [0,1)")
+        check(ORACLE_BOUNDS, vars(self))
+
+
+ORACLE_BOUNDS = {
+    "num_classes": Bound(int, 2, 65536, source="dtype: uint16 labels"),  # ground + 1
+    "objects_per_scene": Bound(int, 1),
+    "oversegment_factor": Bound(int, 1),
+    "noise": Bound(float, 0.0, 1.0, "[)", "a flip probability: at 1 no label is true"),
+}
+
+# the header's u32 fields in file order, field i at byte 8 + 4 * i
+SCENE_HEADER = {
+    "point count K": GEOMETRY_BOUNDS["num_points"],
+    "camera count L": GEOMETRY_BOUNDS["num_cameras"],
+    "raster height H": GEOMETRY_BOUNDS["height"],
+    "raster width W": GEOMETRY_BOUNDS["width"],
+    "feature width F0": GEOMETRY_BOUNDS["feat_dim"],
+    "class count T": ORACLE_BOUNDS["num_classes"],
+    "scene id": Bound(int),
+}
 
 
 @dataclass(eq=False)  # a generated __eq__ would raise on the array fields
@@ -685,30 +682,11 @@ def read_scene(path) -> SceneFrame:
     version = cur.u32("version")
     if version != VERSION:
         raise SceneFormatError(f"unsupported version {version}", 4)
-    k = cur.u32("point count K")
-    l = cur.u32("camera count L")
-    h = cur.u32("raster height H")
-    w = cur.u32("raster width W")
-    f0 = cur.u32("feature width F0")
-    t = cur.u32("class count T")
-    scene_id = cur.u32("scene id")
-    for value, name, offset in (
-        (k, "point count K", 8),
-        (l, "camera count L", 12),
-        (h, "raster height H", 16),
-        (w, "raster width W", 20),
-        (f0, "feature width F0", 24),
-    ):
-        if value < 1:
-            raise SceneFormatError(f"{name} must be positive, got {value}", offset)
-    if not 2 <= t <= MAX_CLASSES:
-        raise SceneFormatError(f"class count {t} outside [2, {MAX_CLASSES}]", 28)
-    if k > MAX_POINTS:
-        raise SceneFormatError(f"point count K {k} above {MAX_POINTS}", 8)
-    if l * h * w > MAX_PIXEL_ROWS:
-        raise SceneFormatError(
-            f"pixel rows L*H*W {l * h * w} above {MAX_PIXEL_ROWS}", 12
-        )
+    header = {name: cur.u32(name) for name in SCENE_HEADER}
+    check(SCENE_HEADER, header, fail=lambda msg, i: SceneFormatError(msg, 8 + 4 * i))
+    k, l, h, w, f0, t, scene_id = header.values()
+    if message := PIXEL_ROWS.violation("pixel rows L*H*W", l * h * w):
+        raise SceneFormatError(message, 12)
     points = _finite(cur, k * 4, "points").reshape(k, 4)
     label_offset = cur.pos
     point_labels = cur.array("uint16", k, "point labels")

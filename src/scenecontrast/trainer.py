@@ -30,7 +30,6 @@ give bit-identical metrics and checkpoints.
 
 from __future__ import annotations
 
-import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +43,7 @@ import numpy as np
 from . import blending, embednet, losses, protobank
 from .blasthreads import blas_threads
 from .blending import BlendParams
+from .bounds import Bound, check
 from .embednet import DenseStack, EmbeddingBank
 from .errors import (
     ConfigurationError,
@@ -55,11 +55,6 @@ from .projection import build_associations
 from .scenegen import SceneFrame
 
 HIDDEN = [64, 64]  # hidden widths of both embedding stacks
-
-# Ceiling on embed_dim D, the one config field that sizes arrays: each
-# lane's scratch holds rows x max(D, 64) floats, and the blending stacks
-# hold 4*D^2 + 3*D parameters, 4.2 M (34 MB per float64 copy) at 1024.
-MAX_EMBED_DIM = 1024
 
 # seed-sequence tags so the independent rng streams cannot collide
 _TAG_MODEL = 1
@@ -86,78 +81,62 @@ class TrainConfig:
     probe_epochs: int = 100
 
     def validate(self) -> None:
-        for name in ("lr", "tau_sp", "tau_pro"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if self.lr < 0:
-            # lr=0 is allowed: it freezes the dynamics, which has test value
-            raise ConfigurationError("lr must be >= 0")
-        if self.scenes_per_batch < 2:
-            raise ConfigurationError(
-                "scenes_per_batch must be >= 2 (prototypes are cross-scene)"
-            )
-        if not 1 <= self.embed_dim <= MAX_EMBED_DIM:
-            raise ConfigurationError(
-                f"embed_dim must lie in [1, {MAX_EMBED_DIM}], got {self.embed_dim}"
-            )
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigurationError("momentum must lie in [0,1)")
-        if not (0.0 <= self.ema_momentum < 1.0):
-            raise ConfigurationError("ema_momentum must lie in [0,1)")
+        check(TRAIN_BOUNDS, vars(self))
         if self.proto_mode not in ("mmpb", "raw3d"):
             raise ConfigurationError(f"unknown proto_mode {self.proto_mode!r}")
-        if not (0.0 < self.probe_fraction <= 1.0):
-            raise ConfigurationError("probe_fraction must lie in (0,1]")
-        if self.probe_epochs < 1:
-            raise ConfigurationError("probe_epochs must be >= 1")
-        if self.tau_sp <= 0 or self.tau_pro <= 0:
-            raise ConfigurationError("temperatures must be positive")
-        if self.lam < 0:
-            raise ConfigurationError("lam must be >= 0")
+
+
+TRAIN_BOUNDS = {
+    "seed": Bound(int, 0),
+    "epochs": Bound(int, 1, 10**5, source="desk budget: 8 steps of 70 ms an epoch"),
+    "scenes_per_batch": Bound(int, 2),  # prototypes are cross-scene
+    "embed_dim": Bound(int, 1, 1024, source="desk budget: 34 MB of blending weights"),
+    "lr": Bound(float, 0.0),  # 0 freezes the dynamics, which has test value
+    "momentum": Bound(float, 0.0, 1.0, "[)", "at 1 the SGD velocity never decays"),
+    "tau_sp": Bound(float, 0.0, ends="()"),
+    "tau_pro": Bound(float, 0.0, ends="()"),
+    "lam": Bound(int, 0),
+    "ema_momentum": Bound(float, 0.0, 1.0, "[)", "at 1 the EMA bank never moves"),
+    "probe_fraction": Bound(float, 0.0, 1.0, "(]", "a share of the training points"),
+    "probe_epochs": Bound(int, 1, 10**5, source="desk budget: 0.4 ms an epoch"),
+}
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def load_config(path) -> TrainConfig:
-    """Flat key=value file; '#' starts a comment; unknown keys are errors."""
+    """Flat key=value file; '#' starts a comment.  An error names the line."""
     cfg = TrainConfig()
-    known = {f.name: f.type for f in fields(TrainConfig)}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in known:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            set_config_value(cfg, key, value)
+            key, eq, value = raw.split("#", 1)[0].partition("=")
+            try:
+                if eq:
+                    set_config_value(cfg, key.strip(), value.strip())
+                elif key.strip():
+                    raise ConfigurationError(f"expected key=value, got {key.strip()!r}")
+            except ConfigurationError as err:
+                raise ConfigurationError(f"{path}:{lineno}: {err}") from None
     cfg.validate()
     return cfg
 
 
 def set_config_value(cfg: TrainConfig, key: str, value: str) -> None:
+    """Set one field from its text, rejecting an unknown key or a bad value."""
+    if key not in {f.name for f in fields(cfg)}:
+        raise ConfigurationError(f"unknown key {key!r}")
     current = getattr(cfg, key)
     try:
         if isinstance(current, bool):
             parsed = _BOOL_STRINGS[value.lower()]
-        elif isinstance(current, int):
-            parsed = int(value)
-        elif isinstance(current, float):
-            parsed = float(value)
+        elif isinstance(current, (int, float)):
+            parsed = type(current)(value)
         else:
             parsed = value
     except (KeyError, ValueError):
         raise ConfigurationError(f"cannot parse {key}={value!r}") from None
+    check(TRAIN_BOUNDS, {key: parsed})
     setattr(cfg, key, parsed)
 
 
@@ -933,7 +912,7 @@ def arm_config(base: TrainConfig, arm: str) -> TrainConfig:
 
 
 def run_ablation(
-    frames: list[SceneFrame], base_cfg: TrainConfig, seeds: list[int], arms=ARMS
+    frames: list[SceneFrame], base_cfg: TrainConfig, seeds: range | list[int], arms=ARMS
 ) -> list[tuple[str, int, float]]:
     """Train the arms per seed; rows of (arm, seed, probe accuracy).
 

@@ -281,7 +281,67 @@ def test_oversized_embed_dim_exits_1_naming_the_bound(scene_dir, tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 1, proc.stderr
-    assert f"embed_dim must lie in [1, {trainer.MAX_EMBED_DIM}]" in proc.stderr
+    high = trainer.TRAIN_BOUNDS["embed_dim"].high
+    assert f"embed_dim must be <= {high}, got {2**40}" in proc.stderr
+    assert not out.exists()
+
+
+class _Reached(Exception):
+    """A command got past its checks to the work itself."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["pretrain"], "epochs = 1000000000",
+         "c.txt:2: epochs must be <= 100000, got 1000000000"),
+        (["pretrain"], "probe_epochs = 1000000000",
+         "c.txt:2: probe_epochs must be <= 100000, got 1000000000"),
+        (["gen-scenes", "--count", str(2**32 + 1)], None,
+         "--count must be <= 4294967296, got 4294967297"),
+        (["gen-scenes", "--count", str(2**40)], None,
+         f"--count must be <= 4294967296, got {2**40}"),
+        (["ablate", "--seeds", "1001"], None, "--seeds must be <= 1000, got 1001"),
+    ],
+    ids=["epochs", "probe-epochs", "count-u32", "count-2e40", "seeds"],
+)
+def test_counts_past_their_high_exit_1_before_any_work(
+    monkeypatch, tmp_path, capsys, argv, config, message
+):
+    # the work each command starts with raises, so an unbounded count
+    # ends the test instead of starting a run
+    monkeypatch.setattr(cli, "generate_scene", _reached)
+    monkeypatch.setattr(cli, "_load_scene_dir", _reached)
+    out = tmp_path / "o"
+    if argv[0] != "gen-scenes":
+        argv = argv + ["--scenes", str(tmp_path)]
+    if config is not None:
+        (tmp_path / "c.txt").write_text("epochs = 2\n" + config + "\n")
+        argv = argv + ["--config", str(tmp_path / "c.txt")]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [10**8, 2**40])
+def test_huge_seed_count_exits_1_without_a_seed_list(tmp_path, seeds):
+    # under the cap, a list of that many seeds runs out of memory (exit 2)
+    src = str(Path(scenecontrast.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "ablate", "--scenes", str(tmp_path),
+         "--seeds", str(seeds), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: --seeds must be <= 1000, got {seeds}\n"
     assert not out.exists()
 
 
@@ -354,7 +414,7 @@ def test_probe_rejects_a_class_count_past_uint16(
          "--config", str(cfg_file)]
     )
     assert code == 2
-    assert "class count 2147483648 outside [2, 65536] (byte offset 28)" in (
+    assert "class count T must be <= 65536, got 2147483648 (byte offset 28)" in (
         capsys.readouterr().err
     )
 

@@ -17,8 +17,10 @@ from scenecontrast.scenegen import (
     _raster_scene,
     connected_regions,
     generate_scene,
+    read_scene,
     write_scene,
 )
+from scenecontrast.trainer import TrainConfig, pretrain
 
 from conftest import SMALL_CFG, SMALL_GEOM
 from fdutil import (
@@ -206,6 +208,19 @@ def test_invalid_configs_rejected():
         generate_scene(0, SemanticOracleConfig(oversegment_factor=0), SMALL_GEOM)
     with pytest.raises(ConfigurationError):
         generate_scene(0, SMALL_CFG, SceneGeometry(extent=-1.0))
+
+
+@pytest.mark.parametrize("height,width", [(1, 32), (32, 1)])
+def test_one_pixel_wide_raster_generates_reads_and_trains(tmp_path, height, width):
+    """Generation, like the reader, takes a raster one pixel high or wide."""
+    geom = SceneGeometry(num_points=64, height=height, width=width)
+    frames = [generate_scene(s, SMALL_CFG, geom, scene_id=s) for s in range(4)]
+    for f in frames:
+        write_scene(f, tmp_path / f"{f.scene_id}.cscs")
+    back = [read_scene(tmp_path / f"{s}.cscs") for s in range(4)]
+    assert back[0].pixel_features.shape == (2, height, width, 8)
+    cfg = TrainConfig(epochs=2, scenes_per_batch=2, embed_dim=8, lam=0)
+    assert len(pretrain(back, cfg).metrics) > 1
 
 
 def test_geometry_bounds_points_and_pixel_rows():

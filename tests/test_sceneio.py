@@ -146,7 +146,8 @@ def test_class_count_bounded_by_the_label_dtype(tmp_path):
     write_patched(path, 28, np.uint32(65536).astype("<u4").tobytes())
     assert read_scene(path).num_classes == 65536
     write_patched(path, 28, np.uint32(65537).astype("<u4").tobytes())
-    with pytest.raises(SceneFormatError, match="class count 65537") as err:
+    message = "class count T must be <= 65536, got 65537"
+    with pytest.raises(SceneFormatError, match=message) as err:
         read_scene(path)
     assert err.value.offset == 28
 
@@ -154,9 +155,9 @@ def test_class_count_bounded_by_the_label_dtype(tmp_path):
 @pytest.mark.parametrize(
     "patched,value,message,offset",
     [
-        (8, (1 << 24) + 1, "point count K 16777217 above 16777216", 8),
+        (8, (1 << 24) + 1, "point count K must be <= 16777216, got 16777217", 8),
         # H at offset 16; the product L*H*W is named at L's offset
-        (16, 1 << 23, "pixel rows L\\*H\\*W 268435456 above 16777216", 12),
+        (16, 1 << 23, "pixel rows L\\*H\\*W must be <= 16777216, got 268435456", 12),
     ],
     ids=["points", "pixel-rows"],
 )
@@ -183,6 +184,62 @@ def test_superpixel_id_not_below_raster_size(tmp_path, camera, section):
     # the largest id that fits is accepted
     write_patched(path, offset, np.uint32(16 * 16 - 1).astype("<u4").tobytes())
     assert read_scene(path).superpixel_raster[camera].reshape(-1)[3] == 255
+
+
+def _rotation_row_negated(m):
+    m[0, :3] *= -1  # still orthonormal, but a reflection
+    return m
+
+
+def _scaled(m):
+    m[0, 0] *= 2.0
+    return m
+
+
+def _last_row(m):
+    m[3, 0] = 1.0
+    return m
+
+
+def _non_finite(m):
+    m[1, 3] = np.nan
+    return m
+
+
+@pytest.mark.parametrize(
+    "intrinsics,world_to_cam,message",
+    [
+        ({0: -1.0}, None, "focal lengths must be positive and finite"),
+        ({1: np.nan}, None, "focal lengths must be positive and finite"),
+        ({0: np.inf}, None, "focal lengths must be positive and finite"),
+        ({2: 16.0}, None, "principal point outside the raster"),
+        ({3: -0.5}, None, "principal point outside the raster"),
+        ({}, _non_finite, "world_to_cam has non-finite entries"),
+        ({}, _scaled, "rotation block is not orthonormal"),
+        ({}, _rotation_row_negated, "rotation block must have det \\+1"),
+        ({}, _last_row, "last row of world_to_cam must be \\[0,0,0,1\\]"),
+    ],
+    ids=["fx-negative", "fy-nan", "fx-inf", "cx-at-width", "cy-negative",
+         "non-finite", "not-orthonormal", "reflection", "last-row"],
+)
+@pytest.mark.parametrize("camera,block", [(0, CAM0), (1, CAM1)], ids=["camera0", "camera1"])
+def test_invalid_camera_block_names_the_camera_and_its_offset(
+    tmp_path, camera, block, intrinsics, world_to_cam, message
+):
+    """Every rejection of CameraModel.validate a file can reach; a 4x4
+    shape cannot be written wrong, since the reader reshapes 16 floats."""
+    cam = TINY.cameras[camera]
+    intr = np.array([cam.fx, cam.fy, cam.cx, cam.cy], dtype=np.float32)
+    for i, value in intrinsics.items():
+        intr[i] = value
+    m = np.array(cam.world_to_cam, dtype=np.float32)
+    if world_to_cam is not None:
+        m = world_to_cam(m)
+    path = tmp_path / "scene.cscs"
+    write_patched(path, block, intr.astype("<f4").tobytes() + m.astype("<f4").tobytes())
+    with pytest.raises(SceneFormatError, match=f"camera {camera} invalid: {message}") as err:
+        read_scene(path)
+    assert err.value.offset == block
 
 
 def test_point_label_out_of_class_range_names_its_offset(tmp_path):

@@ -41,6 +41,7 @@ from scenecontrast.trainer import (
     pretrain,
     probe_split,
     save_model,
+    set_config_value,
 )
 
 from fdutil import (
@@ -100,6 +101,13 @@ def test_load_config_bad_value(tmp_path):
         load_config(p)
 
 
+def test_set_config_value_rejects_an_unknown_key():
+    cfg = TrainConfig()
+    with pytest.raises(ConfigurationError, match="unknown key 'validate'"):
+        set_config_value(cfg, "validate", "1")
+    assert callable(cfg.validate)
+
+
 def test_load_config_missing_equals(tmp_path):
     p = write_cfg(tmp_path, "seed 1\n")
     with pytest.raises(ConfigurationError, match=r":1: expected key=value"):
@@ -129,8 +137,8 @@ def test_validate_rejects_bad_fields():
 @pytest.mark.parametrize(
     "kw,message",
     [
-        (dict(tau_sp=0.0), "temperatures must be positive"),
-        (dict(tau_pro=-1.0), "temperatures must be positive"),
+        (dict(tau_sp=0.0), "tau_sp must be > 0.0, got 0.0"),
+        (dict(tau_pro=-1.0), "tau_pro must be > 0.0, got -1.0"),
         (dict(lam=-1), "lam must be >= 0"),
     ],
 )
