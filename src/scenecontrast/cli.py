@@ -109,7 +109,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = trainer.gradcheck(seed=args.seed if args.seed is not None else 0)
+    report = trainer.gradcheck(seed=args.seed)
     sys.stdout.write(report.summary())
     return 0 if report.all_passed else 2
 
@@ -174,7 +174,7 @@ def build_parser() -> _Parser:
         "gradcheck",
         help="finite-difference audit; exit 0 only if every component passes",
     )
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=_cmd_gradcheck)
 
     r = sub.add_parser("probe", help="linear probe of a trained checkpoint")

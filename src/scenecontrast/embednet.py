@@ -381,10 +381,9 @@ def pool_backward(
     if g.shape != cache.means.shape:
         raise ShapeError(f"upstream shape {g.shape} != {cache.means.shape}")
     shape = (cache.num_rows, cache.means.shape[1])
+    _check_lent("out", out, shape)
     if out is None:
         out = np.zeros(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ShapeError(f"out has shape {out.shape} {out.dtype}, want {shape} float64")
     else:
         out.fill(0.0)
     for i, idx in enumerate(cache.groups):

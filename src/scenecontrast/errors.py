@@ -41,18 +41,6 @@ class ContractViolationError(SceneContrastError):
     """An internal invariant was broken, e.g. a stale forward cache."""
 
 
-class MissingClassError(SceneContrastError):
-    """A class id required by a consumer is absent from a bank or table."""
-
-    def __init__(self, message: str, class_id: int):
-        super().__init__(message)
-        self.class_id = class_id
-
-
-class EmptyBankError(SceneContrastError):
-    """No class survived the validity filters when building prototypes."""
-
-
 class DegenerateBatchError(SceneContrastError):
     """A batch's data are degenerate: too few valid regions, or a prototype
     collapsed to zero norm.  The step must be skipped."""

@@ -19,13 +19,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .bounds import Bound, check
 from .embednet import EmbeddingBank
-from .errors import (
-    ConfigurationError,
-    ContractViolationError,
-    DegenerateBatchError,
-    MissingClassError,
-)
+from .errors import ContractViolationError, DegenerateBatchError
+
+# a softmax temperature; TRAIN_BOUNDS' tau_sp and tau_pro are this row
+TEMPERATURE = Bound(float, 0.0, ends="()")
 
 
 @dataclass
@@ -84,8 +83,7 @@ def loss_sp(bank: EmbeddingBank, tau_sp: float) -> SpResult:
     Row i's positive is its own 2D embedding; every other valid 2D row in
     the batch is a negative.
     """
-    if tau_sp <= 0:
-        raise ConfigurationError("tau_sp must be positive")
+    check({"tau_sp": TEMPERATURE}, {"tau_sp": tau_sp})
     vidx = np.flatnonzero(bank.valid)
     m = len(vidx)
     if m < 2:
@@ -125,8 +123,7 @@ def loss_pro(
     The positive is the row whose class matches the region's semantic sign;
     the denominator runs over every row of the table.
     """
-    if tau_pro <= 0:
-        raise ConfigurationError("tau_pro must be positive")
+    check({"tau_pro": TEMPERATURE}, {"tau_pro": tau_pro})
     vidx = np.flatnonzero(bank.valid)
     m = len(vidx)
     if m == 0:
@@ -135,7 +132,7 @@ def loss_pro(
     missing = ~np.isin(signs, class_ids)
     if missing.any():
         t = int(signs[np.argmax(missing)])  # the first missing row's class
-        raise MissingClassError(f"class {t} has no prototype", t)
+        raise ContractViolationError(f"class {t} has no prototype")
     pos = np.searchsorted(class_ids, signs)
     a3 = bank.f3d[vidx]
     logp, dlogits = softmax_xent(a3 @ pmix.T / tau_pro, pos)  # (m, C)

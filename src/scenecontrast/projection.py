@@ -53,7 +53,6 @@ class Superpixel:
     """One region: its pixels, the points it claims, and its class."""
 
     camera: int
-    local_id: int
     pixel_indices: np.ndarray  # flat offsets into the camera raster
     point_indices: np.ndarray  # indices into the frame's point array
     semantic_sign: int
@@ -133,13 +132,12 @@ def build_associations(frame: SceneFrame) -> AssociationTable:
         sem = frame.semantic_raster[c].reshape(-1)
         flat_idx = np.flatnonzero(spix != UNASSIGNED)
         pixels = _groups(spix[flat_idx], flat_idx, q_cam[c])
-        for local_id, pix in enumerate(pixels):
+        for pix, points in zip(pixels, members[offsets[c] : offsets[c + 1]]):
             superpixels.append(
                 Superpixel(
                     camera=c,
-                    local_id=local_id,
                     pixel_indices=pix,
-                    point_indices=members[int(offsets[c]) + local_id],
+                    point_indices=points,
                     semantic_sign=_majority_sign(sem[pix]) if pix.size else 0,
                 )
             )

@@ -21,8 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import Bound, check
 from .embednet import EmbeddingBank
-from .errors import ConfigurationError, EmptyBankError
+from .errors import DegenerateBatchError
+
+# TRAIN_BOUNDS' ema_momentum is this row
+EMA_MOMENTUM = Bound(float, 0.0, 1.0, "[)", "at 1 the EMA bank never moves")
 
 
 @dataclass(frozen=True)
@@ -53,11 +57,11 @@ def build_prototypes(bank: EmbeddingBank) -> PrototypeBank:
     ``np.add.at``, which adds one row at a time in region order, so the
     result is bit-deterministic.  Only valid regions count, and each
     carries both sides, so every present class has both prototypes.
-    Raises EmptyBankError when no region is valid.
+    Raises DegenerateBatchError when no region is valid.
     """
     valid = bank.valid
     if not valid.any():
-        raise EmptyBankError("no valid region in the bank")
+        raise DegenerateBatchError("no valid region in the bank")
     class_ids, inverse, counts = np.unique(
         bank.signs[valid], return_inverse=True, return_counts=True
     )
@@ -79,8 +83,7 @@ def ema_update(
     old: PrototypeBank, fresh: PrototypeBank, momentum: float
 ) -> PrototypeBank:
     """new = m*old + (1-m)*fresh on shared classes; others carried/inserted."""
-    if not (0.0 <= momentum < 1.0):
-        raise ConfigurationError(f"momentum {momentum} outside [0,1)")
+    check({"ema_momentum": EMA_MOMENTUM}, {"ema_momentum": momentum})
     ids = np.union1d(old.class_ids, fresh.class_ids)
     # rows of the union table that each bank's rows land on
     at_old = np.searchsorted(ids, old.class_ids)

@@ -39,6 +39,11 @@ ROT_TOL = 1e-6
 # region's appearance is shared with the rest of its class.
 CLASS_KEYED_CHANNELS = 3
 
+# half-size of the ground square that objects are placed within
+EXTENT = 4.0
+# feature channels per pixel, a scene header's F0
+FEAT_DIM = 8
+
 # a scene's pixel rows L*H*W, which generation and read_scene bound beside the fields
 PIXEL_ROWS = Bound(int, 1, 1 << 24, source="desk budget: 2048x the desk's 8192")
 
@@ -86,14 +91,12 @@ class CameraModel:
 
 @dataclass
 class SceneGeometry:
-    """Extents and raster sizes shared by every camera of a scene."""
+    """Point count and raster sizes shared by every camera of a scene."""
 
-    extent: float = 4.0  # ground half-size objects are placed within
     num_points: int = 4096  # K
     num_cameras: int = 2  # L
     height: int = 64  # H
     width: int = 64  # W
-    feat_dim: int = 8  # F0
 
     def validate(self) -> None:
         check(GEOMETRY_BOUNDS, vars(self))
@@ -103,12 +106,10 @@ class SceneGeometry:
 
 
 GEOMETRY_BOUNDS = {
-    "extent": Bound(float, 0.0, ends="()"),
     "num_points": Bound(int, 1, 1 << 24, source="desk budget: 4096x the desk's 4096"),
     "num_cameras": Bound(int, 1),
     "height": Bound(int, 1),
     "width": Bound(int, 1),
-    "feat_dim": Bound(int, 1),
 }
 
 
@@ -138,7 +139,7 @@ SCENE_HEADER = {
     "camera count L": GEOMETRY_BOUNDS["num_cameras"],
     "raster height H": GEOMETRY_BOUNDS["height"],
     "raster width W": GEOMETRY_BOUNDS["width"],
-    "feature width F0": GEOMETRY_BOUNDS["feat_dim"],
+    "feature width F0": Bound(int, 1),
     "class count T": ORACLE_BOUNDS["num_classes"],
     "scene id": Bound(int),
 }
@@ -246,9 +247,9 @@ def _ring_cameras(geom: SceneGeometry, rng: np.random.Generator) -> list[CameraM
         ang = base + 2.0 * np.pi * idx / geom.num_cameras
         eye = np.array(
             [
-                geom.extent * 1.6 * np.cos(ang),
-                geom.extent * 1.6 * np.sin(ang),
-                geom.extent * 1.1,
+                EXTENT * 1.6 * np.cos(ang),
+                EXTENT * 1.6 * np.sin(ang),
+                EXTENT * 1.1,
             ]
         )
         r = _look_at(eye, target)
@@ -273,13 +274,11 @@ def _ring_cameras(geom: SceneGeometry, rng: np.random.Generator) -> list[CameraM
     return cams
 
 
-def _place_objects(
-    cfg: SemanticOracleConfig, geom: SceneGeometry, rng: np.random.Generator
-) -> list[_Primitive]:
+def _place_objects(cfg: SemanticOracleConfig, rng: np.random.Generator) -> list[_Primitive]:
     """Non-overlapping primitives; class controls family, size, and height."""
     classes = rng.permutation(cfg.num_classes - 1) + 1
     prims: list[_Primitive] = []
-    lim = geom.extent * 0.6
+    lim = EXTENT * 0.6
     for i in range(cfg.objects_per_scene):
         cls = int(classes[i % len(classes)])
         # size grows with class id so geometry itself carries class signal
@@ -317,8 +316,7 @@ def _place_objects(
             prim.center = np.array([0.0, 0.0, prim.center[2] * 0.8])
         if not placed:
             raise ConfigurationError(
-                f"could not place object {i}: too many objects for extent "
-                f"{geom.extent}"
+                f"could not place object {i}: too many objects for extent {EXTENT}"
             )
         prims.append(prim)
     return prims
@@ -461,10 +459,7 @@ def _hash_unit(key: np.ndarray) -> np.ndarray:
 
 
 def _pixel_feature_raster(
-    sem: np.ndarray,
-    spix: np.ndarray,
-    feat_dim: int,
-    rng: np.random.Generator,
+    sem: np.ndarray, spix: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-pixel features: hash channels keyed by class, region, position.
 
@@ -480,8 +475,8 @@ def _pixel_feature_raster(
     cls = sem.astype(np.uint64)
     reg = spix.astype(np.uint64)
     pos = rows * np.uint64(w) + cols
-    out = np.empty((h, w, feat_dim), dtype=np.float64)
-    for ch in range(feat_dim):
+    out = np.empty((h, w, FEAT_DIM), dtype=np.float64)
+    for ch in range(FEAT_DIM):
         salt = np.uint64((ch * 0xD1342543DE82EF95) % 2**64)
         if ch % 8 < CLASS_KEYED_CHANNELS:
             key = cls * np.uint64(0x100000001B3) + salt
@@ -517,7 +512,7 @@ def _sample_points(
     """
     from .projection import project_points
 
-    cap = 6.0 * geom.extent
+    cap = 6.0 * EXTENT
     cand_world = []
     cand_cls = []
     for (eye, dirs), sem, dist, hit in zip(rays, sems, dists, hits):
@@ -577,17 +572,16 @@ def _sample_points(
 def generate_scene(
     seed: int,
     cfg: SemanticOracleConfig,
-    geom: SceneGeometry | None = None,
+    geom: SceneGeometry,
     scene_id: int = 0,
 ) -> SceneFrame:
     """Build one deterministic SceneFrame from a seed and configs."""
     cfg.validate()
-    geom = geom or SceneGeometry()
     geom.validate()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     cams = _ring_cameras(geom, rng)
-    prims = _place_objects(cfg, geom, rng)
+    prims = _place_objects(cfg, rng)
 
     rays = [(cam.eye(), _pixel_rays(cam)) for cam in cams]
     sems, dists, hits = [], [], []
@@ -601,10 +595,7 @@ def generate_scene(
     # that their classes then simply do not appear in this scene
     spixs = [_segment(sem, hit, cfg.oversegment_factor) for sem, hit in zip(sems, hits)]
 
-    feats = [
-        _pixel_feature_raster(sem, spix, geom.feat_dim, rng)
-        for sem, spix in zip(sems, spixs)
-    ]
+    feats = [_pixel_feature_raster(sem, spix, rng) for sem, spix in zip(sems, spixs)]
 
     points, labels = _sample_points(
         cams, rays, sems, dists, hits, geom, cfg.num_classes, rng

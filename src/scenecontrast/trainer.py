@@ -93,10 +93,10 @@ TRAIN_BOUNDS = {
     "embed_dim": Bound(int, 1, 1024, source="desk budget: 34 MB of blending weights"),
     "lr": Bound(float, 0.0),  # 0 freezes the dynamics, which has test value
     "momentum": Bound(float, 0.0, 1.0, "[)", "at 1 the SGD velocity never decays"),
-    "tau_sp": Bound(float, 0.0, ends="()"),
-    "tau_pro": Bound(float, 0.0, ends="()"),
+    "tau_sp": losses.TEMPERATURE,
+    "tau_pro": losses.TEMPERATURE,
     "lam": Bound(int, 0),
-    "ema_momentum": Bound(float, 0.0, 1.0, "[)", "at 1 the EMA bank never moves"),
+    "ema_momentum": protobank.EMA_MOMENTUM,
     "probe_fraction": Bound(float, 0.0, 1.0, "(]", "a share of the training points"),
     "probe_epochs": Bound(int, 1, 10**5, source="desk budget: 0.4 ms an epoch"),
 }
@@ -870,7 +870,7 @@ _CASES = (
 )
 
 
-def gradcheck(seed: int = 0) -> GradcheckReport:
+def gradcheck(seed: int) -> GradcheckReport:
     """Finite-difference audit of every analytic gradient in the package.
 
     Each component checks 100 random instances drawn from its own stream.

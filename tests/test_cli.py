@@ -502,6 +502,19 @@ def test_gradcheck_exits_0(capsys):
     assert all(line.endswith(" (100 instances) pass") for line in lines)
 
 
+def test_gradcheck_seed_defaults_to_0(monkeypatch, capsys):
+    # the patched audit records its seed, so no real audit runs
+    seeds = []
+
+    def gradcheck(seed):
+        seeds.append(seed)
+        return trainer.GradcheckReport(components=[])
+
+    monkeypatch.setattr(trainer, "gradcheck", gradcheck)
+    assert main(["gradcheck"]) == 0
+    assert seeds == [0]
+
+
 def test_ablate_single_arm_prints_row(scene_dir, cfg_file, tmp_path, capsys):
     out = tmp_path / "ab"
     code = main(

@@ -97,15 +97,25 @@ def test_agrees_with_reference_pinhole(small_scene):
 # association oracle
 
 
+def camera_offsets(frame: SceneFrame) -> np.ndarray:
+    """Each camera's first global superpixel id, then the total count."""
+    q_cam = []
+    for spix in frame.superpixel_raster:
+        a = spix[spix != UNASSIGNED]
+        q_cam.append(int(a.max()) + 1 if a.size else 0)
+    return np.concatenate([[0], np.cumsum(q_cam)]).astype(int)
+
+
+def camera_and_raster_ids(frame: SceneFrame, table: AssociationTable) -> list[tuple[int, int]]:
+    """Each superpixel's camera and its id in that camera's raster."""
+    offsets = camera_offsets(frame)
+    return [(sp.camera, g - int(offsets[sp.camera])) for g, sp in enumerate(table.superpixels)]
+
+
 def brute_force_associations(frame: SceneFrame):
     """Independent double loop over (point, camera); returns maps to compare."""
     l = frame.num_cameras
-    q_cam = []
-    for c in range(l):
-        spix = frame.superpixel_raster[c]
-        a = spix[spix != UNASSIGNED]
-        q_cam.append(int(a.max()) + 1 if a.size else 0)
-    offsets = np.concatenate([[0], np.cumsum(q_cam)]).astype(int)
+    offsets = camera_offsets(frame)
     members = {g: [] for g in range(int(offsets[-1]))}
     p2p = [dict() for _ in range(l)]
     for k in range(frame.num_points):
@@ -121,11 +131,11 @@ def brute_force_associations(frame: SceneFrame):
                 sp = frame.superpixel_raster[c][r, col]
                 if sp != UNASSIGNED:
                     members[int(offsets[c]) + int(sp)].append(k)
-    return p2p, members, offsets, q_cam
+    return p2p, members, offsets
 
 
 def assert_matches_oracle(frame: SceneFrame, table: AssociationTable):
-    p2p, members, offsets, q_cam = brute_force_associations(frame)
+    p2p, members, offsets = brute_force_associations(frame)
     assert table.Q == int(offsets[-1])
     # the projection maps the association is built from
     for c, cam in enumerate(frame.cameras):
@@ -136,10 +146,9 @@ def assert_matches_oracle(frame: SceneFrame, table: AssociationTable):
         got = table.superpixels[g].point_indices.tolist()
         assert got == sorted(members[g]), f"superpixel {g}"
     # pixel sets and signs straight from the rasters
-    for g, sp in enumerate(table.superpixels):
-        cam = sp.camera
+    for sp, (cam, raster_id) in zip(table.superpixels, camera_and_raster_ids(frame, table)):
         raster = frame.superpixel_raster[cam].ravel()
-        expect = np.flatnonzero(raster == sp.local_id)
+        expect = np.flatnonzero(raster == raster_id)
         assert np.array_equal(sp.pixel_indices, expect)
         sems = frame.semantic_raster[cam].ravel()[expect]
         counts = np.bincount(sems.astype(int))
@@ -262,7 +271,7 @@ def test_camera_without_superpixels_adds_none():
     one = np.zeros((8, 8), dtype=np.uint32)
     frame = make_frame([[0.0, 0.0, 2.0, 0.5]], [cam, cam], [sem, sem], [none, one])
     table = build_associations(frame)
-    assert [(sp.camera, sp.local_id) for sp in table.superpixels] == [(1, 0)]
+    assert camera_and_raster_ids(frame, table) == [(1, 0)]
     assert table.superpixels[0].pixel_indices.tolist() == list(range(64))
     assert len(table.superpixels[0].point_indices) == 0
     assert_matches_oracle(frame, table)
@@ -274,5 +283,5 @@ def test_one_superpixel_per_region_id(small_scene):
     for c in range(small_scene.num_cameras):
         spix = small_scene.superpixel_raster[c]
         want += [(c, int(i)) for i in np.unique(spix[spix != UNASSIGNED])]
-    assert [(sp.camera, sp.local_id) for sp in table.superpixels] == want
+    assert camera_and_raster_ids(small_scene, table) == want
     assert table.Q == len(want)

@@ -5,7 +5,7 @@ import pytest
 
 from fdutil import join_banks, loop_ema, loop_prototypes, row_of
 from scenecontrast.embednet import EmbeddingBank
-from scenecontrast.errors import ConfigurationError, EmptyBankError
+from scenecontrast.errors import ConfigurationError, DegenerateBatchError
 from scenecontrast.protobank import PrototypeBank, build_prototypes, ema_update
 
 
@@ -105,7 +105,7 @@ def test_invalid_rows_skipped(rng):
 
 def test_empty_inputs_raise(rng):
     empty = bank_of(rng, [0, 0], valid=np.zeros(2, dtype=bool))
-    with pytest.raises(EmptyBankError):
+    with pytest.raises(DegenerateBatchError):
         build_prototypes(empty)
 
 
@@ -155,7 +155,7 @@ def test_ema_momentum_zero_is_fresh(rng):
 def test_ema_rejects_momentum_outside_range_as_config_error(rng, momentum):
     # a momentum is a config value, like TrainConfig's ema_momentum
     old, fresh = two_banks(rng)
-    with pytest.raises(ConfigurationError, match=r"momentum .* outside \[0,1\)"):
+    with pytest.raises(ConfigurationError, match=rf"^ema_momentum must be .*, got {momentum}$"):
         ema_update(old, fresh, momentum)
 
 
