@@ -1,9 +1,10 @@
-"""Little helpers for reading binary files with byte-offset accounting.
+"""Little helpers for binary files with byte-offset accounting.
 
-Both container formats in this package (scene files and checkpoints) want
-errors that name the failing section and the byte offset, so reads go
-through a cursor object that tracks position and raises through a
-caller-supplied exception factory.
+Both container formats in this package (scene files and checkpoints) start
+with a 4-byte magic and a u32 version, and want errors that name the
+failing section and the byte offset, so reads go through a cursor object
+that tracks position and raises through a caller-supplied exception
+factory.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ class ByteCursor:
         raw = self.take(dt.itemsize * count, what)
         return np.frombuffer(raw, dtype=dt).astype(np.dtype(dtype), copy=True)
 
+    def reject(self, values: np.ndarray, bad: np.ndarray, start: int, message: str) -> None:
+        """Fail at the first element of ``values``, read at ``start``, where
+        ``bad`` holds; ``{}`` in ``message`` takes that element's value."""
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            i = int(hits[0])
+            raise self.fail(message.format(values[i]), start + values.itemsize * i)
+
     def expect_end(self, what: str) -> None:
         if self.pos != len(self.data):
             raise self.fail(
@@ -60,3 +69,25 @@ def pack_u32(*values: int) -> bytes:
 
 def pack_array(arr: np.ndarray, dtype: str) -> bytes:
     return np.ascontiguousarray(arr, dtype=np.dtype(dtype).newbyteorder("<")).tobytes()
+
+
+def read_container(
+    path, magic: bytes, version: int, fail: Callable[[str, int], Exception]
+) -> ByteCursor:
+    """A cursor over the file, past its checked magic and version."""
+    with open(path, "rb") as fh:
+        cur = ByteCursor(fh.read(), fail)
+    found = cur.take(4, "magic")
+    if found != magic:
+        raise fail(f"bad magic {found!r}, expected {magic!r}", 0)
+    found = cur.u32("version")
+    if found != version:
+        raise fail(f"unsupported version {found}", 4)
+    return cur
+
+
+def write_container(path, magic: bytes, version: int, chunks: list[bytes]) -> None:
+    """Write the magic, the u32 version and the chunks, which the caller
+    packs before the file is opened."""
+    with open(path, "wb") as fh:
+        fh.writelines([magic, pack_u32(version), *chunks])

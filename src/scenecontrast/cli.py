@@ -76,18 +76,19 @@ def _config_from_args(args) -> trainer.TrainConfig:
     return cfg
 
 
+# gen-scenes flags, by the config that holds each one's field and default
+_GEN_FLAGS = {
+    SemanticOracleConfig: {"--classes": "num_classes", "--objects": "objects_per_scene",
+                           "--oversegment": "oversegment_factor", "--noise": "noise"},
+    SceneGeometry: {"--cameras": "num_cameras", "--points": "num_points",
+                    "--height": "height", "--width": "width"},
+}
+
+
 def _cmd_gen_scenes(args) -> int:
-    cfg = SemanticOracleConfig(
-        num_classes=args.classes,
-        objects_per_scene=args.objects,
-        oversegment_factor=args.oversegment,
-        noise=args.noise,
-    )
-    geom = SceneGeometry(
-        num_points=args.points,
-        num_cameras=args.cameras,
-        height=args.height,
-        width=args.width,
+    cfg, geom = (
+        config(**{name: getattr(args, flag[2:]) for flag, name in flags.items()})
+        for config, flags in _GEN_FLAGS.items()
     )
     out = Path(args.out)
     for s in range(args.count):
@@ -153,14 +154,11 @@ def build_parser() -> _Parser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--count", type=int, default=8)
     g.add_argument("--out", required=True)
-    g.add_argument("--classes", type=int, default=8)
-    g.add_argument("--objects", type=int, default=6)
-    g.add_argument("--oversegment", type=int, default=1)
-    g.add_argument("--noise", type=float, default=0.0)
-    g.add_argument("--cameras", type=int, default=2)
-    g.add_argument("--points", type=int, default=4096)
-    g.add_argument("--height", type=int, default=64)
-    g.add_argument("--width", type=int, default=64)
+    for config, flags in _GEN_FLAGS.items():
+        defaults = config()
+        for flag, name in flags.items():
+            value = getattr(defaults, name)
+            g.add_argument(flag, type=type(value), default=value)
     g.set_defaults(fn=_cmd_gen_scenes)
 
     t = sub.add_parser("pretrain", help="run the contrastive pre-training loop")

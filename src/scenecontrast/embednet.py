@@ -53,12 +53,11 @@ computes the input gradient only for a caller that asks for it
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import ByteCursor, pack_array, pack_u32
+from .binio import pack_array, pack_u32, read_container, write_container
 from .errors import CheckpointFormatError, ConfigurationError, ContractViolationError, ShapeError
 
 CKPT_MAGIC = b"CSCW"
@@ -446,30 +445,17 @@ def make_bank(
 
 def write_checkpoint(path, stacks: list[DenseStack]) -> None:
     """All stacks' layers flattened in order into one "CSCW" file."""
-    buf = io.BytesIO()
-    buf.write(CKPT_MAGIC)
     layers = [l for s in stacks for l in s.layers]
-    buf.write(pack_u32(CKPT_VERSION, len(layers)))
+    chunks = [pack_u32(len(layers))]
     for l in layers:
-        rows, cols = l.weight.shape
-        buf.write(pack_u32(rows, cols))
-        buf.write(pack_array(l.weight, "float64"))
-        buf.write(pack_array(l.bias, "float64"))
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        chunks += [pack_u32(*l.weight.shape), pack_array(l.weight, "float64"),
+                   pack_array(l.bias, "float64")]
+    write_container(path, CKPT_MAGIC, CKPT_VERSION, chunks)
 
 
 def read_checkpoint(path) -> list[tuple[np.ndarray, np.ndarray]]:
     """Raw (weight, bias) pairs; wiring back onto stacks is the caller's job."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    cur = ByteCursor(data, CheckpointFormatError)
-    magic = cur.take(4, "magic")
-    if magic != CKPT_MAGIC:
-        raise CheckpointFormatError(f"bad magic {magic!r}, expected {CKPT_MAGIC!r}", 0)
-    version = cur.u32("version")
-    if version != CKPT_VERSION:
-        raise CheckpointFormatError(f"unsupported version {version}", 4)
+    cur = read_container(path, CKPT_MAGIC, CKPT_VERSION, CheckpointFormatError)
     count = cur.u32("layer count")
     out = []
     for i in range(count):

@@ -17,8 +17,8 @@ class ShapeError(SceneContrastError):
     """An array argument has the wrong shape, dtype, or size."""
 
 
-class SceneFormatError(SceneContrastError):
-    """A scene file is malformed.
+class FormatError(SceneContrastError):
+    """A binary file is malformed.
 
     ``offset`` is the byte offset at which decoding failed and the message
     names the section being read.
@@ -29,12 +29,12 @@ class SceneFormatError(SceneContrastError):
         self.offset = offset
 
 
-class CheckpointFormatError(SceneContrastError):
-    """A checkpoint file is malformed; carries the failing byte offset."""
+class SceneFormatError(FormatError):
+    """A scene file is malformed."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+
+class CheckpointFormatError(FormatError):
+    """A checkpoint file is malformed."""
 
 
 class ContractViolationError(SceneContrastError):

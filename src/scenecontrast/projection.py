@@ -4,10 +4,12 @@
 point is projected into every camera, claimed by the lowest-index camera
 with a valid projection, and grouped under the superpixel covering its
 pixel there.  Superpixel ids are global across cameras (camera 0's ids
-first, then camera 1 shifted, and so on).  Points are grouped by
-superpixel, and each camera's pixels by local id, with one stable sort
-and split each, so the indices inside a superpixel ascend.  The trainer
-turns each superpixel into one row of the step's embedding bank.
+first, then camera 1 shifted, and so on), computed once per pixel of the
+frame's (L, H, W) superpixel raster.  Points are grouped by the id their
+claimed pixel carries, and pixels by their own id, with one stable sort
+and split each, so the indices inside a superpixel ascend and pixel
+indices are offsets into the frame's rasters.  The trainer turns each
+superpixel into one row of the step's embedding bank.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ def project_points(
 class Superpixel:
     """One region: its pixels, the points it claims, and its class."""
 
-    camera: int
-    pixel_indices: np.ndarray  # flat offsets into the camera raster
+    pixel_indices: np.ndarray  # flat offsets into the frame's (L, H, W) rasters
     point_indices: np.ndarray  # indices into the frame's point array
     semantic_sign: int
 
@@ -93,53 +94,34 @@ def build_associations(frame: SceneFrame) -> AssociationTable:
     Superpixels that end up with no points are kept, with no point indices.
     Point and pixel indices are ascending inside each superpixel.
     """
-    k = frame.num_points
-    l = frame.num_cameras
+    l, h, w = frame.superpixel_raster.shape
     world = frame.points[:, :3].astype(np.float64)
+    # (L, K) rows, cols and validity: every point into every camera
+    rows, cols, ok = map(np.stack, zip(*(project_points(world, cam) for cam in frame.cameras)))
 
-    rows = np.empty((l, k), dtype=np.int64)
-    cols = np.empty((l, k), dtype=np.int64)
-    ok = np.empty((l, k), dtype=bool)
-    for c, cam in enumerate(frame.cameras):
-        rows[c], cols[c], ok[c] = project_points(world, cam)
-
-    # per-camera local superpixel counts -> global id offsets
-    q_cam = []
-    for c in range(l):
-        spix = frame.superpixel_raster[c]
-        assigned = spix[spix != UNASSIGNED]
-        q_cam.append(int(assigned.max()) + 1 if assigned.size else 0)
-    offsets = np.concatenate([[0], np.cumsum(q_cam)]).astype(np.int64)
+    # one global id per pixel: each camera's local ids shifted past the
+    # cameras before it; -1 where no superpixel covers the pixel
+    ids = frame.superpixel_raster.reshape(l, h * w).astype(np.int64)
+    assigned = ids != UNASSIGNED
+    ids[~assigned] = -1
+    offsets = np.concatenate([[0], np.cumsum(ids.max(axis=1) + 1)])
+    np.add(ids, offsets[:-1, None], out=ids, where=assigned)
+    ids, assigned = ids.reshape(-1), assigned.reshape(-1)
+    q = int(offsets[-1])
 
     # claim: first camera whose projection is valid; unassigned cell drops
-    any_ok = ok.any(axis=0)
-    first = np.argmax(ok, axis=0)
-    claimed_q = np.full(k, -1, dtype=np.int64)
-    idx = np.flatnonzero(any_ok)
-    cam_of = first[idx]
-    spix_flat = frame.superpixel_raster.reshape(l, -1)
-    flat_pix = rows[cam_of, idx] * frame.cameras[0].width + cols[cam_of, idx]
-    local = spix_flat[cam_of, flat_pix]
-    landed = local != UNASSIGNED
-    claimed_q[idx[landed]] = offsets[cam_of[landed]] + local[landed].astype(np.int64)
+    idx = np.flatnonzero(ok.any(axis=0))
+    cam_of = np.argmax(ok, axis=0)[idx]
+    claimed = ids[(cam_of * h + rows[cam_of, idx]) * w + cols[cam_of, idx]]
+    landed = claimed >= 0
+    members = _groups(claimed[landed], idx[landed], q)
 
-    got = np.flatnonzero(claimed_q >= 0)
-    members = _groups(claimed_q[got], got, int(offsets[-1]))
-
-    superpixels: list[Superpixel] = []
-    for c in range(l):
-        spix = spix_flat[c]
-        sem = frame.semantic_raster[c].reshape(-1)
-        flat_idx = np.flatnonzero(spix != UNASSIGNED)
-        pixels = _groups(spix[flat_idx], flat_idx, q_cam[c])
-        for pix, points in zip(pixels, members[offsets[c] : offsets[c + 1]]):
-            superpixels.append(
-                Superpixel(
-                    camera=c,
-                    pixel_indices=pix,
-                    point_indices=points,
-                    semantic_sign=_majority_sign(sem[pix]) if pix.size else 0,
-                )
-            )
-
-    return AssociationTable(superpixels=superpixels)
+    pix = np.flatnonzero(assigned)
+    pixels = _groups(ids[pix], pix, q)
+    sem = frame.semantic_raster.reshape(-1)
+    return AssociationTable(
+        superpixels=[
+            Superpixel(p, m, _majority_sign(sem[p]) if p.size else 0)
+            for p, m in zip(pixels, members)
+        ]
+    )

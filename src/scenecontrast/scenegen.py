@@ -15,12 +15,11 @@ the association stage relies on without needing a z-buffer downstream.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import ByteCursor, pack_array, pack_u32
+from .binio import ByteCursor, pack_array, pack_u32, read_container, write_container
 from .bounds import Bound, check
 from .errors import ConfigurationError, SceneFormatError, ShapeError
 
@@ -635,44 +634,31 @@ def generate_scene(
 
 
 def write_scene(frame: SceneFrame, path) -> None:
-    buf = io.BytesIO()
-    k = frame.num_points
-    l = frame.num_cameras
     _, h, w, f0 = frame.pixel_features.shape
-    buf.write(MAGIC)
-    buf.write(pack_u32(VERSION, k, l, h, w, f0, frame.num_classes, frame.scene_id))
-    buf.write(pack_array(frame.points, "float32"))
-    buf.write(pack_array(frame.point_labels, "uint16"))
+    header = (frame.num_points, frame.num_cameras, h, w, f0, frame.num_classes, frame.scene_id)
+    chunks = [pack_u32(*header), pack_array(frame.points, "float32"),
+              pack_array(frame.point_labels, "uint16")]
     for idx, cam in enumerate(frame.cameras):
-        buf.write(pack_array(np.array([cam.fx, cam.fy, cam.cx, cam.cy]), "float32"))
-        buf.write(pack_array(np.asarray(cam.world_to_cam), "float32"))
-        buf.write(pack_array(frame.pixel_features[idx], "float32"))
-        buf.write(pack_array(frame.semantic_raster[idx], "uint16"))
-        buf.write(pack_array(frame.superpixel_raster[idx], "uint32"))
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        chunks += [
+            pack_array(np.array([cam.fx, cam.fy, cam.cx, cam.cy]), "float32"),
+            pack_array(np.asarray(cam.world_to_cam), "float32"),
+            pack_array(frame.pixel_features[idx], "float32"),
+            pack_array(frame.semantic_raster[idx], "uint16"),
+            pack_array(frame.superpixel_raster[idx], "uint32"),
+        ]
+    write_container(path, MAGIC, VERSION, chunks)
 
 
 def _finite(cur: ByteCursor, count: int, what: str) -> np.ndarray:
     """Read ``count`` float32 values, rejecting NaN and infinity."""
     start = cur.pos
     values = cur.array("float32", count, what)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise SceneFormatError(f"non-finite value in {what}", start + 4 * int(bad[0]))
+    cur.reject(values, ~np.isfinite(values), start, f"non-finite value in {what}")
     return values
 
 
 def read_scene(path) -> SceneFrame:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    cur = ByteCursor(data, SceneFormatError)
-    magic = cur.take(4, "magic")
-    if magic != MAGIC:
-        raise SceneFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-    version = cur.u32("version")
-    if version != VERSION:
-        raise SceneFormatError(f"unsupported version {version}", 4)
+    cur = read_container(path, MAGIC, VERSION, SceneFormatError)
     header = {name: cur.u32(name) for name in SCENE_HEADER}
     check(SCENE_HEADER, header, fail=lambda msg, i: SceneFormatError(msg, 8 + 4 * i))
     k, l, h, w, f0, t, scene_id = header.values()
@@ -681,12 +667,8 @@ def read_scene(path) -> SceneFrame:
     points = _finite(cur, k * 4, "points").reshape(k, 4)
     label_offset = cur.pos
     point_labels = cur.array("uint16", k, "point labels")
-    bad = np.flatnonzero(point_labels >= t)
-    if bad.size:
-        raise SceneFormatError(
-            f"point label {point_labels[bad[0]]} not below T={t}",
-            label_offset + 2 * int(bad[0]),
-        )
+    cur.reject(point_labels, point_labels >= t, label_offset,
+               f"point label {{}} not below T={t}")
     cams = []
     # sections are read through the cursor before any stacked allocation,
     # so a damaged header cannot request more memory than the file holds
@@ -720,21 +702,12 @@ def read_scene(path) -> SceneFrame:
         spix = cur.array("uint32", h * w, f"camera {idx} superpixel_raster")
         # ids index regions: one at or above H*W would size the region
         # table from a damaged byte, not from the raster
-        bad = np.flatnonzero((spix != UNASSIGNED) & (spix >= h * w))
-        if bad.size:
-            raise SceneFormatError(
-                f"camera {idx} superpixel_raster: id {spix[bad[0]]} not below "
-                f"H*W={h * w}",
-                spix_offset + 4 * int(bad[0]),
-            )
+        assigned = spix != UNASSIGNED
+        cur.reject(spix, assigned & (spix >= h * w), spix_offset,
+                   f"camera {idx} superpixel_raster: id {{}} not below H*W={h * w}")
         # an unassigned pixel's class is never read
-        bad = np.flatnonzero((spix != UNASSIGNED) & (sem >= t))
-        if bad.size:
-            raise SceneFormatError(
-                f"camera {idx} semantic_raster: id {sem[bad[0]]} on an assigned "
-                f"pixel not below T={t}",
-                sem_offset + 2 * int(bad[0]),
-            )
+        cur.reject(sem, assigned & (sem >= t), sem_offset, f"camera {idx} semantic_raster: "
+                   f"id {{}} on an assigned pixel not below T={t}")
         sem_list.append(sem.reshape(h, w))
         spix_list.append(spix.reshape(h, w))
     cur.expect_end("superpixel rasters")

@@ -219,15 +219,11 @@ class FrameData:
 
 
 def prepare_frame(frame: SceneFrame) -> FrameData:
-    table = build_associations(frame)
+    sps = build_associations(frame).superpixels
     l, h, w, f0 = frame.pixel_features.shape
-    groups2d = []
-    groups3d = []
-    signs = np.empty(table.Q, dtype=np.int64)
-    for q, sp in enumerate(table.superpixels):
-        groups2d.append(sp.pixel_indices + sp.camera * h * w)
-        groups3d.append(sp.point_indices)
-        signs[q] = sp.semantic_sign
+    groups2d = [sp.pixel_indices for sp in sps]
+    groups3d = [sp.point_indices for sp in sps]
+    signs = np.array([sp.semantic_sign for sp in sps], dtype=np.int64)
     # read-only, since a forward cache keeps these rows until its backward
     x2d = frame.pixel_features.reshape(l * h * w, f0)
     x3d = frame.points.view()

@@ -32,7 +32,7 @@ from scenecontrast import trainer
 from scenecontrast.embednet import EmbeddingBank, ForwardCache, forward, layer_views
 from scenecontrast.errors import ContractViolationError, ShapeError
 from scenecontrast.losses import ProResult, SpResult
-from scenecontrast.projection import project_points
+from scenecontrast.projection import _groups, _majority_sign, project_points
 from scenecontrast.protobank import PrototypeBank
 from scenecontrast.scenegen import (
     UNASSIGNED,
@@ -203,6 +203,57 @@ def recover_point_labels(frame) -> np.ndarray:
         labels[fresh] = frame.semantic_raster[cam_idx][row, col][fresh]
     assert (labels >= 0).all(), f"{int((labels < 0).sum())} points seen by no camera"
     return labels
+
+
+def per_camera_associations(frame):
+    """``prepare_frame``'s (groups2d, groups3d, signs), camera by camera.
+
+    Global ids are computed once for the point claim and once per camera
+    for the pixels, which are grouped by local id and shifted by
+    camera * H * W into the frame's rasters.
+    """
+    k = frame.num_points
+    l = frame.num_cameras
+    world = frame.points[:, :3].astype(np.float64)
+
+    rows = np.empty((l, k), dtype=np.int64)
+    cols = np.empty((l, k), dtype=np.int64)
+    ok = np.empty((l, k), dtype=bool)
+    for c, cam in enumerate(frame.cameras):
+        rows[c], cols[c], ok[c] = project_points(world, cam)
+
+    q_cam = []
+    for c in range(l):
+        spix = frame.superpixel_raster[c]
+        assigned = spix[spix != UNASSIGNED]
+        q_cam.append(int(assigned.max()) + 1 if assigned.size else 0)
+    offsets = np.concatenate([[0], np.cumsum(q_cam)]).astype(np.int64)
+
+    any_ok = ok.any(axis=0)
+    first = np.argmax(ok, axis=0)
+    claimed_q = np.full(k, -1, dtype=np.int64)
+    idx = np.flatnonzero(any_ok)
+    cam_of = first[idx]
+    spix_flat = frame.superpixel_raster.reshape(l, -1)
+    flat_pix = rows[cam_of, idx] * frame.cameras[0].width + cols[cam_of, idx]
+    local = spix_flat[cam_of, flat_pix]
+    landed = local != UNASSIGNED
+    claimed_q[idx[landed]] = offsets[cam_of[landed]] + local[landed].astype(np.int64)
+
+    got = np.flatnonzero(claimed_q >= 0)
+    members = _groups(claimed_q[got], got, int(offsets[-1]))
+
+    groups2d, groups3d, signs = [], [], []
+    for c in range(l):
+        spix = spix_flat[c]
+        sem = frame.semantic_raster[c].reshape(-1)
+        flat_idx = np.flatnonzero(spix != UNASSIGNED)
+        pixels = _groups(spix[flat_idx], flat_idx, q_cam[c])
+        for pix, points in zip(pixels, members[offsets[c] : offsets[c + 1]]):
+            groups2d.append(pix + c * spix.size)
+            groups3d.append(points)
+            signs.append(_majority_sign(sem[pix]) if pix.size else 0)
+    return groups2d, groups3d, np.array(signs, dtype=np.int64)
 
 
 def scene_bytes(frame) -> bytes:

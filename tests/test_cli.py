@@ -15,7 +15,13 @@ import scenecontrast.cli as cli
 import scenecontrast.trainer as trainer
 from scenecontrast.cli import main
 from scenecontrast.errors import ConfigurationError
-from scenecontrast.scenegen import UNASSIGNED, read_scene, write_scene
+from scenecontrast.scenegen import (
+    UNASSIGNED,
+    SceneGeometry,
+    SemanticOracleConfig,
+    read_scene,
+    write_scene,
+)
 from scenecontrast.trainer import load_model, save_model
 
 GEN = [
@@ -84,6 +90,18 @@ def test_gen_scenes_idempotent(scene_dir, tmp_path):
     # scenes differ across indices, so this is not a constant generator
     names = sorted(before)
     assert before[names[0]] != before[names[1]]
+
+
+def test_gen_scenes_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(["gen-scenes", "--out", "x"])
+    oracle, geom = SemanticOracleConfig(), SceneGeometry()
+    assert (args.classes, args.objects, args.oversegment, args.noise) == (
+        oracle.num_classes, oracle.objects_per_scene, oracle.oversegment_factor, oracle.noise
+    )
+    assert (args.points, args.cameras, args.height, args.width) == (
+        geom.num_points, geom.num_cameras, geom.height, geom.width
+    )
+    assert isinstance(args.noise, float) and isinstance(args.points, int)
 
 
 def test_unknown_flag_exits_1(capsys):

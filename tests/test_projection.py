@@ -1,6 +1,9 @@
 """Projection and association against hand-rolled oracles."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from scenecontrast.projection import (
     AssociationTable,
@@ -11,11 +14,14 @@ from scenecontrast.scenegen import (
     UNASSIGNED,
     CameraModel,
     SceneFrame,
+    SceneGeometry,
+    SemanticOracleConfig,
     generate_scene,
 )
+from scenecontrast.trainer import prepare_frame
 
 from conftest import SMALL_CFG, SMALL_GEOM
-from fdutil import pinhole_reference
+from fdutil import per_camera_associations, pinhole_reference
 
 
 def identity_cam(fx=4.0, fy=4.0, cx=4.0, cy=4.0, size=8) -> CameraModel:
@@ -107,9 +113,10 @@ def camera_offsets(frame: SceneFrame) -> np.ndarray:
 
 
 def camera_and_raster_ids(frame: SceneFrame, table: AssociationTable) -> list[tuple[int, int]]:
-    """Each superpixel's camera and its id in that camera's raster."""
+    """Each superpixel's camera and its id in that camera's raster, from its global id."""
     offsets = camera_offsets(frame)
-    return [(sp.camera, g - int(offsets[sp.camera])) for g, sp in enumerate(table.superpixels)]
+    cams = np.searchsorted(offsets, np.arange(table.Q), side="right") - 1
+    return [(int(c), g - int(offsets[c])) for g, c in enumerate(cams)]
 
 
 def brute_force_associations(frame: SceneFrame):
@@ -145,12 +152,14 @@ def assert_matches_oracle(frame: SceneFrame, table: AssociationTable):
     for g in range(table.Q):
         got = table.superpixels[g].point_indices.tolist()
         assert got == sorted(members[g]), f"superpixel {g}"
-    # pixel sets and signs straight from the rasters
+    # pixel sets, as offsets into the frame's rasters, and signs from the rasters
+    _, h, w = frame.superpixel_raster.shape
     for sp, (cam, raster_id) in zip(table.superpixels, camera_and_raster_ids(frame, table)):
         raster = frame.superpixel_raster[cam].ravel()
-        expect = np.flatnonzero(raster == raster_id)
+        expect = cam * h * w + np.flatnonzero(raster == raster_id)
+        assert sp.pixel_indices.dtype == np.int64
         assert np.array_equal(sp.pixel_indices, expect)
-        sems = frame.semantic_raster[cam].ravel()[expect]
+        sems = frame.semantic_raster.ravel()[expect]
         counts = np.bincount(sems.astype(int))
         assert sp.semantic_sign == int(np.argmax(counts))
 
@@ -193,8 +202,9 @@ def test_single_camera_partitions_visible_points(small_scene):
 
 def test_visibility_soundness(small_scene):
     table = build_associations(small_scene)
-    for sp in table.superpixels:
-        cam = small_scene.cameras[sp.camera]
+    ids = camera_and_raster_ids(small_scene, table)
+    for sp, (c, _) in zip(table.superpixels, ids):
+        cam = small_scene.cameras[c]
         for k in sp.point_indices:
             assert pinhole_reference(small_scene.points[k, :3], cam) is not None
 
@@ -243,7 +253,7 @@ def test_first_camera_wins_and_unassigned_drops():
     # point 0 claimed by camera 0's superpixel; point 1 dropped outright
     # (no fall-through to camera 1)
     assert claimed == {0}
-    assert table.superpixels[0].camera == 0
+    assert camera_and_raster_ids(frame, table)[0] == (0, 0)
     assert 0 in table.superpixels[0].point_indices
 
 
@@ -272,7 +282,7 @@ def test_camera_without_superpixels_adds_none():
     frame = make_frame([[0.0, 0.0, 2.0, 0.5]], [cam, cam], [sem, sem], [none, one])
     table = build_associations(frame)
     assert camera_and_raster_ids(frame, table) == [(1, 0)]
-    assert table.superpixels[0].pixel_indices.tolist() == list(range(64))
+    assert table.superpixels[0].pixel_indices.tolist() == list(range(64, 128))
     assert len(table.superpixels[0].point_indices) == 0
     assert_matches_oracle(frame, table)
 
@@ -285,3 +295,50 @@ def test_one_superpixel_per_region_id(small_scene):
         want += [(c, int(i)) for i in np.unique(spix[spix != UNASSIGNED])]
     assert camera_and_raster_ids(small_scene, table) == want
     assert table.Q == len(want)
+
+
+# ---------------------------------------------------------------------------
+# prepare_frame against the per-camera association, array for array
+
+GEOMETRIES = {
+    "desk": (SemanticOracleConfig(), SceneGeometry()),
+    "ablation": (
+        SemanticOracleConfig(num_classes=6, objects_per_scene=5, noise=0.25),
+        SceneGeometry(num_points=768, height=32, width=32),
+    ),
+    "region-dense": (
+        SemanticOracleConfig(num_classes=12, objects_per_scene=5,
+                             oversegment_factor=32, noise=0.1),
+        SceneGeometry(num_points=256, height=32, width=32),
+    ),
+    "3cam-20x24": (SMALL_CFG, SceneGeometry(num_points=384, num_cameras=3, height=20, width=24)),
+    "1x32": (SMALL_CFG, SceneGeometry(num_points=256, num_cameras=1, height=1, width=32)),
+}
+
+
+def assert_matches_per_camera(frame: SceneFrame):
+    fd = prepare_frame(frame)
+    groups2d, groups3d, signs = per_camera_associations(frame)
+    for got, want in ((fd.groups2d, groups2d), (fd.groups3d, groups3d)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert fd.signs.dtype == signs.dtype and np.array_equal(fd.signs, signs)
+
+
+@pytest.mark.parametrize("name", GEOMETRIES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prepare_frame_matches_per_camera_reference(name, seed):
+    cfg, geom = GEOMETRIES[name]
+    assert_matches_per_camera(generate_scene(seed, cfg, geom, scene_id=seed))
+
+
+@pytest.mark.parametrize("blank", [[1], [0, 1, 2]], ids=["one-camera", "every-camera"])
+def test_prepare_frame_matches_per_camera_reference_unassigned(blank):
+    cfg, geom = GEOMETRIES["3cam-20x24"]
+    frame = generate_scene(4, cfg, geom, scene_id=0)
+    spix = frame.superpixel_raster.copy()
+    spix[blank] = UNASSIGNED
+    frame = replace(frame, superpixel_raster=spix)
+    assert len(prepare_frame(frame).groups2d) == camera_offsets(frame)[-1]
+    assert_matches_per_camera(frame)
