@@ -227,13 +227,9 @@ def _look_at(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Rotation whose rows are the camera axes: +x right, +y down, +z forward."""
     fwd = target - eye
     fwd = fwd / np.linalg.norm(fwd)
-    up = np.array([0.0, 0.0, 1.0])
-    right = np.cross(fwd, up)
-    nr = np.linalg.norm(right)
-    if nr < 1e-12:  # looking straight up or down; pick an arbitrary right
-        right = np.array([1.0, 0.0, 0.0])
-        nr = 1.0
-    right = right / nr
+    # nonzero unless the view is vertical; no ring eye is above its target
+    right = np.cross(fwd, np.array([0.0, 0.0, 1.0]))
+    right = right / np.linalg.norm(right)
     down = np.cross(fwd, right)
     return np.stack([right, down, fwd])
 
@@ -283,41 +279,25 @@ def _place_objects(cfg: SemanticOracleConfig, rng: np.random.Generator) -> list[
         # size grows with class id so geometry itself carries class signal
         size = (0.45 + 0.09 * cls) * rng.uniform(0.85, 1.15)
         if cls % 2 == 1:
-            half = size * (0.5 + 0.3 * rng.uniform(size=3))
-            prim = _Primitive(
-                "box",
-                cls,
-                np.zeros(3),
-                half,
-                float(np.hypot(half[0], half[1])),
-            )
-            prim.center = np.array([0.0, 0.0, half[2]])
+            kind, half = "box", size * (0.5 + 0.3 * rng.uniform(size=3))
+            radius, height = float(np.hypot(half[0], half[1])), half[2]
         else:
-            rad = size * 0.6 * (0.85 + 0.3 * rng.uniform())
-            prim = _Primitive(
-                "sphere", cls, np.array([0.0, 0.0, rad]), np.full(3, rad), rad
-            )
-        placed = False
+            kind, radius = "sphere", size * 0.6 * (0.85 + 0.3 * rng.uniform())
+            half, height = np.full(3, radius), radius
         for _ in range(6):  # shrink and retry when the floor is crowded
             for _ in range(200):
                 xy = rng.uniform(-lim, lim, size=2)
-                if all(
-                    np.hypot(*(xy - p.center[:2])) > prim.radius + p.radius + 0.2
-                    for p in prims
-                ):
-                    prim.center = np.array([xy[0], xy[1], prim.center[2]])
-                    placed = True
+                if all(np.hypot(*(xy - p.center[:2])) > radius + p.radius + 0.2 for p in prims):
                     break
-            if placed:
-                break
-            prim.half = prim.half * 0.8
-            prim.radius *= 0.8
-            prim.center = np.array([0.0, 0.0, prim.center[2] * 0.8])
-        if not placed:
+            else:  # no free spot at this size
+                half, radius, height = half * 0.8, radius * 0.8, height * 0.8
+                continue
+            break
+        else:
             raise ConfigurationError(
                 f"could not place object {i}: too many objects for extent {EXTENT}"
             )
-        prims.append(prim)
+        prims.append(_Primitive(kind, cls, np.array([xy[0], xy[1], height]), half, radius))
     return prims
 
 
@@ -492,45 +472,51 @@ def _pixel_feature_raster(
 # point sampling
 
 
+@dataclass(eq=False)
+class _View:
+    """One camera's pass: its rays, clean raster, regions and pixel features."""
+
+    cam: CameraModel
+    eye: np.ndarray  # (3,) camera center
+    dirs: np.ndarray  # (H,W,3) unit rays from _pixel_rays
+    sem: np.ndarray  # (H,W) uint16 clean classes
+    dist: np.ndarray  # (H,W) float64 hit distance, inf on a miss
+    hit: np.ndarray  # (H,W) bool
+    spix: np.ndarray  # (H,W) uint32 region ids, dense 0..n-1 per camera
+    feat: np.ndarray  # (H,W,F0) float32
+
+
 def _sample_points(
-    cams: list[CameraModel],
-    rays: list[tuple[np.ndarray, np.ndarray]],
-    sems: list[np.ndarray],
-    dists: list[np.ndarray],
-    hits: list[np.ndarray],
-    geom: SceneGeometry,
-    num_classes: int,
-    rng: np.random.Generator,
+    views: list[_View], num_points: int, num_classes: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample K points by back-projecting rendered pixels.
+    """Sample ``num_points`` points by back-projecting rendered pixels.
 
     A candidate survives only if its float32 position projects onto an
     assigned pixel of the SAME class in every camera that sees it, which
-    makes the class label recoverable from any covering view.  ``rays``
-    holds each camera's eye and ``_pixel_rays``.
+    makes the class label recoverable from any covering view.
     """
     from .projection import project_points
 
     cap = 6.0 * EXTENT
     cand_world = []
     cand_cls = []
-    for (eye, dirs), sem, dist, hit in zip(rays, sems, dists, hits):
-        take = hit & (dist <= cap)
+    for v in views:
+        take = v.hit & (v.dist <= cap)
         if not take.any():
             continue
-        pts = eye[None, :] + dist[take][:, None] * dirs[take]
+        pts = v.eye[None, :] + v.dist[take][:, None] * v.dirs[take]
         cand_world.append(pts.astype(np.float32))
-        cand_cls.append(sem[take].astype(np.int64))
+        cand_cls.append(v.sem[take].astype(np.int64))
     if not cand_world:
         raise ConfigurationError("no rasterized surface to sample points from")
     world = np.concatenate(cand_world).astype(np.float64)
     cls = np.concatenate(cand_cls)
 
     keep = np.ones(len(world), dtype=bool)
-    for cam, sem, hit in zip(cams, sems, hits):
-        row, col, ok = project_points(world, cam)
-        vis_cls = sem[row, col].astype(np.int64)
-        vis_hit = hit[row, col]
+    for v in views:
+        row, col, ok = project_points(world, v.cam)
+        vis_cls = v.sem[row, col].astype(np.int64)
+        vis_hit = v.hit[row, col]
         keep &= ~ok | (vis_hit & (vis_cls == cls))
     pool = np.flatnonzero(keep)
     if len(pool) == 0:
@@ -540,8 +526,8 @@ def _sample_points(
     # classes are oversampled (with replacement once their pixels run out)
     pool_cls = cls[pool]
     present = np.unique(pool_cls)
-    quota = np.full(len(present), geom.num_points // len(present), dtype=np.int64)
-    quota[: geom.num_points % len(present)] += 1
+    quota = np.full(len(present), num_points // len(present), dtype=np.int64)
+    quota[: num_points % len(present)] += 1
     parts = []
     for t, want in zip(present, quota):
         members = pool[pool_cls == t]
@@ -558,7 +544,7 @@ def _sample_points(
     # neighbouring classes, so intensity is informative but not a code
     mu = 0.1 + 0.8 * labels / (num_classes - 1)
     intensity = np.clip(mu + rng.normal(0.0, 0.12, size=len(chosen)), 0.0, 1.0)
-    pts = np.empty((geom.num_points, 4), dtype=np.float32)
+    pts = np.empty((num_points, 4), dtype=np.float32)
     pts[:, :3] = world[chosen].astype(np.float32)
     pts[:, 3] = intensity.astype(np.float32)
     return pts, labels.astype(np.int64)
@@ -582,39 +568,33 @@ def generate_scene(
     cams = _ring_cameras(geom, rng)
     prims = _place_objects(cfg, rng)
 
-    rays = [(cam.eye(), _pixel_rays(cam)) for cam in cams]
-    sems, dists, hits = [], [], []
-    for eye, dirs in rays:
-        sem, dist, hit = _raster_scene(eye, dirs, prims)
-        sems.append(sem)
-        dists.append(dist)
-        hits.append(hit)
-
     # objects the ray caster never surfaced anywhere cannot matter; note
     # that their classes then simply do not appear in this scene
-    spixs = [_segment(sem, hit, cfg.oversegment_factor) for sem, hit in zip(sems, hits)]
+    views = []
+    for cam in cams:
+        eye, dirs = cam.eye(), _pixel_rays(cam)
+        sem, dist, hit = _raster_scene(eye, dirs, prims)
+        spix = _segment(sem, hit, cfg.oversegment_factor)
+        feat = _pixel_feature_raster(sem, spix, rng)
+        views.append(_View(cam, eye, dirs, sem, dist, hit, spix, feat))
 
-    feats = [_pixel_feature_raster(sem, spix, rng) for sem, spix in zip(sems, spixs)]
-
-    points, labels = _sample_points(
-        cams, rays, sems, dists, hits, geom, cfg.num_classes, rng
-    )
+    points, labels = _sample_points(views, geom.num_points, cfg.num_classes, rng)
 
     # label noise is segment-coherent: a wrong oracle opinion covers a whole
     # region, the way a segmentation model errs, so region signs (and the
     # labels recovered from flipped pixels) inherit the error while the
     # pixel features keep describing what is actually there
     noisy = []
-    for sem, spix in zip(sems, spixs):
-        sem = sem.copy()
+    for v in views:
+        sem = v.sem.copy()
         if cfg.noise > 0.0:
-            on = spix != UNASSIGNED
-            ids = np.unique(spix[on])
-            flip = rng.random(len(ids)) < cfg.noise
-            shifts = rng.integers(1, cfg.num_classes, size=len(ids))
+            on = v.spix != UNASSIGNED
+            ids = v.spix[on]  # a camera's regions are numbered 0..n-1
+            n = int(ids.max()) + 1 if ids.size else 0
+            flip = rng.random(n) < cfg.noise
+            shifts = rng.integers(1, cfg.num_classes, size=n)
             # regions are class-pure, so shifting each pixel shifts its region
-            shift = np.where(flip, shifts, 0)[np.searchsorted(ids, spix[on])]
-            sem[on] = (sem[on] + shift) % cfg.num_classes
+            sem[on] = (sem[on] + np.where(flip, shifts, 0)[ids]) % cfg.num_classes
         noisy.append(sem)
 
     return SceneFrame(
@@ -623,9 +603,9 @@ def generate_scene(
         points=points,
         point_labels=labels.astype(np.uint16),
         cameras=cams,
-        pixel_features=np.stack(feats),
+        pixel_features=np.stack([v.feat for v in views]),
         semantic_raster=np.stack(noisy),
-        superpixel_raster=np.stack(spixs),
+        superpixel_raster=np.stack([v.spix for v in views]),
     )
 
 

@@ -106,18 +106,21 @@ _BOOL_STRINGS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def load_config(path) -> TrainConfig:
-    """Flat key=value file; '#' starts a comment.  An error names the line."""
+    """Flat key=value UTF-8 file; '#' starts a comment.  An error names the line."""
     cfg = TrainConfig()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            key, eq, value = raw.split("#", 1)[0].partition("=")
-            try:
-                if eq:
-                    set_config_value(cfg, key.strip(), value.strip())
-                elif key.strip():
-                    raise ConfigurationError(f"expected key=value, got {key.strip()!r}")
-            except ConfigurationError as err:
-                raise ConfigurationError(f"{path}:{lineno}: {err}") from None
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at "\n", "\r\n" and "\r", as text mode splits
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            key, eq, value = raw.decode("utf-8").split("#", 1)[0].partition("=")
+            if eq:
+                set_config_value(cfg, key.strip(), value.strip())
+            elif key.strip():
+                raise ConfigurationError(f"expected key=value, got {key.strip()!r}")
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"{path}:{lineno}: not UTF-8 text") from None
+        except ConfigurationError as err:
+            raise ConfigurationError(f"{path}:{lineno}: {err}") from None
     cfg.validate()
     return cfg
 
@@ -596,7 +599,7 @@ def fit_linear_probe(
     y_train: np.ndarray,
     z_test: np.ndarray,
     y_test: np.ndarray,
-    epochs: int = 100,
+    epochs: int,
 ) -> ProbeReport:
     """Softmax regression on frozen features, full-batch GD from zero init.
 

@@ -30,11 +30,12 @@ def ops(bound: Bound) -> tuple[str, str]:
     return (">=" if bound.ends[0] == "[" else ">", "<=" if bound.ends[1] == "]" else "<")
 
 
-def edges(bound: Bound):
+def edges(bound: Bound, kinds: bool = True):
     """(value, message) at each end of ``bound``, message None where the
     value is accepted: an int row at low-1, low, high and high+1, a float
     row just outside and just inside each end, plus nan and both
-    infinities."""
+    infinities.  With ``kinds``, also values of the wrong kind (bool, and
+    a float for an int row) and a numpy scalar of the right one."""
     out = []
     if bound.kind is float:
         out += [(v, f"must be finite, got {v}") for v in (math.nan, math.inf, -math.inf)]
@@ -48,15 +49,24 @@ def edges(bound: Bound):
         outside = step(end, away) if closed else end
         inside = end if closed else step(end, -away)
         out += [(outside, f"must be {op} {end}, got {outside}"), (inside, None)]
+    if kinds:
+        inside = next((v for v, message in out if message is None), bound.kind(0))
+        if bound.kind is int:
+            wrong, scalar = [True, float(inside), inside + 0.5], np.int64(inside)
+            noun = "an integer"
+        else:
+            wrong, scalar, noun = [True], np.float64(inside), "a real number"
+        out += [(v, f"must be {noun}, got {v}") for v in wrong] + [(scalar, None)]
     return out
 
 
-def cases(tables):
+def cases(tables, kinds: bool = True):
+    # repr tells a numpy scalar's id from the plain number's
     return [
-        pytest.param(table, name, value, message, id=f"{table}-{name}-{value}")
+        pytest.param(table, name, value, message, id=f"{table}-{name}-{value!r}")
         for table, rows in tables.items()
         for name, bound in rows.items()
-        for value, message in edges(bound)
+        for value, message in edges(bound, kinds)
     ]
 
 
@@ -112,13 +122,19 @@ def test_flag_rows_at_their_edges(monkeypatch, tmp_path, capsys, table, flag, va
     if message is None:
         with pytest.raises(Reached):
             main(argv)
+    elif "must be an integer" in message:
+        # argparse parses the flag: a value of the wrong kind never reaches the bound
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: argument {flag}: invalid int value: '{value}'\n"
     else:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {flag} {message}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("table,name,value,message", cases({"SCENE_HEADER": scenegen.SCENE_HEADER}))
+# a u32 field holds only integers, so a header cannot carry a value of the wrong kind
+@pytest.mark.parametrize("table,name,value,message",
+                         cases({"SCENE_HEADER": scenegen.SCENE_HEADER}, kinds=False))
 def test_scene_header_rows_at_their_edges(tmp_path, table, name, value, message):
     offset = 8 + 4 * list(scenegen.SCENE_HEADER).index(name)
     path = tmp_path / "scene.cscs"

@@ -1,6 +1,7 @@
 """Command-line contract: flows, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import os
 import shutil
 import subprocess
@@ -23,6 +24,7 @@ from scenecontrast.scenegen import (
     write_scene,
 )
 from scenecontrast.trainer import load_model, save_model
+from test_golden import GRADCHECK, recorded_digest
 
 GEN = [
     "gen-scenes",
@@ -123,6 +125,18 @@ def test_bad_config_key_exits_1(scene_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_1_naming_the_line(scene_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(CFG_TEXT.encode().replace(b"scenes_per_batch = 2", b"scenes_per_batch = \xff"))
+    code = main(
+        ["pretrain", "--config", str(bad), "--scenes", str(scene_dir),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_scene_dir_exits_1(tmp_path, capsys):
@@ -512,12 +526,17 @@ def test_unusable_path_flags_exit_1(
 
 def test_gradcheck_exits_0(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    lines = out.splitlines()
     # one line per component, in order, each over 100 instances and passed
     assert [line.split(": ")[0] for line in lines] == [
         "embednet", "blending", "loss_sp", "loss_pro",
     ]
     assert all(line.endswith(" (100 instances) pass") for line in lines)
+    # the report's bytes, where tests/golden.json records them for this platform
+    want = recorded_digest(GRADCHECK)
+    if want is not None:
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_gradcheck_seed_defaults_to_0(monkeypatch, capsys):

@@ -2,12 +2,16 @@
 
 ``golden.json`` holds, for the workload below, every ``metrics.csv`` value
 and, under each recorded platform key, the sha256 of its four output
-files.  The bytes depend on numpy's version and dispatch and on the
-OpenBLAS kernels that run, so the digests are compared only where the key
-is recorded; the values are compared everywhere, within a relative
-tolerance far above kernel rounding noise and far below what a wrong
-gradient does.  A change that alters the bytes on purpose re-records the
-file with ``PYTHONPATH=src python tests/test_golden.py`` and says why.
+files, of four small scene sets that cover what the training scenes do not
+(label noise, oversegmentation, three cameras on a non-square raster, a
+floor crowded enough that placement shrinks primitives) and of the
+``gradcheck --seed 0`` report, which ``test_cli`` compares.  The bytes
+depend on numpy's version and dispatch and on the OpenBLAS kernels that
+run, so the digests are compared only where the key is recorded; the
+values are compared everywhere, within a relative tolerance far above
+kernel rounding noise and far below what a wrong gradient does.  A change
+that alters the bytes on purpose re-records the file with
+``PYTHONPATH=src python tests/test_golden.py`` and says why.
 """
 
 import csv
@@ -22,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scenecontrast import trainer
 from scenecontrast.blasthreads import blas_threads
 from scenecontrast.cli import main
 
@@ -29,6 +34,19 @@ GOLDEN = Path(__file__).with_name("golden.json")
 OUTPUTS = ("metrics.csv", "checkpoint.cscw", "probe.txt", "ablate.csv")
 REL_TOL = 1e-10
 GEN = ["--seed", "0", "--count", "8", "--points", "384", "--height", "32", "--width", "32"]
+# gen-scenes sets pinned by one digest each, two scenes at seed 0
+SCENE_SETS = {
+    "scenes-ablation": ["--points", "768", "--height", "32", "--width", "32",
+                        "--classes", "6", "--objects", "5", "--noise", "0.25"],
+    "scenes-region-dense": ["--points", "256", "--height", "32", "--width", "32",
+                            "--classes", "12", "--objects", "5", "--oversegment", "32",
+                            "--noise", "0.1"],
+    "scenes-3cam": ["--points", "512", "--cameras", "3", "--height", "20", "--width", "40",
+                    "--noise", "0.3"],
+    "scenes-crowded": ["--points", "512", "--objects", "12", "--height", "24",
+                       "--width", "24"],
+}
+GRADCHECK = "gradcheck.txt"
 
 
 def platform_key() -> str:
@@ -51,8 +69,24 @@ def platform_key() -> str:
     return "|".join([f"numpy {np.__version__}", enabled, *blas])
 
 
+def recorded_digest(name: str) -> str | None:
+    """The digest of output ``name`` recorded for this platform, if any."""
+    return json.loads(GOLDEN.read_text())["digests"].get(platform_key(), {}).get(name)
+
+
+def sha256_tree(path: Path) -> str:
+    """A file's digest, or one over a directory's names and bytes in name order."""
+    if path.is_file():
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    for f in sorted(path.iterdir()):
+        h.update(f.name.encode() + b"\0" + f.read_bytes())
+    return h.hexdigest()
+
+
 def run_workload(root: Path) -> Path:
-    """8 scenes, a 3-epoch pretrain with lam = 1, probe, one ablate seed."""
+    """8 scenes, a 3-epoch pretrain with lam = 1, probe, one ablate seed,
+    then the four scene sets; ``root / "out"`` holds every output."""
     scenes, out = root / "scenes", root / "out"
     cfg = root / "cfg.txt"
     cfg.write_text("epochs = 3\nlam = 1\n")
@@ -63,6 +97,8 @@ def run_workload(root: Path) -> Path:
          "--config", str(cfg), "--out", str(out)],
         ["ablate", "--seeds", "1", "--config", str(cfg), "--scenes", str(scenes),
          "--out", str(out)],
+        *(["gen-scenes", "--seed", "0", "--count", "2", *flags, "--out", str(out / name)]
+          for name, flags in SCENE_SETS.items()),
     ]
     with blas_threads(1):
         for argv in commands:
@@ -71,7 +107,7 @@ def run_workload(root: Path) -> Path:
 
 
 def digests(out: Path) -> dict[str, str]:
-    return {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in OUTPUTS}
+    return {n: sha256_tree(out / n) for n in [*OUTPUTS, *SCENE_SETS]}
 
 
 def metric_rows(out: Path) -> list[dict[str, float]]:
@@ -89,6 +125,7 @@ def test_output_bytes_match_recorded(workload):
     want = json.loads(GOLDEN.read_text())["digests"].get(key)
     if want is None:
         pytest.skip(f"no digests recorded for platform {key}")
+    want = {n: d for n, d in want.items() if n != GRADCHECK}
     assert digests(workload) == want
 
 
@@ -108,7 +145,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         out = run_workload(Path(d))
         golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"digests": {}}
-        golden["digests"][platform_key()] = digests(out)
+        report = trainer.gradcheck(seed=0).summary().encode()
+        golden["digests"][platform_key()] = {
+            **digests(out), GRADCHECK: hashlib.sha256(report).hexdigest()}
         golden["metrics"] = metric_rows(out)
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"recorded {GOLDEN} for {platform_key()}", file=sys.stderr)

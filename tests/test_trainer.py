@@ -108,6 +108,20 @@ def test_set_config_value_rejects_an_unknown_key():
     assert callable(cfg.validate)
 
 
+def test_load_config_names_a_line_that_is_not_utf8(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_bytes(b"seed = 1\nlr = 0.1\xff\nepochs = 2\n")
+    with pytest.raises(ConfigurationError, match=r"cfg\.txt:2: not UTF-8 text$"):
+        load_config(p)
+
+
+def test_load_config_splits_lines_as_text_mode_does(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_bytes("seed = 3\r\nlr = 0.5\repochs = 4 # é\n".encode())
+    cfg = load_config(p)
+    assert (cfg.seed, cfg.lr, cfg.epochs) == (3, 0.5, 4)
+
+
 def test_load_config_missing_equals(tmp_path):
     p = write_cfg(tmp_path, "seed 1\n")
     with pytest.raises(ConfigurationError, match=r":1: expected key=value"):
@@ -579,7 +593,7 @@ def test_probe_perfect_on_separable_fixture(rng):
         y.append(np.full(n_per, cls))
     z = np.concatenate(z)
     y = np.concatenate(y)
-    rep = fit_linear_probe(z, y, z, y)
+    rep = fit_linear_probe(z, y, z, y, epochs=100)
     assert rep.mean_accuracy == 1.0
     assert set(rep.per_class) == set(range(c))
     assert rep.n_train_labeled == n_per * c
@@ -617,7 +631,7 @@ def test_probe_empty_training_set():
     with pytest.raises(ConfigurationError, match="empty"):
         fit_linear_probe(
             np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros((1, 3)),
-            np.zeros(1, dtype=int),
+            np.zeros(1, dtype=int), epochs=100,
         )
 
 
