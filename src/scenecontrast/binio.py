@@ -20,19 +20,24 @@ class ByteCursor:
 
     ``fail`` is called as fail(message, offset) and must return the
     exception to raise; this lets scene and checkpoint readers share the
-    cursor while raising their own error types.
+    cursor while raising their own error types.  The cursor reads through
+    a memoryview, so taking bytes copies nothing; ``array`` copies once,
+    into an array of its own or the caller's.
     """
 
     def __init__(self, data: bytes, fail: Callable[[str, int], Exception]):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.fail = fail
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
+    def remaining(self) -> int:
+        return len(self.data) - self.pos
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > self.remaining():
             raise self.fail(
                 f"truncated while reading {what}: need {n} bytes, have "
-                f"{len(self.data) - self.pos}",
+                f"{self.remaining()}",
                 self.pos,
             )
         chunk = self.data[self.pos : self.pos + n]
@@ -42,10 +47,14 @@ class ByteCursor:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
-    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+    def array(self, dtype: str, count: int, what: str, out=None) -> np.ndarray:
+        """``count`` little-endian values in native order: a new array, or
+        ``out``, a (count,) array of ``dtype`` that they are written into."""
         dt = np.dtype(dtype).newbyteorder("<")
-        raw = self.take(dt.itemsize * count, what)
-        return np.frombuffer(raw, dtype=dt).astype(np.dtype(dtype), copy=True)
+        raw = np.frombuffer(self.take(dt.itemsize * count, what), dtype=dt)
+        out = np.empty(count, dtype) if out is None else out  # once the bytes are there
+        np.copyto(out, raw)
+        return out
 
     def reject(self, values: np.ndarray, bad: np.ndarray, start: int, message: str) -> None:
         """Fail at the first element of ``values``, read at ``start``, where
@@ -56,9 +65,9 @@ class ByteCursor:
             raise self.fail(message.format(values[i]), start + values.itemsize * i)
 
     def expect_end(self, what: str) -> None:
-        if self.pos != len(self.data):
+        if self.remaining():
             raise self.fail(
-                f"{len(self.data) - self.pos} trailing bytes after {what}",
+                f"{self.remaining()} trailing bytes after {what}",
                 self.pos,
             )
 
@@ -77,7 +86,7 @@ def read_container(
     """A cursor over the file, past its checked magic and version."""
     with open(path, "rb") as fh:
         cur = ByteCursor(fh.read(), fail)
-    found = cur.take(4, "magic")
+    found = bytes(cur.take(4, "magic"))
     if found != magic:
         raise fail(f"bad magic {found!r}, expected {magic!r}", 0)
     found = cur.u32("version")

@@ -2,8 +2,8 @@
 
 Commands: gen-scenes, pretrain, gradcheck, probe, ablate.  Exit codes:
 0 success, 1 invalid flags or configuration, 2 runtime failure (including
-a gradcheck that finds a bad gradient, and running out of memory).  All
-file outputs go under the path given by --out.
+a gradcheck that finds a bad gradient, running out of memory, and an
+interrupt).  All file outputs go under the path given by --out.
 """
 
 from __future__ import annotations
@@ -49,13 +49,11 @@ FLAG_BOUNDS = {
 }
 
 
-def _load_scene_dir(path: str):
+def _load_scene_dir(path: str) -> trainer.SceneSet:
     files = sorted(Path(path).glob("*.cscs"))
     if not files:
         raise ConfigurationError(f"no .cscs files under {path}")
-    frames = [read_scene(f) for f in files]
-    trainer.check_scene_set(frames, files)
-    return frames
+    return trainer.SceneSet([read_scene(f) for f in files], files)
 
 
 def _check_out(path: str) -> None:
@@ -102,8 +100,7 @@ def _cmd_gen_scenes(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg = _config_from_args(args)
-    frames = _load_scene_dir(args.scenes)
-    result = trainer.pretrain(frames, cfg, out_dir=args.out)
+    result = trainer.pretrain(_load_scene_dir(args.scenes), cfg, out_dir=args.out)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"metrics:    {result.metrics_path}")
     return 0
@@ -117,10 +114,10 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = _config_from_args(args)
-    frames = _load_scene_dir(args.scenes)
-    feat_dim = frames[0].pixel_features.shape[3]
+    scenes = _load_scene_dir(args.scenes)
+    feat_dim = scenes.frames[0].pixel_features.shape[3]
     model = trainer.load_model(args.ckpt, feat_dim, cfg.embed_dim)
-    report = trainer.linear_probe(model, frames, cfg)
+    report = trainer.linear_probe(model, scenes, cfg)
     sys.stdout.write(report.summary())
     if args.out:
         out = Path(args.out)
@@ -131,12 +128,12 @@ def _cmd_probe(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
-    frames = _load_scene_dir(args.scenes)
+    scenes = _load_scene_dir(args.scenes)
     # --seeds defaults to 10, or to 1 with --arm
     n = args.seeds if args.seeds is not None else 1 if args.arm else 10
     seeds = range(cfg.seed, cfg.seed + n)
     arms = (args.arm,) if args.arm else trainer.ARMS
-    rows = trainer.run_ablation(frames, cfg, seeds, arms=arms)
+    rows = trainer.run_ablation(scenes, cfg, seeds, arms=arms)
     csv = trainer.ablation_csv(rows)
     sys.stdout.write(csv)
     if args.out:
@@ -218,6 +215,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print(f"error: {args.command}: out of memory", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print(f"error: {args.command}: interrupted", file=sys.stderr)
         return 2
 
 

@@ -328,35 +328,62 @@ def backward(
 # pooling
 
 
+class Regions:
+    """Q groups of row indices into ``num_rows`` rows, laid out flat.
+
+    Group i is ``members[offsets[i]:offsets[i + 1]]``; ``offsets`` has Q+1
+    entries.  A group may be empty, and groups may share rows.  The
+    members are range-checked once, here, and made read-only, so pooling
+    them checks nothing.
+    """
+
+    def __init__(self, groups, num_rows: int):
+        m = np.concatenate([np.empty(0, np.int64), *groups], dtype=np.int64,
+                           casting="same_kind")
+        self.offsets = np.zeros(len(groups) + 1, dtype=np.int64)
+        np.cumsum([len(g) for g in groups], out=self.offsets[1:])
+        bad = np.flatnonzero((m < 0) | (m >= num_rows))
+        if bad.size:
+            i = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
+            raise ShapeError(f"group {i} indexes outside [0,{num_rows})")
+        self.members, self.num_rows = m, num_rows
+        m.flags.writeable = self.offsets.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self):
+        """Each group's members, in group order, as views of ``members``."""
+        bounds = self.offsets.tolist()
+        for start, end in zip(bounds[:-1], bounds[1:]):
+            yield self.members[start:end]
+
+
 @dataclass
 class PoolCache:
-    groups: list[np.ndarray]
-    num_rows: int
+    regions: Regions
     means: np.ndarray  # (Q, D) pre-normalization means
     norms: np.ndarray  # (Q,)
     valid: np.ndarray  # (Q,) bool
 
 
 def pool_regions(
-    features: np.ndarray, groups: list[np.ndarray]
+    features: np.ndarray, regions: Regions
 ) -> tuple[np.ndarray, np.ndarray, PoolCache]:
-    """Mean member rows per group, L2-normalized; (rows, valid, cache).
+    """Mean member rows per region, L2-normalized; (rows, valid, cache).
 
-    A group that is empty, or whose mean cancels to (near) zero, is marked
+    A region that is empty, or whose mean cancels to (near) zero, is marked
     invalid and its output row is zero.
     """
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ShapeError(f"features must be 2-D, got {feats.shape}")
-    n, d = feats.shape
-    q = len(groups)
-    means = np.zeros((q, d))
+    if feats.ndim != 2 or len(feats) != regions.num_rows:
+        raise ShapeError(f"features must be ({regions.num_rows}, D), got {feats.shape}")
+    q = len(regions)
+    means = np.zeros((q, feats.shape[1]))
     valid = np.zeros(q, dtype=bool)
-    for i, idx in enumerate(groups):
+    for i, idx in enumerate(regions):
         if len(idx) == 0:
             continue
-        if idx.min() < 0 or idx.max() >= n:
-            raise ShapeError(f"group {i} indexes outside [0,{n})")
         # what ndarray.mean computes, without its Python-level wrapper
         means[i] = np.add.reduce(feats[idx], axis=0) / len(idx)
         valid[i] = True
@@ -365,7 +392,7 @@ def pool_regions(
     valid &= ~degenerate
     safe = np.where(valid, norms, 1.0)
     rows = np.where(valid[:, None], means / safe[:, None], 0.0)
-    return rows, valid, PoolCache(groups, n, means, norms, valid)
+    return rows, valid, PoolCache(regions, means, norms, valid)
 
 
 def pool_backward(
@@ -379,13 +406,13 @@ def pool_backward(
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != cache.means.shape:
         raise ShapeError(f"upstream shape {g.shape} != {cache.means.shape}")
-    shape = (cache.num_rows, cache.means.shape[1])
+    shape = (cache.regions.num_rows, cache.means.shape[1])
     _check_lent("out", out, shape)
     if out is None:
         out = np.zeros(shape)
     else:
         out.fill(0.0)
-    for i, idx in enumerate(cache.groups):
+    for i, idx in enumerate(cache.regions):
         if not cache.valid[i]:
             continue
         v = cache.means[i]

@@ -629,10 +629,11 @@ def write_scene(frame: SceneFrame, path) -> None:
     write_container(path, MAGIC, VERSION, chunks)
 
 
-def _finite(cur: ByteCursor, count: int, what: str) -> np.ndarray:
-    """Read ``count`` float32 values, rejecting NaN and infinity."""
+def _finite(cur: ByteCursor, count: int, what: str, out=None) -> np.ndarray:
+    """Read ``count`` float32 values, into ``out`` if given, rejecting NaN
+    and infinity."""
     start = cur.pos
-    values = cur.array("float32", count, what)
+    values = cur.array("float32", count, what, out)
     cur.reject(values, ~np.isfinite(values), start, f"non-finite value in {what}")
     return values
 
@@ -650,11 +651,16 @@ def read_scene(path) -> SceneFrame:
     cur.reject(point_labels, point_labels >= t, label_offset,
                f"point label {{}} not below T={t}")
     cams = []
-    # sections are read through the cursor before any stacked allocation,
-    # so a damaged header cannot request more memory than the file holds
-    feat_list: list[np.ndarray] = []
-    sem_list: list[np.ndarray] = []
-    spix_list: list[np.ndarray] = []
+    # each camera's sections are read into its row of one array per field,
+    # allocated only once the rest of the file can hold every camera's
+    # sections, so a damaged header cannot ask for more memory than the
+    # file holds.  A shorter file is read into new arrays, section by
+    # section, and fails at the first section it lacks.
+    fits = cur.remaining() >= l * (80 + h * w * (4 * f0 + 6))
+    feats, sems, spixs = (
+        np.empty((l, h * w * n), dtype) if fits else [None] * l
+        for n, dtype in ((f0, np.float32), (1, np.uint16), (1, np.uint32))
+    )
     for idx in range(l):
         cam_offset = cur.pos
         intr = cur.array("float32", 4, f"camera {idx} intrinsics")
@@ -673,13 +679,11 @@ def read_scene(path) -> SceneFrame:
         except (ConfigurationError, ShapeError) as err:
             raise SceneFormatError(f"camera {idx} invalid: {err}", cam_offset) from err
         cams.append(cam)
-        feat_list.append(
-            _finite(cur, h * w * f0, f"camera {idx} pixel_features").reshape(h, w, f0)
-        )
+        _finite(cur, h * w * f0, f"camera {idx} pixel_features", feats[idx])
         sem_offset = cur.pos
-        sem = cur.array("uint16", h * w, f"camera {idx} semantic_raster")
+        sem = cur.array("uint16", h * w, f"camera {idx} semantic_raster", sems[idx])
         spix_offset = cur.pos
-        spix = cur.array("uint32", h * w, f"camera {idx} superpixel_raster")
+        spix = cur.array("uint32", h * w, f"camera {idx} superpixel_raster", spixs[idx])
         # ids index regions: one at or above H*W would size the region
         # table from a damaged byte, not from the raster
         assigned = spix != UNASSIGNED
@@ -688,19 +692,14 @@ def read_scene(path) -> SceneFrame:
         # an unassigned pixel's class is never read
         cur.reject(sem, assigned & (sem >= t), sem_offset, f"camera {idx} semantic_raster: "
                    f"id {{}} on an assigned pixel not below T={t}")
-        sem_list.append(sem.reshape(h, w))
-        spix_list.append(spix.reshape(h, w))
     cur.expect_end("superpixel rasters")
-    feats = np.stack(feat_list)
-    sems = np.stack(sem_list)
-    spixs = np.stack(spix_list)
     return SceneFrame(
         scene_id=scene_id,
         num_classes=int(t),
         points=points,
         point_labels=point_labels,
         cameras=cams,
-        pixel_features=feats,
-        semantic_raster=sems,
-        superpixel_raster=spixs,
+        pixel_features=feats.reshape(l, h, w, f0),
+        semantic_raster=sems.reshape(l, h, w),
+        superpixel_raster=spixs.reshape(l, h, w),
     )

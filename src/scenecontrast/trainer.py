@@ -35,7 +35,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ from . import blending, embednet, losses, protobank
 from .blasthreads import blas_threads
 from .blending import BlendParams
 from .bounds import Bound, check
-from .embednet import DenseStack, EmbeddingBank
+from .embednet import DenseStack, EmbeddingBank, Regions
 from .errors import (
     ConfigurationError,
     DegenerateBatchError,
@@ -216,45 +216,61 @@ def load_model(path, feat_dim: int, embed_dim: int) -> Model:
 class FrameData:
     x2d: np.ndarray  # (L*H*W, F0) float32, a read-only view of the frame's pixel features
     x3d: np.ndarray  # (K, 4) float32, a read-only view of the frame's points
-    groups2d: list[np.ndarray]
-    groups3d: list[np.ndarray]
+    regions2d: Regions  # each region's rows of x2d
+    regions3d: Regions  # each region's rows of x3d
     signs: np.ndarray
 
 
 def prepare_frame(frame: SceneFrame) -> FrameData:
     sps = build_associations(frame).superpixels
     l, h, w, f0 = frame.pixel_features.shape
-    groups2d = [sp.pixel_indices for sp in sps]
-    groups3d = [sp.point_indices for sp in sps]
-    signs = np.array([sp.semantic_sign for sp in sps], dtype=np.int64)
     # read-only, since a forward cache keeps these rows until its backward
     x2d = frame.pixel_features.reshape(l * h * w, f0)
     x3d = frame.points.view()
     x2d.flags.writeable = x3d.flags.writeable = False
-    return FrameData(x2d, x3d, groups2d, groups3d, signs)
+    regions2d = Regions([sp.pixel_indices for sp in sps], len(x2d))
+    regions3d = Regions([sp.point_indices for sp in sps], len(x3d))
+    signs = np.array([sp.semantic_sign for sp in sps], dtype=np.int64)
+    return FrameData(x2d, x3d, regions2d, regions3d, signs)
 
 
-def check_scene_set(frames: list[SceneFrame], names=None) -> None:
-    """Reject frames that differ in class vocabulary or 2D input width, then
-    frames that repeat a scene id: a scene is one frame."""
-    names = names or [f"frame {i}" for i in range(len(frames))]
-    for name, frame in zip(names[1:], frames[1:]):
-        for field, got, want in (
-            ("num_classes", frame.num_classes, frames[0].num_classes),
-            ("pixel feature width", frame.pixel_features.shape[3],
-             frames[0].pixel_features.shape[3]),
-        ):
-            if got != want:
+class SceneSet:
+    """The frames of a run or a probe, one per scene, in scene-id order.
+
+    Building one checks the frames once: they must agree on the class
+    vocabulary and the 2D input width, and no scene id may repeat.  An
+    error names the frame by ``names`` (one per frame, in the order given).
+    ``prepared`` holds each frame's ``FrameData``, made on first use and
+    then shared by every run over the set.
+    """
+
+    def __init__(self, frames: list[SceneFrame], names=None):
+        names = names or [f"frame {i}" for i in range(len(frames))]
+        for name, frame in zip(names[1:], frames[1:]):
+            for field, got, want in (
+                ("num_classes", frame.num_classes, frames[0].num_classes),
+                ("pixel feature width", frame.pixel_features.shape[3],
+                 frames[0].pixel_features.shape[3]),
+            ):
+                if got != want:
+                    raise ConfigurationError(
+                        f"{name}: {field} is {got}, but {want} in {names[0]}"
+                    )
+        first: dict[int, int] = {}
+        for i, frame in enumerate(frames):
+            j = first.setdefault(frame.scene_id, i)
+            if j != i:
                 raise ConfigurationError(
-                    f"{name}: {field} is {got}, but {want} in {names[0]}"
+                    f"{names[i]}: scene_id {frame.scene_id} is already used by {names[j]}"
                 )
-    first: dict[int, int] = {}
-    for i, frame in enumerate(frames):
-        j = first.setdefault(frame.scene_id, i)
-        if j != i:
-            raise ConfigurationError(
-                f"{names[i]}: scene_id {frame.scene_id} is already used by {names[j]}"
-            )
+        self.frames = sorted(frames, key=lambda f: f.scene_id)
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    @cached_property
+    def prepared(self) -> list[FrameData]:
+        return [prepare_frame(f) for f in self.frames]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +287,7 @@ def _lend(lane: np.ndarray, stack: DenseStack, n: int) -> tuple[np.ndarray, np.n
 def _embed(
     stack: DenseStack,
     x: np.ndarray,
-    groups: list[np.ndarray],
+    regions: Regions,
     slots: dict | None,
     key,
     lane: np.ndarray,
@@ -289,7 +305,7 @@ def _embed(
     h, cache = embednet.forward(stack, x, reuse=reuse, out=out, work=work)
     if slots is not None:
         slots[key] = cache
-    rows, valid, pcache = embednet.pool_regions(h, groups)
+    rows, valid, pcache = embednet.pool_regions(h, regions)
     return rows, valid, (cache, pcache)
 
 
@@ -303,7 +319,7 @@ def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, lane: np.nd
     cache's, so it holds until the slot's next backward.
     """
     cache, pcache = caches
-    out, work = _lend(lane, stack, pcache.num_rows)
+    out, work = _lend(lane, stack, pcache.regions.num_rows)
     g = embednet.pool_backward(upstream, pcache, out=out)
     return embednet.backward(stack, g, cache, work=work, input_grad=False)[0]
 
@@ -355,10 +371,10 @@ class _Run:
         """Frame ``fd``'s 2D side in batch slot ``k``, as ``_embed`` gives it;
         with ``freeze_2d``, the rows pooled the first time and no caches."""
         if self.rows2d is None:
-            return _embed(stack, fd.x2d, fd.groups2d, self.slots, ("2d", k), lane)
-        # keyed by identity: the run's FrameData outlive the run
+            return _embed(stack, fd.x2d, fd.regions2d, self.slots, ("2d", k), lane)
+        # keyed by identity: a SceneSet's FrameData outlive the run
         if id(fd) not in self.rows2d:
-            rows, valid, _ = _embed(stack, fd.x2d, fd.groups2d, None, None, lane)
+            rows, valid, _ = _embed(stack, fd.x2d, fd.regions2d, None, None, lane)
             self.rows2d[id(fd)] = rows, valid, None
         return self.rows2d[id(fd)]
 
@@ -432,7 +448,7 @@ def run_step(
     """
     tasks = [partial(run.embed2d, model.embed2d, k, fd) for k, fd in enumerate(batch)]
     tasks += [
-        partial(_embed, model.embed3d, fd.x3d, fd.groups3d, run.slots, ("3d", k))
+        partial(_embed, model.embed3d, fd.x3d, fd.regions3d, run.slots, ("3d", k))
         for k, fd in enumerate(batch)
     ]
     sides = _run_tasks(run.worker, tasks, run.scratch)
@@ -473,8 +489,8 @@ def run_step(
     # embed2d's slice, then embed3d's, then the blending stacks'
     n2d = model.embed2d.num_params
     n3d = n2d + model.embed3d.num_params
-    ends = np.cumsum([len(fd.groups2d) for fd in batch])
-    rows = [slice(end - len(fd.groups2d), end) for fd, end in zip(batch, ends)]
+    ends = np.cumsum([len(fd.signs) for fd in batch])
+    rows = [slice(end - len(fd.signs), end) for fd, end in zip(batch, ends)]
     # each backward task, and the slice of grads its vector is added into
     tasks, dests = [], []
     for stack, upstream, side, dest in (
@@ -514,24 +530,23 @@ class PretrainResult:
     checkpoint_path: Path | None
 
 
-def pretrain(frames: list[SceneFrame], cfg: TrainConfig, out_dir=None) -> PretrainResult:
-    """Train on the given frames, one per scene, shuffled from scene-id order;
-    optionally write checkpoint + metrics.  Every frame goes through
-    ``prepare_frame`` once per call, after the checks and before any step.
+def pretrain(scenes: SceneSet, cfg: TrainConfig, out_dir=None) -> PretrainResult:
+    """Train on the set's frames, shuffled from scene-id order; optionally
+    write checkpoint + metrics.  A set no run has used yet is prepared
+    after the output directory is made and before any step.
     """
     cfg.validate()
-    check_scene_set(frames)
-    if len(frames) < cfg.scenes_per_batch:
+    if len(scenes) < cfg.scenes_per_batch:
         raise ConfigurationError(
             f"need at least scenes_per_batch={cfg.scenes_per_batch} scenes, "
-            f"have {len(frames)}"
+            f"have {len(scenes)}"
         )
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)  # fails here, before any step
-    scene_data = [prepare_frame(f) for f in sorted(frames, key=lambda f: f.scene_id)]
+    scene_data = scenes.prepared
 
-    model = init_model(frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
+    model = init_model(scenes.frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
     metrics = [losses.CSV_HEADER]
     step = 0
     with _Run.open(model, cfg, scene_data) as run:
@@ -639,20 +654,18 @@ def fit_linear_probe(
     )
 
 
-def probe_split(frames: list[SceneFrame]) -> tuple[list[SceneFrame], list[SceneFrame]]:
+def probe_split(scenes: SceneSet) -> tuple[list[SceneFrame], list[SceneFrame]]:
     """Hold out the highest-id quarter of scenes (at least one) for evaluation."""
-    if len(frames) < 2:
+    if len(scenes) < 2:
         raise ConfigurationError("probing needs at least 2 scenes")
-    scenes = sorted(frames, key=lambda f: f.scene_id)
     n_test = max(1, len(scenes) // 4)
-    return scenes[:-n_test], scenes[-n_test:]
+    return scenes.frames[:-n_test], scenes.frames[-n_test:]
 
 
-def linear_probe(model: Model, frames: list[SceneFrame], cfg: TrainConfig) -> ProbeReport:
+def linear_probe(model: Model, scenes: SceneSet, cfg: TrainConfig) -> ProbeReport:
     """Probe the frozen 3D embedding on a seeded label subset."""
     cfg.validate()
-    check_scene_set(frames)
-    train_frames, test_frames = probe_split(frames)
+    train_frames, test_frames = probe_split(scenes)
     n = sum(len(f.points) for f in train_frames)
     n_lab = int(round(cfg.probe_fraction * n))
     if n_lab == 0:
@@ -774,20 +787,20 @@ def _embednet_case(rng: np.random.Generator):
     n = int(rng.integers(2, 7))
     x = rng.normal(size=(n, widths[0]))
     n_groups = int(rng.integers(1, 4))
-    groups = [
-        np.flatnonzero(rng.integers(0, n_groups, size=n) == g)
-        for g in range(n_groups)
-    ]
+    regions = Regions(
+        [np.flatnonzero(rng.integers(0, n_groups, size=n) == g) for g in range(n_groups)],
+        n,
+    )
     weights = rng.normal(size=(n_groups, widths[-1]))
 
     def objective() -> float:
         h, _ = embednet.forward(stack, x)
-        rows, valid, _ = embednet.pool_regions(h, groups)
+        rows, valid, _ = embednet.pool_regions(h, regions)
         return float(np.sum(weights * rows * valid[:, None]))
 
     h, fcache = embednet.forward(stack, x)
-    rows, valid, pcache = embednet.pool_regions(h, groups)
-    sizes = np.array([len(g) for g in groups])
+    rows, valid, pcache = embednet.pool_regions(h, regions)
+    sizes = np.diff(regions.offsets)
     # a populated group with tiny or exactly-zero norm sits on the
     # validity discontinuity, where FD measures the jump, not the slope
     if _near_kink(fcache) or np.any((sizes > 0) & (pcache.norms < 1e-3)):
@@ -911,20 +924,21 @@ def arm_config(base: TrainConfig, arm: str) -> TrainConfig:
 
 
 def run_ablation(
-    frames: list[SceneFrame], base_cfg: TrainConfig, seeds: range | list[int], arms=ARMS
+    scenes: SceneSet, base_cfg: TrainConfig, seeds: range | list[int], arms=ARMS
 ) -> list[tuple[str, int, float]]:
     """Train the arms per seed; rows of (arm, seed, probe accuracy).
 
     Seed-major, arms in the given order.  Each (arm, seed) job is one
     ``pretrain`` and one ``linear_probe`` at ``arm_config(base_cfg, arm)``
-    with that seed, so a row does not depend on which other jobs ran.
+    with that seed, so a row does not depend on which other jobs ran; the
+    jobs share the set's one preparation.
     """
     rows = []
     for seed in seeds:
         for arm in arms:
             cfg = replace(arm_config(base_cfg, arm), seed=seed)
-            result = pretrain(frames, cfg)
-            acc = linear_probe(result.model, frames, cfg).mean_accuracy
+            result = pretrain(scenes, cfg)
+            acc = linear_probe(result.model, scenes, cfg).mean_accuracy
             rows.append((arm, seed, acc))
     return rows
 

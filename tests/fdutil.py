@@ -11,8 +11,10 @@ package does not carry, ``scene_bytes`` for a frame equality,
 are the per-primitive ray caster and the always-splitting segmenter that
 the package's per-camera passes replaced; scenes must keep their bytes.
 ``loop_prototypes`` and ``loop_ema`` are the per-region and per-class
-loops that the package's array group-bys replaced; they must agree bit
-for bit.  ``join_banks`` makes the one bank that a step hands to
+loops that the package's array group-bys replaced, and
+``loop_pool_regions`` and ``loop_pool_backward`` the pooling loops over
+lists of groups that its flat regions replaced; they must agree bit for
+bit.  ``join_banks`` makes the one bank that a step hands to
 ``build_prototypes`` out of several.  ``stored_forward`` and
 ``stored_backward`` are the stack passes that keep every hidden output
 and always compute the input gradient, which the package's recomputing
@@ -206,7 +208,7 @@ def recover_point_labels(frame) -> np.ndarray:
 
 
 def per_camera_associations(frame):
-    """``prepare_frame``'s (groups2d, groups3d, signs), camera by camera.
+    """``prepare_frame``'s regions, as lists of groups, and signs, camera by camera.
 
     Global ids are computed once for the point claim and once per camera
     for the pixels, which are grouped by local id and shifted by
@@ -256,6 +258,42 @@ def per_camera_associations(frame):
     return groups2d, groups3d, np.array(signs, dtype=np.int64)
 
 
+def loop_pool_regions(features: np.ndarray, groups: list[np.ndarray]):
+    """``pool_regions`` over a list of groups, each range-checked on every
+    call, as it was before regions were laid out flat; (rows, valid,
+    means, norms)."""
+    feats = np.asarray(features, dtype=np.float64)
+    n, d = feats.shape
+    means = np.zeros((len(groups), d))
+    valid = np.zeros(len(groups), dtype=bool)
+    for i, idx in enumerate(groups):
+        if len(idx) == 0:
+            continue
+        if idx.min() < 0 or idx.max() >= n:
+            raise ShapeError(f"group {i} indexes outside [0,{n})")
+        means[i] = np.add.reduce(feats[idx], axis=0) / len(idx)
+        valid[i] = True
+    norms = np.linalg.norm(means, axis=1)
+    valid &= ~(norms < 1e-12)
+    safe = np.where(valid, norms, 1.0)
+    rows = np.where(valid[:, None], means / safe[:, None], 0.0)
+    return rows, valid, means, norms
+
+
+def loop_pool_backward(upstream, groups, means, norms, valid, num_rows: int) -> np.ndarray:
+    """``pool_backward`` over a list of groups, as it was before regions
+    were laid out flat."""
+    out = np.zeros((num_rows, means.shape[1]))
+    for i, idx in enumerate(groups):
+        if not valid[i]:
+            continue
+        u = means[i] / norms[i]
+        gi = upstream[i]
+        g_mean = (gi - np.dot(gi, u) * u) / norms[i]
+        out[idx] += g_mean / len(idx)
+    return out
+
+
 def scene_bytes(frame) -> bytes:
     """The frame's ``.cscs`` encoding, which holds every field of the frame."""
     with tempfile.TemporaryDirectory() as d:
@@ -264,13 +302,14 @@ def scene_bytes(frame) -> bytes:
         return path.read_bytes()
 
 
-def full_embed_probe(model, frames, cfg):
+def full_embed_probe(model, scenes, cfg):
     """``linear_probe`` as it was first written: embed every point, then draw.
 
-    Every training point is embedded, frame by frame, and the labelled rows
-    are picked from the result with the probe's own seeded draw.
+    Every training point of the SceneSet is embedded, frame by frame, and
+    the labelled rows are picked from the result with the probe's own
+    seeded draw.
     """
-    train_frames, test_frames = trainer.probe_split(frames)
+    train_frames, test_frames = trainer.probe_split(scenes)
 
     def embed(fs):
         zs, ys = [], []
@@ -290,11 +329,12 @@ def full_embed_probe(model, frames, cfg):
     )
 
 
-def random_init_probe(frames, cfg, seed: int) -> trainer.ProbeReport:
-    """Probe an untrained model; the floor the trained arms must beat."""
-    feat_dim = frames[0].pixel_features.shape[3]
+def random_init_probe(scenes, cfg, seed: int) -> trainer.ProbeReport:
+    """Probe an untrained model on a SceneSet; the floor the trained arms
+    must beat."""
+    feat_dim = scenes.frames[0].pixel_features.shape[3]
     model = trainer.init_model(feat_dim, cfg.embed_dim, seed)
-    return trainer.linear_probe(model, frames, replace(cfg, seed=seed))
+    return trainer.linear_probe(model, scenes, replace(cfg, seed=seed))
 
 
 def join_banks(banks) -> EmbeddingBank:

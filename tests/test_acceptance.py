@@ -23,6 +23,7 @@ from scenecontrast.scenegen import (
     write_scene,
 )
 from scenecontrast.trainer import (
+    SceneSet,
     TrainConfig,
     gradcheck,
     load_model,
@@ -183,9 +184,9 @@ def test_criterion_3_prototype_brute_force():
 
 
 def test_criterion_4_gate_schedule(tmp_path):
-    frames = [
+    frames = SceneSet([
         generate_scene(40 + s, SMALL_CFG, SMALL_GEOM, scene_id=s) for s in range(6)
-    ]
+    ])
     cfg = TrainConfig(epochs=7, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=5)
     res = pretrain(frames, cfg, out_dir=tmp_path)
     rows = [
@@ -200,10 +201,10 @@ def test_criterion_4_gate_schedule(tmp_path):
 
 @pytest.mark.slow
 def test_criterion_5_determinism_at_desk_defaults(tmp_path):
-    frames = [
+    frames = SceneSet([
         generate_scene(900 + s, SemanticOracleConfig(), SceneGeometry(), scene_id=s)
         for s in range(32)
-    ]
+    ])
     cfg = TrainConfig()  # 20 epochs, the desk-scale defaults
     t0 = time.time()
     first = pretrain(frames, cfg, out_dir=tmp_path / "run1")
@@ -222,10 +223,10 @@ def test_criterion_5_determinism_at_desk_defaults(tmp_path):
 
 @pytest.mark.slow
 def test_criterion_6_directional_ablation():
-    frames = [
+    frames = SceneSet([
         generate_scene(500 + s, ABLATION_SCENE_CFG, ABLATION_GEOM, scene_id=s)
         for s in range(ABLATION_SCENES)
-    ]
+    ])
     seeds = list(range(ABLATION_SEEDS))
     acc = {arm: [] for arm in ("rand", "sp", "sp+rawpro", "sp+mmpb")}
     for seed in seeds:
@@ -279,7 +280,7 @@ def test_criterion_8_round_trip_io(tmp_path):
         generate_scene(40 + s, SMALL_CFG, SMALL_GEOM, scene_id=s) for s in range(4)
     ]
     cfg = TrainConfig(epochs=1, scenes_per_batch=2, embed_dim=12, lr=0.01)
-    res = pretrain(frames, cfg, out_dir=tmp_path / "ck")
+    res = pretrain(SceneSet(frames), cfg, out_dir=tmp_path / "ck")
     feat_dim = frames[0].pixel_features.shape[3]
     back = load_model(res.checkpoint_path, feat_dim, cfg.embed_dim)
     again = tmp_path / "ck2.cscw"

@@ -4,8 +4,10 @@ import dataclasses
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -631,6 +633,72 @@ def test_ablate_arm_uses_config_seed(scene_dir, tmp_path, capsys):
     assert header == "arm,seed,accuracy"
     assert line.split(",")[:2] == ["sp", "5"]
     assert (out / "ablate.csv").read_text() == printed
+
+
+def test_ablate_checks_and_prepares_the_scene_set_once(tmp_path, monkeypatch, capsys):
+    scenes = tmp_path / "scenes"
+    gen = GEN[:GEN.index("--count")] + ["--count", "16"] + GEN[GEN.index("--count") + 2:]
+    assert main(gen + ["--out", str(scenes)]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(CFG_TEXT)
+    built, prepared = [], []
+    real_prepare = trainer.prepare_frame
+
+    class CountedSet(trainer.SceneSet):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    def prepare_frame(frame):
+        prepared.append(frame.scene_id)
+        return real_prepare(frame)
+
+    monkeypatch.setattr(trainer, "SceneSet", CountedSet)
+    monkeypatch.setattr(trainer, "prepare_frame", prepare_frame)
+    common = ["--scenes", str(scenes), "--config", str(cfg)]
+    assert main(["ablate", *common, "--seeds", "2"]) == 0
+    # six jobs, each a pretrain and a probe over one set prepared once
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 2
+    assert (len(built), sorted(prepared)) == (1, list(range(16)))
+
+    built.clear(), prepared.clear()
+    assert main(["pretrain", *common, "--out", str(tmp_path / "run")]) == 0
+    assert (len(built), len(prepared)) == (1, 16)
+    built.clear(), prepared.clear()
+    ckpt = str(tmp_path / "run" / "checkpoint.cscw")
+    assert main(["probe", *common, "--ckpt", ckpt]) == 0
+    assert (len(built), len(prepared)) == (1, 0)
+
+
+def test_interrupted_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
+    src = str(Path(scenecontrast.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(CFG_TEXT.replace("epochs = 2", "epochs = 100000"))
+    out = tmp_path / "o"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scenecontrast.cli", "pretrain", "--config", str(cfg),
+         "--scenes", str(scene_dir), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        # pretrain makes --out just before it prepares the scenes and steps
+        deadline = time.monotonic() + 60
+        while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert proc.poll() is None, proc.communicate()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 2, err
+    assert "error: pretrain: interrupted\n" in err
+    assert "Traceback" not in err
+    assert out.is_dir() and not (out / "checkpoint.cscw").exists()
 
 
 @pytest.mark.parametrize("line", ["lr = nan", "tau_sp = inf", "tau_pro = nan"])

@@ -11,6 +11,7 @@ from scenecontrast import embednet
 from scenecontrast.embednet import (
     DenseLayer,
     DenseStack,
+    Regions,
     backward,
     forward,
     init_stack,
@@ -32,6 +33,8 @@ from scenecontrast.errors import (
 
 from fdutil import (
     central_diff,
+    loop_pool_backward,
+    loop_pool_regions,
     max_rel_err,
     set_stack_params,
     stack_params,
@@ -390,31 +393,35 @@ def test_gradients_match_fd(rng):
 # pooling
 
 
+def pool(feats, groups):
+    return pool_regions(feats, Regions(groups, len(feats)))
+
+
 def test_pool_identical_rows():
     v = np.array([3.0, 4.0])
     feats = np.stack([v, v, v])
-    rows, valid, _ = pool_regions(feats, [np.array([0, 1, 2])])
+    rows, valid, _ = pool(feats, [np.array([0, 1, 2])])
     assert valid[0]
     assert np.allclose(rows[0], v / 5.0)
 
 
 def test_pool_cancellation_invalid():
     v = np.array([1.0, -2.0, 0.5])
-    rows, valid, _ = pool_regions(np.stack([v, -v]), [np.array([0, 1])])
+    rows, valid, _ = pool(np.stack([v, -v]), [np.array([0, 1])])
     assert not valid[0]
     assert np.all(rows[0] == 0.0)
 
 
 def test_pool_empty_group_invalid(rng):
     feats = rng.normal(size=(4, 3))
-    rows, valid, _ = pool_regions(feats, [np.array([], dtype=int), np.array([1])])
+    rows, valid, _ = pool(feats, [np.array([], dtype=int), np.array([1])])
     assert not valid[0]
     assert valid[1]
 
 
 def test_pool_three_member_oracle():
     feats = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5], [9.0, 9.0]])
-    rows, valid, _ = pool_regions(feats, [np.array([0, 1, 2])])
+    rows, valid, _ = pool(feats, [np.array([0, 1, 2])])
     # scalar-loop mean and normalize
     mean = [0.0, 0.0]
     for i in (0, 1, 2):
@@ -429,7 +436,7 @@ def test_pool_three_member_oracle():
 def test_pool_rows_unit_norm(rng):
     feats = rng.normal(size=(30, 8))
     groups = [np.arange(0, 10), np.arange(10, 11), np.arange(11, 30)]
-    rows, valid, _ = pool_regions(feats, groups)
+    rows, valid, _ = pool(feats, groups)
     norms = np.linalg.norm(rows[valid], axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
@@ -440,15 +447,82 @@ def test_pool_permutation_invariance(seed):
     r = np.random.default_rng(seed)
     feats = r.normal(size=(12, 4))
     idx = r.choice(12, size=6, replace=False)
-    rows_a, valid_a, _ = pool_regions(feats, [idx])
-    rows_b, valid_b, _ = pool_regions(feats, [r.permutation(idx)])
+    rows_a, valid_a, _ = pool(feats, [idx])
+    rows_b, valid_b, _ = pool(feats, [r.permutation(idx)])
     assert valid_a[0] == valid_b[0]
     assert np.allclose(rows_a, rows_b, atol=1e-12)
 
 
 def test_pool_group_out_of_range(rng):
     with pytest.raises(ShapeError):
-        pool_regions(rng.normal(size=(3, 2)), [np.array([5])])
+        pool(rng.normal(size=(3, 2)), [np.array([5])])
+
+
+@pytest.mark.parametrize(
+    "groups,index",
+    [([[0, 1], [5]], 1), ([[], [2], [0, -1]], 2), ([[3], [], [], [1, 0, 3]], 0)],
+)
+def test_regions_reject_members_out_of_range(groups, index):
+    with pytest.raises(ShapeError, match=rf"group {index} indexes outside \[0,3\)"):
+        Regions([np.array(g, dtype=np.int64) for g in groups], 3)
+
+
+def test_regions_reject_non_integer_members():
+    with pytest.raises(TypeError):
+        Regions([np.array([0.0, 1.0])], 3)
+
+
+def test_regions_are_checked_once_and_read_only():
+    regions = Regions([np.array([2, 0]), np.array([], dtype=np.int64)], 3)
+    assert [g.tolist() for g in regions] == [[2, 0], []]
+    with pytest.raises(ValueError, match="read-only"):
+        regions.members[0] = 7
+
+
+def test_pool_rows_must_match_the_regions(rng):
+    regions = Regions([np.array([0, 1])], 3)
+    for shape in [(2, 4), (4, 4), (3,)]:
+        with pytest.raises(ShapeError):
+            pool_regions(rng.normal(size=shape), regions)
+
+
+def _pool_cases(d):
+    """Feature rows and groups: empty groups, singletons, a group whose
+    rows cancel, groups that share rows (row 13 is in three, so the order
+    of its backward sum shows), a row repeated in its group, a non-finite
+    row, and a partition of the remaining rows."""
+    r = np.random.default_rng(d)
+    feats = r.normal(size=(60, d))
+    feats[1] = -feats[0]
+    feats[2] = np.nan
+    groups = [[], [5], [0, 1], [], [10, 11, 12, 13], [12, 13, 14], [20, 20, 21], [2, 3],
+              [7], [13, 15]]
+    rest = r.permutation(np.arange(22, 60))
+    groups += np.split(rest, [5, 6, 20, 31])
+    return feats, [np.asarray(g, dtype=np.int64) for g in groups]
+
+
+@pytest.mark.parametrize("d", [32, 64])
+def test_pool_regions_matches_the_group_loop_bit_for_bit(d):
+    feats, groups = _pool_cases(d)
+    rows, valid, cache = pool(feats, groups)
+    want_rows, want_valid, means, norms = loop_pool_regions(feats, groups)
+    assert valid.tolist() == want_valid.tolist()
+    assert valid[1] and not valid[0] and not valid[2]  # empty and cancelling: invalid
+    assert valid[7]  # a NaN mean stays valid, so the step's finite check sees it
+    for got, want in ((rows, want_rows), (cache.means, means), (cache.norms, norms)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [32, 64])
+def test_pool_backward_matches_the_group_loop_bit_for_bit(d):
+    feats, groups = _pool_cases(d)
+    feats[2] = 1.0  # finite, so the comparison is of numbers
+    _, valid, cache = pool(feats, groups)
+    upstream = np.random.default_rng(d + 1).normal(size=(len(groups), d))
+    _, _, means, norms = loop_pool_regions(feats, groups)
+    want = loop_pool_backward(upstream, groups, means, norms, valid, len(feats))
+    assert pool_backward(upstream, cache).tobytes() == want.tobytes()
 
 
 def test_pool_backward_matches_fd(rng):
@@ -458,10 +532,10 @@ def test_pool_backward_matches_fd(rng):
         w = rng.normal(size=(3, 4))
 
         def f():
-            rows, valid, _ = pool_regions(feats, groups)
+            rows, valid, _ = pool(feats, groups)
             return float(np.sum(w * rows))
 
-        rows, valid, cache = pool_regions(feats, groups)
+        rows, valid, cache = pool(feats, groups)
         gx = pool_backward(w * valid[:, None], cache)
         assert max_rel_err(gx, central_diff(f, feats)) < 1e-4
 
@@ -469,7 +543,7 @@ def test_pool_backward_matches_fd(rng):
 def test_pool_backward_into_out(rng):
     feats = rng.normal(size=(9, 4))
     groups = [np.array([0, 1, 2]), np.array([], dtype=int), np.array([4, 5, 6, 7])]
-    _, valid, cache = pool_regions(feats, groups)
+    _, valid, cache = pool(feats, groups)
     w = rng.normal(size=(3, 4)) * valid[:, None]
     want = pool_backward(w, cache)
     out = rng.normal(size=(9, 4))  # rows 3 and 8 belong to no group

@@ -319,7 +319,7 @@ GEOMETRIES = {
 def assert_matches_per_camera(frame: SceneFrame):
     fd = prepare_frame(frame)
     groups2d, groups3d, signs = per_camera_associations(frame)
-    for got, want in ((fd.groups2d, groups2d), (fd.groups3d, groups3d)):
+    for got, want in ((fd.regions2d, groups2d), (fd.regions3d, groups3d)):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -340,5 +340,5 @@ def test_prepare_frame_matches_per_camera_reference_unassigned(blank):
     spix = frame.superpixel_raster.copy()
     spix[blank] = UNASSIGNED
     frame = replace(frame, superpixel_raster=spix)
-    assert len(prepare_frame(frame).groups2d) == camera_offsets(frame)[-1]
+    assert len(prepare_frame(frame).regions2d) == camera_offsets(frame)[-1]
     assert_matches_per_camera(frame)

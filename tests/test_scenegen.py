@@ -20,7 +20,7 @@ from scenecontrast.scenegen import (
     read_scene,
     write_scene,
 )
-from scenecontrast.trainer import TrainConfig, pretrain
+from scenecontrast.trainer import SceneSet, TrainConfig, pretrain
 
 from conftest import SMALL_CFG, SMALL_GEOM
 from fdutil import (
@@ -218,7 +218,7 @@ def test_one_pixel_wide_raster_generates_reads_and_trains(tmp_path, height, widt
     back = [read_scene(tmp_path / f"{s}.cscs") for s in range(4)]
     assert back[0].pixel_features.shape == (2, height, width, 8)
     cfg = TrainConfig(epochs=2, scenes_per_batch=2, embed_dim=8, lam=0)
-    assert len(pretrain(back, cfg).metrics) > 1
+    assert len(pretrain(SceneSet(back), cfg).metrics) > 1
 
 
 def test_geometry_bounds_points_and_pixel_rows():

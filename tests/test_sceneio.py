@@ -1,5 +1,7 @@
 """Scene file format: byte-exact round trips and corruption handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -152,6 +154,42 @@ def test_class_count_bounded_by_the_label_dtype(tmp_path):
     assert err.value.offset == 28
 
 
+def _traced_read(path):
+    """``read_scene(path)`` or its error, and the peak bytes numpy and
+    Python allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        try:
+            got = read_scene(path)
+        except SceneFormatError as err:
+            got = err
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_scene_peak_memory_is_bounded_by_the_file(tmp_path):
+    # the file is held once and each section is copied once, into its array
+    path = tmp_path / "big.cscs"
+    geom = SceneGeometry(num_cameras=2, height=512, width=512)
+    write_scene(generate_scene(1, SemanticOracleConfig(), geom), path)
+    size = path.stat().st_size
+    frame, peak = _traced_read(path)
+    assert peak <= 2.6 * size, peak / size
+    assert scene_bytes(frame) == path.read_bytes()
+
+
+def test_damaged_feature_width_allocates_nothing_the_file_lacks(tmp_path):
+    # F0 = 2^30 asks for 2^42 feature bytes per camera; the file holds none
+    path = tmp_path / "scene.cscs"
+    write_patched(path, 24, np.uint32(1 << 30).astype("<u4").tobytes())
+    err, peak = _traced_read(path)
+    assert isinstance(err, SceneFormatError)
+    assert str(err).startswith("truncated while reading camera 0 pixel_features")
+    assert err.offset == FEATS0
+    assert peak <= 2 * path.stat().st_size, peak
+
+
 @pytest.mark.parametrize(
     "patched,value,message,offset",
     [
@@ -295,5 +333,5 @@ def test_fuzzed_corruption_raises_cleanly(tmp_path_factory, data):
         assert 0 <= err.offset <= len(blob)
         return
     fd = prepare_frame(frame)
-    assert len(fd.signs) == len(fd.groups2d) <= frame.superpixel_raster.size
+    assert len(fd.signs) == len(fd.regions2d) <= frame.superpixel_raster.size
     assert np.isfinite(fd.x2d).all() and np.isfinite(fd.x3d).all()

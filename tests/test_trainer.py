@@ -28,6 +28,7 @@ from scenecontrast.losses import CSV_HEADER
 from scenecontrast.scenegen import SceneGeometry, SemanticOracleConfig, generate_scene
 from scenecontrast.trainer import (
     ARMS,
+    SceneSet,
     TrainConfig,
     ablation_csv,
     arm_config,
@@ -204,14 +205,14 @@ CFG = TrainConfig(
 
 
 @pytest.fixture(scope="module")
-def prepared(small_frames):
-    return [trainer.prepare_frame(f) for f in small_frames]
+def prepared(small_set):
+    return small_set.prepared
 
 
 @pytest.fixture(scope="module")
-def trained(small_frames, tmp_path_factory):
+def trained(small_set, tmp_path_factory):
     out = tmp_path_factory.mktemp("run") / "out"
-    return pretrain(small_frames, CFG, out_dir=out)
+    return pretrain(small_set, CFG, out_dir=out)
 
 
 def test_metrics_shape(trained):
@@ -235,15 +236,15 @@ def test_gate_opens_after_lam(trained):
     assert closed == [0.0] * len(closed)
 
 
-def test_gate_never_opens_when_lam_equals_epochs(small_frames):
+def test_gate_never_opens_when_lam_equals_epochs(small_set):
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=2)
-    res = pretrain(small_frames, cfg)
+    res = pretrain(small_set, cfg)
     assert all(r.split(",")[2] == "0" for r in res.metrics[1:])
 
 
-def test_pretrain_bitwise_deterministic(small_frames, tmp_path, trained):
+def test_pretrain_bitwise_deterministic(small_set, tmp_path, trained):
     out2 = tmp_path / "rerun"
-    again = pretrain(small_frames, CFG, out_dir=out2)
+    again = pretrain(small_set, CFG, out_dir=out2)
     assert again.metrics == trained.metrics
     assert (
         trained.checkpoint_path.read_bytes()
@@ -252,10 +253,10 @@ def test_pretrain_bitwise_deterministic(small_frames, tmp_path, trained):
     assert (out2 / "metrics.csv").read_text().splitlines() == trained.metrics
 
 
-def test_lr_zero_freezes_parameters(small_frames):
+def test_lr_zero_freezes_parameters(small_set):
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.0, lam=1)
-    res = pretrain(small_frames, cfg)
-    feat_dim = small_frames[0].pixel_features.shape[3]
+    res = pretrain(small_set, cfg)
+    feat_dim = small_set.frames[0].pixel_features.shape[3]
     fresh = init_model(feat_dim, cfg.embed_dim, cfg.seed)
     for got, want in zip(res.model.stacks(), fresh.stacks()):
         for lg, lw in zip(got.layers, want.layers):
@@ -265,58 +266,49 @@ def test_lr_zero_freezes_parameters(small_frames):
     assert len(res.metrics) == 1 + 2 * 2
 
 
-def test_training_reduces_sp_loss(small_frames):
+def test_training_reduces_sp_loss(small_set):
     cfg = TrainConfig(epochs=4, scenes_per_batch=3, embed_dim=16, lr=0.05, lam=4)
-    res = pretrain(small_frames, cfg)
+    res = pretrain(small_set, cfg)
     totals = [float(r.split(",")[5]) for r in res.metrics[1:]]
     first_epoch = np.mean(totals[:2])
     last_epoch = np.mean(totals[-2:])
     assert last_epoch < first_epoch
 
 
-def test_library_calls_reject_a_mixed_scene_set(small_frames):
+def test_library_calls_reject_a_mixed_scene_set(small_set):
     nine = generate_scene(
         103,
         SemanticOracleConfig(num_classes=9, objects_per_scene=5),
         SceneGeometry(num_points=384, height=32, width=32),
         scene_id=3,
     )
-    frames = small_frames[:3] + [nine]
-    cfg = TrainConfig(epochs=1, scenes_per_batch=2, embed_dim=16)
-    model = init_model(nine.pixel_features.shape[3], cfg.embed_dim, cfg.seed)
     message = "frame 3: num_classes is 9, but 6 in frame 0"
     with pytest.raises(ConfigurationError, match=message):
-        pretrain(frames, cfg)
-    with pytest.raises(ConfigurationError, match=message):
-        linear_probe(model, frames, cfg)
+        SceneSet(small_set.frames[:3] + [nine])
 
 
-def test_library_calls_reject_a_repeated_scene_id(small_frames):
-    frames = small_frames[:4] + [small_frames[1]]
-    cfg = TrainConfig(epochs=1, scenes_per_batch=2, embed_dim=16)
-    model = init_model(frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
+def test_library_calls_reject_a_repeated_scene_id(small_set):
+    frames = small_set.frames
     message = "frame 4: scene_id 1 is already used by frame 1"
     with pytest.raises(ConfigurationError, match=message):
-        pretrain(frames, cfg)
-    with pytest.raises(ConfigurationError, match=message):
-        linear_probe(model, frames, cfg)
+        SceneSet(frames[:4] + [frames[1]])
 
 
-def test_pretrain_orders_scenes_by_id(small_frames):
+def test_pretrain_orders_scenes_by_id(small_set):
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lam=0)
-    res = pretrain(small_frames, cfg)
-    back = pretrain(small_frames[::-1], cfg)
+    res = pretrain(small_set, cfg)
+    back = pretrain(SceneSet(small_set.frames[::-1]), cfg)
     assert back.metrics == res.metrics
     assert np.array_equal(back.model.params, res.model.params)
 
 
-def test_too_few_scenes_rejected(small_frames):
+def test_too_few_scenes_rejected(small_set):
     cfg = TrainConfig(scenes_per_batch=8)
     with pytest.raises(ConfigurationError, match="scenes_per_batch"):
-        pretrain(small_frames, cfg)
+        pretrain(small_set, cfg)
 
 
-def test_degenerate_batch_skipped_with_warning(small_frames, monkeypatch, capsys):
+def test_degenerate_batch_skipped_with_warning(small_set, monkeypatch, capsys):
     real = trainer.run_step
     calls = {"n": 0}
 
@@ -328,7 +320,7 @@ def test_degenerate_batch_skipped_with_warning(small_frames, monkeypatch, capsys
 
     monkeypatch.setattr(trainer, "run_step", flaky)
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=1)
-    res = pretrain(small_frames, cfg)
+    res = pretrain(small_set, cfg)
     err = capsys.readouterr().err
     assert "skipping batch" in err and "synthetic degeneracy" in err
     # one row lost, steps still contiguous from 1
@@ -337,7 +329,7 @@ def test_degenerate_batch_skipped_with_warning(small_frames, monkeypatch, capsys
 
 
 def test_out_dir_that_is_a_file_fails_before_any_step(
-    small_frames, monkeypatch, tmp_path
+    small_set, monkeypatch, tmp_path
 ):
     calls = []
     real = trainer.run_step
@@ -351,19 +343,19 @@ def test_out_dir_that_is_a_file_fails_before_any_step(
     taken.write_text("not a directory\n")
     cfg = TrainConfig(epochs=1, scenes_per_batch=3, embed_dim=16, lam=1)
     with pytest.raises(OSError):
-        pretrain(small_frames, cfg, out_dir=taken)
+        pretrain(small_set, cfg, out_dir=taken)
     assert calls == []
     assert taken.read_text() == "not a directory\n"
 
 
-def test_all_degenerate_epoch_is_fatal(small_frames, monkeypatch):
+def test_all_degenerate_epoch_is_fatal(small_set, monkeypatch):
     def broken(*args, **kwargs):
         raise DegenerateBatchError("nothing valid")
 
     monkeypatch.setattr(trainer, "run_step", broken)
     cfg = TrainConfig(epochs=1, scenes_per_batch=3, embed_dim=16, lam=1)
     with pytest.raises(TrainingError, match="every batch of epoch 1"):
-        pretrain(small_frames, cfg)
+        pretrain(small_set, cfg)
 
 
 def _collapse_fuse(params):
@@ -373,7 +365,7 @@ def _collapse_fuse(params):
         layer.bias[:] = 0.0
 
 
-def test_collapsed_blend_skips_the_batch(small_frames, monkeypatch, capsys):
+def test_collapsed_blend_skips_the_batch(small_set, monkeypatch, capsys):
     real = trainer.blending.blend
     calls = {"n": 0}
 
@@ -387,13 +379,13 @@ def test_collapsed_blend_skips_the_batch(small_frames, monkeypatch, capsys):
 
     monkeypatch.setattr(trainer.blending, "blend", collapsing)
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=0)
-    res = pretrain(small_frames, cfg)
+    res = pretrain(small_set, cfg)
     err = capsys.readouterr().err
     assert "skipping batch 1 of epoch 1: fused prototype collapsed" in err
     assert [int(r.split(",")[0]) for r in res.metrics[1:]] == [1, 2, 3]
 
 
-def test_collapsed_raw3d_prototype_skips_the_batch(small_frames, monkeypatch, capsys):
+def test_collapsed_raw3d_prototype_skips_the_batch(small_set, monkeypatch, capsys):
     real = trainer.protobank.build_prototypes
     calls = {"build": 0, "sgd": 0}
     real_sgd = trainer._Run.sgd
@@ -416,7 +408,7 @@ def test_collapsed_raw3d_prototype_skips_the_batch(small_frames, monkeypatch, ca
     cfg = TrainConfig(
         epochs=2, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=0, proto_mode="raw3d"
     )
-    res = pretrain(small_frames, cfg)
+    res = pretrain(small_set, cfg)
     err = capsys.readouterr().err
     assert "skipping batch 1 of epoch 1: raw 3D prototype collapsed to zero" in err
     assert err.count("skipping") == 1
@@ -424,7 +416,7 @@ def test_collapsed_raw3d_prototype_skips_the_batch(small_frames, monkeypatch, ca
     assert calls == {"build": 4, "sgd": 3}
 
 
-def test_collapsed_blend_every_batch_is_fatal(small_frames, monkeypatch, capsys):
+def test_collapsed_blend_every_batch_is_fatal(small_set, monkeypatch, capsys):
     real = trainer.init_model
 
     def collapsed_model(*args):
@@ -435,13 +427,13 @@ def test_collapsed_blend_every_batch_is_fatal(small_frames, monkeypatch, capsys)
     monkeypatch.setattr(trainer, "init_model", collapsed_model)
     cfg = TrainConfig(epochs=1, scenes_per_batch=3, embed_dim=16, lam=0)
     with pytest.raises(TrainingError, match="every batch of epoch 1"):
-        pretrain(small_frames, cfg)
+        pretrain(small_set, cfg)
     assert capsys.readouterr().err.count("fused prototype collapsed") == 2
 
 
-def test_skipped_batch_leaves_the_ema_bank(small_frames, prepared, monkeypatch):
+def test_skipped_batch_leaves_the_ema_bank(small_set, prepared, monkeypatch):
     cfg = replace(CFG, ema=True, lam=0)
-    model = init_model(small_frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
+    model = init_model(small_set.frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
 
     def collapsing(bank, params):
         raise DegenerateBatchError("fused prototype collapsed to zero norm")
@@ -460,9 +452,9 @@ def test_skipped_batch_leaves_the_ema_bank(small_frames, prepared, monkeypatch):
 
 @pytest.mark.parametrize("epoch, gate", [(CFG.lam, 0), (CFG.lam + 1, 1)])
 def test_prototype_work_runs_only_with_the_gate_open(
-    small_frames, prepared, monkeypatch, epoch, gate
+    small_set, prepared, monkeypatch, epoch, gate
 ):
-    model = init_model(small_frames[0].pixel_features.shape[3], CFG.embed_dim, CFG.seed)
+    model = init_model(small_set.frames[0].pixel_features.shape[3], CFG.embed_dim, CFG.seed)
     calls = {}
     for module, name in [
         (trainer.protobank, "build_prototypes"),
@@ -482,10 +474,10 @@ def test_prototype_work_runs_only_with_the_gate_open(
 
 
 @pytest.mark.parametrize("mode", ["raw3d", "mmpb"])
-def test_each_arm_hands_the_loss_its_own_prototypes(small_frames, prepared, monkeypatch, mode):
+def test_each_arm_hands_the_loss_its_own_prototypes(small_set, prepared, monkeypatch, mode):
     """raw3d scores the normalized 3D means, mmpb the blend of both tables."""
     cfg = replace(CFG, lam=0, proto_mode=mode)
-    model = init_model(small_frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
+    model = init_model(small_set.frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
     real = trainer.losses.loss_pro
     seen = []
 
@@ -506,11 +498,11 @@ def test_each_arm_hands_the_loss_its_own_prototypes(small_frames, prepared, monk
     assert pmix.dtype == want.dtype and pmix.tobytes() == want.tobytes()
 
 
-def test_ema_changes_prototype_term(small_frames):
+def test_ema_changes_prototype_term(small_set):
     base = TrainConfig(epochs=3, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=1)
-    plain = pretrain(small_frames, base)
+    plain = pretrain(small_set, base)
     ema = pretrain(
-        small_frames,
+        small_set,
         TrainConfig(
             epochs=3, scenes_per_batch=3, embed_dim=16, lr=0.01, lam=1, ema=True
         ),
@@ -526,9 +518,9 @@ def test_ema_changes_prototype_term(small_frames):
 
 
 @pytest.mark.parametrize("freeze", [False, True], ids=["trained", "frozen"])
-def test_params_is_the_only_parameter_storage(small_frames, tmp_path, freeze):
+def test_params_is_the_only_parameter_storage(small_set, tmp_path, freeze):
     cfg = replace(CFG, freeze_2d=freeze)
-    res = pretrain(small_frames, cfg, out_dir=tmp_path)
+    res = pretrain(small_set, cfg, out_dir=tmp_path)
     params = res.model.params
     arrays = [a for s in res.model.stacks() for l in s.layers for a in (l.weight, l.bias)]
     assert all(np.shares_memory(a, params) for a in arrays)
@@ -537,15 +529,15 @@ def test_params_is_the_only_parameter_storage(small_frames, tmp_path, freeze):
         [np.concatenate([w.ravel(), b]) for w, b in read_checkpoint(res.checkpoint_path)]
     )
     assert on_disk.tobytes() == params.tobytes()
-    feat_dim = small_frames[0].pixel_features.shape[3]
+    feat_dim = small_set.frames[0].pixel_features.shape[3]
     init = init_model(feat_dim, cfg.embed_dim, cfg.seed).params
     n2d = res.model.embed2d.num_params
     assert (params[:n2d].tobytes() == init[:n2d].tobytes()) == freeze
     assert params[n2d:].tobytes() != init[n2d:].tobytes()
 
 
-def test_load_model_copies_into_the_buffer(trained, small_frames):
-    feat_dim = small_frames[0].pixel_features.shape[3]
+def test_load_model_copies_into_the_buffer(trained, small_set):
+    feat_dim = small_set.frames[0].pixel_features.shape[3]
     back = load_model(trained.checkpoint_path, feat_dim, CFG.embed_dim)
     assert back.params.tobytes() == trained.model.params.tobytes()
     for layer in (l for s in back.stacks() for l in s.layers):
@@ -557,8 +549,8 @@ def test_load_model_copies_into_the_buffer(trained, small_frames):
 # checkpoints
 
 
-def test_model_save_load_round_trip(trained, tmp_path, small_frames):
-    feat_dim = small_frames[0].pixel_features.shape[3]
+def test_model_save_load_round_trip(trained, tmp_path, small_set):
+    feat_dim = small_set.frames[0].pixel_features.shape[3]
     path = tmp_path / "m.cscw"
     save_model(trained.model, path)
     back = load_model(path, feat_dim, CFG.embed_dim)
@@ -635,22 +627,22 @@ def test_probe_empty_training_set():
         )
 
 
-def test_probe_split_holds_out_last_quarter(small_frames):
-    train, test = probe_split(small_frames)
+def test_probe_split_holds_out_last_quarter(small_set):
+    train, test = probe_split(small_set)
     assert {f.scene_id for f in train} == {0, 1, 2, 3, 4}
     assert {f.scene_id for f in test} == {5}
     with pytest.raises(ConfigurationError):
-        probe_split(small_frames[:1])
-    back = probe_split(small_frames[::-1])
+        probe_split(SceneSet(small_set.frames[:1]))
+    back = probe_split(SceneSet(small_set.frames[::-1]))
     assert [[f.scene_id for f in part] for part in back] == [[0, 1, 2, 3, 4], [5]]
 
 
-def test_probe_sizes_its_classifier_by_the_labels(trained, small_frames):
+def test_probe_sizes_its_classifier_by_the_labels(trained, small_set):
     # a header may declare up to 65536 classes; the probe must not allocate
     # for classes no label uses, nor let them change the fit
-    wide = [replace(f, num_classes=65536) for f in small_frames]
+    wide = SceneSet([replace(f, num_classes=65536) for f in small_set.frames])
     cfg = TrainConfig(probe_fraction=0.05)
-    want = linear_probe(trained.model, small_frames, cfg)
+    want = linear_probe(trained.model, small_set, cfg)
     tracemalloc.start()
     try:
         got = linear_probe(trained.model, wide, cfg)
@@ -661,26 +653,26 @@ def test_probe_sizes_its_classifier_by_the_labels(trained, small_frames):
     assert peak < 16 * 2**20, peak
 
 
-def test_probe_fraction_too_small(trained, small_frames):
+def test_probe_fraction_too_small(trained, small_set):
     cfg = TrainConfig(probe_fraction=1e-7)
     with pytest.raises(ConfigurationError, match="selects no points"):
-        linear_probe(trained.model, small_frames, cfg)
+        linear_probe(trained.model, small_set, cfg)
 
 
-def test_probe_deterministic(trained, small_frames):
+def test_probe_deterministic(trained, small_set):
     cfg = TrainConfig(probe_fraction=0.05)
-    a = linear_probe(trained.model, small_frames, cfg)
-    b = linear_probe(trained.model, small_frames, cfg)
+    a = linear_probe(trained.model, small_set, cfg)
+    b = linear_probe(trained.model, small_set, cfg)
     assert a.mean_accuracy == b.mean_accuracy
     assert a.per_class == b.per_class
 
 
 @pytest.mark.parametrize("fraction", [0.01, 0.05, 0.3, 1.0])
-def test_probe_matches_the_full_embed_oracle(trained, small_frames, fraction):
+def test_probe_matches_the_full_embed_oracle(trained, small_set, fraction):
     for seed in range(3):
         cfg = TrainConfig(seed=seed, probe_fraction=fraction)
-        got = linear_probe(trained.model, small_frames, cfg)
-        assert got == full_embed_probe(trained.model, small_frames, cfg)  # bit for bit
+        got = linear_probe(trained.model, small_set, cfg)
+        assert got == full_embed_probe(trained.model, small_set, cfg)  # bit for bit
 
 
 def test_probe_matches_the_oracle_at_the_ablation_operating_point():
@@ -690,18 +682,18 @@ def test_probe_matches_the_oracle_at_the_ablation_operating_point():
     )
     from scenecontrast.scenegen import generate_scene
 
-    frames = [
+    frames = SceneSet([
         generate_scene(500 + s, ABLATION_SCENE_CFG, ABLATION_GEOM, scene_id=s)
         for s in range(ABLATION_SCENES)
-    ]
-    feat_dim = frames[0].pixel_features.shape[3]
+    ])
+    feat_dim = frames.frames[0].pixel_features.shape[3]
     for seed in range(ABLATION_SEEDS):
         model = init_model(feat_dim, ABLATION_TRAIN.embed_dim, seed)
         cfg = replace(ABLATION_TRAIN, seed=seed)
         assert linear_probe(model, frames, cfg) == full_embed_probe(model, frames, cfg)
 
 
-def test_trained_beats_random_probe(small_frames):
+def test_trained_beats_random_probe(small_set):
     cfg = TrainConfig(
         epochs=6,
         scenes_per_batch=3,
@@ -711,9 +703,9 @@ def test_trained_beats_random_probe(small_frames):
         freeze_2d=True,
         probe_fraction=0.05,
     )
-    res = pretrain(small_frames, cfg)
-    trained_acc = linear_probe(res.model, small_frames, cfg).mean_accuracy
-    random_acc = random_init_probe(small_frames, cfg, seed=cfg.seed).mean_accuracy
+    res = pretrain(small_set, cfg)
+    trained_acc = linear_probe(res.model, small_set, cfg).mean_accuracy
+    random_acc = random_init_probe(small_set, cfg, seed=cfg.seed).mean_accuracy
     assert trained_acc >= random_acc
 
 
@@ -731,10 +723,10 @@ FROZEN = TrainConfig(
     ids=["mmpb", "raw3d-ema"],
 )
 def test_frozen_2d_matches_dropping_the_2d_update(
-    small_frames, tmp_path, monkeypatch, cfg
+    small_set, tmp_path, monkeypatch, cfg
 ):
-    fast = pretrain(small_frames, cfg, out_dir=tmp_path / "fast")
-    feat_dim = small_frames[0].pixel_features.shape[3]
+    fast = pretrain(small_set, cfg, out_dir=tmp_path / "fast")
+    feat_dim = small_set.frames[0].pixel_features.shape[3]
     init2d = init_model(feat_dim, cfg.embed_dim, cfg.seed).embed2d
 
     # oracle: the unfrozen step, with the 2D gradients zeroed before SGD
@@ -747,7 +739,7 @@ def test_frozen_2d_matches_dropping_the_2d_update(
     with monkeypatch.context() as m:
         m.setattr(trainer._Run, "sgd", sgd_without_2d)
         ref = pretrain(
-            small_frames,
+            small_set,
             replace(cfg, freeze_2d=False),
             out_dir=tmp_path / "ref",
         )
@@ -763,7 +755,7 @@ def test_frozen_2d_matches_dropping_the_2d_update(
 
 
 @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "trained"])
-def test_frozen_2d_work_counts(small_frames, monkeypatch, freeze):
+def test_frozen_2d_work_counts(small_set, monkeypatch, freeze):
     models, batches, calls = [], [], []
     real_init, real_run_step = trainer.init_model, trainer.run_step
     real_forward, real_backward = embednet.forward, embednet.backward
@@ -796,7 +788,7 @@ def test_frozen_2d_work_counts(small_frames, monkeypatch, freeze):
     monkeypatch.setattr(trainer, "run_step", run_step_)
     monkeypatch.setattr(embednet, "forward", forward_)
     monkeypatch.setattr(embednet, "backward", backward_)
-    pretrain(small_frames, replace(FROZEN, freeze_2d=freeze))
+    pretrain(small_set, replace(FROZEN, freeze_2d=freeze))
 
     (model,) = models
     fwd2d = [(k, x) for fn, s, x, k in calls if fn == "forward" and s is model.embed2d]
@@ -806,7 +798,7 @@ def test_frozen_2d_work_counts(small_frames, monkeypatch, freeze):
     if freeze:
         # once per distinct frame per run, and never a 2D backward
         frames = {x for _, x in per_step}
-        assert len(frames) == len(small_frames)
+        assert len(frames) == len(small_set)
         assert sorted(x for _, x in fwd2d) == sorted(frames)
         assert bwd2d == []
     else:
@@ -853,7 +845,7 @@ class DrainingWorker(ThreadPoolExecutor):
     ids=["caller-runs-2d", "worker-runs-2d", "fast-switching"],
 )
 def test_2d_thread_does_not_change_outputs(
-    small_frames, tmp_path, monkeypatch, trained, executor, runs_all
+    small_set, tmp_path, monkeypatch, trained, executor, runs_all
 ):
     calls = []
     real_forward, real_backward = embednet.forward, embednet.backward
@@ -874,7 +866,7 @@ def test_2d_thread_does_not_change_outputs(
         # hand the interpreter lock back and forth as often as it allows
         sys.setswitchinterval(1e-6)
     try:
-        res = pretrain(small_frames, CFG, out_dir=tmp_path / "out")
+        res = pretrain(small_set, CFG, out_dir=tmp_path / "out")
     finally:
         sys.setswitchinterval(interval)
 
@@ -934,7 +926,7 @@ class Boom(Exception):
 
 
 @pytest.mark.parametrize("raising", ["worker", "caller"])
-def test_a_raising_task_stops_both_lanes(small_frames, prepared, monkeypatch, raising):
+def test_a_raising_task_stops_both_lanes(small_set, prepared, monkeypatch, raising):
     # the first task on the raising lane waits until the other lane is
     # inside a task, then raises; that task outlasts the raise by 0.2 s
     started, ended = [], []
@@ -955,7 +947,7 @@ def test_a_raising_task_stops_both_lanes(small_frames, prepared, monkeypatch, ra
         return None
 
     monkeypatch.setattr(trainer, "_embed", embed_)
-    model = init_model(small_frames[0].pixel_features.shape[3], CFG.embed_dim, CFG.seed)
+    model = init_model(small_set.frames[0].pixel_features.shape[3], CFG.embed_dim, CFG.seed)
     with trainer._Run.open(model, CFG, prepared) as run:
         with pytest.raises(Boom, match=raising):
             trainer.run_step(model, prepared[:3], 1, CFG, run)
@@ -966,7 +958,7 @@ def test_a_raising_task_stops_both_lanes(small_frames, prepared, monkeypatch, ra
         assert sorted(started) == sorted([raising, other])
 
 
-def test_frozen_2d_starts_no_thread(small_frames, monkeypatch):
+def test_frozen_2d_starts_no_thread(small_set, monkeypatch):
     submitted, alive = [], []
     real_submit, real_run_step = ThreadPoolExecutor.submit, trainer.run_step
 
@@ -981,7 +973,7 @@ def test_frozen_2d_starts_no_thread(small_frames, monkeypatch):
     monkeypatch.setattr(ThreadPoolExecutor, "submit", submit_)
     monkeypatch.setattr(trainer, "run_step", run_step_)
     before = sorted(t.name for t in threading.enumerate())
-    pretrain(small_frames, FROZEN)
+    pretrain(small_set, FROZEN)
     assert submitted == []
     assert len(alive) == 2 * FROZEN.epochs
     assert all(names == before for names in alive)
@@ -992,7 +984,7 @@ def test_frozen_2d_starts_no_thread(small_frames, monkeypatch):
 # stack buffers reused across steps
 
 
-def test_each_slot_reuses_the_step_befores_buffers(small_frames, monkeypatch):
+def test_each_slot_reuses_the_step_befores_buffers(small_set, monkeypatch):
     models, batches, calls = [], [], []
     real_init, real_run_step = trainer.init_model, trainer.run_step
     real_forward = embednet.forward
@@ -1013,7 +1005,7 @@ def test_each_slot_reuses_the_step_befores_buffers(small_frames, monkeypatch):
     monkeypatch.setattr(trainer, "init_model", init_model_)
     monkeypatch.setattr(trainer, "run_step", run_step_)
     monkeypatch.setattr(embednet, "forward", forward_)
-    pretrain(small_frames, CFG)
+    pretrain(small_set, CFG)
 
     (model,) = models
     sides = {id(model.embed2d): "x2d", id(model.embed3d): "x3d"}
@@ -1035,8 +1027,8 @@ def test_each_slot_reuses_the_step_befores_buffers(small_frames, monkeypatch):
 
 
 @pytest.mark.parametrize("cfg", [CFG, FROZEN], ids=["trained", "frozen"])
-def test_buffer_reuse_does_not_change_outputs(small_frames, tmp_path, monkeypatch, cfg):
-    normal = pretrain(small_frames, cfg, out_dir=tmp_path / "normal")
+def test_buffer_reuse_does_not_change_outputs(small_set, tmp_path, monkeypatch, cfg):
+    normal = pretrain(small_set, cfg, out_dir=tmp_path / "normal")
     dropped = []
     real_forward, real_backward = embednet.forward, embednet.backward
 
@@ -1052,14 +1044,14 @@ def test_buffer_reuse_does_not_change_outputs(small_frames, tmp_path, monkeypatc
 
     monkeypatch.setattr(embednet, "forward", forward_)
     monkeypatch.setattr(embednet, "backward", backward_)
-    fresh = pretrain(small_frames, cfg, out_dir=tmp_path / "fresh")
+    fresh = pretrain(small_set, cfg, out_dir=tmp_path / "fresh")
     assert any(dropped)
     assert fresh.metrics_path.read_bytes() == normal.metrics_path.read_bytes()
     assert fresh.checkpoint_path.read_bytes() == normal.checkpoint_path.read_bytes()
 
 
-def test_prepare_frame_keeps_the_scene_arrays(small_frames, prepared):
-    for frame, fd in zip(small_frames, prepared):
+def test_prepare_frame_keeps_the_scene_arrays(small_set, prepared):
+    for frame, fd in zip(small_set.frames, prepared):
         l, h, w, f0 = frame.pixel_features.shape
         assert fd.x2d.dtype == fd.x3d.dtype == np.float32
         assert fd.x2d.shape == (l * h * w, f0) and fd.x3d.shape == (frame.num_points, 4)
@@ -1067,21 +1059,21 @@ def test_prepare_frame_keeps_the_scene_arrays(small_frames, prepared):
         assert np.shares_memory(fd.x3d, frame.points)
 
 
-def test_prepare_frame_rows_are_read_only(small_frames, prepared):
+def test_prepare_frame_rows_are_read_only(small_set, prepared):
     # a forward cache keeps these rows until its backward
     for fd in prepared:
         for x in (fd.x2d, fd.x3d):
             with pytest.raises(ValueError, match="read-only"):
                 x[0, 0] = x[0, 0]  # the same value, should the write go through
-    assert small_frames[0].points.flags.writeable  # the frame's own array is not
+    assert small_set.frames[0].points.flags.writeable  # the frame's own array is not
 
 
-def test_run_state_buffers_add_up(small_frames, prepared):
+def test_run_state_buffers_add_up(small_set, prepared):
     # per slot and stack the outputs of the hidden layers after the first
     # and the gradient vector, the frame's own rows kept by reference; per
     # lane one buffer sized to the largest frame and the wider of the stack
     # output and the first hidden output
-    feat_dim = small_frames[0].pixel_features.shape[3]
+    feat_dim = small_set.frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, CFG.embed_dim, CFG.seed)
     with trainer._Run.open(model, CFG, prepared) as run:
         for batch in (prepared[:3], prepared[3:]):
@@ -1106,8 +1098,8 @@ def test_run_state_buffers_add_up(small_frames, prepared):
     assert all(a.dtype == np.float64 for a in arrays)
 
 
-def test_trained_step_allocates_no_activation_arrays(small_frames, prepared):
-    feat_dim = small_frames[0].pixel_features.shape[3]
+def test_trained_step_allocates_no_activation_arrays(small_set, prepared):
+    feat_dim = small_set.frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, CFG.embed_dim, CFG.seed)
     one_frame = sum(
         a.nbytes for a in embednet.forward(model.embed2d, prepared[0].x2d)[1].acts
@@ -1131,14 +1123,14 @@ def test_trained_step_allocates_no_activation_arrays(small_frames, prepared):
 # BLAS thread cap
 
 
-def test_blas_cap_does_not_change_outputs(small_frames, tmp_path, monkeypatch, trained):
+def test_blas_cap_does_not_change_outputs(small_set, tmp_path, monkeypatch, trained):
     monkeypatch.setattr(trainer, "blas_threads", lambda n: contextlib.nullcontext())
-    res = pretrain(small_frames, CFG, out_dir=tmp_path / "o")
+    res = pretrain(small_set, CFG, out_dir=tmp_path / "o")
     assert res.metrics_path.read_bytes() == trained.metrics_path.read_bytes()
     assert res.checkpoint_path.read_bytes() == trained.checkpoint_path.read_bytes()
 
 
-def test_pretrain_caps_blas_threads_while_2d_is_trained(small_frames, monkeypatch):
+def test_pretrain_caps_blas_threads_while_2d_is_trained(small_set, monkeypatch):
     found = blasthreads._openblas()
     if found is None:
         pytest.skip("numpy's OpenBLAS not found")
@@ -1154,9 +1146,9 @@ def test_pretrain_caps_blas_threads_while_2d_is_trained(small_frames, monkeypatc
     before = get()
     set_(2)
     try:
-        pretrain(small_frames, CFG)
+        pretrain(small_set, CFG)
         after_trained = get()
-        pretrain(small_frames, FROZEN)
+        pretrain(small_set, FROZEN)
     finally:
         set_(before)
     assert after_trained == 2
@@ -1186,9 +1178,9 @@ def test_blas_cap_without_openblas_notes_once(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "lr,step,stage", [(1e200, 2, "loss"), (1.7e308, 1, "sgd update")]
 )
-def test_non_finite_training_names_step_and_stage(small_frames, lr, step, stage):
+def test_non_finite_training_names_step_and_stage(small_set, lr, step, stage):
     with pytest.raises(TrainingError, match=f"epoch 1, step {step}, stage '{stage}'"):
-        pretrain(small_frames, replace(CFG, lr=lr))
+        pretrain(small_set, replace(CFG, lr=lr))
 
 
 # ---------------------------------------------------------------------------
@@ -1200,7 +1192,7 @@ def test_non_finite_training_names_step_and_stage(small_frames, lr, step, stage)
 @pytest.mark.parametrize("freeze", [False, True], ids=["trained", "frozen"])
 @pytest.mark.parametrize("mode", ["mmpb", "raw3d"])
 def test_step_gradient_matches_its_loss_along_directions(
-    small_frames, prepared, monkeypatch, mode, freeze, ema, gate_open
+    small_set, prepared, monkeypatch, mode, freeze, ema, gate_open
 ):
     # run.grads @ v against the central difference of the step's total loss
     # along v, for unit directions within each trained stack slice.  The
@@ -1208,7 +1200,7 @@ def test_step_gradient_matches_its_loss_along_directions(
     # them to the unperturbed step's and, with ema, starts from one bank.
     cfg = replace(CFG, proto_mode=mode, freeze_2d=freeze, ema=ema)
     epoch = cfg.lam + 1 if gate_open else cfg.lam
-    model = init_model(small_frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
+    model = init_model(small_set.frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
     n2d = model.embed2d.num_params
     n3d = n2d + model.embed3d.num_params
     slices = [slice(n3d, None), slice(n2d, n3d)] + ([] if freeze else [slice(0, n2d)])
