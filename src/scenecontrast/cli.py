@@ -2,14 +2,16 @@
 
 Commands: gen-scenes, pretrain, gradcheck, probe, ablate.  Exit codes:
 0 success, 1 invalid flags or configuration, 2 runtime failure (including
-a gradcheck that finds a bad gradient, running out of memory, and an
-interrupt).  All file outputs go under the path given by --out.
+a gradcheck that finds a bad gradient, running out of memory, an
+interrupt and SIGTERM).  All file outputs go under the path given by --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -194,6 +196,14 @@ def build_parser() -> _Parser:
     return p
 
 
+class _Terminated(BaseException):
+    """Raised on the main thread by SIGTERM, so a run unwinds as on Ctrl-C."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -201,6 +211,10 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    # signal handlers can only be set on the main thread; a caller that
+    # runs main elsewhere keeps its own
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
         check(FLAG_BOUNDS, {f"--{k}": v for k, v in vars(args).items()})
         if getattr(args, "out", None):
@@ -219,6 +233,12 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print(f"error: {args.command}: interrupted", file=sys.stderr)
         return 2
+    except _Terminated:
+        print(f"error: {args.command}: terminated", file=sys.stderr)
+        return 2
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)  # None: set outside Python
 
 
 if __name__ == "__main__":

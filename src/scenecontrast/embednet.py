@@ -332,9 +332,9 @@ class Regions:
     """Q groups of row indices into ``num_rows`` rows, laid out flat.
 
     Group i is ``members[offsets[i]:offsets[i + 1]]``; ``offsets`` has Q+1
-    entries.  A group may be empty, and groups may share rows.  The
-    members are range-checked once, here, and made read-only, so pooling
-    them checks nothing.
+    entries.  No row is in two groups or twice in one, but a group may be
+    empty and a row in no group.  The members are checked once, here, and
+    made read-only, so pooling them checks nothing.
     """
 
     def __init__(self, groups, num_rows: int):
@@ -346,6 +346,10 @@ class Regions:
         if bad.size:
             i = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
             raise ShapeError(f"group {i} indexes outside [0,{num_rows})")
+        twice = np.flatnonzero(np.bincount(m, minlength=num_rows) > 1)
+        if twice.size:
+            at = np.searchsorted(self.offsets, np.flatnonzero(m == twice[0]), "right") - 1
+            raise ShapeError(f"row {twice[0]} is listed more than once, in groups {at.tolist()}")
         self.members, self.num_rows = m, num_rows
         m.flags.writeable = self.offsets.flags.writeable = False
 
@@ -355,8 +359,7 @@ class Regions:
     def __iter__(self):
         """Each group's members, in group order, as views of ``members``."""
         bounds = self.offsets.tolist()
-        for start, end in zip(bounds[:-1], bounds[1:]):
-            yield self.members[start:end]
+        return (self.members[start:end] for start, end in zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass
@@ -409,18 +412,17 @@ def pool_backward(
     shape = (cache.regions.num_rows, cache.means.shape[1])
     _check_lent("out", out, shape)
     if out is None:
-        out = np.zeros(shape)
-    else:
-        out.fill(0.0)
-    for i, idx in enumerate(cache.regions):
-        if not cache.valid[i]:
-            continue
-        v = cache.means[i]
-        nv = cache.norms[i]
-        u = v / nv
-        gi = g[i]
-        g_mean = (gi - np.dot(gi, u) * u) / nv
-        out[idx] += g_mean / len(idx)
+        out = np.empty(shape)
+    out.fill(0.0)
+    k = np.flatnonzero(cache.valid)
+    nv, gk, bounds = cache.norms[k, None], g[k], cache.regions.offsets
+    u = cache.means[k] / nv
+    # batched dots have np.dot's bits; + 0.0, as into zeroed rows, makes -0.0 0.0
+    rows = (gk - np.matmul(gk[:, None, :], u[:, :, None])[:, 0] * u) / nv
+    rows /= np.diff(bounds)[k, None]
+    rows += 0.0
+    for row, start, end in zip(rows, bounds[k].tolist(), bounds[k + 1].tolist()):
+        out[cache.regions.members[start:end]] = row
     return out
 
 

@@ -787,10 +787,8 @@ def _embednet_case(rng: np.random.Generator):
     n = int(rng.integers(2, 7))
     x = rng.normal(size=(n, widths[0]))
     n_groups = int(rng.integers(1, 4))
-    regions = Regions(
-        [np.flatnonzero(rng.integers(0, n_groups, size=n) == g) for g in range(n_groups)],
-        n,
-    )
+    labels = rng.integers(0, n_groups, size=n)  # one group per row
+    regions = Regions([np.flatnonzero(labels == g) for g in range(n_groups)], n)
     weights = rng.normal(size=(n_groups, widths[-1]))
 
     def objective() -> float:

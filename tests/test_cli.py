@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -671,7 +672,8 @@ def test_ablate_checks_and_prepares_the_scene_set_once(tmp_path, monkeypatch, ca
     assert (len(built), len(prepared)) == (1, 0)
 
 
-def test_interrupted_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
+def _signalled_pretrain(scene_dir, tmp_path, signum):
+    """A child ``pretrain`` sent ``signum`` once ``--out`` exists; (code, stderr, out)."""
     src = str(Path(scenecontrast.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -689,16 +691,46 @@ def test_interrupted_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
         while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.01)
         assert proc.poll() is None, proc.communicate()
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(signum)
         _, err = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
-    assert proc.returncode == 2, err
+    return proc.returncode, err, out
+
+
+def test_interrupted_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
+    code, err, out = _signalled_pretrain(scene_dir, tmp_path, signal.SIGINT)
+    assert code == 2, err
     assert "error: pretrain: interrupted\n" in err
     assert "Traceback" not in err
     assert out.is_dir() and not (out / "checkpoint.cscw").exists()
+
+
+def test_terminated_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
+    code, err, out = _signalled_pretrain(scene_dir, tmp_path, signal.SIGTERM)
+    assert code == 2, err
+    assert "error: pretrain: terminated\n" in err
+    assert "Traceback" not in err
+    assert out.is_dir() and not (out / "checkpoint.cscw").exists()
+
+
+def test_main_restores_the_sigterm_handler(scene_dir, tmp_path):
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["gen-scenes", "--count", "1", "--points", "64", "--height", "8",
+                 "--width", "8", "--out", str(tmp_path / "s")]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_main_runs_off_the_main_thread(tmp_path):
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main(
+        ["gen-scenes", "--count", "1", "--points", "64", "--height", "8", "--width", "8",
+         "--out", str(tmp_path / "s")])))
+    worker.start()
+    worker.join()
+    assert codes == [0]
 
 
 @pytest.mark.parametrize("line", ["lr = nan", "tau_sp = inf", "tau_pro = nan"])

@@ -1,6 +1,7 @@
 """Dense stacks, pooling, the parameter layout and the checkpoint format."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -488,18 +489,36 @@ def test_pool_rows_must_match_the_regions(rng):
 
 def _pool_cases(d):
     """Feature rows and groups: empty groups, singletons, a group whose
-    rows cancel, groups that share rows (row 13 is in three, so the order
-    of its backward sum shows), a row repeated in its group, a non-finite
-    row, and a partition of the remaining rows."""
+    rows cancel, a non-finite row, rows in no group (4, 6, 8, 9, 16-19)
+    and a partition of rows 22-59."""
     r = np.random.default_rng(d)
     feats = r.normal(size=(60, d))
     feats[1] = -feats[0]
     feats[2] = np.nan
-    groups = [[], [5], [0, 1], [], [10, 11, 12, 13], [12, 13, 14], [20, 20, 21], [2, 3],
-              [7], [13, 15]]
+    groups = [[], [5], [0, 1], [], [10, 11, 12, 13], [14], [20, 21], [2, 3], [7], [15]]
     rest = r.permutation(np.arange(22, 60))
     groups += np.split(rest, [5, 6, 20, 31])
     return feats, [np.asarray(g, dtype=np.int64) for g in groups]
+
+
+@pytest.mark.parametrize(
+    "groups,message",
+    [
+        ([[10, 11, 13], [13, 14], [], [13, 15]],
+         "row 13 is listed more than once, in groups [0, 1, 3]"),
+        ([[5], [20, 20, 21]], "row 20 is listed more than once, in groups [1, 1]"),
+        ([[], [], [1, 2, 1]], "row 1 is listed more than once, in groups [2, 2]"),
+        ([[3, 3], [0], [3]], "row 3 is listed more than once, in groups [0, 0, 2]"),
+        # the overlapping groups pooling once accepted: rows 12 and 13 are
+        # shared and row 20 is repeated; the lowest such row is named
+        ([[], [5], [0, 1], [], [10, 11, 12, 13], [12, 13, 14], [20, 20, 21], [2, 3], [7],
+          [13, 15]], "row 12 is listed more than once, in groups [4, 5]"),
+    ],
+    ids=["shared", "repeated", "repeated-after-empty", "repeated-and-shared", "overlapping"],
+)
+def test_regions_reject_rows_in_two_groups_or_twice_in_one(groups, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        Regions([np.array(g, dtype=np.int64) for g in groups], 60)
 
 
 @pytest.mark.parametrize("d", [32, 64])
@@ -520,9 +539,14 @@ def test_pool_backward_matches_the_group_loop_bit_for_bit(d):
     feats[2] = 1.0  # finite, so the comparison is of numbers
     _, valid, cache = pool(feats, groups)
     upstream = np.random.default_rng(d + 1).normal(size=(len(groups), d))
+    upstream[1] = upstream[4, ::2] = upstream[6] = -0.0  # gradients of -0.0 become 0.0
     _, _, means, norms = loop_pool_regions(feats, groups)
     want = loop_pool_backward(upstream, groups, means, norms, valid, len(feats))
     assert pool_backward(upstream, cache).tobytes() == want.tobytes()
+    out = np.full_like(feats, np.nan)
+    out[::3] = -0.0
+    assert pool_backward(upstream, cache, out=out) is out
+    assert out.tobytes() == want.tobytes()
 
 
 def test_pool_backward_matches_fd(rng):
