@@ -36,19 +36,6 @@ class BlendParams:
     def stacks(self) -> list[DenseStack]:
         return [self.proj2d, self.proj3d, self.fuse]
 
-    def validate(self, d: int) -> None:
-        for name, s, wi, wo in (
-            ("proj2d", self.proj2d, d, d),
-            ("proj3d", self.proj3d, d, d),
-            ("fuse", self.fuse, 2 * d, d),
-        ):
-            s.validate()
-            if s.in_width != wi or s.out_width != wo:
-                raise ShapeError(
-                    f"{name} must map {wi}->{wo}, got "
-                    f"{s.in_width}->{s.out_width}"
-                )
-
 
 def init_blend_params(d: int, rng: np.random.Generator) -> BlendParams:
     """Affine projections and an affine fuse, each a single layer.
@@ -63,13 +50,11 @@ def init_blend_params(d: int, rng: np.random.Generator) -> BlendParams:
         return DenseStack([embednet.DenseLayer(weight=w, bias=np.zeros(d))])
 
     half = 0.5 * np.concatenate([np.eye(d), np.eye(d)], axis=1)
-    params = BlendParams(
+    return BlendParams(
         proj2d=affine_near(np.eye(d)),
         proj3d=affine_near(np.eye(d)),
         fuse=affine_near(half),
     )
-    params.validate(d)
-    return params
 
 
 @dataclass
@@ -95,8 +80,6 @@ def blend(bank: PrototypeBank, params: BlendParams) -> BlendCache:
     if a fused prototype collapses to zero norm, a numerical collapse of
     this batch's data, so the caller skips the step.
     """
-    d = bank.p2d.shape[1]
-    params.validate(d)
     bar2d, cache2d = embednet.forward(params.proj2d, bank.p2d)
     bar3d, cache3d = embednet.forward(params.proj3d, bank.p3d)
     fused, cache_fuse = embednet.forward(

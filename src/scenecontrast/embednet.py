@@ -122,9 +122,7 @@ def init_stack(widths: list[int], seed_rng: np.random.Generator) -> DenseStack:
         a = np.sqrt(6.0 / (fan_in + fan_out))
         w = seed_rng.uniform(-a, a, size=(fan_out, fan_in))
         layers.append(DenseLayer(w, np.zeros(fan_out)))
-    stack = DenseStack(layers)
-    stack.validate()
-    return stack
+    return DenseStack(layers)
 
 
 def layer_views(
@@ -428,23 +426,13 @@ def pool_backward(
 
 @dataclass
 class EmbeddingBank:
-    """Paired pooled embeddings for the Q superpixels of a batch."""
+    """Paired pooled embeddings for the Q superpixels of a batch; valid
+    rows are unit-norm, as ``pool_regions`` makes them."""
 
     f2d: np.ndarray  # (Q, D)
     f3d: np.ndarray  # (Q, D)
     valid: np.ndarray  # (Q,) bool, True only when both sides pooled
     signs: np.ndarray  # (Q,) int64 semantic class per region
-
-    def validate(self) -> None:
-        q, d = self.f2d.shape
-        if self.f3d.shape != (q, d):
-            raise ShapeError("f2d and f3d shapes differ")
-        if self.valid.shape != (q,) or self.signs.shape != (q,):
-            raise ShapeError("valid/signs must be (Q,)")
-        for name, m in (("f2d", self.f2d), ("f3d", self.f3d)):
-            norms = np.linalg.norm(m[self.valid], axis=1)
-            if norms.size and np.max(np.abs(norms - 1.0)) > 1e-9:
-                raise ContractViolationError(f"{name} valid rows not unit-norm")
 
     @property
     def num_valid(self) -> int:
@@ -458,14 +446,12 @@ def make_bank(
     valid3d: np.ndarray,
     signs: np.ndarray,
 ) -> EmbeddingBank:
-    bank = EmbeddingBank(
+    return EmbeddingBank(
         f2d=rows2d,
         f3d=rows3d,
         valid=valid2d & valid3d,
         signs=np.asarray(signs, dtype=np.int64),
     )
-    bank.validate()
-    return bank
 
 
 # ---------------------------------------------------------------------------

@@ -81,9 +81,7 @@ class TrainConfig:
     probe_epochs: int = 100
 
     def validate(self) -> None:
-        check(TRAIN_BOUNDS, vars(self))
-        if self.proto_mode not in ("mmpb", "raw3d"):
-            raise ConfigurationError(f"unknown proto_mode {self.proto_mode!r}")
+        _check_fields(vars(self))
 
 
 TRAIN_BOUNDS = {
@@ -100,6 +98,13 @@ TRAIN_BOUNDS = {
     "probe_fraction": Bound(float, 0.0, 1.0, "(]", "a share of the training points"),
     "probe_epochs": Bound(int, 1, 10**5, source="desk budget: 0.4 ms an epoch"),
 }
+
+
+def _check_fields(values: dict) -> None:
+    """TRAIN_BOUNDS' rows and proto_mode's choices, for the fields in ``values``."""
+    check(TRAIN_BOUNDS, values)
+    if "proto_mode" in values and values["proto_mode"] not in ("mmpb", "raw3d"):
+        raise ConfigurationError(f"unknown proto_mode {values['proto_mode']!r}")
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "false": False, "0": False}
@@ -121,7 +126,6 @@ def load_config(path) -> TrainConfig:
             raise ConfigurationError(f"{path}:{lineno}: not UTF-8 text") from None
         except ConfigurationError as err:
             raise ConfigurationError(f"{path}:{lineno}: {err}") from None
-    cfg.validate()
     return cfg
 
 
@@ -139,7 +143,7 @@ def set_config_value(cfg: TrainConfig, key: str, value: str) -> None:
             parsed = value
     except (KeyError, ValueError):
         raise ConfigurationError(f"cannot parse {key}={value!r}") from None
-    check(TRAIN_BOUNDS, {key: parsed})
+    _check_fields({key: parsed})
     setattr(cfg, key, parsed)
 
 
@@ -673,7 +677,7 @@ def linear_probe(model: Model, scenes: SceneSet, cfg: TrainConfig) -> ProbeRepor
             f"label fraction {cfg.probe_fraction} selects no points from {n}"
         )
     rng = _rng(cfg.seed, _TAG_PROBE)
-    chosen = rng.choice(n, size=min(n_lab, n), replace=False)
+    chosen = rng.choice(n, size=n_lab, replace=False)
 
     def labels(fs: list[SceneFrame]) -> np.ndarray:
         # stored per-point truth, not the (possibly noisy) rasters:

@@ -144,6 +144,16 @@ def test_stale_cache_rejected(rng):
         blend_backward(np.ones((4, 3)), cache)
 
 
+def test_init_blend_params_maps_d_d_and_2d_to_d(rng):
+    for d in range(1, 9):
+        params = init_blend_params(d, rng)
+        widths = [(len(s.layers), s.in_width, s.out_width) for s in params.stacks()]
+        assert widths == [(1, d, d), (1, d, d), (1, 2 * d, d)]
+        for s in params.stacks():
+            assert s.layers[0].bias.shape == (d,)
+            assert np.isfinite(s.layers[0].weight).all() and not s.layers[0].bias.any()
+
+
 def test_width_mismatch(rng):
     bank = make_bank(rng, d=4)
     with pytest.raises(ShapeError):

@@ -130,6 +130,18 @@ def test_bad_config_key_exits_1(scene_dir, tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_bad_proto_mode_exits_1_naming_the_line(scene_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("proto_mode = x\n")
+    code = main(
+        ["pretrain", "--config", str(bad), "--scenes", str(scene_dir),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}:1: unknown proto_mode 'x'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_that_is_not_utf8_exits_1_naming_the_line(scene_dir, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(CFG_TEXT.encode().replace(b"scenes_per_batch = 2", b"scenes_per_batch = \xff"))

@@ -15,6 +15,7 @@ from scenecontrast.scenegen import (
     _pixel_rays,
     _Primitive,
     _raster_scene,
+    _ring_cameras,
     connected_regions,
     generate_scene,
     read_scene,
@@ -167,6 +168,18 @@ def test_camera_invariants(small_scene):
         cam.validate()
         r = cam.world_to_cam[:3, :3]
         assert abs(np.linalg.det(r) - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("height,width", [(1, 1), (1, 7), (9, 2), (16, 16), (48, 64)])
+def test_ring_cameras_are_valid_by_construction(height, width):
+    rng = np.random.default_rng(height * 100 + width)
+    for num_cameras in range(1, 9):
+        geom = SceneGeometry(num_points=1, num_cameras=num_cameras, height=height, width=width)
+        cams = _ring_cameras(geom, rng)
+        assert len(cams) == num_cameras
+        for cam in cams:
+            cam.validate()
+            assert (cam.height, cam.width) == (height, width)
 
 
 def test_noise_flips_whole_regions():

@@ -102,6 +102,14 @@ def test_load_config_bad_value(tmp_path):
         load_config(p)
 
 
+def test_load_config_bad_proto_mode_names_line(tmp_path):
+    p = write_cfg(tmp_path, "seed = 1\nproto_mode = bogus\n")
+    with pytest.raises(ConfigurationError, match=r"c\.txt:2: unknown proto_mode 'bogus'$"):
+        load_config(p)
+    with pytest.raises(ConfigurationError, match=r"^unknown proto_mode 'blend'$"):
+        set_config_value(TrainConfig(), "proto_mode", "blend")
+
+
 def test_set_config_value_rejects_an_unknown_key():
     cfg = TrainConfig()
     with pytest.raises(ConfigurationError, match="unknown key 'validate'"):
