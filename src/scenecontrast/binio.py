@@ -83,15 +83,16 @@ def pack_array(arr: np.ndarray, dtype: str) -> bytes:
 def read_container(
     path, magic: bytes, version: int, fail: Callable[[str, int], Exception]
 ) -> ByteCursor:
-    """A cursor over the file, past its checked magic and version."""
+    """A cursor over the file, past its checked magic and version, whose
+    every error starts with the file's path."""
     with open(path, "rb") as fh:
-        cur = ByteCursor(fh.read(), fail)
+        cur = ByteCursor(fh.read(), lambda message, offset: fail(f"{path}: {message}", offset))
     found = bytes(cur.take(4, "magic"))
     if found != magic:
-        raise fail(f"bad magic {found!r}, expected {magic!r}", 0)
+        raise cur.fail(f"bad magic {found!r}, expected {magic!r}", 0)
     found = cur.u32("version")
     if found != version:
-        raise fail(f"unsupported version {found}", 4)
+        raise cur.fail(f"unsupported version {found}", 4)
     return cur
 
 

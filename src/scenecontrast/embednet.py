@@ -96,20 +96,6 @@ class DenseStack:
     def num_params(self) -> int:
         return sum(l.weight.size + l.bias.size for l in self.layers)
 
-    def validate(self) -> None:
-        prev = None
-        for i, layer in enumerate(self.layers):
-            out_w, in_w = layer.weight.shape
-            if layer.bias.shape != (out_w,):
-                raise ShapeError(f"layer {i}: bias shape {layer.bias.shape}")
-            if prev is not None and in_w != prev:
-                raise ShapeError(
-                    f"layer {i}: input width {in_w} does not chain from {prev}"
-                )
-            if not (np.isfinite(layer.weight).all() and np.isfinite(layer.bias).all()):
-                raise ConfigurationError(f"layer {i}: non-finite parameters")
-            prev = out_w
-
     def bump(self) -> None:
         self.version += 1
 
@@ -485,21 +471,19 @@ def read_checkpoint(path) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def load_layers(stacks: list[DenseStack], layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Copy checkpoint layers into the stacks' arrays, shape- and finiteness-checked."""
-    want = [l for s in stacks for l in s.layers]
+    want = [(k, j, l) for k, s in enumerate(stacks) for j, l in enumerate(s.layers)]
     if len(want) != len(layers):
         raise ConfigurationError(
             f"checkpoint has {len(layers)} layers, architecture wants {len(want)}"
         )
-    for i, (target, (w, b)) in enumerate(zip(want, layers)):
+    for i, ((k, j, target), (w, b)) in enumerate(zip(want, layers)):
         if target.weight.shape != w.shape:
             raise ConfigurationError(
                 f"layer {i}: checkpoint shape {w.shape} != {target.weight.shape}"
             )
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ConfigurationError(f"checkpoint stack {k}, layer {j}: non-finite parameters")
         target.weight[...] = w
         target.bias[...] = b
-    for k, s in enumerate(stacks):
-        try:
-            s.validate()
-        except ConfigurationError as err:
-            raise ConfigurationError(f"checkpoint stack {k}, {err}") from err
+    for s in stacks:
         s.bump()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .binio import ByteCursor, pack_array, pack_u32, read_container, write_container
 from .bounds import Bound, check
-from .errors import ConfigurationError, SceneFormatError, ShapeError
+from .errors import ConfigurationError, SceneFormatError
 
 MAGIC = b"CSCS"
 VERSION = 1
@@ -68,9 +68,7 @@ class CameraModel:
             raise ConfigurationError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ConfigurationError("principal point outside the raster")
-        m = np.asarray(self.world_to_cam, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ShapeError(f"world_to_cam must be 4x4, got {m.shape}")
+        m = self.world_to_cam
         if not np.isfinite(m).all():
             raise ConfigurationError("world_to_cam has non-finite entries")
         r = m[:3, :3]
@@ -638,10 +636,10 @@ def _finite(cur: ByteCursor, count: int, what: str, out=None) -> np.ndarray:
 def read_scene(path) -> SceneFrame:
     cur = read_container(path, MAGIC, VERSION, SceneFormatError)
     header = {name: cur.u32(name) for name in SCENE_HEADER}
-    check(SCENE_HEADER, header, fail=lambda msg, i: SceneFormatError(msg, 8 + 4 * i))
+    check(SCENE_HEADER, header, fail=lambda msg, i: cur.fail(msg, 8 + 4 * i))
     k, l, h, w, f0, t, scene_id = header.values()
     if message := PIXEL_ROWS.violation("pixel rows L*H*W", l * h * w):
-        raise SceneFormatError(message, 12)
+        raise cur.fail(message, 12)
     points = _finite(cur, k * 4, "points").reshape(k, 4)
     label_offset = cur.pos
     point_labels = cur.array("uint16", k, "point labels")
@@ -673,8 +671,8 @@ def read_scene(path) -> SceneFrame:
         )
         try:
             cam.validate()
-        except (ConfigurationError, ShapeError) as err:
-            raise SceneFormatError(f"camera {idx} invalid: {err}", cam_offset) from err
+        except ConfigurationError as err:
+            raise cur.fail(f"camera {idx} invalid: {err}", cam_offset) from err
         cams.append(cam)
         _finite(cur, h * w * f0, f"camera {idx} pixel_features", feats[idx])
         sem_offset = cur.pos

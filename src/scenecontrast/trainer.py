@@ -208,7 +208,10 @@ def load_model(path, feat_dim: int, embed_dim: int) -> Model:
                     f"{path}: checkpoint {name} is {got}, not {want}"
                 )
     model = init_model(feat_dim, embed_dim, seed=0)
-    embednet.load_layers(model.stacks(), layers)
+    try:
+        embednet.load_layers(model.stacks(), layers)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from err
     return model
 
 

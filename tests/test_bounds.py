@@ -149,7 +149,7 @@ def test_scene_header_rows_at_their_edges(tmp_path, table, name, value, message)
     else:
         with pytest.raises(SceneFormatError) as err:
             read_scene(path)
-        assert str(err.value) == f"{name} {message} (byte offset {offset})"
+        assert str(err.value) == f"{path}: {name} {message} (byte offset {offset})"
         assert err.value.offset == offset
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import scenecontrast
 import scenecontrast.cli as cli
+import scenecontrast.embednet as embednet
 import scenecontrast.trainer as trainer
 from scenecontrast.cli import main
 from scenecontrast.errors import ConfigurationError
@@ -489,6 +490,46 @@ def test_probe_rejects_non_finite_checkpoint(ckpt_dir, scene_dir, cfg_file, tmp_
     assert "checkpoint stack 1, layer 1: non-finite parameters" in capsys.readouterr().err
 
 
+def test_pretrain_names_a_damaged_scene_file(scene_dir, cfg_file, tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    shutil.copytree(scene_dir, scenes)
+    bad = scenes / "scene_0002_f00.cscs"
+    bad.write_bytes(b"\x00" + bad.read_bytes()[1:])
+    code = main(["pretrain", "--config", str(cfg_file), "--scenes", str(scenes),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: bad magic b'\\x00SCS', expected b'CSCS' (byte offset 0)\n"
+
+
+def test_probe_names_a_checkpoint_that_is_not_one(scene_dir, cfg_file, capsys):
+    ckpt = sorted(scene_dir.glob("*.cscs"))[0]
+    code = main(["probe", "--ckpt", str(ckpt), "--scenes", str(scene_dir),
+                 "--config", str(cfg_file)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt}: bad magic b'CSCS', expected b'CSCW' (byte offset 0)\n"
+
+
+def test_load_model_errors_start_with_the_path(ckpt_dir, scene_dir, tmp_path):
+    feat_dim = read_scene(sorted(scene_dir.glob("*.cscs"))[0]).pixel_features.shape[3]
+    model = load_model(ckpt_dir / "checkpoint.cscw", feat_dim, embed_dim=12)
+    model.embed2d.layers[0].bias[1] = np.nan
+    nan = tmp_path / "nan.cscw"
+    save_model(model, nan)
+    # the 2D stack alone: its widths match, its layer count does not
+    short = tmp_path / "short.cscw"
+    embednet.write_checkpoint(short, [model.embed2d])
+    want = sum(len(s.layers) for s in model.stacks())
+    for path, message in (
+        (nan, "checkpoint stack 0, layer 0: non-finite parameters"),
+        (short, f"checkpoint has {len(model.embed2d.layers)} layers, architecture wants {want}"),
+    ):
+        with pytest.raises(ConfigurationError) as err:
+            load_model(path, feat_dim, embed_dim=12)
+        assert str(err.value) == f"{path}: {message}"
+
+
 def test_probe_names_a_mismatched_checkpoint_field(ckpt_dir, scene_dir, tmp_path, capsys):
     cfg = tmp_path / "c16.txt"
     cfg.write_text(CFG_TEXT + "embed_dim = 16\n")
@@ -726,6 +767,40 @@ def test_terminated_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
     assert "error: pretrain: terminated\n" in err
     assert "Traceback" not in err
     assert out.is_dir() and not (out / "checkpoint.cscw").exists()
+
+
+NO_LATE_IMPORTS = """
+import sys
+from pathlib import Path
+import scenecontrast.cli as cli
+cli.build_parser()  # argparse's messages import locale, before any run starts
+before = set(sys.modules)
+d = Path(sys.argv[1])
+(d / "c.txt").write_text("epochs = 1\\nscenes_per_batch = 2\\nembed_dim = 4\\n")
+common = ["--scenes", str(d / "s"), "--config", str(d / "c.txt")]
+for argv in (
+    ["gen-scenes", "--count", "2", "--points", "64", "--height", "8", "--width", "8",
+     "--out", str(d / "s")],
+    ["pretrain", *common, "--out", str(d / "run")],
+    ["probe", *common, "--ckpt", str(d / "run" / "checkpoint.cscw")],
+    ["ablate", *common, "--seeds", "1"],
+):
+    assert cli.main(argv) == 0, argv
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_commands_import_no_module_once_running(tmp_path):
+    """A signal that lands inside an import can be lost, and numpy imports
+    ``numpy.random`` and ``numpy.ma`` on first use; so a command imports
+    nothing once it runs."""
+    src = str(Path(scenecontrast.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NO_LATE_IMPORTS, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ""
 
 
 def test_main_restores_the_sigterm_handler(scene_dir, tmp_path):

@@ -185,7 +185,7 @@ def test_damaged_feature_width_allocates_nothing_the_file_lacks(tmp_path):
     write_patched(path, 24, np.uint32(1 << 30).astype("<u4").tobytes())
     err, peak = _traced_read(path)
     assert isinstance(err, SceneFormatError)
-    assert str(err).startswith("truncated while reading camera 0 pixel_features")
+    assert str(err).startswith(f"{path}: truncated while reading camera 0 pixel_features")
     assert err.offset == FEATS0
     assert peak <= 2 * path.stat().st_size, peak
 
