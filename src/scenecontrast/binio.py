@@ -1,34 +1,35 @@
 """Little helpers for binary files with byte-offset accounting.
 
 Both container formats in this package (scene files and checkpoints) start
-with a 4-byte magic and a u32 version, and want errors that name the
-failing section and the byte offset, so reads go through a cursor object
-that tracks position and raises through a caller-supplied exception
-factory.
+with a 4-byte magic and a u32 version, and want errors that name the file,
+the failing section and the byte offset, so reads go through a cursor
+object that tracks position and raises FormatError.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable
 
 import numpy as np
 
+from .errors import FormatError
+
 
 class ByteCursor:
-    """Sequential reader over a bytes object with offset-aware errors.
+    """Sequential reader over the bytes of the file ``path`` whose errors
+    start with that path.
 
-    ``fail`` is called as fail(message, offset) and must return the
-    exception to raise; this lets scene and checkpoint readers share the
-    cursor while raising their own error types.  The cursor reads through
-    a memoryview, so taking bytes copies nothing; ``array`` copies once,
-    into an array of its own or the caller's.
+    The cursor reads through a memoryview, so taking bytes copies nothing;
+    ``array`` copies once, into an array of its own or the caller's.
     """
 
-    def __init__(self, data: bytes, fail: Callable[[str, int], Exception]):
+    def __init__(self, data: bytes, path):
         self.data = memoryview(data)
         self.pos = 0
-        self.fail = fail
+        self.path = path
+
+    def fail(self, message: str, offset: int) -> FormatError:
+        return FormatError(f"{self.path}: {message}", offset)
 
     def remaining(self) -> int:
         return len(self.data) - self.pos
@@ -56,6 +57,13 @@ class ByteCursor:
         np.copyto(out, raw)
         return out
 
+    def finite(self, dtype: str, count: int, what: str, out=None) -> np.ndarray:
+        """``array``, failing at the first NaN or infinity read."""
+        start = self.pos
+        values = self.array(dtype, count, what, out)
+        self.reject(values, ~np.isfinite(values), start, f"non-finite value in {what}")
+        return values
+
     def reject(self, values: np.ndarray, bad: np.ndarray, start: int, message: str) -> None:
         """Fail at the first element of ``values``, read at ``start``, where
         ``bad`` holds; ``{}`` in ``message`` takes that element's value."""
@@ -80,13 +88,10 @@ def pack_array(arr: np.ndarray, dtype: str) -> bytes:
     return np.ascontiguousarray(arr, dtype=np.dtype(dtype).newbyteorder("<")).tobytes()
 
 
-def read_container(
-    path, magic: bytes, version: int, fail: Callable[[str, int], Exception]
-) -> ByteCursor:
-    """A cursor over the file, past its checked magic and version, whose
-    every error starts with the file's path."""
+def read_container(path, magic: bytes, version: int) -> ByteCursor:
+    """A cursor over the file, past its checked magic and version."""
     with open(path, "rb") as fh:
-        cur = ByteCursor(fh.read(), lambda message, offset: fail(f"{path}: {message}", offset))
+        cur = ByteCursor(fh.read(), path)
     found = bytes(cur.take(4, "magic"))
     if found != magic:
         raise cur.fail(f"bad magic {found!r}, expected {magic!r}", 0)

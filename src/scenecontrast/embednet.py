@@ -39,7 +39,8 @@ recomputes it after the top layer has read ``upstream``, so one buffer
 can hold the output, the upstream and the first hidden output in turn.
 ``forward`` given ``reuse=`` an earlier cache of the same stack and row
 count writes its later hidden outputs into that cache's arrays and
-takes over its gradient vector.  So a caller that keeps one cache per
+takes them over with its gradient vector, leaving that cache empty, so
+no two caches share an array.  So a caller that keeps one cache per
 batch slot, and lends one buffer per thread, allocates no activation
 arrays and no gradient vectors after its first step; it reads each
 gradient before the slot's next backward overwrites it.  ``backward``
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binio import pack_array, pack_u32, read_container, write_container
-from .errors import CheckpointFormatError, ConfigurationError, ContractViolationError, ShapeError
+from .errors import ConfigurationError, ContractViolationError, ShapeError
 
 CKPT_MAGIC = b"CSCW"
 CKPT_VERSION = 1
@@ -201,11 +202,12 @@ def forward(
     otherwise.  ``work``, when given, is an (N, width of the first hidden
     layer) float64 array the caller lends for that layer's output, which
     is dead once the next layer has read it; a stack without hidden
-    layers ignores it.  When ``reuse`` is a cache of this stack over N
-    rows whose arrays neither ``out`` nor ``work`` overlaps, each later
-    hidden layer's output is written into its array, the new cache takes
-    over its gradient vector, and ``reuse`` is dead from then on; any
-    other ``reuse`` is ignored.
+    layers ignores it.  When ``reuse`` is a cache of this stack whose
+    arrays fit N rows and neither ``out`` nor ``work`` overlaps, each
+    later hidden layer's output is written into its array, the new cache
+    takes over those arrays and its gradient vector, and ``reuse`` is left
+    empty and dead, so its arrays are given up once; any other ``reuse``
+    is ignored.
     """
     x = np.asarray(inputs)
     if x.ndim != 2:
@@ -224,7 +226,6 @@ def forward(
     if (
         reuse is not None
         and reuse.stack is stack
-        and reuse.inputs.shape == x.shape
         and [a.shape for a in reuse.acts] == [(n, l.weight.shape[0]) for l in hidden[1:]]
         and not any(
             lent is not None and np.may_share_memory(lent, a)
@@ -233,7 +234,7 @@ def forward(
         )
     ):
         bufs, grads = reuse.acts, reuse.grads
-        reuse.live = False
+        reuse.acts, reuse.grads, reuse.live = [], None, False
     else:
         bufs, grads = [None] * len(hidden[1:]), None
     acts = []
@@ -455,34 +456,32 @@ def write_checkpoint(path, stacks: list[DenseStack]) -> None:
 
 
 def read_checkpoint(path) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Raw (weight, bias) pairs; wiring back onto stacks is the caller's job."""
-    cur = read_container(path, CKPT_MAGIC, CKPT_VERSION, CheckpointFormatError)
+    """Raw, finite (weight, bias) pairs; wiring back onto stacks is the caller's job."""
+    cur = read_container(path, CKPT_MAGIC, CKPT_VERSION)
     count = cur.u32("layer count")
     out = []
     for i in range(count):
         rows = cur.u32(f"layer {i} rows")
         cols = cur.u32(f"layer {i} cols")
-        w = cur.array("float64", rows * cols, f"layer {i} weights").reshape(rows, cols)
-        b = cur.array("float64", rows, f"layer {i} bias")
+        w = cur.finite("float64", rows * cols, f"layer {i} weights").reshape(rows, cols)
+        b = cur.finite("float64", rows, f"layer {i} bias")
         out.append((w, b))
     cur.expect_end("layer table")
     return out
 
 
 def load_layers(stacks: list[DenseStack], layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Copy checkpoint layers into the stacks' arrays, shape- and finiteness-checked."""
-    want = [(k, j, l) for k, s in enumerate(stacks) for j, l in enumerate(s.layers)]
+    """Copy checkpoint layers into the stacks' arrays, shape-checked."""
+    want = [l for s in stacks for l in s.layers]
     if len(want) != len(layers):
         raise ConfigurationError(
             f"checkpoint has {len(layers)} layers, architecture wants {len(want)}"
         )
-    for i, ((k, j, target), (w, b)) in enumerate(zip(want, layers)):
+    for i, (target, (w, b)) in enumerate(zip(want, layers)):
         if target.weight.shape != w.shape:
             raise ConfigurationError(
                 f"layer {i}: checkpoint shape {w.shape} != {target.weight.shape}"
             )
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ConfigurationError(f"checkpoint stack {k}, layer {j}: non-finite parameters")
         target.weight[...] = w
         target.bias[...] = b
     for s in stacks:

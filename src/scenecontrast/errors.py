@@ -18,23 +18,15 @@ class ShapeError(SceneContrastError):
 
 
 class FormatError(SceneContrastError):
-    """A binary file is malformed.
+    """A scene file or checkpoint is malformed.
 
     ``offset`` is the byte offset at which decoding failed and the message
-    names the section being read.
+    names the file and the section being read.
     """
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-class SceneFormatError(FormatError):
-    """A scene file is malformed."""
-
-
-class CheckpointFormatError(FormatError):
-    """A checkpoint file is malformed."""
 
 
 class ContractViolationError(SceneContrastError):

@@ -18,36 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenegen import UNASSIGNED, CameraModel, SceneFrame
-
-
-def project_points(
-    points: np.ndarray, cam: CameraModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project (N,3) world points; returns (rows, cols, valid).
-
-    A projection is valid iff camera-frame depth is strictly positive and
-    the nearest-integer pixel (ties to even) lies inside the raster.  Rows
-    and cols are defined only where valid is True.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    r = cam.world_to_cam[:3, :3]
-    t = cam.world_to_cam[:3, 3]
-    pc = pts @ r.T + t
-    z = pc[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row = np.rint(cam.fy * pc[:, 1] / z + cam.cy)
-        col = np.rint(cam.fx * pc[:, 0] / z + cam.cx)
-    ok = (
-        (z > 0)
-        & (row >= 0)
-        & (row < cam.height)
-        & (col >= 0)
-        & (col < cam.width)
-    )
-    rows = np.where(ok, row, 0).astype(np.int64)
-    cols = np.where(ok, col, 0).astype(np.int64)
-    return rows, cols, ok
+from .scenegen import UNASSIGNED, SceneFrame, project_points
 
 
 @dataclass

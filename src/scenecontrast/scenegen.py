@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import ByteCursor, pack_array, pack_u32, read_container, write_container
+from .binio import pack_array, pack_u32, read_container, write_container
 from .bounds import Bound, check
-from .errors import ConfigurationError, SceneFormatError
+from .errors import ConfigurationError
 
 MAGIC = b"CSCS"
 VERSION = 1
@@ -84,6 +84,35 @@ class CameraModel:
         r = self.world_to_cam[:3, :3]
         t = self.world_to_cam[:3, 3]
         return -r.T @ t
+
+
+def project_points(
+    points: np.ndarray, cam: CameraModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project (N,3) world points; returns (rows, cols, valid).
+
+    A projection is valid iff camera-frame depth is strictly positive and
+    the nearest-integer pixel (ties to even) lies inside the raster.  Rows
+    and cols are defined only where valid is True.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    r = cam.world_to_cam[:3, :3]
+    t = cam.world_to_cam[:3, 3]
+    pc = pts @ r.T + t
+    z = pc[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row = np.rint(cam.fy * pc[:, 1] / z + cam.cy)
+        col = np.rint(cam.fx * pc[:, 0] / z + cam.cx)
+    ok = (
+        (z > 0)
+        & (row >= 0)
+        & (row < cam.height)
+        & (col >= 0)
+        & (col < cam.width)
+    )
+    rows = np.where(ok, row, 0).astype(np.int64)
+    cols = np.where(ok, col, 0).astype(np.int64)
+    return rows, cols, ok
 
 
 @dataclass
@@ -490,8 +519,6 @@ def _sample_points(
     assigned pixel of the SAME class in every camera that sees it, which
     makes the class label recoverable from any covering view.
     """
-    from .projection import project_points
-
     cap = 6.0 * EXTENT
     cand_world = []
     cand_cls = []
@@ -624,23 +651,14 @@ def write_scene(frame: SceneFrame, path) -> None:
     write_container(path, MAGIC, VERSION, chunks)
 
 
-def _finite(cur: ByteCursor, count: int, what: str, out=None) -> np.ndarray:
-    """Read ``count`` float32 values, into ``out`` if given, rejecting NaN
-    and infinity."""
-    start = cur.pos
-    values = cur.array("float32", count, what, out)
-    cur.reject(values, ~np.isfinite(values), start, f"non-finite value in {what}")
-    return values
-
-
 def read_scene(path) -> SceneFrame:
-    cur = read_container(path, MAGIC, VERSION, SceneFormatError)
+    cur = read_container(path, MAGIC, VERSION)
     header = {name: cur.u32(name) for name in SCENE_HEADER}
     check(SCENE_HEADER, header, fail=lambda msg, i: cur.fail(msg, 8 + 4 * i))
     k, l, h, w, f0, t, scene_id = header.values()
     if message := PIXEL_ROWS.violation("pixel rows L*H*W", l * h * w):
         raise cur.fail(message, 12)
-    points = _finite(cur, k * 4, "points").reshape(k, 4)
+    points = cur.finite("float32", k * 4, "points").reshape(k, 4)
     label_offset = cur.pos
     point_labels = cur.array("uint16", k, "point labels")
     cur.reject(point_labels, point_labels >= t, label_offset,
@@ -674,7 +692,7 @@ def read_scene(path) -> SceneFrame:
         except ConfigurationError as err:
             raise cur.fail(f"camera {idx} invalid: {err}", cam_offset) from err
         cams.append(cam)
-        _finite(cur, h * w * f0, f"camera {idx} pixel_features", feats[idx])
+        cur.finite("float32", h * w * f0, f"camera {idx} pixel_features", feats[idx])
         sem_offset = cur.pos
         sem = cur.array("uint16", h * w, f"camera {idx} semantic_raster", sems[idx])
         spix_offset = cur.pos

@@ -13,7 +13,7 @@ import scenecontrast.cli as cli
 from scenecontrast import scenegen, trainer
 from scenecontrast.bounds import Bound
 from scenecontrast.cli import main
-from scenecontrast.errors import ConfigurationError, SceneFormatError
+from scenecontrast.errors import ConfigurationError, FormatError
 from scenecontrast.scenegen import SceneGeometry, SemanticOracleConfig, read_scene
 from scenecontrast.trainer import TrainConfig
 
@@ -144,10 +144,10 @@ def test_scene_header_rows_at_their_edges(tmp_path, table, name, value, message)
         # old value, may then fail, but elsewhere
         try:
             read_scene(path)
-        except SceneFormatError as err:
+        except FormatError as err:
             assert f"{name} must be" not in str(err)
     else:
-        with pytest.raises(SceneFormatError) as err:
+        with pytest.raises(FormatError) as err:
             read_scene(path)
         assert str(err.value) == f"{path}: {name} {message} (byte offset {offset})"
         assert err.value.offset == offset

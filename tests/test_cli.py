@@ -19,7 +19,7 @@ import scenecontrast.cli as cli
 import scenecontrast.embednet as embednet
 import scenecontrast.trainer as trainer
 from scenecontrast.cli import main
-from scenecontrast.errors import ConfigurationError
+from scenecontrast.errors import ConfigurationError, FormatError
 from scenecontrast.scenegen import (
     UNASSIGNED,
     SceneGeometry,
@@ -476,6 +476,14 @@ def test_probe_bad_fraction_exits_1(ckpt_dir, scene_dir, capsys):
     capsys.readouterr()
 
 
+def param_offset(layers, i: int, part: str, j: int) -> int:
+    """Byte offset, in a checkpoint of ``layers``, of entry ``j`` of layer
+    ``i``'s "weights" or "bias": past the magic, version and layer count,
+    the layers before, and layer ``i``'s rows and cols."""
+    at = 12 + sum(8 + 8 * (w.size + b.size) for w, b in layers[:i]) + 8
+    return at + 8 * (j if part == "weights" else layers[i][0].size + j)
+
+
 def test_probe_rejects_non_finite_checkpoint(ckpt_dir, scene_dir, cfg_file, tmp_path, capsys):
     feat_dim = read_scene(sorted(scene_dir.glob("*.cscs"))[0]).pixel_features.shape[3]
     model = load_model(ckpt_dir / "checkpoint.cscw", feat_dim, embed_dim=12)
@@ -486,8 +494,52 @@ def test_probe_rejects_non_finite_checkpoint(ckpt_dir, scene_dir, cfg_file, tmp_
         ["probe", "--ckpt", str(bad), "--scenes", str(scene_dir),
          "--config", str(cfg_file)]
     )
-    assert code != 0
-    assert "checkpoint stack 1, layer 1: non-finite parameters" in capsys.readouterr().err
+    assert code == 2
+    # the 3D stack's second layer is the checkpoint's layer 4
+    cols = model.embed3d.layers[1].weight.shape[1]
+    offset = param_offset(embednet.read_checkpoint(ckpt_dir / "checkpoint.cscw"), 4, "weights",
+                          2 * cols + 3)
+    assert capsys.readouterr().err == (
+        f"error: {bad}: non-finite value in layer 4 weights (byte offset {offset})\n"
+    )
+
+
+# one rule for both formats: a NaN or infinity in any float section fails
+# where it is read, naming the file, the section and the byte offset
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section", ["points", "camera 0 pixel_features", "layer 4 weights", "layer 8 bias"]
+)
+def test_non_finite_value_fails_alike_in_both_formats(
+    ckpt_dir, scene_dir, cfg_file, tmp_path, capsys, section, value
+):
+    scenes, ckpt = tmp_path / "scenes", tmp_path / "checkpoint.cscw"
+    shutil.copytree(scene_dir, scenes)
+    shutil.copyfile(ckpt_dir / "checkpoint.cscw", ckpt)
+    if section.startswith("layer"):
+        path, read, dtype = ckpt, embednet.read_checkpoint, "<f8"
+        layers = embednet.read_checkpoint(ckpt)
+        _, i, part = section.split()
+        i = int(i)
+        offset = param_offset(layers, i, part, 7 if part == "weights" else len(layers[i][1]) - 1)
+    else:
+        path, read, dtype = scenes / "scene_0001_f00.cscs", read_scene, "<f4"
+        k = read_scene(path).num_points
+        # past the 36-byte header: point 5's intensity, or camera 0's
+        # 11th pixel feature, past the points, labels and camera block
+        offset = 36 + (16 * 5 + 12 if section == "points" else 18 * k + 80 + 4 * 11)
+    data = bytearray(path.read_bytes())
+    raw = np.array(value, dtype).tobytes()
+    data[offset : offset + len(raw)] = raw
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: non-finite value in {section} (byte offset {offset})"
+    assert err.value.offset == offset
+    code = main(["probe", "--ckpt", str(ckpt), "--scenes", str(scenes),
+                 "--config", str(cfg_file)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 def test_pretrain_names_a_damaged_scene_file(scene_dir, cfg_file, tmp_path, capsys):
@@ -514,18 +566,20 @@ def test_probe_names_a_checkpoint_that_is_not_one(scene_dir, cfg_file, capsys):
 def test_load_model_errors_start_with_the_path(ckpt_dir, scene_dir, tmp_path):
     feat_dim = read_scene(sorted(scene_dir.glob("*.cscs"))[0]).pixel_features.shape[3]
     model = load_model(ckpt_dir / "checkpoint.cscw", feat_dim, embed_dim=12)
-    model.embed2d.layers[0].bias[1] = np.nan
-    nan = tmp_path / "nan.cscw"
-    save_model(model, nan)
     # the 2D stack alone: its widths match, its layer count does not
     short = tmp_path / "short.cscw"
     embednet.write_checkpoint(short, [model.embed2d])
     want = sum(len(s.layers) for s in model.stacks())
-    for path, message in (
-        (nan, "checkpoint stack 0, layer 0: non-finite parameters"),
-        (short, f"checkpoint has {len(model.embed2d.layers)} layers, architecture wants {want}"),
+    offset = param_offset(embednet.read_checkpoint(short), 0, "bias", 1)
+    model.embed2d.layers[0].bias[1] = np.nan
+    nan = tmp_path / "nan.cscw"
+    save_model(model, nan)
+    for path, error, message in (
+        (nan, FormatError, f"non-finite value in layer 0 bias (byte offset {offset})"),
+        (short, ConfigurationError,
+         f"checkpoint has {len(model.embed2d.layers)} layers, architecture wants {want}"),
     ):
-        with pytest.raises(ConfigurationError) as err:
+        with pytest.raises(error) as err:
             load_model(path, feat_dim, embed_dim=12)
         assert str(err.value) == f"{path}: {message}"
 

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scenecontrast import embednet
@@ -26,11 +26,12 @@ from scenecontrast.embednet import (
     write_checkpoint,
 )
 from scenecontrast.errors import (
-    CheckpointFormatError,
     ConfigurationError,
     ContractViolationError,
+    FormatError,
     ShapeError,
 )
+from scenecontrast.trainer import init_model, load_model, save_model
 
 from fdutil import (
     central_diff,
@@ -140,6 +141,25 @@ def test_reused_cache_rejected(rng):
     with pytest.raises(ContractViolationError, match="reused"):
         backward(stack, np.ones((6, 3)), old)
     backward(stack, np.ones((6, 3)), new)
+
+
+def test_a_cache_gives_its_arrays_up_once(rng):
+    # a second forward from the same cache gets arrays of its own, so each
+    # backward gives what a fresh forward's does
+    stack = init_stack([5, 7, 6, 3], rng)
+    x, y, z = (rng.normal(size=(9, 5)) for _ in range(3))
+    up = rng.normal(size=(9, 3))
+    _, cache = forward(stack, x)
+    backward(stack, up, cache)
+    _, first = forward(stack, y, reuse=cache)
+    _, second = forward(stack, z, reuse=cache)
+    assert cache.acts == [] and cache.grads is None
+    assert len(first.acts) == len(second.acts) == 1
+    assert not np.shares_memory(first.acts[0], second.acts[0])
+    g1, g2 = backward(stack, up, first), backward(stack, up, second)
+    assert not np.shares_memory(g1[0], g2[0])
+    assert as_bytes(*g1) == as_bytes(*reference_grads(stack, y, up))
+    assert as_bytes(*g2) == as_bytes(*reference_grads(stack, z, up))
 
 
 def reference_grads(stack, x, upstream):
@@ -331,16 +351,20 @@ def test_recompute_matches_the_stored_oracle(depth, dtype, lend, reuse, input_gr
         bufs = lent()
         _, kept = forward(stack, x, **bufs)
         backward(stack, upstream(bufs), kept, work=bufs.get("work"))
+        taken = kept.acts, kept.grads
     bufs = lent()
     out, cache = forward(stack, y, reuse=kept, **bufs)
     assert cache.inputs is y
     assert out.tobytes() == want_out.tobytes()
+    if reuse:  # the reusing forward takes the arrays and leaves the old cache empty
+        assert all(a is b for a, b in zip(taken[0], cache.acts, strict=True))
+        assert kept.acts == [] and kept.grads is None
     grads, gx = backward(
         stack, upstream(bufs), cache, work=bufs.get("work"), input_grad=input_grad
     )
     assert grads.tobytes() == want_grads.tobytes()
     if reuse:  # a reusing forward takes over the gradient vector too
-        assert grads is kept.grads
+        assert grads is taken[1]
     if input_grad:
         assert gx.tobytes() == want_gx.tobytes()
     else:
@@ -655,7 +679,7 @@ def test_checkpoint_bad_magic(tmp_path, rng):
     data = bytearray(path.read_bytes())
     data[0] = ord("Z")
     path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointFormatError, match="magic") as err:
+    with pytest.raises(FormatError, match="magic") as err:
         read_checkpoint(path)
     assert err.value.offset == 0
 
@@ -664,7 +688,7 @@ def test_checkpoint_truncated(tmp_path, rng):
     path = tmp_path / "x.cscw"
     write_checkpoint(path, [init_stack([2, 3], rng)])
     path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(CheckpointFormatError, match="layer 0"):
+    with pytest.raises(FormatError, match="layer 0"):
         read_checkpoint(path)
 
 
@@ -674,7 +698,7 @@ def test_checkpoint_version_mismatch(tmp_path, rng):
     data = bytearray(path.read_bytes())
     data[4] = 7
     path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointFormatError, match="version") as err:
+    with pytest.raises(FormatError, match="version") as err:
         read_checkpoint(path)
     assert err.value.offset == 4
 
@@ -686,3 +710,30 @@ def test_load_layers_shape_mismatch(tmp_path, rng):
         load_layers([init_stack([3, 2], rng)], read_checkpoint(path))
     with pytest.raises(ConfigurationError):
         load_layers([init_stack([2, 2, 2], rng)], read_checkpoint(path))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fuzzed_checkpoint_raises_cleanly(tmp_path_factory, data):
+    """Any truncation or byte flip of a model's checkpoint either raises
+    FormatError, or loads into a model with finite parameters unless
+    load_model rejects its layer count or shapes."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.cscw"
+    save_model(init_model(feat_dim=3, embed_dim=4, seed=0), path)
+    blob = bytearray(path.read_bytes())
+    mode = data.draw(st.sampled_from(["truncate", "flip"]))
+    if mode == "truncate":
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        blob = blob[:cut]
+    else:
+        pos = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        blob[pos] ^= data.draw(st.integers(min_value=1, max_value=255))
+    path.write_bytes(bytes(blob))
+    try:
+        model = load_model(path, feat_dim=3, embed_dim=4)
+    except FormatError as err:
+        assert 0 <= err.offset <= len(blob)
+        return
+    except ConfigurationError:
+        return
+    assert np.isfinite(model.params).all()

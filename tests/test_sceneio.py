@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scenecontrast.errors import SceneFormatError
+from scenecontrast.errors import FormatError
 from scenecontrast.scenegen import (
     UNASSIGNED,
     SceneGeometry,
@@ -55,7 +55,7 @@ def test_corrupted_magic(tmp_path):
     data = bytearray(path.read_bytes())
     data[0] = ord("X")
     path.write_bytes(bytes(data))
-    with pytest.raises(SceneFormatError, match="magic") as err:
+    with pytest.raises(FormatError, match="magic") as err:
         read_scene(path)
     assert err.value.offset == 0
 
@@ -66,7 +66,7 @@ def test_version_mismatch(tmp_path):
     data = bytearray(path.read_bytes())
     data[4] = 99
     path.write_bytes(bytes(data))
-    with pytest.raises(SceneFormatError, match="version") as err:
+    with pytest.raises(FormatError, match="version") as err:
         read_scene(path)
     assert err.value.offset == 4
 
@@ -83,7 +83,7 @@ def test_truncated_mid_raster_names_section(tmp_path):
     feats = 16 * 16 * TINY.pixel_features.shape[3] * 4
     cut = header + points + labels + cam_fixed + feats + 7
     path.write_bytes(data[:cut])
-    with pytest.raises(SceneFormatError, match="camera 0 semantic_raster") as err:
+    with pytest.raises(FormatError, match="camera 0 semantic_raster") as err:
         read_scene(path)
     assert err.value.offset == cut - 7
 
@@ -92,7 +92,7 @@ def test_truncated_points(tmp_path):
     path = tmp_path / "scene.cscs"
     write_scene(TINY, path)
     path.write_bytes(path.read_bytes()[: 4 + 8 * 4 + 10])
-    with pytest.raises(SceneFormatError, match="points"):
+    with pytest.raises(FormatError, match="points"):
         read_scene(path)
 
 
@@ -100,7 +100,7 @@ def test_trailing_garbage(tmp_path):
     path = tmp_path / "scene.cscs"
     write_scene(TINY, path)
     path.write_bytes(path.read_bytes() + b"\x00\x01")
-    with pytest.raises(SceneFormatError, match="trailing"):
+    with pytest.raises(FormatError, match="trailing"):
         read_scene(path)
 
 
@@ -137,7 +137,7 @@ def write_patched(path, offset, value: bytes):
 def test_non_finite_value_names_section_and_offset(tmp_path, offset, section, value):
     path = tmp_path / "scene.cscs"
     write_patched(path, offset, np.float32(value).astype("<f4").tobytes())
-    with pytest.raises(SceneFormatError, match=f"non-finite value in {section}") as err:
+    with pytest.raises(FormatError, match=f"non-finite value in {section}") as err:
         read_scene(path)
     assert err.value.offset == offset
 
@@ -149,7 +149,7 @@ def test_class_count_bounded_by_the_label_dtype(tmp_path):
     assert read_scene(path).num_classes == 65536
     write_patched(path, 28, np.uint32(65537).astype("<u4").tobytes())
     message = "class count T must be <= 65536, got 65537"
-    with pytest.raises(SceneFormatError, match=message) as err:
+    with pytest.raises(FormatError, match=message) as err:
         read_scene(path)
     assert err.value.offset == 28
 
@@ -161,7 +161,7 @@ def _traced_read(path):
     try:
         try:
             got = read_scene(path)
-        except SceneFormatError as err:
+        except FormatError as err:
             got = err
         return got, tracemalloc.get_traced_memory()[1]
     finally:
@@ -184,7 +184,7 @@ def test_damaged_feature_width_allocates_nothing_the_file_lacks(tmp_path):
     path = tmp_path / "scene.cscs"
     write_patched(path, 24, np.uint32(1 << 30).astype("<u4").tobytes())
     err, peak = _traced_read(path)
-    assert isinstance(err, SceneFormatError)
+    assert isinstance(err, FormatError)
     assert str(err).startswith(f"{path}: truncated while reading camera 0 pixel_features")
     assert err.offset == FEATS0
     assert peak <= 2 * path.stat().st_size, peak
@@ -203,7 +203,7 @@ def test_oversized_header_rejected_before_any_array(tmp_path, patched, value, me
     # without the bound the reader would fail later, at a truncated section
     path = tmp_path / "scene.cscs"
     write_patched(path, patched, np.uint32(value).astype("<u4").tobytes())
-    with pytest.raises(SceneFormatError, match=message) as err:
+    with pytest.raises(FormatError, match=message) as err:
         read_scene(path)
     assert err.value.offset == offset
 
@@ -216,7 +216,7 @@ def test_superpixel_id_not_below_raster_size(tmp_path, camera, section):
     path = tmp_path / "scene.cscs"
     offset = section + 4 * 3
     write_patched(path, offset, np.uint32(16 * 16).astype("<u4").tobytes())
-    with pytest.raises(SceneFormatError, match=f"camera {camera} superpixel") as err:
+    with pytest.raises(FormatError, match=f"camera {camera} superpixel") as err:
         read_scene(path)
     assert err.value.offset == offset
     # the largest id that fits is accepted
@@ -275,7 +275,7 @@ def test_invalid_camera_block_names_the_camera_and_its_offset(
         m = world_to_cam(m)
     path = tmp_path / "scene.cscs"
     write_patched(path, block, intr.astype("<f4").tobytes() + m.astype("<f4").tobytes())
-    with pytest.raises(SceneFormatError, match=f"camera {camera} invalid: {message}") as err:
+    with pytest.raises(FormatError, match=f"camera {camera} invalid: {message}") as err:
         read_scene(path)
     assert err.value.offset == block
 
@@ -284,7 +284,7 @@ def test_point_label_out_of_class_range_names_its_offset(tmp_path):
     path = tmp_path / "scene.cscs"
     offset = LABELS + 2 * 5  # point 5's label; T is 4
     write_patched(path, offset, np.uint16(4).astype("<u2").tobytes())
-    with pytest.raises(SceneFormatError, match="point label 4 not below T=4") as err:
+    with pytest.raises(FormatError, match="point label 4 not below T=4") as err:
         read_scene(path)
     assert err.value.offset == offset
 
@@ -299,7 +299,7 @@ def test_semantic_id_out_of_class_range_names_its_offset(tmp_path, camera, sem, 
     offset = sem + 2 * pixel
     write_patched(path, offset, np.uint16(4).astype("<u2").tobytes())
     with pytest.raises(
-        SceneFormatError, match=f"camera {camera} semantic_raster: id 4 on an assigned"
+        FormatError, match=f"camera {camera} semantic_raster: id 4 on an assigned"
     ) as err:
         read_scene(path)
     assert err.value.offset == offset
@@ -313,7 +313,7 @@ def test_semantic_id_out_of_class_range_names_its_offset(tmp_path, camera, sem, 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_fuzzed_corruption_raises_cleanly(tmp_path_factory, data):
-    """Any truncation or byte flip either raises SceneFormatError or reads
+    """Any truncation or byte flip either raises FormatError or reads
     back into a scene the trainer can prepare, with at most one region per
     raster cell."""
     path = tmp_path_factory.mktemp("fuzz") / "scene.cscs"
@@ -329,7 +329,7 @@ def test_fuzzed_corruption_raises_cleanly(tmp_path_factory, data):
     path.write_bytes(bytes(blob))
     try:
         frame = read_scene(path)
-    except SceneFormatError as err:
+    except FormatError as err:
         assert 0 <= err.offset <= len(blob)
         return
     fd = prepare_frame(frame)

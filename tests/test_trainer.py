@@ -1005,9 +1005,13 @@ def test_each_slot_reuses_the_step_befores_buffers(small_set, monkeypatch):
         batches.append(batch)
         return real_run_step(model, batch, *rest)
 
-    def forward_(stack, inputs, **kwargs):
-        out, cache = real_forward(stack, inputs, **kwargs)
-        calls.append((len(batches) - 1, stack, id(inputs), cache))
+    def forward_(stack, inputs, reuse=None, **kwargs):
+        # each cache's arrays as the forward leaves them, before the next
+        # reusing forward takes them
+        taken = None if reuse is None else list(reuse.acts)
+        out, cache = real_forward(stack, inputs, reuse=reuse, **kwargs)
+        record = (cache, list(cache.acts), reuse, taken)
+        calls.append((len(batches) - 1, stack, id(inputs), record))
         return out, cache
 
     monkeypatch.setattr(trainer, "init_model", init_model_)
@@ -1018,20 +1022,24 @@ def test_each_slot_reuses_the_step_befores_buffers(small_set, monkeypatch):
     (model,) = models
     sides = {id(model.embed2d): "x2d", id(model.embed3d): "x3d"}
     by_slot = {}
-    for k, stack, x, cache in calls:
+    for k, stack, x, record in calls:
         if id(stack) in sides:
             side = sides[id(stack)]
             slot = [id(getattr(fd, side)) for fd in batches[k]].index(x)
-            by_slot[k, side, slot] = cache
+            by_slot[k, side, slot] = record
     assert len(batches) == 6 and len(by_slot) == 6 * 2 * 3
     for k in range(1, len(batches)):
         for side in sides.values():
             for slot in range(3):
-                before, now = by_slot[k - 1, side, slot], by_slot[k, side, slot]
+                before = by_slot[k - 1, side, slot][0]
+                now, acts, reused, taken = by_slot[k, side, slot]
                 # the hidden layers after the first; no stack output
-                assert len(now.acts) == len(trainer.HIDDEN) - 1
+                assert len(acts) == len(trainer.HIDDEN) - 1
                 assert now.inputs is getattr(batches[k][slot], side)
-                assert all(np.shares_memory(a, b) for a, b in zip(before.acts, now.acts))
+                assert reused is before
+                assert all(np.shares_memory(a, b) for a, b in zip(taken, acts, strict=True))
+                # the old cache gave its arrays up
+                assert before.acts == [] and before.grads is None
 
 
 @pytest.mark.parametrize("cfg", [CFG, FROZEN], ids=["trained", "frozen"])
