@@ -102,7 +102,8 @@ def _cmd_gen_scenes(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg = _config_from_args(args)
-    result = trainer.pretrain(_load_scene_dir(args.scenes), cfg, out_dir=args.out)
+    with _load_scene_dir(args.scenes) as scenes:  # stops the set's 3D lane
+        result = trainer.pretrain(scenes, cfg, out_dir=args.out)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"metrics:    {result.metrics_path}")
     return 0
@@ -130,12 +131,12 @@ def _cmd_probe(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
-    scenes = _load_scene_dir(args.scenes)
     # --seeds defaults to 10, or to 1 with --arm
     n = args.seeds if args.seeds is not None else 1 if args.arm else 10
     seeds = range(cfg.seed, cfg.seed + n)
     arms = (args.arm,) if args.arm else trainer.ARMS
-    rows = trainer.run_ablation(scenes, cfg, seeds, arms=arms)
+    with _load_scene_dir(args.scenes) as scenes:  # one 3D lane for every job
+        rows = trainer.run_ablation(scenes, cfg, seeds, arms=arms)
     csv = trainer.ablation_csv(rows)
     sys.stdout.write(csv)
     if args.out:

@@ -17,23 +17,33 @@ same layout, and SGD updates all of ``params`` with three in-place
 vector operations; under ``freeze_2d`` embed2d's slice of the gradient
 stays zero, so SGD leaves its parameters as they are.
 
-Everything a run carries from step to step is one ``_Run``: the worker
-thread, a second lane beside the calling thread while the 2D stack is
-trained, the buffers that spare a step from allocating any stack-sized
-array, the EMA bank, the gradient and the SGD velocity.  A step's
-forward and backward are each one task list, which both lanes claim
-from.  A non-finite loss or parameter ends the run with TrainingError.
-All seeds are named SeedSequence tuples and reductions run in fixed
-order (frame index ascending) on the calling thread, so identical inputs
-give bit-identical metrics and checkpoints.
+Everything a run carries from step to step is one ``_Run``: a second
+lane beside the calling thread, the buffers that spare a step from
+allocating any stack-sized array, the EMA bank, the gradient and the SGD
+velocity.  While the 2D stack is trained the second lane is a worker
+thread, and a step's forward and backward are each one task list, which
+both lanes claim from.  Under ``freeze_2d`` it is the scene set's 3D
+lane, a child process (``_Lane``) that runs the 3D side of the last
+half of each batch's frames, since a thread would contend with the
+calling thread for the interpreter lock on the 3D stack's many short
+numpy calls.  A non-finite loss or parameter ends the run with
+TrainingError.  All seeds are named SeedSequence tuples and reductions
+run in fixed order (frame index ascending) on the calling thread, so
+identical inputs give bit-identical metrics and checkpoints, whichever
+lane ran a frame.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import select
+import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -44,7 +54,7 @@ from . import blending, embednet, losses, protobank
 from .blasthreads import blas_threads
 from .blending import BlendParams
 from .bounds import Bound, check
-from .embednet import DenseStack, EmbeddingBank, Regions
+from .embednet import DenseLayer, DenseStack, EmbeddingBank, Regions
 from .errors import (
     ConfigurationError,
     DegenerateBatchError,
@@ -249,7 +259,14 @@ class SceneSet:
     error names the frame by ``names`` (one per frame, in the order given).
     ``prepared`` holds each frame's ``FrameData``, made on first use and
     then shared by every run over the set.
+
+    The first ``freeze_2d`` step over the set starts its 3D lane
+    (``_Lane``), which later runs over the set share, so runs over one
+    set take turns.  ``close`` stops it, as leaving a ``with`` block over
+    the set does, and so does dropping the set or the interpreter's exit.
     """
+
+    _lane: _Lane | None = None
 
     def __init__(self, frames: list[SceneFrame], names=None):
         names = names or [f"frame {i}" for i in range(len(frames))]
@@ -278,6 +295,25 @@ class SceneSet:
     @cached_property
     def prepared(self) -> list[FrameData]:
         return [prepare_frame(f) for f in self.frames]
+
+    def lane3d(self) -> _Lane | None:
+        """The set's 3D lane once it is ready for frames; the first call starts it."""
+        if self._lane is None:
+            self._lane = _Lane(self.prepared)
+            self._stop_lane = weakref.finalize(self, self._lane.close)
+        return self._lane if self._lane.ready() else None
+
+    def close(self) -> None:
+        """Stop the set's 3D lane and reap it; a later frozen run starts another."""
+        if self._lane is not None:
+            self._stop_lane()
+            self._lane = None
+
+    def __enter__(self) -> SceneSet:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +367,191 @@ def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, lane: np.nd
     return embednet.backward(stack, g, cache, work=work, input_grad=False)[0]
 
 
+# ---------------------------------------------------------------------------
+# the 3D lane
+
+
+# the last word of the lane's command line, by which a process list finds it
+LANE_MARKER = "scenecontrast-3d-lane"
+# Ctrl-C in a terminal reaches the whole process group; the parent handles
+# it and stops the lane.  sys.argv[1] is where the parent found the package.
+_LANE_CODE = (
+    "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+    "sys.path.insert(0, sys.argv[1]); "
+    "from scenecontrast.trainer import _serve_lane; _serve_lane()"
+)
+
+
+class _LaneFailed(Exception):
+    """The 3D lane exited, or stopped answering, after it was ready."""
+
+
+class _Lane:
+    """A scene set's 3D lane: one child Python process, started with
+    ``subprocess`` (not fork, which is unsafe once OpenBLAS has started
+    threads, and not ``multiprocessing``, whose spawn re-runs an unguarded
+    ``__main__``).
+
+    It reports ready once it has imported the package (about 0.35 s),
+    and is then sent the set's prepared 3D inputs, once; ``ready`` asks
+    without waiting.  A step then sends it four pickled messages over
+    its pipes: out, embed3d's layer shapes, its slice of ``Model.params``
+    and the (slot, frame index) pairs it runs; back, each frame's pooled
+    rows and validity; out, each frame's upstream rows; back, each
+    frame's gradient vector, one message each, so that the caller adds
+    them in slot order.  The lane keeps its own slot caches and lane
+    buffer, and rebuilds its stack when the shapes change.  ``held`` is
+    True while the lane owes answers.  A lane that cannot start, or
+    exits before it is ready, is never ready, and says so once on stderr;
+    one that fails later raises ``_LaneFailed``.
+    """
+
+    def __init__(self, frames: list[FrameData]):
+        self.frames = frames
+        self.index = {id(fd): i for i, fd in enumerate(frames)}
+        self.is_ready = self.held = False
+        self.count = 0  # frames in the step the lane holds
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {**os.environ, **dict.fromkeys(threads, "1")}
+        package_dir = str(Path(__file__).resolve().parents[1])
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", _LANE_CODE, package_dir, LANE_MARKER],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+            )
+        except OSError as err:
+            self.proc = None
+            _lane_warning(err)
+
+    def ready(self, timeout: float | None = 0.0) -> bool:
+        """Whether the lane takes frames, waiting up to ``timeout`` seconds
+        (None: until it reports) for its report."""
+        if self.proc is None:
+            return False
+        if self.is_ready:
+            return True
+        if not select.select([self.proc.stdout], [], [], timeout)[0]:
+            return False
+        try:
+            pickle.load(self.proc.stdout)
+            self._send([(fd.x3d, fd.regions3d) for fd in self.frames])
+        except (EOFError, OSError, pickle.UnpicklingError):
+            self.close()
+            _lane_warning("it exited before it was ready")
+            return False
+        self.is_ready = True
+        return True
+
+    def forward(self, stack: DenseStack, params: np.ndarray, slots) -> None:
+        """Start ``_embed`` on each (slot, FrameData) of ``slots`` with
+        ``stack``, whose parameters ``params`` holds."""
+        self.held, self.count = True, len(slots)
+        shapes = [l.weight.shape for l in stack.layers]
+        self._send(("forward", shapes, params, [(k, self.index[id(fd)]) for k, fd in slots]))
+
+    def rows(self) -> list:
+        """Each frame's (rows, validity, None): ``_embed``'s, less the caches."""
+        got = [(rows, valid, None) for rows, valid in self._recv()]
+        self.held = False
+        return got
+
+    def backward(self, upstreams: list[np.ndarray]) -> None:
+        """Start ``_embed_backward`` on the forward's frames, given their rows' gradients."""
+        self.held = True
+        self._send(("backward", upstreams))
+
+    def grads(self) -> list[np.ndarray]:
+        """Each frame's gradient vector, in slot order."""
+        got = [self._recv() for _ in range(self.count)]
+        self.held = False
+        return got
+
+    def _send(self, message) -> None:
+        try:
+            pickle.dump(message, self.proc.stdin, protocol=5)
+            self.proc.stdin.flush()
+        except OSError:
+            raise self._failure() from None
+
+    def _recv(self):
+        try:
+            return pickle.load(self.proc.stdout)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            raise self._failure() from None
+
+    def _failure(self) -> _LaneFailed:
+        try:
+            return _LaneFailed(f"3D lane exited with code {self.proc.wait(timeout=10)}")
+        except subprocess.TimeoutExpired:
+            return _LaneFailed("3D lane stopped answering")
+
+    def close(self) -> None:
+        """Stop the lane and reap it: an idle ready lane exits at EOF on its
+        input; one that owes answers, or is still starting, is killed."""
+        proc, self.proc = self.proc, None
+        if proc is None:
+            return
+        if self.held or not self.is_ready:
+            proc.kill()
+        for pipe in (proc.stdin, proc.stdout):
+            try:
+                pipe.close()
+            except OSError:  # what was left to flush to a lane that is gone
+                pass
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+
+
+def _lane_warning(reason) -> None:
+    print(f"warning: the 3D lane did not start ({reason}); "
+          "this thread runs every frame", file=sys.stderr)
+
+
+def _serve_lane() -> None:
+    """The 3D lane's side of ``_Lane``'s messages, until EOF on its input."""
+    inp, out = sys.stdin.buffer, sys.stdout.buffer
+
+    def send(message) -> None:
+        pickle.dump(message, out, protocol=5)
+        out.flush()
+
+    shapes = None
+    try:
+        send("ready")
+        frames = pickle.load(inp)  # each frame's (x3d, regions3d)
+        while True:
+            message = pickle.load(inp)
+            if message[0] == "backward":
+                for caches, upstream in zip(held, message[1]):
+                    send(_embed_backward(stack, upstream, caches, lane))
+                continue
+            _, new_shapes, params, pairs = message
+            if new_shapes != shapes:  # the first run, or one with another embed_dim
+                shapes = new_shapes
+                stack = DenseStack([DenseLayer(np.zeros(s), np.zeros(s[0])) for s in shapes])
+                buf = embednet.pack_params([stack])
+                n = max(len(x) for x, _ in frames)
+                lane = np.empty(n * max(stack.out_width, shapes[0][0]))
+                slots: dict = {}
+            buf[...] = params
+            stack.bump()
+            sides = [_embed(stack, *frames[i], slots, k, lane) for k, i in pairs]
+            held = [caches for _, _, caches in sides]
+            send([(rows, valid) for rows, valid, _ in sides])
+    except EOFError:
+        return
+
+
 class _Run:
     """What one ``pretrain`` run carries from step to step; see ``open``.
 
-    ``worker`` is the lane beside the calling thread (None with
-    ``freeze_2d``).  ``scratch`` is one flat float64 buffer per lane, this
-    thread's and then the worker's, of the largest frame's rows times the
+    ``worker`` is the thread lane beside the calling thread (None with
+    ``freeze_2d``, whose second lane is ``scenes``' 3D lane).  ``scratch``
+    is one flat float64 buffer per thread lane, this thread's and then the
+    worker's, of the largest frame's rows times the
     wider of ``embed_dim`` and ``HIDDEN[0]``: its start holds, in turn,
     each first hidden output, each stack output until it is pooled, each
     pooled gradient until the backward's top layers have read it, and
@@ -348,9 +563,10 @@ class _Run:
     on embed2d under ``freeze_2d``); ``vel`` the SGD velocity of ``params``.
     """
 
-    def __init__(self, model: Model, cfg: TrainConfig, frames: list[FrameData], worker):
+    def __init__(self, model: Model, cfg: TrainConfig, scenes: SceneSet, worker):
         self.worker = worker
-        rows = max(len(x) for fd in frames for x in (fd.x2d, fd.x3d))
+        self.scenes = scenes
+        rows = max(len(x) for fd in scenes.prepared for x in (fd.x2d, fd.x3d))
         lanes = 1 if worker is None else 2
         width = max(cfg.embed_dim, HIDDEN[0])
         self.scratch = [np.empty(rows * width) for _ in range(lanes)]
@@ -365,14 +581,13 @@ class _Run:
 
     @classmethod
     @contextmanager
-    def open(cls, model: Model, cfg: TrainConfig, frames: list[FrameData]):
-        """The run over ``frames``; unless ``freeze_2d``, its worker lane
-        runs under a cap of one BLAS thread per lane until it is closed."""
-        if cfg.freeze_2d:
-            yield cls(model, cfg, frames, None)
-            return
-        with blas_threads(1), ThreadPoolExecutor(1, thread_name_prefix="embed2d") as w:
-            yield cls(model, cfg, frames, w)
+    def open(cls, model: Model, cfg: TrainConfig, scenes: SceneSet):
+        """The run over ``scenes``, under a cap of one BLAS thread per lane
+        until it is closed; unless ``freeze_2d``, with its worker thread."""
+        worker = nullcontext() if cfg.freeze_2d else ThreadPoolExecutor(
+            1, thread_name_prefix="embed2d")
+        with blas_threads(1), worker as w:
+            yield cls(model, cfg, scenes, w)
 
     def embed2d(self, stack: DenseStack, k: int, fd: FrameData, lane):
         """Frame ``fd``'s 2D side in batch slot ``k``, as ``_embed`` gives it;
@@ -445,20 +660,46 @@ def run_step(
     ``_run_tasks`` runs the forward's tasks, every frame's 2D side then
     every 3D side, and the backward's: every 2D backward (none when
     ``freeze_2d`` cached the 2D rows), every 3D one, the blend backward.
-    The frames' pooled rows make one ``EmbeddingBank``, which both losses
-    and the prototypes read.  The gradient is left in ``run.grads``, each
-    backward's vector added to its stack's slice here, in task order, so
-    it does not depend on which lane ran a task.  The prototype gate is
-    decided here, once: the prototype term is computed only while open.
-    Raises DegenerateBatchError when the batch has too few valid regions
-    or a raw 3D or blended prototype collapses to zero norm.
+    Under ``freeze_2d``, once the scene set's 3D lane is ready, the last
+    ⌊B/2⌋ frames' 3D forwards and backwards run there instead, while
+    this thread runs its tasks.  The frames' pooled rows make one
+    ``EmbeddingBank``, which both losses and the prototypes read.  The
+    gradient is left in ``run.grads``, each backward's vector added to
+    its stack's slice here, within a stack in slot order, so it does not
+    depend on which lane ran a frame.  The prototype gate is decided
+    here, once: the prototype term is computed only while open.
+    Raises DegenerateBatchError, once the lane has answered, when the
+    batch has too few valid regions or a raw 3D or blended prototype
+    collapses to zero norm, and ``_LaneFailed`` when the lane fails.
+    Any exception that ends a step while the lane owes it answers closes
+    the lane, whose part of the step is lost.
     """
+    lane = run.scenes.lane3d() if cfg.freeze_2d else None
+    try:
+        return _step(model, batch, epoch, cfg, run, lane)
+    except BaseException:
+        if lane is not None and lane.held:
+            run.scenes.close()
+        raise
+
+
+def _step(model, batch, epoch, cfg, run, lane: _Lane | None) -> LossReport:
+    """``run_step``'s work, with the 3D lane given or none."""
+    # embed2d's slice of the parameters, then embed3d's, then the blending stacks'
+    n2d = model.embed2d.num_params
+    n3d = n2d + model.embed3d.num_params
+    # the frames whose 3D sides run here; the lane runs the rest
+    here = len(batch) if lane is None else len(batch) - len(batch) // 2
+    if lane is not None:
+        lane.forward(model.embed3d, model.params[n2d:n3d], list(enumerate(batch))[here:])
     tasks = [partial(run.embed2d, model.embed2d, k, fd) for k, fd in enumerate(batch)]
     tasks += [
         partial(_embed, model.embed3d, fd.x3d, fd.regions3d, run.slots, ("3d", k))
-        for k, fd in enumerate(batch)
+        for k, fd in enumerate(batch[:here])
     ]
     sides = _run_tasks(run.worker, tasks, run.scratch)
+    if lane is not None:
+        sides += lane.rows()
     # one bank over the batch's regions: frame by frame, region index ascending
     rows2d, valid2d, caches2d = zip(*sides[: len(batch)])
     rows3d, valid3d, caches3d = zip(*sides[len(batch) :])
@@ -493,11 +734,10 @@ def run_step(
 
     grads = run.grads
     grads.fill(0.0)
-    # embed2d's slice, then embed3d's, then the blending stacks'
-    n2d = model.embed2d.num_params
-    n3d = n2d + model.embed3d.num_params
     ends = np.cumsum([len(fd.signs) for fd in batch])
     rows = [slice(end - len(fd.signs), end) for fd, end in zip(batch, ends)]
+    if lane is not None:
+        lane.backward([grad_f3d[r] for r in rows[here:]])
     # each backward task, and the slice of grads its vector is added into
     tasks, dests = [], []
     for stack, upstream, side, dest in (
@@ -505,13 +745,17 @@ def run_step(
         (model.embed3d, grad_f3d, caches3d, grads[n2d:n3d]),
     ):
         for r, caches in zip(rows, side):
-            if caches is not None:  # None: freeze_2d's cached 2D rows
+            if caches is not None:  # None: freeze_2d's cached 2D rows, or the lane's
                 tasks.append(partial(_embed_backward, stack, upstream[r], caches))
                 dests.append(dest)
     if bcache is not None:  # the gate is open and prototypes are blended
-        tasks.append(lambda lane: blending.blend_backward(pro.grad_pmix, bcache))
+        tasks.append(lambda scratch: blending.blend_backward(pro.grad_pmix, bcache))
         dests.append(grads[n3d:])
-    for dest, g in zip(dests, _run_tasks(run.worker, tasks, run.scratch)):
+    found = _run_tasks(run.worker, tasks, run.scratch)
+    if lane is not None:  # after this thread's 3D vectors, in slot order
+        found += lane.grads()
+        dests += [grads[n2d:n3d]] * (len(batch) - here)
+    for dest, g in zip(dests, found):
         dest += g
     return losses.total_loss(sp, pro)
 
@@ -556,7 +800,7 @@ def pretrain(scenes: SceneSet, cfg: TrainConfig, out_dir=None) -> PretrainResult
     model = init_model(scenes.frames[0].pixel_features.shape[3], cfg.embed_dim, cfg.seed)
     metrics = [losses.CSV_HEADER]
     step = 0
-    with _Run.open(model, cfg, scene_data) as run:
+    with _Run.open(model, cfg, scenes) as run:
         for epoch in range(1, cfg.epochs + 1):
             lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
             order = _rng(cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(scene_data))
@@ -573,6 +817,8 @@ def pretrain(scenes: SceneSet, cfg: TrainConfig, out_dir=None) -> PretrainResult
                         file=sys.stderr,
                     )
                     continue
+                except _LaneFailed as err:
+                    raise TrainingError(f"epoch {epoch}, step {step + 1}: {err}") from None
                 step += 1
                 _check_finite(report.values(), epoch, step, "loss")
                 run.sgd(lr)

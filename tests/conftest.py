@@ -22,8 +22,10 @@ def small_frames():
 
 @pytest.fixture(scope="session")
 def small_set(small_frames):
-    """``small_frames`` as one SceneSet, whose preparation the session shares."""
-    return SceneSet(small_frames)
+    """``small_frames`` as one SceneSet, whose preparation and 3D lane the
+    session shares; the lane stops with the session."""
+    with SceneSet(small_frames) as scenes:
+        yield scenes
 
 
 @pytest.fixture()

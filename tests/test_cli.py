@@ -779,24 +779,45 @@ def test_ablate_checks_and_prepares_the_scene_set_once(tmp_path, monkeypatch, ca
     assert (len(built), len(prepared)) == (1, 0)
 
 
-def _signalled_pretrain(scene_dir, tmp_path, signum):
-    """A child ``pretrain`` sent ``signum`` once ``--out`` exists; (code, stderr, out)."""
+def lane_pids(pid: int) -> list[int]:
+    """The 3D lanes among process ``pid``'s children, found by their command line."""
+    found = []
+    for kid in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
+        try:
+            if trainer.LANE_MARKER.encode() in Path(f"/proc/{kid}/cmdline").read_bytes():
+                found.append(int(kid))
+        except OSError:  # it exited
+            pass
+    return found
+
+
+def _signalled_pretrain(scene_dir, tmp_path, signum, frozen=False):
+    """A child ``pretrain`` sent ``signum`` once ``--out`` exists, or with
+    ``frozen`` once its 3D lane has had a second to start; (code, stderr,
+    out, the lane pids seen)."""
     src = str(Path(scenecontrast.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cfg = tmp_path / "c.txt"
-    cfg.write_text(CFG_TEXT.replace("epochs = 2", "epochs = 100000"))
+    text = CFG_TEXT.replace("epochs = 2", "epochs = 100000")
+    cfg.write_text(text + "freeze_2d = true\n" if frozen else text)
     out = tmp_path / "o"
     proc = subprocess.Popen(
         [sys.executable, "-m", "scenecontrast.cli", "pretrain", "--config", str(cfg),
          "--scenes", str(scene_dir), "--out", str(out)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
+    lanes = []
     try:
         # pretrain makes --out just before it prepares the scenes and steps
         deadline = time.monotonic() + 60
         while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.01)
+        while frozen and not lanes and proc.poll() is None and time.monotonic() < deadline:
+            lanes = lane_pids(proc.pid)
+            time.sleep(0.01)
+        if frozen:
+            time.sleep(1.0)  # the lane imports numpy and takes frames
         assert proc.poll() is None, proc.communicate()
         proc.send_signal(signum)
         _, err = proc.communicate(timeout=60)
@@ -804,11 +825,11 @@ def _signalled_pretrain(scene_dir, tmp_path, signum):
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
-    return proc.returncode, err, out
+    return proc.returncode, err, out, lanes
 
 
 def test_interrupted_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
-    code, err, out = _signalled_pretrain(scene_dir, tmp_path, signal.SIGINT)
+    code, err, out, _ = _signalled_pretrain(scene_dir, tmp_path, signal.SIGINT)
     assert code == 2, err
     assert "error: pretrain: interrupted\n" in err
     assert "Traceback" not in err
@@ -816,11 +837,48 @@ def test_interrupted_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
 
 
 def test_terminated_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
-    code, err, out = _signalled_pretrain(scene_dir, tmp_path, signal.SIGTERM)
+    code, err, out, _ = _signalled_pretrain(scene_dir, tmp_path, signal.SIGTERM)
     assert code == 2, err
     assert "error: pretrain: terminated\n" in err
     assert "Traceback" not in err
     assert out.is_dir() and not (out / "checkpoint.cscw").exists()
+
+
+@pytest.mark.parametrize(
+    "signum,word", [(signal.SIGINT, "interrupted"), (signal.SIGTERM, "terminated")],
+    ids=["SIGINT", "SIGTERM"],
+)
+def test_signalled_frozen_pretrain_stops_its_3d_lane(scene_dir, tmp_path, signum, word):
+    code, err, out, lanes = _signalled_pretrain(scene_dir, tmp_path, signum, frozen=True)
+    assert code == 2, err
+    assert f"error: pretrain: {word}\n" in err
+    assert "Traceback" not in err
+    assert out.is_dir() and not (out / "checkpoint.cscw").exists()
+    (lane,) = lanes
+    assert not Path(f"/proc/{lane}").exists()  # stopped and reaped
+
+
+def test_a_killed_3d_lane_exits_2(scene_dir, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(CFG_TEXT + "freeze_2d = true\n")
+    real_ready, real_run_step = trainer._Lane.ready, trainer.run_step
+    lanes = []
+
+    def run_step_(model, batch, epoch, cfg, run):
+        if epoch == 2 and not lanes:
+            lanes.append(run.scenes._lane.proc)
+            lanes[0].kill()
+        return real_run_step(model, batch, epoch, cfg, run)
+
+    # the lane is in from the first step
+    monkeypatch.setattr(trainer._Lane, "ready", lambda self, timeout=0.0: real_ready(self, None))
+    monkeypatch.setattr(trainer, "run_step", run_step_)
+    out = tmp_path / "o"
+    argv = ["pretrain", "--config", str(cfg), "--scenes", str(scene_dir), "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: epoch 2, step 3: 3D lane exited with code -9\n" in capsys.readouterr().err
+    assert lanes[0].returncode == -9 and not Path(f"/proc/{lanes[0].pid}").exists()
+    assert not (out / "checkpoint.cscw").exists()
 
 
 NO_LATE_IMPORTS = """

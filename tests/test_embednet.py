@@ -133,11 +133,14 @@ def test_consumed_cache_rejected(rng):
 
 
 def test_reused_cache_rejected(rng):
-    stack = init_stack([4, 5, 3], rng)
+    # two hidden layers, so the cache keeps an array for the reuse to take
+    stack = init_stack([4, 5, 6, 3], rng)
     x = rng.normal(size=(6, 4))
     _, old = forward(stack, x)
+    taken = list(old.acts)  # the reusing forward empties old.acts
     out, new = forward(stack, x, reuse=old)
-    assert all(np.shares_memory(a, b) for a, b in zip(old.acts, new.acts))
+    assert len(taken) == 1
+    assert all(np.shares_memory(a, b) for a, b in zip(taken, new.acts, strict=True))
     with pytest.raises(ContractViolationError, match="reused"):
         backward(stack, np.ones((6, 3)), old)
     backward(stack, np.ones((6, 3)), new)

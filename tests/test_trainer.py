@@ -2,7 +2,9 @@
 
 import contextlib
 import copy
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -446,7 +448,7 @@ def test_skipped_batch_leaves_the_ema_bank(small_set, prepared, monkeypatch):
     def collapsing(bank, params):
         raise DegenerateBatchError("fused prototype collapsed to zero norm")
 
-    with trainer._Run.open(model, cfg, prepared) as run:
+    with trainer._Run.open(model, cfg, small_set) as run:
         trainer.run_step(model, prepared[:3], 1, cfg, run)
         bank = run.bank
         saved = copy.deepcopy(bank)
@@ -474,7 +476,7 @@ def test_prototype_work_runs_only_with_the_gate_open(
             return _real(*args)
 
         monkeypatch.setattr(module, name, counted)
-    with trainer._Run.open(model, CFG, prepared) as run:
+    with trainer._Run.open(model, CFG, small_set) as run:
         report = trainer.run_step(model, prepared[:3], epoch, CFG, run)
     assert report.gate == gate
     want = {"build_prototypes": 1, "blend": 1, "loss_pro": 1} if gate else {}
@@ -494,7 +496,7 @@ def test_each_arm_hands_the_loss_its_own_prototypes(small_set, prepared, monkeyp
         return real(bank, class_ids, pmix, tau_pro)
 
     monkeypatch.setattr(trainer.losses, "loss_pro", capturing)
-    with trainer._Run.open(model, cfg, prepared) as run:
+    with trainer._Run.open(model, cfg, small_set) as run:
         trainer.run_step(model, prepared[:3], 1, cfg, run)
     ((bank, class_ids, pmix),) = seen
     table = loop_prototypes([bank])
@@ -956,7 +958,7 @@ def test_a_raising_task_stops_both_lanes(small_set, prepared, monkeypatch, raisi
 
     monkeypatch.setattr(trainer, "_embed", embed_)
     model = init_model(small_set.frames[0].pixel_features.shape[3], CFG.embed_dim, CFG.seed)
-    with trainer._Run.open(model, CFG, prepared) as run:
+    with trainer._Run.open(model, CFG, small_set) as run:
         with pytest.raises(Boom, match=raising):
             trainer.run_step(model, prepared[:3], 1, CFG, run)
         # the other lane's task ended before run_step raised, and neither
@@ -986,6 +988,213 @@ def test_frozen_2d_starts_no_thread(small_set, monkeypatch):
     assert len(alive) == 2 * FROZEN.epochs
     assert all(names == before for names in alive)
     assert not any(name.startswith("embed2d") for name in before)
+
+
+# ---------------------------------------------------------------------------
+# the 3D lane: a child process under freeze_2d
+
+
+def lane_in(monkeypatch, used: bool) -> list:
+    """Keep every 3D lane out (``used`` False) or in from the first step,
+    by patching its readiness check to false or to wait.  Returns the list
+    each lane forward appends (lane pid, frame count) to."""
+    real_ready, real_forward = trainer._Lane.ready, trainer._Lane.forward
+    forwards = []
+
+    def forward(self, stack, params, slots):
+        forwards.append((self.proc.pid, len(slots)))
+        return real_forward(self, stack, params, slots)
+
+    monkeypatch.setattr(
+        trainer._Lane, "ready",
+        (lambda self, timeout=0.0: real_ready(self, None)) if used
+        else (lambda self, timeout=0.0: False),
+    )
+    monkeypatch.setattr(trainer._Lane, "forward", forward)
+    return forwards
+
+
+def reaped(proc) -> bool:
+    """Whether the lane process has exited and been waited for."""
+    return proc.returncode is not None and not Path(f"/proc/{proc.pid}").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [FROZEN, replace(FROZEN, proto_mode="raw3d", ema=True)],
+    ids=["mmpb", "raw3d-ema"],
+)
+def test_3d_lane_does_not_change_outputs(small_frames, tmp_path, monkeypatch, cfg):
+    runs = {}
+    for used in (False, True):
+        with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+            forwards = lane_in(m, used)
+            runs[used] = pretrain(scenes, cfg, out_dir=tmp_path / str(used))
+        # batches of 3: the lane runs the last frame of each
+        assert [n for _, n in forwards] == ([1] * 2 * cfg.epochs if used else [])
+    for name in ("metrics.csv", "checkpoint.cscw"):
+        assert (tmp_path / "True" / name).read_bytes() == (tmp_path / "False" / name).read_bytes()
+
+
+def test_3d_lane_does_not_change_ablation_rows(small_frames, monkeypatch):
+    rows = {}
+    for used in (False, True):
+        with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+            forwards = lane_in(m, used)
+            rows[used] = trainer.run_ablation(scenes, FROZEN, [0, 1])
+    assert rows[True] == rows[False]
+    # one lane for the set's six jobs
+    assert len(forwards) == 6 * 2 * FROZEN.epochs and len({pid for pid, _ in forwards}) == 1
+
+
+def test_3d_lane_idles_through_a_skipped_batch(small_frames, monkeypatch, capsys):
+    cfg = replace(FROZEN, proto_mode="raw3d", lam=0)
+    real = trainer.protobank.build_prototypes
+    runs = {}
+    for used in (False, True):
+        calls = []
+
+        def collapsing(bank):
+            calls.append(bank)
+            protos = real(bank)
+            return replace(protos, p3d=0 * protos.p3d) if len(calls) == 2 else protos
+
+        with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+            forwards = lane_in(m, used)
+            m.setattr(trainer.protobank, "build_prototypes", collapsing)
+            runs[used] = pretrain(scenes, cfg).metrics
+        assert "skipping batch 1 of epoch 1: raw 3D prototype" in capsys.readouterr().err
+        assert len(forwards) == (2 * cfg.epochs if used else 0)  # the skipped one too
+    assert len(runs[True]) == 2 * cfg.epochs  # the header, and one step skipped
+    assert runs[True] == runs[False]
+
+
+def test_3d_lane_rebuilds_its_stack_for_another_embed_dim(small_frames, monkeypatch):
+    cfgs = [FROZEN, replace(FROZEN, embed_dim=12), FROZEN]
+    runs = {}
+    for used in (False, True):
+        with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+            forwards = lane_in(m, used)
+            runs[used] = [pretrain(scenes, cfg).metrics for cfg in cfgs]
+    assert runs[True] == runs[False]
+    assert len({pid for pid, _ in forwards}) == 1
+
+
+def test_a_killed_3d_lane_fails_the_run_and_the_next_run_starts_another(
+    small_frames, monkeypatch
+):
+    forwards = lane_in(monkeypatch, True)
+    real_run_step = trainer.run_step
+    killed = []
+
+    def run_step_(model, batch, epoch, cfg, run):
+        if not killed and len(forwards) == 3:
+            killed.append(run.scenes._lane.proc)
+            killed[0].kill()
+        return real_run_step(model, batch, epoch, cfg, run)
+
+    monkeypatch.setattr(trainer, "run_step", run_step_)
+    with SceneSet(small_frames) as scenes:
+        with pytest.raises(TrainingError, match="epoch 2, step 4: 3D lane exited with code -9"):
+            pretrain(scenes, FROZEN)
+        (proc,) = killed
+        assert reaped(proc) and scenes._lane is None
+        again = pretrain(scenes, FROZEN)
+        lane = scenes._lane.proc
+        assert lane.pid != proc.pid and lane.poll() is None
+    assert reaped(lane)
+    with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+        lane_in(m, False)
+        assert again.metrics == pretrain(scenes, FROZEN).metrics
+
+
+def test_an_exception_mid_step_closes_the_3d_lane(small_frames, monkeypatch):
+    # the lane owes this step its rows when this thread's 3D forward raises
+    forwards = lane_in(monkeypatch, True)
+    real_embed = trainer._embed
+    seen = []
+
+    def embed_(stack, x, regions, slots, key, lane):
+        if key == ("3d", 0) and len(seen) == 2:
+            raise KeyboardInterrupt
+        if key == ("3d", 0):
+            seen.append(key)
+        return real_embed(stack, x, regions, slots, key, lane)
+
+    monkeypatch.setattr(trainer, "_embed", embed_)
+    with SceneSet(small_frames) as scenes:
+        with pytest.raises(KeyboardInterrupt):
+            pretrain(scenes, FROZEN)
+        assert scenes._lane is None
+    assert len(forwards) == 3 and not Path(f"/proc/{forwards[0][0]}").exists()
+
+
+def test_a_dropped_set_stops_its_3d_lane(small_frames, monkeypatch):
+    lane_in(monkeypatch, True)
+    scenes = SceneSet(small_frames)
+    pretrain(scenes, FROZEN)
+    proc = scenes._lane.proc
+    del scenes
+    assert reaped(proc) and proc.returncode == 0  # it exited at EOF on its input
+
+
+def test_a_lane_that_cannot_start_leaves_this_thread_every_frame(
+    small_frames, monkeypatch, capsys
+):
+    def popen(*args, **kwargs):
+        raise OSError("no interpreter")
+
+    monkeypatch.setattr(trainer.subprocess, "Popen", popen)
+    with SceneSet(small_frames) as scenes:
+        for _ in range(2):
+            pretrain(scenes, FROZEN)
+    err = capsys.readouterr().err
+    assert err.count("warning: the 3D lane did not start (no interpreter)") == 1
+
+
+def test_a_lane_that_exits_before_ready_leaves_this_thread_every_frame(
+    small_frames, monkeypatch, capsys
+):
+    monkeypatch.setattr(trainer, "_LANE_CODE", "import sys; sys.exit(3)")
+    lane_in(monkeypatch, True)
+    with SceneSet(small_frames) as scenes:
+        got = pretrain(scenes, FROZEN)
+        assert scenes._lane.proc is None
+    err = capsys.readouterr().err
+    assert err.count("warning: the 3D lane did not start (it exited before it was ready)") == 1
+    with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+        lane_in(m, False)
+        assert got.metrics == pretrain(scenes, FROZEN).metrics
+
+
+UNGUARDED = """
+import sys
+from scenecontrast import trainer
+from scenecontrast.scenegen import SceneGeometry, SemanticOracleConfig, generate_scene
+
+print("body", flush=True)
+real = trainer._Lane.ready
+trainer._Lane.ready = lambda self, timeout=0.0: real(self, None)
+geom = SceneGeometry(num_points=64, height=8, width=8)
+frames = [generate_scene(s, SemanticOracleConfig(), geom, scene_id=s) for s in range(2)]
+scenes = trainer.SceneSet(frames)
+cfg = trainer.TrainConfig(epochs=2, scenes_per_batch=2, embed_dim=4, freeze_2d=True)
+trainer.pretrain(scenes, cfg)
+assert scenes._lane.is_ready
+"""
+
+
+def test_an_unguarded_script_runs_its_body_once(tmp_path):
+    # the lane does not re-run the caller's __main__, and the lane of a set
+    # never closed stops quietly at the interpreter's exit
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED)
+    src = str(Path(trainer.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-X", "dev", str(script)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "body\n" and proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------
@@ -1091,7 +1300,7 @@ def test_run_state_buffers_add_up(small_set, prepared):
     # output and the first hidden output
     feat_dim = small_set.frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, CFG.embed_dim, CFG.seed)
-    with trainer._Run.open(model, CFG, prepared) as run:
+    with trainer._Run.open(model, CFG, small_set) as run:
         for batch in (prepared[:3], prepared[3:]):
             trainer.run_step(model, batch, CFG.lam + 1, CFG, run)
     caches, scratch = run.slots, run.scratch
@@ -1121,7 +1330,7 @@ def test_trained_step_allocates_no_activation_arrays(small_set, prepared):
         a.nbytes for a in embednet.forward(model.embed2d, prepared[0].x2d)[1].acts
     )
     epoch = CFG.lam + 1  # gate open: prototypes and blending run too
-    with trainer._Run.open(model, CFG, prepared) as run:
+    with trainer._Run.open(model, CFG, small_set) as run:
         trainer.run_step(model, prepared[:3], epoch, CFG, run)
         # numpy reports its buffers to tracemalloc
         tracemalloc.start()
@@ -1146,7 +1355,8 @@ def test_blas_cap_does_not_change_outputs(small_set, tmp_path, monkeypatch, trai
     assert res.checkpoint_path.read_bytes() == trained.checkpoint_path.read_bytes()
 
 
-def test_pretrain_caps_blas_threads_while_2d_is_trained(small_set, monkeypatch):
+def test_pretrain_caps_blas_threads_in_every_run(small_set, monkeypatch):
+    # a frozen run has two lanes as well: this thread and the 3D lane
     found = blasthreads._openblas()
     if found is None:
         pytest.skip("numpy's OpenBLAS not found")
@@ -1165,10 +1375,11 @@ def test_pretrain_caps_blas_threads_while_2d_is_trained(small_set, monkeypatch):
         pretrain(small_set, CFG)
         after_trained = get()
         pretrain(small_set, FROZEN)
+        after_frozen = get()
     finally:
         set_(before)
-    assert after_trained == 2
-    assert seen == [1] * 6 + [2] * 2 * FROZEN.epochs
+    assert after_trained == after_frozen == 2
+    assert seen == [1] * (6 + 2 * FROZEN.epochs)
 
 
 def test_blas_cap_without_openblas_notes_once(monkeypatch, capsys):
@@ -1222,7 +1433,7 @@ def test_step_gradient_matches_its_loss_along_directions(
     slices = [slice(n3d, None), slice(n2d, n3d)] + ([] if freeze else [slice(0, n2d)])
     real_build, pinned = trainer.protobank.build_prototypes, []
     h, rng = 1e-5, np.random.default_rng(0)
-    with trainer._Run.open(model, cfg, prepared) as run:
+    with trainer._Run.open(model, cfg, small_set) as run:
         if ema:  # a bank from an earlier step for the fresh prototypes to join
             trainer.run_step(model, prepared[3:], cfg.lam + 1, cfg, run)
         bank = run.bank
