@@ -26,15 +26,17 @@ both lanes claim from.  Under ``freeze_2d`` it is the scene set's 3D
 lane, a child process (``_Lane``) that runs the 3D side of the last
 half of each batch's frames, since a thread would contend with the
 calling thread for the interpreter lock on the 3D stack's many short
-numpy calls.  A non-finite loss or parameter ends the run with
-TrainingError.  All seeds are named SeedSequence tuples and reductions
-run in fixed order (frame index ascending) on the calling thread, so
-identical inputs give bit-identical metrics and checkpoints, whichever
-lane ran a frame.
+numpy calls; a step reaches it through one buffer both processes map
+and two eventfd doorbells, so nothing is pickled per step.  A
+non-finite loss or parameter ends the run with TrainingError.  All
+seeds are named SeedSequence tuples and reductions run in fixed order
+(frame index ascending) on the calling thread, so identical inputs give
+bit-identical metrics and checkpoints, whichever lane ran a frame.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import select
@@ -374,16 +376,62 @@ def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, lane: np.nd
 # the last word of the lane's command line, by which a process list finds it
 LANE_MARKER = "scenecontrast-3d-lane"
 # Ctrl-C in a terminal reaches the whole process group; the parent handles
-# it and stops the lane.  sys.argv[1] is where the parent found the package.
+# it and stops the lane.  sys.argv[1] is where the parent found the package,
+# sys.argv[2:5] the shared buffer's memfd and the two doorbells.
 _LANE_CODE = (
     "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
     "sys.path.insert(0, sys.argv[1]); "
-    "from scenecontrast.trainer import _serve_lane; _serve_lane()"
+    "from scenecontrast.trainer import _serve_lane; _serve_lane(*map(int, sys.argv[2:5]))"
 )
+# the kinds of step half the header's first word names
+_FORWARD, _BACKWARD = 1, 2
 
 
 class _LaneFailed(Exception):
     """The 3D lane exited, or stopped answering, after it was ready."""
+
+
+class _LaneBuffer:
+    """The 3D lane's shared buffer under one layout, as views of a map of
+    the memfd ``fd``: ``header`` (int64: the step half's kind, the
+    layout's version, then each of the ``slots`` lane slots' (slot, frame
+    index) pair), ``params`` (embed3d's slice of ``Model.params``), and
+    per lane slot its pooled ``rows``, ``upstream`` rows, gradient vector
+    ``grad`` and ``valid`` flags, with room for ``regions`` regions.
+    The caller's side makes the file large enough before the lane maps
+    it; it never shrinks, so a map of an earlier layout stays valid."""
+
+    def __init__(self, fd: int, shapes, slots: int, regions: int):
+        n = sum(o * i + o for o, i in shapes)
+        table = (slots, regions, shapes[-1][0])
+        parts = [(np.int64, 2 + 2 * slots), (np.float64, n), (np.float64, table),
+                 (np.float64, table), (np.float64, (slots, n)), (np.bool_, (slots, regions))]
+        size = sum(np.dtype(t).itemsize * int(np.prod(s)) for t, s in parts)
+        if os.fstat(fd).st_size < size:
+            os.ftruncate(fd, size)
+        mem, views, offset = mmap.mmap(fd, size), [], 0
+        for dtype, shape in parts:
+            views.append(np.frombuffer(mem, dtype, int(np.prod(shape)), offset).reshape(shape))
+            offset += views[-1].nbytes
+        self.header, self.params, self.rows, self.upstream, self.grad, self.valid = views
+
+
+def _rang(poll, bell: int) -> bool:
+    """Wait until the eventfd ``bell`` rings (True) or the peer's pipe, which
+    ``poll`` watches for hang-up only, hangs up (False)."""
+    ready = dict(poll.poll())
+    if bell not in ready:
+        return False
+    os.eventfd_read(bell)
+    return True
+
+
+def _watch(bell: int, pipe) -> select.poll:
+    """A poll of ``bell``'s ring and of ``pipe``'s hang-up, never its data."""
+    poll = select.poll()
+    poll.register(bell, select.POLLIN)
+    poll.register(pipe, 0)
+    return poll
 
 
 class _Lane:
@@ -393,35 +441,53 @@ class _Lane:
     ``__main__``).
 
     It reports ready once it has imported the package (about 0.35 s),
-    and is then sent the set's prepared 3D inputs, once; ``ready`` asks
-    without waiting.  A step then sends it four pickled messages over
-    its pipes: out, embed3d's layer shapes, its slice of ``Model.params``
-    and the (slot, frame index) pairs it runs; back, each frame's pooled
-    rows and validity; out, each frame's upstream rows; back, each
-    frame's gradient vector, one message each, so that the caller adds
-    them in slot order.  The lane keeps its own slot caches and lane
-    buffer, and rebuilds its stack when the shapes change.  ``held`` is
-    True while the lane owes answers.  A lane that cannot start, or
-    exits before it is ready, is never ready, and says so once on stderr;
-    one that fails later raises ``_LaneFailed``.
+    and is then sent the set's prepared 3D inputs, once, over its pipe;
+    ``ready`` asks without waiting.  A step goes through one buffer that
+    both processes map (a memfd, see ``_LaneBuffer``) and two eventfd
+    doorbells, one each way: each half is "write, ring, wait".  The
+    forward writes embed3d's parameters and the (slot, frame index)
+    pairs the lane runs, and the lane writes back each frame's pooled
+    rows and validity; the backward writes each frame's upstream rows,
+    and the lane writes back each frame's gradient vector, which the
+    caller adds in slot order.  Pickle crosses the pipes only for the
+    ready report, the frames, and a layout message when embed3d's shapes
+    or the slot count change, which the lane reads once the header's
+    version is newer than its own.  Either side waits on the other's
+    doorbell and on the hang-up of the other's pipe.  The lane keeps its
+    own slot caches and lane buffer, and rebuilds its stack when the
+    shapes change.  ``held`` is True while the lane owes answers.  A lane
+    that cannot start (it needs Linux's memfd and eventfd), or exits
+    before it is ready, is never ready, and says so once on stderr; one
+    that fails later raises ``_LaneFailed``.
     """
 
     def __init__(self, frames: list[FrameData]):
         self.frames = frames
         self.index = {id(fd): i for i, fd in enumerate(frames)}
+        self.regions = max(len(fd.regions3d) for fd in frames)
         self.is_ready = self.held = False
-        self.count = 0  # frames in the step the lane holds
+        self.layout, self.version, self.buf = None, 0, None
+        self.counts: list[int] = []  # regions of each frame in the step the lane holds
+        self.fds: list[int] = []  # the memfd, the doorbell to the lane, the one back
+        self.proc = None
         threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         env = {**os.environ, **dict.fromkeys(threads, "1")}
         package_dir = str(Path(__file__).resolve().parents[1])
+        if not (hasattr(os, "memfd_create") and hasattr(os, "eventfd")):
+            _lane_warning("it needs os.memfd_create and os.eventfd, which are Linux's")
+            return
         try:
+            self.fds.append(os.memfd_create(LANE_MARKER))
+            self.fds += [os.eventfd(0), os.eventfd(0)]
             self.proc = subprocess.Popen(
-                [sys.executable, "-c", _LANE_CODE, package_dir, LANE_MARKER],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+                [sys.executable, "-c", _LANE_CODE, package_dir, *map(str, self.fds),
+                 LANE_MARKER],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, pass_fds=self.fds,
             )
         except OSError as err:
-            self.proc = None
             _lane_warning(err)
+            return
+        self.poll = _watch(self.fds[2], self.proc.stdout)
 
     def ready(self, timeout: float | None = 0.0) -> bool:
         """Whether the lane takes frames, waiting up to ``timeout`` seconds
@@ -445,26 +511,42 @@ class _Lane:
     def forward(self, stack: DenseStack, params: np.ndarray, slots) -> None:
         """Start ``_embed`` on each (slot, FrameData) of ``slots`` with
         ``stack``, whose parameters ``params`` holds."""
-        self.held, self.count = True, len(slots)
-        shapes = [l.weight.shape for l in stack.layers]
-        self._send(("forward", shapes, params, [(k, self.index[id(fd)]) for k, fd in slots]))
+        self.held = True
+        self.counts = [len(fd.regions3d) for _, fd in slots]
+        layout = [l.weight.shape for l in stack.layers], len(slots)
+        if layout != self.layout:
+            # views of the old map are dropped, not closed: closing a map
+            # that views still export raises BufferError
+            self.buf = _LaneBuffer(self.fds[0], *layout, self.regions)
+            self.layout, self.version = layout, self.version + 1
+            self._send(layout)
+        buf = self.buf
+        buf.params[...] = params
+        buf.header[:2] = _FORWARD, self.version
+        buf.header[2:] = [x for k, fd in slots for x in (k, self.index[id(fd)])]
+        os.eventfd_write(self.fds[1], 1)
 
     def rows(self) -> list:
         """Each frame's (rows, validity, None): ``_embed``'s, less the caches."""
-        got = [(rows, valid, None) for rows, valid in self._recv()]
+        self._wait()
+        got = [(self.buf.rows[j, :q], self.buf.valid[j, :q], None)
+               for j, q in enumerate(self.counts)]
         self.held = False
         return got
 
     def backward(self, upstreams: list[np.ndarray]) -> None:
         """Start ``_embed_backward`` on the forward's frames, given their rows' gradients."""
         self.held = True
-        self._send(("backward", upstreams))
+        for j, upstream in enumerate(upstreams):
+            self.buf.upstream[j, : len(upstream)] = upstream
+        self.buf.header[0] = _BACKWARD
+        os.eventfd_write(self.fds[1], 1)
 
     def grads(self) -> list[np.ndarray]:
         """Each frame's gradient vector, in slot order."""
-        got = [self._recv() for _ in range(self.count)]
+        self._wait()
         self.held = False
-        return got
+        return list(self.buf.grad)
 
     def _send(self, message) -> None:
         try:
@@ -473,11 +555,9 @@ class _Lane:
         except OSError:
             raise self._failure() from None
 
-    def _recv(self):
-        try:
-            return pickle.load(self.proc.stdout)
-        except (EOFError, OSError, pickle.UnpicklingError):
-            raise self._failure() from None
+    def _wait(self) -> None:
+        if not _rang(self.poll, self.fds[2]):
+            raise self._failure()
 
     def _failure(self) -> _LaneFailed:
         try:
@@ -486,9 +566,14 @@ class _Lane:
             return _LaneFailed("3D lane stopped answering")
 
     def close(self) -> None:
-        """Stop the lane and reap it: an idle ready lane exits at EOF on its
-        input; one that owes answers, or is still starting, is killed."""
-        proc, self.proc = self.proc, None
+        """Stop the lane and reap it: an idle ready lane exits when its
+        input hangs up; one that owes answers, or is still starting, is
+        killed.  The memfd and the doorbells are closed whether or not it
+        started."""
+        proc, self.proc, self.buf = self.proc, None, None
+        fds, self.fds = self.fds, []
+        for fd in fds:
+            os.close(fd)
         if proc is None:
             return
         if self.held or not self.is_ready:
@@ -510,37 +595,43 @@ def _lane_warning(reason) -> None:
           "this thread runs every frame", file=sys.stderr)
 
 
-def _serve_lane() -> None:
-    """The 3D lane's side of ``_Lane``'s messages, until EOF on its input."""
+def _serve_lane(memfd: int, go: int, done: int) -> None:
+    """The 3D lane's side of ``_Lane``, until its input hangs up: ``go`` is
+    the doorbell it waits on, ``done`` the one it rings."""
     inp, out = sys.stdin.buffer, sys.stdout.buffer
-
-    def send(message) -> None:
-        pickle.dump(message, out, protocol=5)
-        out.flush()
-
-    shapes = None
+    pickle.dump("ready", out, protocol=5)
+    out.flush()
+    poll = _watch(go, inp)
+    version, buf, shapes = 0, None, None
     try:
-        send("ready")
         frames = pickle.load(inp)  # each frame's (x3d, regions3d)
-        while True:
-            message = pickle.load(inp)
-            if message[0] == "backward":
-                for caches, upstream in zip(held, message[1]):
-                    send(_embed_backward(stack, upstream, caches, lane))
-                continue
-            _, new_shapes, params, pairs = message
-            if new_shapes != shapes:  # the first run, or one with another embed_dim
-                shapes = new_shapes
-                stack = DenseStack([DenseLayer(np.zeros(s), np.zeros(s[0])) for s in shapes])
-                buf = embednet.pack_params([stack])
-                n = max(len(x) for x, _ in frames)
-                lane = np.empty(n * max(stack.out_width, shapes[0][0]))
-                slots: dict = {}
-            buf[...] = params
-            stack.bump()
-            sides = [_embed(stack, *frames[i], slots, k, lane) for k, i in pairs]
-            held = [caches for _, _, caches in sides]
-            send([(rows, valid) for rows, valid, _ in sides])
+        regions = max(len(r) for _, r in frames)
+        rows_max = max(len(x) for x, _ in frames)
+        while _rang(poll, go):
+            if buf is None or buf.header[1] != version:  # a layout message waits
+                new_shapes, slots = pickle.load(inp)
+                buf = _LaneBuffer(memfd, new_shapes, slots, regions)
+                version = int(buf.header[1])
+                if new_shapes != shapes:  # the first run, or one with another embed_dim
+                    shapes = new_shapes
+                    stack = DenseStack(
+                        [DenseLayer(np.zeros(s), np.zeros(s[0])) for s in shapes])
+                    params = embednet.pack_params([stack])
+                    lane = np.empty(rows_max * max(stack.out_width, shapes[0][0]))
+                    caches: dict = {}
+            if buf.header[0] == _BACKWARD:
+                for j, (held, q) in enumerate(kept):
+                    buf.grad[j] = _embed_backward(stack, buf.upstream[j, :q], held, lane)
+            else:
+                params[...] = buf.params
+                stack.bump()
+                kept = []
+                for j, (k, i) in enumerate(buf.header[2:].reshape(-1, 2).tolist()):
+                    rows, valid, held = _embed(stack, *frames[i], caches, k, lane)
+                    buf.rows[j, : len(rows)] = rows
+                    buf.valid[j, : len(valid)] = valid
+                    kept.append((held, len(rows)))
+            os.eventfd_write(done, 1)
     except EOFError:
         return
 

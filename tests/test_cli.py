@@ -791,6 +791,15 @@ def lane_pids(pid: int) -> list[int]:
     return found
 
 
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _signalled_pretrain(scene_dir, tmp_path, signum, frozen=False):
     """A child ``pretrain`` sent ``signum`` once ``--out`` exists, or with
     ``frozen`` once its 3D lane has had a second to start; (code, stderr,
@@ -820,11 +829,16 @@ def _signalled_pretrain(scene_dir, tmp_path, signum, frozen=False):
             time.sleep(1.0)  # the lane imports numpy and takes frames
         assert proc.poll() is None, proc.communicate()
         proc.send_signal(signum)
-        _, err = proc.communicate(timeout=60)
+        # the lane writes to the same stderr, so this waits for it too; a
+        # killed parent leaves its lane 5 s to see its input hang up
+        _, err = proc.communicate(timeout=5 if signum == signal.SIGKILL else 60)
     finally:
+        for lane in lanes:  # one its parent did not stop
+            if running(lane):
+                os.kill(lane, signal.SIGKILL)
         if proc.poll() is None:
             proc.kill()
-            proc.communicate()
+        proc.communicate()  # what is left to read; it closes the pipes
     return proc.returncode, err, out, lanes
 
 
@@ -845,17 +859,23 @@ def test_terminated_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "signum,word", [(signal.SIGINT, "interrupted"), (signal.SIGTERM, "terminated")],
-    ids=["SIGINT", "SIGTERM"],
+    "signum,word",
+    [(signal.SIGINT, "interrupted"), (signal.SIGTERM, "terminated"), (signal.SIGKILL, None)],
+    ids=["SIGINT", "SIGTERM", "SIGKILL"],
 )
 def test_signalled_frozen_pretrain_stops_its_3d_lane(scene_dir, tmp_path, signum, word):
     code, err, out, lanes = _signalled_pretrain(scene_dir, tmp_path, signum, frozen=True)
-    assert code == 2, err
-    assert f"error: pretrain: {word}\n" in err
+    (lane,) = lanes
     assert "Traceback" not in err
     assert out.is_dir() and not (out / "checkpoint.cscw").exists()
-    (lane,) = lanes
-    assert not Path(f"/proc/{lane}").exists()  # stopped and reaped
+    if word is not None:
+        assert code == 2, err
+        assert f"error: pretrain: {word}\n" in err
+        assert not Path(f"/proc/{lane}").exists()  # stopped and reaped
+        return
+    # the parent cannot stop its lane, which saw its input hang up and exited
+    assert code == -signal.SIGKILL
+    assert not running(lane)
 
 
 def test_a_killed_3d_lane_exits_2(scene_dir, tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1014,6 +1015,29 @@ def lane_in(monkeypatch, used: bool) -> list:
     return forwards
 
 
+def pickled(monkeypatch) -> list:
+    """Record what ``_Lane`` pickles and unpickles, in order, as ("dump",
+    message) and ("load", message) pairs; returns the list."""
+    real, seen = trainer.pickle, []
+
+    def dump(message, *args, **kwargs):
+        seen.append(("dump", message))
+        return real.dump(message, *args, **kwargs)
+
+    def load(*args, **kwargs):
+        seen.append(("load", real.load(*args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(trainer, "pickle", SimpleNamespace(
+        dump=dump, load=load, UnpicklingError=real.UnpicklingError))
+    return seen
+
+
+def embed3d_shapes(embed_dim: int) -> list[tuple[int, int]]:
+    widths = [4] + trainer.HIDDEN + [embed_dim]
+    return list(zip(widths[1:], widths[:-1]))
+
+
 def reaped(proc) -> bool:
     """Whether the lane process has exited and been waited for."""
     return proc.returncode is not None and not Path(f"/proc/{proc.pid}").exists()
@@ -1075,9 +1099,28 @@ def test_3d_lane_rebuilds_its_stack_for_another_embed_dim(small_frames, monkeypa
     for used in (False, True):
         with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
             forwards = lane_in(m, used)
+            seen = pickled(m)
             runs[used] = [pretrain(scenes, cfg).metrics for cfg in cfgs]
     assert runs[True] == runs[False]
     assert len({pid for pid, _ in forwards}) == 1
+    # one layout message per shape change, each of one lane slot
+    layouts = [message for kind, message in seen[2:] if kind == "dump"]
+    assert layouts == [(embed3d_shapes(cfg.embed_dim), 1) for cfg in cfgs]
+
+
+def test_3d_lane_pickles_nothing_per_step(small_frames, monkeypatch):
+    seen = {}
+    for epochs in (2, 4):
+        with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+            forwards = lane_in(m, True)
+            seen[epochs] = pickled(m)
+            pretrain(scenes, replace(FROZEN, epochs=epochs))
+        assert len(forwards) == 2 * epochs
+    # the ready report, the frames and one layout message, however long the run
+    for got in seen.values():
+        assert [kind for kind, _ in got] == ["load", "dump", "dump"]
+        assert got[0][1] == "ready" and len(got[1][1]) == len(small_frames)
+        assert got[2][1] == (embed3d_shapes(FROZEN.embed_dim), 1)
 
 
 def test_a_killed_3d_lane_fails_the_run_and_the_next_run_starts_another(
@@ -1152,6 +1195,21 @@ def test_a_lane_that_cannot_start_leaves_this_thread_every_frame(
     assert err.count("warning: the 3D lane did not start (no interpreter)") == 1
 
 
+@pytest.mark.parametrize("missing", ["memfd_create", "eventfd"])
+def test_a_lane_without_memfd_or_eventfd_leaves_this_thread_every_frame(
+    small_frames, monkeypatch, capsys, missing
+):
+    monkeypatch.delattr(trainer.os, missing)
+    with SceneSet(small_frames) as scenes:
+        got = [pretrain(scenes, FROZEN).metrics for _ in range(2)]
+        assert scenes._lane.proc is None
+    err = capsys.readouterr().err
+    assert err.count("warning: the 3D lane did not start (it needs os.memfd_create") == 1
+    with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+        lane_in(m, False)
+        assert got[0] == got[1] == pretrain(scenes, FROZEN).metrics
+
+
 def test_a_lane_that_exits_before_ready_leaves_this_thread_every_frame(
     small_frames, monkeypatch, capsys
 ):
@@ -1165,6 +1223,28 @@ def test_a_lane_that_exits_before_ready_leaves_this_thread_every_frame(
     with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
         lane_in(m, False)
         assert got.metrics == pretrain(scenes, FROZEN).metrics
+
+
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("case", ["served", "cannot-start", "exits-before-ready"])
+def test_a_3d_lane_leaves_no_file_descriptor_open(small_frames, monkeypatch, case):
+    # the memfd and the doorbells exist before the lane is started
+    if case == "cannot-start":
+        def popen(*args, **kwargs):
+            raise OSError("no interpreter")
+
+        monkeypatch.setattr(trainer.subprocess, "Popen", popen)
+    elif case == "exits-before-ready":
+        monkeypatch.setattr(trainer, "_LANE_CODE", "import sys; sys.exit(3)")
+    forwards = lane_in(monkeypatch, True)
+    before = open_fds()
+    with SceneSet(small_frames) as scenes:
+        pretrain(scenes, FROZEN)
+        assert bool(forwards) == (case == "served")
+    assert open_fds() == before
 
 
 UNGUARDED = """
