@@ -102,7 +102,7 @@ def _cmd_gen_scenes(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg = _config_from_args(args)
-    with _load_scene_dir(args.scenes) as scenes:  # stops the set's 3D lane
+    with _load_scene_dir(args.scenes) as scenes:  # stops the set's lane
         result = trainer.pretrain(scenes, cfg, out_dir=args.out)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"metrics:    {result.metrics_path}")
@@ -135,7 +135,7 @@ def _cmd_ablate(args) -> int:
     n = args.seeds if args.seeds is not None else 1 if args.arm else 10
     seeds = range(cfg.seed, cfg.seed + n)
     arms = (args.arm,) if args.arm else trainer.ARMS
-    with _load_scene_dir(args.scenes) as scenes:  # one 3D lane for every job
+    with _load_scene_dir(args.scenes) as scenes:  # one lane for every job
         rows = trainer.run_ablation(scenes, cfg, seeds, arms=arms)
     csv = trainer.ablation_csv(rows)
     sys.stdout.write(csv)

@@ -17,21 +17,20 @@ same layout, and SGD updates all of ``params`` with three in-place
 vector operations; under ``freeze_2d`` embed2d's slice of the gradient
 stays zero, so SGD leaves its parameters as they are.
 
-Everything a run carries from step to step is one ``_Run``: a second
-lane beside the calling thread, the buffers that spare a step from
-allocating any stack-sized array, the EMA bank, the gradient and the SGD
-velocity.  While the 2D stack is trained the second lane is a worker
-thread, and a step's forward and backward are each one task list, which
-both lanes claim from.  Under ``freeze_2d`` it is the scene set's 3D
-lane, a child process (``_Lane``) that runs the 3D side of the last
-half of each batch's frames, since a thread would contend with the
-calling thread for the interpreter lock on the 3D stack's many short
-numpy calls; a step reaches it through one buffer both processes map
-and two eventfd doorbells, so nothing is pickled per step.  A
-non-finite loss or parameter ends the run with TrainingError.  All
-seeds are named SeedSequence tuples and reductions run in fixed order
-(frame index ascending) on the calling thread, so identical inputs give
-bit-identical metrics and checkpoints, whichever lane ran a frame.
+Everything a run carries from step to step is one ``_Run``: the
+buffers that spare a step from allocating any stack-sized array, the EMA
+bank, the gradient and the SGD velocity.  Each step's frames are split
+over two lanes: the calling thread, and the scene set's lane, a child
+process (``_Lane``) that runs the trained sides (2D and 3D, or 3D alone
+under ``freeze_2d``) of the last half of each batch's frames, since a
+thread would contend with the calling thread for the interpreter lock on
+the stacks' many short numpy calls.  A step reaches the lane through one
+buffer both processes map and two eventfd doorbells, so nothing is
+pickled per step.  A non-finite loss or parameter ends the run with
+TrainingError.  All seeds are named SeedSequence tuples and reductions
+run in fixed order (frame index ascending) on the calling thread, so
+identical inputs give bit-identical metrics and checkpoints, whichever
+lane ran a frame.
 """
 
 from __future__ import annotations
@@ -42,12 +41,10 @@ import pickle
 import select
 import subprocess
 import sys
-import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -262,10 +259,10 @@ class SceneSet:
     ``prepared`` holds each frame's ``FrameData``, made on first use and
     then shared by every run over the set.
 
-    The first ``freeze_2d`` step over the set starts its 3D lane
-    (``_Lane``), which later runs over the set share, so runs over one
-    set take turns.  ``close`` stops it, as leaving a ``with`` block over
-    the set does, and so does dropping the set or the interpreter's exit.
+    The first step over the set starts its lane (``_Lane``), which later
+    runs over the set share, so runs over one set take turns.  ``close``
+    stops it, as leaving a ``with`` block over the set does, and so does
+    dropping the set or the interpreter's exit.
     """
 
     _lane: _Lane | None = None
@@ -298,15 +295,15 @@ class SceneSet:
     def prepared(self) -> list[FrameData]:
         return [prepare_frame(f) for f in self.frames]
 
-    def lane3d(self) -> _Lane | None:
-        """The set's 3D lane once it is ready for frames; the first call starts it."""
+    def lane(self) -> _Lane | None:
+        """The set's lane once it is ready for frames; the first call starts it."""
         if self._lane is None:
             self._lane = _Lane(self.prepared)
             self._stop_lane = weakref.finalize(self, self._lane.close)
         return self._lane if self._lane.ready() else None
 
     def close(self) -> None:
-        """Stop the set's 3D lane and reap it; a later frozen run starts another."""
+        """Stop the set's lane and reap it; a later run starts another."""
         if self._lane is not None:
             self._stop_lane()
             self._lane = None
@@ -370,11 +367,11 @@ def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, lane: np.nd
 
 
 # ---------------------------------------------------------------------------
-# the 3D lane
+# the lane
 
 
 # the last word of the lane's command line, by which a process list finds it
-LANE_MARKER = "scenecontrast-3d-lane"
+LANE_MARKER = "scenecontrast-lane"
 # Ctrl-C in a terminal reaches the whole process group; the parent handles
 # it and stops the lane.  sys.argv[1] is where the parent found the package,
 # sys.argv[2:5] the shared buffer's memfd and the two doorbells.
@@ -385,27 +382,31 @@ _LANE_CODE = (
 )
 # the kinds of step half the header's first word names
 _FORWARD, _BACKWARD = 1, 2
+# a frame's sides, by the number a lane job gives its side
+_SIDES = ("2d", "3d")
 
 
 class _LaneFailed(Exception):
-    """The 3D lane exited, or stopped answering, after it was ready."""
+    """The lane exited, or stopped answering, after it was ready."""
 
 
 class _LaneBuffer:
-    """The 3D lane's shared buffer under one layout, as views of a map of
-    the memfd ``fd``: ``header`` (int64: the step half's kind, the
-    layout's version, then each of the ``slots`` lane slots' (slot, frame
-    index) pair), ``params`` (embed3d's slice of ``Model.params``), and
-    per lane slot its pooled ``rows``, ``upstream`` rows, gradient vector
+    """The lane's shared buffer under one layout, as views of a map of the
+    memfd ``fd``: ``header`` (int64: the step half's kind, the layout's
+    version, then each of the ``jobs`` lane jobs' (side, slot, frame
+    index) triple), ``params`` (embed2d's and then embed3d's slice of
+    ``Model.params``, whose layer shapes ``shapes`` holds per stack), and
+    per job its pooled ``rows``, ``upstream`` rows, gradient vector
     ``grad`` and ``valid`` flags, with room for ``regions`` regions.
     The caller's side makes the file large enough before the lane maps
     it; it never shrinks, so a map of an earlier layout stays valid."""
 
-    def __init__(self, fd: int, shapes, slots: int, regions: int):
-        n = sum(o * i + o for o, i in shapes)
-        table = (slots, regions, shapes[-1][0])
-        parts = [(np.int64, 2 + 2 * slots), (np.float64, n), (np.float64, table),
-                 (np.float64, table), (np.float64, (slots, n)), (np.bool_, (slots, regions))]
+    def __init__(self, fd: int, shapes, jobs: int, regions: int):
+        sizes = [sum(o * i + o for o, i in stack) for stack in shapes]
+        table = (jobs, regions, shapes[0][-1][0])
+        parts = [(np.int64, 2 + 3 * jobs), (np.float64, sum(sizes)), (np.float64, table),
+                 (np.float64, table), (np.float64, (jobs, max(sizes))),
+                 (np.bool_, (jobs, regions))]
         size = sum(np.dtype(t).itemsize * int(np.prod(s)) for t, s in parts)
         if os.fstat(fd).st_size < size:
             os.ftruncate(fd, size)
@@ -435,39 +436,40 @@ def _watch(bell: int, pipe) -> select.poll:
 
 
 class _Lane:
-    """A scene set's 3D lane: one child Python process, started with
+    """A scene set's lane: one child Python process, started with
     ``subprocess`` (not fork, which is unsafe once OpenBLAS has started
     threads, and not ``multiprocessing``, whose spawn re-runs an unguarded
     ``__main__``).
 
     It reports ready once it has imported the package (about 0.35 s),
-    and is then sent the set's prepared 3D inputs, once, over its pipe;
-    ``ready`` asks without waiting.  A step goes through one buffer that
-    both processes map (a memfd, see ``_LaneBuffer``) and two eventfd
+    and is then sent the set's prepared 2D and 3D inputs, once, over its
+    pipe; ``ready`` asks without waiting.  A step goes through one buffer
+    that both processes map (a memfd, see ``_LaneBuffer``) and two eventfd
     doorbells, one each way: each half is "write, ring, wait".  The
-    forward writes embed3d's parameters and the (slot, frame index)
-    pairs the lane runs, and the lane writes back each frame's pooled
-    rows and validity; the backward writes each frame's upstream rows,
-    and the lane writes back each frame's gradient vector, which the
-    caller adds in slot order.  Pickle crosses the pipes only for the
-    ready report, the frames, and a layout message when embed3d's shapes
-    or the slot count change, which the lane reads once the header's
-    version is newer than its own.  Either side waits on the other's
-    doorbell and on the hang-up of the other's pipe.  The lane keeps its
-    own slot caches and lane buffer, and rebuilds its stack when the
-    shapes change.  ``held`` is True while the lane owes answers.  A lane
-    that cannot start (it needs Linux's memfd and eventfd), or exits
-    before it is ready, is never ready, and says so once on stderr; one
-    that fails later raises ``_LaneFailed``.
+    forward writes embed2d's and embed3d's parameters and the jobs the
+    lane runs, each one side of one frame in one batch slot, and the lane
+    writes back each job's pooled rows and validity; the backward writes
+    each job's upstream rows, and the lane writes back each job's
+    gradient vector, which the caller adds in slot order.  Pickle crosses
+    the pipes only for the ready report, the frames, and a layout message
+    when the stacks' shapes or the job count change, which the lane reads
+    once the header's version is newer than its own.  Either side waits
+    on the other's doorbell and on the hang-up of the other's pipe.  The
+    lane keeps its own slot caches and buffer, and rebuilds its stacks
+    when the shapes change.  ``held`` is True while the lane owes
+    answers.  A lane that cannot start (it needs Linux's memfd and
+    eventfd), or exits before it is ready, is never ready, and says so
+    once on stderr; one that fails later raises ``_LaneFailed``.
     """
 
     def __init__(self, frames: list[FrameData]):
         self.frames = frames
         self.index = {id(fd): i for i, fd in enumerate(frames)}
-        self.regions = max(len(fd.regions3d) for fd in frames)
+        self.regions = max(len(fd.signs) for fd in frames)
         self.is_ready = self.held = False
         self.layout, self.version, self.buf = None, 0, None
-        self.counts: list[int] = []  # regions of each frame in the step the lane holds
+        # each job's regions and gradient length in the step the lane holds
+        self.sizes: list[tuple[int, int]] = []
         self.fds: list[int] = []  # the memfd, the doorbell to the lane, the one back
         self.proc = None
         threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -484,10 +486,13 @@ class _Lane:
                  LANE_MARKER],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, pass_fds=self.fds,
             )
+            self.poll = _watch(self.fds[2], self.proc.stdout)
         except OSError as err:
+            self.close()
             _lane_warning(err)
-            return
-        self.poll = _watch(self.fds[2], self.proc.stdout)
+        except BaseException:  # such as Ctrl-C while the lane starts
+            self.close()
+            raise
 
     def ready(self, timeout: float | None = 0.0) -> bool:
         """Whether the lane takes frames, waiting up to ``timeout`` seconds
@@ -500,7 +505,7 @@ class _Lane:
             return False
         try:
             pickle.load(self.proc.stdout)
-            self._send([(fd.x3d, fd.regions3d) for fd in self.frames])
+            self._send([((fd.x2d, fd.regions2d), (fd.x3d, fd.regions3d)) for fd in self.frames])
         except (EOFError, OSError, pickle.UnpicklingError):
             self.close()
             _lane_warning("it exited before it was ready")
@@ -508,12 +513,13 @@ class _Lane:
         self.is_ready = True
         return True
 
-    def forward(self, stack: DenseStack, params: np.ndarray, slots) -> None:
-        """Start ``_embed`` on each (slot, FrameData) of ``slots`` with
-        ``stack``, whose parameters ``params`` holds."""
+    def forward(self, stacks: list[DenseStack], params: np.ndarray, jobs) -> None:
+        """Start ``_embed`` on each (side, slot, FrameData) of ``jobs`` with
+        ``stacks``, embed2d and embed3d, whose parameters ``params`` holds."""
         self.held = True
-        self.counts = [len(fd.regions3d) for _, fd in slots]
-        layout = [l.weight.shape for l in stack.layers], len(slots)
+        self.sizes = [(len(fd.signs), stacks[_SIDES.index(side)].num_params)
+                      for side, _, fd in jobs]
+        layout = [[l.weight.shape for l in stack.layers] for stack in stacks], len(jobs)
         if layout != self.layout:
             # views of the old map are dropped, not closed: closing a map
             # that views still export raises BufferError
@@ -523,19 +529,20 @@ class _Lane:
         buf = self.buf
         buf.params[...] = params
         buf.header[:2] = _FORWARD, self.version
-        buf.header[2:] = [x for k, fd in slots for x in (k, self.index[id(fd)])]
+        buf.header[2:] = [x for side, k, fd in jobs
+                          for x in (_SIDES.index(side), k, self.index[id(fd)])]
         os.eventfd_write(self.fds[1], 1)
 
     def rows(self) -> list:
-        """Each frame's (rows, validity, None): ``_embed``'s, less the caches."""
+        """Each job's (rows, validity, None): ``_embed``'s, less the caches."""
         self._wait()
         got = [(self.buf.rows[j, :q], self.buf.valid[j, :q], None)
-               for j, q in enumerate(self.counts)]
+               for j, (q, _) in enumerate(self.sizes)]
         self.held = False
         return got
 
     def backward(self, upstreams: list[np.ndarray]) -> None:
-        """Start ``_embed_backward`` on the forward's frames, given their rows' gradients."""
+        """Start ``_embed_backward`` on the forward's jobs, given their rows' gradients."""
         self.held = True
         for j, upstream in enumerate(upstreams):
             self.buf.upstream[j, : len(upstream)] = upstream
@@ -543,10 +550,10 @@ class _Lane:
         os.eventfd_write(self.fds[1], 1)
 
     def grads(self) -> list[np.ndarray]:
-        """Each frame's gradient vector, in slot order."""
+        """Each job's gradient vector, in job order."""
         self._wait()
         self.held = False
-        return list(self.buf.grad)
+        return [self.buf.grad[j, :n] for j, (_, n) in enumerate(self.sizes)]
 
     def _send(self, message) -> None:
         try:
@@ -561,9 +568,9 @@ class _Lane:
 
     def _failure(self) -> _LaneFailed:
         try:
-            return _LaneFailed(f"3D lane exited with code {self.proc.wait(timeout=10)}")
+            return _LaneFailed(f"lane exited with code {self.proc.wait(timeout=10)}")
         except subprocess.TimeoutExpired:
-            return _LaneFailed("3D lane stopped answering")
+            return _LaneFailed("lane stopped answering")
 
     def close(self) -> None:
         """Stop the lane and reap it: an idle ready lane exits when its
@@ -591,76 +598,78 @@ class _Lane:
 
 
 def _lane_warning(reason) -> None:
-    print(f"warning: the 3D lane did not start ({reason}); "
+    print(f"warning: the lane did not start ({reason}); "
           "this thread runs every frame", file=sys.stderr)
 
 
 def _serve_lane(memfd: int, go: int, done: int) -> None:
-    """The 3D lane's side of ``_Lane``, until its input hangs up: ``go`` is
+    """The lane's side of ``_Lane``, until its input hangs up: ``go`` is
     the doorbell it waits on, ``done`` the one it rings."""
-    inp, out = sys.stdin.buffer, sys.stdout.buffer
-    pickle.dump("ready", out, protocol=5)
-    out.flush()
-    poll = _watch(go, inp)
+    inp = sys.stdin.buffer
     version, buf, shapes = 0, None, None
     try:
-        frames = pickle.load(inp)  # each frame's (x3d, regions3d)
-        regions = max(len(r) for _, r in frames)
-        rows_max = max(len(x) for x, _ in frames)
+        # unbuffered, so a parent gone before the report leaves nothing to
+        # flush at exit
+        with open(sys.stdout.fileno(), "wb", buffering=0, closefd=False) as out:
+            pickle.dump("ready", out, protocol=5)
+        poll = _watch(go, inp)
+        frames = pickle.load(inp)  # each frame's (x2d, regions2d) and (x3d, regions3d)
+        regions = max(len(r) for sides in frames for _, r in sides)
+        rows_max = max(len(x) for sides in frames for x, _ in sides)
         while _rang(poll, go):
             if buf is None or buf.header[1] != version:  # a layout message waits
-                new_shapes, slots = pickle.load(inp)
-                buf = _LaneBuffer(memfd, new_shapes, slots, regions)
+                new_shapes, jobs = pickle.load(inp)
+                buf = _LaneBuffer(memfd, new_shapes, jobs, regions)
                 version = int(buf.header[1])
                 if new_shapes != shapes:  # the first run, or one with another embed_dim
                     shapes = new_shapes
-                    stack = DenseStack(
-                        [DenseLayer(np.zeros(s), np.zeros(s[0])) for s in shapes])
-                    params = embednet.pack_params([stack])
-                    lane = np.empty(rows_max * max(stack.out_width, shapes[0][0]))
+                    stacks = [DenseStack([DenseLayer(np.zeros(s), np.zeros(s[0])) for s in side])
+                              for side in shapes]
+                    params = embednet.pack_params(stacks)
+                    width = max(max(side[0][0], side[-1][0]) for side in shapes)
+                    lane = np.empty(rows_max * width)
                     caches: dict = {}
             if buf.header[0] == _BACKWARD:
-                for j, (held, q) in enumerate(kept):
-                    buf.grad[j] = _embed_backward(stack, buf.upstream[j, :q], held, lane)
+                for j, (side, held, q) in enumerate(kept):
+                    g = _embed_backward(stacks[side], buf.upstream[j, :q], held, lane)
+                    buf.grad[j, : len(g)] = g
             else:
                 params[...] = buf.params
-                stack.bump()
+                for stack in stacks:
+                    stack.bump()
                 kept = []
-                for j, (k, i) in enumerate(buf.header[2:].reshape(-1, 2).tolist()):
-                    rows, valid, held = _embed(stack, *frames[i], caches, k, lane)
+                for j, (side, k, i) in enumerate(buf.header[2:].reshape(-1, 3).tolist()):
+                    rows, valid, held = _embed(
+                        stacks[side], *frames[i][side], caches, (side, k), lane)
                     buf.rows[j, : len(rows)] = rows
                     buf.valid[j, : len(valid)] = valid
-                    kept.append((held, len(rows)))
+                    kept.append((side, held, len(rows)))
             os.eventfd_write(done, 1)
-    except EOFError:
+    except (EOFError, BrokenPipeError):
         return
 
 
 class _Run:
     """What one ``pretrain`` run carries from step to step; see ``open``.
 
-    ``worker`` is the thread lane beside the calling thread (None with
-    ``freeze_2d``, whose second lane is ``scenes``' 3D lane).  ``scratch``
-    is one flat float64 buffer per thread lane, this thread's and then the
-    worker's, of the largest frame's rows times the
-    wider of ``embed_dim`` and ``HIDDEN[0]``: its start holds, in turn,
-    each first hidden output, each stack output until it is pooled, each
-    pooled gradient until the backward's top layers have read it, and
-    the first hidden output the backward recomputes.  ``slots`` holds
-    each trained stack and batch slot's forward cache, whose buffers, its
-    gradient vector included, the next forward in that slot takes over.
-    ``bank`` is the EMA prototype bank, which a skipped batch leaves as it
-    was; ``grads`` the last step's gradient over ``Model.params`` (zero
-    on embed2d under ``freeze_2d``); ``vel`` the SGD velocity of ``params``.
+    ``scratch`` is one flat float64 buffer of the largest frame's rows
+    times the wider of ``embed_dim`` and ``HIDDEN[0]``: its start holds,
+    in turn, each first hidden output, each stack output until it is
+    pooled, each pooled gradient until the backward's top layers have
+    read it, and the first hidden output the backward recomputes.
+    ``slots`` holds the forward cache of each trained stack and batch
+    slot that the calling thread runs, whose buffers, its gradient vector
+    included, the next forward in that slot takes over; the lane keeps
+    its own.  ``bank`` is the EMA prototype bank, which a skipped batch
+    leaves as it was; ``grads`` the last step's gradient over
+    ``Model.params`` (zero on embed2d under ``freeze_2d``); ``vel`` the
+    SGD velocity of ``params``.
     """
 
-    def __init__(self, model: Model, cfg: TrainConfig, scenes: SceneSet, worker):
-        self.worker = worker
+    def __init__(self, model: Model, cfg: TrainConfig, scenes: SceneSet):
         self.scenes = scenes
         rows = max(len(x) for fd in scenes.prepared for x in (fd.x2d, fd.x3d))
-        lanes = 1 if worker is None else 2
-        width = max(cfg.embed_dim, HIDDEN[0])
-        self.scratch = [np.empty(rows * width) for _ in range(lanes)]
+        self.scratch = np.empty(rows * max(cfg.embed_dim, HIDDEN[0]))
         self.slots: dict = {}
         self.rows2d: dict | None = {} if cfg.freeze_2d else None
         self.bank: protobank.PrototypeBank | None = None
@@ -673,21 +682,19 @@ class _Run:
     @classmethod
     @contextmanager
     def open(cls, model: Model, cfg: TrainConfig, scenes: SceneSet):
-        """The run over ``scenes``, under a cap of one BLAS thread per lane
-        until it is closed; unless ``freeze_2d``, with its worker thread."""
-        worker = nullcontext() if cfg.freeze_2d else ThreadPoolExecutor(
-            1, thread_name_prefix="embed2d")
-        with blas_threads(1), worker as w:
-            yield cls(model, cfg, scenes, w)
+        """The run over ``scenes``, under a cap of one BLAS thread per
+        process until it is closed."""
+        with blas_threads(1):
+            yield cls(model, cfg, scenes)
 
-    def embed2d(self, stack: DenseStack, k: int, fd: FrameData, lane):
+    def embed2d(self, stack: DenseStack, k: int, fd: FrameData):
         """Frame ``fd``'s 2D side in batch slot ``k``, as ``_embed`` gives it;
         with ``freeze_2d``, the rows pooled the first time and no caches."""
         if self.rows2d is None:
-            return _embed(stack, fd.x2d, fd.regions2d, self.slots, ("2d", k), lane)
+            return _embed(stack, fd.x2d, fd.regions2d, self.slots, ("2d", k), self.scratch)
         # keyed by identity: a SceneSet's FrameData outlive the run
         if id(fd) not in self.rows2d:
-            rows, valid, _ = _embed(stack, fd.x2d, fd.regions2d, None, None, lane)
+            rows, valid, _ = _embed(stack, fd.x2d, fd.regions2d, None, None, self.scratch)
             self.rows2d[id(fd)] = rows, valid, None
         return self.rows2d[id(fd)]
 
@@ -700,45 +707,6 @@ class _Run:
             stack.bump()
 
 
-def _run_tasks(worker: ThreadPoolExecutor | None, tasks: list, scratch: list) -> list:
-    """Run ``tasks`` on two equal lanes, this thread and ``worker``.
-
-    Each lane claims the next unclaimed task and calls it with its own
-    scratch (``scratch`` holds this thread's, then the worker's); results
-    come back in task order.  With no worker every task runs here, in
-    order.  Once a task has raised on either lane, the other lane claims
-    no further task, and the error is raised once that lane's task ends.
-    """
-    if worker is None:
-        return [task(scratch[0]) for task in tasks]
-    results = [None] * len(tasks)
-    todo = iter(range(len(tasks)))
-    claim, failed = threading.Lock(), threading.Event()
-
-    def lane(own: np.ndarray) -> None:
-        while True:
-            with claim:
-                i = None if failed.is_set() else next(todo, None)
-            if i is None:
-                return
-            try:
-                results[i] = tasks[i](own)
-            except BaseException:
-                failed.set()
-                raise
-
-    future = worker.submit(lane, scratch[1])
-    try:
-        lane(scratch[0])
-    finally:
-        # once cancelled, a lane the worker has not started never runs; a
-        # started one is waited for, after an error on this lane too
-        err = None if future.cancel() else future.exception()
-    if err is not None:
-        raise err
-    return results
-
-
 def run_step(
     model: Model,
     batch: list[FrameData],
@@ -748,24 +716,24 @@ def run_step(
 ) -> LossReport:
     """Forward, loss, and backward over one multi-frame batch.
 
-    ``_run_tasks`` runs the forward's tasks, every frame's 2D side then
-    every 3D side, and the backward's: every 2D backward (none when
-    ``freeze_2d`` cached the 2D rows), every 3D one, the blend backward.
-    Under ``freeze_2d``, once the scene set's 3D lane is ready, the last
-    ⌊B/2⌋ frames' 3D forwards and backwards run there instead, while
-    this thread runs its tasks.  The frames' pooled rows make one
-    ``EmbeddingBank``, which both losses and the prototypes read.  The
-    gradient is left in ``run.grads``, each backward's vector added to
-    its stack's slice here, within a stack in slot order, so it does not
-    depend on which lane ran a frame.  The prototype gate is decided
-    here, once: the prototype term is computed only while open.
-    Raises DegenerateBatchError, once the lane has answered, when the
-    batch has too few valid regions or a raw 3D or blended prototype
-    collapses to zero norm, and ``_LaneFailed`` when the lane fails.
-    Any exception that ends a step while the lane owes it answers closes
-    the lane, whose part of the step is lost.
+    Once the scene set's lane is ready, it runs the trained sides of the
+    last ⌊B/2⌋ frames, both or, under ``freeze_2d``, the 3D side alone,
+    while this thread runs the rest: each of its frames' 2D side (the
+    cached rows under ``freeze_2d``, for every frame) and 3D side, then
+    their backwards and the blend backward.  The frames' pooled rows
+    make one ``EmbeddingBank``, which both losses and the prototypes
+    read.  The gradient is left in ``run.grads``: this thread's vectors
+    are added into their stacks' slices first and the lane's after, so
+    within a stack in slot order, and the bytes do not depend on which
+    lane ran a frame.  The prototype gate is decided here, once: the
+    prototype term is computed only while open.  Raises
+    DegenerateBatchError, once the lane has answered, when the batch has
+    too few valid regions or a raw 3D or blended prototype collapses to
+    zero norm, and ``_LaneFailed`` when the lane fails.  Any exception
+    that ends a step while the lane owes it answers closes the lane,
+    whose part of the step is lost.
     """
-    lane = run.scenes.lane3d() if cfg.freeze_2d else None
+    lane = run.scenes.lane()
     try:
         return _step(model, batch, epoch, cfg, run, lane)
     except BaseException:
@@ -775,25 +743,30 @@ def run_step(
 
 
 def _step(model, batch, epoch, cfg, run, lane: _Lane | None) -> LossReport:
-    """``run_step``'s work, with the 3D lane given or none."""
+    """``run_step``'s work, with the lane given or none."""
     # embed2d's slice of the parameters, then embed3d's, then the blending stacks'
     n2d = model.embed2d.num_params
     n3d = n2d + model.embed3d.num_params
-    # the frames whose 3D sides run here; the lane runs the rest
-    here = len(batch) if lane is None else len(batch) - len(batch) // 2
-    if lane is not None:
-        lane.forward(model.embed3d, model.params[n2d:n3d], list(enumerate(batch))[here:])
-    tasks = [partial(run.embed2d, model.embed2d, k, fd) for k, fd in enumerate(batch)]
-    tasks += [
-        partial(_embed, model.embed3d, fd.x3d, fd.regions3d, run.slots, ("3d", k))
-        for k, fd in enumerate(batch[:here])
-    ]
-    sides = _run_tasks(run.worker, tasks, run.scratch)
-    if lane is not None:
-        sides += lane.rows()
+    stacks = {"2d": model.embed2d, "3d": model.embed3d}
+    # the (side, slot) pairs the lane runs
+    trained = ("3d",) if cfg.freeze_2d else _SIDES
+    jobs = [] if lane is None else [
+        (side, k) for side in trained for k in range(len(batch) - len(batch) // 2, len(batch))]
+    if jobs:
+        lane.forward(list(stacks.values()), model.params[:n3d],
+                     [(side, k, batch[k]) for side, k in jobs])
+    sides = {}
+    for k, fd in enumerate(batch):
+        if ("2d", k) not in jobs:
+            sides["2d", k] = run.embed2d(model.embed2d, k, fd)
+        if ("3d", k) not in jobs:
+            sides["3d", k] = _embed(
+                model.embed3d, fd.x3d, fd.regions3d, run.slots, ("3d", k), run.scratch)
+    if jobs:
+        sides.update(zip(jobs, lane.rows()))
     # one bank over the batch's regions: frame by frame, region index ascending
-    rows2d, valid2d, caches2d = zip(*sides[: len(batch)])
-    rows3d, valid3d, caches3d = zip(*sides[len(batch) :])
+    rows2d, valid2d, _ = zip(*(sides["2d", k] for k in range(len(batch))))
+    rows3d, valid3d, _ = zip(*(sides["3d", k] for k in range(len(batch))))
     batch_bank = embednet.make_bank(
         np.concatenate(rows2d),
         np.concatenate(valid2d),
@@ -822,32 +795,24 @@ def _step(model, batch, epoch, cfg, run, lane: _Lane | None) -> LossReport:
             run.bank = protos  # past every check that skips a batch
 
     grad_f3d = sp.grad_f3d if pro is None else sp.grad_f3d + pro.grad_f3d
-
-    grads = run.grads
-    grads.fill(0.0)
+    upstream = {"2d": sp.grad_f2d, "3d": grad_f3d}
     ends = np.cumsum([len(fd.signs) for fd in batch])
     rows = [slice(end - len(fd.signs), end) for fd, end in zip(batch, ends)]
-    if lane is not None:
-        lane.backward([grad_f3d[r] for r in rows[here:]])
-    # each backward task, and the slice of grads its vector is added into
-    tasks, dests = [], []
-    for stack, upstream, side, dest in (
-        (model.embed2d, sp.grad_f2d, caches2d, grads[:n2d]),
-        (model.embed3d, grad_f3d, caches3d, grads[n2d:n3d]),
-    ):
-        for r, caches in zip(rows, side):
-            if caches is not None:  # None: freeze_2d's cached 2D rows, or the lane's
-                tasks.append(partial(_embed_backward, stack, upstream[r], caches))
-                dests.append(dest)
+    if jobs:
+        lane.backward([upstream[side][rows[k]] for side, k in jobs])
+    grads = run.grads
+    grads.fill(0.0)
+    dests = {"2d": grads[:n2d], "3d": grads[n2d:n3d]}
+    # this thread's frames come first in ``sides``, in slot order
+    for (side, k), (_, _, caches) in sides.items():
+        if caches is not None:  # None: freeze_2d's cached 2D rows, or the lane's
+            dests[side] += _embed_backward(stacks[side], upstream[side][rows[k]], caches,
+                                           run.scratch)
     if bcache is not None:  # the gate is open and prototypes are blended
-        tasks.append(lambda scratch: blending.blend_backward(pro.grad_pmix, bcache))
-        dests.append(grads[n3d:])
-    found = _run_tasks(run.worker, tasks, run.scratch)
-    if lane is not None:  # after this thread's 3D vectors, in slot order
-        found += lane.grads()
-        dests += [grads[n2d:n3d]] * (len(batch) - here)
-    for dest, g in zip(dests, found):
-        dest += g
+        grads[n3d:] += blending.blend_backward(pro.grad_pmix, bcache)
+    if jobs:
+        for (side, _), g in zip(jobs, lane.grads()):
+            dests[side] += g
     return losses.total_loss(sp, pro)
 
 

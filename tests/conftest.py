@@ -22,7 +22,7 @@ def small_frames():
 
 @pytest.fixture(scope="session")
 def small_set(small_frames):
-    """``small_frames`` as one SceneSet, whose preparation and 3D lane the
+    """``small_frames`` as one SceneSet, whose preparation and lane the
     session shares; the lane stops with the session."""
     with SceneSet(small_frames) as scenes:
         yield scenes

@@ -780,7 +780,7 @@ def test_ablate_checks_and_prepares_the_scene_set_once(tmp_path, monkeypatch, ca
 
 
 def lane_pids(pid: int) -> list[int]:
-    """The 3D lanes among process ``pid``'s children, found by their command line."""
+    """The lanes among process ``pid``'s children, found by their command line."""
     found = []
     for kid in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
         try:
@@ -800,10 +800,10 @@ def running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-def _signalled_pretrain(scene_dir, tmp_path, signum, frozen=False):
-    """A child ``pretrain`` sent ``signum`` once ``--out`` exists, or with
-    ``frozen`` once its 3D lane has had a second to start; (code, stderr,
-    out, the lane pids seen)."""
+def _signalled_pretrain(scene_dir, tmp_path, signum, frozen=False, lane=False):
+    """A child ``pretrain``, under ``freeze_2d`` if ``frozen``, sent
+    ``signum`` once ``--out`` exists, or with ``lane`` once its lane has
+    had a second to start; (code, stderr, out, the lane pids seen)."""
     src = str(Path(scenecontrast.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -822,10 +822,10 @@ def _signalled_pretrain(scene_dir, tmp_path, signum, frozen=False):
         deadline = time.monotonic() + 60
         while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.01)
-        while frozen and not lanes and proc.poll() is None and time.monotonic() < deadline:
+        while lane and not lanes and proc.poll() is None and time.monotonic() < deadline:
             lanes = lane_pids(proc.pid)
             time.sleep(0.01)
-        if frozen:
+        if lane:
             time.sleep(1.0)  # the lane imports numpy and takes frames
         assert proc.poll() is None, proc.communicate()
         proc.send_signal(signum)
@@ -858,13 +858,25 @@ def test_terminated_pretrain_exits_2_without_a_traceback(scene_dir, tmp_path):
     assert out.is_dir() and not (out / "checkpoint.cscw").exists()
 
 
-@pytest.mark.parametrize(
+SIGNALS = pytest.mark.parametrize(
     "signum,word",
     [(signal.SIGINT, "interrupted"), (signal.SIGTERM, "terminated"), (signal.SIGKILL, None)],
     ids=["SIGINT", "SIGTERM", "SIGKILL"],
 )
+
+
+@SIGNALS
 def test_signalled_frozen_pretrain_stops_its_3d_lane(scene_dir, tmp_path, signum, word):
-    code, err, out, lanes = _signalled_pretrain(scene_dir, tmp_path, signum, frozen=True)
+    _signalled_pretrain_stops_its_lane(scene_dir, tmp_path, signum, word, frozen=True)
+
+
+@SIGNALS
+def test_signalled_trained_pretrain_stops_its_lane(scene_dir, tmp_path, signum, word):
+    _signalled_pretrain_stops_its_lane(scene_dir, tmp_path, signum, word, frozen=False)
+
+
+def _signalled_pretrain_stops_its_lane(scene_dir, tmp_path, signum, word, frozen):
+    code, err, out, lanes = _signalled_pretrain(scene_dir, tmp_path, signum, frozen, lane=True)
     (lane,) = lanes
     assert "Traceback" not in err
     assert out.is_dir() and not (out / "checkpoint.cscw").exists()
@@ -896,7 +908,7 @@ def test_a_killed_3d_lane_exits_2(scene_dir, tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     argv = ["pretrain", "--config", str(cfg), "--scenes", str(scene_dir), "--out", str(out)]
     assert main(argv) == 2
-    assert "error: epoch 2, step 3: 3D lane exited with code -9\n" in capsys.readouterr().err
+    assert "error: epoch 2, step 3: lane exited with code -9\n" in capsys.readouterr().err
     assert lanes[0].returncode == -9 and not Path(f"/proc/{lanes[0].pid}").exists()
     assert not (out / "checkpoint.cscw").exists()
 

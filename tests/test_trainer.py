@@ -7,11 +7,8 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -779,10 +776,9 @@ def test_frozen_2d_work_counts(small_set, monkeypatch, freeze):
         batches.append(batch)
         return real_run_step(model, batch, *rest)
 
-    # tagged with the step they belong to; the step's 2D calls may run on
-    # its worker thread, but all of them finish before run_step returns.
-    # A backward is given no inputs, so it is traced to its frame through
-    # the forward that made its cache.
+    # tagged with the step they belong to, with the lane kept out so this
+    # process runs every frame.  A backward is given no inputs, so it is
+    # traced to its frame through the forward that made its cache.
     frame_of = {}
 
     def forward_(stack, inputs, **kwargs):
@@ -799,6 +795,7 @@ def test_frozen_2d_work_counts(small_set, monkeypatch, freeze):
     monkeypatch.setattr(trainer, "run_step", run_step_)
     monkeypatch.setattr(embednet, "forward", forward_)
     monkeypatch.setattr(embednet, "backward", backward_)
+    lane_in(monkeypatch, False)
     pretrain(small_set, replace(FROZEN, freeze_2d=freeze))
 
     (model,) = models
@@ -819,192 +816,38 @@ def test_frozen_2d_work_counts(small_set, monkeypatch, freeze):
 
 
 # ---------------------------------------------------------------------------
-# the two lanes: the calling thread and the worker
+# the lane: a child process that runs the trained sides of half of each batch
 
 
-class BusyWorker(ThreadPoolExecutor):
-    """Occupied until shutdown, so the calling thread runs every task."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.release = threading.Event()
-        self.blocker = super().submit(self.release.wait, 60)
-
-    def shutdown(self, *args, **kwargs):
-        self.release.set()
-        super().shutdown(*args, **kwargs)
-        assert self.blocker.result() is True  # released, not timed out
-
-
-class DrainingWorker(ThreadPoolExecutor):
-    """Runs each submitted lane to its end before ``submit`` returns, so
-    the worker runs every task."""
-
-    def submit(self, *args, **kwargs):
-        future = super().submit(*args, **kwargs)
-        assert wait([future], timeout=60).not_done == set()
-        return future
-
-
-@pytest.mark.parametrize(
-    "executor,runs_all",
-    [
-        (BusyWorker, "MainThread"),
-        (DrainingWorker, "embed2d"),
-        (ThreadPoolExecutor, None),
-    ],
-    ids=["caller-runs-2d", "worker-runs-2d", "fast-switching"],
-)
-def test_2d_thread_does_not_change_outputs(
-    small_set, tmp_path, monkeypatch, trained, executor, runs_all
-):
-    calls = []
-    real_forward, real_backward = embednet.forward, embednet.backward
-
-    def forward_(stack, inputs, **kwargs):
-        calls.append((stack, threading.current_thread().name))
-        return real_forward(stack, inputs, **kwargs)
-
-    def backward_(stack, upstream, cache, **kwargs):
-        calls.append((stack, threading.current_thread().name))
-        return real_backward(stack, upstream, cache, **kwargs)
-
-    monkeypatch.setattr(trainer, "ThreadPoolExecutor", executor)
-    monkeypatch.setattr(embednet, "forward", forward_)
-    monkeypatch.setattr(embednet, "backward", backward_)
-    interval = sys.getswitchinterval()
-    if runs_all is None:
-        # hand the interpreter lock back and forth as often as it allows
-        sys.setswitchinterval(1e-6)
-    try:
-        res = pretrain(small_set, CFG, out_dir=tmp_path / "out")
-    finally:
-        sys.setswitchinterval(interval)
-
-    # the 2D and 3D forward and backward of each of 3 frames in each of 6 steps
-    embed = (res.model.embed2d, res.model.embed3d)
-    threads = [name for stack, name in calls if any(stack is s for s in embed)]
-    assert len(threads) == 2 * 2 * 6 * 3
-    if runs_all is not None:
-        assert {name.split("_")[0] for name in threads} == {runs_all}
-    assert (tmp_path / "out" / "metrics.csv").read_bytes() == (
-        trained.metrics_path.read_bytes()
-    )
-    assert res.checkpoint_path.read_bytes() == trained.checkpoint_path.read_bytes()
-
-
-def test_run_tasks_without_a_worker_runs_here_in_order():
-    calls, scratch = [], [object()]
-
-    def task(name):
-        def run(out):
-            calls.append((name, threading.current_thread(), out))
-            return name
-
-        return run
-
-    got = trainer._run_tasks(None, [task("a"), task("b"), task("c")], scratch)
-    assert got == ["a", "b", "c"]
-    here = threading.current_thread()
-    assert calls == [(name, here, scratch[0]) for name in ("a", "b", "c")]
-
-
-def test_run_tasks_runs_each_task_once_under_fast_switching():
-    # a claim that two lanes could both win would run some task twice
-    ran, scratch = [], [object(), object()]
-    here = threading.current_thread()
-
-    def task(i, out):
-        ran.append((i, out is scratch[threading.current_thread() is not here]))
-        return i
-
-    tasks = [partial(task, i) for i in range(500)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(1) as worker:
-            for _ in range(20):
-                ran.clear()
-                assert trainer._run_tasks(worker, tasks, scratch) == list(range(500))
-                assert sorted(i for i, _ in ran) == list(range(500))
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(own for _, own in ran)  # each lane passes its own scratch
-
-
-class Boom(Exception):
-    pass
-
-
-@pytest.mark.parametrize("raising", ["worker", "caller"])
-def test_a_raising_task_stops_both_lanes(small_set, prepared, monkeypatch, raising):
-    # the first task on the raising lane waits until the other lane is
-    # inside a task, then raises; that task outlasts the raise by 0.2 s
-    started, ended = [], []
-    busy, raised = threading.Event(), threading.Event()
-    here = threading.current_thread()
-
-    def embed_(stack, x, *args):
-        lane = "caller" if threading.current_thread() is here else "worker"
-        started.append(lane)
-        if lane == raising:
-            assert busy.wait(10)
-            raised.set()
-            raise Boom(lane)
-        busy.set()
-        assert raised.wait(10)
-        time.sleep(0.2)
-        ended.append(lane)
-        return None
-
-    monkeypatch.setattr(trainer, "_embed", embed_)
-    model = init_model(small_set.frames[0].pixel_features.shape[3], CFG.embed_dim, CFG.seed)
-    with trainer._Run.open(model, CFG, small_set) as run:
-        with pytest.raises(Boom, match=raising):
-            trainer.run_step(model, prepared[:3], 1, CFG, run)
-        # the other lane's task ended before run_step raised, and neither
-        # lane claimed a task after the raise: 2 of the 6 forward tasks ran
-        other = "caller" if raising == "worker" else "worker"
-        assert ended == [other]
-        assert sorted(started) == sorted([raising, other])
-
-
-def test_frozen_2d_starts_no_thread(small_set, monkeypatch):
-    submitted, alive = [], []
-    real_submit, real_run_step = ThreadPoolExecutor.submit, trainer.run_step
-
-    def submit_(self, *args, **kwargs):
-        submitted.append(args)
-        return real_submit(self, *args, **kwargs)
+def test_pretrain_starts_no_thread(small_frames, monkeypatch):
+    # in either mode, with the lane in from the first step
+    alive, real_run_step = [], trainer.run_step
 
     def run_step_(*args):
         alive.append(sorted(t.name for t in threading.enumerate()))
         return real_run_step(*args)
 
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit_)
     monkeypatch.setattr(trainer, "run_step", run_step_)
+    forwards = lane_in(monkeypatch, True)
     before = sorted(t.name for t in threading.enumerate())
-    pretrain(small_set, FROZEN)
-    assert submitted == []
-    assert len(alive) == 2 * FROZEN.epochs
+    with SceneSet(small_frames) as scenes:
+        for cfg in (CFG, FROZEN):
+            pretrain(scenes, cfg)
+    assert len(alive) == len(forwards) == 2 * (CFG.epochs + FROZEN.epochs)
     assert all(names == before for names in alive)
-    assert not any(name.startswith("embed2d") for name in before)
-
-
-# ---------------------------------------------------------------------------
-# the 3D lane: a child process under freeze_2d
+    assert sorted(t.name for t in threading.enumerate()) == before
 
 
 def lane_in(monkeypatch, used: bool) -> list:
-    """Keep every 3D lane out (``used`` False) or in from the first step,
-    by patching its readiness check to false or to wait.  Returns the list
-    each lane forward appends (lane pid, frame count) to."""
+    """Keep every lane out (``used`` False) or in from the first step, by
+    patching its readiness check to false or to wait.  Returns the list
+    each lane forward appends (lane pid, job count) to."""
     real_ready, real_forward = trainer._Lane.ready, trainer._Lane.forward
     forwards = []
 
-    def forward(self, stack, params, slots):
-        forwards.append((self.proc.pid, len(slots)))
-        return real_forward(self, stack, params, slots)
+    def forward(self, stacks, params, jobs):
+        forwards.append((self.proc.pid, len(jobs)))
+        return real_forward(self, stacks, params, jobs)
 
     monkeypatch.setattr(
         trainer._Lane, "ready",
@@ -1033,9 +876,10 @@ def pickled(monkeypatch) -> list:
     return seen
 
 
-def embed3d_shapes(embed_dim: int) -> list[tuple[int, int]]:
-    widths = [4] + trainer.HIDDEN + [embed_dim]
-    return list(zip(widths[1:], widths[:-1]))
+def stack_shapes(feat_dim: int, embed_dim: int) -> list[list[tuple[int, int]]]:
+    """embed2d's and embed3d's layer shapes, as a layout message lists them."""
+    widths = [[n] + trainer.HIDDEN + [embed_dim] for n in (feat_dim, 4)]
+    return [list(zip(w[1:], w[:-1])) for w in widths]
 
 
 def reaped(proc) -> bool:
@@ -1045,8 +889,9 @@ def reaped(proc) -> bool:
 
 @pytest.mark.parametrize(
     "cfg",
-    [FROZEN, replace(FROZEN, proto_mode="raw3d", ema=True)],
-    ids=["mmpb", "raw3d-ema"],
+    [FROZEN, replace(FROZEN, proto_mode="raw3d", ema=True),
+     CFG, replace(CFG, proto_mode="raw3d", ema=True)],
+    ids=["mmpb", "raw3d-ema", "trained-mmpb", "trained-raw3d-ema"],
 )
 def test_3d_lane_does_not_change_outputs(small_frames, tmp_path, monkeypatch, cfg):
     runs = {}
@@ -1054,21 +899,24 @@ def test_3d_lane_does_not_change_outputs(small_frames, tmp_path, monkeypatch, cf
         with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
             forwards = lane_in(m, used)
             runs[used] = pretrain(scenes, cfg, out_dir=tmp_path / str(used))
-        # batches of 3: the lane runs the last frame of each
-        assert [n for _, n in forwards] == ([1] * 2 * cfg.epochs if used else [])
+        # batches of 3: the lane runs the last frame of each, its 3D side
+        # alone under freeze_2d
+        jobs = 1 if cfg.freeze_2d else 2
+        assert [n for _, n in forwards] == ([jobs] * 2 * cfg.epochs if used else [])
     for name in ("metrics.csv", "checkpoint.cscw"):
         assert (tmp_path / "True" / name).read_bytes() == (tmp_path / "False" / name).read_bytes()
 
 
 def test_3d_lane_does_not_change_ablation_rows(small_frames, monkeypatch):
-    rows = {}
-    for used in (False, True):
-        with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
-            forwards = lane_in(m, used)
-            rows[used] = trainer.run_ablation(scenes, FROZEN, [0, 1])
-    assert rows[True] == rows[False]
-    # one lane for the set's six jobs
-    assert len(forwards) == 6 * 2 * FROZEN.epochs and len({pid for pid, _ in forwards}) == 1
+    for cfg in (FROZEN, CFG):
+        rows = {}
+        for used in (False, True):
+            with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+                forwards = lane_in(m, used)
+                rows[used] = trainer.run_ablation(scenes, cfg, [0, 1])
+        assert rows[True] == rows[False]
+        # one lane for the set's six jobs
+        assert len(forwards) == 6 * 2 * cfg.epochs and len({pid for pid, _ in forwards}) == 1
 
 
 def test_3d_lane_idles_through_a_skipped_batch(small_frames, monkeypatch, capsys):
@@ -1103,29 +951,38 @@ def test_3d_lane_rebuilds_its_stack_for_another_embed_dim(small_frames, monkeypa
             runs[used] = [pretrain(scenes, cfg).metrics for cfg in cfgs]
     assert runs[True] == runs[False]
     assert len({pid for pid, _ in forwards}) == 1
-    # one layout message per shape change, each of one lane slot
+    # one layout message per shape change, each of one lane job
+    feat_dim = small_frames[0].pixel_features.shape[3]
     layouts = [message for kind, message in seen[2:] if kind == "dump"]
-    assert layouts == [(embed3d_shapes(cfg.embed_dim), 1) for cfg in cfgs]
+    assert layouts == [(stack_shapes(feat_dim, cfg.embed_dim), 1) for cfg in cfgs]
 
 
 def test_3d_lane_pickles_nothing_per_step(small_frames, monkeypatch):
-    seen = {}
-    for epochs in (2, 4):
-        with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
-            forwards = lane_in(m, True)
-            seen[epochs] = pickled(m)
-            pretrain(scenes, replace(FROZEN, epochs=epochs))
-        assert len(forwards) == 2 * epochs
-    # the ready report, the frames and one layout message, however long the run
-    for got in seen.values():
-        assert [kind for kind, _ in got] == ["load", "dump", "dump"]
-        assert got[0][1] == "ready" and len(got[1][1]) == len(small_frames)
-        assert got[2][1] == (embed3d_shapes(FROZEN.embed_dim), 1)
+    feat_dim = small_frames[0].pixel_features.shape[3]
+    for cfg, jobs in ((FROZEN, 1), (CFG, 2)):  # batches of 3: one frame's trained sides
+        seen = {}
+        for epochs in (2, 4):
+            with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+                forwards = lane_in(m, True)
+                seen[epochs] = pickled(m)
+                pretrain(scenes, replace(cfg, epochs=epochs))
+            assert len(forwards) == 2 * epochs
+        # the ready report, the frames and one layout message, however long the run
+        for got in seen.values():
+            assert [kind for kind, _ in got] == ["load", "dump", "dump"]
+            assert got[0][1] == "ready" and len(got[1][1]) == len(small_frames)
+            assert got[2][1] == (stack_shapes(feat_dim, cfg.embed_dim), jobs)
 
 
 def test_a_killed_3d_lane_fails_the_run_and_the_next_run_starts_another(
     small_frames, monkeypatch
 ):
+    for cfg in (FROZEN, CFG):
+        with monkeypatch.context() as m:
+            _killed_lane_fails_the_run(small_frames, m, cfg)
+
+
+def _killed_lane_fails_the_run(small_frames, monkeypatch, cfg):
     forwards = lane_in(monkeypatch, True)
     real_run_step = trainer.run_step
     killed = []
@@ -1138,38 +995,39 @@ def test_a_killed_3d_lane_fails_the_run_and_the_next_run_starts_another(
 
     monkeypatch.setattr(trainer, "run_step", run_step_)
     with SceneSet(small_frames) as scenes:
-        with pytest.raises(TrainingError, match="epoch 2, step 4: 3D lane exited with code -9"):
-            pretrain(scenes, FROZEN)
+        with pytest.raises(TrainingError, match="epoch 2, step 4: lane exited with code -9"):
+            pretrain(scenes, cfg)
         (proc,) = killed
         assert reaped(proc) and scenes._lane is None
-        again = pretrain(scenes, FROZEN)
+        again = pretrain(scenes, cfg)
         lane = scenes._lane.proc
         assert lane.pid != proc.pid and lane.poll() is None
     assert reaped(lane)
     with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
         lane_in(m, False)
-        assert again.metrics == pretrain(scenes, FROZEN).metrics
+        assert again.metrics == pretrain(scenes, cfg).metrics
 
 
 def test_an_exception_mid_step_closes_the_3d_lane(small_frames, monkeypatch):
     # the lane owes this step its rows when this thread's 3D forward raises
-    forwards = lane_in(monkeypatch, True)
     real_embed = trainer._embed
-    seen = []
+    for cfg in (FROZEN, CFG):
+        seen = []
 
-    def embed_(stack, x, regions, slots, key, lane):
-        if key == ("3d", 0) and len(seen) == 2:
-            raise KeyboardInterrupt
-        if key == ("3d", 0):
-            seen.append(key)
-        return real_embed(stack, x, regions, slots, key, lane)
+        def embed_(stack, x, regions, slots, key, lane):
+            if key == ("3d", 0) and len(seen) == 2:
+                raise KeyboardInterrupt
+            if key == ("3d", 0):
+                seen.append(key)
+            return real_embed(stack, x, regions, slots, key, lane)
 
-    monkeypatch.setattr(trainer, "_embed", embed_)
-    with SceneSet(small_frames) as scenes:
-        with pytest.raises(KeyboardInterrupt):
-            pretrain(scenes, FROZEN)
-        assert scenes._lane is None
-    assert len(forwards) == 3 and not Path(f"/proc/{forwards[0][0]}").exists()
+        with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+            forwards = lane_in(m, True)
+            m.setattr(trainer, "_embed", embed_)
+            with pytest.raises(KeyboardInterrupt):
+                pretrain(scenes, cfg)
+            assert scenes._lane is None
+        assert len(forwards) == 3 and not Path(f"/proc/{forwards[0][0]}").exists()
 
 
 def test_a_dropped_set_stops_its_3d_lane(small_frames, monkeypatch):
@@ -1192,7 +1050,7 @@ def test_a_lane_that_cannot_start_leaves_this_thread_every_frame(
         for _ in range(2):
             pretrain(scenes, FROZEN)
     err = capsys.readouterr().err
-    assert err.count("warning: the 3D lane did not start (no interpreter)") == 1
+    assert err.count("warning: the lane did not start (no interpreter)") == 1
 
 
 @pytest.mark.parametrize("missing", ["memfd_create", "eventfd"])
@@ -1204,7 +1062,7 @@ def test_a_lane_without_memfd_or_eventfd_leaves_this_thread_every_frame(
         got = [pretrain(scenes, FROZEN).metrics for _ in range(2)]
         assert scenes._lane.proc is None
     err = capsys.readouterr().err
-    assert err.count("warning: the 3D lane did not start (it needs os.memfd_create") == 1
+    assert err.count("warning: the lane did not start (it needs os.memfd_create") == 1
     with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
         lane_in(m, False)
         assert got[0] == got[1] == pretrain(scenes, FROZEN).metrics
@@ -1219,7 +1077,7 @@ def test_a_lane_that_exits_before_ready_leaves_this_thread_every_frame(
         got = pretrain(scenes, FROZEN)
         assert scenes._lane.proc is None
     err = capsys.readouterr().err
-    assert err.count("warning: the 3D lane did not start (it exited before it was ready)") == 1
+    assert err.count("warning: the lane did not start (it exited before it was ready)") == 1
     with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
         lane_in(m, False)
         assert got.metrics == pretrain(scenes, FROZEN).metrics
@@ -1245,6 +1103,28 @@ def test_a_3d_lane_leaves_no_file_descriptor_open(small_frames, monkeypatch, cas
         pretrain(scenes, FROZEN)
         assert bool(forwards) == (case == "served")
     assert open_fds() == before
+
+
+def test_a_lane_interrupted_while_it_starts_leaves_no_trace(small_frames, monkeypatch, capfd):
+    # Ctrl-C inside Popen, once the child runs: Popen closes its pipes and
+    # raises, so the child's ready report meets a closed pipe
+    started, real_popen = [], trainer.subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        started[0].stdin.close()
+        started[0].stdout.close()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(trainer.subprocess, "Popen", popen)
+    before = open_fds()
+    with SceneSet(small_frames) as scenes:
+        with pytest.raises(KeyboardInterrupt):
+            pretrain(scenes, FROZEN)
+        assert scenes._lane is None
+    assert open_fds() == before  # the memfd and the doorbells
+    assert started[0].wait(timeout=60) == 0
+    assert capfd.readouterr().err == ""  # the child writes to this stderr too
 
 
 UNGUARDED = """
@@ -1306,6 +1186,7 @@ def test_each_slot_reuses_the_step_befores_buffers(small_set, monkeypatch):
     monkeypatch.setattr(trainer, "init_model", init_model_)
     monkeypatch.setattr(trainer, "run_step", run_step_)
     monkeypatch.setattr(embednet, "forward", forward_)
+    lane_in(monkeypatch, True)  # it runs the last frame of each batch
     pretrain(small_set, CFG)
 
     (model,) = models
@@ -1316,10 +1197,10 @@ def test_each_slot_reuses_the_step_befores_buffers(small_set, monkeypatch):
             side = sides[id(stack)]
             slot = [id(getattr(fd, side)) for fd in batches[k]].index(x)
             by_slot[k, side, slot] = record
-    assert len(batches) == 6 and len(by_slot) == 6 * 2 * 3
+    assert len(batches) == 6 and len(by_slot) == 6 * 2 * 2
     for k in range(1, len(batches)):
         for side in sides.values():
-            for slot in range(3):
+            for slot in range(2):
                 before = by_slot[k - 1, side, slot][0]
                 now, acts, reused, taken = by_slot[k, side, slot]
                 # the hidden layers after the first; no stack output
@@ -1373,31 +1254,33 @@ def test_prepare_frame_rows_are_read_only(small_set, prepared):
     assert small_set.frames[0].points.flags.writeable  # the frame's own array is not
 
 
-def test_run_state_buffers_add_up(small_set, prepared):
-    # per slot and stack the outputs of the hidden layers after the first
-    # and the gradient vector, the frame's own rows kept by reference; per
-    # lane one buffer sized to the largest frame and the wider of the stack
-    # output and the first hidden output
+def test_run_state_buffers_add_up(small_set, prepared, monkeypatch):
+    # per slot this thread runs (the lane runs the last of 3) and stack the
+    # outputs of the hidden layers after the first and the gradient vector,
+    # the frame's own rows kept by reference; and one buffer sized to the
+    # largest frame and the wider of the stack output and the first hidden
+    # output
+    lane_in(monkeypatch, True)
     feat_dim = small_set.frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, CFG.embed_dim, CFG.seed)
     with trainer._Run.open(model, CFG, small_set) as run:
         for batch in (prepared[:3], prepared[3:]):
             trainer.run_step(model, batch, CFG.lam + 1, CFG, run)
-    caches, scratch = run.slots, run.scratch
-    assert sorted(caches) == [(side, k) for side in ("2d", "3d") for k in range(3)]
+    caches = run.slots
+    assert sorted(caches) == [(side, k) for side in ("2d", "3d") for k in range(2)]
     for (side, k), c in caches.items():
         assert c.inputs is getattr(prepared[3 + k], "x" + side)
-    arrays = [a for c in caches.values() for a in [*c.acts, c.grads]] + scratch
+    arrays = [a for c in caches.values() for a in [*c.acts, c.grads]] + [run.scratch]
     assert not any(
         np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i]
     )
     rows2d, rows3d = len(prepared[0].x2d), len(prepared[0].x3d)
     first, *later = trainer.HIDDEN
     want = 8 * (
-        3 * rows2d * sum(later)
-        + 3 * rows3d * sum(later)
-        + 2 * max(rows2d, rows3d) * max(CFG.embed_dim, first)
-        + 3 * (model.embed2d.num_params + model.embed3d.num_params)
+        2 * rows2d * sum(later)
+        + 2 * rows3d * sum(later)
+        + max(rows2d, rows3d) * max(CFG.embed_dim, first)
+        + 2 * (model.embed2d.num_params + model.embed3d.num_params)
     )
     assert sum(a.nbytes for a in arrays) == want
     assert all(a.dtype == np.float64 for a in arrays)
@@ -1436,7 +1319,7 @@ def test_blas_cap_does_not_change_outputs(small_set, tmp_path, monkeypatch, trai
 
 
 def test_pretrain_caps_blas_threads_in_every_run(small_set, monkeypatch):
-    # a frozen run has two lanes as well: this thread and the 3D lane
+    # both modes have two lanes: this thread and the lane process
     found = blasthreads._openblas()
     if found is None:
         pytest.skip("numpy's OpenBLAS not found")
