@@ -16,6 +16,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+# numpy imports these on first use, and a SIGINT or SIGTERM that lands inside
+# that import can be lost; every command uses one or both, so import them now
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import trainer
 from .bounds import Bound, check

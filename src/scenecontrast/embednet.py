@@ -41,7 +41,7 @@ can hold the output, the upstream and the first hidden output in turn.
 count writes its later hidden outputs into that cache's arrays and
 takes them over with its gradient vector, leaving that cache empty, so
 no two caches share an array.  So a caller that keeps one cache per
-batch slot, and lends one buffer per thread, allocates no activation
+batch slot, and lends one buffer per process, allocates no activation
 arrays and no gradient vectors after its first step; it reads each
 gradient before the slot's next backward overwrites it.  ``backward``
 consumes its cache: it writes each hidden layer's output gradient over

@@ -259,10 +259,11 @@ class SceneSet:
     ``prepared`` holds each frame's ``FrameData``, made on first use and
     then shared by every run over the set.
 
-    The first step over the set starts its lane (``_Lane``), which later
-    runs over the set share, so runs over one set take turns.  ``close``
-    stops it, as leaving a ``with`` block over the set does, and so does
-    dropping the set or the interpreter's exit.
+    The first step over the set starts its lane (``_Lane``) and waits
+    for it to report ready, so the lane serves from that step on; later
+    runs over the set share it, so runs over one set take turns.
+    ``close`` stops it, as leaving a ``with`` block over the set does, and
+    so does dropping the set or the interpreter's exit.
     """
 
     _lane: _Lane | None = None
@@ -296,11 +297,12 @@ class SceneSet:
         return [prepare_frame(f) for f in self.frames]
 
     def lane(self) -> _Lane | None:
-        """The set's lane once it is ready for frames; the first call starts it."""
+        """The set's lane, or None if it did not start; the first call
+        starts it and waits for it to report ready."""
         if self._lane is None:
             self._lane = _Lane(self.prepared)
             self._stop_lane = weakref.finalize(self, self._lane.close)
-        return self._lane if self._lane.ready() else None
+        return self._lane if self._lane.is_ready else None
 
     def close(self) -> None:
         """Stop the set's lane and reap it; a later run starts another."""
@@ -380,6 +382,9 @@ _LANE_CODE = (
     "sys.path.insert(0, sys.argv[1]); "
     "from scenecontrast.trainer import _serve_lane; _serve_lane(*map(int, sys.argv[2:5]))"
 )
+# how long the first step over a set waits for its lane to report ready;
+# a lane that misses it is stopped, and the calling thread runs every frame
+_READY_WAIT_S = 60.0
 # the kinds of step half the header's first word names
 _FORWARD, _BACKWARD = 1, 2
 # a frame's sides, by the number a lane job gives its side
@@ -441,25 +446,26 @@ class _Lane:
     threads, and not ``multiprocessing``, whose spawn re-runs an unguarded
     ``__main__``).
 
-    It reports ready once it has imported the package (about 0.35 s),
-    and is then sent the set's prepared 2D and 3D inputs, once, over its
-    pipe; ``ready`` asks without waiting.  A step goes through one buffer
-    that both processes map (a memfd, see ``_LaneBuffer``) and two eventfd
-    doorbells, one each way: each half is "write, ring, wait".  The
-    forward writes embed2d's and embed3d's parameters and the jobs the
-    lane runs, each one side of one frame in one batch slot, and the lane
-    writes back each job's pooled rows and validity; the backward writes
-    each job's upstream rows, and the lane writes back each job's
-    gradient vector, which the caller adds in slot order.  Pickle crosses
-    the pipes only for the ready report, the frames, and a layout message
-    when the stacks' shapes or the job count change, which the lane reads
-    once the header's version is newer than its own.  Either side waits
-    on the other's doorbell and on the hang-up of the other's pipe.  The
-    lane keeps its own slot caches and buffer, and rebuilds its stacks
-    when the shapes change.  ``held`` is True while the lane owes
-    answers.  A lane that cannot start (it needs Linux's memfd and
-    eventfd), or exits before it is ready, is never ready, and says so
-    once on stderr; one that fails later raises ``_LaneFailed``.
+    It is started, and waited for, in the first step over its set: it
+    reports ready once it has imported the package (about 0.2 s), and is
+    then sent the set's prepared 2D and 3D inputs, once, over its pipe.  A
+    step goes through one buffer that both processes map (a memfd, see
+    ``_LaneBuffer``) and two eventfd doorbells, one each way: each half is
+    "write, ring, wait".  The forward writes embed2d's and embed3d's
+    parameters and the jobs the lane runs, each one side of one frame in
+    one batch slot, and the lane writes back each job's pooled rows and
+    validity; the backward writes each job's upstream rows, and the lane
+    writes back each job's gradient vector, which the caller adds in slot
+    order.  Pickle crosses the pipes only for the ready report, the
+    frames, and a layout message when the stacks' shapes or the job count
+    change, which the lane reads once the header's version is newer than
+    its own.  Either side waits on the other's doorbell and on the hang-up
+    of the other's pipe.  The lane keeps its own slot caches and buffer,
+    and rebuilds its stacks when the shapes change.  ``held`` is True
+    while the lane owes answers.  A lane that cannot start (it needs
+    Linux's memfd and eventfd), exits before it is ready, or is not ready
+    within ``_READY_WAIT_S``, is stopped and never ready, and says so once
+    on stderr; one that fails later raises ``_LaneFailed``.
     """
 
     def __init__(self, frames: list[FrameData]):
@@ -487,31 +493,28 @@ class _Lane:
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, pass_fds=self.fds,
             )
             self.poll = _watch(self.fds[2], self.proc.stdout)
+            failed = self._take_frames()
         except OSError as err:
-            self.close()
-            _lane_warning(err)
+            failed = err
         except BaseException:  # such as Ctrl-C while the lane starts
             self.close()
             raise
+        if failed is None:
+            self.is_ready = True
+        else:
+            self.close()
+            _lane_warning(failed)
 
-    def ready(self, timeout: float | None = 0.0) -> bool:
-        """Whether the lane takes frames, waiting up to ``timeout`` seconds
-        (None: until it reports) for its report."""
-        if self.proc is None:
-            return False
-        if self.is_ready:
-            return True
-        if not select.select([self.proc.stdout], [], [], timeout)[0]:
-            return False
+    def _take_frames(self) -> str | None:
+        """Wait for the ready report and send the frames; why not, if either fails."""
+        if not select.select([self.proc.stdout], [], [], _READY_WAIT_S)[0]:
+            return f"it was not ready within {_READY_WAIT_S:g} s"
         try:
             pickle.load(self.proc.stdout)
             self._send([((fd.x2d, fd.regions2d), (fd.x3d, fd.regions3d)) for fd in self.frames])
-        except (EOFError, OSError, pickle.UnpicklingError):
-            self.close()
-            _lane_warning("it exited before it was ready")
-            return False
-        self.is_ready = True
-        return True
+        except (EOFError, OSError, pickle.UnpicklingError, _LaneFailed):
+            return "it exited before it was ready"
+        return None
 
     def forward(self, stacks: list[DenseStack], params: np.ndarray, jobs) -> None:
         """Start ``_embed`` on each (side, slot, FrameData) of ``jobs`` with
@@ -660,8 +663,9 @@ class _Run:
     ``slots`` holds the forward cache of each trained stack and batch
     slot that the calling thread runs, whose buffers, its gradient vector
     included, the next forward in that slot takes over; the lane keeps
-    its own.  ``bank`` is the EMA prototype bank, which a skipped batch
-    leaves as it was; ``grads`` the last step's gradient over
+    those of the slots it runs, which this process fills only if the lane
+    did not start.  ``bank`` is the EMA prototype bank, which a skipped
+    batch leaves as it was; ``grads`` the last step's gradient over
     ``Model.params`` (zero on embed2d under ``freeze_2d``); ``vel`` the
     SGD velocity of ``params``.
     """
@@ -716,17 +720,18 @@ def run_step(
 ) -> LossReport:
     """Forward, loss, and backward over one multi-frame batch.
 
-    Once the scene set's lane is ready, it runs the trained sides of the
-    last ⌊B/2⌋ frames, both or, under ``freeze_2d``, the 3D side alone,
-    while this thread runs the rest: each of its frames' 2D side (the
-    cached rows under ``freeze_2d``, for every frame) and 3D side, then
-    their backwards and the blend backward.  The frames' pooled rows
-    make one ``EmbeddingBank``, which both losses and the prototypes
-    read.  The gradient is left in ``run.grads``: this thread's vectors
-    are added into their stacks' slices first and the lane's after, so
-    within a stack in slot order, and the bytes do not depend on which
-    lane ran a frame.  The prototype gate is decided here, once: the
-    prototype term is computed only while open.  Raises
+    The scene set's lane, which the set's first step starts and waits
+    for, runs the trained sides of the last ⌊B/2⌋ frames, both or, under
+    ``freeze_2d``, the 3D side alone, while this thread runs the rest:
+    each of its frames' 2D side (the cached rows under ``freeze_2d``, for
+    every frame) and 3D side, then their backwards and the blend
+    backward; a lane that did not start leaves this thread every frame.
+    The frames' pooled rows make one ``EmbeddingBank``, which both losses
+    and the prototypes read.  The gradient is left in ``run.grads``: this
+    thread's vectors are added into their stacks' slices first and the
+    lane's after, so within a stack in slot order, and the bytes do not
+    depend on which lane ran a frame.  The prototype gate is decided
+    here, once: the prototype term is computed only while open.  Raises
     DegenerateBatchError, once the lane has answered, when the batch has
     too few valid regions or a raw 3D or blended prototype collapses to
     zero norm, and ``_LaneFailed`` when the lane fails.  Any exception

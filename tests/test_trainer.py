@@ -839,21 +839,18 @@ def test_pretrain_starts_no_thread(small_frames, monkeypatch):
 
 
 def lane_in(monkeypatch, used: bool) -> list:
-    """Keep every lane out (``used`` False) or in from the first step, by
-    patching its readiness check to false or to wait.  Returns the list
-    each lane forward appends (lane pid, job count) to."""
-    real_ready, real_forward = trainer._Lane.ready, trainer._Lane.forward
+    """Keep every lane out (``used`` False), or leave it in, as it is from
+    the first step.  Returns the list each lane forward appends (lane
+    pid, job count) to."""
+    real_forward = trainer._Lane.forward
     forwards = []
 
     def forward(self, stacks, params, jobs):
         forwards.append((self.proc.pid, len(jobs)))
         return real_forward(self, stacks, params, jobs)
 
-    monkeypatch.setattr(
-        trainer._Lane, "ready",
-        (lambda self, timeout=0.0: real_ready(self, None)) if used
-        else (lambda self, timeout=0.0: False),
-    )
+    if not used:
+        monkeypatch.setattr(trainer.SceneSet, "lane", lambda self: None)
     monkeypatch.setattr(trainer._Lane, "forward", forward)
     return forwards
 
@@ -1030,8 +1027,7 @@ def test_an_exception_mid_step_closes_the_3d_lane(small_frames, monkeypatch):
         assert len(forwards) == 3 and not Path(f"/proc/{forwards[0][0]}").exists()
 
 
-def test_a_dropped_set_stops_its_3d_lane(small_frames, monkeypatch):
-    lane_in(monkeypatch, True)
+def test_a_dropped_set_stops_its_3d_lane(small_frames):
     scenes = SceneSet(small_frames)
     pretrain(scenes, FROZEN)
     proc = scenes._lane.proc
@@ -1072,7 +1068,6 @@ def test_a_lane_that_exits_before_ready_leaves_this_thread_every_frame(
     small_frames, monkeypatch, capsys
 ):
     monkeypatch.setattr(trainer, "_LANE_CODE", "import sys; sys.exit(3)")
-    lane_in(monkeypatch, True)
     with SceneSet(small_frames) as scenes:
         got = pretrain(scenes, FROZEN)
         assert scenes._lane.proc is None
@@ -1081,6 +1076,63 @@ def test_a_lane_that_exits_before_ready_leaves_this_thread_every_frame(
     with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
         lane_in(m, False)
         assert got.metrics == pretrain(scenes, FROZEN).metrics
+
+
+@pytest.mark.parametrize("cfg", [CFG, FROZEN], ids=["trained", "frozen"])
+def test_the_lane_serves_from_the_first_step(small_frames, monkeypatch, cfg):
+    # the first step waits for the lane, so this thread never runs a slot
+    # the lane takes, nor keeps a cache for one
+    keys, runs = [], []
+    real_embed, real_run_step = trainer._embed, trainer.run_step
+
+    def embed_(stack, x, regions, slots, key, lane):
+        keys.append(key)
+        return real_embed(stack, x, regions, slots, key, lane)
+
+    def run_step_(model, batch, epoch, cfg, run):
+        runs.append(run)
+        return real_run_step(model, batch, epoch, cfg, run)
+
+    monkeypatch.setattr(trainer, "_embed", embed_)
+    monkeypatch.setattr(trainer, "run_step", run_step_)
+    with SceneSet(small_frames) as scenes:
+        pretrain(scenes, cfg)
+    b = cfg.scenes_per_batch
+    sides = ("3d",) if cfg.freeze_2d else ("2d", "3d")
+    here = sorted((side, k) for side in sides for k in range(b - b // 2))
+    assert len(runs) == 2 * cfg.epochs
+    # None: the 2D rows freeze_2d pools once per frame
+    assert sorted({key for key in keys if key is not None}) == here
+    assert sorted(runs[0].slots) == here
+
+
+def test_a_lane_not_ready_in_time_leaves_this_thread_every_frame(
+    small_frames, monkeypatch, capsys
+):
+    monkeypatch.setattr(trainer, "_READY_WAIT_S", 0.005)
+    started, real_popen = [], trainer.subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(trainer.subprocess, "Popen", popen)
+    before = open_fds()
+    with SceneSet(small_frames) as scenes:
+        got = [pretrain(scenes, cfg) for cfg in (FROZEN, CFG)]
+        assert scenes._lane.proc is None
+    assert open_fds() == before
+    (proc,) = started
+    assert reaped(proc) and proc.returncode == -9  # killed before its report
+    err = capsys.readouterr().err
+    assert err.count("warning: the lane did not start (it was not ready within 0.005 s)") == 1
+    assert err.count("lane") == 1
+    with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+        lane_in(m, False)
+        want = [pretrain(scenes, cfg) for cfg in (FROZEN, CFG)]
+    for a, b in zip(got, want, strict=True):
+        assert a.metrics == b.metrics
+        assert a.model.params.tobytes() == b.model.params.tobytes()
 
 
 def open_fds() -> list[str]:
@@ -1133,8 +1185,6 @@ from scenecontrast import trainer
 from scenecontrast.scenegen import SceneGeometry, SemanticOracleConfig, generate_scene
 
 print("body", flush=True)
-real = trainer._Lane.ready
-trainer._Lane.ready = lambda self, timeout=0.0: real(self, None)
 geom = SceneGeometry(num_points=64, height=8, width=8)
 frames = [generate_scene(s, SemanticOracleConfig(), geom, scene_id=s) for s in range(2)]
 scenes = trainer.SceneSet(frames)
@@ -1155,6 +1205,18 @@ def test_an_unguarded_script_runs_its_body_once(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "body\n" and proc.stderr == ""
+
+
+def test_the_lane_imports_neither_numpy_ma_nor_numpy_random():
+    # they cost the lane's start-up, and only the CLI's signal handlers
+    # need them imported up front
+    src = str(Path(trainer.__file__).parents[1])
+    code = ("import sys, scenecontrast.trainer; "
+            "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1186,7 +1248,7 @@ def test_each_slot_reuses_the_step_befores_buffers(small_set, monkeypatch):
     monkeypatch.setattr(trainer, "init_model", init_model_)
     monkeypatch.setattr(trainer, "run_step", run_step_)
     monkeypatch.setattr(embednet, "forward", forward_)
-    lane_in(monkeypatch, True)  # it runs the last frame of each batch
+    # the lane runs the last frame of each batch, from the first step
     pretrain(small_set, CFG)
 
     (model,) = models
@@ -1254,13 +1316,12 @@ def test_prepare_frame_rows_are_read_only(small_set, prepared):
     assert small_set.frames[0].points.flags.writeable  # the frame's own array is not
 
 
-def test_run_state_buffers_add_up(small_set, prepared, monkeypatch):
+def test_run_state_buffers_add_up(small_set, prepared):
     # per slot this thread runs (the lane runs the last of 3) and stack the
     # outputs of the hidden layers after the first and the gradient vector,
     # the frame's own rows kept by reference; and one buffer sized to the
     # largest frame and the wider of the stack output and the first hidden
     # output
-    lane_in(monkeypatch, True)
     feat_dim = small_set.frames[0].pixel_features.shape[3]
     model = init_model(feat_dim, CFG.embed_dim, CFG.seed)
     with trainer._Run.open(model, CFG, small_set) as run:
