@@ -42,6 +42,7 @@ import select
 import subprocess
 import sys
 import weakref
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -57,6 +58,7 @@ from .embednet import DenseLayer, DenseStack, EmbeddingBank, Regions
 from .errors import (
     ConfigurationError,
     DegenerateBatchError,
+    ShapeError,
     TrainingError,
 )
 from .losses import LossReport
@@ -914,6 +916,8 @@ class ProbeReport:
     per_class: dict[int, float]
     n_train_labeled: int
     n_test: int
+    iou: dict[int, float]
+    miou: float
 
     def summary(self) -> str:
         lines = [f"mean_accuracy {self.mean_accuracy:.6f}"]
@@ -926,25 +930,29 @@ class ProbeReport:
 def fit_linear_probe(
     z_train: np.ndarray,
     y_train: np.ndarray,
-    z_test: np.ndarray,
+    z_test: Iterable[np.ndarray],
     y_test: np.ndarray,
     epochs: int,
 ) -> ProbeReport:
     """Softmax regression on frozen features, full-batch GD from zero init.
 
-    The classifier has one class per label up to the largest label present
-    in either set.  Features are standardized with training statistics;
-    accuracy is the macro mean over the classes that appear in the test
-    labels.
+    ``z_test`` is the test embeddings as row blocks in ``y_test`` order (a
+    caller with one array passes ``[z]``); each block is classified on its
+    own, so no array spans the test set.  The classifier has one class per
+    label up to the largest label present in either set.  Features are
+    standardized with training statistics.  Accuracy (recall) and IoU are
+    reported per class that appears in the test labels, each with its
+    macro mean over those classes.
     """
     if len(z_train) == 0:
         raise ConfigurationError("empty probe training set")
-    num_classes = int(max(y_train.max(), y_test.max(initial=0))) + 1
+    if len(y_test) == 0:
+        raise ConfigurationError("empty probe test set")
+    num_classes = int(max(y_train.max(), y_test.max())) + 1
     mu = z_train.mean(axis=0)
     sd = z_train.std(axis=0)
     sd = np.where(sd < 1e-8, 1.0, sd)
     zt = (z_train - mu) / sd
-    zv = (z_test - mu) / sd
     n, d = zt.shape
     w = np.zeros((num_classes, d))
     b = np.zeros(num_classes)
@@ -954,17 +962,33 @@ def fit_linear_probe(
         g /= n
         w -= lr * (g.T @ zt)
         b -= lr * g.sum(axis=0)
-    pred = np.argmax(zv @ w.T + b, axis=1)
-    per_class: dict[int, float] = {}
-    for cls in np.unique(y_test):
-        mask = y_test == cls
-        per_class[int(cls)] = float((pred[mask] == cls).mean())
-    mean_acc = float(np.mean(list(per_class.values())))
+    # per class: test rows, rows predicted, rows both, counted block by block
+    truth = np.zeros(num_classes, dtype=np.int64)
+    predicted = np.zeros(num_classes, dtype=np.int64)
+    hits = np.zeros(num_classes, dtype=np.int64)
+    start = 0
+    for z in z_test:
+        if start + len(z) > len(y_test):
+            raise ShapeError(f"test blocks have more rows than {len(y_test)} labels")
+        y = y_test[start : start + len(z)]
+        start += len(z)
+        pred = np.argmax((z - mu) / sd @ w.T + b, axis=1)
+        truth += np.bincount(y, minlength=num_classes)
+        predicted += np.bincount(pred, minlength=num_classes)
+        hits += np.bincount(y[pred == y], minlength=num_classes)
+    if start != len(y_test):
+        raise ShapeError(f"test blocks have {start} rows for {len(y_test)} labels")
+    union = truth + predicted - hits
+    present = np.flatnonzero(truth)
+    per_class = {int(c): float(hits[c] / truth[c]) for c in present}
+    iou = {int(c): float(hits[c] / union[c]) for c in present}
     return ProbeReport(
-        mean_accuracy=mean_acc,
+        mean_accuracy=float(np.mean(list(per_class.values()))),
         per_class=per_class,
         n_train_labeled=n,
         n_test=len(y_test),
+        iou=iou,
+        miou=float(np.mean(list(iou.values()))),
     )
 
 
@@ -977,7 +1001,14 @@ def probe_split(scenes: SceneSet) -> tuple[list[SceneFrame], list[SceneFrame]]:
 
 
 def linear_probe(model: Model, scenes: SceneSet, cfg: TrainConfig) -> ProbeReport:
-    """Probe the frozen 3D embedding on a seeded label subset."""
+    """Probe the frozen 3D embedding on a seeded label subset.
+
+    Only the labelled training rows are gathered and embedded, since a
+    stack maps each row on its own, and the test frames are embedded and
+    classified one at a time.  Labels are the stored per-point truth, not
+    the (possibly noisy) rasters: evaluation must not inherit pseudo-label
+    errors.
+    """
     cfg.validate()
     train_frames, test_frames = probe_split(scenes)
     n = sum(len(f.points) for f in train_frames)
@@ -988,24 +1019,15 @@ def linear_probe(model: Model, scenes: SceneSet, cfg: TrainConfig) -> ProbeRepor
         )
     rng = _rng(cfg.seed, _TAG_PROBE)
     chosen = rng.choice(n, size=n_lab, replace=False)
-
-    def labels(fs: list[SceneFrame]) -> np.ndarray:
-        # stored per-point truth, not the (possibly noisy) rasters:
-        # evaluation must not inherit pseudo-label errors
-        return np.concatenate([f.point_labels for f in fs]).astype(np.int64)
-
-    # a stack maps each row on its own, so only the labelled rows are embedded
-    z_train, _ = embednet.forward(
-        model.embed3d, np.concatenate([f.points for f in train_frames])[chosen]
-    )
-    z_test = np.concatenate(
-        [embednet.forward(model.embed3d, f.points)[0] for f in test_frames]
-    )
+    x_train = np.concatenate([f.points for f in train_frames])[chosen]
+    y_train = np.concatenate([f.point_labels for f in train_frames])[chosen]
+    y_train = y_train.astype(np.int64)
+    z_train, _ = embednet.forward(model.embed3d, x_train)
     return fit_linear_probe(
         z_train,
-        labels(train_frames)[chosen],
-        z_test,
-        labels(test_frames),
+        y_train,
+        (embednet.forward(model.embed3d, f.points)[0] for f in test_frames),
+        np.concatenate([f.point_labels for f in test_frames]).astype(np.int64),
         epochs=cfg.probe_epochs,
     )
 

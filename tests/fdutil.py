@@ -325,7 +325,7 @@ def full_embed_probe(model, scenes, cfg):
     rng = trainer._rng(cfg.seed, trainer._TAG_PROBE)
     chosen = rng.choice(n, size=min(int(round(cfg.probe_fraction * n)), n), replace=False)
     return trainer.fit_linear_probe(
-        z_train[chosen], y_train[chosen], z_test, y_test, epochs=cfg.probe_epochs,
+        z_train[chosen], y_train[chosen], [z_test], y_test, epochs=cfg.probe_epochs,
     )
 
 
@@ -570,13 +570,17 @@ def onehot_linear_probe(z_train, y_train, z_test, y_test, epochs: int = 100):
         w -= lr * (g.T @ zt)
         b -= lr * g.sum(axis=0)
     pred = np.argmax(zv @ w.T + b, axis=1)
-    per_class = {}
+    per_class, iou = {}, {}
     for cls in np.unique(y_test):
         mask = y_test == cls
+        hit = pred == cls
         per_class[int(cls)] = float((pred[mask] == cls).mean())
+        iou[int(cls)] = float((mask & hit).sum() / (mask | hit).sum())
     return trainer.ProbeReport(
         mean_accuracy=float(np.mean(list(per_class.values()))),
         per_class=per_class,
         n_train_labeled=n,
         n_test=len(y_test),
+        iou=iou,
+        miou=float(np.mean(list(iou.values()))),
     )

@@ -22,6 +22,7 @@ from scenecontrast.embednet import read_checkpoint
 from scenecontrast.errors import (
     ConfigurationError,
     DegenerateBatchError,
+    ShapeError,
     TrainingError,
 )
 from scenecontrast.losses import CSV_HEADER
@@ -45,6 +46,7 @@ from scenecontrast.trainer import (
     set_config_value,
 )
 
+from conftest import SMALL_CFG
 from fdutil import (
     full_embed_probe,
     loop_prototypes,
@@ -593,8 +595,8 @@ def test_probe_perfect_on_separable_fixture(rng):
         y.append(np.full(n_per, cls))
     z = np.concatenate(z)
     y = np.concatenate(y)
-    rep = fit_linear_probe(z, y, z, y, epochs=100)
-    assert rep.mean_accuracy == 1.0
+    rep = fit_linear_probe(z, y, [z], y, epochs=100)
+    assert rep.mean_accuracy == 1.0 and rep.miou == 1.0
     assert set(rep.per_class) == set(range(c))
     assert rep.n_train_labeled == n_per * c
 
@@ -608,16 +610,70 @@ def test_probe_matches_the_one_hot_loop(rng, epochs):
     y_test = rng.integers(0, 8, size=400)
     z_train = centers[y_train] + rng.normal(size=(90, 6))
     z_test = centers[y_test] + rng.normal(size=(400, 6))
-    got = fit_linear_probe(z_train, y_train, z_test, y_test, epochs=epochs)
+    got = fit_linear_probe(z_train, y_train, [z_test], y_test, epochs=epochs)
     want = onehot_linear_probe(z_train, y_train, z_test, y_test, epochs=epochs)
     assert got == want
     assert got.summary() == want.summary()
     assert {2, 7} <= set(got.per_class) and 0.0 < got.mean_accuracy < 1.0
+    # uneven blocks classify each row as the one block does
+    blocks = [z_test[:1], z_test[1:8], z_test[8:]]
+    assert fit_linear_probe(z_train, y_train, blocks, y_test, epochs=epochs) == got
+    with pytest.raises(ShapeError, match="399 rows for 400 labels"):
+        fit_linear_probe(z_train, y_train, [z_test[1:]], y_test, epochs=epochs)
+    with pytest.raises(ShapeError, match="more rows than 400 labels"):
+        fit_linear_probe(z_train, y_train, [z_test, z_test[:1]], y_test, epochs=epochs)
+
+
+def test_probe_iou_matches_a_brute_force_confusion_matrix(rng):
+    # the probe classifies each test row by its cluster, as the separable
+    # fixture shows, so its predictions are known; the test labels are
+    # drawn apart from them, class 4 among them, which no row predicts
+    c, d = 4, 6
+    centers = 3.0 * np.eye(c, d)
+    y_train = np.repeat(np.arange(c), 30)
+    z_train = centers[y_train] + 0.05 * rng.normal(size=(len(y_train), d))
+    pred = rng.integers(0, c, size=500)
+    y_test = np.where(rng.random(500) < 0.6, pred, rng.integers(0, c + 1, size=500))
+    z_test = centers[pred] + 0.05 * rng.normal(size=(500, d))
+    rep = fit_linear_probe(z_train, y_train, [z_test], y_test, epochs=100)
+    confusion = [[0] * (c + 1) for _ in range(c + 1)]
+    for t, p in zip(y_test.tolist(), pred.tolist()):
+        confusion[t][p] += 1
+    want = {}
+    for k in range(c + 1):
+        truth = sum(confusion[k])
+        if truth:
+            predicted = sum(row[k] for row in confusion)
+            want[k] = confusion[k][k] / (truth + predicted - confusion[k][k])
+    assert rep.iou == want and set(want) == set(range(c + 1)) and want[c] == 0.0
+    assert rep.miou == float(np.mean(list(want.values())))
+    assert rep.per_class == {k: confusion[k][k] / sum(confusion[k]) for k in want}
+
+
+def test_probe_counts_in_the_number_of_classes_not_its_square(rng):
+    # one test label of 60000 makes C = 60001: the counts must cost O(C)
+    # (a C x C int64 matrix is 28.8 GB), and uint16 labels must not wrap
+    z_train = rng.normal(size=(4, 3))
+    y_train = np.arange(4) % 3
+    z_test = rng.normal(size=(8, 3))
+    y_test = np.array([0, 1, 2, 60000] * 2, dtype=np.uint16)
+    tracemalloc.start()
+    try:
+        got = fit_linear_probe(
+            z_train, y_train, [z_test[:3], z_test[3:]], y_test, epochs=5
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert got == onehot_linear_probe(z_train, y_train, z_test, y_test, epochs=5)
+    assert set(got.iou) == {0, 1, 2, 60000} and got.iou[60000] == 0.0
 
 
 def test_probe_report_summary_format():
     rep = trainer.ProbeReport(
-        mean_accuracy=0.5, per_class={1: 0.25, 0: 0.75}, n_train_labeled=12, n_test=34
+        mean_accuracy=0.5, per_class={1: 0.25, 0: 0.75}, n_train_labeled=12, n_test=34,
+        iou={1: 0.125, 0: 0.5}, miou=0.3125,
     )
     assert rep.summary() == (
         "mean_accuracy 0.500000\n"
@@ -630,8 +686,16 @@ def test_probe_report_summary_format():
 def test_probe_empty_training_set():
     with pytest.raises(ConfigurationError, match="empty"):
         fit_linear_probe(
-            np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros((1, 3)),
+            np.zeros((0, 3)), np.zeros(0, dtype=int), [np.zeros((1, 3))],
             np.zeros(1, dtype=int), epochs=100,
+        )
+
+
+def test_probe_empty_test_set():
+    with pytest.raises(ConfigurationError, match="empty probe test set"):
+        fit_linear_probe(
+            np.zeros((1, 3)), np.zeros(1, dtype=int), [np.zeros((0, 3))],
+            np.zeros(0, dtype=int), epochs=100,
         )
 
 
@@ -659,6 +723,29 @@ def test_probe_sizes_its_classifier_by_the_labels(trained, small_set):
         tracemalloc.stop()
     assert got == want
     assert peak < 16 * 2**20, peak
+
+
+def test_probe_holds_one_test_frame_at_a_time():
+    # 8 test frames of 1024 points: the probe's peak stays within twice one
+    # test frame's forward (first and second hidden rows, output rows) plus
+    # the labelled rows' own, so no array spans the test set
+    geom = SceneGeometry(num_points=1024, height=16, width=16)
+    frames = [generate_scene(300 + s, SMALL_CFG, geom, scene_id=s) for s in range(32)]
+    scenes = SceneSet(frames)
+    cfg = TrainConfig(probe_epochs=5)
+    model = init_model(frames[0].pixel_features.shape[3], cfg.embed_dim, 0)
+    train, test = probe_split(scenes)
+    assert len(test) == 8
+    n_lab = round(cfg.probe_fraction * sum(len(f.points) for f in train))
+    row_bytes = 8 * (sum(trainer.HIDDEN) + cfg.embed_dim)
+    frame_rows = max(len(f.points) for f in test)
+    tracemalloc.start()
+    try:
+        linear_probe(model, scenes, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * row_bytes * (frame_rows + n_lab), peak
 
 
 def test_probe_fraction_too_small(trained, small_set):
