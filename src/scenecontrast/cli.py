@@ -16,9 +16,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-# numpy imports these on first use, and a SIGINT or SIGTERM that lands inside
-# that import can be lost; every command uses one or both, so import them now
-import numpy.ma  # noqa: F401
+# numpy imports this on first use, and a SIGINT or SIGTERM that lands inside
+# that import can be lost; every command uses it, so import it now.  No
+# command reaches numpy.ma, numpy's other late import: np.union1d and an
+# np.unique with neither indices nor counts import it, so none calls them
 import numpy.random  # noqa: F401
 
 from . import trainer

@@ -319,18 +319,23 @@ class Regions:
     Group i is ``members[offsets[i]:offsets[i + 1]]``; ``offsets`` has Q+1
     entries.  No row is in two groups or twice in one, but a group may be
     empty and a row in no group.  The members are checked once, here, and
-    made read-only, so pooling them checks nothing.
+    made read-only, so pooling them checks nothing.  They are int32, half
+    the bytes of an index array, so ``num_rows`` may not pass int32's high.
     """
 
     def __init__(self, groups, num_rows: int):
-        m = np.concatenate([np.empty(0, np.int64), *groups], dtype=np.int64,
+        if num_rows > np.iinfo(np.int32).max:
+            raise ShapeError(f"num_rows {num_rows} does not fit int32 members")
+        groups = [np.asarray(g) for g in groups]
+        # each group's range is checked at its own width, before the narrowing
+        # cast could wrap an index into range
+        for i, g in enumerate(groups):
+            if g.size and (g.min() < 0 or g.max() >= num_rows):
+                raise ShapeError(f"group {i} indexes outside [0,{num_rows})")
+        m = np.concatenate([np.empty(0, np.int32), *groups], dtype=np.int32,
                            casting="same_kind")
         self.offsets = np.zeros(len(groups) + 1, dtype=np.int64)
         np.cumsum([len(g) for g in groups], out=self.offsets[1:])
-        bad = np.flatnonzero((m < 0) | (m >= num_rows))
-        if bad.size:
-            i = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
-            raise ShapeError(f"group {i} indexes outside [0,{num_rows})")
         twice = np.flatnonzero(np.bincount(m, minlength=num_rows) > 1)
         if twice.size:
             at = np.searchsorted(self.offsets, np.flatnonzero(m == twice[0]), "right") - 1

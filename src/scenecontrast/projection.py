@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ContractViolationError
 from .scenegen import UNASSIGNED, SceneFrame, project_points
 
 
@@ -65,6 +66,11 @@ def build_associations(frame: SceneFrame) -> AssociationTable:
     Superpixels that end up with no points are kept, with no point indices.
     Point and pixel indices are ascending inside each superpixel.
     """
+    if frame.superpixel_raster is None or frame.semantic_raster is None:
+        raise ContractViolationError(
+            f"scene {frame.scene_id} has no rasters, as a prepared SceneSet keeps "
+            "its frames; build the set from the frames as read"
+        )
     l, h, w = frame.superpixel_raster.shape
     world = frame.points[:, :3].astype(np.float64)
     # (L, K) rows, cols and validity: every point into every camera

@@ -84,7 +84,8 @@ def ema_update(
 ) -> PrototypeBank:
     """new = m*old + (1-m)*fresh on shared classes; others carried/inserted."""
     check({"ema_momentum": EMA_MOMENTUM}, {"ema_momentum": momentum})
-    ids = np.union1d(old.class_ids, fresh.class_ids)
+    # np.union1d's ids (class ids are not negative), without numpy.ma
+    ids = np.flatnonzero(np.bincount(np.concatenate([old.class_ids, fresh.class_ids])))
     # rows of the union table that each bank's rows land on
     at_old = np.searchsorted(ids, old.class_ids)
     at_fresh = np.searchsorted(ids, fresh.class_ids)

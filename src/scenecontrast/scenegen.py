@@ -183,6 +183,9 @@ class SceneFrame:
     evaluation-only ground truth: the training path never reads it, the
     semantic rasters (which may carry oracle noise) are the only label
     signal the losses ever see.
+
+    Both rasters are None in the frames a ``SceneSet`` keeps once it has
+    prepared them: only preparation reads the rasters.
     """
 
     scene_id: int
@@ -191,8 +194,8 @@ class SceneFrame:
     point_labels: np.ndarray  # (K,) uint16
     cameras: list[CameraModel]
     pixel_features: np.ndarray  # (L,H,W,F0) float32
-    semantic_raster: np.ndarray  # (L,H,W) uint16
-    superpixel_raster: np.ndarray  # (L,H,W) uint32
+    semantic_raster: np.ndarray | None  # (L,H,W) uint16
+    superpixel_raster: np.ndarray | None  # (L,H,W) uint32
 
     @property
     def num_points(self) -> int:
@@ -547,7 +550,7 @@ def _sample_points(
     # useful probe target needs labeled support for every class, so rare
     # classes are oversampled (with replacement once their pixels run out)
     pool_cls = cls[pool]
-    present = np.unique(pool_cls)
+    present = np.flatnonzero(np.bincount(pool_cls))  # np.unique's, without numpy.ma
     quota = np.full(len(present), num_points // len(present), dtype=np.int64)
     quota[: num_points % len(present)] += 1
     parts = []

@@ -259,7 +259,10 @@ class SceneSet:
     vocabulary and the 2D input width, and no scene id may repeat.  An
     error names the frame by ``names`` (one per frame, in the order given).
     ``prepared`` holds each frame's ``FrameData``, made on first use and
-    then shared by every run over the set.
+    then shared by every run over the set.  Only preparation reads a
+    frame's rasters, so as it prepares each frame the set swaps its own
+    record of that frame for a copy without them (the frames passed in
+    are not changed); the probe reads only points and labels.
 
     The first step over the set starts its lane (``_Lane``) and waits
     for it to report ready, so the lane serves from that step on; later
@@ -296,7 +299,12 @@ class SceneSet:
 
     @cached_property
     def prepared(self) -> list[FrameData]:
-        return [prepare_frame(f) for f in self.frames]
+        out = []
+        # frame by frame, so each frame's freed rasters make room for the next
+        for i, frame in enumerate(self.frames):
+            out.append(prepare_frame(frame))
+            self.frames[i] = replace(frame, semantic_raster=None, superpixel_raster=None)
+        return out
 
     def lane(self) -> _Lane | None:
         """The set's lane, or None if it did not start; the first call
@@ -927,6 +935,13 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
+# the most bytes a probe fit may hold: a label sizes the classifier, so one
+# high label would otherwise size the fit's (labelled rows x classes) arrays
+PROBE_FIT_BYTES = 128 << 20
+# the bytes of one chunk of test rows' class scores
+_SCORE_BYTES = 4 << 20
+
+
 def fit_linear_probe(
     z_train: np.ndarray,
     y_train: np.ndarray,
@@ -938,22 +953,33 @@ def fit_linear_probe(
 
     ``z_test`` is the test embeddings as row blocks in ``y_test`` order (a
     caller with one array passes ``[z]``); each block is classified on its
-    own, so no array spans the test set.  The classifier has one class per
-    label up to the largest label present in either set.  Features are
-    standardized with training statistics.  Accuracy (recall) and IoU are
-    reported per class that appears in the test labels, each with its
-    macro mean over those classes.
+    own, in chunks of rows whose class scores take ``_SCORE_BYTES`` at
+    most, so no array spans the test set.  The classifier has one class per
+    label up to the largest label present in either set; a fit that would
+    need more than ``PROBE_FIT_BYTES`` raises ConfigurationError before it
+    allocates.  Features are standardized with training statistics.
+    Accuracy (recall) and IoU are reported per class that appears in the
+    test labels, each with its macro mean over those classes.
     """
     if len(z_train) == 0:
         raise ConfigurationError("empty probe training set")
     if len(y_test) == 0:
         raise ConfigurationError("empty probe test set")
     num_classes = int(max(y_train.max(), y_test.max())) + 1
+    n, d = z_train.shape
+    # softmax_xent holds the logits, their shift, exp and softmax; the
+    # weights, their gradient and its step are classes x d each
+    need = 8 * num_classes * (4 * n + 3 * d)
+    if need > PROBE_FIT_BYTES:
+        raise ConfigurationError(
+            f"probe label {num_classes - 1} makes a {num_classes}-class classifier "
+            f"whose fit over {n} labelled rows needs {need} bytes, "
+            f"more than its budget of {PROBE_FIT_BYTES}"
+        )
     mu = z_train.mean(axis=0)
     sd = z_train.std(axis=0)
     sd = np.where(sd < 1e-8, 1.0, sd)
     zt = (z_train - mu) / sd
-    n, d = zt.shape
     w = np.zeros((num_classes, d))
     b = np.zeros(num_classes)
     lr = 0.5
@@ -966,13 +992,16 @@ def fit_linear_probe(
     truth = np.zeros(num_classes, dtype=np.int64)
     predicted = np.zeros(num_classes, dtype=np.int64)
     hits = np.zeros(num_classes, dtype=np.int64)
+    chunk = max(1, _SCORE_BYTES // (8 * num_classes))
     start = 0
     for z in z_test:
         if start + len(z) > len(y_test):
             raise ShapeError(f"test blocks have more rows than {len(y_test)} labels")
         y = y_test[start : start + len(z)]
         start += len(z)
-        pred = np.argmax((z - mu) / sd @ w.T + b, axis=1)
+        pred = np.empty(len(z), np.intp)
+        for i in range(0, len(z), chunk):
+            pred[i : i + chunk] = np.argmax((z[i : i + chunk] - mu) / sd @ w.T + b, axis=1)
         truth += np.bincount(y, minlength=num_classes)
         predicted += np.bincount(pred, minlength=num_classes)
         hits += np.bincount(y[pred == y], minlength=num_classes)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,32 @@ def test_probe_rejects_a_class_count_past_uint16(
     assert "class count T must be <= 65536, got 2147483648 (byte offset 28)" in (
         capsys.readouterr().err
     )
+
+
+def test_probe_exits_1_on_a_label_whose_fit_passes_its_budget(tmp_path, capsys):
+    """Four default scenes with T = 60001 and one test point relabelled
+    60000: a fit over 123 labelled rows would hold four 123 x 60001 float64
+    arrays, so the probe names the label and exits 1 before it allocates."""
+    scenes = tmp_path / "s"
+    assert main(["gen-scenes", "--count", "4", "--out", str(scenes)]) == 0
+    files = sorted(scenes.glob("*.cscs"))
+    for f in files:
+        frame = dataclasses.replace(read_scene(f), num_classes=60001)
+        if f == files[-1]:  # the held-out scene
+            frame.point_labels[0] = 60000
+        write_scene(frame, f)
+    ckpt = tmp_path / "c.cscw"
+    save_model(trainer.init_model(frame.pixel_features.shape[3], 32, 0), ckpt)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["probe", "--ckpt", str(ckpt), "--scenes", str(scenes)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: probe label 60000 makes a 60001-class")
+    assert peak < 64 * 2**20, peak
 
 
 def test_probe_bad_fraction_exits_1(ckpt_dir, scene_dir, capsys):
@@ -927,29 +954,36 @@ before = set(sys.modules)
 d = Path(sys.argv[1])
 (d / "c.txt").write_text("epochs = 1\\nscenes_per_batch = 2\\nembed_dim = 4\\n")
 common = ["--scenes", str(d / "s"), "--config", str(d / "c.txt")]
+(d / "ema.txt").write_text("epochs = 3\\nscenes_per_batch = 2\\nembed_dim = 4\\n"
+                          "lam = 0\\nema = true\\n")
 for argv in (
     ["gen-scenes", "--count", "2", "--points", "64", "--height", "8", "--width", "8",
      "--out", str(d / "s")],
     ["pretrain", *common, "--out", str(d / "run")],
+    ["pretrain", "--scenes", str(d / "s"), "--config", str(d / "ema.txt"),
+     "--out", str(d / "ema")],
     ["probe", *common, "--ckpt", str(d / "run" / "checkpoint.cscw")],
     ["ablate", *common, "--seeds", "1"],
+    ["gradcheck"],
 ):
     assert cli.main(argv) == 0, argv
 print(" ".join(sorted(set(sys.modules) - before)))
+print("numpy.ma" in sys.modules)
 """
 
 
 def test_commands_import_no_module_once_running(tmp_path):
     """A signal that lands inside an import can be lost, and numpy imports
     ``numpy.random`` and ``numpy.ma`` on first use; so a command imports
-    nothing once it runs."""
+    nothing once it runs, and none reaches ``numpy.ma``, which ``cli`` does
+    not import up front."""
     src = str(Path(scenecontrast.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", NO_LATE_IMPORTS, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == ""
+    assert proc.stdout.splitlines()[-2:] == ["", "False"]
 
 
 def test_main_restores_the_sigterm_handler(scene_dir, tmp_path):

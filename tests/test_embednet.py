@@ -505,6 +505,14 @@ def test_regions_reject_members_out_of_range(groups, index):
         Regions([np.array(g, dtype=np.int64) for g in groups], 3)
 
 
+def test_regions_reject_a_member_that_int32_would_wrap_into_range():
+    # 2**32 + 1 narrows to 1, so the range is checked at the group's width
+    with pytest.raises(ShapeError, match=r"group 1 indexes outside \[0,3\)"):
+        Regions([np.array([0]), np.array([2, 2**32 + 1])], 3)
+    with pytest.raises(ShapeError, match="num_rows 2147483648 does not fit int32"):
+        Regions([np.array([0])], 2**31)
+
+
 def test_regions_reject_non_integer_members():
     with pytest.raises(TypeError):
         Regions([np.array([0.0, 1.0])], 3)
@@ -513,6 +521,7 @@ def test_regions_reject_non_integer_members():
 def test_regions_are_checked_once_and_read_only():
     regions = Regions([np.array([2, 0]), np.array([], dtype=np.int64)], 3)
     assert [g.tolist() for g in regions] == [[2, 0], []]
+    assert regions.members.dtype == np.int32
     with pytest.raises(ValueError, match="read-only"):
         regions.members[0] = 7
 

@@ -21,11 +21,13 @@ import scenecontrast.trainer as trainer
 from scenecontrast.embednet import read_checkpoint
 from scenecontrast.errors import (
     ConfigurationError,
+    ContractViolationError,
     DegenerateBatchError,
     ShapeError,
     TrainingError,
 )
 from scenecontrast.losses import CSV_HEADER
+from scenecontrast.projection import build_associations
 from scenecontrast.scenegen import SceneGeometry, SemanticOracleConfig, generate_scene
 from scenecontrast.trainer import (
     ARMS,
@@ -304,10 +306,10 @@ def test_library_calls_reject_a_repeated_scene_id(small_set):
         SceneSet(frames[:4] + [frames[1]])
 
 
-def test_pretrain_orders_scenes_by_id(small_set):
+def test_pretrain_orders_scenes_by_id(small_set, small_frames):
     cfg = TrainConfig(epochs=2, scenes_per_batch=3, embed_dim=16, lam=0)
     res = pretrain(small_set, cfg)
-    back = pretrain(SceneSet(small_set.frames[::-1]), cfg)
+    back = pretrain(SceneSet(small_frames[::-1]), cfg)
     assert back.metrics == res.metrics
     assert np.array_equal(back.model.params, res.model.params)
 
@@ -602,7 +604,7 @@ def test_probe_perfect_on_separable_fixture(rng):
 
 
 @pytest.mark.parametrize("epochs", [1, 7, 100])
-def test_probe_matches_the_one_hot_loop(rng, epochs):
+def test_probe_matches_the_one_hot_loop(rng, monkeypatch, epochs):
     # overlapping clusters, so many test points sit near a decision boundary;
     # class 2 and class 7 label test points only
     centers = rng.normal(size=(8, 6))
@@ -618,6 +620,10 @@ def test_probe_matches_the_one_hot_loop(rng, epochs):
     # uneven blocks classify each row as the one block does
     blocks = [z_test[:1], z_test[1:8], z_test[8:]]
     assert fit_linear_probe(z_train, y_train, blocks, y_test, epochs=epochs) == got
+    # and so do chunks of 1 and 7 rows, scored one after another
+    for rows in (1, 7):
+        monkeypatch.setattr(trainer, "_SCORE_BYTES", 8 * 8 * rows)
+        assert fit_linear_probe(z_train, y_train, [z_test], y_test, epochs=epochs) == got
     with pytest.raises(ShapeError, match="399 rows for 400 labels"):
         fit_linear_probe(z_train, y_train, [z_test[1:]], y_test, epochs=epochs)
     with pytest.raises(ShapeError, match="more rows than 400 labels"):
@@ -668,6 +674,24 @@ def test_probe_counts_in_the_number_of_classes_not_its_square(rng):
     assert peak < 16 * 2**20, peak
     assert got == onehot_linear_probe(z_train, y_train, z_test, y_test, epochs=5)
     assert set(got.iou) == {0, 1, 2, 60000} and got.iou[60000] == 0.0
+
+
+def test_probe_scores_a_wide_classifier_in_chunks(rng):
+    # one test label of 60000: a 96-row block scored at once would hold
+    # two 96 x 60001 float64 arrays, 92 MB
+    z_train = rng.normal(size=(4, 3))
+    y_train = np.arange(4) % 3
+    z_test = rng.normal(size=(96, 3))
+    y_test = np.arange(96) % 3
+    y_test[5] = 60000
+    tracemalloc.start()
+    try:
+        got = fit_linear_probe(z_train, y_train, [z_test], y_test, epochs=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert got == onehot_linear_probe(z_train, y_train, z_test, y_test, epochs=5)
 
 
 def test_probe_report_summary_format():
@@ -1401,6 +1425,20 @@ def test_prepare_frame_rows_are_read_only(small_set, prepared):
             with pytest.raises(ValueError, match="read-only"):
                 x[0, 0] = x[0, 0]  # the same value, should the write go through
     assert small_set.frames[0].points.flags.writeable  # the frame's own array is not
+
+
+def test_a_prepared_set_keeps_int32_members_and_no_rasters(small_set, small_frames, prepared):
+    # only preparation reads the rasters: the set swaps its own record of
+    # each frame for a copy without them, and the frames passed in keep theirs
+    for frame, given, fd in zip(small_set.frames, small_frames, prepared):
+        assert frame is not given and frame.scene_id == given.scene_id
+        assert frame.semantic_raster is None and frame.superpixel_raster is None
+        assert given.semantic_raster is not None and given.superpixel_raster is not None
+        for name in ("points", "point_labels", "pixel_features", "cameras"):
+            assert getattr(frame, name) is getattr(given, name)
+        assert fd.regions2d.members.dtype == fd.regions3d.members.dtype == np.int32
+    with pytest.raises(ContractViolationError, match="build the set from the frames as read"):
+        build_associations(small_set.frames[0])
 
 
 def test_run_state_buffers_add_up(small_set, prepared):
