@@ -346,11 +346,6 @@ class Regions:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def __iter__(self):
-        """Each group's members, in group order, as views of ``members``."""
-        bounds = self.offsets.tolist()
-        return (self.members[start:end] for start, end in zip(bounds[:-1], bounds[1:]))
-
 
 @dataclass
 class PoolCache:
@@ -374,11 +369,13 @@ def pool_regions(
     q = len(regions)
     means = np.zeros((q, feats.shape[1]))
     valid = np.zeros(q, dtype=bool)
-    for i, idx in enumerate(regions):
-        if len(idx) == 0:
+    # indexing widens int32 members to intp: once per call, not per region
+    members, bounds = regions.members.astype(np.intp), regions.offsets.tolist()
+    for i, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if start == end:
             continue
         # what ndarray.mean computes, without its Python-level wrapper
-        means[i] = np.add.reduce(feats[idx], axis=0) / len(idx)
+        means[i] = np.add.reduce(feats[members[start:end]], axis=0) / (end - start)
         valid[i] = True
     norms = np.linalg.norm(means, axis=1)
     degenerate = norms < 1e-12
@@ -411,8 +408,9 @@ def pool_backward(
     rows = (gk - np.matmul(gk[:, None, :], u[:, :, None])[:, 0] * u) / nv
     rows /= np.diff(bounds)[k, None]
     rows += 0.0
+    members = cache.regions.members.astype(np.intp)  # widened once, as in pool_regions
     for row, start, end in zip(rows, bounds[k].tolist(), bounds[k + 1].tolist()):
-        out[cache.regions.members[start:end]] = row
+        out[members[start:end]] = row
     return out
 
 

@@ -20,13 +20,8 @@ stays zero, so SGD leaves its parameters as they are.
 Everything a run carries from step to step is one ``_Run``: the
 buffers that spare a step from allocating any stack-sized array, the EMA
 bank, the gradient and the SGD velocity.  Each step's frames are split
-over two lanes: the calling thread, and the scene set's lane, a child
-process (``_Lane``) that runs the trained sides (2D and 3D, or 3D alone
-under ``freeze_2d``) of the last half of each batch's frames, since a
-thread would contend with the calling thread for the interpreter lock on
-the stacks' many short numpy calls.  A step reaches the lane through one
-buffer both processes map and two eventfd doorbells, so nothing is
-pickled per step.  A non-finite loss or parameter ends the run with
+over two lanes: the calling thread, and the scene set's child process
+(see ``lane``).  A non-finite loss or parameter ends the run with
 TrainingError.  All seeds are named SeedSequence tuples and reductions
 run in fixed order (frame index ascending) on the calling thread, so
 identical inputs give bit-identical metrics and checkpoints, whichever
@@ -35,11 +30,6 @@ lane ran a frame.
 
 from __future__ import annotations
 
-import mmap
-import os
-import pickle
-import select
-import subprocess
 import sys
 import weakref
 from collections.abc import Iterable
@@ -50,11 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blending, embednet, losses, protobank
+from . import blending, embednet, lane, losses, protobank
 from .blasthreads import blas_threads
 from .blending import BlendParams
 from .bounds import Bound, check
-from .embednet import DenseLayer, DenseStack, EmbeddingBank, Regions
+from .embednet import DenseStack, EmbeddingBank, Regions
 from .errors import (
     ConfigurationError,
     DegenerateBatchError,
@@ -264,14 +254,14 @@ class SceneSet:
     record of that frame for a copy without them (the frames passed in
     are not changed); the probe reads only points and labels.
 
-    The first step over the set starts its lane (``_Lane``) and waits
+    The first step over the set starts its lane (``lane._Lane``) and waits
     for it to report ready, so the lane serves from that step on; later
     runs over the set share it, so runs over one set take turns.
     ``close`` stops it, as leaving a ``with`` block over the set does, and
     so does dropping the set or the interpreter's exit.
     """
 
-    _lane: _Lane | None = None
+    _lane: lane._Lane | None = None
 
     def __init__(self, frames: list[SceneFrame], names=None):
         names = names or [f"frame {i}" for i in range(len(frames))]
@@ -306,11 +296,11 @@ class SceneSet:
             self.frames[i] = replace(frame, semantic_raster=None, superpixel_raster=None)
         return out
 
-    def lane(self) -> _Lane | None:
+    def lane(self) -> lane._Lane | None:
         """The set's lane, or None if it did not start; the first call
         starts it and waits for it to report ready."""
         if self._lane is None:
-            self._lane = _Lane(self.prepared)
+            self._lane = lane._Lane(self.prepared)
             self._stop_lane = weakref.finalize(self, self._lane.close)
         return self._lane if self._lane.is_ready else None
 
@@ -329,337 +319,6 @@ class SceneSet:
 
 # ---------------------------------------------------------------------------
 # one training step
-
-
-def _lend(lane: np.ndarray, stack: DenseStack, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``out`` and ``work`` views of ``stack`` over ``n`` rows, both
-    over the start of a lane's buffer."""
-    widths = (stack.out_width, stack.layers[0].weight.shape[0])
-    return tuple(lane[: n * w].reshape(n, w) for w in widths)
-
-
-def _embed(
-    stack: DenseStack,
-    x: np.ndarray,
-    regions: Regions,
-    slots: dict | None,
-    key,
-    lane: np.ndarray,
-):
-    """One side of one frame: (pooled rows, validity, caches for the backward).
-
-    ``lane`` is the buffer of the lane that runs this call: its start
-    holds first the stack's first hidden output and then, once that is
-    dead, the stack's output until it is pooled.  With ``slots``, the
-    forward writes into the buffers of the cache kept under ``key`` (the
-    one of the step before) and keeps its own there.
-    """
-    out, work = _lend(lane, stack, len(x))
-    reuse = None if slots is None else slots.get(key)
-    h, cache = embednet.forward(stack, x, reuse=reuse, out=out, work=work)
-    if slots is not None:
-        slots[key] = cache
-    rows, valid, pcache = embednet.pool_regions(h, regions)
-    return rows, valid, (cache, pcache)
-
-
-def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, lane: np.ndarray):
-    """Parameter gradient vector of one side of one frame, given its rows' gradient.
-
-    In the buffer of the lane that runs this call, the pooled gradient is
-    written over the start, and once the top layers have read it the
-    backward recomputes the first hidden output there.  The gradient of
-    the frame's inputs is not computed.  The vector returned is the
-    cache's, so it holds until the slot's next backward.
-    """
-    cache, pcache = caches
-    out, work = _lend(lane, stack, pcache.regions.num_rows)
-    g = embednet.pool_backward(upstream, pcache, out=out)
-    return embednet.backward(stack, g, cache, work=work, input_grad=False)[0]
-
-
-# ---------------------------------------------------------------------------
-# the lane
-
-
-# the last word of the lane's command line, by which a process list finds it
-LANE_MARKER = "scenecontrast-lane"
-# Ctrl-C in a terminal reaches the whole process group; the parent handles
-# it and stops the lane.  sys.argv[1] is where the parent found the package,
-# sys.argv[2:5] the shared buffer's memfd and the two doorbells.
-_LANE_CODE = (
-    "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
-    "sys.path.insert(0, sys.argv[1]); "
-    "from scenecontrast.trainer import _serve_lane; _serve_lane(*map(int, sys.argv[2:5]))"
-)
-# how long the first step over a set waits for its lane to report ready;
-# a lane that misses it is stopped, and the calling thread runs every frame
-_READY_WAIT_S = 60.0
-# the kinds of step half the header's first word names
-_FORWARD, _BACKWARD = 1, 2
-# a frame's sides, by the number a lane job gives its side
-_SIDES = ("2d", "3d")
-
-
-class _LaneFailed(Exception):
-    """The lane exited, or stopped answering, after it was ready."""
-
-
-class _LaneBuffer:
-    """The lane's shared buffer under one layout, as views of a map of the
-    memfd ``fd``: ``header`` (int64: the step half's kind, the layout's
-    version, then each of the ``jobs`` lane jobs' (side, slot, frame
-    index) triple), ``params`` (embed2d's and then embed3d's slice of
-    ``Model.params``, whose layer shapes ``shapes`` holds per stack), and
-    per job its pooled ``rows``, ``upstream`` rows, gradient vector
-    ``grad`` and ``valid`` flags, with room for ``regions`` regions.
-    The caller's side makes the file large enough before the lane maps
-    it; it never shrinks, so a map of an earlier layout stays valid."""
-
-    def __init__(self, fd: int, shapes, jobs: int, regions: int):
-        sizes = [sum(o * i + o for o, i in stack) for stack in shapes]
-        table = (jobs, regions, shapes[0][-1][0])
-        parts = [(np.int64, 2 + 3 * jobs), (np.float64, sum(sizes)), (np.float64, table),
-                 (np.float64, table), (np.float64, (jobs, max(sizes))),
-                 (np.bool_, (jobs, regions))]
-        size = sum(np.dtype(t).itemsize * int(np.prod(s)) for t, s in parts)
-        if os.fstat(fd).st_size < size:
-            os.ftruncate(fd, size)
-        mem, views, offset = mmap.mmap(fd, size), [], 0
-        for dtype, shape in parts:
-            views.append(np.frombuffer(mem, dtype, int(np.prod(shape)), offset).reshape(shape))
-            offset += views[-1].nbytes
-        self.header, self.params, self.rows, self.upstream, self.grad, self.valid = views
-
-
-def _rang(poll, bell: int) -> bool:
-    """Wait until the eventfd ``bell`` rings (True) or the peer's pipe, which
-    ``poll`` watches for hang-up only, hangs up (False)."""
-    ready = dict(poll.poll())
-    if bell not in ready:
-        return False
-    os.eventfd_read(bell)
-    return True
-
-
-def _watch(bell: int, pipe) -> select.poll:
-    """A poll of ``bell``'s ring and of ``pipe``'s hang-up, never its data."""
-    poll = select.poll()
-    poll.register(bell, select.POLLIN)
-    poll.register(pipe, 0)
-    return poll
-
-
-class _Lane:
-    """A scene set's lane: one child Python process, started with
-    ``subprocess`` (not fork, which is unsafe once OpenBLAS has started
-    threads, and not ``multiprocessing``, whose spawn re-runs an unguarded
-    ``__main__``).
-
-    It is started, and waited for, in the first step over its set: it
-    reports ready once it has imported the package (about 0.2 s), and is
-    then sent the set's prepared 2D and 3D inputs, once, over its pipe.  A
-    step goes through one buffer that both processes map (a memfd, see
-    ``_LaneBuffer``) and two eventfd doorbells, one each way: each half is
-    "write, ring, wait".  The forward writes embed2d's and embed3d's
-    parameters and the jobs the lane runs, each one side of one frame in
-    one batch slot, and the lane writes back each job's pooled rows and
-    validity; the backward writes each job's upstream rows, and the lane
-    writes back each job's gradient vector, which the caller adds in slot
-    order.  Pickle crosses the pipes only for the ready report, the
-    frames, and a layout message when the stacks' shapes or the job count
-    change, which the lane reads once the header's version is newer than
-    its own.  Either side waits on the other's doorbell and on the hang-up
-    of the other's pipe.  The lane keeps its own slot caches and buffer,
-    and rebuilds its stacks when the shapes change.  ``held`` is True
-    while the lane owes answers.  A lane that cannot start (it needs
-    Linux's memfd and eventfd), exits before it is ready, or is not ready
-    within ``_READY_WAIT_S``, is stopped and never ready, and says so once
-    on stderr; one that fails later raises ``_LaneFailed``.
-    """
-
-    def __init__(self, frames: list[FrameData]):
-        self.frames = frames
-        self.index = {id(fd): i for i, fd in enumerate(frames)}
-        self.regions = max(len(fd.signs) for fd in frames)
-        self.is_ready = self.held = False
-        self.layout, self.version, self.buf = None, 0, None
-        # each job's regions and gradient length in the step the lane holds
-        self.sizes: list[tuple[int, int]] = []
-        self.fds: list[int] = []  # the memfd, the doorbell to the lane, the one back
-        self.proc = None
-        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        env = {**os.environ, **dict.fromkeys(threads, "1")}
-        package_dir = str(Path(__file__).resolve().parents[1])
-        if not (hasattr(os, "memfd_create") and hasattr(os, "eventfd")):
-            _lane_warning("it needs os.memfd_create and os.eventfd, which are Linux's")
-            return
-        try:
-            self.fds.append(os.memfd_create(LANE_MARKER))
-            self.fds += [os.eventfd(0), os.eventfd(0)]
-            self.proc = subprocess.Popen(
-                [sys.executable, "-c", _LANE_CODE, package_dir, *map(str, self.fds),
-                 LANE_MARKER],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, pass_fds=self.fds,
-            )
-            self.poll = _watch(self.fds[2], self.proc.stdout)
-            failed = self._take_frames()
-        except OSError as err:
-            failed = err
-        except BaseException:  # such as Ctrl-C while the lane starts
-            self.close()
-            raise
-        if failed is None:
-            self.is_ready = True
-        else:
-            self.close()
-            _lane_warning(failed)
-
-    def _take_frames(self) -> str | None:
-        """Wait for the ready report and send the frames; why not, if either fails."""
-        if not select.select([self.proc.stdout], [], [], _READY_WAIT_S)[0]:
-            return f"it was not ready within {_READY_WAIT_S:g} s"
-        try:
-            pickle.load(self.proc.stdout)
-            self._send([((fd.x2d, fd.regions2d), (fd.x3d, fd.regions3d)) for fd in self.frames])
-        except (EOFError, OSError, pickle.UnpicklingError, _LaneFailed):
-            return "it exited before it was ready"
-        return None
-
-    def forward(self, stacks: list[DenseStack], params: np.ndarray, jobs) -> None:
-        """Start ``_embed`` on each (side, slot, FrameData) of ``jobs`` with
-        ``stacks``, embed2d and embed3d, whose parameters ``params`` holds."""
-        self.held = True
-        self.sizes = [(len(fd.signs), stacks[_SIDES.index(side)].num_params)
-                      for side, _, fd in jobs]
-        layout = [[l.weight.shape for l in stack.layers] for stack in stacks], len(jobs)
-        if layout != self.layout:
-            # views of the old map are dropped, not closed: closing a map
-            # that views still export raises BufferError
-            self.buf = _LaneBuffer(self.fds[0], *layout, self.regions)
-            self.layout, self.version = layout, self.version + 1
-            self._send(layout)
-        buf = self.buf
-        buf.params[...] = params
-        buf.header[:2] = _FORWARD, self.version
-        buf.header[2:] = [x for side, k, fd in jobs
-                          for x in (_SIDES.index(side), k, self.index[id(fd)])]
-        os.eventfd_write(self.fds[1], 1)
-
-    def rows(self) -> list:
-        """Each job's (rows, validity, None): ``_embed``'s, less the caches."""
-        self._wait()
-        got = [(self.buf.rows[j, :q], self.buf.valid[j, :q], None)
-               for j, (q, _) in enumerate(self.sizes)]
-        self.held = False
-        return got
-
-    def backward(self, upstreams: list[np.ndarray]) -> None:
-        """Start ``_embed_backward`` on the forward's jobs, given their rows' gradients."""
-        self.held = True
-        for j, upstream in enumerate(upstreams):
-            self.buf.upstream[j, : len(upstream)] = upstream
-        self.buf.header[0] = _BACKWARD
-        os.eventfd_write(self.fds[1], 1)
-
-    def grads(self) -> list[np.ndarray]:
-        """Each job's gradient vector, in job order."""
-        self._wait()
-        self.held = False
-        return [self.buf.grad[j, :n] for j, (_, n) in enumerate(self.sizes)]
-
-    def _send(self, message) -> None:
-        try:
-            pickle.dump(message, self.proc.stdin, protocol=5)
-            self.proc.stdin.flush()
-        except OSError:
-            raise self._failure() from None
-
-    def _wait(self) -> None:
-        if not _rang(self.poll, self.fds[2]):
-            raise self._failure()
-
-    def _failure(self) -> _LaneFailed:
-        try:
-            return _LaneFailed(f"lane exited with code {self.proc.wait(timeout=10)}")
-        except subprocess.TimeoutExpired:
-            return _LaneFailed("lane stopped answering")
-
-    def close(self) -> None:
-        """Stop the lane and reap it: an idle ready lane exits when its
-        input hangs up; one that owes answers, or is still starting, is
-        killed.  The memfd and the doorbells are closed whether or not it
-        started."""
-        proc, self.proc, self.buf = self.proc, None, None
-        fds, self.fds = self.fds, []
-        for fd in fds:
-            os.close(fd)
-        if proc is None:
-            return
-        if self.held or not self.is_ready:
-            proc.kill()
-        for pipe in (proc.stdin, proc.stdout):
-            try:
-                pipe.close()
-            except OSError:  # what was left to flush to a lane that is gone
-                pass
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-
-
-def _lane_warning(reason) -> None:
-    print(f"warning: the lane did not start ({reason}); "
-          "this thread runs every frame", file=sys.stderr)
-
-
-def _serve_lane(memfd: int, go: int, done: int) -> None:
-    """The lane's side of ``_Lane``, until its input hangs up: ``go`` is
-    the doorbell it waits on, ``done`` the one it rings."""
-    inp = sys.stdin.buffer
-    version, buf, shapes = 0, None, None
-    try:
-        # unbuffered, so a parent gone before the report leaves nothing to
-        # flush at exit
-        with open(sys.stdout.fileno(), "wb", buffering=0, closefd=False) as out:
-            pickle.dump("ready", out, protocol=5)
-        poll = _watch(go, inp)
-        frames = pickle.load(inp)  # each frame's (x2d, regions2d) and (x3d, regions3d)
-        regions = max(len(r) for sides in frames for _, r in sides)
-        rows_max = max(len(x) for sides in frames for x, _ in sides)
-        while _rang(poll, go):
-            if buf is None or buf.header[1] != version:  # a layout message waits
-                new_shapes, jobs = pickle.load(inp)
-                buf = _LaneBuffer(memfd, new_shapes, jobs, regions)
-                version = int(buf.header[1])
-                if new_shapes != shapes:  # the first run, or one with another embed_dim
-                    shapes = new_shapes
-                    stacks = [DenseStack([DenseLayer(np.zeros(s), np.zeros(s[0])) for s in side])
-                              for side in shapes]
-                    params = embednet.pack_params(stacks)
-                    width = max(max(side[0][0], side[-1][0]) for side in shapes)
-                    lane = np.empty(rows_max * width)
-                    caches: dict = {}
-            if buf.header[0] == _BACKWARD:
-                for j, (side, held, q) in enumerate(kept):
-                    g = _embed_backward(stacks[side], buf.upstream[j, :q], held, lane)
-                    buf.grad[j, : len(g)] = g
-            else:
-                params[...] = buf.params
-                for stack in stacks:
-                    stack.bump()
-                kept = []
-                for j, (side, k, i) in enumerate(buf.header[2:].reshape(-1, 3).tolist()):
-                    rows, valid, held = _embed(
-                        stacks[side], *frames[i][side], caches, (side, k), lane)
-                    buf.rows[j, : len(rows)] = rows
-                    buf.valid[j, : len(valid)] = valid
-                    kept.append((side, held, len(rows)))
-            os.eventfd_write(done, 1)
-    except (EOFError, BrokenPipeError):
-        return
 
 
 class _Run:
@@ -702,13 +361,13 @@ class _Run:
             yield cls(model, cfg, scenes)
 
     def embed2d(self, stack: DenseStack, k: int, fd: FrameData):
-        """Frame ``fd``'s 2D side in batch slot ``k``, as ``_embed`` gives it;
+        """Frame ``fd``'s 2D side in batch slot ``k``, as ``lane._embed`` gives it;
         with ``freeze_2d``, the rows pooled the first time and no caches."""
         if self.rows2d is None:
-            return _embed(stack, fd.x2d, fd.regions2d, self.slots, ("2d", k), self.scratch)
+            return lane._embed(stack, fd.x2d, fd.regions2d, self.slots, ("2d", k), self.scratch)
         # keyed by identity: a SceneSet's FrameData outlive the run
         if id(fd) not in self.rows2d:
-            rows, valid, _ = _embed(stack, fd.x2d, fd.regions2d, None, None, self.scratch)
+            rows, valid, _ = lane._embed(stack, fd.x2d, fd.regions2d, None, None, self.scratch)
             self.rows2d[id(fd)] = rows, valid, None
         return self.rows2d[id(fd)]
 
@@ -721,13 +380,8 @@ class _Run:
             stack.bump()
 
 
-def run_step(
-    model: Model,
-    batch: list[FrameData],
-    epoch: int,
-    cfg: TrainConfig,
-    run: _Run,
-) -> LossReport:
+def run_step(model: Model, batch: list[FrameData], epoch: int, cfg: TrainConfig,
+             run: _Run) -> LossReport:
     """Forward, loss, and backward over one multi-frame batch.
 
     The scene set's lane, which the set's first step starts and waits
@@ -744,41 +398,41 @@ def run_step(
     here, once: the prototype term is computed only while open.  Raises
     DegenerateBatchError, once the lane has answered, when the batch has
     too few valid regions or a raw 3D or blended prototype collapses to
-    zero norm, and ``_LaneFailed`` when the lane fails.  Any exception
+    zero norm, and ``lane._LaneFailed`` when the lane fails.  Any exception
     that ends a step while the lane owes it answers closes the lane,
     whose part of the step is lost.
     """
-    lane = run.scenes.lane()
+    child = run.scenes.lane()
     try:
-        return _step(model, batch, epoch, cfg, run, lane)
+        return _step(model, batch, epoch, cfg, run, child)
     except BaseException:
-        if lane is not None and lane.held:
+        if child is not None and child.held:
             run.scenes.close()
         raise
 
 
-def _step(model, batch, epoch, cfg, run, lane: _Lane | None) -> LossReport:
-    """``run_step``'s work, with the lane given or none."""
+def _step(model, batch, epoch, cfg, run, child: lane._Lane | None) -> LossReport:
+    """``run_step``'s work, with the set's lane (``child``) or none."""
     # embed2d's slice of the parameters, then embed3d's, then the blending stacks'
     n2d = model.embed2d.num_params
     n3d = n2d + model.embed3d.num_params
     stacks = {"2d": model.embed2d, "3d": model.embed3d}
     # the (side, slot) pairs the lane runs
-    trained = ("3d",) if cfg.freeze_2d else _SIDES
-    jobs = [] if lane is None else [
+    trained = ("3d",) if cfg.freeze_2d else lane._SIDES
+    jobs = [] if child is None else [
         (side, k) for side in trained for k in range(len(batch) - len(batch) // 2, len(batch))]
     if jobs:
-        lane.forward(list(stacks.values()), model.params[:n3d],
-                     [(side, k, batch[k]) for side, k in jobs])
+        child.forward(list(stacks.values()), model.params[:n3d],
+                      [(side, k, batch[k]) for side, k in jobs])
     sides = {}
     for k, fd in enumerate(batch):
         if ("2d", k) not in jobs:
             sides["2d", k] = run.embed2d(model.embed2d, k, fd)
         if ("3d", k) not in jobs:
-            sides["3d", k] = _embed(
+            sides["3d", k] = lane._embed(
                 model.embed3d, fd.x3d, fd.regions3d, run.slots, ("3d", k), run.scratch)
     if jobs:
-        sides.update(zip(jobs, lane.rows()))
+        sides.update(zip(jobs, child.rows()))
     # one bank over the batch's regions: frame by frame, region index ascending
     rows2d, valid2d, _ = zip(*(sides["2d", k] for k in range(len(batch))))
     rows3d, valid3d, _ = zip(*(sides["3d", k] for k in range(len(batch))))
@@ -814,19 +468,19 @@ def _step(model, batch, epoch, cfg, run, lane: _Lane | None) -> LossReport:
     ends = np.cumsum([len(fd.signs) for fd in batch])
     rows = [slice(end - len(fd.signs), end) for fd, end in zip(batch, ends)]
     if jobs:
-        lane.backward([upstream[side][rows[k]] for side, k in jobs])
+        child.backward([upstream[side][rows[k]] for side, k in jobs])
     grads = run.grads
     grads.fill(0.0)
     dests = {"2d": grads[:n2d], "3d": grads[n2d:n3d]}
     # this thread's frames come first in ``sides``, in slot order
     for (side, k), (_, _, caches) in sides.items():
         if caches is not None:  # None: freeze_2d's cached 2D rows, or the lane's
-            dests[side] += _embed_backward(stacks[side], upstream[side][rows[k]], caches,
-                                           run.scratch)
+            dests[side] += lane._embed_backward(stacks[side], upstream[side][rows[k]],
+                                                caches, run.scratch)
     if bcache is not None:  # the gate is open and prototypes are blended
         grads[n3d:] += blending.blend_backward(pro.grad_pmix, bcache)
     if jobs:
-        for (side, _), g in zip(jobs, lane.grads()):
+        for (side, _), g in zip(jobs, child.grads()):
             dests[side] += g
     return losses.total_loss(sp, pro)
 
@@ -888,7 +542,7 @@ def pretrain(scenes: SceneSet, cfg: TrainConfig, out_dir=None) -> PretrainResult
                         file=sys.stderr,
                     )
                     continue
-                except _LaneFailed as err:
+                except lane._LaneFailed as err:
                     raise TrainingError(f"epoch {epoch}, step {step + 1}: {err}") from None
                 step += 1
                 _check_finite(report.values(), epoch, step, "loss")

@@ -14,7 +14,7 @@ the package's per-camera passes replaced; scenes must keep their bytes.
 loops that the package's array group-bys replaced, and
 ``loop_pool_regions`` and ``loop_pool_backward`` the pooling loops over
 lists of groups that its flat regions replaced; they must agree bit for
-bit.  ``join_banks`` makes the one bank that a step hands to
+bit, and ``region_groups`` lists a ``Regions``' groups.  ``join_banks`` makes the one bank that a step hands to
 ``build_prototypes`` out of several.  ``stored_forward`` and
 ``stored_backward`` are the stack passes that keep every hidden output
 and always compute the input gradient, which the package's recomputing
@@ -256,6 +256,12 @@ def per_camera_associations(frame):
             groups3d.append(points)
             signs.append(_majority_sign(sem[pix]) if pix.size else 0)
     return groups2d, groups3d, np.array(signs, dtype=np.int64)
+
+
+def region_groups(regions) -> list[np.ndarray]:
+    """Each group's members, in group order, as views of ``regions.members``."""
+    bounds = regions.offsets.tolist()
+    return [regions.members[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
 
 
 def loop_pool_regions(features: np.ndarray, groups: list[np.ndarray]):

@@ -21,6 +21,7 @@ import scenecontrast.embednet as embednet
 import scenecontrast.trainer as trainer
 from scenecontrast.cli import main
 from scenecontrast.errors import ConfigurationError, FormatError
+from scenecontrast.lane import LANE_MARKER
 from scenecontrast.scenegen import (
     UNASSIGNED,
     SceneGeometry,
@@ -811,7 +812,7 @@ def lane_pids(pid: int) -> list[int]:
     found = []
     for kid in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
         try:
-            if trainer.LANE_MARKER.encode() in Path(f"/proc/{kid}/cmdline").read_bytes():
+            if LANE_MARKER.encode() in Path(f"/proc/{kid}/cmdline").read_bytes():
                 found.append(int(kid))
         except OSError:  # it exited
             pass

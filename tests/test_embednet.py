@@ -38,6 +38,7 @@ from fdutil import (
     loop_pool_backward,
     loop_pool_regions,
     max_rel_err,
+    region_groups,
     set_stack_params,
     stack_params,
     stored_backward,
@@ -520,7 +521,7 @@ def test_regions_reject_non_integer_members():
 
 def test_regions_are_checked_once_and_read_only():
     regions = Regions([np.array([2, 0]), np.array([], dtype=np.int64)], 3)
-    assert [g.tolist() for g in regions] == [[2, 0], []]
+    assert [g.tolist() for g in region_groups(regions)] == [[2, 0], []]
     assert regions.members.dtype == np.int32
     with pytest.raises(ValueError, match="read-only"):
         regions.members[0] = 7

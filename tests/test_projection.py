@@ -21,7 +21,7 @@ from scenecontrast.scenegen import (
 from scenecontrast.trainer import prepare_frame
 
 from conftest import SMALL_CFG, SMALL_GEOM
-from fdutil import per_camera_associations, pinhole_reference
+from fdutil import per_camera_associations, pinhole_reference, region_groups
 
 
 def identity_cam(fx=4.0, fy=4.0, cx=4.0, cy=4.0, size=8) -> CameraModel:
@@ -321,7 +321,7 @@ def assert_matches_per_camera(frame: SceneFrame):
     groups2d, groups3d, signs = per_camera_associations(frame)
     for got, want in ((fd.regions2d, groups2d), (fd.regions3d, groups3d)):
         assert len(got) == len(want)
-        for g, w in zip(got, want):
+        for g, w in zip(region_groups(got), want):
             assert g.dtype == np.int32 and np.array_equal(g, w)
     assert fd.signs.dtype == signs.dtype and np.array_equal(fd.signs, signs)
 

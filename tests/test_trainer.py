@@ -17,6 +17,7 @@ import pytest
 
 import scenecontrast.blasthreads as blasthreads
 import scenecontrast.embednet as embednet
+import scenecontrast.lane as lane
 import scenecontrast.trainer as trainer
 from scenecontrast.embednet import read_checkpoint
 from scenecontrast.errors import (
@@ -953,7 +954,7 @@ def lane_in(monkeypatch, used: bool) -> list:
     """Keep every lane out (``used`` False), or leave it in, as it is from
     the first step.  Returns the list each lane forward appends (lane
     pid, job count) to."""
-    real_forward = trainer._Lane.forward
+    real_forward = lane._Lane.forward
     forwards = []
 
     def forward(self, stacks, params, jobs):
@@ -962,14 +963,14 @@ def lane_in(monkeypatch, used: bool) -> list:
 
     if not used:
         monkeypatch.setattr(trainer.SceneSet, "lane", lambda self: None)
-    monkeypatch.setattr(trainer._Lane, "forward", forward)
+    monkeypatch.setattr(lane._Lane, "forward", forward)
     return forwards
 
 
 def pickled(monkeypatch) -> list:
     """Record what ``_Lane`` pickles and unpickles, in order, as ("dump",
     message) and ("load", message) pairs; returns the list."""
-    real, seen = trainer.pickle, []
+    real, seen = lane.pickle, []
 
     def dump(message, *args, **kwargs):
         seen.append(("dump", message))
@@ -979,7 +980,7 @@ def pickled(monkeypatch) -> list:
         seen.append(("load", real.load(*args, **kwargs)))
         return seen[-1][1]
 
-    monkeypatch.setattr(trainer, "pickle", SimpleNamespace(
+    monkeypatch.setattr(lane, "pickle", SimpleNamespace(
         dump=dump, load=load, UnpicklingError=real.UnpicklingError))
     return seen
 
@@ -1118,7 +1119,7 @@ def _killed_lane_fails_the_run(small_frames, monkeypatch, cfg):
 
 def test_an_exception_mid_step_closes_the_3d_lane(small_frames, monkeypatch):
     # the lane owes this step its rows when this thread's 3D forward raises
-    real_embed = trainer._embed
+    real_embed = lane._embed
     for cfg in (FROZEN, CFG):
         seen = []
 
@@ -1131,7 +1132,7 @@ def test_an_exception_mid_step_closes_the_3d_lane(small_frames, monkeypatch):
 
         with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
             forwards = lane_in(m, True)
-            m.setattr(trainer, "_embed", embed_)
+            m.setattr(lane, "_embed", embed_)
             with pytest.raises(KeyboardInterrupt):
                 pretrain(scenes, cfg)
             assert scenes._lane is None
@@ -1152,7 +1153,7 @@ def test_a_lane_that_cannot_start_leaves_this_thread_every_frame(
     def popen(*args, **kwargs):
         raise OSError("no interpreter")
 
-    monkeypatch.setattr(trainer.subprocess, "Popen", popen)
+    monkeypatch.setattr(lane.subprocess, "Popen", popen)
     with SceneSet(small_frames) as scenes:
         for _ in range(2):
             pretrain(scenes, FROZEN)
@@ -1164,7 +1165,7 @@ def test_a_lane_that_cannot_start_leaves_this_thread_every_frame(
 def test_a_lane_without_memfd_or_eventfd_leaves_this_thread_every_frame(
     small_frames, monkeypatch, capsys, missing
 ):
-    monkeypatch.delattr(trainer.os, missing)
+    monkeypatch.delattr(lane.os, missing)
     with SceneSet(small_frames) as scenes:
         got = [pretrain(scenes, FROZEN).metrics for _ in range(2)]
         assert scenes._lane.proc is None
@@ -1178,7 +1179,7 @@ def test_a_lane_without_memfd_or_eventfd_leaves_this_thread_every_frame(
 def test_a_lane_that_exits_before_ready_leaves_this_thread_every_frame(
     small_frames, monkeypatch, capsys
 ):
-    monkeypatch.setattr(trainer, "_LANE_CODE", "import sys; sys.exit(3)")
+    monkeypatch.setattr(lane, "_LANE_CODE", "import sys; sys.exit(3)")
     with SceneSet(small_frames) as scenes:
         got = pretrain(scenes, FROZEN)
         assert scenes._lane.proc is None
@@ -1194,7 +1195,7 @@ def test_the_lane_serves_from_the_first_step(small_frames, monkeypatch, cfg):
     # the first step waits for the lane, so this thread never runs a slot
     # the lane takes, nor keeps a cache for one
     keys, runs = [], []
-    real_embed, real_run_step = trainer._embed, trainer.run_step
+    real_embed, real_run_step = lane._embed, trainer.run_step
 
     def embed_(stack, x, regions, slots, key, lane):
         keys.append(key)
@@ -1204,7 +1205,7 @@ def test_the_lane_serves_from_the_first_step(small_frames, monkeypatch, cfg):
         runs.append(run)
         return real_run_step(model, batch, epoch, cfg, run)
 
-    monkeypatch.setattr(trainer, "_embed", embed_)
+    monkeypatch.setattr(lane, "_embed", embed_)
     monkeypatch.setattr(trainer, "run_step", run_step_)
     with SceneSet(small_frames) as scenes:
         pretrain(scenes, cfg)
@@ -1220,14 +1221,14 @@ def test_the_lane_serves_from_the_first_step(small_frames, monkeypatch, cfg):
 def test_a_lane_not_ready_in_time_leaves_this_thread_every_frame(
     small_frames, monkeypatch, capsys
 ):
-    monkeypatch.setattr(trainer, "_READY_WAIT_S", 0.005)
-    started, real_popen = [], trainer.subprocess.Popen
+    monkeypatch.setattr(lane, "_READY_WAIT_S", 0.005)
+    started, real_popen = [], lane.subprocess.Popen
 
     def popen(*args, **kwargs):
         started.append(real_popen(*args, **kwargs))
         return started[-1]
 
-    monkeypatch.setattr(trainer.subprocess, "Popen", popen)
+    monkeypatch.setattr(lane.subprocess, "Popen", popen)
     before = open_fds()
     with SceneSet(small_frames) as scenes:
         got = [pretrain(scenes, cfg) for cfg in (FROZEN, CFG)]
@@ -1257,9 +1258,9 @@ def test_a_3d_lane_leaves_no_file_descriptor_open(small_frames, monkeypatch, cas
         def popen(*args, **kwargs):
             raise OSError("no interpreter")
 
-        monkeypatch.setattr(trainer.subprocess, "Popen", popen)
+        monkeypatch.setattr(lane.subprocess, "Popen", popen)
     elif case == "exits-before-ready":
-        monkeypatch.setattr(trainer, "_LANE_CODE", "import sys; sys.exit(3)")
+        monkeypatch.setattr(lane, "_LANE_CODE", "import sys; sys.exit(3)")
     forwards = lane_in(monkeypatch, True)
     before = open_fds()
     with SceneSet(small_frames) as scenes:
@@ -1271,7 +1272,7 @@ def test_a_3d_lane_leaves_no_file_descriptor_open(small_frames, monkeypatch, cas
 def test_a_lane_interrupted_while_it_starts_leaves_no_trace(small_frames, monkeypatch, capfd):
     # Ctrl-C inside Popen, once the child runs: Popen closes its pipes and
     # raises, so the child's ready report meets a closed pipe
-    started, real_popen = [], trainer.subprocess.Popen
+    started, real_popen = [], lane.subprocess.Popen
 
     def popen(*args, **kwargs):
         started.append(real_popen(*args, **kwargs))
@@ -1279,7 +1280,7 @@ def test_a_lane_interrupted_while_it_starts_leaves_no_trace(small_frames, monkey
         started[0].stdout.close()
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(trainer.subprocess, "Popen", popen)
+    monkeypatch.setattr(lane.subprocess, "Popen", popen)
     before = open_fds()
     with SceneSet(small_frames) as scenes:
         with pytest.raises(KeyboardInterrupt):
@@ -1318,16 +1319,22 @@ def test_an_unguarded_script_runs_its_body_once(tmp_path):
     assert proc.stdout == "body\n" and proc.stderr == ""
 
 
-def test_the_lane_imports_neither_numpy_ma_nor_numpy_random():
-    # they cost the lane's start-up, and only the CLI's signal handlers
-    # need them imported up front
-    src = str(Path(trainer.__file__).parents[1])
-    code = ("import sys, scenecontrast.trainer; "
-            "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False\n"
+def test_the_lane_imports_neither_numpy_ma_nor_numpy_random(small_frames, monkeypatch, capfd):
+    # the lane's own command, which then prints its modules, once it has
+    # served a run in each mode: it imports what it runs, embednet, and
+    # neither the trainer nor the modules only the trainer calls
+    monkeypatch.setattr(lane, "_LANE_CODE",
+                        lane._LANE_CODE + "; print(*sys.modules, file=sys.stderr)")
+    forwards = lane_in(monkeypatch, True)
+    with SceneSet(small_frames) as scenes:
+        for cfg in (CFG, FROZEN):
+            pretrain(scenes, cfg)
+    assert len(forwards) == 2 * (CFG.epochs + FROZEN.epochs)
+    modules = set(capfd.readouterr().err.split())
+    assert {"scenecontrast.lane", "scenecontrast.embednet"} <= modules
+    unused = [f"scenecontrast.{name}" for name in
+              ("trainer", "scenegen", "projection", "blending", "losses", "protobank")]
+    assert modules.isdisjoint(unused + ["numpy.ma", "numpy.random"])
 
 
 # ---------------------------------------------------------------------------
