@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import signal
+import subprocess  # noqa: F401  a lane's start imports it; see numpy.random below
 import sys
 import threading
 from dataclasses import replace

@@ -10,8 +10,8 @@ both processes call through the module.  A step goes through one buffer
 both processes map (``_LaneBuffer``) and two eventfd doorbells, one each
 way: each half is "write, ring, wait", and either side also watches the
 other's pipe for a hang-up.  Pickle crosses the pipes only for the ready
-report, the set's prepared inputs (once), and a layout message when the
-stacks' shapes or the job count change.
+report and the start message: the set's prepared inputs and the lane's
+layout, which is fixed for its life.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import mmap
 import os
 import pickle
 import select
-import subprocess
 import sys
+# subprocess is imported by _start and _reap, which only the parent runs
 from contextlib import suppress
 from pathlib import Path
 
@@ -47,6 +47,15 @@ _READY_WAIT_S = 60.0
 _FORWARD, _BACKWARD = 1, 2
 # a frame's sides, by the number a lane job gives its side
 _SIDES = ("2d", "3d")
+
+
+def _extent(frames: list, shapes) -> tuple[int, int]:
+    """The buffer length ``_embed`` needs over the prepared ``frames`` with
+    stacks of layer shapes ``shapes``: a frame's most rows times the wider of
+    the first hidden and the output width; and a frame's most regions."""
+    rows = max(len(x) for fd in frames for x in (fd.x2d, fd.x3d))
+    width = max(max(stack[0][0], stack[-1][0]) for stack in shapes)
+    return rows * width, max(len(fd.signs) for fd in frames)
 
 
 def _lend(lane: np.ndarray, stack: DenseStack, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,6 +108,8 @@ def _start(fds: list[int]) -> subprocess.Popen:
     BLAS/OpenMP thread.  Not forked, which is unsafe once OpenBLAS has
     started threads, nor spawned by ``multiprocessing``, which re-runs an
     unguarded ``__main__``."""
+    import subprocess
+
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {**os.environ, **dict.fromkeys(threads, "1")}
     package_dir = str(Path(__file__).resolve().parents[1])
@@ -124,42 +135,43 @@ def _lane_warning(reason) -> None:
           "this thread runs every frame", file=sys.stderr)
 
 
-def _reap(proc: subprocess.Popen, kill: bool) -> None:
+def _reap(proc: subprocess.Popen, kill: bool) -> int | None:
     """Close the child's pipes and wait for it: an idle child exits when
     its input hangs up; with ``kill``, or if it has not exited within
-    10 s, it is killed."""
+    10 s, it is killed.  Its exit code, or None if it did not exit in time."""
+    import subprocess
+
     if kill:
         proc.kill()
     for pipe in (proc.stdin, proc.stdout):
         with suppress(OSError):  # what was left to flush to a child that is gone
             pipe.close()
     try:
-        proc.wait(timeout=10)
+        return proc.wait(timeout=10)
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait()
 
 
 class _LaneBuffer:
-    """The lane's shared buffer under one layout, as views of a map of the
-    memfd ``fd``: ``header`` (int64: the step half's kind, the layout's
-    version, then each of the ``jobs`` lane jobs' (side, slot, frame
-    index) triple), ``params`` (embed2d's and then embed3d's slice of
-    ``Model.params``, whose layer shapes ``shapes`` holds per stack), and
-    per job its pooled ``rows``, ``upstream`` rows, gradient vector
-    ``grad`` and ``valid`` flags, with room for ``regions`` regions.
-    The caller's side makes the file large enough before the lane maps
-    it; it never shrinks, so a map of an earlier layout stays valid."""
+    """The lane's shared buffer, as views of a map of the memfd ``fd``
+    sized for ``layout`` (embed2d's and embed3d's layer shapes, and the
+    number of lane jobs) and frames of up to ``regions`` regions:
+    ``header`` (int64: the step half's kind, then each job's (side, slot,
+    frame index) triple), ``params`` (embed2d's and then embed3d's slice
+    of ``Model.params``, ``num_params`` long per stack), and per job its
+    pooled ``rows``, ``upstream`` rows, gradient vector ``grad`` and
+    ``valid`` flags."""
 
-    def __init__(self, fd: int, shapes, jobs: int, regions: int):
-        sizes = [sum(o * i + o for o, i in stack) for stack in shapes]
+    def __init__(self, fd: int, layout, regions: int):
+        shapes, jobs = layout
+        self.num_params = [sum(o * i + o for o, i in stack) for stack in shapes]
         table = (jobs, regions, shapes[0][-1][0])
-        parts = [(np.int64, 2 + 3 * jobs), (np.float64, sum(sizes)), (np.float64, table),
-                 (np.float64, table), (np.float64, (jobs, max(sizes))),
-                 (np.bool_, (jobs, regions))]
+        parts = [(np.int64, 1 + 3 * jobs), (np.float64, sum(self.num_params)),
+                 (np.float64, table), (np.float64, table),
+                 (np.float64, (jobs, max(self.num_params))), (np.bool_, (jobs, regions))]
         size = sum(np.dtype(t).itemsize * int(np.prod(s)) for t, s in parts)
-        if os.fstat(fd).st_size < size:
-            os.ftruncate(fd, size)
+        os.ftruncate(fd, size)
         mem, views, offset = mmap.mmap(fd, size), [], 0
         for dtype, shape in parts:
             views.append(np.frombuffer(mem, dtype, int(np.prod(shape)), offset).reshape(shape))
@@ -187,20 +199,18 @@ def _watch(bell: int, pipe) -> select.poll:
 
 class _Lane:
     """A scene set's lane, as the calling process holds it, over the set's
-    prepared ``frames`` (``trainer.FrameData``).  ``held`` is True while
-    the lane owes answers.  A lane that cannot start (it needs Linux's
-    memfd and eventfd), exits before it is ready, or is not ready within
-    ``_READY_WAIT_S``, is stopped and never ready, and says so once on
-    stderr; one that fails later raises ``_LaneFailed``.
+    prepared ``frames`` (``trainer.FrameData``) under ``layout`` (embed2d's
+    and embed3d's layer shapes, and the job count of a step), both sent once
+    as it starts.  ``held`` is True while the lane owes answers.  A lane that
+    cannot start (it needs Linux's memfd and eventfd), exits before it is
+    ready, or is not ready within ``_READY_WAIT_S``, is stopped and never
+    ready, and says so once on stderr; one that fails later raises ``_LaneFailed``.
     """
 
-    def __init__(self, frames: list):
+    def __init__(self, frames: list, layout):
         self.index = {id(fd): i for i, fd in enumerate(frames)}
-        self.regions = max(len(fd.signs) for fd in frames)
         self.is_ready = self.held = False
-        self.layout, self.version, self.buf = None, 0, None
-        # each job's regions and gradient length in the step the lane holds
-        self.sizes: list[tuple[int, int]] = []
+        self.layout, self.buf = layout, None
         self.fds: list[int] = []  # the memfd, the doorbell to the lane, the one back
         self.proc = None
         if not (hasattr(os, "memfd_create") and hasattr(os, "eventfd")):
@@ -213,8 +223,12 @@ class _Lane:
             self.poll = _watch(self.fds[2], self.proc.stdout)
             failed = _await_ready(self.proc)
             if failed is None:
-                self._send([((fd.x2d, fd.regions2d), (fd.x3d, fd.regions3d)) for fd in frames])
-        except _LaneFailed:
+                extent = _extent(frames, layout[0])
+                self.buf = _LaneBuffer(self.fds[0], layout, extent[1])
+                sides = [((fd.x2d, fd.regions2d), (fd.x3d, fd.regions3d)) for fd in frames]
+                pickle.dump((sides, layout, extent), self.proc.stdin, protocol=5)
+                self.proc.stdin.flush()
+        except BrokenPipeError:  # before it read the start message
             failed = "it exited before it was ready"
         except OSError as err:
             failed = err
@@ -227,23 +241,17 @@ class _Lane:
             self.close()
             _lane_warning(failed)
 
-    def forward(self, stacks: list[DenseStack], params: np.ndarray, jobs) -> None:
+    def forward(self, params: np.ndarray, jobs) -> None:
         """Start ``_embed`` on each (side, slot, FrameData) of ``jobs`` with
-        ``stacks``, embed2d and embed3d, whose parameters ``params`` holds."""
+        embed2d and embed3d, whose parameters ``params`` holds."""
         self.held = True
-        self.sizes = [(len(fd.signs), stacks[_SIDES.index(side)].num_params)
-                      for side, _, fd in jobs]
-        layout = [[l.weight.shape for l in stack.layers] for stack in stacks], len(jobs)
-        if layout != self.layout:
-            # views of the old map are dropped, not closed: closing a map
-            # that views still export raises BufferError
-            self.buf = _LaneBuffer(self.fds[0], *layout, self.regions)
-            self.layout, self.version = layout, self.version + 1
-            self._send(layout)
         buf = self.buf
+        # each job's regions and gradient length in the step the lane holds
+        self.sizes = [(len(fd.signs), buf.num_params[_SIDES.index(side)])
+                      for side, _, fd in jobs]
         buf.params[...] = params
-        buf.header[:2] = _FORWARD, self.version
-        buf.header[2:] = [x for side, k, fd in jobs
+        buf.header[0] = _FORWARD
+        buf.header[1:] = [x for side, k, fd in jobs
                           for x in (_SIDES.index(side), k, self.index[id(fd)])]
         os.eventfd_write(self.fds[1], 1)
 
@@ -269,22 +277,11 @@ class _Lane:
         self.held = False
         return [self.buf.grad[j, :n] for j, (_, n) in enumerate(self.sizes)]
 
-    def _send(self, message) -> None:
-        try:
-            pickle.dump(message, self.proc.stdin, protocol=5)
-            self.proc.stdin.flush()
-        except OSError:
-            raise self._failure() from None
-
     def _wait(self) -> None:
         if not _rang(self.poll, self.fds[2]):
-            raise self._failure()
-
-    def _failure(self) -> _LaneFailed:
-        try:
-            return _LaneFailed(f"lane exited with code {self.proc.wait(timeout=10)}")
-        except subprocess.TimeoutExpired:
-            return _LaneFailed("lane stopped answering")
+            code = _reap(self.proc, kill=False)
+            raise _LaneFailed("lane stopped answering" if code is None
+                              else f"lane exited with code {code}")
 
     def close(self) -> None:
         """Stop the lane and reap it: an idle ready lane exits when its
@@ -303,29 +300,22 @@ def _serve_lane(memfd: int, go: int, done: int) -> None:
     """The lane's side of ``_Lane``, until its input hangs up: ``go`` is
     the doorbell it waits on, ``done`` the one it rings."""
     inp = sys.stdin.buffer
-    version, buf, shapes = 0, None, None
     try:
         # unbuffered, so a parent gone before the report leaves nothing to
         # flush at exit
         with open(sys.stdout.fileno(), "wb", buffering=0, closefd=False) as out:
             pickle.dump("ready", out, protocol=5)
         poll = _watch(go, inp)
-        frames = pickle.load(inp)  # each frame's (x2d, regions2d) and (x3d, regions3d)
-        regions = max(len(r) for sides in frames for _, r in sides)
-        rows_max = max(len(x) for sides in frames for x, _ in sides)
+        # each frame's (x2d, regions2d) and (x3d, regions3d), the layout, and
+        # _extent's figures
+        frames, layout, (scratch, regions) = pickle.load(inp)
+        buf = _LaneBuffer(memfd, layout, regions)
+        stacks = [DenseStack([DenseLayer(np.zeros(s), np.zeros(s[0])) for s in side])
+                  for side in layout[0]]
+        params = embednet.pack_params(stacks)
+        lane = np.empty(scratch)
+        caches: dict = {}
         while _rang(poll, go):
-            if buf is None or buf.header[1] != version:  # a layout message waits
-                new_shapes, jobs = pickle.load(inp)
-                buf = _LaneBuffer(memfd, new_shapes, jobs, regions)
-                version = int(buf.header[1])
-                if new_shapes != shapes:  # the first run, or one with another embed_dim
-                    shapes = new_shapes
-                    stacks = [DenseStack([DenseLayer(np.zeros(s), np.zeros(s[0])) for s in side])
-                              for side in shapes]
-                    params = embednet.pack_params(stacks)
-                    width = max(max(side[0][0], side[-1][0]) for side in shapes)
-                    lane = np.empty(rows_max * width)
-                    caches: dict = {}
             if buf.header[0] == _BACKWARD:
                 for j, (side, held, q) in enumerate(kept):
                     g = _embed_backward(stacks[side], buf.upstream[j, :q], held, lane)
@@ -335,7 +325,7 @@ def _serve_lane(memfd: int, go: int, done: int) -> None:
                 for stack in stacks:
                     stack.bump()
                 kept = []
-                for j, (side, k, i) in enumerate(buf.header[2:].reshape(-1, 3).tolist()):
+                for j, (side, k, i) in enumerate(buf.header[1:].reshape(-1, 3).tolist()):
                     rows, valid, held = _embed(
                         stacks[side], *frames[i][side], caches, (side, k), lane)
                     buf.rows[j, : len(rows)] = rows

@@ -256,7 +256,8 @@ class SceneSet:
 
     The first step over the set starts its lane (``lane._Lane``) and waits
     for it to report ready, so the lane serves from that step on; later
-    runs over the set share it, so runs over one set take turns.
+    runs with its layout (stack shapes and job count) share it, so runs over
+    one set take turns, and a run with another layout gets a new lane.
     ``close`` stops it, as leaving a ``with`` block over the set does, and
     so does dropping the set or the interpreter's exit.
     """
@@ -296,11 +297,14 @@ class SceneSet:
             self.frames[i] = replace(frame, semantic_raster=None, superpixel_raster=None)
         return out
 
-    def lane(self) -> lane._Lane | None:
-        """The set's lane, or None if it did not start; the first call
-        starts it and waits for it to report ready."""
+    def lane(self, layout) -> lane._Lane | None:
+        """The set's lane under ``layout`` (``lane._Lane``'s), or None if it did
+        not start, which is not retried; the first call, and one with another
+        layout than the ready lane's, start it and wait for its ready report."""
+        if self._lane is not None and self._lane.is_ready and self._lane.layout != layout:
+            self.close()
         if self._lane is None:
-            self._lane = lane._Lane(self.prepared)
+            self._lane = lane._Lane(self.prepared, layout)
             self._stop_lane = weakref.finalize(self, self._lane.close)
         return self._lane if self._lane.is_ready else None
 
@@ -324,8 +328,8 @@ class SceneSet:
 class _Run:
     """What one ``pretrain`` run carries from step to step; see ``open``.
 
-    ``scratch`` is one flat float64 buffer of the largest frame's rows
-    times the wider of ``embed_dim`` and ``HIDDEN[0]``: its start holds,
+    ``scratch`` is one flat float64 buffer as long as ``lane._extent``
+    says, as the lane's is: its start holds,
     in turn, each first hidden output, each stack output until it is
     pooled, each pooled gradient until the backward's top layers have
     read it, and the first hidden output the backward recomputes.
@@ -336,13 +340,15 @@ class _Run:
     did not start.  ``bank`` is the EMA prototype bank, which a skipped
     batch leaves as it was; ``grads`` the last step's gradient over
     ``Model.params`` (zero on embed2d under ``freeze_2d``); ``vel`` the
-    SGD velocity of ``params``.
+    SGD velocity of ``params``; ``shapes`` embed2d's and embed3d's layer
+    shapes, for the lane's layout.
     """
 
     def __init__(self, model: Model, cfg: TrainConfig, scenes: SceneSet):
         self.scenes = scenes
-        rows = max(len(x) for fd in scenes.prepared for x in (fd.x2d, fd.x3d))
-        self.scratch = np.empty(rows * max(cfg.embed_dim, HIDDEN[0]))
+        self.shapes = [[layer.weight.shape for layer in stack.layers]
+                       for stack in model.stacks()[:2]]
+        self.scratch = np.empty(lane._extent(scenes.prepared, self.shapes)[0])
         self.slots: dict = {}
         self.rows2d: dict | None = {} if cfg.freeze_2d else None
         self.bank: protobank.PrototypeBank | None = None
@@ -402,28 +408,26 @@ def run_step(model: Model, batch: list[FrameData], epoch: int, cfg: TrainConfig,
     that ends a step while the lane owes it answers closes the lane,
     whose part of the step is lost.
     """
-    child = run.scenes.lane()
+    # the (side, slot) pairs the lane runs
+    trained = ("3d",) if cfg.freeze_2d else lane._SIDES
+    jobs = [(side, k) for side in trained for k in range(len(batch) - len(batch) // 2, len(batch))]
+    child = run.scenes.lane((run.shapes, len(jobs)))
     try:
-        return _step(model, batch, epoch, cfg, run, child)
+        return _step(model, batch, epoch, cfg, run, child, jobs if child else [])
     except BaseException:
         if child is not None and child.held:
             run.scenes.close()
         raise
 
 
-def _step(model, batch, epoch, cfg, run, child: lane._Lane | None) -> LossReport:
-    """``run_step``'s work, with the set's lane (``child``) or none."""
+def _step(model, batch, epoch, cfg, run, child: lane._Lane | None, jobs) -> LossReport:
+    """``run_step``'s work, with the set's lane (``child``) running ``jobs``, or none."""
     # embed2d's slice of the parameters, then embed3d's, then the blending stacks'
     n2d = model.embed2d.num_params
     n3d = n2d + model.embed3d.num_params
     stacks = {"2d": model.embed2d, "3d": model.embed3d}
-    # the (side, slot) pairs the lane runs
-    trained = ("3d",) if cfg.freeze_2d else lane._SIDES
-    jobs = [] if child is None else [
-        (side, k) for side in trained for k in range(len(batch) - len(batch) // 2, len(batch))]
     if jobs:
-        child.forward(list(stacks.values()), model.params[:n3d],
-                      [(side, k, batch[k]) for side, k in jobs])
+        child.forward(model.params[:n3d], [(side, k, batch[k]) for side, k in jobs])
     sides = {}
     for k, fd in enumerate(batch):
         if ("2d", k) not in jobs:

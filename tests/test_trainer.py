@@ -957,12 +957,12 @@ def lane_in(monkeypatch, used: bool) -> list:
     real_forward = lane._Lane.forward
     forwards = []
 
-    def forward(self, stacks, params, jobs):
+    def forward(self, params, jobs):
         forwards.append((self.proc.pid, len(jobs)))
-        return real_forward(self, stacks, params, jobs)
+        return real_forward(self, params, jobs)
 
     if not used:
-        monkeypatch.setattr(trainer.SceneSet, "lane", lambda self: None)
+        monkeypatch.setattr(trainer.SceneSet, "lane", lambda self, layout: None)
     monkeypatch.setattr(lane._Lane, "forward", forward)
     return forwards
 
@@ -986,7 +986,7 @@ def pickled(monkeypatch) -> list:
 
 
 def stack_shapes(feat_dim: int, embed_dim: int) -> list[list[tuple[int, int]]]:
-    """embed2d's and embed3d's layer shapes, as a layout message lists them."""
+    """embed2d's and embed3d's layer shapes, as a lane's layout lists them."""
     widths = [[n] + trainer.HIDDEN + [embed_dim] for n in (feat_dim, 4)]
     return [list(zip(w[1:], w[:-1])) for w in widths]
 
@@ -1050,19 +1050,25 @@ def test_3d_lane_idles_through_a_skipped_batch(small_frames, monkeypatch, capsys
     assert runs[True] == runs[False]
 
 
-def test_3d_lane_rebuilds_its_stack_for_another_embed_dim(small_frames, monkeypatch):
+def test_a_set_starts_another_lane_for_another_embed_dim(small_frames, monkeypatch):
     cfgs = [FROZEN, replace(FROZEN, embed_dim=12), FROZEN]
     runs = {}
     for used in (False, True):
         with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
             forwards = lane_in(m, used)
             seen = pickled(m)
-            runs[used] = [pretrain(scenes, cfg).metrics for cfg in cfgs]
+            runs[used] = []
+            for cfg in cfgs:
+                runs[used].append(pretrain(scenes, cfg).metrics)
+                if used:  # each earlier lane is reaped once the next run steps
+                    pid = forwards[-1][0]
+                    assert all(not Path(f"/proc/{p}").exists() for p, _ in forwards if p != pid)
     assert runs[True] == runs[False]
-    assert len({pid for pid, _ in forwards}) == 1
-    # one layout message per shape change, each of one lane job
+    pids = list(dict.fromkeys(pid for pid, _ in forwards))
+    assert len(pids) == 3 and {n for _, n in forwards} == {1}
+    # each lane's start message carries its layout, of one lane job
     feat_dim = small_frames[0].pixel_features.shape[3]
-    layouts = [message for kind, message in seen[2:] if kind == "dump"]
+    layouts = [message[1] for kind, message in seen if kind == "dump"]
     assert layouts == [(stack_shapes(feat_dim, cfg.embed_dim), 1) for cfg in cfgs]
 
 
@@ -1076,11 +1082,12 @@ def test_3d_lane_pickles_nothing_per_step(small_frames, monkeypatch):
                 seen[epochs] = pickled(m)
                 pretrain(scenes, replace(cfg, epochs=epochs))
             assert len(forwards) == 2 * epochs
-        # the ready report, the frames and one layout message, however long the run
+        # the ready report and the start message, however long the run
         for got in seen.values():
-            assert [kind for kind, _ in got] == ["load", "dump", "dump"]
-            assert got[0][1] == "ready" and len(got[1][1]) == len(small_frames)
-            assert got[2][1] == (stack_shapes(feat_dim, cfg.embed_dim), jobs)
+            assert [kind for kind, _ in got] == ["load", "dump"]
+            frames, layout, _ = got[1][1]
+            assert got[0][1] == "ready" and len(frames) == len(small_frames)
+            assert layout == (stack_shapes(feat_dim, cfg.embed_dim), jobs)
 
 
 def test_a_killed_3d_lane_fails_the_run_and_the_next_run_starts_another(
@@ -1150,15 +1157,24 @@ def test_a_dropped_set_stops_its_3d_lane(small_frames):
 def test_a_lane_that_cannot_start_leaves_this_thread_every_frame(
     small_frames, monkeypatch, capsys
 ):
+    # a later run, of this layout or another, neither retries the lane nor warns again
+    tried = []
+
     def popen(*args, **kwargs):
+        tried.append(args)
         raise OSError("no interpreter")
 
-    monkeypatch.setattr(lane.subprocess, "Popen", popen)
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    cfgs = [FROZEN, FROZEN, replace(FROZEN, embed_dim=12)]
     with SceneSet(small_frames) as scenes:
-        for _ in range(2):
-            pretrain(scenes, FROZEN)
+        got = [pretrain(scenes, cfg).metrics for cfg in cfgs]
+        assert scenes._lane.proc is None and len(tried) == 1
     err = capsys.readouterr().err
     assert err.count("warning: the lane did not start (no interpreter)") == 1
+    assert err.count("lane") == 1
+    with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
+        lane_in(m, False)
+        assert got == [pretrain(scenes, cfg).metrics for cfg in cfgs]
 
 
 @pytest.mark.parametrize("missing", ["memfd_create", "eventfd"])
@@ -1222,13 +1238,13 @@ def test_a_lane_not_ready_in_time_leaves_this_thread_every_frame(
     small_frames, monkeypatch, capsys
 ):
     monkeypatch.setattr(lane, "_READY_WAIT_S", 0.005)
-    started, real_popen = [], lane.subprocess.Popen
+    started, real_popen = [], subprocess.Popen
 
     def popen(*args, **kwargs):
         started.append(real_popen(*args, **kwargs))
         return started[-1]
 
-    monkeypatch.setattr(lane.subprocess, "Popen", popen)
+    monkeypatch.setattr(subprocess, "Popen", popen)
     before = open_fds()
     with SceneSet(small_frames) as scenes:
         got = [pretrain(scenes, cfg) for cfg in (FROZEN, CFG)]
@@ -1251,28 +1267,32 @@ def open_fds() -> list[str]:
     return sorted(os.listdir("/proc/self/fd"))
 
 
-@pytest.mark.parametrize("case", ["served", "cannot-start", "exits-before-ready"])
+@pytest.mark.parametrize("case", ["served", "cannot-start", "exits-before-ready", "relaid"])
 def test_a_3d_lane_leaves_no_file_descriptor_open(small_frames, monkeypatch, case):
     # the memfd and the doorbells exist before the lane is started
     if case == "cannot-start":
         def popen(*args, **kwargs):
             raise OSError("no interpreter")
 
-        monkeypatch.setattr(lane.subprocess, "Popen", popen)
+        monkeypatch.setattr(subprocess, "Popen", popen)
     elif case == "exits-before-ready":
         monkeypatch.setattr(lane, "_LANE_CODE", "import sys; sys.exit(3)")
     forwards = lane_in(monkeypatch, True)
     before = open_fds()
     with SceneSet(small_frames) as scenes:
         pretrain(scenes, FROZEN)
-        assert bool(forwards) == (case == "served")
+        assert bool(forwards) == (case in ("served", "relaid"))
+        if case == "relaid":  # another layout: the first lane is closed and reaped
+            first = forwards[0][0]
+            pretrain(scenes, replace(FROZEN, embed_dim=12))
+            assert forwards[-1][0] != first and not Path(f"/proc/{first}").exists()
     assert open_fds() == before
 
 
 def test_a_lane_interrupted_while_it_starts_leaves_no_trace(small_frames, monkeypatch, capfd):
     # Ctrl-C inside Popen, once the child runs: Popen closes its pipes and
     # raises, so the child's ready report meets a closed pipe
-    started, real_popen = [], lane.subprocess.Popen
+    started, real_popen = [], subprocess.Popen
 
     def popen(*args, **kwargs):
         started.append(real_popen(*args, **kwargs))
@@ -1280,7 +1300,7 @@ def test_a_lane_interrupted_while_it_starts_leaves_no_trace(small_frames, monkey
         started[0].stdout.close()
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(lane.subprocess, "Popen", popen)
+    monkeypatch.setattr(subprocess, "Popen", popen)
     before = open_fds()
     with SceneSet(small_frames) as scenes:
         with pytest.raises(KeyboardInterrupt):
@@ -1334,7 +1354,7 @@ def test_the_lane_imports_neither_numpy_ma_nor_numpy_random(small_frames, monkey
     assert {"scenecontrast.lane", "scenecontrast.embednet"} <= modules
     unused = [f"scenecontrast.{name}" for name in
               ("trainer", "scenegen", "projection", "blending", "losses", "protobank")]
-    assert modules.isdisjoint(unused + ["numpy.ma", "numpy.random"])
+    assert modules.isdisjoint(unused + ["numpy.ma", "numpy.random", "subprocess"])
 
 
 # ---------------------------------------------------------------------------
