@@ -3,15 +3,16 @@
 A scene set's lane (``_Lane``) runs the trained sides (2D and 3D, or 3D
 alone under ``freeze_2d``) of the last half of each batch's frames, since
 a thread would contend with the calling thread for the interpreter lock
-on the stacks' many short numpy calls; ``_embed`` and ``_embed_backward``
-are the per-side work both processes run.  The child imports only this
-module, numpy, the standard library and ``embednet``, whose functions
+on the stacks' many short numpy calls.  Each process runs its part of a
+step through its own ``_Share``, on jobs of one format: (side, slot,
+inputs), side 0 being embed2d and side 1 embed3d.  The child imports only
+this module, numpy, the standard library and ``embednet``, whose functions
 both processes call through the module.  A step goes through one buffer
 both processes map (``_LaneBuffer``) and two eventfd doorbells, one each
 way: each half is "write, ring, wait", and either side also watches the
 other's pipe for a hang-up.  Pickle crosses the pipes only for the ready
-report and the start message: the set's prepared inputs and the lane's
-layout, which is fixed for its life.
+report and the start message: the set's prepared inputs, the lane's
+layout, which is fixed for its life, and ``_extent``'s figures.
 """
 
 from __future__ import annotations
@@ -45,58 +46,72 @@ _LANE_CODE = (
 _READY_WAIT_S = 60.0
 # the kinds of step half the header's first word names
 _FORWARD, _BACKWARD = 1, 2
-# a frame's sides, by the number a lane job gives its side
-_SIDES = ("2d", "3d")
 
 
 def _extent(frames: list, shapes) -> tuple[int, int]:
-    """The buffer length ``_embed`` needs over the prepared ``frames`` with
-    stacks of layer shapes ``shapes``: a frame's most rows times the wider of
-    the first hidden and the output width; and a frame's most regions."""
+    """The scratch length a ``_Share`` needs over the prepared ``frames`` with
+    stacks of layer shapes ``shapes`` (a frame's most rows times the wider of
+    the first hidden and the output width), and a frame's most regions."""
     rows = max(len(x) for fd in frames for x in (fd.x2d, fd.x3d))
     width = max(max(stack[0][0], stack[-1][0]) for stack in shapes)
     return rows * width, max(len(fd.signs) for fd in frames)
 
 
-def _lend(lane: np.ndarray, stack: DenseStack, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``out`` and ``work`` views of ``stack`` over ``n`` rows, both
-    over the start of a lane's buffer."""
-    widths = (stack.out_width, stack.layers[0].weight.shape[0])
-    return tuple(lane[: n * w].reshape(n, w) for w in widths)
-
-
-def _embed(stack: DenseStack, x: np.ndarray, regions: Regions, slots: dict | None, key,
-           lane: np.ndarray):
-    """One side of one frame: (pooled rows, validity, caches for the backward).
-
-    ``lane`` is the buffer of the lane that runs this call: its start
-    holds first the stack's first hidden output and then, once that is
-    dead, the stack's output until it is pooled.  With ``slots``, the
-    forward writes into the buffers of the cache kept under ``key`` (the
-    one of the step before) and keeps its own there.
+class _Share:
+    """One process's share of a step: the work of the (side, slot, inputs)
+    jobs it runs with ``stacks`` (embed2d, side 0, and embed3d, side 1) on
+    one scratch buffer ``extent`` floats long.  The scratch's start holds,
+    in turn, each first hidden output, each stack output until it is
+    pooled, each pooled gradient until the top layers have read it, and
+    the first hidden output the backward recomputes.  ``slots`` holds the
+    forward cache of each (side, slot) run here, whose buffers, gradient
+    vector included, the next forward in that slot takes over; ``pending``
+    the caches of the step in flight.
     """
-    out, work = _lend(lane, stack, len(x))
-    reuse = None if slots is None else slots.get(key)
-    h, cache = embednet.forward(stack, x, reuse=reuse, out=out, work=work)
-    if slots is not None:
-        slots[key] = cache
-    rows, valid, pcache = embednet.pool_regions(h, regions)
-    return rows, valid, (cache, pcache)
 
+    def __init__(self, stacks: list[DenseStack], extent: int):
+        self.stacks = stacks
+        self.scratch = np.empty(extent)
+        self.slots: dict = {}
+        self.pending: list = []
 
-def _embed_backward(stack: DenseStack, upstream: np.ndarray, caches, lane: np.ndarray):
-    """Parameter gradient vector of one side of one frame, given its rows' gradient.
+    def _views(self, side: int, n: int) -> list[np.ndarray]:
+        """Stack ``side``'s ``out`` and ``work`` over ``n`` rows, both at the scratch's start."""
+        stack = self.stacks[side]
+        widths = (stack.out_width, stack.layers[0].weight.shape[0])
+        return [self.scratch[: n * w].reshape(n, w) for w in widths]
 
-    In the buffer of the lane that runs this call, the pooled gradient is
-    written over the start, and once the top layers have read it the
-    backward recomputes the first hidden output there.  The gradient of
-    the frame's inputs is not computed.  The vector returned is the
-    cache's, so it holds until the slot's next backward.
-    """
-    cache, pcache = caches
-    out, work = _lend(lane, stack, pcache.regions.num_rows)
-    g = embednet.pool_backward(upstream, pcache, out=out)
-    return embednet.backward(stack, g, cache, work=work, input_grad=False)[0]
+    def pool(self, side: int, x: np.ndarray, regions: Regions, reuse=None):
+        """Stack ``side`` on rows ``x``, pooled over ``regions``: (rows,
+        validity, forward cache, pooling cache).  The forward takes over the
+        buffers of ``reuse``, a cache of the step before, when they fit."""
+        out, work = self._views(side, len(x))
+        h, cache = embednet.forward(self.stacks[side], x, reuse=reuse, out=out, work=work)
+        rows, valid, pcache = embednet.pool_regions(h, regions)
+        return rows, valid, cache, pcache
+
+    def forward(self, jobs) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each (side, slot, (x, regions)) job's pooled (rows, validity); each
+        forward takes over its slot's cache and keeps its own for ``backward``."""
+        got, self.pending = [], []
+        for side, k, inputs in jobs:
+            rows, valid, cache, pcache = self.pool(side, *inputs, reuse=self.slots.get((side, k)))
+            self.slots[side, k] = cache
+            self.pending.append((side, cache, pcache))
+            got.append((rows, valid))
+        return got
+
+    def backward(self, upstreams) -> list[np.ndarray]:
+        """Each job's parameter gradient vector, given its rows' gradient; the
+        inputs' gradient is not computed.  A vector is its cache's, so it
+        holds until the slot's next backward."""
+        grads = []
+        for (side, cache, pcache), upstream in zip(self.pending, upstreams, strict=True):
+            out, work = self._views(side, pcache.regions.num_rows)
+            g = embednet.pool_backward(upstream, pcache, out=out)
+            grads.append(embednet.backward(
+                self.stacks[side], g, cache, work=work, input_grad=False)[0])
+        return grads
 
 
 class _LaneFailed(Exception):
@@ -242,29 +257,27 @@ class _Lane:
             _lane_warning(failed)
 
     def forward(self, params: np.ndarray, jobs) -> None:
-        """Start ``_embed`` on each (side, slot, FrameData) of ``jobs`` with
-        embed2d and embed3d, whose parameters ``params`` holds."""
+        """Start the lane's ``_Share.forward`` on each (side, slot, FrameData)
+        of ``jobs``, with embed2d's and embed3d's parameters ``params``."""
         self.held = True
         buf = self.buf
         # each job's regions and gradient length in the step the lane holds
-        self.sizes = [(len(fd.signs), buf.num_params[_SIDES.index(side)])
-                      for side, _, fd in jobs]
+        self.sizes = [(len(fd.signs), buf.num_params[side]) for side, _, fd in jobs]
         buf.params[...] = params
         buf.header[0] = _FORWARD
-        buf.header[1:] = [x for side, k, fd in jobs
-                          for x in (_SIDES.index(side), k, self.index[id(fd)])]
+        buf.header[1:] = [x for side, k, fd in jobs for x in (side, k, self.index[id(fd)])]
         os.eventfd_write(self.fds[1], 1)
 
     def rows(self) -> list:
-        """Each job's (rows, validity, None): ``_embed``'s, less the caches."""
+        """Each job's (rows, validity), as ``_Share.forward`` gives them."""
         self._wait()
-        got = [(self.buf.rows[j, :q], self.buf.valid[j, :q], None)
-               for j, (q, _) in enumerate(self.sizes)]
+        buf = self.buf
+        got = [(buf.rows[j, :q], buf.valid[j, :q]) for j, (q, _) in enumerate(self.sizes)]
         self.held = False
         return got
 
     def backward(self, upstreams: list[np.ndarray]) -> None:
-        """Start ``_embed_backward`` on the forward's jobs, given their rows' gradients."""
+        """Start the lane's ``_Share.backward``, given the jobs' rows' gradients."""
         self.held = True
         for j, upstream in enumerate(upstreams):
             self.buf.upstream[j, : len(upstream)] = upstream
@@ -313,24 +326,22 @@ def _serve_lane(memfd: int, go: int, done: int) -> None:
         stacks = [DenseStack([DenseLayer(np.zeros(s), np.zeros(s[0])) for s in side])
                   for side in layout[0]]
         params = embednet.pack_params(stacks)
-        lane = np.empty(scratch)
-        caches: dict = {}
+        share = _Share(stacks, scratch)
         while _rang(poll, go):
             if buf.header[0] == _BACKWARD:
-                for j, (side, held, q) in enumerate(kept):
-                    g = _embed_backward(stacks[side], buf.upstream[j, :q], held, lane)
+                grads = share.backward(buf.upstream[j, : len(rows)]
+                                       for j, (rows, _) in enumerate(got))
+                for j, g in enumerate(grads):
                     buf.grad[j, : len(g)] = g
             else:
                 params[...] = buf.params
                 for stack in stacks:
                     stack.bump()
-                kept = []
-                for j, (side, k, i) in enumerate(buf.header[1:].reshape(-1, 3).tolist()):
-                    rows, valid, held = _embed(
-                        stacks[side], *frames[i][side], caches, (side, k), lane)
+                jobs = buf.header[1:].reshape(-1, 3).tolist()
+                got = share.forward((side, k, frames[i][side]) for side, k, i in jobs)
+                for j, (rows, valid) in enumerate(got):
                     buf.rows[j, : len(rows)] = rows
                     buf.valid[j, : len(valid)] = valid
-                    kept.append((side, held, len(rows)))
             os.eventfd_write(done, 1)
     except (EOFError, BrokenPipeError):
         return

@@ -328,29 +328,25 @@ class SceneSet:
 class _Run:
     """What one ``pretrain`` run carries from step to step; see ``open``.
 
-    ``scratch`` is one flat float64 buffer as long as ``lane._extent``
-    says, as the lane's is: its start holds,
-    in turn, each first hidden output, each stack output until it is
-    pooled, each pooled gradient until the backward's top layers have
-    read it, and the first hidden output the backward recomputes.
-    ``slots`` holds the forward cache of each trained stack and batch
-    slot that the calling thread runs, whose buffers, its gradient vector
-    included, the next forward in that slot takes over; the lane keeps
-    those of the slots it runs, which this process fills only if the lane
-    did not start.  ``bank`` is the EMA prototype bank, which a skipped
-    batch leaves as it was; ``grads`` the last step's gradient over
-    ``Model.params`` (zero on embed2d under ``freeze_2d``); ``vel`` the
-    SGD velocity of ``params``; ``shapes`` embed2d's and embed3d's layer
-    shapes, for the lane's layout.
+    ``share`` is the calling process's ``lane._Share`` of each step, with
+    the model's embed2d and embed3d and a scratch buffer sized by
+    ``lane._extent``, as the lane's is; it keeps the forward caches of the
+    slots this process runs, which are all of them only if the lane did
+    not start.  ``rows2d`` holds, under ``freeze_2d``, each frame's 2D
+    rows and validity, pooled the first time a step meets the frame.
+    ``bank`` is the EMA prototype bank, which a skipped batch leaves as it
+    was; ``grads`` the last step's gradient over ``Model.params`` (zero on
+    embed2d under ``freeze_2d``); ``vel`` the SGD velocity of ``params``;
+    ``shapes`` embed2d's and embed3d's layer shapes, for the lane's layout.
     """
 
     def __init__(self, model: Model, cfg: TrainConfig, scenes: SceneSet):
         self.scenes = scenes
-        self.shapes = [[layer.weight.shape for layer in stack.layers]
-                       for stack in model.stacks()[:2]]
-        self.scratch = np.empty(lane._extent(scenes.prepared, self.shapes)[0])
-        self.slots: dict = {}
-        self.rows2d: dict | None = {} if cfg.freeze_2d else None
+        stacks = model.stacks()[:2]
+        self.shapes = [[layer.weight.shape for layer in stack.layers] for stack in stacks]
+        self.share = lane._Share(stacks, lane._extent(scenes.prepared, self.shapes)[0])
+        self.trained = (1,) if cfg.freeze_2d else (0, 1)  # the sides a step trains
+        self.rows2d: dict = {}
         self.bank: protobank.PrototypeBank | None = None
         self.params = model.params
         self.grads = np.empty_like(self.params)
@@ -365,17 +361,6 @@ class _Run:
         process until it is closed."""
         with blas_threads(1):
             yield cls(model, cfg, scenes)
-
-    def embed2d(self, stack: DenseStack, k: int, fd: FrameData):
-        """Frame ``fd``'s 2D side in batch slot ``k``, as ``lane._embed`` gives it;
-        with ``freeze_2d``, the rows pooled the first time and no caches."""
-        if self.rows2d is None:
-            return lane._embed(stack, fd.x2d, fd.regions2d, self.slots, ("2d", k), self.scratch)
-        # keyed by identity: a SceneSet's FrameData outlive the run
-        if id(fd) not in self.rows2d:
-            rows, valid, _ = lane._embed(stack, fd.x2d, fd.regions2d, None, None, self.scratch)
-            self.rows2d[id(fd)] = rows, valid, None
-        return self.rows2d[id(fd)]
 
     def sgd(self, lr: float) -> None:
         """SGD with momentum: apply ``grads`` in place to ``params``."""
@@ -392,25 +377,26 @@ def run_step(model: Model, batch: list[FrameData], epoch: int, cfg: TrainConfig,
 
     The scene set's lane, which the set's first step starts and waits
     for, runs the trained sides of the last ⌊B/2⌋ frames, both or, under
-    ``freeze_2d``, the 3D side alone, while this thread runs the rest:
-    each of its frames' 2D side (the cached rows under ``freeze_2d``, for
-    every frame) and 3D side, then their backwards and the blend
-    backward; a lane that did not start leaves this thread every frame.
-    The frames' pooled rows make one ``EmbeddingBank``, which both losses
-    and the prototypes read.  The gradient is left in ``run.grads``: this
-    thread's vectors are added into their stacks' slices first and the
-    lane's after, so within a stack in slot order, and the bytes do not
-    depend on which lane ran a frame.  The prototype gate is decided
-    here, once: the prototype term is computed only while open.  Raises
-    DegenerateBatchError, once the lane has answered, when the batch has
-    too few valid regions or a raw 3D or blended prototype collapses to
-    zero norm, and ``lane._LaneFailed`` when the lane fails.  Any exception
-    that ends a step while the lane owes it answers closes the lane,
-    whose part of the step is lost.
+    ``freeze_2d``, the 3D side alone, and this process runs the other
+    trained sides, both through the same ``lane._Share`` methods (this
+    process's is ``run.share``); a lane that did not start leaves this
+    process every frame.  Under ``freeze_2d`` every frame's 2D rows are
+    those pooled once per run.  The frames' pooled rows make one
+    ``EmbeddingBank``, which both losses and the prototypes read.  The
+    gradient is left in ``run.grads``: this process's vectors are added
+    into their stacks' slices first and the lane's after, so within a
+    stack in slot order, and the bytes do not depend on which process ran
+    a frame.  The prototype gate is decided here, once: the prototype term
+    is computed only while open.  Raises DegenerateBatchError, once the
+    lane has answered, when the batch has too few valid regions or a raw
+    3D or blended prototype collapses to zero norm, and
+    ``lane._LaneFailed`` when the lane fails.  Any exception that ends a
+    step while the lane owes it answers closes the lane, whose part of
+    the step is lost.
     """
     # the (side, slot) pairs the lane runs
-    trained = ("3d",) if cfg.freeze_2d else lane._SIDES
-    jobs = [(side, k) for side in trained for k in range(len(batch) - len(batch) // 2, len(batch))]
+    jobs = [(side, k) for side in run.trained
+            for k in range(len(batch) - len(batch) // 2, len(batch))]
     child = run.scenes.lane((run.shapes, len(jobs)))
     try:
         return _step(model, batch, epoch, cfg, run, child, jobs if child else [])
@@ -425,21 +411,24 @@ def _step(model, batch, epoch, cfg, run, child: lane._Lane | None, jobs) -> Loss
     # embed2d's slice of the parameters, then embed3d's, then the blending stacks'
     n2d = model.embed2d.num_params
     n3d = n2d + model.embed3d.num_params
-    stacks = {"2d": model.embed2d, "3d": model.embed3d}
     if jobs:
         child.forward(model.params[:n3d], [(side, k, batch[k]) for side, k in jobs])
-    sides = {}
-    for k, fd in enumerate(batch):
-        if ("2d", k) not in jobs:
-            sides["2d", k] = run.embed2d(model.embed2d, k, fd)
-        if ("3d", k) not in jobs:
-            sides["3d", k] = lane._embed(
-                model.embed3d, fd.x3d, fd.regions3d, run.slots, ("3d", k), run.scratch)
+    # this process's jobs: the trained (side, slot) pairs the lane does not
+    # run, in slot order within each side, as the lane's are
+    mine = [(side, k) for side in run.trained for k in range(len(batch)) if (side, k) not in jobs]
+    inputs = [((fd.x2d, fd.regions2d), (fd.x3d, fd.regions3d)) for fd in batch]
+    sides = dict(zip(mine, run.share.forward((side, k, inputs[k][side]) for side, k in mine)))
+    if cfg.freeze_2d:
+        for k, fd in enumerate(batch):
+            # keyed by identity: a SceneSet's FrameData outlive the run
+            if id(fd) not in run.rows2d:
+                run.rows2d[id(fd)] = run.share.pool(0, *inputs[k][0])[:2]
+            sides[0, k] = run.rows2d[id(fd)]
     if jobs:
         sides.update(zip(jobs, child.rows()))
     # one bank over the batch's regions: frame by frame, region index ascending
-    rows2d, valid2d, _ = zip(*(sides["2d", k] for k in range(len(batch))))
-    rows3d, valid3d, _ = zip(*(sides["3d", k] for k in range(len(batch))))
+    rows2d, valid2d = zip(*(sides[0, k] for k in range(len(batch))))
+    rows3d, valid3d = zip(*(sides[1, k] for k in range(len(batch))))
     batch_bank = embednet.make_bank(
         np.concatenate(rows2d),
         np.concatenate(valid2d),
@@ -468,19 +457,17 @@ def _step(model, batch, epoch, cfg, run, child: lane._Lane | None, jobs) -> Loss
             run.bank = protos  # past every check that skips a batch
 
     grad_f3d = sp.grad_f3d if pro is None else sp.grad_f3d + pro.grad_f3d
-    upstream = {"2d": sp.grad_f2d, "3d": grad_f3d}
+    upstream = (sp.grad_f2d, grad_f3d)
     ends = np.cumsum([len(fd.signs) for fd in batch])
     rows = [slice(end - len(fd.signs), end) for fd, end in zip(batch, ends)]
     if jobs:
         child.backward([upstream[side][rows[k]] for side, k in jobs])
     grads = run.grads
     grads.fill(0.0)
-    dests = {"2d": grads[:n2d], "3d": grads[n2d:n3d]}
-    # this thread's frames come first in ``sides``, in slot order
-    for (side, k), (_, _, caches) in sides.items():
-        if caches is not None:  # None: freeze_2d's cached 2D rows, or the lane's
-            dests[side] += lane._embed_backward(stacks[side], upstream[side][rows[k]],
-                                                caches, run.scratch)
+    dests = [grads[:n2d], grads[n2d:n3d]]
+    here = run.share.backward([upstream[side][rows[k]] for side, k in mine])
+    for (side, _), g in zip(mine, here):
+        dests[side] += g
     if bcache is not None:  # the gate is open and prototypes are blended
         grads[n3d:] += blending.blend_backward(pro.grad_pmix, bcache)
     if jobs:

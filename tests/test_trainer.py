@@ -191,6 +191,14 @@ def test_readme_config_keys_match_train_config():
     assert keys == [f.name for f in fields(TrainConfig)]
 
 
+def test_readme_layout_names_every_module():
+    root = Path(__file__).resolve().parent.parent
+    table = (root / "README.md").read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    modules = [p.stem for p in (root / "src" / "scenecontrast").glob("*.py")]
+    assert sorted(named) == sorted(set(modules) - {"__init__"})
+
+
 # ---------------------------------------------------------------------------
 # schedule
 
@@ -1028,6 +1036,40 @@ def test_3d_lane_does_not_change_ablation_rows(small_frames, monkeypatch):
         assert len(forwards) == 6 * 2 * cfg.epochs and len({pid for pid, _ in forwards}) == 1
 
 
+def test_a_set_of_two_geometries_trains_the_same_with_the_lane_in_and_out(
+    small_frames, monkeypatch
+):
+    # 2x32x32 px and 384 points beside 3x16x24 px and 240-480 points: the
+    # shared scratch takes the larger side's rows, a slot whose frame has
+    # another row count than the step before's cannot reuse its cache, and
+    # the lane's tables hold other region counts from step to step
+    wide = [SceneGeometry(num_points=n, num_cameras=3, height=16, width=24)
+            for n in (240, 480, 360)]
+    frames = small_frames[:3] + [
+        generate_scene(200 + s, SMALL_CFG, geom, scene_id=6 + s) for s, geom in enumerate(wide)
+    ]
+    real_run_step = trainer.run_step
+    for cfg in (CFG, FROZEN):
+        runs, counts = {}, []
+
+        def run_step_(model, batch, *rest):
+            counts.append([(len(fd.x2d), len(fd.x3d), len(fd.signs)) for fd in batch])
+            return real_run_step(model, batch, *rest)
+
+        for used in (False, True):
+            with monkeypatch.context() as m, SceneSet(frames) as scenes:
+                forwards = lane_in(m, used)
+                m.setattr(trainer, "run_step", run_step_)
+                result = pretrain(scenes, cfg)
+            runs[used] = result.metrics, result.model.params.tobytes()
+            assert len(forwards) == (2 * cfg.epochs if used else 0)
+        assert runs[True] == runs[False]
+        # each slot, the lane's last one among them, sees both geometries
+        slots = list(zip(*counts))
+        assert all(len({rows2d for rows2d, _, _ in slot}) == 2 for slot in slots)
+        assert len({regions for *_, regions in slots[-1]}) > 2
+
+
 def test_3d_lane_idles_through_a_skipped_batch(small_frames, monkeypatch, capsys):
     cfg = replace(FROZEN, proto_mode="raw3d", lam=0)
     real = trainer.protobank.build_prototypes
@@ -1126,20 +1168,21 @@ def _killed_lane_fails_the_run(small_frames, monkeypatch, cfg):
 
 def test_an_exception_mid_step_closes_the_3d_lane(small_frames, monkeypatch):
     # the lane owes this step its rows when this thread's 3D forward raises
-    real_embed = lane._embed
+    real_forward = lane._Share.forward
     for cfg in (FROZEN, CFG):
         seen = []
 
-        def embed_(stack, x, regions, slots, key, lane):
-            if key == ("3d", 0) and len(seen) == 2:
-                raise KeyboardInterrupt
-            if key == ("3d", 0):
-                seen.append(key)
-            return real_embed(stack, x, regions, slots, key, lane)
+        def forward_(self, jobs):
+            jobs = list(jobs)
+            if (1, 0) in [(side, k) for side, k, _ in jobs]:
+                if len(seen) == 2:
+                    raise KeyboardInterrupt
+                seen.append(jobs)
+            return real_forward(self, jobs)
 
         with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
             forwards = lane_in(m, True)
-            m.setattr(lane, "_embed", embed_)
+            m.setattr(lane._Share, "forward", forward_)
             with pytest.raises(KeyboardInterrupt):
                 pretrain(scenes, cfg)
             assert scenes._lane is None
@@ -1211,27 +1254,27 @@ def test_the_lane_serves_from_the_first_step(small_frames, monkeypatch, cfg):
     # the first step waits for the lane, so this thread never runs a slot
     # the lane takes, nor keeps a cache for one
     keys, runs = [], []
-    real_embed, real_run_step = lane._embed, trainer.run_step
+    real_forward, real_run_step = lane._Share.forward, trainer.run_step
 
-    def embed_(stack, x, regions, slots, key, lane):
-        keys.append(key)
-        return real_embed(stack, x, regions, slots, key, lane)
+    def forward_(self, jobs):
+        jobs = list(jobs)
+        keys.extend((side, k) for side, k, _ in jobs)
+        return real_forward(self, jobs)
 
     def run_step_(model, batch, epoch, cfg, run):
         runs.append(run)
         return real_run_step(model, batch, epoch, cfg, run)
 
-    monkeypatch.setattr(lane, "_embed", embed_)
+    monkeypatch.setattr(lane._Share, "forward", forward_)
     monkeypatch.setattr(trainer, "run_step", run_step_)
     with SceneSet(small_frames) as scenes:
         pretrain(scenes, cfg)
     b = cfg.scenes_per_batch
-    sides = ("3d",) if cfg.freeze_2d else ("2d", "3d")
+    sides = (1,) if cfg.freeze_2d else (0, 1)  # embed2d's and embed3d's
     here = sorted((side, k) for side in sides for k in range(b - b // 2))
     assert len(runs) == 2 * cfg.epochs
-    # None: the 2D rows freeze_2d pools once per frame
-    assert sorted({key for key in keys if key is not None}) == here
-    assert sorted(runs[0].slots) == here
+    assert sorted(set(keys)) == here
+    assert sorted(runs[0].share.slots) == here
 
 
 def test_a_lane_not_ready_in_time_leaves_this_thread_every_frame(
@@ -1479,11 +1522,11 @@ def test_run_state_buffers_add_up(small_set, prepared):
     with trainer._Run.open(model, CFG, small_set) as run:
         for batch in (prepared[:3], prepared[3:]):
             trainer.run_step(model, batch, CFG.lam + 1, CFG, run)
-    caches = run.slots
-    assert sorted(caches) == [(side, k) for side in ("2d", "3d") for k in range(2)]
+    caches = run.share.slots
+    assert sorted(caches) == [(side, k) for side in (0, 1) for k in range(2)]
     for (side, k), c in caches.items():
-        assert c.inputs is getattr(prepared[3 + k], "x" + side)
-    arrays = [a for c in caches.values() for a in [*c.acts, c.grads]] + [run.scratch]
+        assert c.inputs is getattr(prepared[3 + k], ("x2d", "x3d")[side])
+    arrays = [a for c in caches.values() for a in [*c.acts, c.grads]] + [run.share.scratch]
     assert not any(
         np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i]
     )
