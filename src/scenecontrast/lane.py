@@ -9,10 +9,11 @@ inputs), side 0 being embed2d and side 1 embed3d.  The child imports only
 this module, numpy, the standard library and ``embednet``, whose functions
 both processes call through the module.  A step goes through one buffer
 both processes map (``_LaneBuffer``) and two eventfd doorbells, one each
-way: each half is "write, ring, wait", and either side also watches the
-other's pipe for a hang-up.  Pickle crosses the pipes only for the ready
-report and the start message: the set's prepared inputs, the lane's
-layout, which is fixed for its life, and ``_extent``'s figures.
+way: the child rings once when it is ready, and each half of a step is
+"write, ring, wait"; either side also watches the other's pipe for a
+hang-up.  Pickle crosses a pipe once, in the start message: the lane's
+layout, which names its (side, slot) jobs for its life, each frame's
+prepared inputs of those jobs' sides, and ``_extent``'s figures.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _LANE_CODE = (
     "sys.path.insert(0, sys.argv[1]); "
     "from scenecontrast.lane import _serve_lane; _serve_lane(*map(int, sys.argv[2:5]))"
 )
-# how long the first step over a set waits for its lane to report ready;
+# how long the first step over a set waits for its lane to ring ready;
 # a lane that misses it is stopped, and the calling thread runs every frame
 _READY_WAIT_S = 60.0
 # the kinds of step half the header's first word names
@@ -59,17 +60,17 @@ def _extent(frames: list, shapes) -> tuple[int, int]:
 
 class _Share:
     """One process's share of a step: the work of the (side, slot, inputs)
-    jobs it runs with ``stacks`` (embed2d, side 0, and embed3d, side 1) on
-    one scratch buffer ``extent`` floats long.  The scratch's start holds,
-    in turn, each first hidden output, each stack output until it is
-    pooled, each pooled gradient until the top layers have read it, and
-    the first hidden output the backward recomputes.  ``slots`` holds the
-    forward cache of each (side, slot) run here, whose buffers, gradient
-    vector included, the next forward in that slot takes over; ``pending``
-    the caches of the step in flight.
+    jobs it runs with ``stacks`` (by side: embed2d 0, embed3d 1; the lane's
+    only its jobs') on one scratch buffer ``extent`` floats long.  The
+    scratch's start holds, in turn, each first hidden output, each stack
+    output until it is pooled, each pooled gradient until the top layers
+    have read it, and the first hidden output the backward recomputes.
+    ``slots`` holds the forward cache of each (side, slot) run here, whose
+    buffers, gradient vector included, the next forward in that slot
+    takes over; ``pending`` the caches of the step in flight.
     """
 
-    def __init__(self, stacks: list[DenseStack], extent: int):
+    def __init__(self, stacks, extent: int):
         self.stacks = stacks
         self.scratch = np.empty(extent)
         self.slots: dict = {}
@@ -134,14 +135,13 @@ def _start(fds: list[int]) -> subprocess.Popen:
     )
 
 
-def _await_ready(proc: subprocess.Popen) -> str | None:
-    """Wait for the child's ready report; why not, if it does not come."""
-    if not select.select([proc.stdout], [], [], _READY_WAIT_S)[0]:
-        return f"it was not ready within {_READY_WAIT_S:g} s"
-    try:
-        pickle.load(proc.stdout)
-    except (EOFError, OSError, pickle.UnpicklingError):
-        return "it exited before it was ready"
+def _await_ready(poll, bell: int) -> str | None:
+    """Wait for the child's ready ring on ``bell``; why not, if it does not come."""
+    ready = dict(poll.poll(_READY_WAIT_S * 1000))
+    if bell not in ready:
+        return "it exited before it was ready" if ready else (
+            f"it was not ready within {_READY_WAIT_S:g} s")
+    os.eventfd_read(bell)
     return None
 
 
@@ -170,28 +170,29 @@ def _reap(proc: subprocess.Popen, kill: bool) -> int | None:
 
 class _LaneBuffer:
     """The lane's shared buffer, as views of a map of the memfd ``fd``
-    sized for ``layout`` (embed2d's and embed3d's layer shapes, and the
-    number of lane jobs) and frames of up to ``regions`` regions:
-    ``header`` (int64: the step half's kind, then each job's (side, slot,
-    frame index) triple), ``params`` (embed2d's and then embed3d's slice
-    of ``Model.params``, ``num_params`` long per stack), and per job its
-    pooled ``rows``, ``upstream`` rows, gradient vector ``grad`` and
-    ``valid`` flags."""
+    sized for ``layout`` (``_Lane``'s) and frames of up to ``regions``
+    regions: ``header`` (int64: the step half's kind, then each job's frame
+    index), ``params`` (``Model.params`` at ``span``, the slices of
+    ``sides``, the jobs' sides), and per job its pooled ``rows``,
+    ``upstream`` rows, ``valid`` flags and gradient vector (``grad``)."""
 
     def __init__(self, fd: int, layout, regions: int):
         shapes, jobs = layout
-        self.num_params = [sum(o * i + o for o, i in stack) for stack in shapes]
-        table = (jobs, regions, shapes[0][-1][0])
-        parts = [(np.int64, 1 + 3 * jobs), (np.float64, sum(self.num_params)),
+        sizes = [sum(o * i + o for o, i in stack) for stack in shapes]
+        self.sides = sorted({side for side, _ in jobs})  # one or both: one run of Model.params
+        self.span = slice(sum(sizes[: self.sides[0]]), sum(sizes[: self.sides[-1] + 1]))
+        n, table = len(jobs), (len(jobs), regions, shapes[0][-1][0])
+        parts = [(np.int64, 1 + n), (np.float64, self.span.stop - self.span.start),
                  (np.float64, table), (np.float64, table),
-                 (np.float64, (jobs, max(self.num_params))), (np.bool_, (jobs, regions))]
+                 (np.float64, (n, max(sizes[s] for s in self.sides))), (np.bool_, (n, regions))]
         size = sum(np.dtype(t).itemsize * int(np.prod(s)) for t, s in parts)
         os.ftruncate(fd, size)
         mem, views, offset = mmap.mmap(fd, size), [], 0
         for dtype, shape in parts:
             views.append(np.frombuffer(mem, dtype, int(np.prod(shape)), offset).reshape(shape))
             offset += views[-1].nbytes
-        self.header, self.params, self.rows, self.upstream, self.grad, self.valid = views
+        self.header, self.params, self.rows, self.upstream, grad, self.valid = views
+        self.grad = [grad[j, : sizes[side]] for j, (side, _) in enumerate(jobs)]
 
 
 def _rang(poll, bell: int) -> bool:
@@ -215,11 +216,12 @@ def _watch(bell: int, pipe) -> select.poll:
 class _Lane:
     """A scene set's lane, as the calling process holds it, over the set's
     prepared ``frames`` (``trainer.FrameData``) under ``layout`` (embed2d's
-    and embed3d's layer shapes, and the job count of a step), both sent once
-    as it starts.  ``held`` is True while the lane owes answers.  A lane that
-    cannot start (it needs Linux's memfd and eventfd), exits before it is
-    ready, or is not ready within ``_READY_WAIT_S``, is stopped and never
-    ready, and says so once on stderr; one that fails later raises ``_LaneFailed``.
+    and embed3d's layer shapes, and the (side, slot) jobs it runs each step).
+    Once it rings ready, it is sent both, each frame with only its jobs'
+    sides.  ``held`` is True while the lane owes answers.  A lane that cannot
+    start (it needs Linux's memfd and eventfd), exits before it is ready, or
+    does not ring within ``_READY_WAIT_S``, is stopped and never ready, and
+    says so once on stderr; one that fails later raises ``_LaneFailed``.
     """
 
     def __init__(self, frames: list, layout):
@@ -236,11 +238,12 @@ class _Lane:
             self.fds += [os.eventfd(0), os.eventfd(0)]
             self.proc = _start(self.fds)
             self.poll = _watch(self.fds[2], self.proc.stdout)
-            failed = _await_ready(self.proc)
+            failed = _await_ready(self.poll, self.fds[2])
             if failed is None:
                 extent = _extent(frames, layout[0])
                 self.buf = _LaneBuffer(self.fds[0], layout, extent[1])
-                sides = [((fd.x2d, fd.regions2d), (fd.x3d, fd.regions3d)) for fd in frames]
+                pairs = [((fd.x2d, fd.regions2d), (fd.x3d, fd.regions3d)) for fd in frames]
+                sides = [{side: pair[side] for side in self.buf.sides} for pair in pairs]
                 pickle.dump((sides, layout, extent), self.proc.stdin, protocol=5)
                 self.proc.stdin.flush()
         except BrokenPipeError:  # before it read the start message
@@ -256,23 +259,22 @@ class _Lane:
             self.close()
             _lane_warning(failed)
 
-    def forward(self, params: np.ndarray, jobs) -> None:
-        """Start the lane's ``_Share.forward`` on each (side, slot, FrameData)
-        of ``jobs``, with embed2d's and embed3d's parameters ``params``."""
+    def forward(self, params: np.ndarray, frames: list) -> None:
+        """Start the lane's ``_Share.forward`` on each job's ``FrameData``
+        (``frames``), with its sides' slices of ``Model.params`` ``params``."""
         self.held = True
         buf = self.buf
-        # each job's regions and gradient length in the step the lane holds
-        self.sizes = [(len(fd.signs), buf.num_params[side]) for side, _, fd in jobs]
-        buf.params[...] = params
+        self.sizes = [len(fd.signs) for fd in frames]  # each job's regions, this step
+        buf.params[...] = params[buf.span]
         buf.header[0] = _FORWARD
-        buf.header[1:] = [x for side, k, fd in jobs for x in (side, k, self.index[id(fd)])]
+        buf.header[1:] = [self.index[id(fd)] for fd in frames]
         os.eventfd_write(self.fds[1], 1)
 
     def rows(self) -> list:
         """Each job's (rows, validity), as ``_Share.forward`` gives them."""
         self._wait()
         buf = self.buf
-        got = [(buf.rows[j, :q], buf.valid[j, :q]) for j, (q, _) in enumerate(self.sizes)]
+        got = [(buf.rows[j, :q], buf.valid[j, :q]) for j, q in enumerate(self.sizes)]
         self.held = False
         return got
 
@@ -288,7 +290,7 @@ class _Lane:
         """Each job's gradient vector, in job order."""
         self._wait()
         self.held = False
-        return [self.buf.grad[j, :n] for j, (_, n) in enumerate(self.sizes)]
+        return self.buf.grad
 
     def _wait(self) -> None:
         if not _rang(self.poll, self.fds[2]):
@@ -311,37 +313,34 @@ class _Lane:
 
 def _serve_lane(memfd: int, go: int, done: int) -> None:
     """The lane's side of ``_Lane``, until its input hangs up: ``go`` is
-    the doorbell it waits on, ``done`` the one it rings."""
+    the doorbell it waits on, ``done`` the one it rings, first when ready."""
     inp = sys.stdin.buffer
     try:
-        # unbuffered, so a parent gone before the report leaves nothing to
-        # flush at exit
-        with open(sys.stdout.fileno(), "wb", buffering=0, closefd=False) as out:
-            pickle.dump("ready", out, protocol=5)
+        os.eventfd_write(done, 1)
         poll = _watch(go, inp)
-        # each frame's (x2d, regions2d) and (x3d, regions3d), the layout, and
-        # _extent's figures
+        # each frame's (x, regions) by side, for the sides its jobs run; the
+        # layout; and _extent's figures
         frames, layout, (scratch, regions) = pickle.load(inp)
         buf = _LaneBuffer(memfd, layout, regions)
-        stacks = [DenseStack([DenseLayer(np.zeros(s), np.zeros(s[0])) for s in side])
-                  for side in layout[0]]
-        params = embednet.pack_params(stacks)
+        stacks = {side: DenseStack([DenseLayer(np.zeros(s), np.zeros(s[0]))
+                                    for s in layout[0][side]]) for side in buf.sides}
+        params = embednet.pack_params(list(stacks.values()))
         share = _Share(stacks, scratch)
         while _rang(poll, go):
             if buf.header[0] == _BACKWARD:
                 grads = share.backward(buf.upstream[j, : len(rows)]
                                        for j, (rows, _) in enumerate(got))
-                for j, g in enumerate(grads):
-                    buf.grad[j, : len(g)] = g
+                for view, g in zip(buf.grad, grads):
+                    view[...] = g
             else:
                 params[...] = buf.params
-                for stack in stacks:
+                for stack in stacks.values():
                     stack.bump()
-                jobs = buf.header[1:].reshape(-1, 3).tolist()
-                got = share.forward((side, k, frames[i][side]) for side, k, i in jobs)
+                got = share.forward((side, k, frames[i][side])
+                                    for (side, k), i in zip(layout[1], buf.header[1:].tolist()))
                 for j, (rows, valid) in enumerate(got):
                     buf.rows[j, : len(rows)] = rows
                     buf.valid[j, : len(valid)] = valid
             os.eventfd_write(done, 1)
-    except (EOFError, BrokenPipeError):
+    except EOFError:
         return

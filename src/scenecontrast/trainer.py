@@ -255,9 +255,9 @@ class SceneSet:
     are not changed); the probe reads only points and labels.
 
     The first step over the set starts its lane (``lane._Lane``) and waits
-    for it to report ready, so the lane serves from that step on; later
-    runs with its layout (stack shapes and job count) share it, so runs over
-    one set take turns, and a run with another layout gets a new lane.
+    for it to ring ready, so the lane serves from that step on; later runs
+    with its layout (stack shapes and (side, slot) jobs) share it, so runs
+    over one set take turns, and a run with another layout gets a new lane.
     ``close`` stops it, as leaving a ``with`` block over the set does, and
     so does dropping the set or the interpreter's exit.
     """
@@ -300,7 +300,7 @@ class SceneSet:
     def lane(self, layout) -> lane._Lane | None:
         """The set's lane under ``layout`` (``lane._Lane``'s), or None if it did
         not start, which is not retried; the first call, and one with another
-        layout than the ready lane's, start it and wait for its ready report."""
+        layout than the ready lane's, start it and wait for its ready ring."""
         if self._lane is not None and self._lane.is_ready and self._lane.layout != layout:
             self.close()
         if self._lane is None:
@@ -377,29 +377,29 @@ def run_step(model: Model, batch: list[FrameData], epoch: int, cfg: TrainConfig,
 
     The scene set's lane, which the set's first step starts and waits
     for, runs the trained sides of the last ⌊B/2⌋ frames, both or, under
-    ``freeze_2d``, the 3D side alone, and this process runs the other
-    trained sides, both through the same ``lane._Share`` methods (this
-    process's is ``run.share``); a lane that did not start leaves this
-    process every frame.  Under ``freeze_2d`` every frame's 2D rows are
-    those pooled once per run.  The frames' pooled rows make one
-    ``EmbeddingBank``, which both losses and the prototypes read.  The
-    gradient is left in ``run.grads``: this process's vectors are added
-    into their stacks' slices first and the lane's after, so within a
-    stack in slot order, and the bytes do not depend on which process ran
-    a frame.  The prototype gate is decided here, once: the prototype term
-    is computed only while open.  Raises DegenerateBatchError, once the
-    lane has answered, when the batch has too few valid regions or a raw
-    3D or blended prototype collapses to zero norm, and
-    ``lane._LaneFailed`` when the lane fails.  Any exception that ends a
-    step while the lane owes it answers closes the lane, whose part of
-    the step is lost.
+    ``freeze_2d``, the 3D side alone: its layout's (side, slot) jobs, so a
+    step sends it only their frames.  This process runs the other trained
+    sides, both through the same ``lane._Share`` methods (``run.share``
+    here); a lane that did not start leaves this process every frame.
+    Under ``freeze_2d`` every frame's 2D rows are those pooled once per
+    run.  The frames' pooled rows make one ``EmbeddingBank``, which both
+    losses and the prototypes read.  The gradient is left in
+    ``run.grads``: this process's vectors are added into their stacks'
+    slices first and the lane's after, so within a stack in slot order,
+    and the bytes do not depend on which process ran a frame.  The
+    prototype gate is decided here, once: the prototype term is computed
+    only while open.  Raises DegenerateBatchError, once the lane has
+    answered, when the batch has too few valid regions or a raw 3D or
+    blended prototype collapses to zero norm, and ``lane._LaneFailed``
+    when the lane fails.  Any exception that ends a step while the lane
+    owes it answers closes the lane, whose part of the step is lost.
     """
     # the (side, slot) pairs the lane runs
-    jobs = [(side, k) for side in run.trained
-            for k in range(len(batch) - len(batch) // 2, len(batch))]
-    child = run.scenes.lane((run.shapes, len(jobs)))
+    jobs = tuple((side, k) for side in run.trained
+                 for k in range(len(batch) - len(batch) // 2, len(batch)))
+    child = run.scenes.lane((run.shapes, jobs))
     try:
-        return _step(model, batch, epoch, cfg, run, child, jobs if child else [])
+        return _step(model, batch, epoch, cfg, run, child, jobs if child else ())
     except BaseException:
         if child is not None and child.held:
             run.scenes.close()
@@ -412,7 +412,7 @@ def _step(model, batch, epoch, cfg, run, child: lane._Lane | None, jobs) -> Loss
     n2d = model.embed2d.num_params
     n3d = n2d + model.embed3d.num_params
     if jobs:
-        child.forward(model.params[:n3d], [(side, k, batch[k]) for side, k in jobs])
+        child.forward(model.params, [batch[k] for _, k in jobs])
     # this process's jobs: the trained (side, slot) pairs the lane does not
     # run, in slot order within each side, as the lane's are
     mine = [(side, k) for side in run.trained for k in range(len(batch)) if (side, k) not in jobs]

@@ -965,9 +965,11 @@ def lane_in(monkeypatch, used: bool) -> list:
     real_forward = lane._Lane.forward
     forwards = []
 
-    def forward(self, params, jobs):
-        forwards.append((self.proc.pid, len(jobs)))
-        return real_forward(self, params, jobs)
+    def forward(self, params, frames):
+        forwards.append((self.proc.pid, len(frames)))
+        real_forward(self, params, frames)
+        # the step half's kind, then one frame index per job of the layout
+        assert len(self.buf.header) == 1 + len(self.layout[1]) == 1 + len(frames)
 
     if not used:
         monkeypatch.setattr(trainer.SceneSet, "lane", lambda self, layout: None)
@@ -988,8 +990,7 @@ def pickled(monkeypatch) -> list:
         seen.append(("load", real.load(*args, **kwargs)))
         return seen[-1][1]
 
-    monkeypatch.setattr(lane, "pickle", SimpleNamespace(
-        dump=dump, load=load, UnpicklingError=real.UnpicklingError))
+    monkeypatch.setattr(lane, "pickle", SimpleNamespace(dump=dump, load=load))
     return seen
 
 
@@ -1108,28 +1109,35 @@ def test_a_set_starts_another_lane_for_another_embed_dim(small_frames, monkeypat
     assert runs[True] == runs[False]
     pids = list(dict.fromkeys(pid for pid, _ in forwards))
     assert len(pids) == 3 and {n for _, n in forwards} == {1}
-    # each lane's start message carries its layout, of one lane job
+    # each lane's start message carries its layout: one job, the 3D side of slot 2
     feat_dim = small_frames[0].pixel_features.shape[3]
     layouts = [message[1] for kind, message in seen if kind == "dump"]
-    assert layouts == [(stack_shapes(feat_dim, cfg.embed_dim), 1) for cfg in cfgs]
+    assert layouts == [(stack_shapes(feat_dim, cfg.embed_dim), ((1, 2),)) for cfg in cfgs]
 
 
 def test_3d_lane_pickles_nothing_per_step(small_frames, monkeypatch):
     feat_dim = small_frames[0].pixel_features.shape[3]
-    for cfg, jobs in ((FROZEN, 1), (CFG, 2)):  # batches of 3: one frame's trained sides
+    # batches of 3: the trained sides of slot 2, and only those sides' inputs
+    for cfg, jobs in ((FROZEN, ((1, 2),)), (CFG, ((0, 2), (1, 2)))):
         seen = {}
         for epochs in (2, 4):
             with monkeypatch.context() as m, SceneSet(small_frames) as scenes:
                 forwards = lane_in(m, True)
-                seen[epochs] = pickled(m)
+                got = pickled(m)
                 pretrain(scenes, replace(cfg, epochs=epochs))
+                seen[epochs] = got, scenes.prepared
             assert len(forwards) == 2 * epochs
-        # the ready report and the start message, however long the run
-        for got in seen.values():
-            assert [kind for kind, _ in got] == ["load", "dump"]
-            frames, layout, _ = got[1][1]
-            assert got[0][1] == "ready" and len(frames) == len(small_frames)
+        # the start message alone, however long the run; the lane rings ready
+        for got, prepared in seen.values():
+            assert [kind for kind, _ in got] == ["dump"]
+            frames, layout, _ = got[0][1]
             assert layout == (stack_shapes(feat_dim, cfg.embed_dim), jobs)
+            sides = sorted({side for side, _ in jobs})
+            assert len(frames) == len(prepared) == len(small_frames)
+            for frame, fd in zip(frames, prepared):
+                inputs = ((fd.x2d, fd.regions2d), (fd.x3d, fd.regions3d))
+                assert sorted(frame) == sides
+                assert all(frame[s][i] is inputs[s][i] for s in sides for i in (0, 1))
 
 
 def test_a_killed_3d_lane_fails_the_run_and_the_next_run_starts_another(
@@ -1334,7 +1342,8 @@ def test_a_3d_lane_leaves_no_file_descriptor_open(small_frames, monkeypatch, cas
 
 def test_a_lane_interrupted_while_it_starts_leaves_no_trace(small_frames, monkeypatch, capfd):
     # Ctrl-C inside Popen, once the child runs: Popen closes its pipes and
-    # raises, so the child's ready report meets a closed pipe
+    # raises, so the child's ready ring meets a closed parent, and it exits
+    # at the hang-up of its input
     started, real_popen = [], subprocess.Popen
 
     def popen(*args, **kwargs):
