@@ -85,10 +85,17 @@ def blend(bank: PrototypeBank, params: BlendParams) -> BlendCache:
     fused, cache_fuse = embednet.forward(
         params.fuse, np.concatenate([bar2d, bar3d], axis=1)
     )
-    norms = np.linalg.norm(fused, axis=1)
+    pmix, norms = unit_rows(fused, "fused prototype collapsed to zero norm")
+    return BlendCache(cache2d, cache3d, cache_fuse, pmix, norms)
+
+
+def unit_rows(rows: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` divided by their norms, and the norms.  Raises
+    DegenerateBatchError with ``message`` if a norm is below 1e-12."""
+    norms = np.linalg.norm(rows, axis=1)
     if (norms < 1e-12).any():
-        raise DegenerateBatchError("fused prototype collapsed to zero norm")
-    return BlendCache(cache2d, cache3d, cache_fuse, fused / norms[:, None], norms)
+        raise DegenerateBatchError(message)
+    return rows / norms[:, None], norms
 
 
 def blend_backward(upstream: np.ndarray, cache: BlendCache) -> np.ndarray:

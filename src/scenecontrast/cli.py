@@ -74,7 +74,7 @@ def _check_out(path: str) -> None:
 
 def _config_from_args(args) -> trainer.TrainConfig:
     cfg = trainer.load_config(args.config) if args.config else trainer.TrainConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "fraction", None) is not None:
         cfg = replace(cfg, probe_fraction=args.fraction)
@@ -167,11 +167,13 @@ def build_parser() -> _Parser:
             g.add_argument(flag, type=type(value), default=value)
     g.set_defaults(fn=_cmd_gen_scenes)
 
-    t = sub.add_parser("pretrain", help="run the contrastive pre-training loop")
-    t.add_argument("--config", default=None)
-    t.add_argument("--scenes", required=True)
+    run = _Parser(add_help=False)  # the flags of every command that reads scenes
+    run.add_argument("--scenes", required=True)
+    run.add_argument("--config", default=None)
+    run.add_argument("--seed", type=int, default=None)
+
+    t = sub.add_parser("pretrain", parents=[run], help="run the contrastive pre-training loop")
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=None)
     t.set_defaults(fn=_cmd_pretrain)
 
     c = sub.add_parser(
@@ -181,34 +183,24 @@ def build_parser() -> _Parser:
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=_cmd_gradcheck)
 
-    r = sub.add_parser("probe", help="linear probe of a trained checkpoint")
+    r = sub.add_parser("probe", parents=[run], help="linear probe of a trained checkpoint")
     r.add_argument("--ckpt", required=True)
-    r.add_argument("--scenes", required=True)
     r.add_argument("--fraction", type=float, default=None)
-    r.add_argument("--config", default=None)
-    r.add_argument("--seed", type=int, default=None)
     r.add_argument("--out", default=None)
     r.set_defaults(fn=_cmd_probe)
 
-    a = sub.add_parser("ablate", help="train and probe the comparison arms")
-    a.add_argument("--scenes", required=True)
+    a = sub.add_parser("ablate", parents=[run], help="train and probe the comparison arms")
     a.add_argument("--seeds", type=int, default=None)
     a.add_argument("--arm", choices=list(trainer.ARMS), default=None)
-    a.add_argument("--config", default=None)
     a.add_argument("--fraction", type=float, default=None)
-    a.add_argument("--seed", type=int, default=None)
     a.add_argument("--out", default=None)
     a.set_defaults(fn=_cmd_ablate)
 
     return p
 
 
-class _Terminated(BaseException):
-    """Raised on the main thread by SIGTERM, so a run unwinds as on Ctrl-C."""
-
-
 def _terminate(signum, frame):
-    raise _Terminated
+    raise KeyboardInterrupt("terminated")  # SIGTERM unwinds a run as Ctrl-C does
 
 
 def main(argv=None) -> int:
@@ -237,11 +229,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: {args.command}: out of memory", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        print(f"error: {args.command}: interrupted", file=sys.stderr)
-        return 2
-    except _Terminated:
-        print(f"error: {args.command}: terminated", file=sys.stderr)
+    except KeyboardInterrupt as err:  # Ctrl-C's carries no words, SIGTERM's "terminated"
+        print(f"error: {args.command}: {str(err) or 'interrupted'}", file=sys.stderr)
         return 2
     finally:
         if on_main:

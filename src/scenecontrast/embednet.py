@@ -404,7 +404,8 @@ def pool_backward(
     k = np.flatnonzero(cache.valid)
     nv, gk, bounds = cache.norms[k, None], g[k], cache.regions.offsets
     u = cache.means[k] / nv
-    # batched dots have np.dot's bits; + 0.0, as into zeroed rows, makes -0.0 0.0
+    # batched dots have np.dot's bits (OpenBLAS's Prescott ddot: at the 16-byte row
+    # alignment an even D keeps); + 0.0, as into zeroed rows, makes -0.0 0.0
     rows = (gk - np.matmul(gk[:, None, :], u[:, :, None])[:, 0] * u) / nv
     rows /= np.diff(bounds)[k, None]
     rows += 0.0

@@ -1,16 +1,17 @@
 """The lane: a child Python process that embeds part of each training step.
 
 A scene set's lane (``_Lane``) runs the trained sides (2D and 3D, or 3D
-alone under ``freeze_2d``) of the last half of each batch's frames, since
-a thread would contend with the calling thread for the interpreter lock
-on the stacks' many short numpy calls.  Each process runs its part of a
-step through its own ``_Share``, on jobs of one format: (side, slot,
-inputs), side 0 being embed2d and side 1 embed3d.  The child imports only
-this module, numpy, the standard library and ``embednet``, whose functions
-both processes call through the module.  A step goes through one buffer
-both processes map (``_LaneBuffer``) and two eventfd doorbells, one each
-way: the child rings once when it is ready, and each half of a step is
-"write, ring, wait"; either side also watches the other's pipe for a
+alone under ``freeze_2d``) of the last half of each batch's frames, since a
+thread would contend with the calling thread for the interpreter lock on the
+stacks' many short numpy calls.  Each process runs its part of a step
+through its own ``_Share``, on jobs of one format: (side, slot, inputs),
+side 0 being embed2d and side 1 embed3d.  The child imports only this
+module, numpy, the standard library and ``embednet``, whose functions both
+processes call through the module.  A step goes through one buffer both
+processes map (``_LaneBuffer``), whose parameters the child's stacks view,
+and two eventfd doorbells, which unlike pipe writes do not pull the reader
+onto the writer's CPU: the child rings once when ready, and each half of a
+step is "write, ring, wait"; either side also watches the other's pipe for a
 hang-up.  Pickle crosses a pipe once, in the start message: the lane's
 layout, which names its (side, slot) jobs for its life, each frame's
 prepared inputs of those jobs' sides, and ``_extent``'s figures.
@@ -61,13 +62,14 @@ def _extent(frames: list, shapes) -> tuple[int, int]:
 class _Share:
     """One process's share of a step: the work of the (side, slot, inputs)
     jobs it runs with ``stacks`` (by side: embed2d 0, embed3d 1; the lane's
-    only its jobs') on one scratch buffer ``extent`` floats long.  The
-    scratch's start holds, in turn, each first hidden output, each stack
-    output until it is pooled, each pooled gradient until the top layers
-    have read it, and the first hidden output the backward recomputes.
-    ``slots`` holds the forward cache of each (side, slot) run here, whose
-    buffers, gradient vector included, the next forward in that slot
-    takes over; ``pending`` the caches of the step in flight.
+    are its jobs' sides, as views of the shared parameters) on one scratch
+    buffer ``extent`` floats long.  The scratch's start holds, in turn,
+    each first hidden output, each stack output until it is pooled, each
+    pooled gradient until the top layers have read it, and the first
+    hidden output the backward recomputes.  ``slots`` holds the forward
+    cache of each (side, slot) run here, whose buffers, gradient vector
+    included, the next forward in that slot takes over; ``pending`` the
+    caches of the step in flight.
     """
 
     def __init__(self, stacks, extent: int):
@@ -171,10 +173,11 @@ def _reap(proc: subprocess.Popen, kill: bool) -> int | None:
 class _LaneBuffer:
     """The lane's shared buffer, as views of a map of the memfd ``fd``
     sized for ``layout`` (``_Lane``'s) and frames of up to ``regions``
-    regions: ``header`` (int64: the step half's kind, then each job's frame
-    index), ``params`` (``Model.params`` at ``span``, the slices of
-    ``sides``, the jobs' sides), and per job its pooled ``rows``,
-    ``upstream`` rows, ``valid`` flags and gradient vector (``grad``)."""
+    regions: ``params`` (``Model.params`` at ``span``, the slices of
+    ``sides``, the jobs' sides) at its start, so the lane's stacks align
+    as the parent's; ``header`` (int64: the step half's kind, then each
+    job's frame index); and per job its pooled ``rows``, ``upstream``
+    rows, ``valid`` flags and gradient vector (``grad``)."""
 
     def __init__(self, fd: int, layout, regions: int):
         shapes, jobs = layout
@@ -182,7 +185,7 @@ class _LaneBuffer:
         self.sides = sorted({side for side, _ in jobs})  # one or both: one run of Model.params
         self.span = slice(sum(sizes[: self.sides[0]]), sum(sizes[: self.sides[-1] + 1]))
         n, table = len(jobs), (len(jobs), regions, shapes[0][-1][0])
-        parts = [(np.int64, 1 + n), (np.float64, self.span.stop - self.span.start),
+        parts = [(np.float64, self.span.stop - self.span.start), (np.int64, 1 + n),
                  (np.float64, table), (np.float64, table),
                  (np.float64, (n, max(sizes[s] for s in self.sides))), (np.bool_, (n, regions))]
         size = sum(np.dtype(t).itemsize * int(np.prod(s)) for t, s in parts)
@@ -191,7 +194,7 @@ class _LaneBuffer:
         for dtype, shape in parts:
             views.append(np.frombuffer(mem, dtype, int(np.prod(shape)), offset).reshape(shape))
             offset += views[-1].nbytes
-        self.header, self.params, self.rows, self.upstream, grad, self.valid = views
+        self.params, self.header, self.rows, self.upstream, grad, self.valid = views
         self.grad = [grad[j, : sizes[side]] for j, (side, _) in enumerate(jobs)]
 
 
@@ -313,7 +316,8 @@ class _Lane:
 
 def _serve_lane(memfd: int, go: int, done: int) -> None:
     """The lane's side of ``_Lane``, until its input hangs up: ``go`` is
-    the doorbell it waits on, ``done`` the one it rings, first when ready."""
+    the doorbell it waits on, ``done`` the one it rings, first when ready.
+    Its stacks view the buffer's parameters, which only the parent writes."""
     inp = sys.stdin.buffer
     try:
         os.eventfd_write(done, 1)
@@ -322,9 +326,11 @@ def _serve_lane(memfd: int, go: int, done: int) -> None:
         # layout; and _extent's figures
         frames, layout, (scratch, regions) = pickle.load(inp)
         buf = _LaneBuffer(memfd, layout, regions)
-        stacks = {side: DenseStack([DenseLayer(np.zeros(s), np.zeros(s[0]))
-                                    for s in layout[0][side]]) for side in buf.sides}
-        params = embednet.pack_params(list(stacks.values()))
+        shells = [DenseStack([DenseLayer(np.empty(s), np.empty(s[0])) for s in layout[0][side]])
+                  for side in buf.sides]
+        views = embednet.layer_views(shells, buf.params)
+        stacks = {side: DenseStack([DenseLayer(w, b) for w, b in pairs])
+                  for side, pairs in zip(buf.sides, views)}
         share = _Share(stacks, scratch)
         while _rang(poll, go):
             if buf.header[0] == _BACKWARD:
@@ -333,7 +339,6 @@ def _serve_lane(memfd: int, go: int, done: int) -> None:
                 for view, g in zip(buf.grad, grads):
                     view[...] = g
             else:
-                params[...] = buf.params
                 for stack in stacks.values():
                     stack.bump()
                 got = share.forward((side, k, frames[i][side])

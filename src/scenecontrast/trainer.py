@@ -174,13 +174,7 @@ class Model:
 
     def stacks(self) -> list[DenseStack]:
         # fixed checkpoint order
-        return [
-            self.embed2d,
-            self.embed3d,
-            self.blend.proj2d,
-            self.blend.proj3d,
-            self.blend.fuse,
-        ]
+        return [self.embed2d, self.embed3d, *self.blend.stacks()]
 
 
 def init_model(feat_dim: int, embed_dim: int, seed: int) -> Model:
@@ -329,15 +323,16 @@ class _Run:
     """What one ``pretrain`` run carries from step to step; see ``open``.
 
     ``share`` is the calling process's ``lane._Share`` of each step, with
-    the model's embed2d and embed3d and a scratch buffer sized by
-    ``lane._extent``, as the lane's is; it keeps the forward caches of the
-    slots this process runs, which are all of them only if the lane did
-    not start.  ``rows2d`` holds, under ``freeze_2d``, each frame's 2D
-    rows and validity, pooled the first time a step meets the frame.
-    ``bank`` is the EMA prototype bank, which a skipped batch leaves as it
-    was; ``grads`` the last step's gradient over ``Model.params`` (zero on
-    embed2d under ``freeze_2d``); ``vel`` the SGD velocity of ``params``;
-    ``shapes`` embed2d's and embed3d's layer shapes, for the lane's layout.
+    the model's embed2d and embed3d (the lane's are views of the parameters
+    a step sends) and a scratch buffer sized by ``lane._extent``; it keeps
+    the forward caches of the slots this process runs, all of them only if
+    the lane did not start.  ``rows2d`` holds, under ``freeze_2d``, each
+    frame's 2D rows and validity, pooled the first time a step meets the
+    frame.  ``bank`` is the EMA prototype bank, which a skipped batch leaves
+    as it was; ``grads`` the last step's gradient over ``Model.params``,
+    summed in one loop, this process's jobs then the lane's (zero on embed2d
+    under ``freeze_2d``); ``vel`` the SGD velocity of ``params``; ``shapes``
+    embed2d's and embed3d's layer shapes, for the lane's layout.
     """
 
     def __init__(self, model: Model, cfg: TrainConfig, scenes: SceneSet):
@@ -375,24 +370,25 @@ def run_step(model: Model, batch: list[FrameData], epoch: int, cfg: TrainConfig,
              run: _Run) -> LossReport:
     """Forward, loss, and backward over one multi-frame batch.
 
-    The scene set's lane, which the set's first step starts and waits
-    for, runs the trained sides of the last ⌊B/2⌋ frames, both or, under
+    The scene set's lane, which the set's first step starts and waits for,
+    runs the trained sides of the last ⌊B/2⌋ frames, both or, under
     ``freeze_2d``, the 3D side alone: its layout's (side, slot) jobs, so a
-    step sends it only their frames.  This process runs the other trained
-    sides, both through the same ``lane._Share`` methods (``run.share``
-    here); a lane that did not start leaves this process every frame.
-    Under ``freeze_2d`` every frame's 2D rows are those pooled once per
-    run.  The frames' pooled rows make one ``EmbeddingBank``, which both
-    losses and the prototypes read.  The gradient is left in
-    ``run.grads``: this process's vectors are added into their stacks'
-    slices first and the lane's after, so within a stack in slot order,
-    and the bytes do not depend on which process ran a frame.  The
-    prototype gate is decided here, once: the prototype term is computed
-    only while open.  Raises DegenerateBatchError, once the lane has
-    answered, when the batch has too few valid regions or a raw 3D or
-    blended prototype collapses to zero norm, and ``lane._LaneFailed``
-    when the lane fails.  Any exception that ends a step while the lane
-    owes it answers closes the lane, whose part of the step is lost.
+    step sends it only their frames, and its sides' parameters, which the
+    lane's stacks view.  This process runs the other trained sides, both
+    through the same ``lane._Share`` methods (``run.share`` here); a lane
+    that did not start leaves this process every frame.  Under ``freeze_2d``
+    every frame's 2D rows are those pooled once per run.  The frames' pooled
+    rows make one ``EmbeddingBank``, which both losses and the prototypes
+    read.  The gradient is left in ``run.grads``: one loop adds every job's
+    vector into its stack's slice, this process's first and the lane's
+    after, so within a stack in slot order, and the bytes do not depend on
+    which process ran a frame.  The prototype gate is decided here, once:
+    the prototype term is computed only while open.  Raises
+    DegenerateBatchError, once the lane has answered, when the batch has too
+    few valid regions or a raw 3D or blended prototype collapses to zero
+    norm, and ``lane._LaneFailed`` when the lane fails.  Any exception that
+    ends a step while the lane owes it answers closes the lane, whose part
+    of the step is lost.
     """
     # the (side, slot) pairs the lane runs
     jobs = tuple((side, k) for side in run.trained
@@ -408,9 +404,6 @@ def run_step(model: Model, batch: list[FrameData], epoch: int, cfg: TrainConfig,
 
 def _step(model, batch, epoch, cfg, run, child: lane._Lane | None, jobs) -> LossReport:
     """``run_step``'s work, with the set's lane (``child``) running ``jobs``, or none."""
-    # embed2d's slice of the parameters, then embed3d's, then the blending stacks'
-    n2d = model.embed2d.num_params
-    n3d = n2d + model.embed3d.num_params
     if jobs:
         child.forward(model.params, [batch[k] for _, k in jobs])
     # this process's jobs: the trained (side, slot) pairs the lane does not
@@ -448,10 +441,7 @@ def _step(model, batch, epoch, cfg, run, child: lane._Lane | None, jobs) -> Loss
             bcache = blending.blend(protos, model.blend)
             pmix = bcache.pmix
         else:
-            norms = np.linalg.norm(protos.p3d, axis=1)
-            if (norms < 1e-12).any():
-                raise DegenerateBatchError("raw 3D prototype collapsed to zero")
-            pmix = protos.p3d / norms[:, None]
+            pmix = blending.unit_rows(protos.p3d, "raw 3D prototype collapsed to zero")[0]
         pro = losses.loss_pro(batch_bank, protos.class_ids, pmix, cfg.tau_pro)
         if cfg.ema:
             run.bank = protos  # past every check that skips a batch
@@ -462,17 +452,15 @@ def _step(model, batch, epoch, cfg, run, child: lane._Lane | None, jobs) -> Loss
     rows = [slice(end - len(fd.signs), end) for fd, end in zip(batch, ends)]
     if jobs:
         child.backward([upstream[side][rows[k]] for side, k in jobs])
-    grads = run.grads
-    grads.fill(0.0)
-    dests = [grads[:n2d], grads[n2d:n3d]]
+    run.grads.fill(0.0)
+    # the gradient's slices: embed2d's, embed3d's, then the blending stacks'
+    dests = np.split(run.grads, np.cumsum([stack.num_params for stack in run.stacks[:2]]))
     here = run.share.backward([upstream[side][rows[k]] for side, k in mine])
-    for (side, _), g in zip(mine, here):
-        dests[side] += g
     if bcache is not None:  # the gate is open and prototypes are blended
-        grads[n3d:] += blending.blend_backward(pro.grad_pmix, bcache)
-    if jobs:
-        for (side, _), g in zip(jobs, child.grads()):
-            dests[side] += g
+        dests[2] += blending.blend_backward(pro.grad_pmix, bcache)
+    # this process's vectors, then the lane's
+    for (side, _), g in zip(mine + list(jobs), here + (child.grads() if jobs else [])):
+        dests[side] += g
     return losses.total_loss(sp, pro)
 
 

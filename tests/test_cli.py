@@ -112,6 +112,31 @@ def test_gen_scenes_defaults_are_the_config_defaults():
     assert isinstance(args.noise, float) and isinstance(args.points, int)
 
 
+# pretrain, probe and ablate share --scenes (required), --config and --seed;
+# beside them, each command's own required flags, and its optional ones with
+# a value to parse and what that value parses to
+@pytest.mark.parametrize("command, required, optional", [
+    ("pretrain", ["--out"], {}),
+    ("probe", ["--ckpt"], {"--fraction": ("0.5", 0.5), "--out": ("o", "o")}),
+    ("ablate", [], {"--seeds": ("2", 2), "--arm": (trainer.ARMS[0], trainer.ARMS[0]),
+                    "--fraction": ("0.5", 0.5), "--out": ("o", "o")}),
+])
+def test_training_command_flags(command, required, optional, capsys):
+    parse, required = cli.build_parser().parse_args, ["--scenes", *required]
+    needed = [w for flag in required for w in (flag, "v")]
+    args = vars(parse([command, *needed]))
+    assert args == {"command": command, "fn": args["fn"], "config": None, "seed": None,
+                    **{flag[2:]: "v" for flag in required},
+                    **{flag[2:]: None for flag in optional}}
+    given = {"--config": ("c", "c"), "--seed": ("3", 3), **optional}
+    texts = [w for flag, (text, _) in given.items() for w in (flag, text)]
+    args = vars(parse([command, *needed, *texts]))
+    assert {f: args[f[2:]] for f in given} == {f: value for f, (_, value) in given.items()}
+    for flag in required:  # left out, a required flag exits 1 and is named
+        assert main([command, *(w for f in required if f != flag for w in (f, "v"))]) == 1
+        assert flag in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_1(capsys):
     assert main(["gen-scenes", "--out", "x", "--sneed", "3"]) == 1
     assert "error" in capsys.readouterr().err
